@@ -59,29 +59,6 @@ def _noop():
     pass
 
 
-def test_event_queue_burst_ring_throughput(benchmark):
-    """Drain 100 same-timestamp bursts of 100 fast events each.
-
-    Same-time fast-path pushes land in the array-backed burst ring
-    instead of the heap, so this case isolates the ring's append/drain
-    cost from heap sifting.
-    """
-
-    def churn():
-        q = EventQueue()
-        count = 0
-        for burst in range(100):
-            t = float(burst)
-            for __ in range(100):
-                q.push_fast(t, _noop)
-            while q:
-                q.pop_callback()
-                count += 1
-        return count
-
-    assert benchmark(churn) == 10_000
-
-
 def test_simulator_event_rate(benchmark):
     """Execute 10k chained timer events."""
 

@@ -18,9 +18,25 @@ The receiving side hands packets to ``node.deliver``.
 This is the engine's hottest code: every cell crossing every link costs
 one pass through :meth:`Interface._transmit_next`.  Transmission times
 are therefore memoized per packet size (cells come in exactly two sizes,
-512 B data and 53 B feedback), the completion/delivery events go through
-the simulator's handle-free fast path, and the callbacks are pre-bound
+512 B data and 53 B feedback), the delivery event goes through the
+simulator's handle-free fast path, and the callbacks are pre-bound
 methods instead of per-cell closures.
+
+**One event per uncontended transmission.**  Hop-by-hop feedback keeps
+relay queues short, so most transmissions end with nothing waiting
+behind them, and a "transmission complete" event would wake up to an
+empty queue.  The interface therefore keeps no such event by default.
+It remembers *when* the wire frees up (``_free_at``) and *reserves* the
+sequence number the completion event would have drawn (see
+:meth:`repro.sim.simulator.Simulator.reserve_seq`).  Only when
+:meth:`Interface.send` finds the wire still occupied is the event
+pushed, at that reserved ``(time, seq)``; it then fires exactly where
+an eagerly scheduled one would have, so simultaneous events keep their
+order and every simulated timestamp is unchanged.  (One thing a caller
+can see: the end of a transmission with nothing behind it is no longer
+an event, so ``sim.run()`` to exhaustion leaves the clock at the last
+delivery, not at the moment a dropped or captured last packet would
+have cleared the wire.  ``run_until`` is unaffected.)
 """
 
 from __future__ import annotations
@@ -114,32 +130,70 @@ class Interface:
         self.queue = queue if queue is not None else FifoQueue()
         self.name = name or ("%s.if" % owner.name)
         self.peer: Optional["Node"] = None  # set when wired into a topology
-        self._busy = False
+        # The wire is occupied until the simulator passes
+        # (_free_at, _free_seq): the place in the event order where the
+        # current transmission's completion event sits, or would sit.
+        self._free_at = float("-inf")
+        self._free_seq = -1
+        # Whether that completion event is actually in the event queue
+        # (someone is waiting for the wire), or the hook of a starting
+        # transmission is still running.  Either way send() only queues.
+        self._wake_pending = False
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: Optional capture hook for sharded execution: called as
-        #: ``on_serialize(packet, arrival_time)`` when serialization of
-        #: *packet* begins, where *arrival_time* is the absolute
-        #: simulated time the packet would reach the peer.  Returning
-        #: ``True`` claims the packet — the local delivery event is not
-        #: scheduled (the captor delivers it, e.g. in another shard's
-        #: simulator).  The transmitter still frees up normally.
-        self.on_serialize = None
-        #: Optional :class:`~repro.net.faults.FaultModel` filtering every
-        #: transmission: its verdict drops the packet or adds delivery
-        #: delay.  ``None`` (the default) keeps the fast path untouched.
-        self.fault_model = None
+        self._on_serialize = None
+        self._fault_model = None
+        # One gate for both optional egress stages, recomputed when
+        # either is assigned, so the default path tests one flag.
+        self._hooked = False
         # Bound methods allocated once here instead of once per cell in
         # the transmit loop.
-        self._on_tx_complete = self._transmission_complete
+        self._on_wake = self._transmit_next
         self._on_deliver = self._deliver
 
     # ------------------------------------------------------------------
 
     @property
+    def on_serialize(self):
+        """Optional capture hook for sharded execution.
+
+        Called as ``on_serialize(packet, arrival_time)`` when
+        serialization of *packet* begins, where *arrival_time* is the
+        absolute simulated time the packet would reach the peer.
+        Returning ``True`` claims the packet — the local delivery event
+        is not scheduled (the captor delivers it, e.g. in another
+        shard's simulator).  The transmitter still frees up normally.
+        """
+        return self._on_serialize
+
+    @on_serialize.setter
+    def on_serialize(self, capture) -> None:
+        self._on_serialize = capture
+        self._hooked = capture is not None or self._fault_model is not None
+
+    @property
+    def fault_model(self):
+        """Optional :class:`~repro.net.faults.FaultModel` filtering every
+        transmission: its verdict drops the packet or adds delivery
+        delay.  ``None`` (the default) keeps the fast path untouched.
+        """
+        return self._fault_model
+
+    @fault_model.setter
+    def fault_model(self, model) -> None:
+        self._fault_model = model
+        self._hooked = model is not None or self._on_serialize is not None
+
+    @property
     def busy(self) -> bool:
         """Whether a packet is currently being serialized."""
-        return self._busy
+        if self._wake_pending:
+            return True
+        sim = self._sim
+        now = sim.now
+        return now < self._free_at or (
+            now == self._free_at and sim.current_seq < self._free_seq
+        )
 
     @property
     def backlog_packets(self) -> int:
@@ -163,52 +217,81 @@ class Interface:
         """
         if self.peer is None:
             raise RuntimeError("interface %s has no peer attached" % self.name)
-        accepted = self.queue.offer(packet)
-        if accepted and not self._busy:
-            self._transmit_next()
-        return accepted
+        if not self.queue.offer(packet):
+            return False
+        if not self._wake_pending:
+            sim = self._sim
+            now = sim.now
+            free_at = self._free_at
+            if now < free_at or (
+                now == free_at and sim.current_seq < self._free_seq
+            ):
+                # The wire is occupied and nobody was waiting for it
+                # yet: the completion event is needed after all.
+                self._wake_pending = True
+                sim.schedule_reserved(free_at, self._free_seq, self._on_wake)
+            else:
+                self._transmit_next()
+        return True
 
     # ------------------------------------------------------------------
 
     def _transmit_next(self) -> None:
-        packet = self.queue.take()
+        """Put the head of the queue on the wire.
+
+        Runs from :meth:`send` on an idle wire, or as the completion
+        event of the previous transmission when packets were waiting.
+        """
+        queue = self.queue
+        packet = queue.take()
         if packet is None:
-            self._busy = False
+            self._wake_pending = False
             return
-        self._busy = True
         link = self.link
-        tx_time = link.transmission_time_for(packet.size)
+        tx_time = link._tx_times.get(packet.size)
+        if tx_time is None:
+            tx_time = link.transmission_time_for(packet.size)
         self.packets_sent += 1
         self.bytes_sent += packet.size
         # One-shot hook: fires when serialization begins at the first
         # link the packet traverses.  The Tor layer uses it to issue
         # feedback at the moment a cell is *actually forwarded* onto
         # the wire (queueing in this interface included), which is the
-        # paper's feedback semantics.  The slotted hook is the fast
-        # path; a hook stashed under metadata["on_tx_start"] (the
-        # pre-slot spelling) still works for ad-hoc tracing.
+        # paper's feedback semantics.  The wire counts as occupied
+        # while it runs, so a send() from inside the hook queues up.
         hook = packet.on_tx_start
         if hook is not None:
             packet.on_tx_start = None
+            self._wake_pending = True
             hook(packet.on_tx_start_arg)
-        elif packet._trace is not None:
-            legacy = packet._trace.pop("on_tx_start", None)
-            if legacy is not None:
-                legacy()
-        # The transmitter frees up when serialization completes; the
-        # packet arrives one propagation delay later.  Neither event is
-        # ever cancelled, so both take the handle-free fast path.
+        # The completion event's place in the event order is taken here
+        # (after the hook, before the delivery), but the event itself is
+        # only scheduled if a packet is already waiting behind this one.
+        # Only a completion event or a hook, which both leave the flag
+        # set, can have left one; send() on an idle wire found none.
         sim = self._sim
-        sim.schedule_fast(tx_time, self._on_tx_complete)
-        # Parenthesized exactly like the schedule_fast offset below, so
+        free_at = self._free_at = sim.now + tx_time
+        seq = self._free_seq = sim.reserve_seq()
+        if self._wake_pending and queue:
+            sim.schedule_reserved(free_at, seq, self._on_wake)
+        else:
+            self._wake_pending = False
+        if self._hooked:
+            self._deliver_hooked(packet, tx_time)
+        else:
+            sim.schedule_fast(tx_time + link.delay, self._on_deliver, packet)
+
+    def _deliver_hooked(self, packet: Packet, tx_time: float) -> None:
+        """Schedule *packet*'s delivery past the capture and fault stages."""
+        sim = self._sim
+        # Parenthesized exactly like the schedule_fast offsets below, so
         # a captured packet's arrival time is bit-identical to the
         # delivery time the suppressed local event would have had.
-        capture = self.on_serialize
-        if capture is not None and capture(
-            packet, sim.now + (tx_time + link.delay)
-        ):
+        flight = tx_time + self.link.delay
+        capture = self._on_serialize
+        if capture is not None and capture(packet, sim.now + flight):
             return
-        fault = self.fault_model
+        fault = self._fault_model
         if fault is not None:
             verdict = fault.on_transmit(packet)
             if verdict < 0.0:
@@ -216,20 +299,12 @@ class Interface:
                 # full serialization time, but no delivery is scheduled.
                 return
             if verdict > 0.0:
-                sim.schedule_fast(
-                    (tx_time + link.delay) + verdict, self._on_deliver, packet
-                )
+                sim.schedule_fast(flight + verdict, self._on_deliver, packet)
                 return
-        sim.schedule_fast(tx_time + link.delay, self._on_deliver, packet)
-
-    def _transmission_complete(self) -> None:
-        self._busy = False
-        if self.queue:
-            self._transmit_next()
+        sim.schedule_fast(flight, self._on_deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         packet.hops += 1
-        assert self.peer is not None  # checked in send()
         self.peer.deliver(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

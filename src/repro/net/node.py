@@ -50,7 +50,7 @@ class Node:
         self.name = name
         self.interfaces: List[Interface] = []
         self.routes: Dict[str, Interface] = {}
-        self._handler = handler
+        self.set_handler(handler)
         self.packets_received = 0
         self.bytes_received = 0
         #: Liveness flag driven by the fault plane: a node marked down
@@ -76,9 +76,12 @@ class Node:
             )
         self.routes[dst_name] = interface
 
-    def set_handler(self, handler: PacketHandler) -> None:
+    def set_handler(self, handler: Optional[PacketHandler]) -> None:
         """Install the packet handler (relay / client / server logic)."""
         self._handler = handler
+        # Resolved once here, not per delivered packet: an object with a
+        # handle_packet method, or a plain callable.
+        self._handle = getattr(handler, "handle_packet", handler)
 
     def interface_to(self, dst_name: str) -> Interface:
         """The interface used to reach *dst_name* (routing lookup)."""
@@ -110,18 +113,21 @@ class Node:
             return
         self.packets_received += 1
         self.bytes_received += packet.size
-        if packet.dst and packet.dst != self.name:
-            self.forward(packet)
+        dst = packet.dst
+        if dst and dst != self.name:
+            # Transit: forward() spelled out, because half of all link
+            # traversals (everything crossing a star's hub) pass here.
+            interface = self.routes.get(dst)
+            if interface is None:
+                interface = self.interface_to(dst)  # raises, naming the routes
+            interface.send(packet)
             return
-        if self._handler is None:
+        handle = self._handle
+        if handle is None:
             raise RuntimeError(
                 "node %s received %r but has no handler installed" % (self.name, packet)
             )
-        handler = self._handler
-        if hasattr(handler, "handle_packet"):
-            handler.handle_packet(packet, self)
-        else:
-            handler(packet, self)
+        handle(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Node %s ifaces=%d routes=%d>" % (

@@ -36,21 +36,6 @@ class QueueStats:
     max_depth_bytes: int = 0
     current_bytes: int = 0
 
-    def note_enqueue(self, size: int, depth_packets: int) -> None:
-        self.enqueued += 1
-        self.current_bytes += size
-        if depth_packets > self.max_depth_packets:
-            self.max_depth_packets = depth_packets
-        if self.current_bytes > self.max_depth_bytes:
-            self.max_depth_bytes = self.current_bytes
-
-    def note_dequeue(self, size: int) -> None:
-        self.dequeued += 1
-        self.current_bytes -= size
-
-    def note_drop(self) -> None:
-        self.dropped += 1
-
 
 class FifoQueue:
     """An unbounded first-in-first-out packet queue."""
@@ -72,8 +57,15 @@ class FifoQueue:
 
     def offer(self, packet: Packet) -> bool:
         """Enqueue *packet*.  Always succeeds for the unbounded FIFO."""
-        self._packets.append(packet)
-        self.stats.note_enqueue(packet.size, len(self._packets))
+        packets = self._packets
+        packets.append(packet)
+        stats = self.stats
+        stats.enqueued += 1
+        current = stats.current_bytes = stats.current_bytes + packet.size
+        if len(packets) > stats.max_depth_packets:
+            stats.max_depth_packets = len(packets)
+        if current > stats.max_depth_bytes:
+            stats.max_depth_bytes = current
         return True
 
     def take(self) -> Optional[Packet]:
@@ -81,7 +73,9 @@ class FifoQueue:
         if not self._packets:
             return None
         packet = self._packets.popleft()
-        self.stats.note_dequeue(packet.size)
+        stats = self.stats
+        stats.dequeued += 1
+        stats.current_bytes -= packet.size
         return packet
 
     def peek(self) -> Optional[Packet]:
@@ -110,7 +104,7 @@ class DropTailQueue(FifoQueue):
     def offer(self, packet: Packet) -> bool:
         """Enqueue *packet* unless the queue is full; report acceptance."""
         if len(self) >= self.capacity_packets:
-            self.stats.note_drop()
+            self.stats.dropped += 1
             return False
         return super().offer(packet)
 
@@ -132,6 +126,6 @@ class ScriptedLossQueue(FifoQueue):
         index = self._arrivals
         self._arrivals += 1
         if index in self.drop_indices:
-            self.stats.note_drop()
+            self.stats.dropped += 1
             return False
         return super().offer(packet)

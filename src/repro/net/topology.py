@@ -2,8 +2,9 @@
 
 A :class:`Topology` owns a set of nodes and the duplex links between
 them, and computes static next-hop routing tables (shortest path by
-propagation delay, via :mod:`networkx`).  The two shapes used by the
-paper's evaluation have dedicated builders:
+propagation delay, via :mod:`networkx`; a star's tables are filled in
+directly).  The two shapes used by the paper's evaluation have
+dedicated builders:
 
 * :func:`build_chain` — client, a sequence of relays, and a server in a
   line; used for the Figure-1 cwnd traces where the bottleneck link's
@@ -178,9 +179,16 @@ def build_star(
     are left handler-less for the Tor layer to claim.
     """
     topo = Topology(sim)
-    topo.add_node(hub_name, handler=ForwardingHandler())
+    hub = topo.add_node(hub_name, handler=ForwardingHandler())
+    names = [hub_name, *leaves]
     for leaf_name, spec in leaves.items():
-        topo.add_node(leaf_name)
+        leaf = topo.add_node(leaf_name)
         topo.connect(hub_name, leaf_name, spec)
-    topo.build_routes()
+        # A star has exactly one path per pair, so the tables
+        # build_routes() would search for are known: the hub reaches
+        # each leaf over that leaf's own link, and a leaf reaches
+        # everything else over its uplink.
+        hub.routes[leaf_name] = hub.interfaces[-1]
+        leaf.routes = dict.fromkeys(names, leaf.interfaces[-1])
+        del leaf.routes[leaf_name]
     return topo

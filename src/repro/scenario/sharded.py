@@ -34,10 +34,15 @@ regimes, picked automatically from the plan's connectivity:
   bottleneck's shard runs last at every barrier, so grid samplers
   observe every shard exactly at the grid time.
 
-The per-shard event streams are exact copies of the corresponding
-slices of the classic run (captures replace local deliveries 1:1), so
-``events_executed`` — summed across shards — also matches the classic
-engine, and the invariance is pinned byte-for-byte by the tests.
+The per-shard packet streams are exact copies of the corresponding
+slices of the classic run (captures replace local deliveries 1:1), and
+the invariance of every sample and probe series is pinned
+byte-for-byte by the tests.  In disjoint mode ``events_executed`` —
+summed across shards — matches the classic engine too.  In coupled
+mode it may differ by a few: an injected delivery draws its sequence
+number at the barrier, so when it lands on the exact instant a wire
+frees up, the tie can settle inline where the classic engine needed a
+wake event (or the reverse) — at the same simulated time either way.
 """
 
 from __future__ import annotations

@@ -13,33 +13,34 @@ the simulator:
   they surface.  Timers that are rescheduled often (retransmission
   timers, idle timeouts) stay O(log n).
 
-Two scheduling paths share one queue (and one sequence counter, so FIFO
-ordering holds *across* paths):
+Three ways in share one heap and one sequence counter, so FIFO ordering
+holds *across* them:
 
 * the **handle path** (:meth:`EventQueue.push`) returns an
   :class:`EventHandle` that can be cancelled — for timers;
 * the **fast path** (:meth:`EventQueue.push_fast`) stores a plain
   ``(time, seq, callback, args)`` tuple with no handle object at all —
-  for the ~95% of events that are never cancelled (transmission
-  completions, deliveries, feedback).  On the per-cell hot path this
-  saves one object allocation and its bookkeeping per event.
+  for the ~95% of events that are never cancelled (deliveries,
+  feedback);
+* a **reserved push** (:meth:`EventQueue.reserve_seq`, then maybe
+  :meth:`EventQueue.push_reserved`) draws the sequence number now and
+  decides later whether the event is needed at all.  A link transmitter
+  reserves the slot of its "transmission complete" event when a packet
+  starts serializing and only pushes it if another packet shows up
+  while the wire is busy; the event then fires at exactly the
+  ``(time, seq)`` position an eagerly pushed one would have had.
 
-Two further details keep the queue cheap under pathological loads:
+**Heap compaction.**  Cancelled handle entries normally leave the heap
+lazily, when they surface at the top.  Under cancel-heavy load (churn
+tearing down circuits cancels many timers) the garbage can outnumber
+the live entries; once it does, the heap is rebuilt in place — filter
+plus ``heapify`` — so memory and per-op cost stay O(live events), not
+O(events ever scheduled).
 
-* **Same-timestamp burst ring.**  Consecutive fast-path pushes for one
-  identical timestamp land in an array-backed ring (a plain list with a
-  consume index) instead of the heap: O(1) append and O(1) pop versus
-  O(log n) sift each way.  The pop side merge-compares the ring head
-  against the heap top on ``(time, seq)``, so ordering is exactly what
-  a heap-only queue would produce.
-* **Heap compaction.**  Cancelled handle entries normally leave the
-  heap lazily, when they surface at the top.  Under cancel-heavy load
-  (churn tearing down circuits cancels many timers) the garbage can
-  outnumber the live entries; once it does, the heap is rebuilt
-  in place — filter plus ``heapify`` — so memory and per-op cost stay
-  O(live events), not O(events ever scheduled).
+The queue counts its *dead* entries, not its live ones: pushes and pops
+of live events — all the hot path ever does — touch no counter.
 
-Both paths are exercised by the hypothesis property tests in
+All of this is exercised by the hypothesis property tests in
 ``tests/test_sim_events.py``.
 """
 
@@ -141,21 +142,16 @@ class EventQueue:
 
     * ``(time, seq, EventHandle)`` — cancellable, from :meth:`push`;
     * ``(time, seq, callback, args)`` — handle-free, from
-      :meth:`push_fast`.
+      :meth:`push_fast` and :meth:`push_reserved`.
 
     ``(time, seq)`` is unique per entry, so heap comparisons never reach
     the third element and the two shapes mix freely.  The queue itself
     knows nothing about simulated time; the simulator validates times
     before pushing.  This split keeps the heap logic independently
     testable (including with hypothesis).
-
-    Fast-path entries whose timestamp matches the current burst ring's
-    timestamp bypass the heap entirely (see the module docstring); the
-    ring's entries are always 4-tuples in seq-ascending order, so the
-    merge on the pop side is a single ``(time, seq)`` comparison.
     """
 
-    __slots__ = ("_heap", "_counter", "_live", "_burst", "_burst_pos")
+    __slots__ = ("_heap", "_counter", "_dead")
 
     #: Compaction only kicks in once at least this many dead entries
     #: have accumulated — rebuilding a ten-entry heap is noise.
@@ -164,20 +160,15 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[Any, ...]] = []
         self._counter = itertools.count()
-        self._live = 0
-        # Same-timestamp burst ring: 4-tuples sharing one timestamp, in
-        # push (= seq) order.  ``_burst_pos`` is the consume index; the
-        # list is cleared (in place) whenever it fully drains, so
-        # "ring empty" always implies ``_burst_pos == 0``.
-        self._burst: List[Tuple[Any, ...]] = []
-        self._burst_pos = 0
+        # Cancelled handle entries still sitting in the heap.
+        self._dead = 0
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled, unfired) events."""
-        return self._live
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._dead
 
     def push(
         self,
@@ -190,7 +181,6 @@ class EventQueue:
             raise SchedulingError("event time must not be NaN")
         handle = EventHandle(time, next(self._counter), callback, args, self)
         heapq.heappush(self._heap, (time, handle.seq, handle))
-        self._live += 1
         return handle
 
     def push_fast(
@@ -205,69 +195,56 @@ class EventQueue:
         :class:`EventHandle` is allocated, only the heap tuple itself.
         FIFO-within-timestamp ordering against :meth:`push` events is
         preserved because both paths draw from the same counter.
-
-        Consecutive fast pushes for one identical timestamp accumulate
-        in the burst ring (O(1) each) instead of the heap; any other
-        timestamp goes to the heap as usual.
         """
         if time != time:
             raise SchedulingError("event time must not be NaN")
-        burst = self._burst
-        if not burst or burst[0][0] == time:
-            burst.append((time, next(self._counter), callback, args))
-        else:
-            heapq.heappush(self._heap, (time, next(self._counter), callback, args))
-        self._live += 1
+        heapq.heappush(self._heap, (time, next(self._counter), callback, args))
 
-    def _burst_head(self) -> Optional[Tuple[Any, ...]]:
-        """The ring's next entry, or ``None`` when the ring is empty."""
-        if self._burst_pos < len(self._burst):
-            return self._burst[self._burst_pos]
-        return None
+    def reserve_seq(self) -> int:
+        """Draw the next sequence number without scheduling anything.
 
-    def _pop_burst(self) -> Tuple[Any, ...]:
-        """Consume and return the ring head (caller checked non-empty)."""
-        burst = self._burst
-        entry = burst[self._burst_pos]
-        self._burst_pos += 1
-        if self._burst_pos == len(burst):
-            burst.clear()
-            self._burst_pos = 0
-        return entry
+        The caller may later :meth:`push_reserved` an event under it —
+        at most once — or never use it; an unused number costs nothing.
+        """
+        return next(self._counter)
+
+    def push_reserved(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., Any],
+        args: Tuple[Any, ...] = (),
+    ) -> None:
+        """Schedule *callback(\\*args)* at ``(time, seq)``, handle-free.
+
+        *seq* must come from :meth:`reserve_seq` and be used once.  The
+        event fires exactly where one pushed at reservation time would
+        have: after everything scheduled for *time* before the
+        reservation, before everything scheduled for *time* after it.
+        """
+        if time != time:
+            raise SchedulingError("event time must not be NaN")
+        heapq.heappush(self._heap, (time, seq, callback, args))
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` when empty."""
         self._drop_dead()
-        head = self._burst_head()
-        if not self._heap:
-            return head[0] if head is not None else None
-        if head is not None and (head[0], head[1]) < (self._heap[0][0], self._heap[0][1]):
-            return head[0]
-        return self._heap[0][0]
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> EventHandle:
         """Remove and return the next live event.
 
         Fast-path entries are wrapped in a fresh (already detached)
         :class:`EventHandle` so callers see one uniform type; the
-        simulator's hot loop bypasses this via :meth:`pop_callback`.
+        simulator's hot loop works on the raw heap entries instead.
 
         Raises :class:`IndexError` when no live events remain (mirrors
         :meth:`list.pop` semantics, callers check :func:`len` first).
         """
         self._drop_dead()
-        head = self._burst_head()
-        if head is not None and (
-            not self._heap
-            or (head[0], head[1]) < (self._heap[0][0], self._heap[0][1])
-        ):
-            entry = self._pop_burst()
-            self._live -= 1
-            return EventHandle(entry[0], entry[1], entry[2], entry[3])
         if not self._heap:
             raise IndexError("pop from empty event queue")
         entry = heapq.heappop(self._heap)
-        self._live -= 1
         if len(entry) == 4:
             return EventHandle(entry[0], entry[1], entry[2], entry[3])
         handle = entry[2]
@@ -277,81 +254,57 @@ class EventQueue:
     def pop_callback(self) -> Tuple[float, Callable[..., Any], Tuple[Any, ...]]:
         """Remove the next live event; return ``(time, callback, args)``.
 
-        The allocation-free variant of :meth:`pop` used by the event
-        loop: no wrapper handle is created for fast-path entries, and
-        handle-path entries are marked fired here so the caller can
-        invoke the callback directly.
+        The allocation-free variant of :meth:`pop`: no wrapper handle is
+        created for fast-path entries, and handle-path entries are
+        marked fired here so the caller can invoke the callback
+        directly.
         """
         self._drop_dead()
-        heap = self._heap
-        head = self._burst_head()
-        if head is not None and (
-            not heap or (head[0], head[1]) < (heap[0][0], heap[0][1])
-        ):
-            entry = self._pop_burst()
-            self._live -= 1
+        if not self._heap:
+            raise IndexError("pop from empty event queue")
+        entry = heapq.heappop(self._heap)
+        if len(entry) == 4:
             return entry[0], entry[2], entry[3]
-        while heap:
-            entry = heapq.heappop(heap)
-            if len(entry) == 4:
-                self._live -= 1
-                return entry[0], entry[2], entry[3]
-            handle = entry[2]
-            if handle._cancelled:
-                continue  # dead entry surfacing; already uncounted
-            self._live -= 1
-            handle._queue = None
-            handle._fired = True
-            return entry[0], handle.callback, handle.args
-        raise IndexError("pop from empty event queue")
-
-    def note_cancelled(self) -> None:
-        """Deprecated no-op, kept for backward compatibility.
-
-        Live-count bookkeeping moved into :meth:`EventHandle.cancel`
-        itself (the handle knows its queue), so cancelling through the
-        handle and through :meth:`Simulator.cancel` agree without the
-        caller having to notify the queue.
-        """
+        handle = entry[2]
+        handle._queue = None
+        handle._fired = True
+        return entry[0], handle.callback, handle.args
 
     def clear(self) -> int:
         """Drop every pending event; return how many live ones were dropped."""
-        dropped = self._live
-        # Snapshot: cancelling can trigger an in-place compaction of
-        # ``_heap``, which must not race the iteration.
-        for entry in tuple(self._heap):
+        dropped = len(self)
+        for entry in self._heap:
             if len(entry) == 3:
+                # Detach first: the heap is about to be emptied, so the
+                # cancellation must not count (or compact) against it.
+                entry[2]._queue = None
                 entry[2].cancel()
         self._heap.clear()
-        self._burst.clear()
-        self._burst_pos = 0
-        self._live = 0
+        self._dead = 0
         return dropped
 
     def _note_handle_cancelled(self) -> None:
         """One live handle entry in the heap was cancelled.
 
-        Once dead entries outnumber the live ones still in the *heap*
-        (ring entries cannot be cancelled), the heap is compacted in
-        place — filter out the garbage, then re-heapify.  In-place slice
-        assignment matters: the simulator's hot loop holds a direct
+        Once dead entries outnumber the live ones, the heap is compacted
+        in place — filter out the garbage, then re-heapify.  In-place
+        slice assignment matters: the simulator holds a direct
         reference to the heap list.
         """
-        if self._live > 0:
-            self._live -= 1
+        dead = self._dead = self._dead + 1
         heap = self._heap
-        heap_live = self._live - (len(self._burst) - self._burst_pos)
-        dead = len(heap) - heap_live
-        if dead > heap_live and dead >= self._COMPACT_MIN_DEAD:
+        if dead > len(heap) - dead and dead >= self._COMPACT_MIN_DEAD:
             heap[:] = [
                 entry
                 for entry in heap
                 if len(entry) == 4 or not entry[2]._cancelled
             ]
             heapq.heapify(heap)
+            self._dead = 0
 
     def _drop_dead(self) -> None:
         """Discard cancelled entries sitting at the top of the heap."""
         heap = self._heap
         while heap and len(heap[0]) == 3 and heap[0][2]._cancelled:
             heapq.heappop(heap)
+            self._dead -= 1

@@ -7,19 +7,34 @@ and provides the scheduling API every other subsystem builds on:
 * :meth:`Simulator.schedule_at` — run a callback at an absolute time;
 * :meth:`Simulator.schedule_fast` — like :meth:`schedule`, but without
   allocating a cancellable :class:`~repro.sim.events.EventHandle`; the
-  per-cell hot path (transmission completions, deliveries, feedback)
-  uses this;
+  per-cell hot path (deliveries, feedback) uses this;
+* :attr:`Simulator.reserve_seq` / :meth:`schedule_reserved` /
+  :attr:`current_seq` — the deferred-event API: hold a place in the
+  ``(time, seq)`` order now, push the event only if it turns out to be
+  needed, and tell whether the loop has already gone past that place;
 * :meth:`Simulator.call_soon` — run a callback at the current instant,
   after the currently executing event (FIFO);
 * :meth:`Simulator.run` / :meth:`run_until` / :meth:`run_for` — drive
   the event loop;
-* :meth:`Simulator.stop` — halt the loop from inside a callback.
+* :meth:`Simulator.stop` — halt the loop from inside a callback;
+* :attr:`Simulator.now` — the clock, a plain attribute that only the
+  event loop writes.
 
 The fast-path contract: ``schedule_fast`` events cannot be cancelled
 and return no handle, but fire with exactly the same deterministic
 (time, seq) FIFO ordering as ``schedule`` events — both draw from one
 sequence counter, so mixing the two paths never reorders simultaneous
 events.
+
+The deferred-event contract: a number from ``reserve_seq`` stands for
+an event that *may* be scheduled at some time ``t``.  As long as
+``now < t`` — or ``now == t`` and ``current_seq`` is still below the
+reserved number — ``schedule_reserved(t, seq, ...)`` puts the event
+exactly where one scheduled at reservation time would sit.  Once the
+loop is past that place the event would already have fired, and the
+caller acts on the spot instead.  :class:`~repro.net.link.Interface`
+uses this so that a link transmission costs one event (the delivery)
+unless a second packet arrives while the first is on the wire.
 
 The simulator replaces ns-3 as the substrate the paper's evaluation ran
 on (see DESIGN.md §5): CircuitStart's behaviour depends only on event
@@ -28,7 +43,7 @@ timing, which a calendar-queue DES reproduces exactly.
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from .errors import ClockError, SchedulingError
@@ -53,8 +68,20 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         if start_time < 0:
             raise ClockError("start time must be non-negative, got %r" % start_time)
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  Read-only for everyone
+        #: but the event loop; a plain attribute because every layer
+        #: reads it about twice per event.
+        self.now = float(start_time)
         self._queue = EventQueue()
+        # The scheduling methods and the loop work on the queue's heap
+        # and counter directly: one call level per scheduled event.
+        self._heap = self._queue._heap
+        self._counter = self._queue._counter
+        self._current_seq = -1
+        #: ``reserve_seq()`` draws the next sequence number for an event
+        #: decided on later (see the deferred-event contract above).
+        #: Bound straight to the counter: a link calls it per packet.
+        self.reserve_seq: Callable[[], int] = self._counter.__next__
         self._running = False
         self._stop_requested = False
         self._events_executed = 0
@@ -64,14 +91,21 @@ class Simulator:
     # ------------------------------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def events_executed(self) -> int:
         """Total number of events executed so far (for diagnostics)."""
         return self._events_executed
+
+    @property
+    def current_seq(self) -> int:
+        """Sequence number of the event being executed.
+
+        Between events it keeps the last executed event's number; once a
+        run has executed everything it was asked to, it moves past every
+        number drawn so far.  Either way, an event reserved under *seq*
+        for the current instant would already have fired exactly when
+        ``current_seq > seq``.
+        """
+        return self._current_seq
 
     @property
     def pending_events(self) -> int:
@@ -93,7 +127,7 @@ class Simulator:
         """Schedule *callback(\\*args)* to run *delay* seconds from now."""
         if delay < 0:
             raise SchedulingError("delay must be non-negative, got %r" % delay)
-        return self._queue.push(self._now + delay, callback, args)
+        return self._queue.push(self.now + delay, callback, args)
 
     def schedule_fast(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -105,17 +139,35 @@ class Simulator:
         is returned.  Ordering is identical to :meth:`schedule` — both
         paths share one (time, seq) counter.
         """
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise SchedulingError("delay must be non-negative, got %r" % delay)
-        self._queue.push_fast(self._now + delay, callback, args)
+        heappush(
+            self._heap, (self.now + delay, next(self._counter), callback, args)
+        )
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., Any], *args: Any
+    ) -> None:
+        """Schedule *callback(\\*args)* at ``(time, seq)``, handle-free.
+
+        *seq* comes from :meth:`reserve_seq`, is used at most once, and
+        the loop must not be past ``(time, seq)`` yet (see
+        :attr:`current_seq`).
+        """
+        if time < self.now or (time == self.now and seq < self._current_seq):
+            raise SchedulingError(
+                "cannot schedule at (%r, %d), already at (%r, %d)"
+                % (time, seq, self.now, self._current_seq)
+            )
+        self._queue.push_reserved(time, seq, callback, args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule *callback(\\*args)* at absolute simulated *time*."""
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                "cannot schedule at %r, already at %r" % (time, self._now)
+                "cannot schedule at %r, already at %r" % (time, self.now)
             )
         return self._queue.push(time, callback, args)
 
@@ -126,7 +178,7 @@ class Simulator:
         :attr:`now` (FIFO tie-breaking), which makes ``call_soon`` safe
         for "after this packet is processed" continuations.
         """
-        return self._queue.push(self._now, callback, args)
+        return self._queue.push(self.now, callback, args)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel *handle*; return whether it was still pending.
@@ -156,17 +208,17 @@ class Simulator:
         "in the past" and raise a spurious :class:`ClockError` on the
         next run.
         """
-        if time < self._now:
-            raise ClockError("cannot run until %r, already at %r" % (time, self._now))
+        if time < self.now:
+            raise ClockError("cannot run until %r, already at %r" % (time, self.now))
         completed = self._run_loop(until=time, max_events=max_events)
         if completed:
-            self._now = max(self._now, time)
+            self.now = max(self.now, time)
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run for *duration* simulated seconds from the current time."""
         if duration < 0:
             raise ClockError("duration must be non-negative, got %r" % duration)
-        self.run_until(self._now + duration, max_events=max_events)
+        self.run_until(self.now + duration, max_events=max_events)
 
     def step(self) -> bool:
         """Execute exactly one event.  Return ``False`` if none remain.
@@ -178,7 +230,7 @@ class Simulator:
             raise SchedulingError("simulator loop is not reentrant")
         if not self._queue:
             return False
-        self._execute_next()
+        self._run_loop(until=None, max_events=1)
         return True
 
     def stop(self) -> None:
@@ -202,32 +254,19 @@ class Simulator:
         self._stop_requested = False
         executed = 0
         # The loop body is deliberately inlined (no peek/pop method
-        # pair, locals for the heap, burst ring and queue): it runs once
-        # per event and dominates engine throughput.  The burst ring
-        # holds same-timestamp fast-path entries in seq order, so the
-        # merge against the heap top is one (time, seq) comparison.
+        # pair, a local for the heap): it runs once per event and
+        # dominates engine throughput.
         queue = self._queue
-        heap = queue._heap
-        burst = queue._burst
+        heap = self._heap
         completed = True
         try:
-            while True:
-                entry = heap[0] if heap else None
-                if entry is not None and len(entry) == 3 and entry[2]._cancelled:
-                    heappop(heap)  # dead entry surfacing; already uncounted
+            while heap:
+                entry = heap[0]
+                fast = len(entry) == 4
+                if not fast and entry[2]._cancelled:
+                    heappop(heap)  # dead entry surfacing
+                    queue._dead -= 1
                     continue
-                bpos = queue._burst_pos
-                if bpos < len(burst):
-                    bentry = burst[bpos]
-                    if entry is None or (bentry[0], bentry[1]) < (entry[0], entry[1]):
-                        entry = bentry
-                        bpos += 1
-                    else:
-                        bpos = -1
-                else:
-                    bpos = -1
-                if entry is None:
-                    break
                 if self._stop_requested:
                     completed = False
                     break
@@ -237,24 +276,17 @@ class Simulator:
                 event_time = entry[0]
                 if until is not None and event_time > until:
                     break
-                if event_time < self._now:
+                if event_time < self.now:
                     raise ClockError(
                         "event at %r is in the past (now %r)"
-                        % (event_time, self._now)
+                        % (event_time, self.now)
                     )
-                if bpos >= 0:
-                    if bpos == len(burst):
-                        burst.clear()
-                        queue._burst_pos = 0
-                    else:
-                        queue._burst_pos = bpos
-                else:
-                    heappop(heap)
-                queue._live -= 1
-                self._now = event_time
+                heappop(heap)
+                self.now = event_time
+                self._current_seq = entry[1]
                 self._events_executed += 1
                 executed += 1
-                if len(entry) == 4:
+                if fast:
                     entry[2](*entry[3])
                 else:
                     handle = entry[2]
@@ -266,28 +298,19 @@ class Simulator:
         # A stop() issued by the final event exits via the loop
         # condition without hitting the in-loop check; it must still
         # count as an early halt (run_until leaves the clock alone).
-        return completed and not self._stop_requested
-
-    def _execute_next(self) -> None:
-        time, callback, args = self._queue.pop_callback()
-        if time < self._now:
-            raise ClockError(
-                "event at %r is in the past (now %r)" % (time, self._now)
-            )
-        self._now = time
-        self._events_executed += 1
-        # The reentrancy guard must cover the callback here too: a
-        # callback fired via step() could otherwise re-enter run()
-        # mid-event and interleave two loops on one queue.
-        self._running = True
-        try:
-            callback(*args)
-        finally:
-            self._running = False
+        completed = completed and not self._stop_requested
+        if completed and (max_events is None or executed < max_events):
+            # Everything due has fired, including any event merely
+            # *reserved* so far: step past every number drawn, so that
+            # code running between runs sees those reservations as gone
+            # by.  A run that used up max_events may have stopped just
+            # short of one, and does not.
+            self._current_seq = next(self._counter)
+        return completed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Simulator now=%.6f pending=%d executed=%d>" % (
-            self._now,
+            self.now,
             len(self._queue),
             self._events_executed,
         )

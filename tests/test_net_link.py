@@ -111,7 +111,7 @@ def test_on_tx_start_hook_fires_at_serialization_start(sim):
     stamps = []
     first = Packet(1000, dst="rx")
     second = Packet(1000, dst="rx")
-    second.metadata["on_tx_start"] = lambda: stamps.append(sim.now)
+    second.on_tx_start = lambda __arg: stamps.append(sim.now)
     sender.send(first)
     sender.send(second)
     sim.run()
@@ -123,8 +123,9 @@ def test_on_tx_start_hook_fires_once(sim):
     sender, iface, __ = wire(sim)
     count = []
     p = Packet(1000, dst="rx")
-    p.metadata["on_tx_start"] = lambda: count.append(1)
+    p.on_tx_start = count.append
+    p.on_tx_start_arg = 1
     sender.send(p)
     sim.run()
     assert count == [1]
-    assert "on_tx_start" not in p.metadata
+    assert p.on_tx_start is None

@@ -7,6 +7,8 @@ import pytest
 from repro.net.node import ForwardingHandler
 from repro.net.packet import Packet
 from repro.net.topology import LinkSpec, Topology, build_chain, build_star
+from repro.scenario.netgen import NetworkConfig, generate_network
+from repro.sim.rand import RandomStreams
 from repro.units import mbit_per_second, milliseconds
 
 
@@ -95,6 +97,20 @@ def test_star_routes_leaf_to_leaf_via_hub(sim):
     assert len(received) == 1
     assert received[0].hop_count() == 2
     assert topo.path("x", "y") == ["x", "hub", "y"]
+
+
+def test_star_routes_equal_the_searched_ones(sim):
+    """build_star fills its tables directly; build_routes() (Dijkstra
+    over the graph) must find nothing different on a generated star."""
+    config = NetworkConfig(relay_count=9, client_count=5, server_count=4)
+    topo = generate_network(sim, config, RandomStreams(11)).topology
+    direct = {name: dict(node.routes) for name, node in topo.nodes.items()}
+    for node in topo.nodes.values():
+        node.routes = {}
+    topo.build_routes()
+    searched = {name: node.routes for name, node in topo.nodes.items()}
+    assert direct == searched
+    assert all(len(routes) == 18 for routes in direct.values())
 
 
 def test_star_hub_swallows_addressed_packets(sim):

@@ -72,7 +72,6 @@ def test_cancelled_events_are_skipped():
     h1 = q.push(1.0, lambda: None)
     h2 = q.push(2.0, lambda: None)
     h1.cancel()
-    q.note_cancelled()
     assert q.peek_time() == 2.0
     assert q.pop() is h2
 
@@ -106,7 +105,6 @@ def test_len_tracks_cancellations():
     handles = [q.push(float(i), lambda: None) for i in range(5)]
     for h in handles[:2]:
         h.cancel()
-        q.note_cancelled()
     assert len(q) == 3
 
 
@@ -153,6 +151,22 @@ def test_fast_and_handle_paths_share_fifo_order():
     assert [q.pop().args[0] for __ in range(4)] == ["a", "b", "c", "d"]
 
 
+def test_reserved_push_fires_where_it_was_reserved():
+    q = EventQueue()
+    q.push_fast(1.0, lambda: None, ("before",))
+    seq = q.reserve_seq()
+    q.push_fast(1.0, lambda: None, ("after",))
+    q.push(0.5, lambda: None, ("earlier",))
+    assert len(q) == 3  # a reservation alone is not an event
+    q.push_reserved(1.0, seq, lambda: None, ("reserved",))
+    assert len(q) == 4
+    assert [q.pop().args[0] for __ in range(4)] == [
+        "earlier", "before", "reserved", "after",
+    ]
+    with pytest.raises(SchedulingError):
+        q.push_reserved(float("nan"), q.reserve_seq(), lambda: None)
+
+
 def test_pop_callback_returns_raw_triples():
     q = EventQueue()
     out = []
@@ -170,14 +184,10 @@ def test_pop_callback_returns_raw_triples():
 
 def test_direct_handle_cancel_updates_live_count():
     """EventHandle.cancel() alone must keep len(queue) honest (no
-    Simulator.cancel / note_cancelled call needed)."""
+    Simulator.cancel call needed)."""
     q = EventQueue()
     handles = [q.push(float(i), lambda: None) for i in range(4)]
     handles[0].cancel()
-    assert len(q) == 3
-    # The legacy queue notification is now a no-op, so the old
-    # cancel-then-notify spelling does not double-count.
-    q.note_cancelled()
     assert len(q) == 3
     assert q.pop() is handles[1]
 
@@ -250,18 +260,22 @@ def test_property_cancelled_never_pop(times, cancel_indices):
 
 
 # ----------------------------------------------------------------------
-# Property tests over arbitrary interleavings of both scheduling paths.
+# Property tests over arbitrary interleavings of all scheduling paths.
 #
 # Operations are interpreted against a simple reference model: a list of
 # (time, seq, tag) entries sorted by (time, seq).  The queue must agree
 # with the model on length and on the exact (time, seq)-stable order of
-# everything that pops — for handle events, fast events, cancellations
-# and clears in any interleaving.
+# everything that pops — for handle events, fast events, reserved
+# pushes (which enter under a sequence number drawn earlier),
+# cancellations and clears in any interleaving.
 # ----------------------------------------------------------------------
 
 _ops = st.lists(
     st.tuples(
-        st.sampled_from(["push", "push_fast", "pop", "cancel", "clear"]),
+        st.sampled_from([
+            "push", "push_fast", "reserve", "push_reserved", "pop",
+            "cancel", "clear",
+        ]),
         st.sampled_from([0.0, 1.0, 2.0, 3.0]),
         st.integers(0, 999),
     ),
@@ -274,6 +288,7 @@ def test_property_mixed_paths_order_and_accounting(ops):
     q = EventQueue()
     model = []      # live entries: (time, seq, tag)
     handles = {}    # seq -> handle (handle-path entries only)
+    reserved = []   # drawn but not yet pushed: (time, seq, tag)
     popped_queue = []
     popped_model = []
     seq = 0
@@ -287,6 +302,15 @@ def test_property_mixed_paths_order_and_accounting(ops):
             q.push_fast(time, lambda: None, (tag,))
             model.append((time, seq, tag))
             seq += 1
+        elif op == "reserve":
+            assert q.reserve_seq() == seq
+            reserved.append((time, seq, tag))
+            seq += 1
+        elif op == "push_reserved":
+            if reserved:
+                entry = reserved.pop(tag % len(reserved))
+                q.push_reserved(entry[0], entry[1], lambda: None, (entry[2],))
+                model.append(entry)
         elif op == "pop":
             if model:
                 popped_queue.append(q.pop().args[0])
@@ -367,14 +391,14 @@ def test_compaction_keeps_heap_proportional_to_live_events():
     assert not q
 
 
-def test_compaction_preserves_order_with_burst_ring():
-    # Cancellation-triggered compaction must not disturb fast-path
-    # entries sitting in the same-timestamp burst ring.
+def test_same_timestamp_fifo_survives_compaction():
+    # Cancellation-triggered compaction re-heapifies; fast-path entries
+    # sharing one timestamp must still fire in push order afterwards.
     q = EventQueue()
     handles = [q.push(5.0, lambda __i: None, (i,)) for i in range(200)]
     order = []
     for i in range(10):
-        q.push_fast(1.0, order.append, (i,))  # one burst, same time
+        q.push_fast(1.0, order.append, (i,))  # all at one timestamp
     for h in handles[:-1]:
         h.cancel()
     fired = []
@@ -382,7 +406,7 @@ def test_compaction_preserves_order_with_burst_ring():
         time, callback, args = q.pop_callback()
         fired.append(time)
         callback(*args)
-    # Burst entries fired first (t=1.0) in FIFO order, then the one
+    # The t=1.0 entries fired first, in FIFO order, then the one
     # surviving handle event; dead entries never surfaced.
     assert order == list(range(10))
     assert fired == [1.0] * 10 + [5.0]

@@ -345,3 +345,85 @@ def test_running_flag(sim):
     sim.run()
     assert observed == [True]
     assert not sim.running
+
+
+# ----------------------------------------------------------------------
+# Deferred events: reserve_seq / schedule_reserved / current_seq
+# ----------------------------------------------------------------------
+
+
+def test_reserved_event_fires_where_it_was_reserved(sim):
+    order = []
+    sim.schedule_fast(1.0, order.append, "before")
+    seq = sim.reserve_seq()
+    sim.schedule_fast(1.0, order.append, "after")
+    sim.schedule_reserved(1.0, seq, order.append, "reserved")
+    sim.run()
+    assert order == ["before", "reserved", "after"]
+    assert sim.events_executed == 3
+
+
+def test_unused_reservation_costs_no_event(sim):
+    sim.reserve_seq()
+    sim.schedule_fast(1.0, lambda: None)
+    sim.run()
+    assert sim.events_executed == 1
+
+
+def _tie_probe(sim, drive):
+    """At t=1, which of two reservations has the loop already passed?
+
+    ``early`` is drawn before, ``late`` after the event that looks."""
+    seen = {}
+    early = sim.reserve_seq()
+
+    def look():
+        seen["early_passed"] = sim.current_seq > early
+        seen["late_passed"] = sim.current_seq > late
+
+    sim.schedule(1.0, look)
+    late = sim.reserve_seq()
+    drive(sim)
+    return seen
+
+
+def _step_through(sim):
+    while sim.step():
+        pass
+
+
+@pytest.mark.parametrize("drive", [Simulator.run, _step_through])
+def test_current_seq_splits_a_tie_the_same_under_run_and_step(drive):
+    assert _tie_probe(Simulator(), drive) == {
+        "early_passed": True, "late_passed": False,
+    }
+
+
+def test_current_seq_moves_past_everything_once_a_run_completes(sim):
+    assert sim.current_seq < sim.reserve_seq()  # nothing has run yet
+    sim.schedule(1.0, lambda: None)
+    inside = sim.reserve_seq()
+    sim.run()
+    assert sim.current_seq > inside
+    # ... but not past what is drawn afterwards.
+    assert sim.current_seq < sim.reserve_seq()
+
+
+def test_current_seq_stays_put_when_a_run_halts_early(sim):
+    first = sim.schedule(1.0, lambda: None)
+    sim.schedule(1.0, lambda: None)
+    pending = sim.reserve_seq()
+    sim.run(max_events=1)
+    assert sim.current_seq == first.seq < pending
+    sim.run()
+    assert sim.current_seq > pending
+
+
+def test_schedule_reserved_rejects_a_place_already_passed(sim):
+    seq = sim.reserve_seq()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(SchedulingError):
+        sim.schedule_reserved(1.0, seq, lambda: None)
+    with pytest.raises(SchedulingError):
+        sim.schedule_reserved(0.5, sim.reserve_seq(), lambda: None)
