@@ -9,6 +9,12 @@ when unconfigured: the canonical JSON of the ``cdf``, ``netscale`` and
 before the refactor — byte for byte, serial and pooled, against a cold
 and a warm disk plan cache.
 
+``adversity_study.json`` was added later (captured at the commit
+before the study harnesses were folded into one ``GridStudy``
+skeleton): it is the one pin with the fault plane *on* (link loss and
+relay kills), and it covers the study's aggregated rows, which no
+other golden reaches.
+
 The golden files live in ``tests/golden/`` and are regenerated only
 deliberately (a conscious format change), never by test code.
 """
@@ -18,7 +24,12 @@ import os
 
 import pytest
 
-from repro.experiments import CdfConfig, ChurnStudyConfig, NetScaleConfig
+from repro.experiments import (
+    AdversityStudyConfig,
+    CdfConfig,
+    ChurnStudyConfig,
+    NetScaleConfig,
+)
 from repro.experiments.netgen import NetworkConfig
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import BatchJob, run_batch
@@ -61,10 +72,28 @@ def golden_churn_study():
     )
 
 
+def golden_adversity_study():
+    # Loss *and* relay churn on: the one pin that crosses the fault
+    # plane (go-back-N, kill/restart cascades, failure-rate probe).
+    return AdversityStudyConfig(
+        loss_rates=(0.0, 0.02),
+        relay_mttfs=(0.0, 2.0),
+        arrival_rate=2.0,
+        circuit_count=6,
+        bulk_payload_bytes=kib(60),
+        interactive_payload_bytes=kib(10),
+        start_window=1.0,
+        horizon=3.0,
+        max_relay_kills=2,
+        network=_network(),
+    )
+
+
 CASES = [
     ("cdf", golden_cdf, "cdf.json"),
     ("netscale", golden_netscale, "netscale.json"),
     ("churn-study", golden_churn_study, "churn_study.json"),
+    ("adversity-study", golden_adversity_study, "adversity_study.json"),
 ]
 
 
@@ -111,3 +140,28 @@ def test_serial_warm_disk_cache_matches_golden(name, build, filename, tmp_path):
         get_experiment(name).run(build())  # populate the disk tier
         result = get_experiment(name).run(build())
     assert _canonical(result) == _golden(filename)
+
+
+def test_adversity_pin_has_teeth(monkeypatch):
+    """A planted aggregation bug must trip the adversity pin.
+
+    Every grid point's failure rate is read through
+    ``ScenarioResult.failure_rate``; biasing it moves the aggregated
+    ``failure_rate`` of every row and nothing else, and the same
+    comparison the pins use has to notice.
+    """
+    from repro.scenario import ScenarioResult
+
+    golden = _golden("adversity_study.json")
+    spec = golden_adversity_study()
+    honest = ScenarioResult.failure_rate
+    monkeypatch.setattr(
+        ScenarioResult, "failure_rate",
+        lambda self, kind: honest(self, kind) + 0.125,
+    )
+    planted = get_experiment("adversity-study").run(spec).to_dict()
+    assert json.dumps(planted, sort_keys=True) != golden
+    # The perturbation is the only difference: undoing it restores the pin.
+    for row in planted["points"] + planted["improvements"]:
+        row["failure_rate"] -= 0.125
+    assert json.dumps(planted, sort_keys=True) == golden
