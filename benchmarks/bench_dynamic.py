@@ -5,13 +5,16 @@ Run:  pytest benchmarks/bench_dynamic.py --benchmark-only
 
 from __future__ import annotations
 
-
-from repro import run_dynamic_experiment
+from repro import get_experiment
+from repro.experiments import DynamicConfig
 from repro.report import format_table
 
 
 def test_bandwidth_drop_recovery(benchmark, save_artifact):
-    result = benchmark.pedantic(run_dynamic_experiment, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        get_experiment("dynamic").run, args=(DynamicConfig(),),
+        rounds=1, iterations=1,
+    )
     adapt_dynamic = result.time_to_adapt("dynamic")
     adapt_static = result.time_to_adapt("circuitstart")
 

@@ -16,15 +16,17 @@ Run:  pytest benchmarks/bench_fig1_cdf.py --benchmark-only
 
 from __future__ import annotations
 
-
-from repro import CdfConfig, run_cdf_experiment, summarize
+from repro import get_experiment
+from repro.analysis import summarize
+from repro.experiments import CdfConfig
 from repro.report import format_table, render_cdf_pair
+from repro.units import kib
 
 
 def test_fig1c_download_time_cdf(benchmark, save_artifact):
     config = CdfConfig()  # the paper's setup: 50 concurrent circuits
     result = benchmark.pedantic(
-        run_cdf_experiment, args=(config,), rounds=1, iterations=1
+        get_experiment("cdf").run, args=(config,), rounds=1, iterations=1
     )
 
     with_kind, without_kind = config.kinds
@@ -68,11 +70,9 @@ def test_fig1c_reduced_payload_sensitivity(benchmark, save_artifact):
     """Smaller downloads shrink but do not erase the gap (the startup
     phase is a larger fraction of a shorter transfer, but short
     transfers finish inside the ramp)."""
-    from repro import kib
-
     config = CdfConfig(circuit_count=25, payload_bytes=kib(150))
     result = benchmark.pedantic(
-        run_cdf_experiment, args=(config,), rounds=1, iterations=1
+        get_experiment("cdf").run, args=(config,), rounds=1, iterations=1
     )
     assert result.median_improvement > 0
     assert result.dominance >= 0.7

@@ -10,15 +10,22 @@ Run:  pytest benchmarks/bench_fig1_traces.py --benchmark-only
 
 from __future__ import annotations
 
-
-from repro import TraceConfig, run_trace_experiment, seconds
+from repro import get_experiment
+from repro.experiments import TraceConfig
 from repro.report import format_table, render_trace
+from repro.units import seconds
 
 
 def run_panel(distance: int) -> object:
-    return run_trace_experiment(
+    return get_experiment("trace").run(
         TraceConfig(bottleneck_distance=distance, duration=seconds(1.0))
     )
+
+
+def test_trace_experiment_wall_time(benchmark):
+    """Wall-clock cost of one Figure-1a style run (400 ms simulated)."""
+    result = benchmark(get_experiment("trace").run, TraceConfig())
+    assert result.startup_exit_time is not None
 
 
 def check_and_save(result, name, save_artifact):

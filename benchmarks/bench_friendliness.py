@@ -9,13 +9,16 @@ Run:  pytest benchmarks/bench_friendliness.py --benchmark-only
 
 from __future__ import annotations
 
-
-from repro.experiments.friendliness import run_friendliness_experiment
+from repro import get_experiment
+from repro.experiments import FriendlinessConfig
 from repro.report import format_table
 
 
 def test_background_friendliness(benchmark, save_artifact):
-    rows = benchmark.pedantic(run_friendliness_experiment, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        get_experiment("friendliness").run, args=(FriendlinessConfig(),),
+        rounds=1, iterations=1,
+    ).rows
     by_kind = {row.kind: row for row in rows}
 
     cs = by_kind["circuitstart"]

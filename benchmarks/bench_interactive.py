@@ -5,13 +5,16 @@ Run:  pytest benchmarks/bench_interactive.py --benchmark-only
 
 from __future__ import annotations
 
-
-from repro.experiments.interactive import run_interactive_experiment
+from repro import get_experiment
+from repro.experiments import InteractiveConfig
 from repro.report import format_table
 
 
 def test_interactive_latency_under_bulk(benchmark, save_artifact):
-    rows = benchmark.pedantic(run_interactive_experiment, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        get_experiment("interactive").run, args=(InteractiveConfig(),),
+        rounds=1, iterations=1,
+    ).rows
     by_kind = {row.kind: row for row in rows}
 
     cs = by_kind["circuitstart"]

@@ -19,7 +19,7 @@ Run:  PYTHONPATH=src python examples/adversity_study.py
 
 from __future__ import annotations
 
-from repro.experiments import get_experiment
+from repro import RunContext, get_experiment
 from repro.experiments.adversity import AdversityStudyConfig
 from repro.experiments.netgen import NetworkConfig
 from repro.units import kib
@@ -37,10 +37,11 @@ def main() -> None:
         horizon=4.0,
         network=NetworkConfig(relay_count=10, client_count=8,
                               server_count=8),
-    ).with_workers(2)                # execution knob, not a spec field
+    )
 
     experiment = get_experiment("adversity-study")
-    study = experiment.run(spec)
+    # How the sweep executes rides beside the spec, never on it.
+    study = experiment.run(spec, RunContext(workers=2))
 
     print(experiment.render(study))
 

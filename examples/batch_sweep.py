@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 
-from repro import BatchJob, TraceConfig, run_batch, seconds
+from repro import BatchJob, run_batch
+from repro.experiments import TraceConfig
+from repro.units import seconds
 
 
 def main() -> None:

@@ -12,8 +12,10 @@ Run:  python examples/bottleneck_trace.py
 from __future__ import annotations
 
 
-from repro import TraceConfig, run_trace_experiment, seconds
+from repro import get_experiment
+from repro.experiments import TraceConfig
 from repro.report import format_table, render_trace
+from repro.units import seconds
 
 
 def show_panel(distance: int, kind: str) -> dict:
@@ -22,7 +24,7 @@ def show_panel(distance: int, kind: str) -> dict:
         controller_kind=kind,
         duration=seconds(0.4),
     )
-    result = run_trace_experiment(config)
+    result = get_experiment("trace").run(config)
     cell_kb = config.transport.cell_size / 1000.0
     print("--- distance to bottleneck: %d hop(s), %s ---" % (distance, kind))
     print(

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import sys
 
-from repro import CdfConfig, NetworkConfig, kib, run_cdf_experiment, summarize
+from repro import get_experiment
+from repro.analysis import summarize
+from repro.experiments import CdfConfig, NetworkConfig
 from repro.report import format_table, render_cdf_pair
+from repro.units import kib
 
 
 def main() -> None:
@@ -35,7 +38,7 @@ def main() -> None:
         % (config.circuit_count, config.payload_bytes // 1024,
            config.network.relay_count)
     )
-    result = run_cdf_experiment(config)
+    result = get_experiment("cdf").run(config)
 
     with_kind, without_kind = config.kinds
     print()

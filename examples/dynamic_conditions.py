@@ -14,12 +14,13 @@ Run:  python examples/dynamic_conditions.py
 
 from __future__ import annotations
 
-from repro import run_dynamic_experiment
+from repro import get_experiment
+from repro.experiments import DynamicConfig
 from repro.report import format_table, render_series
 
 
 def main() -> None:
-    result = run_dynamic_experiment()
+    result = get_experiment("dynamic").run(DynamicConfig())
     config = result.config
 
     series = [

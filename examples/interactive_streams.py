@@ -13,12 +13,13 @@ Run:  python examples/interactive_streams.py
 
 from __future__ import annotations
 
-from repro.experiments import run_interactive_experiment
+from repro import get_experiment
+from repro.experiments import InteractiveConfig
 from repro.report import format_table, render_series
 
 
 def main() -> None:
-    rows = run_interactive_experiment()
+    rows = get_experiment("interactive").run(InteractiveConfig()).rows
 
     series = []
     for row in rows:

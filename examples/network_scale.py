@@ -25,18 +25,11 @@ Run:  PYTHONPATH=src python examples/network_scale.py
 
 from __future__ import annotations
 
-from repro import (
-    BatchJob,
-    NetScaleConfig,
-    NetworkConfig,
-    OpenLoopChurn,
-    UtilizationProbe,
-    get_experiment,
-    kib,
-    run_batch,
-    run_netscale_experiment,
-)
+from repro import BatchJob, get_experiment, run_batch
+from repro.experiments import NetScaleConfig, NetworkConfig
 from repro.experiments.netscale import BULK, INTERACTIVE
+from repro.scenario import OpenLoopChurn, UtilizationProbe
+from repro.units import kib
 
 
 def scenario(circuits: int, **overrides) -> NetScaleConfig:
@@ -52,7 +45,7 @@ def scenario(circuits: int, **overrides) -> NetScaleConfig:
 def main() -> None:
     # --- one full run, rendered like the CLI would --------------------
     config = scenario(circuits=30)
-    result = run_netscale_experiment(config)
+    result = get_experiment("netscale").run(config)
     print(get_experiment("netscale").render(result))
     print()
 
@@ -62,7 +55,7 @@ def main() -> None:
         churn=OpenLoopChurn(start_window=2.0, arrival_rate=4.0, horizon=6.0),
         probes=(UtilizationProbe(interval=0.25),),
     )
-    churn_result = run_netscale_experiment(churned)
+    churn_result = get_experiment("netscale").run(churned)
     with_kind = churned.kinds[0]
     steady = churn_result.steady_samples(with_kind)
     print("Churn: %d circuits total, %d re-arrivals, %d departed, "

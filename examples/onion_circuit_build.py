@@ -15,22 +15,18 @@ Run:  python examples/onion_circuit_build.py
 
 from __future__ import annotations
 
-from repro import (
+from repro.net import LinkSpec, build_star
+from repro.sim import RandomStreams, Simulator
+from repro.tor import (
     CircuitBuilder,
     CircuitSpec,
     Directory,
-    LinkSpec,
     PathSelector,
-    RandomStreams,
     RelayDescriptor,
-    Simulator,
-    TransportConfig,
-    build_star,
-    kib,
-    mbit_per_second,
-    milliseconds,
 )
 from repro.tor.onion import wrap_path
+from repro.transport import TransportConfig
+from repro.units import kib, mbit_per_second, milliseconds
 
 
 def main() -> None:

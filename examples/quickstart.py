@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 
-from repro import TraceConfig, TraceResult, get_experiment, mib, seconds
+from repro import get_experiment
+from repro.experiments import TraceConfig, TraceResult
 from repro.report import render_trace
+from repro.units import mib, seconds
 
 
 def main() -> None:

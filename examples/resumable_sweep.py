@@ -23,7 +23,9 @@ import json
 import shutil
 import tempfile
 
-from repro import BatchJob, TraceConfig, run_batch, seconds
+from repro import BatchJob, run_batch
+from repro.experiments import TraceConfig
+from repro.units import seconds
 
 
 def sweep(jobs, checkpoint_dir: str):

@@ -1,235 +1,40 @@
 """CircuitStart reproduction — a slow start for multi-hop anonymity systems.
 
-A full Python reproduction of Döpmann & Tschorsch, "CircuitStart: A
-Slow Start For Multi-Hop Anonymity Systems" (SIGCOMM Posters and Demos
-2018), including every substrate the paper's evaluation ran on:
+A Python reproduction of Döpmann & Tschorsch, "CircuitStart: A Slow
+Start For Multi-Hop Anonymity Systems" (SIGCOMM Posters and Demos 2018).
+The package root exports the unified experiment API only; everything
+else is imported from the subpackage that defines it (``repro.sim``,
+``repro.net``, ``repro.tor``, ``repro.transport``, ``repro.core``,
+``repro.analysis``, ``repro.scenario``, ``repro.experiments``,
+``repro.jobs``, ``repro.report``).
 
-* :mod:`repro.sim` — a deterministic discrete-event engine (for ns-3);
-* :mod:`repro.net` — links, queues, nodes, topologies;
-* :mod:`repro.tor` — cells, onion routing, directory, circuits (nstor);
-* :mod:`repro.transport` — the hop-by-hop window transport (BackTap);
-* :mod:`repro.core` — **CircuitStart** and the baseline start-ups;
-* :mod:`repro.analysis` — the optimal-window model, traces, CDFs;
-* :mod:`repro.experiments` — harnesses regenerating every Figure-1 panel;
-* :mod:`repro.report` — ASCII figures and tables.
+Quickstart::
 
-Quickstart (the unified experiment API)::
+    from repro import BatchJob, get_experiment, run_batch
+    from repro.experiments import TraceConfig
 
-    from repro import TraceConfig, get_experiment
     result = get_experiment("trace").run(TraceConfig(bottleneck_distance=1))
-    print(result.final_cwnd_cells, "cells; optimal:", result.optimal_cwnd_cells)
     payload = result.to_dict()   # JSON round-trips via .from_dict()
-
-Batch sweeps fan specs out over worker processes::
-
-    from repro import BatchJob, run_batch
     batch = run_batch([BatchJob("trace", TraceConfig(bottleneck_distance=d))
                        for d in (1, 2, 3)], workers=3)
 """
 
-from .analysis import (
-    EmpiricalCdf,
-    HopLink,
-    TraceRecorder,
-    backpropagated_window,
-    cdf_horizontal_gap,
-    optimal_windows,
-    source_optimal_window,
-    summarize,
-)
-from .core import (
-    CircuitStartController,
-    DynamicCircuitStartController,
-    FixedWindowController,
-    JumpStartController,
-    PlainSlowStartController,
-    make_controller,
-)
 from .experiments import (
-    AblationsConfig,
-    AblationsResult,
-    BatchItem,
     BatchJob,
-    BatchResult,
-    CdfConfig,
-    CdfResult,
-    ChurnStudyConfig,
-    ChurnStudyResult,
-    DynamicConfig,
-    DynamicResult,
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    FriendlinessConfig,
-    FriendlinessResult,
-    InteractiveConfig,
-    InteractiveResult,
-    NetScaleConfig,
-    NetScaleResult,
-    NetworkConfig,
-    OptimalConfig,
-    OptimalResult,
-    SpecError,
-    TraceConfig,
-    TraceResult,
+    RunContext,
     experiment_names,
-    generate_network,
     get_experiment,
     iter_experiments,
-    register_experiment,
-    run_ablations_experiment,
     run_batch,
-    run_cdf_experiment,
-    run_churn_study,
-    run_dynamic_experiment,
-    run_friendliness_experiment,
-    run_interactive_experiment,
-    run_netscale_experiment,
-    run_optimal_experiment,
-    run_trace_experiment,
-)
-from .scenario import (
-    BulkWorkload,
-    DiskPlanCache,
-    GeneratedTopology,
-    GoodputProbe,
-    InteractiveWorkload,
-    NoChurn,
-    OpenLoopChurn,
-    PlanCache,
-    ProbeSeries,
-    QueueDepthProbe,
-    Scenario,
-    ScenarioPlan,
-    ScenarioResult,
-    UtilizationProbe,
-    plan_scenario,
-    run_scenario,
-    spec_hash,
-)
-from .report import generate_report
-from .net import LinkSpec, Topology, build_chain, build_star
-from .sim import RandomStreams, Simulator
-from .tor import (
-    CircuitBuilder,
-    CircuitFlow,
-    CircuitSpec,
-    Directory,
-    PathSelector,
-    RelayDescriptor,
-    TorHost,
-    allocate_circuit_id,
-)
-from .transport import CELL_SIZE, HopSender, Phase, TransportConfig
-from .units import (
-    Rate,
-    gbit_per_second,
-    kib,
-    mbit_per_second,
-    mib,
-    milliseconds,
-    seconds,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AblationsConfig",
-    "AblationsResult",
-    "BatchItem",
     "BatchJob",
-    "BatchResult",
-    "BulkWorkload",
-    "CELL_SIZE",
-    "CdfConfig",
-    "CdfResult",
-    "ChurnStudyConfig",
-    "ChurnStudyResult",
-    "CircuitBuilder",
-    "CircuitFlow",
-    "CircuitSpec",
-    "CircuitStartController",
-    "Directory",
-    "DiskPlanCache",
-    "DynamicCircuitStartController",
-    "DynamicConfig",
-    "DynamicResult",
-    "EmpiricalCdf",
-    "Experiment",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FixedWindowController",
-    "FriendlinessConfig",
-    "FriendlinessResult",
-    "GeneratedTopology",
-    "GoodputProbe",
-    "HopLink",
-    "HopSender",
-    "InteractiveConfig",
-    "InteractiveResult",
-    "InteractiveWorkload",
-    "JumpStartController",
-    "LinkSpec",
-    "NetScaleConfig",
-    "NetScaleResult",
-    "NetworkConfig",
-    "NoChurn",
-    "OpenLoopChurn",
-    "OptimalConfig",
-    "OptimalResult",
-    "PathSelector",
-    "Phase",
-    "PlainSlowStartController",
-    "PlanCache",
-    "ProbeSeries",
-    "QueueDepthProbe",
-    "RandomStreams",
-    "Rate",
-    "RelayDescriptor",
-    "Scenario",
-    "ScenarioPlan",
-    "ScenarioResult",
-    "Simulator",
-    "SpecError",
-    "Topology",
-    "TorHost",
-    "TraceConfig",
-    "TraceRecorder",
-    "TraceResult",
-    "TransportConfig",
-    "UtilizationProbe",
-    "allocate_circuit_id",
-    "backpropagated_window",
-    "build_chain",
-    "build_star",
-    "cdf_horizontal_gap",
+    "RunContext",
     "experiment_names",
-    "gbit_per_second",
-    "generate_network",
-    "generate_report",
     "get_experiment",
     "iter_experiments",
-    "kib",
-    "make_controller",
-    "mbit_per_second",
-    "mib",
-    "milliseconds",
-    "optimal_windows",
-    "plan_scenario",
-    "register_experiment",
-    "run_ablations_experiment",
     "run_batch",
-    "run_cdf_experiment",
-    "run_churn_study",
-    "run_dynamic_experiment",
-    "run_friendliness_experiment",
-    "run_interactive_experiment",
-    "run_netscale_experiment",
-    "run_optimal_experiment",
-    "run_scenario",
-    "run_trace_experiment",
-    "seconds",
-    "source_optimal_window",
-    "spec_hash",
-    "summarize",
 ]

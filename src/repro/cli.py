@@ -46,11 +46,39 @@ import os
 import sys
 from typing import List, Optional
 
-from .experiments.api import SpecError
+from .experiments.api import RunContext
 from .experiments.registry import get_experiment, iter_experiments
 from .experiments.runner import run_batch
 
 __all__ = ["main", "build_parser"]
+
+#: The flag of every :class:`RunContext` knob, declared once: an
+#: experiment subcommand gets the flags of the knobs it lists in
+#: ``Experiment.knobs`` (``dest`` is the knob's field name).
+_EXECUTION_FLAGS = {
+    "workers": ("--workers", dict(
+        type=int, default=1, metavar="N",
+        help="run sweep points over N worker processes (output is "
+             "byte-identical to --workers 1)",
+    )),
+    "shards": ("--shards", dict(
+        type=int, default=None, metavar="N",
+        help="run on the sharded scenario engine with up to N shards "
+             "(execution knob: output is byte-identical to the classic "
+             "engine)",
+    )),
+    "checkpoint_dir": ("--checkpoint", dict(
+        default=None, metavar="DIR",
+        help="checkpoint completed sweep points under DIR (resumable "
+             "via --resume; `repro report DIR` renders the partial "
+             "state)",
+    )),
+    "resume": ("--resume", dict(
+        action="store_true",
+        help="serve already-checkpointed points from --checkpoint DIR "
+             "instead of re-running them",
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,6 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     for experiment in iter_experiments():
         command = sub.add_parser(experiment.name, help=experiment.help)
         experiment.add_cli_arguments(command)
+        for knob in experiment.knobs:
+            flag, options = _EXECUTION_FLAGS[knob]
+            command.add_argument(flag, dest=knob, **options)
         command.add_argument(
             "--json", action="store_true",
             help="print the serialized result instead of the text rendering",
@@ -87,12 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument("--workers", type=int, default=1,
                              help="worker processes (default 1: serial)")
-        command.add_argument("--shards", type=int, default=None, metavar="N",
-                             help="execution knob passed to every job: run "
-                                  "scenario-backed experiments on the "
-                                  "sharded engine with up to N shards "
-                                  "(output is byte-identical to the "
-                                  "classic engine)")
+        # The one RunContext knob a sweep passes to every job.
+        command.add_argument("--shards", **_EXECUTION_FLAGS["shards"][1])
         command.add_argument("--base-seed", type=int, default=None,
                              help="deterministically re-seed seeded specs "
                                   "per job")
@@ -272,11 +299,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     experiment = get_experiment(args.command)
     try:
         spec = experiment.spec_from_cli(args)
-    except SpecError as error:
+        ctx = RunContext(
+            **{knob: getattr(args, knob) for knob in experiment.knobs}
+        )
+    except ValueError as error:  # SpecError, or a bad knob value
         print(str(error), file=sys.stderr)
         return 2
     with _attached_plan_cache(args):
-        result = experiment.run(spec)
+        result = experiment.run(spec, ctx)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -412,9 +442,7 @@ def _run_sweep(args: argparse.Namespace, data: list,
         result = run_batch(data, workers=args.workers,
                            base_seed=args.base_seed,
                            plan_cache_dir=resolve_cache_dir(args.plan_cache),
-                           execution=(
-                               {"shards": args.shards} if args.shards else None
-                           ),
+                           ctx=RunContext(shards=args.shards),
                            checkpoint_dir=checkpoint_dir,
                            resume=resume,
                            on_item=on_item if streaming else None)
@@ -441,7 +469,7 @@ def _run_sweep(args: argparse.Namespace, data: list,
         # get_experiment formats its own message; str(KeyError) re-quotes.
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
-    except ValueError as error:  # SpecError and config validation
+    except ValueError as error:  # SpecError, config and knob validation
         print(str(error), file=sys.stderr)
         return 2
     failures = result.failures()
@@ -480,9 +508,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if data is None:
         return 2
     if args.dry_run or args.plan:
+        try:
+            ctx = RunContext(shards=args.shards)
+        except ValueError as error:
+            print(str(error), file=sys.stderr)
+            return 2
         return _dry_run_batch(
-            args.specs, data, plan=args.plan, base_seed=args.base_seed,
-            execution={"shards": args.shards} if args.shards else None,
+            args.specs, data, ctx, plan=args.plan, base_seed=args.base_seed
         )
     from .jobs.store import resolve_checkpoint_dir
 
@@ -523,17 +555,18 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     return _run_sweep(args, data, checkpoint_dir=directory, resume=True)
 
 
-def _dry_run_batch(path: str, jobs: list, plan: bool = False,
-                   base_seed: Optional[int] = None,
-                   execution: Optional[dict] = None) -> int:
+def _dry_run_batch(path: str, jobs: list, ctx: RunContext,
+                   plan: bool = False,
+                   base_seed: Optional[int] = None) -> int:
     """Validate every job of a batch file without running anything.
 
     Decoding a job exercises the full spec path — experiment lookup in
     the registry, field-name checking and type-driven reconstruction —
     so a passing dry run means ``repro batch`` will accept the file.
     Execution knobs (``--shards``) are checked against each job's
-    target experiment: a knob the experiment's spec does not carry is a
-    validation error here instead of a silent no-op at run time.  Every
+    target experiment by the same ``Experiment.check_knobs`` the real
+    run calls: a knob the experiment does not declare is refused by
+    both, never a silent no-op.  Every
     valid job reports its checkpoint key — computed from the same
     seeded, encoded spec the runtime hashes (*base_seed* included), so
     the printed keys match what ``repro serve`` will write under
@@ -545,7 +578,6 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
     # The same normalizer, seeding and keying run_batch uses, so a
     # dry-run verdict (and key) can never disagree with the real run.
     from .experiments.api import encode
-    from .experiments.registry import get_experiment
     from .experiments.runner import _normalize_job, _seeded
     from .jobs.store import job_key
 
@@ -558,6 +590,7 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
         try:
             job = _normalize_job(raw)
             spec = job.resolved_spec()
+            get_experiment(job.experiment).check_knobs(ctx)
         except KeyError as error:  # unknown experiment
             errors += 1
             message = error.args[0] if error.args else str(error)
@@ -567,18 +600,6 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
             errors += 1
             print("job %d: %s" % (index, error), file=sys.stderr)
             continue
-        if execution:
-            unsupported = sorted(
-                knob for knob in execution if not hasattr(spec, knob)
-            )
-            if unsupported:
-                errors += 1
-                print("job %d: %s (%s) does not support execution "
-                      "knob(s): %s"
-                      % (index, job.experiment, type(spec).__name__,
-                         ", ".join(unsupported)),
-                      file=sys.stderr)
-                continue
         if base_seed is not None:
             spec = _seeded(spec, base_seed, index, job.experiment)
         key = job_key(job.experiment, encode(spec))

@@ -29,6 +29,7 @@ from .api import (
     ExperimentProtocol,
     ExperimentResult,
     ExperimentSpec,
+    RunContext,
     Serializable,
     SpecError,
     decode,
@@ -44,13 +45,12 @@ from .runner import BatchItem, BatchJob, BatchResult, run_batch
 
 # Importing the experiment modules populates the registry; the import
 # order below is the registry (and CLI subcommand) order.
-from .fig1_traces import TraceConfig, TraceExperiment, TraceResult, run_trace_experiment
+from .fig1_traces import TraceConfig, TraceExperiment, TraceResult
 from .fig1_cdf import (
     CdfConfig,
     CdfExperiment,
     CdfResult,
     FlowSample,
-    run_cdf_experiment,
     select_circuit_paths,
 )
 from .ablations import (
@@ -65,13 +65,11 @@ from .ablations import (
     compensation_modes,
     gamma_sweep,
     initial_window_sweep,
-    run_ablations_experiment,
 )
 from .dynamic import (
     DynamicConfig,
     DynamicExperiment,
     DynamicResult,
-    run_dynamic_experiment,
     set_duplex_rate,
 )
 from .friendliness import (
@@ -79,27 +77,23 @@ from .friendliness import (
     FriendlinessExperiment,
     FriendlinessResult,
     FriendlinessRow,
-    run_friendliness_experiment,
 )
 from .interactive import (
     InteractiveConfig,
     InteractiveExperiment,
     InteractiveResult,
     InteractiveRow,
-    run_interactive_experiment,
 )
 from .optimal import (
     OptimalConfig,
     OptimalExperiment,
     OptimalResult,
-    run_optimal_experiment,
 )
 from .netscale import (
     CircuitSample,
     NetScaleConfig,
     NetScaleExperiment,
     NetScaleResult,
-    run_netscale_experiment,
     select_netscale_paths,
 )
 from .churn_study import (
@@ -108,7 +102,6 @@ from .churn_study import (
     ChurnStudyImprovement,
     ChurnStudyPoint,
     ChurnStudyResult,
-    run_churn_study,
 )
 from .adversity import (
     AdversityImprovement,
@@ -116,7 +109,6 @@ from .adversity import (
     AdversityStudyConfig,
     AdversityStudyExperiment,
     AdversityStudyResult,
-    run_adversity_study,
 )
 from .netgen import (
     GeneratedNetwork,
@@ -127,11 +119,8 @@ from .netgen import (
     plan_network,
 )
 
-# The generic declarative-scenario experiment lives in the scenario
-# package (which must stay importable without these harnesses); its
-# registration happens here so `import repro.experiments` yields the
-# complete registry.
-from ..scenario.experiment import ScenarioExperiment
+# The generic declarative-scenario experiment registers last.
+from .scenario import ScenarioExperiment
 
 __all__ = [
     "AblationsConfig",
@@ -183,6 +172,7 @@ __all__ = [
     "OptimalConfig",
     "OptimalExperiment",
     "OptimalResult",
+    "RunContext",
     "ScenarioExperiment",
     "Serializable",
     "SpecError",
@@ -202,17 +192,7 @@ __all__ = [
     "iter_experiments",
     "plan_network",
     "register_experiment",
-    "run_ablations_experiment",
     "run_batch",
-    "run_adversity_study",
-    "run_cdf_experiment",
-    "run_churn_study",
-    "run_dynamic_experiment",
-    "run_friendliness_experiment",
-    "run_interactive_experiment",
-    "run_netscale_experiment",
-    "run_optimal_experiment",
-    "run_trace_experiment",
     "select_circuit_paths",
     "select_netscale_paths",
     "set_duplex_rate",

@@ -29,8 +29,8 @@ from ..analysis.optimal_window import (
 from ..net.topology import build_chain
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
-from .api import Experiment, ExperimentResult, ExperimentSpec
-from .fig1_traces import TraceConfig, TraceResult, run_trace_experiment
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .fig1_traces import TraceConfig, TraceResult
 from .registry import get_experiment, register_experiment
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "compensation_modes",
     "initial_window_sweep",
     "backpropagation_study",
-    "run_ablations_experiment",
 ]
 
 
@@ -76,7 +75,7 @@ def gamma_sweep(
     rows: List[GammaRow] = []
     for gamma in gammas:
         config = replace(base, transport=base.transport.with_(gamma=gamma))
-        result = run_trace_experiment(config)
+        result = get_experiment("trace").run(config)
         rows.append(
             GammaRow(
                 gamma=gamma,
@@ -125,7 +124,7 @@ def compensation_modes(
     rows: List[CompensationRow] = []
     for mode in modes:
         config = replace(base, transport=base.transport.with_(compensation=mode))
-        result = run_trace_experiment(config)
+        result = get_experiment("trace").run(config)
         after_exit = _cwnd_after_exit(result)
         rows.append(
             CompensationRow(
@@ -169,7 +168,7 @@ def initial_window_sweep(
         transport = base.transport.with_(
             initial_cwnd_cells=iw, min_cwnd_cells=min(iw, base.transport.min_cwnd_cells)
         )
-        result = run_trace_experiment(replace(base, transport=transport))
+        result = get_experiment("trace").run(replace(base, transport=transport))
         rows.append(
             InitialWindowRow(
                 initial_cwnd_cells=iw,
@@ -287,7 +286,9 @@ class AblationsExperiment(Experiment):
     spec_type = AblationsConfig
     result_type = AblationsResult
 
-    def run(self, spec: AblationsConfig) -> AblationsResult:
+    def run(
+        self, spec: AblationsConfig, ctx: RunContext = RunContext()
+    ) -> AblationsResult:
         return AblationsResult(
             config=spec,
             gamma_rows=gamma_sweep(spec.gammas, base=spec.near),
@@ -336,10 +337,3 @@ class AblationsExperiment(Experiment):
             ),
         ]
         return "\n\n".join(sections)
-
-
-def run_ablations_experiment(
-    config: Optional[AblationsConfig] = None,
-) -> AblationsResult:
-    """Run all four ablation studies (thin wrapper over the registry)."""
-    return get_experiment("ablations").run(config or AblationsConfig())

@@ -26,35 +26,34 @@ with ``0.0`` meaning *disabled* (infinite MTTF): JSON has no
 ``Infinity``, and the fault plane treats a zero rate as "never".
 
 Each grid point is one declarative :class:`~repro.scenario.Scenario`
-job through :func:`~repro.experiments.runner.run_batch`, so the sweep
-inherits the whole execution surface: ``--workers`` fans points over a
-process pool, a disk plan cache shares the generated network across
-workers, and ``--checkpoint`` makes the sweep crash-resumable
-(``repro report <dir>`` renders the partial state while it runs).
+job; the sweep itself — jobs, batch, aggregation, tables, execution
+knobs (``--workers``, ``--checkpoint``/``--resume``) — is the shared
+:class:`~.study.GridStudy` skeleton, and this module only declares
+what is specific to the (loss × MTTF) grid.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.stats import EmpiricalCdf
 from ..scenario import (
     FailureRateProbe,
     LinkFaults,
     RelayChurnFaults,
+    Scenario,
     ScenarioResult,
     plan_scenario,
 )
 from ..scenario.cache import DEFAULT_CACHE
+from ..scenario.netgen import NetworkConfig
 from ..transport.config import TransportConfig, transport_profile_names
 from ..units import kib, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
+from .api import ExperimentResult, ExperimentSpec
 from .churn_study import ChurnStudyConfig
-from .netgen import NetworkConfig
 from .registry import register_experiment
-from .runner import BatchJob, run_batch
+from .study import IMPROVEMENT_METRICS, GridStudy, StudyResult, star_network
 
 __all__ = [
     "AdversityImprovement",
@@ -62,7 +61,6 @@ __all__ = [
     "AdversityStudyConfig",
     "AdversityStudyExperiment",
     "AdversityStudyResult",
-    "run_adversity_study",
 ]
 
 #: Default loss grid: the clean corner plus light and noticeable loss.
@@ -71,10 +69,6 @@ DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 0.005, 0.02)
 #: Default MTTF grid: immortal relays plus one kill regime (seconds
 #: between kills aggregated over all relays; 0.0 disables).
 DEFAULT_RELAY_MTTFS: Tuple[float, ...] = (0.0, 4.0)
-
-
-def _default_network() -> NetworkConfig:
-    return NetworkConfig(relay_count=30, client_count=30, server_count=30)
 
 
 @dataclass(frozen=True)
@@ -87,11 +81,9 @@ class AdversityStudyConfig(ExperimentSpec):
     ``arrival_rate`` and this study's adversity-free corner are the
     same scenario, draw for draw.
 
-    ``workers`` / ``checkpoint_dir`` / ``resume`` are execution
-    details, not model parameters: non-field attributes (set via
-    :meth:`with_workers` / :meth:`with_checkpoint`, never serialized),
-    so a parallel or resumed sweep's structured output stays
-    byte-identical to a serial fresh one.
+    Model parameters only: worker processes and checkpointing are the
+    :class:`~repro.experiments.api.RunContext` passed beside this spec
+    to ``run``.
     """
 
     #: Per-link Bernoulli loss probabilities swept (0.0 = lossless).
@@ -112,7 +104,7 @@ class AdversityStudyConfig(ExperimentSpec):
     probe_interval: float = 0.25
     max_sim_time: float = seconds(120.0)
     kinds: Tuple[str, str] = ("with", "without")
-    network: NetworkConfig = field(default_factory=_default_network)
+    network: NetworkConfig = field(default_factory=star_network)
     transport: TransportConfig = field(default_factory=TransportConfig)
     #: Mean time to restart a killed relay (0.0 = killed for good).
     relay_mttr: float = 0.5
@@ -163,33 +155,6 @@ class AdversityStudyConfig(ExperimentSpec):
         # probe grid) to the churn study config the points route
         # through; a bad combination fails here, not mid-sweep.
         self._churn_config()
-        # Execution details, not dataclass fields: never serialized, so
-        # parallel/checkpointed sweeps emit byte-identical results.
-        object.__setattr__(self, "workers", 1)
-        object.__setattr__(self, "checkpoint_dir", None)
-        object.__setattr__(self, "resume", False)
-
-    # --- execution knobs --------------------------------------------------
-
-    def _carrying(self, **knobs: object) -> "AdversityStudyConfig":
-        clone = replace(self)
-        for name in ("workers", "checkpoint_dir", "resume"):
-            object.__setattr__(
-                clone, name, knobs.get(name, getattr(self, name))
-            )
-        return clone
-
-    def with_workers(self, workers: int) -> "AdversityStudyConfig":
-        """A copy whose sweep fans out over *workers* processes."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %r" % workers)
-        return self._carrying(workers=int(workers))
-
-    def with_checkpoint(
-        self, directory: Optional[str], resume: bool = False
-    ) -> "AdversityStudyConfig":
-        """A copy whose sweep checkpoints completed points under *directory*."""
-        return self._carrying(checkpoint_dir=directory, resume=bool(resume))
 
     # --- the grid ---------------------------------------------------------
 
@@ -203,24 +168,13 @@ class AdversityStudyConfig(ExperimentSpec):
 
     def _churn_config(self) -> ChurnStudyConfig:
         """The same-seed churn study this sweep's clean corner matches."""
-        return ChurnStudyConfig(
-            rates=(self.arrival_rate,),
-            circuit_count=self.circuit_count,
-            hops=self.hops,
-            bulk_fraction=self.bulk_fraction,
-            bulk_payload_bytes=self.bulk_payload_bytes,
-            interactive_payload_bytes=self.interactive_payload_bytes,
-            seed=self.seed,
-            start_window=self.start_window,
-            horizon=self.horizon,
-            probe_interval=self.probe_interval,
-            max_sim_time=self.max_sim_time,
-            kinds=self.kinds,
-            network=self.network,
-            transport=self.transport,
-        )
+        mirrored = {
+            f.name: getattr(self, f.name)
+            for f in fields(ChurnStudyConfig) if f.name != "rates"
+        }
+        return ChurnStudyConfig(rates=(self.arrival_rate,), **mirrored)
 
-    def point_scenario(self, loss_rate: float, relay_mttf: float):
+    def point_scenario(self, loss_rate: float, relay_mttf: float) -> Scenario:
         """The declarative scenario of one grid point.
 
         Routed through the churn study's point builder so the
@@ -310,13 +264,8 @@ class AdversityImprovement(ExperimentResult):
 
 
 @dataclass
-class AdversityStudyResult(ExperimentResult):
-    """The study: per-(loss, MTTF, kind) rows plus per-point deltas.
-
-    Plan-cache and checkpoint counters ride along as non-serialized
-    attributes (like :class:`~.runner.BatchResult`), so cached,
-    checkpointed and parallel sweeps stay byte-identical on disk.
-    """
+class AdversityStudyResult(StudyResult):
+    """The study: per-(loss, MTTF, kind) rows plus per-point deltas."""
 
     config: AdversityStudyConfig
     bottleneck_relay: str
@@ -324,10 +273,6 @@ class AdversityStudyResult(ExperimentResult):
     points: List[AdversityPoint]
     #: One row per grid point: the with-vs-without deltas.
     improvements: List[AdversityImprovement]
-
-    def __post_init__(self) -> None:
-        self.plan_cache: Optional[Dict[str, int]] = None
-        self.checkpoint: Optional[Dict[str, object]] = None
 
     # --- analysis helpers -------------------------------------------------
 
@@ -364,35 +309,29 @@ class AdversityStudyResult(ExperimentResult):
         *metric* is ``"ttfb"``, ``"ttlb"`` or ``"startup"``; grid
         points where either kind lacks the metric are skipped.
         """
-        attribute = {
-            "ttfb": "ttfb_improvement",
-            "ttlb": "ttlb_improvement",
-            "startup": "startup_improvement",
-        }[metric]
-        series = []
-        for mttf in self.config.relay_mttfs:
-            label = "MTTF ∞" if mttf == 0.0 else "MTTF %g s" % mttf
-            points = [
-                (row.loss_rate, value)
-                for row in self.improvements
-                if row.relay_mttf == mttf
-                and (value := getattr(row, attribute)) is not None
-            ]
-            series.append((label, points))
-        return series
+        return self._series_per_mttf(self.improvements, IMPROVEMENT_METRICS[metric])
 
     def failure_series(self, kind: str) -> List[Tuple[str, List[Tuple[float, float]]]]:
         """(loss rate → failure rate) series for *kind*, one per MTTF."""
-        series = []
-        for mttf in self.config.relay_mttfs:
-            label = "MTTF ∞" if mttf == 0.0 else "MTTF %g s" % mttf
-            points = [
-                (row.loss_rate, row.failure_rate)
-                for row in self.points
-                if row.relay_mttf == mttf and row.kind == kind
-            ]
-            series.append((label, points))
-        return series
+        return self._series_per_mttf(
+            [row for row in self.points if row.kind == kind], "failure_rate"
+        )
+
+    def _series_per_mttf(
+        self, rows: List[Any], attribute: str
+    ) -> List[Tuple[str, List[Tuple[float, float]]]]:
+        return [
+            (
+                "MTTF ∞" if mttf == 0.0 else "MTTF %g s" % mttf,
+                [
+                    (row.loss_rate, value)
+                    for row in rows
+                    if row.relay_mttf == mttf
+                    and (value := getattr(row, attribute)) is not None
+                ],
+            )
+            for mttf in self.config.relay_mttfs
+        ]
 
     def figure(self, width: int = 72, height: int = 14) -> str:
         """Two ASCII panels: improvement and failure rate vs loss rate."""
@@ -417,205 +356,110 @@ class AdversityStudyResult(ExperimentResult):
         return "\n\n".join([improvement_panel, failure_panel])
 
 
-def _median(values: List[float]) -> Optional[float]:
-    return EmpiricalCdf(values).median if values else None
-
-
 def _quantile(values: List[float], q: float) -> Optional[float]:
     return EmpiricalCdf(values).quantile(q) if values else None
 
 
-def _aggregate_point(
-    config: AdversityStudyConfig,
-    loss_rate: float,
-    relay_mttf: float,
-    result: ScenarioResult,
-    kind: str,
-) -> AdversityPoint:
-    """Reduce one grid point's per-circuit samples to one row.
-
-    The median/steady math is operation-for-operation the churn study's
-    ``_aggregate_point`` (the exactness contract of the clean corner);
-    the ``None`` filters are new but vacuous there — a fault-free run
-    completes every circuit.
-    """
-    settle = config.start_window
-    horizon = config.horizon
-    steady = result.steady_samples(kind)
-    utilization_series = result.probe_series(kind, "utilization")
-    if len(utilization_series) != 1:
-        raise RuntimeError(
-            "adversity study expects exactly one bottleneck utilization "
-            "series per kind, got %d" % len(utilization_series)
-        )
-    utilization = utilization_series[0].mean_between(settle, horizon)
-    steady_ttfb = [
-        s.time_to_first_byte for s in steady
-        if s.time_to_first_byte is not None
-    ]
-    counters = result.transport_counters.get(kind, {})
-    startup = [
-        s.startup_duration for s in steady
-        if s.startup_duration is not None
-    ]
-    return AdversityPoint(
-        loss_rate=loss_rate,
-        relay_mttf=relay_mttf,
-        kind=kind,
-        circuits=len(result.samples[kind]),
-        steady_circuits=len(steady),
-        failure_rate=result.failure_rate(kind),
-        bottleneck_utilization=utilization,
-        median_ttfb=_median(steady_ttfb),
-        p95_ttfb=_quantile(steady_ttfb, 0.95),
-        p99_ttfb=_quantile(steady_ttfb, 0.99),
-        median_ttlb=_median(
-            [s.time_to_last_byte for s in steady
-             if s.time_to_last_byte is not None]
-        ),
-        median_startup=_median(startup),
-        retransmissions=int(counters.get("retransmissions", 0)),
-        timeouts=int(counters.get("timeouts", 0)),
-    )
-
-
-def _improvement(
-    loss_rate: float,
-    relay_mttf: float,
-    with_point: AdversityPoint,
-    without_point: AdversityPoint,
-    relay_kills: int,
-) -> AdversityImprovement:
-    def delta(
-        without_value: Optional[float], with_value: Optional[float]
-    ) -> Optional[float]:
-        if without_value is None or with_value is None:
-            return None
-        return without_value - with_value
-
-    return AdversityImprovement(
-        loss_rate=loss_rate,
-        relay_mttf=relay_mttf,
-        bottleneck_utilization=without_point.bottleneck_utilization,
-        ttfb_improvement=delta(
-            without_point.median_ttfb, with_point.median_ttfb
-        ),
-        ttlb_improvement=delta(
-            without_point.median_ttlb, with_point.median_ttlb
-        ),
-        startup_improvement=delta(
-            without_point.median_startup, with_point.median_startup
-        ),
-        failure_rate=max(
-            with_point.failure_rate, without_point.failure_rate
-        ),
-        relay_kills=relay_kills,
-    )
-
-
-def _aggregate(
-    config: AdversityStudyConfig,
-    results: List[ScenarioResult],
-) -> AdversityStudyResult:
-    """Assemble the study from one ScenarioResult per grid point."""
-    bottlenecks = {result.bottleneck_relay for result in results}
-    if len(bottlenecks) != 1:
-        raise RuntimeError(
-            "grid points disagree on the bottleneck relay (%r): the "
-            "operating points no longer share one generated network"
-            % sorted(bottlenecks)
-        )
-    with_kind, without_kind = config.kinds
-    points: List[AdversityPoint] = []
-    improvements: List[AdversityImprovement] = []
-    for (loss, mttf), result in zip(config.grid(), results):
-        per_kind = {
-            kind: _aggregate_point(config, loss, mttf, result, kind)
-            for kind in config.kinds
-        }
-        points.extend(per_kind[kind] for kind in config.kinds)
-        # Kill events are a plan property, identical across kinds:
-        # count them from the point's (cached) plan, not from the
-        # failure records — a kill that happened to fail no circuit
-        # still counts as adversity.
-        plan = plan_scenario(result.scenario, cache=DEFAULT_CACHE)
-        kills = sum(
-            1 for event in plan.fault_events if event.action == "kill"
-        )
-        improvements.append(
-            _improvement(
-                loss, mttf, per_kind[with_kind], per_kind[without_kind], kills
-            )
-        )
-    return AdversityStudyResult(
-        config=config,
-        bottleneck_relay=bottlenecks.pop(),
-        points=points,
-        improvements=improvements,
-    )
+def _mttf_label(row: Any) -> str:
+    return "inf" if row.relay_mttf == 0.0 else "%g" % row.relay_mttf
 
 
 @register_experiment
-class AdversityStudyExperiment(Experiment):
+class AdversityStudyExperiment(GridStudy):
     """The fault-plane sweep behind ``repro adversity-study``."""
 
     name = "adversity-study"
     help = "churn under adversity: (loss rate x relay MTTF) fault sweep"
     spec_type = AdversityStudyConfig
     result_type = AdversityStudyResult
+    knobs = ("workers", "checkpoint_dir", "resume")
 
-    def run(self, spec: AdversityStudyConfig) -> AdversityStudyResult:
-        jobs = [
-            BatchJob(experiment="scenario",
-                     spec=spec.point_scenario(loss, mttf))
-            for loss, mttf in spec.grid()
+    point_experiment = "scenario"
+    grid_keys = ("loss_rate", "relay_mttf")
+    point_type = AdversityPoint
+    improvement_type = AdversityImprovement
+    point_columns = (
+        ("loss", "loss_rate"),
+        ("MTTF [s]", _mttf_label),
+        ("controller", "kind"),
+        ("circuits", "circuits"),
+        ("fail rate", "failure_rate"),
+        ("utilization", "bottleneck_utilization"),
+        ("med TTFB [s]", "median_ttfb"),
+        ("p95 TTFB [s]", "p95_ttfb"),
+        ("p99 TTFB [s]", "p99_ttfb"),
+        ("med startup [s]", "median_startup"),
+        ("retx", "retransmissions"),
+    )
+    improvement_columns = (
+        ("loss", "loss_rate"),
+        ("MTTF [s]", _mttf_label),
+        ("utilization", "bottleneck_utilization"),
+        ("fail rate", "failure_rate"),
+        ("kills", "relay_kills"),
+        ("TTFB gain [s]", "ttfb_improvement"),
+        ("TTLB gain [s]", "ttlb_improvement"),
+        ("startup gain [s]", "startup_improvement"),
+    )
+    improvement_title = (
+        "Improvement under adversity (%s vs %s, positive = faster)"
+    )
+
+    def grid(self, spec: AdversityStudyConfig) -> List[Tuple[float, float]]:
+        return spec.grid()
+
+    def point_spec(
+        self, spec: AdversityStudyConfig, loss_rate: float, relay_mttf: float
+    ) -> Scenario:
+        return spec.point_scenario(loss_rate, relay_mttf)
+
+    def point_fields(
+        self, spec: AdversityStudyConfig, result: ScenarioResult, kind: str
+    ) -> Dict[str, Any]:
+        steady_ttfb = [
+            sample.time_to_first_byte
+            for sample in result.steady_samples(kind)
+            if sample.time_to_first_byte is not None
         ]
-        workers = getattr(spec, "workers", 1)
-        if workers > 1 and multiprocessing.current_process().daemon:
-            # Inside a pool worker (the study itself swept by `repro
-            # batch --workers N`): daemonic processes cannot spawn
-            # children, so the inner sweep degrades to serial.
-            workers = 1
-        disk = DEFAULT_CACHE.disk
-        checkpoint_dir = getattr(spec, "checkpoint_dir", None)
-        on_item = None
-        if checkpoint_dir is not None:
-            # Stream the partial state as points finish, so `repro
-            # report <checkpoint-dir>` can watch the sweep in flight.
-            from ..jobs.store import JobStore
-            from ..report.partial import partial_payload
-
-            store = JobStore(checkpoint_dir)
-            completed: List[object] = []
-
-            def on_item(item, done, total, source):
-                completed.append(item)
-                store.write_partial(partial_payload(completed, total))
-
-        batch = run_batch(
-            jobs,
-            workers=workers,
-            plan_cache_dir=disk.directory if disk is not None else None,
-            checkpoint_dir=checkpoint_dir,
-            resume=getattr(spec, "resume", False),
-            on_item=on_item,
+        counters = result.transport_counters.get(kind, {})
+        return dict(
+            # Covers every planned circuit of the run, not only the
+            # steady ones: a warm-up circuit killed by a dying relay is
+            # just as failed.
+            failure_rate=result.failure_rate(kind),
+            p95_ttfb=_quantile(steady_ttfb, 0.95),
+            p99_ttfb=_quantile(steady_ttfb, 0.99),
+            retransmissions=int(counters.get("retransmissions", 0)),
+            timeouts=int(counters.get("timeouts", 0)),
         )
-        results = [item.result_object() for item in batch.items]
-        study = _aggregate(spec, results)
-        study.plan_cache = batch.plan_cache
-        study.checkpoint = getattr(batch, "checkpoint", None)
-        return study
 
-    def estimate_cost(self, spec: AdversityStudyConfig) -> Dict[str, int]:
-        totals = {"circuits": 0, "cells": 0, "cell_hops": 0}
-        for loss, mttf in spec.grid():
-            cost = plan_scenario(
-                spec.point_scenario(loss, mttf), cache=DEFAULT_CACHE
-            ).estimated_cost()
-            for key in totals:
-                totals[key] += cost[key]
-        totals["kinds"] = len(spec.kinds)
-        return totals
+    def improvement_fields(
+        self,
+        spec: AdversityStudyConfig,
+        result: ScenarioResult,
+        with_row: AdversityPoint,
+        without_row: AdversityPoint,
+    ) -> Dict[str, Any]:
+        # Kill events are a plan property, identical across kinds:
+        # count them from the point's (cached) plan, not from the
+        # failure records — a kill that happened to fail no circuit
+        # still counts as adversity.
+        plan = plan_scenario(result.scenario, cache=DEFAULT_CACHE)
+        return dict(
+            failure_rate=max(with_row.failure_rate, without_row.failure_rate),
+            relay_kills=sum(
+                1 for event in plan.fault_events if event.action == "kill"
+            ),
+        )
+
+    def title(self, result: AdversityStudyResult) -> str:
+        config = result.config
+        return (
+            "Adversity study: %d grid points at %g circuits/s through "
+            "bottleneck %s"
+            % (len(config.grid()), config.arrival_rate,
+               result.bottleneck_relay)
+        )
 
     def add_cli_arguments(self, parser) -> None:
         parser.add_argument(
@@ -633,20 +477,7 @@ class AdversityStudyExperiment(Experiment):
             help="churn arrival rate shared by every grid point "
                  "(circuits/second, default 4)",
         )
-        parser.add_argument("--circuits", type=int, default=40)
-        parser.add_argument("--relays", type=int, default=30)
-        parser.add_argument("--bulk-fraction", type=float, default=0.7)
-        parser.add_argument("--bulk-payload-kib", type=int, default=300)
-        parser.add_argument("--seed", type=int, default=2018)
-        parser.add_argument(
-            "--horizon", type=float, default=8.0, metavar="SECONDS",
-            help="simulated time after which no re-arrival (or planned "
-                 "relay kill) occurs (default 8.0)",
-        )
-        parser.add_argument(
-            "--probe-interval", type=float, default=0.25, metavar="SECONDS",
-            help="utilization/goodput/failure sampling grid (default 0.25)",
-        )
+        super().add_cli_arguments(parser)
         parser.add_argument(
             "--mttr", type=float, default=0.5, metavar="SECONDS",
             help="mean time to restart a killed relay (0 = killed for "
@@ -656,137 +487,12 @@ class AdversityStudyExperiment(Experiment):
             "--max-kills", type=int, default=4, metavar="N",
             help="cap on relay kills per run (default 4)",
         )
-        parser.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="run grid points over N worker processes (output is "
-                 "byte-identical to --workers 1)",
+
+    def cli_fields(self, args) -> Dict[str, Any]:
+        return dict(
+            loss_rates=self.parse_grid(args.loss_rates, "--loss-rates"),
+            relay_mttfs=self.parse_grid(args.mttfs, "--mttfs"),
+            arrival_rate=args.rate,
+            relay_mttr=args.mttr,
+            max_relay_kills=args.max_kills,
         )
-        parser.add_argument(
-            "--checkpoint", default=None, metavar="DIR",
-            help="checkpoint completed grid points under DIR (resumable "
-                 "via --resume; `repro report DIR` renders the partial "
-                 "state)",
-        )
-        parser.add_argument(
-            "--resume", action="store_true",
-            help="serve already-checkpointed points from --checkpoint "
-                 "DIR instead of re-running them",
-        )
-
-    def spec_from_cli(self, args) -> AdversityStudyConfig:
-        from .api import SpecError
-
-        def parse_grid(text: str, flag: str) -> Tuple[float, ...]:
-            try:
-                return tuple(
-                    float(token) for token in text.split(",") if token.strip()
-                )
-            except ValueError:
-                raise SpecError(
-                    "%s expects comma-separated numbers, got %r"
-                    % (flag, text)
-                ) from None
-
-        loss_rates = parse_grid(args.loss_rates, "--loss-rates")
-        mttfs = parse_grid(args.mttfs, "--mttfs")
-        try:
-            spec = AdversityStudyConfig(
-                loss_rates=loss_rates,
-                relay_mttfs=mttfs,
-                arrival_rate=args.rate,
-                circuit_count=args.circuits,
-                bulk_fraction=args.bulk_fraction,
-                bulk_payload_bytes=kib(args.bulk_payload_kib),
-                seed=args.seed,
-                horizon=args.horizon,
-                probe_interval=args.probe_interval,
-                relay_mttr=args.mttr,
-                max_relay_kills=args.max_kills,
-                network=NetworkConfig(
-                    relay_count=args.relays,
-                    client_count=max(args.relays, 1),
-                    server_count=max(args.relays, 1),
-                ),
-            ).with_workers(args.workers)
-            if args.checkpoint is not None:
-                spec = spec.with_checkpoint(args.checkpoint, args.resume)
-            return spec
-        except ValueError as error:
-            raise SpecError(str(error)) from error
-
-    def render(self, result: AdversityStudyResult) -> str:
-        from ..report import format_table
-
-        config = result.config
-
-        def mttf_label(mttf: float) -> str:
-            return "inf" if mttf == 0.0 else "%g" % mttf
-
-        rows = [
-            [
-                point.loss_rate, mttf_label(point.relay_mttf), point.kind,
-                point.circuits, point.failure_rate,
-                point.bottleneck_utilization, point.median_ttfb,
-                point.p95_ttfb, point.p99_ttfb, point.median_startup,
-                point.retransmissions,
-            ]
-            for point in result.points
-        ]
-        table = format_table(
-            ["loss", "MTTF [s]", "controller", "circuits", "fail rate",
-             "utilization", "med TTFB [s]", "p95 TTFB [s]", "p99 TTFB [s]",
-             "med startup [s]", "retx"],
-            rows,
-            title="Adversity study: %d grid points at %g circuits/s "
-                  "through bottleneck %s"
-            % (len(config.grid()), config.arrival_rate,
-               result.bottleneck_relay),
-        )
-        improvement_rows = [
-            [
-                row.loss_rate, mttf_label(row.relay_mttf),
-                row.bottleneck_utilization, row.failure_rate,
-                row.relay_kills, row.ttfb_improvement, row.ttlb_improvement,
-                row.startup_improvement,
-            ]
-            for row in result.improvements
-        ]
-        improvement_table = format_table(
-            ["loss", "MTTF [s]", "utilization", "fail rate", "kills",
-             "TTFB gain [s]", "TTLB gain [s]", "startup gain [s]"],
-            improvement_rows,
-            title="Improvement under adversity (%s vs %s, positive = faster)"
-            % (config.kinds[0], config.kinds[1]),
-        )
-        lines = [table, "", improvement_table, "", result.figure()]
-        stats = getattr(result, "plan_cache", None)
-        if stats and sum(stats.values()):
-            lines.append("")
-            lines.append(
-                "plan cache: %d plan hit(s) / %d miss(es), %d network "
-                "hit(s) / %d miss(es)"
-                % (stats.get("plan_hits", 0), stats.get("plan_misses", 0),
-                   stats.get("network_hits", 0),
-                   stats.get("network_misses", 0))
-            )
-        checkpoint = getattr(result, "checkpoint", None)
-        if checkpoint:
-            lines.append(
-                "checkpoint: %s (%d computed / %d reused)"
-                % (checkpoint.get("directory", "?"),
-                   checkpoint.get("computed", 0),
-                   checkpoint.get("reused", 0))
-            )
-        return "\n".join(lines)
-
-
-def run_adversity_study(
-    config: Optional[AdversityStudyConfig] = None, workers: int = 1
-) -> AdversityStudyResult:
-    """Run the adversity grid sweep (wrapper over the registry)."""
-    from .registry import get_experiment
-
-    spec = config if config is not None else AdversityStudyConfig()
-    if workers != 1:
-        spec = spec.with_workers(workers)
-    return get_experiment("adversity-study").run(spec)

@@ -5,7 +5,9 @@ ablations, the extension studies, and the optimal-window model — speaks
 the same protocol:
 
 * an :class:`Experiment` has a ``name``, a ``spec_type`` and a
-  ``run(spec) -> result`` method;
+  ``run(spec, ctx) -> result`` method — the spec says *what* to
+  compute, the :class:`RunContext` *how* to execute it (workers,
+  shards, checkpointing); the context never changes a result byte;
 * its spec is an :class:`ExperimentSpec` (a frozen dataclass) and its
   result an :class:`ExperimentResult` (a dataclass), both of which
   round-trip through JSON via :meth:`Serializable.to_dict` /
@@ -33,7 +35,16 @@ this module re-exports it under the historical names.
 from __future__ import annotations
 
 import json
-from typing import Any, ClassVar, Dict, Optional, Protocol, runtime_checkable
+from dataclasses import dataclass, fields
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from ..serialize import Serializable, SpecError, decode, encode
 
@@ -42,6 +53,7 @@ __all__ = [
     "ExperimentProtocol",
     "ExperimentResult",
     "ExperimentSpec",
+    "RunContext",
     "Serializable",
     "SpecError",
     "decode",
@@ -62,6 +74,36 @@ class ExperimentResult(Serializable):
     """Base for experiment result dataclasses (serializable)."""
 
 
+@dataclass(frozen=True)
+class RunContext:
+    """How a run executes — never what it computes.
+
+    The one carrier of execution knobs: passed beside the spec as
+    ``experiment.run(spec, ctx)``, never stored on it, never
+    serialized, never part of a checkpoint or plan-cache key.  Output
+    is byte-identical under every context.  Which knobs an experiment
+    honours is declared in :attr:`Experiment.knobs`.
+    """
+
+    #: Worker processes a sweep-shaped experiment fans its points over.
+    workers: int = 1
+    #: Upper bound on sharded-engine shards (``None``: classic engine).
+    shards: Optional[int] = None
+    #: Checkpoint completed points under this directory as they finish.
+    checkpoint_dir: Optional[str] = None
+    #: Collect a crashed predecessor's orphaned leases (needs a
+    #: ``checkpoint_dir``; checkpointed points are reused either way).
+    resume: bool = False
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1, got %r" % (self.workers,))
+        if self.shards is not None and self.shards < 1:
+            raise ValueError("shards must be >= 1, got %r" % (self.shards,))
+        if self.resume and self.checkpoint_dir is None:
+            raise ValueError("resume needs a checkpoint directory")
+
+
 @runtime_checkable
 class ExperimentProtocol(Protocol):
     """What the registry, runner and CLI require of an experiment."""
@@ -69,7 +111,7 @@ class ExperimentProtocol(Protocol):
     name: str
     spec_type: type
 
-    def run(self, spec: Any) -> Any: ...
+    def run(self, spec: Any, ctx: RunContext = RunContext()) -> Any: ...
 
 
 class Experiment:
@@ -88,6 +130,10 @@ class Experiment:
     spec_type: ClassVar[Optional[type]] = None
     #: The result dataclass :meth:`run` returns.
     result_type: ClassVar[Optional[type]] = None
+    #: The :class:`RunContext` fields :meth:`run` honours.  Declared,
+    #: not probed: the CLI adds exactly these execution flags, and a
+    #: sweep refuses a context that sets any other (:meth:`check_knobs`).
+    knobs: ClassVar[Tuple[str, ...]] = ()
 
     def default_spec(self) -> Any:
         """A spec with every parameter at its default."""
@@ -95,9 +141,21 @@ class Experiment:
             raise NotImplementedError("%s has no spec_type" % type(self).__name__)
         return self.spec_type()
 
-    def run(self, spec: Any) -> Any:
-        """Execute the experiment for *spec* and return its result."""
+    def run(self, spec: Any, ctx: RunContext = RunContext()) -> Any:
+        """Execute the experiment for *spec* under *ctx*; return its result."""
         raise NotImplementedError
+
+    def check_knobs(self, ctx: RunContext) -> None:
+        """Raise :class:`SpecError` if *ctx* sets a knob :meth:`run` ignores."""
+        unsupported = sorted(
+            f.name for f in fields(ctx)
+            if getattr(ctx, f.name) != f.default and f.name not in self.knobs
+        )
+        if unsupported:
+            raise SpecError(
+                "%s (%s) does not support execution knob(s): %s"
+                % (self.name, self.spec_type.__name__, ", ".join(unsupported))
+            )
 
     def coerce_spec(self, spec: Any) -> Any:
         """Accept a spec object, a spec dict, or ``None`` (defaults)."""

@@ -27,14 +27,13 @@ from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
-from .registry import get_experiment, register_experiment
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .registry import register_experiment
 
 __all__ = [
     "DynamicConfig",
     "DynamicExperiment",
     "DynamicResult",
-    "run_dynamic_experiment",
     "set_duplex_rate",
 ]
 
@@ -107,7 +106,9 @@ class DynamicExperiment(Experiment):
     spec_type = DynamicConfig
     result_type = DynamicResult
 
-    def run(self, spec: DynamicConfig) -> DynamicResult:
+    def run(
+        self, spec: DynamicConfig, ctx: RunContext = RunContext()
+    ) -> DynamicResult:
         traces: Dict[str, TraceRecorder] = {}
         bytes_after: Dict[str, int] = {}
         reentries: Dict[str, int] = {}
@@ -143,11 +144,6 @@ class DynamicExperiment(Experiment):
             title="Mid-flow rate change (optimal %d -> %d cells)"
             % (result.optimal_before_cells, result.optimal_after_cells),
         )
-
-
-def run_dynamic_experiment(config: Optional[DynamicConfig] = None) -> DynamicResult:
-    """Run the rate-change scenario (thin wrapper over the registry)."""
-    return get_experiment("dynamic").run(config or DynamicConfig())
 
 
 def _link_specs(config: DynamicConfig) -> List[LinkSpec]:

@@ -27,7 +27,7 @@ draw-for-draw identical to the pre-scenario harness (substreams
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.stats import (
     EmpiricalCdf,
@@ -50,7 +50,7 @@ from ..sim.rand import RandomStreams
 from ..tor.path_selection import PathSelector
 from ..transport.config import TransportConfig
 from ..units import kib, milliseconds, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .netgen import NetworkConfig
 from .registry import register_experiment
 
@@ -59,7 +59,6 @@ __all__ = [
     "CdfExperiment",
     "CdfResult",
     "FlowSample",
-    "run_cdf_experiment",
     "select_circuit_paths",
 ]
 
@@ -188,8 +187,15 @@ class CdfExperiment(Experiment):
     spec_type = CdfConfig
     result_type = CdfResult
 
-    def run(self, spec: CdfConfig) -> CdfResult:
-        return _run_cdf(spec, kinds=None)
+    def run(self, spec: CdfConfig, ctx: RunContext = RunContext()) -> CdfResult:
+        """Run the concurrent downloads once per controller kind.
+
+        Both modes see identical networks, relay paths and start times
+        (one shared scenario plan, cached by spec hash); the only
+        difference is the start-up controller at every hop.
+        """
+        plan = plan_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
+        return _to_cdf_result(spec, run_planned(plan, kinds=list(spec.kinds)))
 
     def estimate_cost(self, spec: CdfConfig) -> Dict[str, int]:
         return plan_scenario(
@@ -239,30 +245,6 @@ class CdfExperiment(Experiment):
                result.dominance)
         )
         return figure + "\n\n" + table + "\n\n" + stats
-
-
-def run_cdf_experiment(
-    config: Optional[CdfConfig] = None,
-    kinds: Optional[Sequence[str]] = None,
-) -> CdfResult:
-    """Run the concurrent-download experiment (wrapper over the registry).
-
-    *kinds* optionally restricts which controller kinds actually run;
-    the registry path always runs every kind of ``config.kinds``.
-    """
-    return _run_cdf(config or CdfConfig(), kinds)
-
-
-def _run_cdf(config: CdfConfig, kinds: Optional[Sequence[str]]) -> CdfResult:
-    """Run the concurrent-download experiment for every controller kind.
-
-    Both modes see identical networks, relay paths and start times (one
-    shared scenario plan, cached by spec hash); the only difference is
-    the start-up controller at every hop.
-    """
-    run_kinds = list(kinds) if kinds is not None else list(config.kinds)
-    plan = plan_scenario(config.to_scenario(), cache=DEFAULT_CACHE)
-    return _to_cdf_result(config, run_planned(plan, kinds=run_kinds))
 
 
 def _to_cdf_result(config: CdfConfig, result: ScenarioResult) -> CdfResult:

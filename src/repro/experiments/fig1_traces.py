@@ -34,10 +34,10 @@ from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
-from .registry import get_experiment, register_experiment
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .registry import register_experiment
 
-__all__ = ["TraceConfig", "TraceExperiment", "TraceResult", "run_trace_experiment"]
+__all__ = ["TraceConfig", "TraceExperiment", "TraceResult"]
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,9 @@ class TraceExperiment(Experiment):
     spec_type = TraceConfig
     result_type = TraceResult
 
-    def run(self, spec: TraceConfig) -> TraceResult:
+    def run(
+        self, spec: TraceConfig, ctx: RunContext = RunContext()
+    ) -> TraceResult:
         """Run one chain-topology transfer and trace the source's window."""
         sim = Simulator()
         relay_names = ["relay%d" % (i + 1) for i in range(spec.relay_count)]
@@ -196,8 +198,3 @@ class TraceExperiment(Experiment):
             % (exit_ms, result.peak_cwnd_cells, result.final_cwnd_cells,
                result.optimal_cwnd_cells)
         )
-
-
-def run_trace_experiment(config: TraceConfig) -> TraceResult:
-    """Run one cwnd-trace experiment (thin wrapper over the registry)."""
-    return get_experiment("trace").run(config)

@@ -21,7 +21,7 @@ parks a queue in front of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..net.topology import LinkSpec, Topology
 from ..net.traffic import ConstantRateSender, LatencyTracker
@@ -30,15 +30,14 @@ from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
-from .registry import get_experiment, register_experiment
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .registry import register_experiment
 
 __all__ = [
     "FriendlinessConfig",
     "FriendlinessExperiment",
     "FriendlinessResult",
     "FriendlinessRow",
-    "run_friendliness_experiment",
 ]
 
 
@@ -105,7 +104,9 @@ class FriendlinessExperiment(Experiment):
     spec_type = FriendlinessConfig
     result_type = FriendlinessResult
 
-    def run(self, spec: FriendlinessConfig) -> FriendlinessResult:
+    def run(
+        self, spec: FriendlinessConfig, ctx: RunContext = RunContext()
+    ) -> FriendlinessResult:
         return FriendlinessResult(
             config=spec,
             rows=[_run_one(spec, kind) for kind in spec.controller_kinds],
@@ -122,19 +123,6 @@ class FriendlinessExperiment(Experiment):
              for r in result.rows],
             title="Background-traffic impact of start-up schemes",
         )
-
-
-def run_friendliness_experiment(
-    config: Optional[FriendlinessConfig] = None,
-) -> List[FriendlinessRow]:
-    """Run the interference scenario (thin wrapper over the registry).
-
-    Returns the per-scheme rows, as before the unified API; the
-    registry path wraps the same rows in a :class:`FriendlinessResult`.
-    """
-    return get_experiment("friendliness").run(
-        config or FriendlinessConfig()
-    ).rows
 
 
 def _build_topology(sim: Simulator, config: FriendlinessConfig) -> Topology:

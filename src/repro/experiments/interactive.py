@@ -19,7 +19,7 @@ taxes every interactive message for the whole connection lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..net.topology import LinkSpec, build_chain
 from ..sim.simulator import Simulator
@@ -27,15 +27,14 @@ from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..tor.streams import MultiStreamSink, StreamScheduler
 from ..transport.config import TransportConfig
 from ..units import Rate, kib, mbit_per_second, mib, milliseconds, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
-from .registry import get_experiment, register_experiment
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .registry import register_experiment
 
 __all__ = [
     "InteractiveConfig",
     "InteractiveExperiment",
     "InteractiveResult",
     "InteractiveRow",
-    "run_interactive_experiment",
 ]
 
 BULK_STREAM = 1
@@ -100,7 +99,9 @@ class InteractiveExperiment(Experiment):
     spec_type = InteractiveConfig
     result_type = InteractiveResult
 
-    def run(self, spec: InteractiveConfig) -> InteractiveResult:
+    def run(
+        self, spec: InteractiveConfig, ctx: RunContext = RunContext()
+    ) -> InteractiveResult:
         return InteractiveResult(
             config=spec,
             rows=[_run_one(spec, kind) for kind in spec.controller_kinds],
@@ -116,19 +117,6 @@ class InteractiveExperiment(Experiment):
               r.bulk_bytes_delivered / 2**20] for r in result.rows],
             title="Interactive latency under a competing bulk stream",
         )
-
-
-def run_interactive_experiment(
-    config: Optional[InteractiveConfig] = None,
-) -> List[InteractiveRow]:
-    """Run the mixed workload (thin wrapper over the registry).
-
-    Returns the per-kind rows, as before the unified API; the registry
-    path wraps the same rows in an :class:`InteractiveResult`.
-    """
-    return get_experiment("interactive").run(
-        config or InteractiveConfig()
-    ).rows
 
 
 def _run_one(config: InteractiveConfig, kind: str) -> InteractiveRow:

@@ -41,7 +41,7 @@ same paths, same workload mix, same start times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import EmpiricalCdf, summarize
@@ -66,7 +66,7 @@ from ..scenario.cache import DEFAULT_CACHE
 from ..sim.rand import RandomStreams
 from ..transport.config import TransportConfig
 from ..units import kib, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .netgen import NetworkConfig
 from .registry import register_experiment
 
@@ -75,7 +75,6 @@ __all__ = [
     "NetScaleExperiment",
     "NetScaleResult",
     "CircuitSample",
-    "run_netscale_experiment",
     "select_netscale_paths",
 ]
 
@@ -124,7 +123,7 @@ class NetScaleConfig(ExperimentSpec):
     #: draws from cluster ``i % clusters``).  With the forced bottleneck
     #: the clusters still couple through it — the sharded engine's
     #: epoch-barrier shape; this *does* change the planned paths (and
-    #: the result), unlike ``shards``.
+    #: the result), unlike the ``shards`` execution knob.
     clusters: int = 1
 
     def __post_init__(self) -> None:
@@ -145,20 +144,6 @@ class NetScaleConfig(ExperimentSpec):
                 "%d relays cannot form %d-hop paths"
                 % (self.network.relay_count, self.hops)
             )
-        # Execution knob, not a spec field: how many shards (worker
-        # processes / coupled simulators) the scenario engine may use.
-        # Deliberately excluded from serialization and the spec hash —
-        # the result is byte-identical at any shard count, so sharding
-        # must not split the plan-cache key space or the output.
-        object.__setattr__(self, "shards", None)
-
-    def with_shards(self, shards: Optional[int]) -> "NetScaleConfig":
-        """A copy of this config carrying the ``shards`` execution knob."""
-        clone = NetScaleConfig(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
-        object.__setattr__(clone, "shards", shards)
-        return clone
 
     def interactive_workload(self) -> InteractiveWorkload:
         """The stream-backed interactive class for this config.
@@ -361,12 +346,18 @@ class NetScaleExperiment(Experiment):
     help = "network-scale circuit mix over a shared bottleneck"
     spec_type = NetScaleConfig
     result_type = NetScaleResult
+    #: ``shards``: how many worker processes / coupled simulators the
+    #: scenario engine may use.  The result is byte-identical at any
+    #: shard count, so it is a context knob, not a spec field: sharding
+    #: must not split the plan-cache key space or the output.
+    knobs = ("shards",)
 
-    def run(self, spec: NetScaleConfig) -> NetScaleResult:
-        shards = getattr(spec, "shards", None)
-        if shards is not None and shards > 1:
+    def run(
+        self, spec: NetScaleConfig, ctx: RunContext = RunContext()
+    ) -> NetScaleResult:
+        if ctx.shards is not None and ctx.shards > 1:
             result = run_scenario_sharded(
-                spec.to_scenario(), cache=DEFAULT_CACHE, shards=shards
+                spec.to_scenario(), cache=DEFAULT_CACHE, shards=ctx.shards
             )
         else:
             result = run_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
@@ -399,12 +390,6 @@ class NetScaleExperiment(Experiment):
                  "(with --churn; default 0.25)",
         )
         parser.add_argument(
-            "--shards", type=int, default=None, metavar="N",
-            help="run the scenario on the sharded engine with up to N "
-                 "shards (execution knob: output is byte-identical to "
-                 "the classic engine)",
-        )
-        parser.add_argument(
             "--clusters", type=int, default=1, metavar="K",
             help="partition relays/endpoints into K disjoint clusters "
                  "(changes path planning, unlike --shards)",
@@ -420,7 +405,7 @@ class NetScaleExperiment(Experiment):
                 horizon=args.churn_horizon,
             )
             probes = (UtilizationProbe(interval=args.probe_interval),)
-        spec = NetScaleConfig(
+        return NetScaleConfig(
             circuit_count=args.circuits,
             bulk_fraction=args.bulk_fraction,
             bulk_payload_bytes=kib(args.bulk_payload_kib),
@@ -432,10 +417,8 @@ class NetScaleExperiment(Experiment):
             ),
             churn=churn,
             probes=probes,
-            clusters=getattr(args, "clusters", 1),
+            clusters=args.clusters,
         )
-        shards = getattr(args, "shards", None)
-        return spec.with_shards(shards) if shards else spec
 
     def render(self, result: NetScaleResult) -> str:
         from ..report import format_table
@@ -501,12 +484,3 @@ class NetScaleExperiment(Experiment):
                        series.mean, series.peak, len(series.values))
                 )
         return "\n".join(lines)
-
-
-def run_netscale_experiment(
-    config: Optional[NetScaleConfig] = None,
-) -> NetScaleResult:
-    """Run the network-scale scenario (wrapper over the registry)."""
-    from .registry import get_experiment
-
-    return get_experiment("netscale").run(config or NetScaleConfig())

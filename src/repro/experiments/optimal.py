@@ -12,7 +12,7 @@ in a ``repro batch`` file before committing to full simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.optimal_window import (
     HopLink,
@@ -23,14 +23,13 @@ from ..analysis.optimal_window import (
 )
 from ..transport.config import TransportConfig
 from ..units import mbit_per_second, milliseconds
-from .api import Experiment, ExperimentResult, ExperimentSpec, SpecError
-from .registry import get_experiment, register_experiment
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext, SpecError
+from .registry import register_experiment
 
 __all__ = [
     "OptimalConfig",
     "OptimalExperiment",
     "OptimalResult",
-    "run_optimal_experiment",
 ]
 
 
@@ -74,7 +73,9 @@ class OptimalExperiment(Experiment):
     spec_type = OptimalConfig
     result_type = OptimalResult
 
-    def run(self, spec: OptimalConfig) -> OptimalResult:
+    def run(
+        self, spec: OptimalConfig, ctx: RunContext = RunContext()
+    ) -> OptimalResult:
         links = list(spec.links)
         return OptimalResult(
             config=spec,
@@ -117,10 +118,3 @@ class OptimalExperiment(Experiment):
             title="Optimal windows (bottleneck %.3g Mbit/s)"
             % result.bottleneck_mbit_per_second,
         )
-
-
-def run_optimal_experiment(
-    config: Optional[OptimalConfig] = None,
-) -> OptimalResult:
-    """Evaluate the optimal-window model (thin wrapper over the registry)."""
-    return get_experiment("optimal").run(config or OptimalConfig())

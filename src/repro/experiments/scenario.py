@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from ..experiments.api import Experiment, SpecError  # repro: allow[ARCH001] imported by repro.experiments, not scenario/__init__; the bridge module sits above both layers
-from ..experiments.registry import register_experiment  # repro: allow[ARCH001] same bridge: keeps scenario importable without the experiment harnesses
-from .cache import DEFAULT_CACHE
-from .engine import ScenarioResult, run_scenario
-from .spec import Scenario, plan_scenario
+from ..scenario.cache import DEFAULT_CACHE
+from ..scenario.engine import ScenarioResult, run_scenario
+from ..scenario.spec import Scenario, plan_scenario
+from .api import Experiment, RunContext, SpecError
+from .registry import register_experiment
 
 __all__ = ["ScenarioExperiment"]
 
@@ -36,7 +36,9 @@ class ScenarioExperiment(Experiment):
     spec_type = Scenario
     result_type = ScenarioResult
 
-    def run(self, spec: Scenario) -> ScenarioResult:
+    def run(
+        self, spec: Scenario, ctx: RunContext = RunContext()
+    ) -> ScenarioResult:
         return run_scenario(spec, cache=DEFAULT_CACHE)
 
     def estimate_cost(self, spec: Scenario) -> Optional[Dict[str, int]]:

@@ -42,9 +42,8 @@ Quickstart::
     result.median_improvement("bulk")          # with vs without
     result.probe_series("with", "utilization") # bottleneck over time
 
-The ``scenario`` experiment registration lives in
-:mod:`repro.scenario.experiment` and is imported by
-:mod:`repro.experiments` (not here) to keep this package importable
+The ``scenario`` experiment registration lives one layer up, in
+:mod:`repro.experiments.scenario`, so this package stays importable
 without the experiment harnesses.
 """
 

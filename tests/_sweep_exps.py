@@ -28,6 +28,7 @@ from repro.experiments.api import (
     Experiment,
     ExperimentResult,
     ExperimentSpec,
+    RunContext,
 )
 from repro.experiments.registry import (
     _REGISTRY,
@@ -66,7 +67,9 @@ class FuseExperiment(Experiment):
     spec_type = FuseSpec
     result_type = FuseResult
 
-    def run(self, spec: FuseSpec) -> FuseResult:
+    def run(
+        self, spec: FuseSpec, ctx: RunContext = RunContext()
+    ) -> FuseResult:
         if _arm(spec.kill_marker):
             os.kill(os.getpid(), signal.SIGKILL)
         return FuseResult(value=spec.value * 3 + 1, seed=spec.seed)
@@ -92,7 +95,9 @@ class TripExperiment(Experiment):
     spec_type = TripSpec
     result_type = TripResult
 
-    def run(self, spec: TripSpec) -> TripResult:
+    def run(
+        self, spec: TripSpec, ctx: RunContext = RunContext()
+    ) -> TripResult:
         if _arm(spec.trip_marker):
             raise KeyboardInterrupt
         return TripResult(value=spec.value + 10, seed=spec.seed)
@@ -115,7 +120,9 @@ class FlakyExperiment(Experiment):
     spec_type = FlakySpec
     result_type = FlakyResult
 
-    def run(self, spec: FlakySpec) -> FlakyResult:
+    def run(
+        self, spec: FlakySpec, ctx: RunContext = RunContext()
+    ) -> FlakyResult:
         if spec.fail:
             raise ValueError("flaky job told to fail (value=%d)" % spec.value)
         return FlakyResult(value=spec.value * 2)

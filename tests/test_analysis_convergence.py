@@ -70,10 +70,10 @@ def test_time_in_band_empty_trace():
 def test_on_real_experiment_trace():
     """CircuitStart's source trace converges within ~25% of optimal and
     stays there for most of the post-exit run."""
-    from repro.experiments import TraceConfig, run_trace_experiment
+    from repro.experiments import TraceConfig, get_experiment
     from repro.units import seconds
 
-    result = run_trace_experiment(TraceConfig(duration=seconds(1.0)))
+    result = get_experiment("trace").run(TraceConfig(duration=seconds(1.0)))
     target = float(result.optimal_cwnd_cells)
     tolerance = max(3.0, 0.25 * target)
     at = convergence_time(result.trace, target, tolerance)

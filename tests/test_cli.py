@@ -2,9 +2,102 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every option string (and positional) of every subcommand, captured
+#: at the commit before the execution flags moved from the experiments
+#: into one ``RunContext`` table: the refactor adds and drops none.
+CLI_SURFACE = {
+    "ablations": {"--json", "--plan-cache"},
+    "adversity-study": {
+        "--bulk-fraction", "--bulk-payload-kib", "--checkpoint",
+        "--circuits", "--horizon", "--json", "--loss-rates", "--max-kills",
+        "--mttfs", "--mttr", "--plan-cache", "--probe-interval", "--rate",
+        "--relays", "--resume", "--seed", "--workers",
+    },
+    "batch": {
+        "--base-seed", "--checkpoint", "--dry-run", "--out", "--plan",
+        "--plan-cache", "--progress", "--shards", "--workers", "specs",
+    },
+    "cache": {"--dir", "--json", "action"},
+    "cdf": {
+        "--circuits", "--json", "--payload-kib", "--plan-cache", "--relays",
+        "--seed",
+    },
+    "check": {
+        "--cells", "--close", "--cwnd", "--emit-schedules", "--hops",
+        "--json", "--loss-budget", "--max-depth", "--max-retx-rounds",
+        "--max-states", "--no-por", "--reliable", "--replay", "--seed",
+        "--symmetry", "--window-mode",
+    },
+    "churn-study": {
+        "--bulk-fraction", "--bulk-payload-kib", "--circuits", "--horizon",
+        "--json", "--plan-cache", "--probe-interval", "--rates", "--relays",
+        "--seed", "--shards", "--workers",
+    },
+    "dynamic": {"--json", "--plan-cache"},
+    "friendliness": {"--json", "--plan-cache"},
+    "interactive": {"--json", "--plan-cache"},
+    "lint": {"--json", "--rules", "paths"},
+    "list": {"--json"},
+    "netscale": {
+        "--bulk-fraction", "--bulk-payload-kib", "--churn",
+        "--churn-horizon", "--circuits", "--clusters", "--json",
+        "--plan-cache", "--probe-interval", "--relays", "--seed", "--shards",
+    },
+    "optimal": {"--json", "--link", "--plan-cache"},
+    "report": {"--full", "--json", "--out", "checkpoint_dir"},
+    "resume": {
+        "--base-seed", "--checkpoint", "--out", "--plan-cache", "--progress",
+        "--shards", "--workers", "specs",
+    },
+    "scenario": {"--json", "--plan-cache", "--spec", "action"},
+    "serve": {
+        "--base-seed", "--checkpoint", "--out", "--plan-cache", "--progress",
+        "--shards", "--workers", "specs",
+    },
+    "trace": {
+        "--controller", "--distance", "--duration-ms", "--gamma", "--json",
+        "--plan-cache",
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    surface = {
+        name: {
+            string
+            for action in command._actions
+            for string in (action.option_strings or [action.dest])
+        } - {"-h", "--help"}
+        for name, command in subcommands.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["adversity-study", "--resume"], "resume needs a checkpoint"),
+    (["adversity-study", "--workers", "0"], "workers must be >= 1"),
+    (["churn-study", "--workers", "0"], "workers must be >= 1"),
+    (["churn-study", "--shards", "0"], "shards must be >= 1"),
+    (["netscale", "--shards", "0"], "shards must be >= 1"),
+    (["netscale", "--shards", "-3"], "shards must be >= 1"),
+])
+def test_bad_execution_knob_is_one_clean_line(argv, message, capsys):
+    """One validator (``RunContext``), one path: nothing runs, exit 2."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_parser_requires_command(capsys):
@@ -377,7 +470,8 @@ def test_cache_info_without_directory_fails(capsys, monkeypatch):
 
 
 def _checkpointed_adversity_sweep(tmp_path):
-    from repro.experiments.adversity import AdversityStudyConfig, run_adversity_study
+    from repro.experiments import RunContext, get_experiment
+    from repro.experiments.adversity import AdversityStudyConfig
     from repro.experiments.netgen import NetworkConfig
     from repro.units import kib
 
@@ -392,8 +486,10 @@ def _checkpointed_adversity_sweep(tmp_path):
         start_window=1.0,
         horizon=3.0,
         network=NetworkConfig(relay_count=8, client_count=6, server_count=6),
-    ).with_checkpoint(checkpoint)
-    run_adversity_study(spec)
+    )
+    get_experiment("adversity-study").run(
+        spec, RunContext(checkpoint_dir=checkpoint)
+    )
     return checkpoint
 
 

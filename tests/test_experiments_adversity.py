@@ -6,13 +6,12 @@ import json
 
 import pytest
 
-from repro.experiments import get_experiment
+from repro.experiments import RunContext, get_experiment
 from repro.experiments.adversity import (
     AdversityStudyConfig,
     AdversityStudyResult,
-    run_adversity_study,
 )
-from repro.experiments.churn_study import ChurnStudyConfig, run_churn_study
+from repro.experiments.churn_study import ChurnStudyConfig
 from repro.experiments.netgen import NetworkConfig
 from repro.units import kib
 
@@ -31,6 +30,10 @@ def small_study(**overrides) -> AdversityStudyConfig:
     )
     defaults.update(overrides)
     return AdversityStudyConfig(**defaults)
+
+
+run_adversity_study = get_experiment("adversity-study").run
+run_churn_study = get_experiment("churn-study").run
 
 
 @pytest.fixture(scope="module")
@@ -63,13 +66,15 @@ def test_spec_validation():
         small_study(transport_profile="teleport")
 
 
-def test_execution_knobs_are_not_fields():
-    spec = small_study().with_workers(3).with_checkpoint("/tmp/x", True)
-    assert spec.workers == 3
-    assert spec.checkpoint_dir == "/tmp/x" and spec.resume
-    encoded = json.dumps(spec.to_dict(), sort_keys=True)
+def test_execution_knobs_are_not_fields(tmp_path):
+    ctx = RunContext(workers=3, checkpoint_dir=str(tmp_path / "x"), resume=True)
+    spec = small_study(loss_rates=(0.0,), relay_mttfs=(0.0,))
+    config = run_adversity_study(spec, ctx).config
+    for knob in vars(ctx):
+        assert not hasattr(config, knob)
+    encoded = json.dumps(config.to_dict(), sort_keys=True)
     assert "workers" not in encoded and "checkpoint" not in encoded
-    assert encoded == json.dumps(small_study().to_dict(), sort_keys=True)
+    assert encoded == json.dumps(spec.to_dict(), sort_keys=True)
 
 
 def test_clean_corner_scenario_has_no_faults():
@@ -154,18 +159,19 @@ def test_clean_corner_matches_churn_study_exactly(study):
 
 
 def test_parallel_sweep_is_byte_identical(study):
-    pooled = run_adversity_study(small_study(), workers=2)
+    pooled = run_adversity_study(small_study(), RunContext(workers=2))
     assert (json.dumps(pooled.to_dict(), sort_keys=True)
             == json.dumps(study.to_dict(), sort_keys=True))
 
 
 def test_checkpointed_sweep_resumes_byte_identical(study, tmp_path):
     checkpoint = str(tmp_path / "ckpt")
-    spec = small_study().with_checkpoint(checkpoint)
-    first = run_adversity_study(spec)
+    first = run_adversity_study(
+        small_study(), RunContext(checkpoint_dir=checkpoint)
+    )
     assert first.checkpoint and first.checkpoint["computed"] == 4
     resumed = run_adversity_study(
-        small_study().with_checkpoint(checkpoint, resume=True)
+        small_study(), RunContext(checkpoint_dir=checkpoint, resume=True)
     )
     assert resumed.checkpoint["computed"] == 0
     assert resumed.checkpoint["reused"] == 4

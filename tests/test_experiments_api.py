@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+import repro
+from repro.cli import build_parser
 from repro.experiments import (
     AblationsConfig,
     BatchJob,
@@ -15,6 +18,7 @@ from repro.experiments import (
     InteractiveConfig,
     NetworkConfig,
     OptimalConfig,
+    RunContext,
     SpecError,
     TraceConfig,
     encode,
@@ -172,6 +176,92 @@ def test_duplicate_registration_rejected():
 
     with pytest.raises(ValueError, match="already registered"):
         register_experiment(Duplicate)
+
+
+def test_all_is_sorted_and_unique():
+    assert list(repro.__all__) == sorted(set(repro.__all__))
+
+
+def test_every_public_name_still_imports():
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
+    assert repro.get_experiment is get_experiment
+    assert repro.RunContext is RunContext
+
+
+def test_configs_construct_with_defaults():
+    for experiment in iter_experiments():
+        assert experiment.default_spec() == experiment.default_spec()
+    assert NetworkConfig() == NetworkConfig()
+
+
+# ----------------------------------------------------------------------
+# Execution context: beside the spec, never on it
+# ----------------------------------------------------------------------
+
+#: CLI flags that set every knob an experiment may declare.
+KNOB_FLAGS = {
+    "workers": ["--workers", "2"],
+    "shards": ["--shards", "2"],
+    "checkpoint_dir": ["--checkpoint", "somewhere"],
+    "resume": ["--resume"],
+}
+
+
+def test_run_context_is_four_validated_knobs():
+    assert [f.name for f in dataclasses.fields(RunContext)] == [
+        "workers", "shards", "checkpoint_dir", "resume",
+    ]
+    assert RunContext() == RunContext(1, None, None, False)
+    with pytest.raises(ValueError, match="workers"):
+        RunContext(workers=0)
+    with pytest.raises(ValueError, match="shards"):
+        RunContext(shards=0)
+    with pytest.raises(ValueError, match="resume"):
+        RunContext(resume=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunContext().workers = 2
+
+
+def test_knobs_are_declared_per_experiment():
+    declared = {e.name: e.knobs for e in iter_experiments() if e.knobs}
+    assert declared == {
+        "netscale": ("shards",),
+        "churn-study": ("workers", "shards"),
+        "adversity-study": ("workers", "checkpoint_dir", "resume"),
+    }
+    for knobs in declared.values():
+        assert set(knobs) <= set(KNOB_FLAGS)
+
+
+@pytest.mark.parametrize("name", EXPECTED_NAMES)
+def test_spec_is_plain_frozen_data(name):
+    """`vars(spec)` is the dataclass fields, CLI execution flags or not."""
+    experiment = get_experiment(name)
+    spec = experiment.default_spec()
+    field_names = {f.name for f in dataclasses.fields(spec)}
+    assert set(vars(spec)) == field_names
+    flags = [flag for knob in experiment.knobs for flag in KNOB_FLAGS[knob]]
+    parser = build_parser()
+    argv = [name] + (["--link", "50:12"] if name == "optimal" else [])
+    plain = experiment.spec_from_cli(parser.parse_args(argv))
+    flagged = experiment.spec_from_cli(parser.parse_args(argv + flags))
+    assert isinstance(flagged, experiment.spec_type)
+    assert set(vars(flagged)) == field_names
+    assert json.dumps(encode(flagged), sort_keys=True) == json.dumps(
+        encode(plain), sort_keys=True
+    )
+
+
+def test_undeclared_knob_is_refused_before_anything_runs():
+    with pytest.raises(SpecError, match=r"job 1: optimal \(OptimalConfig\) "
+                                        r"does not support .*: shards"):
+        run_batch(["netscale", "optimal"], ctx=RunContext(shards=2))
+    with pytest.raises(SpecError, match="checkpoint_dir"):
+        get_experiment("churn-study").run(
+            get_experiment("churn-study").default_spec(),
+            RunContext(checkpoint_dir="somewhere"),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fig1_cdf import CdfConfig, run_cdf_experiment, select_circuit_paths
+from repro.experiments import get_experiment
+from repro.experiments.fig1_cdf import CdfConfig, select_circuit_paths
 from repro.experiments.netgen import NetworkConfig, generate_network
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
@@ -23,7 +24,7 @@ def small_cdf_config(**kwargs):
 
 @pytest.fixture(scope="module")
 def result():
-    return run_cdf_experiment(small_cdf_config())
+    return get_experiment("cdf").run(small_cdf_config())
 
 
 def test_config_validates():
@@ -89,8 +90,8 @@ def test_cdf_accessor(result):
 
 
 def test_requested_kind_subset():
-    config = small_cdf_config(circuit_count=4)
-    partial = run_cdf_experiment(config, kinds=["with"])
+    config = small_cdf_config(circuit_count=4, kinds=("with",))
+    partial = get_experiment("cdf").run(config)
     assert list(partial.ttlb) == ["with"]
 
 

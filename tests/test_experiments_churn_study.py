@@ -6,12 +6,8 @@ import json
 
 import pytest
 
-from repro.experiments import encode, get_experiment
-from repro.experiments.churn_study import (
-    ChurnStudyConfig,
-    ChurnStudyResult,
-    run_churn_study,
-)
+from repro.experiments import RunContext, encode, get_experiment
+from repro.experiments.churn_study import ChurnStudyConfig, ChurnStudyResult
 from repro.experiments.netgen import NetworkConfig
 from repro.scenario.cache import DEFAULT_CACHE, attached_disk_tier
 from repro.units import kib
@@ -29,6 +25,9 @@ def small_study(**overrides) -> ChurnStudyConfig:
     )
     defaults.update(overrides)
     return ChurnStudyConfig(**defaults)
+
+
+run_churn_study = get_experiment("churn-study").run
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="probe_interval"):
         small_study(probe_interval=0.0)
     with pytest.raises(ValueError, match="workers"):
-        small_study().with_workers(0)
+        RunContext(workers=0)
     with pytest.raises(ValueError, match="two distinct controller"):
         small_study(kinds=("with", "without", "extra"))
     with pytest.raises(ValueError, match="two distinct controller"):
@@ -67,16 +66,14 @@ def test_spec_validation():
 
 
 def test_workers_is_not_a_spec_field():
-    """The execution knob never enters the serialized spec."""
+    """The execution knob never enters the spec, serialized or live."""
     spec = small_study()
-    parallel = spec.with_workers(4)
-    assert parallel.workers == 4
-    assert spec.workers == 1
-    assert parallel == spec  # equality is over model fields only
+    assert not hasattr(spec, "workers")
     assert "workers" not in spec.to_dict()
-    assert "workers" not in parallel.to_dict()
-    rebuilt = ChurnStudyConfig.from_dict(parallel.to_dict())
-    assert rebuilt.workers == 1
+    study = run_churn_study(small_study(rates=(2.0,)), RunContext(workers=4))
+    assert not hasattr(study.config, "workers")
+    assert "workers" not in study.config.to_dict()
+    assert ChurnStudyConfig.from_dict(study.config.to_dict()) == study.config
 
 
 def test_point_configs_share_one_network_fingerprint():
@@ -207,7 +204,7 @@ def test_parallel_sweep_plans_network_once_and_is_byte_identical(tmp_path):
     """
     spec = small_study(rates=(1.0, 2.0, 4.0, 6.0), seed=7707)
     with attached_disk_tier(DEFAULT_CACHE, str(tmp_path / "cache")):
-        parallel = run_churn_study(spec, workers=4)
+        parallel = run_churn_study(spec, RunContext(workers=4))
     stats = parallel.plan_cache
     assert stats is not None
     assert stats["network_misses"] == 1

@@ -4,18 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.dynamic import (
-    DynamicConfig,
-    run_dynamic_experiment,
-    set_duplex_rate,
-)
+from repro.experiments import get_experiment
+from repro.experiments.dynamic import DynamicConfig, set_duplex_rate
 from repro.net.topology import LinkSpec, build_chain
 from repro.units import mbit_per_second, milliseconds, seconds
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_dynamic_experiment(DynamicConfig(duration=seconds(2.5)))
+    return get_experiment("dynamic").run(DynamicConfig(duration=seconds(2.5)))
 
 
 def test_set_duplex_rate_changes_both_directions(sim):

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.friendliness import (
-    FriendlinessConfig,
-    run_friendliness_experiment,
-)
+from repro.experiments import get_experiment
+from repro.experiments.friendliness import FriendlinessConfig
 from repro.units import seconds
 
 
 @pytest.fixture(scope="module")
 def rows():
     config = FriendlinessConfig(duration=seconds(1.2))
-    return {row.kind: row for row in run_friendliness_experiment(config)}
+    return {row.kind: row for row in get_experiment("friendliness").run(config).rows}
 
 
 def test_config_validation():

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.interactive import (
-    InteractiveConfig,
-    run_interactive_experiment,
-)
+from repro.experiments import get_experiment
+from repro.experiments.interactive import InteractiveConfig
 from repro.units import seconds
 
 
 @pytest.fixture(scope="module")
 def rows():
     config = InteractiveConfig(duration=seconds(2.5))
-    return {row.kind: row for row in run_interactive_experiment(config)}
+    return {row.kind: row for row in get_experiment("interactive").run(config).rows}
 
 
 def test_all_kinds_ran(rows):

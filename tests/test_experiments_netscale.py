@@ -14,7 +14,6 @@ from repro.experiments.netscale import (
     CircuitSample,
     NetScaleConfig,
     NetScaleResult,
-    run_netscale_experiment,
     select_netscale_paths,
 )
 from repro.sim.rand import RandomStreams
@@ -30,6 +29,9 @@ def small_config(circuits: int = 20) -> NetScaleConfig:
         interactive_payload_bytes=kib(10),
         network=NetworkConfig(relay_count=10, client_count=10, server_count=10),
     )
+
+
+run_netscale_experiment = get_experiment("netscale").run
 
 
 @pytest.fixture(scope="module")

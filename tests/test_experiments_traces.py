@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fig1_traces import TraceConfig, run_trace_experiment
+from repro.experiments import get_experiment
+from repro.experiments.fig1_traces import TraceConfig
 from repro.units import seconds
+
+run_trace_experiment = get_experiment("trace").run
 
 
 @pytest.fixture(scope="module")

@@ -118,6 +118,15 @@ def test_dry_run_rejects_unsupported_execution_knobs(tmp_path, capsys):
             "shards") in captured.err
     assert "job 1: netscale" in captured.out  # netscale has the knob
     assert "1 of 2 jobs invalid" in captured.err
+    # The real run gives the same verdict, before any job starts.
+    ckpt = str(tmp_path / "ckpt")
+    for argv in (["batch", path], ["serve", path, "--checkpoint", ckpt]):
+        assert main(argv + ["--shards", "4"]) == 2
+        captured = capsys.readouterr()
+        assert ("job 0: optimal (OptimalConfig) does not support execution "
+                "knob(s): shards") in captured.err
+        assert captured.out == ""
+    assert not list(JobStore(ckpt).keys())
 
 
 def test_dry_run_keys_include_base_seed(tmp_path, capsys):

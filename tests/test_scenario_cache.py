@@ -229,7 +229,9 @@ def test_identical_specs_in_one_batch_hit_the_plan_cache():
 
 def test_netscale_experiment_warm_vs_cold_byte_identical():
     """The registry path (DEFAULT_CACHE) is also a pure speedup."""
-    from repro.experiments.netscale import run_netscale_experiment
+    from repro.experiments import get_experiment
+
+    run_netscale_experiment = get_experiment("netscale").run
 
     config = NetScaleConfig(
         circuit_count=5,

@@ -18,9 +18,9 @@ import json
 import pytest
 
 from helpers import strip_events
-from repro.experiments.churn_study import run_churn_study
 from repro.experiments.netgen import NetworkConfig
 from repro.experiments.netscale import NetScaleConfig
+from repro.experiments.api import RunContext
 from repro.experiments.registry import get_experiment
 from repro.scenario.cache import PlanCache
 from repro.scenario.churn import NoChurn
@@ -258,13 +258,14 @@ def test_netscale_shards_knob_is_invisible_and_invariant():
     experiment = get_experiment("netscale")
     baseline = science_bytes(experiment.run(spec))
     for shards in (2, 4):
-        sharded_spec = spec.with_shards(shards)
+        result = experiment.run(spec, RunContext(shards=shards))
         # The knob never enters the serialized spec (plan-cache keys
         # and batch outputs stay shard-count independent) ...
-        assert encode(sharded_spec) == encode(spec)
+        assert encode(result.config) == encode(spec)
+        assert not hasattr(result.config, "shards")
         # ... and never changes the result (the forced bottleneck makes
         # this a coupled run, so the event count is set aside).
-        assert science_bytes(experiment.run(sharded_spec)) == baseline
+        assert science_bytes(result) == baseline
 
 
 def test_netscale_clusters_field_plans_disjoint_paths():
@@ -303,13 +304,14 @@ def test_churn_study_shards_knob_byte_identical():
             **kw,
         )
 
+    run_churn_study = get_experiment("churn-study").run
     baseline = json.dumps(encode(run_churn_study(study())), sort_keys=True)
     # Sharded engine per point, serial sweep.
-    sharded = run_churn_study(study().with_shards(2))
+    sharded = run_churn_study(study(), RunContext(shards=2))
     assert json.dumps(encode(sharded), sort_keys=True) == baseline
-    # Sharded engine per point *and* pooled sweep points: the knob
-    # travels through run_batch's execution channel into the workers.
-    pooled = run_churn_study(study().with_workers(2).with_shards(2))
+    # Sharded engine per point *and* pooled sweep points: the context
+    # travels through run_batch's per-job channel into the workers.
+    pooled = run_churn_study(study(), RunContext(workers=2, shards=2))
     assert json.dumps(encode(pooled), sort_keys=True) == baseline
 
 
