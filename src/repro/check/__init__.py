@@ -16,8 +16,7 @@ against the real :class:`~repro.sim.simulator.Simulator` /
 The approach follows Commuter's explicit-state style (named in the
 ROADMAP's "Correctness at scale" item): determinism pins *one*
 schedule byte-for-byte; the checker pins *all* schedules of a small
-instance, which is the landable prerequisite for the parallel-in-time
-sharded engine.
+instance.
 """
 
 from .model import CheckConfig, ModelError, ModelState

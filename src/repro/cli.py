@@ -15,10 +15,9 @@ On top of the generated subcommands:
 * ``repro batch specs.json`` — run a JSON job file as a (parallel) sweep;
 * ``repro batch --plan``     — validate the file *and* print per-job
   estimated cost (cells × hops) plus sweep totals, without running;
-* ``repro batch --dry-run``  — validate every job (including execution
-  knobs like ``--shards`` against each target experiment) and report
-  per-job checkpoint keys, so a bad sweep file fails before any
-  simulation starts;
+* ``repro batch --dry-run``  — validate every job and report per-job
+  checkpoint keys, so a bad sweep file fails before any simulation
+  starts;
 * ``repro serve specs.json --checkpoint DIR`` — run a sweep as a
   crash-resumable service: per-job results checkpoint to DIR as they
   finish, progress streams to stderr, and a partial snapshot lands in
@@ -60,12 +59,6 @@ _EXECUTION_FLAGS = {
         type=int, default=1, metavar="N",
         help="run sweep points over N worker processes (output is "
              "byte-identical to --workers 1)",
-    )),
-    "shards": ("--shards", dict(
-        type=int, default=None, metavar="N",
-        help="run on the sharded scenario engine with up to N shards "
-             "(execution knob: output is byte-identical to the classic "
-             "engine)",
     )),
     "checkpoint_dir": ("--checkpoint", dict(
         default=None, metavar="DIR",
@@ -118,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument("--workers", type=int, default=1,
                              help="worker processes (default 1: serial)")
-        # The one RunContext knob a sweep passes to every job.
-        command.add_argument("--shards", **_EXECUTION_FLAGS["shards"][1])
         command.add_argument("--base-seed", type=int, default=None,
                              help="deterministically re-seed seeded specs "
                                   "per job")
@@ -150,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_arguments(batch, progress_default="none")
     batch.add_argument("--dry-run", action="store_true",
                        help="validate the spec file (decode every job, "
-                            "check execution knobs like --shards against "
-                            "each experiment, report per-job checkpoint "
-                            "keys) without running anything")
+                            "report per-job checkpoint keys) without "
+                            "running anything")
     batch.add_argument("--plan", action="store_true",
                        help="like --dry-run, plus per-job estimated cost "
                             "(cells × hops) and sweep totals, so big "
@@ -442,7 +432,6 @@ def _run_sweep(args: argparse.Namespace, data: list,
         result = run_batch(data, workers=args.workers,
                            base_seed=args.base_seed,
                            plan_cache_dir=resolve_cache_dir(args.plan_cache),
-                           ctx=RunContext(shards=args.shards),
                            checkpoint_dir=checkpoint_dir,
                            resume=resume,
                            on_item=on_item if streaming else None)
@@ -469,7 +458,7 @@ def _run_sweep(args: argparse.Namespace, data: list,
         # get_experiment formats its own message; str(KeyError) re-quotes.
         print(error.args[0] if error.args else str(error), file=sys.stderr)
         return 2
-    except ValueError as error:  # SpecError, config and knob validation
+    except ValueError as error:  # SpecError, config validation
         print(str(error), file=sys.stderr)
         return 2
     failures = result.failures()
@@ -508,13 +497,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if data is None:
         return 2
     if args.dry_run or args.plan:
-        try:
-            ctx = RunContext(shards=args.shards)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
         return _dry_run_batch(
-            args.specs, data, ctx, plan=args.plan, base_seed=args.base_seed
+            args.specs, data, plan=args.plan, base_seed=args.base_seed
         )
     from .jobs.store import resolve_checkpoint_dir
 
@@ -555,19 +539,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     return _run_sweep(args, data, checkpoint_dir=directory, resume=True)
 
 
-def _dry_run_batch(path: str, jobs: list, ctx: RunContext,
-                   plan: bool = False,
+def _dry_run_batch(path: str, jobs: list, plan: bool = False,
                    base_seed: Optional[int] = None) -> int:
     """Validate every job of a batch file without running anything.
 
     Decoding a job exercises the full spec path — experiment lookup in
     the registry, field-name checking and type-driven reconstruction —
     so a passing dry run means ``repro batch`` will accept the file.
-    Execution knobs (``--shards``) are checked against each job's
-    target experiment by the same ``Experiment.check_knobs`` the real
-    run calls: a knob the experiment does not declare is refused by
-    both, never a silent no-op.  Every
-    valid job reports its checkpoint key — computed from the same
+    Every valid job reports its checkpoint key — computed from the same
     seeded, encoded spec the runtime hashes (*base_seed* included), so
     the printed keys match what ``repro serve`` will write under
     ``results/``.  With *plan*, each valid job additionally reports its
@@ -590,7 +569,6 @@ def _dry_run_batch(path: str, jobs: list, ctx: RunContext,
         try:
             job = _normalize_job(raw)
             spec = job.resolved_spec()
-            get_experiment(job.experiment).check_knobs(ctx)
         except KeyError as error:  # unknown experiment
             errors += 1
             message = error.args[0] if error.args else str(error)

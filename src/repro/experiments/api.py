@@ -7,7 +7,7 @@ the same protocol:
 * an :class:`Experiment` has a ``name``, a ``spec_type`` and a
   ``run(spec, ctx) -> result`` method — the spec says *what* to
   compute, the :class:`RunContext` *how* to execute it (workers,
-  shards, checkpointing); the context never changes a result byte;
+  checkpointing); the context never changes a result byte;
 * its spec is an :class:`ExperimentSpec` (a frozen dataclass) and its
   result an :class:`ExperimentResult` (a dataclass), both of which
   round-trip through JSON via :meth:`Serializable.to_dict` /
@@ -87,8 +87,6 @@ class RunContext:
 
     #: Worker processes a sweep-shaped experiment fans its points over.
     workers: int = 1
-    #: Upper bound on sharded-engine shards (``None``: classic engine).
-    shards: Optional[int] = None
     #: Checkpoint completed points under this directory as they finish.
     checkpoint_dir: Optional[str] = None
     #: Collect a crashed predecessor's orphaned leases (needs a
@@ -98,8 +96,6 @@ class RunContext:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1, got %r" % (self.workers,))
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be >= 1, got %r" % (self.shards,))
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume needs a checkpoint directory")
 

@@ -54,7 +54,7 @@ DEFAULT_RATES: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0)
 class ChurnStudyConfig(ExperimentSpec):
     """Parameters of the churn-rate sweep: model parameters only.
 
-    How the sweep executes (worker processes, sharded points) is the
+    How the sweep executes (worker processes) is the
     :class:`~repro.experiments.api.RunContext` passed beside this spec
     to ``run``, so the config inside a result is the same bytes however
     the sweep was run.
@@ -250,7 +250,7 @@ class ChurnStudyExperiment(GridStudy):
     help = "steady-state churn sweep: improvement vs bottleneck utilization"
     spec_type = ChurnStudyConfig
     result_type = ChurnStudyResult
-    knobs = ("workers", "shards")
+    knobs = ("workers",)
 
     point_experiment = "netscale"
     grid_keys = ("arrival_rate",)

@@ -61,7 +61,6 @@ from ..scenario import (
     plan_scenario,
     run_scenario,
 )
-from ..scenario.sharded import run_scenario_sharded
 from ..scenario.cache import DEFAULT_CACHE
 from ..sim.rand import RandomStreams
 from ..transport.config import TransportConfig
@@ -121,9 +120,8 @@ class NetScaleConfig(ExperimentSpec):
     probes: Tuple[Probe, ...] = ()
     #: Partition relays/endpoints into disjoint clusters (circuit *i*
     #: draws from cluster ``i % clusters``).  With the forced bottleneck
-    #: the clusters still couple through it — the sharded engine's
-    #: epoch-barrier shape; this *does* change the planned paths (and
-    #: the result), unlike the ``shards`` execution knob.
+    #: the clusters still meet at it.  A spec field: it changes the
+    #: planned paths and therefore the result.
     clusters: int = 1
 
     def __post_init__(self) -> None:
@@ -346,22 +344,13 @@ class NetScaleExperiment(Experiment):
     help = "network-scale circuit mix over a shared bottleneck"
     spec_type = NetScaleConfig
     result_type = NetScaleResult
-    #: ``shards``: how many worker processes / coupled simulators the
-    #: scenario engine may use.  The result is byte-identical at any
-    #: shard count, so it is a context knob, not a spec field: sharding
-    #: must not split the plan-cache key space or the output.
-    knobs = ("shards",)
 
     def run(
         self, spec: NetScaleConfig, ctx: RunContext = RunContext()
     ) -> NetScaleResult:
-        if ctx.shards is not None and ctx.shards > 1:
-            result = run_scenario_sharded(
-                spec.to_scenario(), cache=DEFAULT_CACHE, shards=ctx.shards
-            )
-        else:
-            result = run_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
-        return _to_netscale_result(spec, result)
+        return _to_netscale_result(
+            spec, run_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
+        )
 
     def estimate_cost(self, spec: NetScaleConfig) -> Dict[str, int]:
         return plan_scenario(
@@ -392,7 +381,7 @@ class NetScaleExperiment(Experiment):
         parser.add_argument(
             "--clusters", type=int, default=1, metavar="K",
             help="partition relays/endpoints into K disjoint clusters "
-                 "(changes path planning, unlike --shards)",
+                 "(changes path planning and the result)",
         )
 
     def spec_from_cli(self, args) -> NetScaleConfig:

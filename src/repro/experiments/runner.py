@@ -54,7 +54,7 @@ from typing import (
 
 from ..jobs.service import execute_sweep
 from ..sim.rand import derive_seed
-from .api import RunContext, Serializable, SpecError, encode
+from .api import Serializable, SpecError, encode
 from .registry import get_experiment
 
 __all__ = ["BatchJob", "BatchItem", "BatchResult", "run_batch"]
@@ -227,7 +227,6 @@ def run_batch(
     workers: Optional[int] = None,
     base_seed: Optional[int] = None,
     plan_cache_dir: Optional[str] = None,
-    ctx: RunContext = RunContext(),
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     on_item: Optional[Callable[[BatchItem, int, int, str], None]] = None,
@@ -255,17 +254,6 @@ def run_batch(
         plans and generated networks are shared across processes and
         across repeated sweeps.  Purely a speedup: the structured
         output stays byte-identical with or without it.
-    ctx:
-        The :class:`~repro.experiments.api.RunContext` every job runs
-        under, as ``experiment.run(spec, ctx)`` (e.g.
-        ``RunContext(shards=4)`` for experiments with a sharded engine
-        path).  It describes each *job*; the ``workers`` /
-        ``checkpoint_dir`` / ``resume`` keywords here describe the
-        *batch*.  A job whose experiment does not declare a knob the
-        context sets is refused (:class:`SpecError`) before anything
-        runs.  The context changes how jobs execute, not their output:
-        it never enters ``BatchItem.spec``, any serialized result, or
-        the checkpoint keys.
     checkpoint_dir:
         When given, every completed job's result is checkpointed under
         this directory as it finishes (:class:`repro.jobs.JobStore`),
@@ -288,22 +276,14 @@ def run_batch(
     """
     normalized = [_normalize_job(job) for job in jobs]
     specs = [job.resolved_spec() for job in normalized]
-    for index, job in enumerate(normalized):
-        try:
-            get_experiment(job.experiment).check_knobs(ctx)
-        except SpecError as error:
-            raise SpecError("job %d: %s" % (index, error)) from None
     if base_seed is not None:
         specs = [
             _seeded(spec, base_seed, index, job.experiment)
             for index, (job, spec) in enumerate(zip(normalized, specs))
         ]
     encoded = [encode(spec) for spec in specs]
-    # Plain data across the process boundary: the context travels as
-    # its field dict and the worker rebuilds it.
-    ctx_data = dict(vars(ctx))
     payloads = [
-        (job.experiment, spec_data, ctx_data)
+        (job.experiment, spec_data)
         for job, spec_data in zip(normalized, encoded)
     ]
 

@@ -11,8 +11,7 @@ shrinks to declarations: its grid keys, its point spec, the row fields
 only it computes, its table columns.
 
 Execution comes from the :class:`~repro.experiments.api.RunContext`:
-``workers`` fans the points over a process pool, ``shards`` is
-forwarded to point experiments that declare it, ``checkpoint_dir`` /
+``workers`` fans the points over a process pool, ``checkpoint_dir`` /
 ``resume`` make the sweep crash-resumable (``repro report DIR`` renders
 the partial state while it runs).  All points share one topology
 source and seed, so with a disk plan cache attached the generated
@@ -184,15 +183,11 @@ class GridStudy(Experiment):
                 completed.append(item)
                 store.write_partial(partial_payload(completed, total))
 
-        point_knobs = get_experiment(self.point_experiment).knobs
         disk = DEFAULT_CACHE.disk
         batch = run_batch(
             jobs,
             workers=workers,
             plan_cache_dir=disk.directory if disk is not None else None,
-            ctx=RunContext(
-                shards=ctx.shards if "shards" in point_knobs else None
-            ),
             checkpoint_dir=ctx.checkpoint_dir,
             resume=ctx.resume,
             on_item=on_item,

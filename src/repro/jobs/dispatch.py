@@ -64,11 +64,10 @@ __all__ = [
 ]
 
 
-#: ``(index, experiment, encoded spec, run-context fields, checkpoint
-#: key)`` — plain data, so tasks cross process boundaries without
-#: pickling any experiment machinery; the worker rebuilds the
-#: ``RunContext`` from its field dict.
-JobTask = Tuple[int, str, Dict[str, Any], Dict[str, Any], Optional[str]]
+#: ``(index, experiment, encoded spec, checkpoint key)`` — plain data,
+#: so tasks cross process boundaries without pickling any experiment
+#: machinery.
+JobTask = Tuple[int, str, Dict[str, Any], Optional[str]]
 
 
 @dataclass
@@ -182,7 +181,7 @@ def execute_task(task: JobTask) -> JobOutcome:
     release, so the checkpoint exists *before* the outcome is reported
     and a parent killed a microsecond later loses nothing.
     """
-    index, name, spec_data, ctx_data, key = task
+    index, name, spec_data, key = task
     store = _WORKER_STORE
     if store is not None and key is not None:
         payload = store.get(key)
@@ -190,7 +189,6 @@ def execute_task(task: JobTask) -> JobOutcome:
             return JobOutcome(index=index, key=key, result=payload["result"],
                               error=None, cache_delta={}, source="checkpoint")
         store.lease(key, name, index)
-    from ..experiments.api import RunContext
     from ..experiments.registry import get_experiment
 
     before = DEFAULT_CACHE.stats()
@@ -201,7 +199,7 @@ def execute_task(task: JobTask) -> JobOutcome:
 
         experiment = get_experiment(name)
         spec = experiment.spec_type.from_dict(spec_data)
-        result = encode(experiment.run(spec, RunContext(**ctx_data)))
+        result = encode(experiment.run(spec))
     except KeyboardInterrupt:
         raise  # an interrupt is a sweep event, not a job failure
     except Exception as exc:

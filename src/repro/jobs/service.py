@@ -47,9 +47,9 @@ from .store import JobStore, job_key
 __all__ = ["SweepReport", "execute_sweep"]
 
 
-#: ``(experiment, encoded spec, run-context fields)`` — one normalized
-#: job as the batch runner prepares it, in input order.
-SweepPayload = Tuple[str, Dict[str, Any], Dict[str, Any]]
+#: ``(experiment, encoded spec)`` — one normalized job as the batch
+#: runner prepares it, in input order.
+SweepPayload = Tuple[str, Dict[str, Any]]
 
 
 @dataclass
@@ -114,7 +114,7 @@ def execute_sweep(
     # reported keys match the runtime keys exactly.
     keys: List[Optional[str]] = [
         job_key(experiment, spec_data)
-        for experiment, spec_data, __ in payloads
+        for experiment, spec_data in payloads
     ]
 
     report = SweepReport(outcomes=[], keys=keys, checkpoint_dir=(
@@ -144,7 +144,7 @@ def execute_sweep(
         if resume:
             report.orphans = store.orphaned_leases()
         primary_for_key: Dict[str, int] = {}
-        for index, (experiment, spec_data, ctx_data) in enumerate(payloads):
+        for index, (experiment, spec_data) in enumerate(payloads):
             key = keys[index]
             payload = store.get(key)
             if payload is not None:
@@ -158,14 +158,13 @@ def execute_sweep(
                 fanout.setdefault(key, []).append(index)
                 continue
             primary_for_key[key] = index
-            todo.append((index, experiment, spec_data, ctx_data, key))
+            todo.append((index, experiment, spec_data, key))
     else:
         # No store: every job executes (legacy `run_batch` semantics),
         # keys riding along for failure records only.
         todo = [
-            (index, experiment, spec_data, ctx_data, keys[index])
-            for index, (experiment, spec_data, ctx_data)
-            in enumerate(payloads)
+            (index, experiment, spec_data, keys[index])
+            for index, (experiment, spec_data) in enumerate(payloads)
         ]
 
     def deliver_with_fanout(outcome: JobOutcome) -> None:

@@ -80,10 +80,10 @@ def job_key(experiment: str, spec_data: Dict[str, Any]) -> str:
     *spec_data* is the job's fully encoded spec — after
     ``run_batch``-style per-index re-seeding, so when a ``base_seed``
     is in play the base-seed index enters the key through the derived
-    ``seed`` field.  The job's ``RunContext`` (worker counts,
-    ``--shards``) is not an input: it changes how a job runs, never
-    what it computes, so a sweep checkpointed under one context
-    resumes correctly under any other.
+    ``seed`` field.  How the sweep runs (worker count, checkpoint and
+    plan-cache directories) is not an input: it never changes what a
+    job computes, so a sweep checkpointed one way resumes correctly
+    under any other.
 
     The hash is canonical-JSON based (:func:`repro.storage
     .content_hash`), so it survives encode/decode round trips and field

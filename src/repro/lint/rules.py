@@ -4,8 +4,8 @@ Determinism
 -----------
 **DET001** — no module-level ``random`` calls, no unseeded
 ``random.Random()`` (and never ``random.SystemRandom``), anywhere in
-the package.  Byte-identical reruns at any worker or shard count rest
-on every draw flowing through an injected, seed-derived substream
+the package.  Byte-identical reruns at any worker count rest on
+every draw flowing through an injected, seed-derived substream
 (:class:`repro.sim.rand.RandomStreams` / ``derive_seed``); one global
 draw makes output depend on import order and process history.
 

@@ -3,11 +3,11 @@
 The fault plane's lowest layer.  A :class:`FaultModel` is attached to an
 :class:`~repro.net.link.Interface` (``interface.fault_model``, ``None``
 by default) and consulted once per transmitted packet, *after* the
-serialization bookkeeping and the capture hook: it returns a verdict —
-deliver normally, drop, or deliver with extra delay — and keeps its own
-loss/reorder counters.  When no model is attached the transmit path is
-untouched (the hook is a single ``is None`` check, mirroring the
-``on_serialize`` capture hook), so lossless scenarios stay bit-exact.
+serialization bookkeeping: it returns a verdict — deliver normally,
+drop, or deliver with extra delay — and keeps its own loss/reorder
+counters.  When no model is attached the transmit path is untouched
+(the hook is a single ``is None`` check), so lossless scenarios stay
+bit-exact.
 
 Models are *runtime* objects, not scenario parts: they take an injected
 :class:`random.Random` so every draw is a pure function of the seed the

@@ -35,8 +35,8 @@ an eagerly scheduled one would have, so simultaneous events keep their
 order and every simulated timestamp is unchanged.  (One thing a caller
 can see: the end of a transmission with nothing behind it is no longer
 an event, so ``sim.run()`` to exhaustion leaves the clock at the last
-delivery, not at the moment a dropped or captured last packet would
-have cleared the wire.  ``run_until`` is unaffected.)
+delivery, not at the moment a dropped last packet would have cleared
+the wire.  ``run_until`` is unaffected.)
 """
 
 from __future__ import annotations
@@ -114,6 +114,11 @@ class Interface:
 
     Statistics (``bytes_sent``, ``packets_sent``, plus the queue's own
     counters) feed the experiment reports.
+
+    ``fault_model`` is an optional :class:`~repro.net.faults.FaultModel`
+    filtering every transmission: its verdict drops the packet or adds
+    delivery delay.  ``None`` (the default) costs the transmit path one
+    test.
     """
 
     def __init__(
@@ -141,48 +146,13 @@ class Interface:
         self._wake_pending = False
         self.packets_sent = 0
         self.bytes_sent = 0
-        self._on_serialize = None
-        self._fault_model = None
-        # One gate for both optional egress stages, recomputed when
-        # either is assigned, so the default path tests one flag.
-        self._hooked = False
+        self.fault_model = None
         # Bound methods allocated once here instead of once per cell in
         # the transmit loop.
         self._on_wake = self._transmit_next
         self._on_deliver = self._deliver
 
     # ------------------------------------------------------------------
-
-    @property
-    def on_serialize(self):
-        """Optional capture hook for sharded execution.
-
-        Called as ``on_serialize(packet, arrival_time)`` when
-        serialization of *packet* begins, where *arrival_time* is the
-        absolute simulated time the packet would reach the peer.
-        Returning ``True`` claims the packet — the local delivery event
-        is not scheduled (the captor delivers it, e.g. in another
-        shard's simulator).  The transmitter still frees up normally.
-        """
-        return self._on_serialize
-
-    @on_serialize.setter
-    def on_serialize(self, capture) -> None:
-        self._on_serialize = capture
-        self._hooked = capture is not None or self._fault_model is not None
-
-    @property
-    def fault_model(self):
-        """Optional :class:`~repro.net.faults.FaultModel` filtering every
-        transmission: its verdict drops the packet or adds delivery
-        delay.  ``None`` (the default) keeps the fast path untouched.
-        """
-        return self._fault_model
-
-    @fault_model.setter
-    def fault_model(self, model) -> None:
-        self._fault_model = model
-        self._hooked = model is not None or self._on_serialize is not None
 
     @property
     def busy(self) -> bool:
@@ -276,32 +246,20 @@ class Interface:
             sim.schedule_reserved(free_at, seq, self._on_wake)
         else:
             self._wake_pending = False
-        if self._hooked:
-            self._deliver_hooked(packet, tx_time)
-        else:
+        fault = self.fault_model
+        if fault is None:
             sim.schedule_fast(tx_time + link.delay, self._on_deliver, packet)
-
-    def _deliver_hooked(self, packet: Packet, tx_time: float) -> None:
-        """Schedule *packet*'s delivery past the capture and fault stages."""
-        sim = self._sim
-        # Parenthesized exactly like the schedule_fast offsets below, so
-        # a captured packet's arrival time is bit-identical to the
-        # delivery time the suppressed local event would have had.
-        flight = tx_time + self.link.delay
-        capture = self._on_serialize
-        if capture is not None and capture(packet, sim.now + flight):
             return
-        fault = self._fault_model
-        if fault is not None:
-            verdict = fault.on_transmit(packet)
-            if verdict < 0.0:
-                # Dropped: the transmitter was still occupied for the
-                # full serialization time, but no delivery is scheduled.
-                return
-            if verdict > 0.0:
-                sim.schedule_fast(flight + verdict, self._on_deliver, packet)
-                return
-        sim.schedule_fast(flight, self._on_deliver, packet)
+        # A negative verdict drops the packet: the transmitter was still
+        # occupied for the full serialization time, but nothing is
+        # delivered.  Otherwise the verdict is extra delay on top of the
+        # lossless offset (parenthesized as above, so a zero verdict
+        # delivers at the bit-identical time).
+        verdict = fault.on_transmit(packet)
+        if verdict >= 0.0:
+            sim.schedule_fast(
+                (tx_time + link.delay) + verdict, self._on_deliver, packet
+            )
 
     def _deliver(self, packet: Packet) -> None:
         packet.hops += 1

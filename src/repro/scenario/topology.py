@@ -69,10 +69,9 @@ class GeneratedTopology(TopologySource):
     #: (by index, round-robin); circuit *i* draws its path and endpoints
     #: entirely from cluster ``i % clusters``.  With
     #: ``force_bottleneck=True`` the globally slowest relay is still
-    #: forced into every path, so clusters couple only through it — the
-    #: exact shape the sharded engine's epoch-barrier mode wants.
-    #: Without it, clusters are fully disjoint components that can run
-    #: embarrassingly parallel.
+    #: forced into every path, so clusters meet only there.  Without
+    #: it, clusters are fully disjoint components
+    #: (:mod:`repro.scenario.sharded` can run them in parallel).
     clusters: int = 1
     part: str = field(default="generated", init=False)
 

@@ -14,30 +14,7 @@ from repro.tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from repro.transport.config import TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
-__all__ = ["make_chain_flow", "strip_events"]
-
-
-def strip_events(value):
-    """*value* (decoded JSON) with every ``events_executed`` key removed.
-
-    ``events_executed`` is an engine diagnostic, not science output: a
-    link's completion event exists only when a packet had to wait for
-    the wire, and in coupled shards a delivery injected at a barrier can
-    settle an exact same-instant tie the other way round — same packets,
-    same timestamps, a different event count.  Identity comparisons
-    *across engines* therefore drop the field, the way
-    ``perfbench.strip_events`` does; comparisons within one engine (the
-    golden pins, disjoint shards) keep it.
-    """
-    if isinstance(value, dict):
-        return {
-            key: strip_events(item)
-            for key, item in value.items()
-            if key != "events_executed"
-        }
-    if isinstance(value, list):
-        return [strip_events(item) for item in value]
-    return value
+__all__ = ["make_chain_flow"]
 
 
 def make_chain_flow(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -202,21 +203,18 @@ def test_configs_construct_with_defaults():
 #: CLI flags that set every knob an experiment may declare.
 KNOB_FLAGS = {
     "workers": ["--workers", "2"],
-    "shards": ["--shards", "2"],
     "checkpoint_dir": ["--checkpoint", "somewhere"],
     "resume": ["--resume"],
 }
 
 
-def test_run_context_is_four_validated_knobs():
+def test_run_context_is_three_validated_knobs():
     assert [f.name for f in dataclasses.fields(RunContext)] == [
-        "workers", "shards", "checkpoint_dir", "resume",
+        "workers", "checkpoint_dir", "resume",
     ]
-    assert RunContext() == RunContext(1, None, None, False)
+    assert RunContext() == RunContext(1, None, False)
     with pytest.raises(ValueError, match="workers"):
         RunContext(workers=0)
-    with pytest.raises(ValueError, match="shards"):
-        RunContext(shards=0)
     with pytest.raises(ValueError, match="resume"):
         RunContext(resume=True)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -226,12 +224,12 @@ def test_run_context_is_four_validated_knobs():
 def test_knobs_are_declared_per_experiment():
     declared = {e.name: e.knobs for e in iter_experiments() if e.knobs}
     assert declared == {
-        "netscale": ("shards",),
-        "churn-study": ("workers", "shards"),
+        "churn-study": ("workers",),
         "adversity-study": ("workers", "checkpoint_dir", "resume"),
     }
     for knobs in declared.values():
         assert set(knobs) <= set(KNOB_FLAGS)
+    assert get_experiment("netscale").knobs == ()
 
 
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
@@ -254,9 +252,8 @@ def test_spec_is_plain_frozen_data(name):
 
 
 def test_undeclared_knob_is_refused_before_anything_runs():
-    with pytest.raises(SpecError, match=r"job 1: optimal \(OptimalConfig\) "
-                                        r"does not support .*: shards"):
-        run_batch(["netscale", "optimal"], ctx=RunContext(shards=2))
+    # A sweep's jobs run under the default context: no per-job channel.
+    assert "ctx" not in inspect.signature(run_batch).parameters
     with pytest.raises(SpecError, match="checkpoint_dir"):
         get_experiment("churn-study").run(
             get_experiment("churn-study").default_spec(),

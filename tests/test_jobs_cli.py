@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -10,6 +12,15 @@ import _sweep_exps
 from repro.cli import main
 from repro.experiments import encode
 from repro.jobs import JobStore, job_key
+from repro.jobs.store import code_fingerprint
+
+#: A three-job sweep (``specs.json``) and the ``results/`` directory
+#: ``repro serve`` wrote for it at the last commit whose ``JobTask``
+#: still carried a run-context element.  Regenerate only when a spec
+#: of ``optimal``, ``trace`` or ``netscale`` changes shape on purpose.
+PARENT_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "golden", "parent_checkpoint"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -107,28 +118,6 @@ def test_dry_run_reports_runtime_matching_keys(tmp_path, capsys):
         assert job_key(job["experiment"], encode(spec)) in stored
 
 
-def test_dry_run_rejects_unsupported_execution_knobs(tmp_path, capsys):
-    path = _write_specs(tmp_path, [
-        {"experiment": "optimal"},
-        {"experiment": "netscale", "spec": {"circuit_count": 5}},
-    ])
-    assert main(["batch", path, "--dry-run", "--shards", "4"]) == 2
-    captured = capsys.readouterr()
-    assert ("optimal (OptimalConfig) does not support execution knob(s): "
-            "shards") in captured.err
-    assert "job 1: netscale" in captured.out  # netscale has the knob
-    assert "1 of 2 jobs invalid" in captured.err
-    # The real run gives the same verdict, before any job starts.
-    ckpt = str(tmp_path / "ckpt")
-    for argv in (["batch", path], ["serve", path, "--checkpoint", ckpt]):
-        assert main(argv + ["--shards", "4"]) == 2
-        captured = capsys.readouterr()
-        assert ("job 0: optimal (OptimalConfig) does not support execution "
-                "knob(s): shards") in captured.err
-        assert captured.out == ""
-    assert not list(JobStore(ckpt).keys())
-
-
 def test_dry_run_keys_include_base_seed(tmp_path, capsys):
     jobs = [{"experiment": "test-fuse", "spec": {"value": 1}}]
     path = _write_specs(tmp_path, jobs)
@@ -138,3 +127,32 @@ def test_dry_run_keys_include_base_seed(tmp_path, capsys):
     seeded = capsys.readouterr().out
     key_of = lambda text: text.split("key=")[1].split()[0]  # noqa: E731
     assert key_of(unseeded) != key_of(seeded)
+
+
+def test_parent_written_checkpoint_resumes_with_zero_jobs_executed(
+        tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(os.path.join(PARENT_CHECKPOINT, "results"),
+                    str(ckpt / "results"))
+    # A checkpoint is served only to the code that wrote it, so the
+    # parent's envelopes are re-stamped as ours: what is left to
+    # disagree on is the key, which is what dropping the context
+    # element from the task tuple must not have moved.
+    parent = {}
+    for entry in (ckpt / "results").iterdir():
+        envelope = json.loads(entry.read_text())
+        envelope["code"] = code_fingerprint()
+        entry.write_text(json.dumps(envelope, separators=(",", ":")))
+        parent[envelope["payload"]["experiment"]] = envelope["payload"]
+    out = str(tmp_path / "out.json")
+    assert main(["resume", os.path.join(PARENT_CHECKPOINT, "specs.json"),
+                 "--checkpoint", str(ckpt), "--out", out,
+                 "--progress", "none"]) == 0
+    assert "3 reused / 0 computed" in capsys.readouterr().err
+    items = json.load(open(out))["items"]
+    assert [item["experiment"] for item in items] == [
+        "optimal", "trace", "netscale"
+    ]
+    for item in items:
+        assert item["spec"] == parent[item["experiment"]]["spec"]
+        assert item["result"] == parent[item["experiment"]]["result"]

@@ -8,8 +8,8 @@ This module keeps the old transmitter, :class:`EagerInterface`, as the
 reference and drives both through the same random arrival schedules —
 exact same-instant ties on both sides of the reserved number, sends
 from inside an ``on_tx_start`` hook, full drop-tail queues, a rate
-change mid-run, fault verdicts and a claiming capture hook — and
-requires the same log, entry for entry.
+change mid-run and fault verdicts — and requires the same log, entry
+for entry.
 
 It also pins what the change is for, as exact event counts.
 """
@@ -35,8 +35,8 @@ DELAY = 3 * SLOT / 4
 # Past every arrival and transmission of a generated schedule.  Both
 # worlds are run to this fixed time, not until their queues drain: the
 # clock of a drained simulator rests at its last event, and the end of
-# a trailing transmission whose packet was dropped or claimed is an
-# event only in the eager world.
+# a trailing transmission whose packet was dropped is an event only in
+# the eager world.
 HORIZON = 128 * SLOT
 
 
@@ -49,7 +49,7 @@ class EagerInterface:
         self.peer = None
         self.busy = False
         self.packets_sent = self.bytes_sent = 0
-        self.on_serialize = self.fault_model = None
+        self.fault_model = None
 
     def send(self, packet):
         accepted = self.queue.offer(packet)
@@ -72,8 +72,6 @@ class EagerInterface:
         sim = self._sim
         sim.schedule_fast(tx_time, self._transmission_complete)
         flight = tx_time + self.link.delay
-        if self.on_serialize and self.on_serialize(packet, sim.now + flight):
-            return
         if self.fault_model is not None:
             verdict = self.fault_model.on_transmit(packet)
             if verdict < 0.0:
@@ -106,7 +104,7 @@ class ScriptedFaults:
 class World:
     """One simulator, one interface under test, and a log of what it did."""
 
-    def __init__(self, interface_cls, capacity, verdicts, claim_every):
+    def __init__(self, interface_cls, capacity, verdicts):
         self.sim = sim = Simulator()
         self.log = log = []
         self.sent = 0
@@ -122,14 +120,6 @@ class World:
         self.iface.peer = receiver
         if verdicts:
             self.iface.fault_model = ScriptedFaults(verdicts)
-        if claim_every:
-            self.iface.on_serialize = self.capture
-        self.claim_every = claim_every
-
-    def capture(self, packet, arrival_time):
-        claimed = packet.payload % self.claim_every == 0
-        self.log.append(("capture", arrival_time, packet.payload, claimed))
-        return claimed
 
     def send(self, size, hook_sends):
         label = self.sent
@@ -183,7 +173,6 @@ _schedule = st.lists(st.tuples(st.integers(0, 16), _op), max_size=24)
 _setup = st.tuples(
     st.sampled_from([0, 1, 2]),                              # drop-tail bound
     st.lists(st.sampled_from([0.0, 0.0, -1.0, SLOT / 4]), max_size=4),
-    st.sampled_from([0, 2, 3]),                              # capture claims
 )
 
 
@@ -236,7 +225,7 @@ def test_tie_on_either_side_of_the_reserved_number():
         schedule = [(0, ("send", BIG, None, follow_up))]
         if follow_up is None:
             schedule.append((2, ("send", BIG, None, None)))
-        setup = (0, [], 0)
+        setup = (0, [])
         eager = _play(EagerInterface, setup, schedule, _run)
         lazy = _play(Interface, setup, schedule, _run)
         assert lazy.outcome() == eager.outcome()
@@ -252,7 +241,7 @@ def test_send_between_runs_on_the_instant_the_wire_frees():
     # smaller number than the one the transmission reserved.
     seen = []
     for interface_cls in (EagerInterface, Interface):
-        world = World(interface_cls, 0, [], 0)
+        world = World(interface_cls, 0, [])
         world.sim.schedule_at(SLOT, world.apply, ("send", BIG, None, None))
         world.sim.schedule_at(2 * SLOT, world.apply, ("probe", BIG, None, None))
         world.sim.run_until(2 * SLOT)
@@ -264,6 +253,24 @@ def test_send_between_runs_on_the_instant_the_wire_frees():
         seen.append(world.outcome())
     assert seen[:2] == seen[2:]
     assert seen[0] == (2, True, 0)
+
+
+def test_assigning_on_serialize_changes_nothing():
+    # The interface has no capture stage, but perfbench's ledger still
+    # assigns one: it must stay a write that nobody reads, even for a
+    # hook that would have claimed every packet.
+    seen = []
+    for capture in (None, lambda packet, arrival_time: True):
+        world = World(Interface, 0, [0.0, -1.0, SLOT / 4])
+        if capture is not None:
+            world.iface.on_serialize = capture
+        for __ in range(9):
+            world.send(BIG, None)
+        world.sim.run_until(HORIZON)
+        seen.append((world.outcome(), world.sim.events_executed))
+    assert seen[0] == seen[1]
+    # Every third packet is dropped by the fault model, none captured.
+    assert sum(entry[0] == "deliver" for entry in world.log) == 6
 
 
 def _bare_interface():

@@ -2,13 +2,11 @@
 
 The contract under test: :func:`repro.scenario.sharded.run_sharded`
 produces output **byte-identical** to the classic single-simulator
-engine at any shard count — in disjoint-component mode (worker
-processes), in epoch-barrier coupled mode (multiple simulators
-exchanging packets at barriers), serial or pooled, cold or warm plan
-cache.  Identity is pinned on the JSON serialization of the full
-result, so every sample and probe series value must match bit for bit.
-Disjoint mode also matches the engine's event count; coupled mode is
-compared without it (see :func:`helpers.strip_events`).
+engine at any shard count — disjoint components in worker processes,
+a single connected component on the classic engine itself, serial or
+pooled, cold or warm plan cache.  Identity is pinned on the JSON
+serialization of the full result, so every sample, probe series value
+and event count must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import json
 
 import pytest
 
-from helpers import strip_events
 from repro.experiments.netgen import NetworkConfig
 from repro.experiments.netscale import NetScaleConfig
 from repro.experiments.api import RunContext
@@ -45,11 +42,6 @@ from repro.units import kib
 
 def result_bytes(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
-
-
-def science_bytes(result) -> str:
-    """The result's JSON minus the engine's event-count diagnostic."""
-    return json.dumps(strip_events(encode(result)), sort_keys=True)
 
 
 def coupled_scenario(**overrides) -> Scenario:
@@ -126,11 +118,8 @@ def test_clustered_plan_partitions_into_components():
 def test_forced_bottleneck_couples_all_clusters():
     plan = plan_scenario(coupled_scenario())
     assert len(partition_plan(plan)) == 1  # coupled through the bottleneck
-    groups = partition_plan(plan, exclude=(plan.bottleneck_relay,))
-    assert len(groups) >= 2  # clusters separate once it is excluded
-    for group in groups:
-        for circuit in group:
-            assert plan.bottleneck_relay in circuit.relays
+    for circuit in plan.circuits:
+        assert plan.bottleneck_relay in circuit.relays
 
 
 # ----------------------------------------------------------------------
@@ -157,30 +146,13 @@ def test_disjoint_mode_rejects_global_probes():
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: epoch-barrier coupled mode
+# Byte-identity: one connected component
 # ----------------------------------------------------------------------
 
 
-def test_coupled_mode_byte_identical_to_classic_engine():
-    plan = plan_scenario(coupled_scenario())
-    classic = run_planned(plan)
-    # shards=1 routes to the classic engine: identical, events included.
-    assert result_bytes(run_sharded(plan, shards=1)) == result_bytes(classic)
-    # >= 2 runs the epoch-barrier coupled engine (one simulator per
-    # cluster group plus the bottleneck's own).  Every simulated byte
-    # must match; the event count may not, because an injected delivery
-    # draws its sequence number at the barrier.
-    for shards in (2, 4):
-        assert science_bytes(run_sharded(plan, shards=shards)) == science_bytes(
-            classic
-        )
-
-
-def test_coupled_mode_without_clusters_byte_identical():
-    # Even a classic netscale shape (one cluster, every circuit through
-    # the forced bottleneck) must shard cleanly: one big group shard
-    # plus the bottleneck shard.
-    plan = plan_scenario(coupled_scenario(
+def unclustered_scenario() -> Scenario:
+    """The classic netscale shape: one cluster, one forced bottleneck."""
+    return coupled_scenario(
         topology=GeneratedTopology(
             network=NetworkConfig(
                 relay_count=10, client_count=6, server_count=6
@@ -188,28 +160,34 @@ def test_coupled_mode_without_clusters_byte_identical():
             force_bottleneck=True,
         ),
         circuit_count=6,
-    ))
-    classic = science_bytes(run_planned(plan))
-    assert science_bytes(run_sharded(plan, shards=2)) == classic
+    )
 
 
-def test_coupled_mode_rejects_relay_scoped_probes():
-    scenario = coupled_scenario(
+@pytest.mark.parametrize("shards", (1, 2, 4))
+@pytest.mark.parametrize("scenario", (
+    coupled_scenario(),
+    unclustered_scenario(),
+    # Relay-scoped probes see the whole network: fine on one simulator.
+    coupled_scenario(
         probes=(UtilizationProbe(interval=0.25, scope="relays"),)
+    ),
+), ids=("clustered", "unclustered", "relay-probes"))
+def test_one_component_byte_identical_to_classic_engine(scenario, shards):
+    # Every circuit meets the others at the bottleneck relay, so there
+    # is nothing to run apart: any shard count is the classic engine,
+    # event counts included.
+    plan = plan_scenario(scenario)
+    assert len(partition_plan(plan)) == 1
+    assert result_bytes(run_sharded(plan, shards=shards)) == result_bytes(
+        run_planned(plan)
     )
-    with pytest.raises(ShardingError, match="coupled"):
-        run_sharded(plan_scenario(scenario), shards=2)
 
 
-def test_coupled_mode_rejects_mismatched_probe_grids():
-    scenario = coupled_scenario(
-        probes=(
-            UtilizationProbe(interval=0.25),
-            QueueDepthProbe(interval=0.5),
-        )
-    )
-    with pytest.raises(ShardingError, match="interval"):
-        run_sharded(plan_scenario(scenario), shards=2)
+@pytest.mark.parametrize("shards", (0, -3, 2.7))
+def test_bad_shard_count_is_refused(shards):
+    plan = plan_scenario(disjoint_scenario())
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        run_sharded(plan, shards=shards)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +215,7 @@ def test_sharded_result_identical_cold_and_warm_cache(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Experiment-level invariance: netscale and churn-study
+# Experiment level: netscale's clusters field, churn-study's workers
 # ----------------------------------------------------------------------
 
 
@@ -253,21 +231,6 @@ def small_netscale(**overrides) -> NetScaleConfig:
     return NetScaleConfig(**defaults)
 
 
-def test_netscale_shards_knob_is_invisible_and_invariant():
-    spec = small_netscale()
-    experiment = get_experiment("netscale")
-    baseline = science_bytes(experiment.run(spec))
-    for shards in (2, 4):
-        result = experiment.run(spec, RunContext(shards=shards))
-        # The knob never enters the serialized spec (plan-cache keys
-        # and batch outputs stay shard-count independent) ...
-        assert encode(result.config) == encode(spec)
-        assert not hasattr(result.config, "shards")
-        # ... and never changes the result (the forced bottleneck makes
-        # this a coupled run, so the event count is set aside).
-        assert science_bytes(result) == baseline
-
-
 def test_netscale_clusters_field_plans_disjoint_paths():
     spec = small_netscale(
         circuit_count=6,
@@ -278,13 +241,11 @@ def test_netscale_clusters_field_plans_disjoint_paths():
     plan = plan_scenario(scenario)
     # Forced bottleneck: still one coupled component ...
     assert len(partition_plan(plan)) == 1
-    # ... but several groups once the bottleneck is excluded (possibly
-    # finer than the clusters — circuits of one cluster that share no
-    # relay split further), and no group ever mixes clusters.
-    groups = partition_plan(plan, exclude=(plan.bottleneck_relay,))
-    assert len(groups) >= 2
-    for group in groups:
-        assert len({c.index % 2 for c in group}) == 1
+    # ... but the bottleneck is the only leaf the two clusters share.
+    leaves = [set(), set()]
+    for c in plan.circuits:
+        leaves[c.index % 2].update((c.source, c.sink, *c.relays))
+    assert leaves[0] & leaves[1] == {plan.bottleneck_relay}
 
 
 def test_churn_study_shards_knob_byte_identical():
@@ -306,12 +267,7 @@ def test_churn_study_shards_knob_byte_identical():
 
     run_churn_study = get_experiment("churn-study").run
     baseline = json.dumps(encode(run_churn_study(study())), sort_keys=True)
-    # Sharded engine per point, serial sweep.
-    sharded = run_churn_study(study(), RunContext(shards=2))
-    assert json.dumps(encode(sharded), sort_keys=True) == baseline
-    # Sharded engine per point *and* pooled sweep points: the context
-    # travels through run_batch's per-job channel into the workers.
-    pooled = run_churn_study(study(), RunContext(workers=2, shards=2))
+    pooled = run_churn_study(study(), RunContext(workers=2))
     assert json.dumps(encode(pooled), sort_keys=True) == baseline
 
 
