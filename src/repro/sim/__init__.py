@@ -2,15 +2,15 @@
 
 This package is the bottom layer of the reproduction: a deterministic
 calendar-queue simulator (:class:`Simulator`), cancellable events
-(:class:`EventHandle`), generator-based processes (:func:`spawn`), and
-seeded random streams (:class:`RandomStreams`).  It stands in for ns-3,
+(:class:`EventHandle`), a one-shot completion signal (:class:`Waiter`),
+and seeded random streams (:class:`RandomStreams`).  It stands in for ns-3,
 which the paper's nstor framework was built on.
 """
 
-from .errors import ClockError, SchedulingError, SimulationError, SimulationFinished
+from .errors import ClockError, SchedulingError, SimulationError
 from .events import EventHandle, EventQueue
 from .monitor import PeriodicSampler, QueueProbe
-from .process import Process, Waiter, spawn
+from .process import Waiter
 from .rand import RandomStreams, derive_seed
 from .simulator import Simulator
 
@@ -19,14 +19,11 @@ __all__ = [
     "EventHandle",
     "EventQueue",
     "PeriodicSampler",
-    "Process",
     "QueueProbe",
     "RandomStreams",
     "SchedulingError",
     "SimulationError",
-    "SimulationFinished",
     "Simulator",
     "Waiter",
     "derive_seed",
-    "spawn",
 ]

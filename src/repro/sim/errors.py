@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "SimulationError",
     "SchedulingError",
-    "SimulationFinished",
     "ClockError",
 ]
 
@@ -19,14 +18,6 @@ class SchedulingError(SimulationError):
 
     Typical causes: a negative delay, an absolute time in the simulated
     past, or scheduling onto a simulator that has been stopped.
-    """
-
-
-class SimulationFinished(SimulationError):
-    """Raised by a process to terminate itself early.
-
-    Processes (see :mod:`repro.sim.process`) may raise this instead of
-    returning; the engine treats it as a clean exit.
     """
 
 

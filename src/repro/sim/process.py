@@ -1,37 +1,29 @@
-"""Generator-based simulated processes.
+"""One-shot completion signal for callback-style simulation code.
 
-Callbacks are the engine's native currency, but sequential behaviours —
-"send a request, wait, send the next one" — read far better as
-coroutines.  :class:`Process` wraps a generator that *yields* the things
-it wants to wait for:
-
-* ``yield delay`` (a non-negative number) — sleep that many simulated
-  seconds;
-* ``yield event`` (a :class:`~repro.sim.process.Waiter`) — block until
-  the waiter is triggered by other simulation code.
-
-Workload generators in :mod:`repro.experiments` are written as
-processes; the transport machinery itself stays callback-based for
-performance.
+Callbacks are the engine's only currency.  :class:`Waiter` is the
+synchronization point applications use to announce "done" to whoever
+subscribed: :class:`~repro.tor.apps.SinkApp` and
+:class:`~repro.tor.streams.MultiStreamSink` trigger one at the last
+byte, and the scenario engine, probes and workloads subscribe to it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Union
+from typing import Any, Callable, List
 
-from .errors import SimulationError, SimulationFinished
+from .errors import SimulationError
 from .simulator import Simulator
 
-__all__ = ["Process", "Waiter", "spawn"]
+__all__ = ["Waiter"]
 
 
 class Waiter:
     """A one-shot, level-triggered synchronization point.
 
-    A process that yields a waiter suspends until some other code calls
-    :meth:`trigger`.  Triggering before anyone waits is fine — the state
-    is latched, and a later ``yield`` completes immediately.  A value
-    can be carried along and becomes the result of the ``yield``.
+    Subscribers are called back once some other code calls
+    :meth:`trigger`.  Triggering before anyone subscribes is fine — the
+    state is latched, and a later :meth:`subscribe` completes at once.
+    A value can be carried along and is handed to every callback.
     """
 
     __slots__ = ("_sim", "_triggered", "_value", "_callbacks")
@@ -53,7 +45,7 @@ class Waiter:
         return self._value
 
     def trigger(self, value: Any = None) -> None:
-        """Release every waiter, delivering *value*.  Idempotent calls raise."""
+        """Release every subscriber, delivering *value*.  A second call raises."""
         if self._triggered:
             raise SimulationError("waiter already triggered")
         self._triggered = True
@@ -65,8 +57,7 @@ class Waiter:
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         """Invoke *callback(value)* when triggered (soon, if already).
 
-        The callback-world counterpart of yielding the waiter from a
-        process: it always runs via ``call_soon``, never synchronously
+        The callback always runs via ``call_soon``, never synchronously
         inside :meth:`trigger`, so subscribers cannot reorder the
         triggering event's own work.
         """
@@ -74,104 +65,3 @@ class Waiter:
             self._sim.call_soon(callback, self._value)
         else:
             self._callbacks.append(callback)
-
-    # Backwards-compatible private spelling (Process uses it).
-    _subscribe = subscribe
-
-
-#: What a process generator may yield.
-Yieldable = Union[int, float, Waiter]
-
-
-class Process:
-    """A running simulated process wrapping a generator.
-
-    Create processes with :func:`spawn`; the class itself only manages
-    stepping the generator and re-arming the next wakeup.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        generator: Generator[Yieldable, Any, Any],
-        name: str = "process",
-    ) -> None:
-        self._sim = sim
-        self._generator = generator
-        self.name = name
-        self._alive = True
-        self._result: Any = None
-        self._done_waiter = Waiter(sim)
-        sim.call_soon(self._step, None)
-
-    @property
-    def alive(self) -> bool:
-        """Whether the generator has more work to do."""
-        return self._alive
-
-    @property
-    def result(self) -> Any:
-        """The generator's return value once finished, else ``None``."""
-        return self._result
-
-    @property
-    def done(self) -> Waiter:
-        """A waiter triggered (with the result) when the process ends."""
-        return self._done_waiter
-
-    def _step(self, send_value: Any) -> None:
-        if not self._alive:
-            return
-        try:
-            target = self._generator.send(send_value)
-        except (StopIteration, SimulationFinished) as exc:
-            self._finish(getattr(exc, "value", None))
-            return
-        self._arm(target)
-
-    def _arm(self, target: Yieldable) -> None:
-        if isinstance(target, Waiter):
-            target._subscribe(self._step)
-        elif isinstance(target, (int, float)):
-            if target < 0:
-                self._fail(
-                    SimulationError(
-                        "%s yielded a negative delay: %r" % (self.name, target)
-                    )
-                )
-                return
-            self._sim.schedule(float(target), self._step, None)
-        else:
-            self._fail(
-                SimulationError(
-                    "%s yielded unsupported value %r" % (self.name, target)
-                )
-            )
-
-    def _finish(self, result: Any) -> None:
-        self._alive = False
-        self._result = result
-        self._done_waiter.trigger(result)
-
-    def _fail(self, exc: SimulationError) -> None:
-        self._alive = False
-        self._generator.close()
-        raise exc
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self._alive else "done"
-        return "<Process %s %s>" % (self.name, state)
-
-
-def spawn(
-    sim: Simulator,
-    generator: Generator[Yieldable, Any, Any],
-    name: Optional[str] = None,
-) -> Process:
-    """Start *generator* as a simulated process on *sim*.
-
-    The first step of the generator runs at the current simulated time
-    (via :meth:`~repro.sim.simulator.Simulator.call_soon`), not
-    immediately, so spawning inside an event handler is safe.
-    """
-    return Process(sim, generator, name=name or getattr(generator, "__name__", "process"))

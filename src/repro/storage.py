@@ -187,10 +187,6 @@ class OwnerLocks:
             except OSError:
                 pass
 
-    def holder_token(self, path: str) -> Optional[str]:
-        """The token this instance holds for *path*, if any."""
-        return self._tokens.get(path)
-
 
 def sweep_stale_files(
     directory: str, suffixes: Tuple[str, ...], older_than: float

@@ -1,49 +1,39 @@
-"""Tor overlay model: cells, onion layers, directory, circuits, hosts.
+"""Tor overlay model: cells, directory, circuits, hosts.
 
 Implements the Tor-specific substrate the paper's evaluation runs on:
-fixed-size cells, onion-routed circuit establishment, a consensus-style
-relay directory with bandwidth-weighted path selection, and the
-per-node protocol state (:class:`TorHost`) that wires the hop-by-hop
-transport's feedback loop together.
+fixed-size cells, a consensus-style relay directory with
+bandwidth-weighted path selection, and the per-node protocol state
+(:class:`TorHost`) that wires the hop-by-hop transport's feedback loop
+together.  Circuits are pre-established, as in the paper's evaluation:
+:class:`CircuitFlow` registers every hop's state directly and no
+establishment handshake is modelled.
 """
 
 from .apps import BulkSource, SinkApp
-from .builder import CircuitBuilder, EstablishedCircuit, EstablishedFlow
 from .cells import (
     Cell,
     CellKind,
-    CreateCell,
     DataCell,
     DestroyCell,
-    EstablishedCell,
     FeedbackCell,
     cells_for_transfer,
 )
 from .circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from .directory import Directory, RelayDescriptor, RelayFlag
 from .hosts import CircuitState, TorHost
-from .onion import OnionError, OnionLayer, OnionPacket, peel, wrap_path
 from .path_selection import PathSelector
 
 __all__ = [
     "BulkSource",
     "Cell",
     "CellKind",
-    "CircuitBuilder",
     "CircuitFlow",
     "CircuitSpec",
     "CircuitState",
-    "CreateCell",
     "DataCell",
     "DestroyCell",
     "Directory",
-    "EstablishedCell",
-    "EstablishedCircuit",
-    "EstablishedFlow",
     "FeedbackCell",
-    "OnionError",
-    "OnionLayer",
-    "OnionPacket",
     "PathSelector",
     "RelayDescriptor",
     "RelayFlag",
@@ -51,6 +41,4 @@ __all__ = [
     "TorHost",
     "allocate_circuit_id",
     "cells_for_transfer",
-    "peel",
-    "wrap_path",
 ]

@@ -8,8 +8,6 @@ wire).  This module defines the cell kinds the reproduction needs:
 * :class:`FeedbackCell` — the CircuitStart/BackTap "moving" message a
   relay sends to its predecessor when it forwards a cell; small
   (53 bytes), so the reverse path stays effectively uncongested;
-* :class:`CreateCell` / :class:`EstablishedCell` — circuit setup and
-  its confirmation (used by :mod:`repro.tor.builder`);
 * :class:`DestroyCell` — circuit teardown.
 
 Cells carry a ``hop_seq`` field that the per-hop transport rewrites on
@@ -20,7 +18,7 @@ the value the next relay echoes back inside a :class:`FeedbackCell`.
 from __future__ import annotations
 
 import enum
-from typing import Any, List
+from typing import List
 
 from ..transport.config import CELL_PAYLOAD, CELL_SIZE, FEEDBACK_SIZE
 
@@ -29,8 +27,6 @@ __all__ = [
     "Cell",
     "DataCell",
     "FeedbackCell",
-    "CreateCell",
-    "EstablishedCell",
     "DestroyCell",
     "cells_for_transfer",
 ]
@@ -41,8 +37,6 @@ class CellKind(enum.Enum):
 
     DATA = "data"
     FEEDBACK = "feedback"
-    CREATE = "create"
-    ESTABLISHED = "established"
     DESTROY = "destroy"
 
 
@@ -130,34 +124,12 @@ class FeedbackCell(Cell):
         self.acked_seq = acked_seq
 
 
-class CreateCell(Cell):
-    """Circuit-setup cell carrying an onion-wrapped routing payload.
-
-    ``onion`` is a :class:`repro.tor.onion.OnionPacket`; each relay
-    peels one layer to learn its successor, then forwards the remainder.
-    ``profile`` carries the circuit's negotiated transport parameters:
-    a ``(TransportConfig, controller_factory)`` pair.
-    """
-
-    __slots__ = ("onion", "profile")
-
-    def __init__(self, circuit_id: int, onion: Any, profile: Any = None) -> None:
-        super().__init__(circuit_id, CellKind.CREATE, CELL_SIZE)
-        self.onion = onion
-        self.profile = profile
-
-
-class EstablishedCell(Cell):
-    """Confirmation travelling back from the circuit's last hop."""
-
-    __slots__ = ()
-
-    def __init__(self, circuit_id: int) -> None:
-        super().__init__(circuit_id, CellKind.ESTABLISHED, CELL_SIZE)
-
-
 class DestroyCell(Cell):
-    """Tears down per-hop circuit state as it travels forward."""
+    """Tears down per-hop circuit state, travelling away from its origin.
+
+    A teardown started mid-circuit sweeps toward both ends; one started
+    at an end sweeps to the other.
+    """
 
     __slots__ = ()
 

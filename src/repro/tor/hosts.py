@@ -35,15 +35,7 @@ from ..net.packet import Packet
 from ..transport.config import TransportConfig
 from ..transport.controller import WindowController
 from ..transport.hop import HopSender
-from .cells import (
-    Cell,
-    CellKind,
-    CreateCell,
-    DataCell,
-    DestroyCell,
-    EstablishedCell,
-    FeedbackCell,
-)
+from .cells import Cell, CellKind, DataCell, DestroyCell, FeedbackCell
 
 __all__ = ["CircuitState", "TorHost"]
 
@@ -57,7 +49,6 @@ class CircuitState:
     next_hop: Optional[str] = None  # toward the data sink
     sender: Optional[HopSender] = None
     sink: Optional[Any] = None  # application object with .on_cell(cell)
-    established: bool = False
     #: Next in-order upstream sequence number this host will accept.
     next_inbound_seq: int = 0
     #: Retransmitted copies of already-accepted cells (re-acked, dropped).
@@ -81,7 +72,6 @@ class TorHost:
         self.sim = sim
         self.node = node
         self.circuits: Dict[int, CircuitState] = {}
-        self._established_callbacks: Dict[int, Callable[[], None]] = {}
         #: Circuits torn down at this host; cells still in flight when a
         #: circuit departs are dropped silently (and counted) instead of
         #: raising, so churn departures never crash on straggler cells.
@@ -126,7 +116,6 @@ class TorHost:
         state = self._new_state(circuit_id)
         state.next_hop = next_hop
         state.sender = self._make_sender(state, config, controller)
-        state.established = True
         return state.sender
 
     def register_relay(
@@ -142,7 +131,6 @@ class TorHost:
         state.prev_hop = prev_hop
         state.next_hop = next_hop
         state.sender = self._make_sender(state, config, controller)
-        state.established = True
         return state.sender
 
     def register_sink(self, circuit_id: int, prev_hop: str, sink_app: Any) -> None:
@@ -152,10 +140,9 @@ class TorHost:
             state = self._new_state(circuit_id)
             state.prev_hop = prev_hop
         state.sink = sink_app
-        state.established = True
 
     def attach_sink_app(self, circuit_id: int, sink_app: Any) -> None:
-        """Attach the application to a sink state created by establishment."""
+        """Attach the application to a sink registered via ``register_sink(..., None)``."""
         state = self._state(circuit_id)
         if not state.is_sink:
             raise ValueError(
@@ -172,14 +159,7 @@ class TorHost:
         state = self.circuits.pop(circuit_id, None)
         if state is not None and state.sender is not None:
             state.sender.close()
-        self._established_callbacks.pop(circuit_id, None)
         self.retired.add(circuit_id)
-
-    def expect_established(
-        self, circuit_id: int, callback: Callable[[], None]
-    ) -> None:
-        """Invoke *callback* when the ESTABLISHED confirmation arrives."""
-        self._established_callbacks[circuit_id] = callback
 
     def _new_state(self, circuit_id: int) -> CircuitState:
         if circuit_id in self.circuits:
@@ -306,10 +286,6 @@ class TorHost:
             self._handle_feedback(cell)
         elif cell.kind is CellKind.DATA:
             self._handle_data(cell)
-        elif cell.kind is CellKind.CREATE:
-            self._handle_create(cell, packet)
-        elif cell.kind is CellKind.ESTABLISHED:
-            self._handle_established(cell)
         elif cell.kind is CellKind.DESTROY:
             self._handle_destroy(cell, packet)
         else:  # pragma: no cover - exhaustive over CellKind
@@ -362,37 +338,6 @@ class TorHost:
         # Relay role: the upstream sequence number travels as the token
         # and is acknowledged when our own window releases the cell.
         state.sender.enqueue(cell, token=cell.hop_seq)
-
-    def _handle_create(self, cell: CreateCell, packet: Packet) -> None:
-        layer, rest = cell.onion.peel(self.node.name)
-        profile = cell.profile
-        if rest is None or layer.next_hop is None:
-            # Innermost layer: this host terminates the circuit.
-            state = self._new_state(cell.circuit_id)
-            state.prev_hop = packet.src
-            state.established = True
-            self._send_cell(EstablishedCell(cell.circuit_id), packet.src)
-            return
-        if profile is None:
-            raise RuntimeError(
-                "CREATE for circuit %d carries no transport profile"
-                % cell.circuit_id
-            )
-        config, make = profile
-        self.register_relay(
-            cell.circuit_id, packet.src, layer.next_hop, config, make()
-        )
-        self._send_cell(CreateCell(cell.circuit_id, rest, profile), layer.next_hop)
-
-    def _handle_established(self, cell: EstablishedCell) -> None:
-        state = self._state(cell.circuit_id)
-        state.established = True
-        if state.prev_hop is not None:
-            self._send_cell(EstablishedCell(cell.circuit_id), state.prev_hop)
-            return
-        callback = self._established_callbacks.pop(cell.circuit_id, None)
-        if callback is not None:
-            callback()
 
     def _handle_destroy(self, cell: DestroyCell, packet: Packet) -> None:
         state = self.circuits.get(cell.circuit_id)

@@ -1,90 +1,55 @@
-"""Unit tests for generator-based processes (repro.sim.process)."""
+"""Unit tests for the one-shot Waiter (repro.sim.process)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim.errors import SimulationError
-from repro.sim.process import Waiter, spawn
+from repro.sim.process import Waiter
 
 
-def test_process_sleeps_for_yielded_delay(sim):
-    stamps = []
-
-    def worker():
-        stamps.append(sim.now)
-        yield 1.5
-        stamps.append(sim.now)
-        yield 0.5
-        stamps.append(sim.now)
-
-    spawn(sim, worker())
-    sim.run()
-    assert stamps == [0.0, 1.5, 2.0]
-
-
-def test_spawn_defers_first_step(sim):
-    """Spawning must not run generator code synchronously."""
-    ran = []
-
-    def worker():
-        ran.append(True)
-        yield 0
-
-    spawn(sim, worker())
-    assert ran == []
-    sim.run()
-    assert ran == [True]
-
-
-def test_process_result_captured(sim):
-    def worker():
-        yield 1.0
-        return 42
-
-    p = spawn(sim, worker())
-    sim.run()
-    assert not p.alive
-    assert p.result == 42
-
-
-def test_done_waiter_triggers_with_result(sim):
-    def worker():
-        yield 1.0
-        return "done"
-
-    p = spawn(sim, worker())
-    sim.run()
-    assert p.done.triggered
-    assert p.done.value == "done"
-
-
-def test_process_waits_on_waiter(sim):
+def test_subscribe_then_trigger_delivers_value(sim):
     gate = Waiter(sim)
     stamps = []
-
-    def worker():
-        value = yield gate
-        stamps.append((sim.now, value))
-
-    spawn(sim, worker())
+    gate.subscribe(lambda value: stamps.append((sim.now, value)))
     sim.schedule(3.0, gate.trigger, "opened")
     sim.run()
     assert stamps == [(3.0, "opened")]
+    assert gate.triggered and gate.value == "opened"
 
 
-def test_pretriggered_waiter_resumes_immediately(sim):
+def test_subscribe_after_trigger_is_latched(sim):
     gate = Waiter(sim)
     gate.trigger("early")
     stamps = []
-
-    def worker():
-        value = yield gate
-        stamps.append((sim.now, value))
-
-    spawn(sim, worker())
+    gate.subscribe(lambda value: stamps.append((sim.now, value)))
     sim.run()
     assert stamps == [(0.0, "early")]
+
+
+@pytest.mark.parametrize("subscribe_first", [True, False])
+def test_delivery_is_never_synchronous(sim, subscribe_first):
+    """Callbacks run via call_soon: after the triggering event's own work."""
+    gate = Waiter(sim)
+    seen = []
+    if subscribe_first:
+        gate.subscribe(seen.append)
+    gate.trigger("v")
+    if not subscribe_first:
+        gate.subscribe(seen.append)
+    assert seen == []
+    sim.run()
+    assert seen == ["v"]
+
+
+def test_subscribers_fire_in_subscription_order(sim):
+    gate = Waiter(sim)
+    woken = []
+    for name in "abc":
+        gate.subscribe(lambda value, name=name: woken.append(name))
+    sim.schedule(1.0, gate.trigger)
+    sim.run()
+    assert woken == ["a", "b", "c"]
 
 
 def test_waiter_double_trigger_raises(sim):
@@ -92,59 +57,3 @@ def test_waiter_double_trigger_raises(sim):
     gate.trigger()
     with pytest.raises(SimulationError):
         gate.trigger()
-
-
-def test_multiple_processes_share_waiter(sim):
-    gate = Waiter(sim)
-    woken = []
-
-    def worker(name):
-        yield gate
-        woken.append(name)
-
-    spawn(sim, worker("a"))
-    spawn(sim, worker("b"))
-    sim.schedule(1.0, gate.trigger)
-    sim.run()
-    assert sorted(woken) == ["a", "b"]
-
-
-def test_negative_delay_fails_process(sim):
-    def worker():
-        yield -1.0
-
-    spawn(sim, worker())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_bad_yield_type_fails_process(sim):
-    def worker():
-        yield "nonsense"
-
-    spawn(sim, worker())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_process_name_from_generator(sim):
-    def my_worker():
-        yield 0
-
-    p = spawn(sim, my_worker())
-    assert p.name == "my_worker"
-
-
-def test_processes_interleave(sim):
-    order = []
-
-    def worker(name, delay):
-        yield delay
-        order.append(name)
-        yield delay
-        order.append(name)
-
-    spawn(sim, worker("fast", 1.0))
-    spawn(sim, worker("slow", 1.5))
-    sim.run()
-    assert order == ["fast", "slow", "fast", "slow"]

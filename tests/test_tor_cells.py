@@ -7,14 +7,11 @@ import pytest
 from repro.tor.cells import (
     Cell,
     CellKind,
-    CreateCell,
     DataCell,
     DestroyCell,
-    EstablishedCell,
     FeedbackCell,
     cells_for_transfer,
 )
-from repro.tor.onion import wrap_path
 from repro.transport.config import CELL_PAYLOAD, CELL_SIZE, FEEDBACK_SIZE
 
 
@@ -47,10 +44,9 @@ def test_feedback_cell_rejects_negative_seq():
 
 
 def test_control_cells_kinds():
-    onion = wrap_path(["a", "b"])
-    assert CreateCell(1, onion).kind is CellKind.CREATE
-    assert EstablishedCell(1).kind is CellKind.ESTABLISHED
-    assert DestroyCell(1).kind is CellKind.DESTROY
+    cell = DestroyCell(1)
+    assert cell.kind is CellKind.DESTROY
+    assert cell.size == CELL_SIZE
 
 
 def test_hop_seq_starts_unassigned():

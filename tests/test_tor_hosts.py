@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.circuitstart import CircuitStartController
+from repro.net.packet import Packet
 from repro.net.topology import LinkSpec, build_chain
 from repro.tor.apps import SinkApp
-from repro.tor.cells import DataCell, DestroyCell, FeedbackCell
+from repro.tor.cells import Cell, CellKind, DataCell, DestroyCell, FeedbackCell
 from repro.tor.hosts import TorHost
-from repro.transport.config import TransportConfig
+from repro.transport.config import CELL_SIZE, TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
 SPEC = LinkSpec(mbit_per_second(16), milliseconds(5))
@@ -99,18 +100,27 @@ def test_feedback_to_non_sender_raises(sim):
     sink_app = SinkApp(sim, 1, 498)
     hosts["c"].register_sink(1, "b", sink_app)
     cell = FeedbackCell(1, 0)
-    from repro.net.packet import Packet
-
     with pytest.raises(RuntimeError):
         hosts["c"].handle_packet(Packet(cell.size, cell, src="b", dst="c"), None)
 
 
 def test_non_cell_payload_rejected(sim):
     __, hosts = chain_hosts(sim)
-    from repro.net.packet import Packet
-
     with pytest.raises(TypeError):
         hosts["a"].handle_packet(Packet(10, payload="junk", dst="a"), None)
+
+
+@pytest.mark.parametrize("kind", list(CellKind))
+def test_every_cell_kind_reaches_a_handler_arm(sim, monkeypatch, kind):
+    """No CellKind member can fall through to ``unhandled cell kind``."""
+    __, hosts = chain_hosts(sim)
+    handled = []
+    monkeypatch.setattr(
+        hosts["b"], "_handle_%s" % kind.value, lambda cell, *rest: handled.append(cell)
+    )
+    cell = Cell(1, kind, CELL_SIZE)
+    hosts["b"].handle_packet(Packet(cell.size, cell, src="a", dst="b"), None)
+    assert handled == [cell]
 
 
 def test_teardown_removes_state(sim):
@@ -125,8 +135,6 @@ def test_destroy_cell_propagates(sim):
     topo, hosts = chain_hosts(sim)
     wire_circuit(sim, hosts)
     destroy = DestroyCell(1)
-    from repro.net.packet import Packet
-
     topo.node("a").send(Packet(destroy.size, destroy, src="a", dst="b"))
     # Source still has its state (destroy started downstream of it).
     sim.run()
