@@ -15,12 +15,12 @@ Determinization
 The engine is event-driven; to hand the schedule full control the
 harness removes every source of spontaneous behaviour:
 
-* **No links.**  Harness nodes override :meth:`Node.send` to capture
-  outbound packets into per-hop FIFO channels (firing the one-shot
-  ``on_tx_start`` feedback hook at capture, exactly where the link
-  layer fires it — at serialization start).  A ``cell``/``feedback``
-  step pops the channel head and hands it to the destination host; a
-  ``lose_*`` step pops and drops it.
+* **No links.**  Harness nodes are their own egress (``interface_to``
+  returns the node): ``send`` captures outbound packets into per-hop
+  FIFO channels (firing the one-shot ``on_tx_start`` feedback hook at
+  capture, exactly where the link layer fires it — at serialization
+  start).  A ``cell``/``feedback`` step pops the channel head and hands
+  it to the destination host; a ``lose_*`` step pops and drops it.
 * **No spontaneous timers.**  The transport config pushes the RTO
   clamp out to ~11 days of simulated time while each step advances the
   clock by one millisecond, so armed retransmission timers exist (the
@@ -136,6 +136,9 @@ class _HarnessNode(Node):
     def __init__(self, sim: Simulator, name: str, capture) -> None:
         super().__init__(sim, name)
         self._capture = capture
+
+    def interface_to(self, dst_name: str) -> "_HarnessNode":
+        return self  # the egress hosts bind per circuit is this node
 
     def send(self, packet: Packet) -> bool:
         packet.src = packet.src or self.name

@@ -37,6 +37,15 @@ can see: the end of a transmission with nothing behind it is no longer
 an event, so ``sim.run()`` to exhaustion leaves the clock at the last
 delivery, not at the moment a dropped last packet would have cleared
 the wire.  ``run_until`` is unaffected.)
+
+**An idle wire has an empty queue.**  Packets wait only behind a
+transmission, and whoever queues the first one schedules the wake that
+drains them, so ``not _wake_pending`` implies ``not queue``.  A packet
+sent onto an idle wire never enters the deque: the queue gives a
+:meth:`~repro.net.queues.FifoQueue.pass_through` verdict (the statistics
+of ``offer`` + ``take``; a scripted-loss queue still counts and may drop
+the arrival) and the packet goes straight onto the wire.  The delivery
+event is the peer's bound ``deliver`` itself.
 """
 
 from __future__ import annotations
@@ -147,10 +156,10 @@ class Interface:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.fault_model = None
-        # Bound methods allocated once here instead of once per cell in
-        # the transmit loop.
+        # Bound methods allocated once (here and in attach_peer) instead
+        # of once per cell in the transmit loop.
         self._on_wake = self._transmit_next
-        self._on_deliver = self._deliver
+        self._on_deliver = None
 
     # ------------------------------------------------------------------
 
@@ -178,6 +187,7 @@ class Interface:
     def attach_peer(self, peer: "Node") -> None:
         """Declare the node at the far end of the link."""
         self.peer = peer
+        self._on_deliver = peer.deliver
 
     def send(self, packet: Packet) -> bool:
         """Queue *packet* for transmission; start transmitting if idle.
@@ -187,36 +197,38 @@ class Interface:
         """
         if self.peer is None:
             raise RuntimeError("interface %s has no peer attached" % self.name)
-        if not self.queue.offer(packet):
+        if self._wake_pending:
+            return self.queue.offer(packet)
+        sim = self._sim
+        now = sim.now
+        free_at = self._free_at
+        if now < free_at or (now == free_at and sim.current_seq < self._free_seq):
+            # The wire is occupied and nobody was waiting for it yet:
+            # the completion event is needed after all.
+            if not self.queue.offer(packet):
+                return False
+            self._wake_pending = True
+            sim.schedule_reserved(free_at, self._free_seq, self._on_wake)
+        elif self.queue.pass_through(packet):
+            self._transmit_next(packet)
+        else:
             return False
-        if not self._wake_pending:
-            sim = self._sim
-            now = sim.now
-            free_at = self._free_at
-            if now < free_at or (
-                now == free_at and sim.current_seq < self._free_seq
-            ):
-                # The wire is occupied and nobody was waiting for it
-                # yet: the completion event is needed after all.
-                self._wake_pending = True
-                sim.schedule_reserved(free_at, self._free_seq, self._on_wake)
-            else:
-                self._transmit_next()
         return True
 
     # ------------------------------------------------------------------
 
-    def _transmit_next(self) -> None:
-        """Put the head of the queue on the wire.
+    def _transmit_next(self, packet: Optional[Packet] = None) -> None:
+        """Put *packet*, or else the head of the queue, on the wire.
 
-        Runs from :meth:`send` on an idle wire, or as the completion
-        event of the previous transmission when packets were waiting.
+        Runs from :meth:`send` with a packet that found the wire idle, or
+        bare, as the completion event of a transmission others waited on.
         """
         queue = self.queue
-        packet = queue.take()
         if packet is None:
-            self._wake_pending = False
-            return
+            packet = queue.take()
+            if packet is None:
+                self._wake_pending = False
+                return
         link = self.link
         tx_time = link._tx_times.get(packet.size)
         if tx_time is None:
@@ -248,7 +260,7 @@ class Interface:
             self._wake_pending = False
         fault = self.fault_model
         if fault is None:
-            sim.schedule_fast(tx_time + link.delay, self._on_deliver, packet)
+            sim.schedule_fast(tx_time + link.delay, self._on_deliver, packet, self)
             return
         # A negative verdict drops the packet: the transmitter was still
         # occupied for the full serialization time, but nothing is
@@ -258,12 +270,8 @@ class Interface:
         verdict = fault.on_transmit(packet)
         if verdict >= 0.0:
             sim.schedule_fast(
-                (tx_time + link.delay) + verdict, self._on_deliver, packet
+                (tx_time + link.delay) + verdict, self._on_deliver, packet, self
             )
-
-    def _deliver(self, packet: Packet) -> None:
-        packet.hops += 1
-        self.peer.deliver(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Interface %s -> %s backlog=%d>" % (

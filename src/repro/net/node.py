@@ -107,10 +107,12 @@ class Node:
         return self.interface_to(packet.dst).send(packet)
 
     def deliver(self, packet: Packet, from_interface: Interface) -> None:
-        """Called by the link layer when *packet* arrives at this node."""
+        """The link layer's delivery event: *packet* arrives at this node
+        (which, if it is up, counts the hop: one more link crossed)."""
         if not self.up:
             self.packets_dropped_down += 1
             return
+        packet.hops += 1
         self.packets_received += 1
         self.bytes_received += packet.size
         dst = packet.dst

@@ -55,7 +55,7 @@ class Packet:
         self.src = src
         self.dst = dst
         self.created_at = created_at
-        #: Number of links traversed so far (slotted; see hop_count()).
+        #: Links traversed so far; ``Node.deliver`` bumps it (slotted).
         self.hops = 0
         #: One-shot hook fired when serialization begins at the first
         #: link this packet traverses; called as ``on_tx_start(arg)``
@@ -78,7 +78,8 @@ class Packet:
         return self.hops
 
     def note_hop(self) -> None:
-        """Record one more traversed link (called by the link layer)."""
+        """Record one more traversed link (``Node.deliver`` bumps
+        :attr:`hops` itself; this is for receivers that are not nodes)."""
         self.hops += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -68,6 +68,18 @@ class FifoQueue:
             stats.max_depth_bytes = current
         return True
 
+    def pass_through(self, packet: Packet) -> bool:
+        """``offer`` then ``take`` on an empty queue, minus the deque round
+        trip: the verdict an idle transmitter (whose queue is empty by
+        construction) asks for before putting *packet* on the wire."""
+        stats = self.stats
+        stats.enqueued += 1
+        stats.dequeued += 1
+        stats.max_depth_packets = stats.max_depth_packets or 1
+        if packet.size > stats.max_depth_bytes:
+            stats.max_depth_bytes = packet.size
+        return True
+
     def take(self) -> Optional[Packet]:
         """Dequeue and return the oldest packet, or ``None`` when empty."""
         if not self._packets:
@@ -112,9 +124,9 @@ class DropTailQueue(FifoQueue):
 class ScriptedLossQueue(FifoQueue):
     """A FIFO that drops exactly the arrivals named in *drop_indices*.
 
-    Arrival indices count every ``offer`` call (0-based), dropped or
-    not.  Deterministic by construction — the loss-recovery tests
-    script precisely which cell or feedback message disappears.
+    Arrival indices count every ``offer`` or ``pass_through`` (0-based),
+    dropped or not.  Deterministic by construction — the loss-recovery
+    tests script precisely which cell or feedback message disappears.
     """
 
     def __init__(self, drop_indices) -> None:
@@ -129,3 +141,6 @@ class ScriptedLossQueue(FifoQueue):
             self.stats.dropped += 1
             return False
         return super().offer(packet)
+
+    def pass_through(self, packet: Packet) -> bool:
+        return self.offer(packet) and self.take() is packet

@@ -154,12 +154,12 @@ class Simulator:
         the loop must not be past ``(time, seq)`` yet (see
         :attr:`current_seq`).
         """
-        if time < self.now or (time == self.now and seq < self._current_seq):
-            raise SchedulingError(
+        now = self.now
+        if not (time > now or (time == now and seq >= self._current_seq)):
+            raise SchedulingError(  # *time* is in the past, or NaN
                 "cannot schedule at (%r, %d), already at (%r, %d)"
-                % (time, seq, self.now, self._current_seq)
-            )
-        self._queue.push_reserved(time, seq, callback, args)
+                % (time, seq, now, self._current_seq))
+        heappush(self._heap, (time, seq, callback, args))
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any

@@ -120,7 +120,11 @@ class FeedbackCell(Cell):
     def __init__(self, circuit_id: int, acked_seq: int) -> None:
         if acked_seq < 0:
             raise ValueError("acked_seq must be non-negative, got %r" % acked_seq)
-        super().__init__(circuit_id, CellKind.FEEDBACK, FEEDBACK_SIZE)
+        # Cell.__init__ spelled out: one is built per forwarded cell.
+        self.circuit_id = circuit_id
+        self.kind = CellKind.FEEDBACK
+        self.size = FEEDBACK_SIZE
+        self.hop_seq = -1
         self.acked_seq = acked_seq
 
 

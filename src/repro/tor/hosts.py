@@ -23,6 +23,17 @@ transmit callback fires and the token tells the host which upstream
 sequence to acknowledge.  RTTs measured by the predecessor therefore
 include exactly the successor's queueing — the signal CircuitStart
 feeds into its Vegas detector.
+
+What is fixed per circuit is resolved per circuit: registration looks
+up the egress toward each neighbour once (``node.interface_to``; any
+object with ``send(packet) -> bool`` will do) and closes over it.
+``CircuitState.feedback(acked_seq)`` builds the feedback cell and its
+packet and hands them to that egress in one frame, as a forwarded
+packet's ``on_tx_start`` hook or straight from ``handle_packet`` (sink
+delivery, duplicate re-ack); the sender's ``transmit`` does the same
+toward the next hop.  Teardown, a relay kill and a recycled id replace
+the ``CircuitState``, the only invalidation needed.  DESTROY alone, a
+handful of cells per run, still routes per cell through ``node.send``.
 """
 
 from __future__ import annotations
@@ -35,9 +46,15 @@ from ..net.packet import Packet
 from ..transport.config import TransportConfig
 from ..transport.controller import WindowController
 from ..transport.hop import HopSender
-from .cells import Cell, CellKind, DataCell, DestroyCell, FeedbackCell
+from .cells import Cell, CellKind, DestroyCell, FeedbackCell
 
 __all__ = ["CircuitState", "TorHost"]
+
+# handle_packet compares against these by identity; a dict keyed on the
+# enum would pay Enum.__hash__, a Python-level call, per cell.
+_DATA = CellKind.DATA
+_FEEDBACK = CellKind.FEEDBACK
+_DESTROY = CellKind.DESTROY
 
 
 @dataclass
@@ -49,6 +66,10 @@ class CircuitState:
     next_hop: Optional[str] = None  # toward the data sink
     sender: Optional[HopSender] = None
     sink: Optional[Any] = None  # application object with .on_cell(cell)
+    #: Bound at registration: the egress interface toward ``next_hop``,
+    #: and ``feedback(acked_seq)`` over the one toward ``prev_hop``.
+    egress_next: Optional[Any] = None
+    feedback: Optional[Callable[[int], None]] = None
     #: Next in-order upstream sequence number this host will accept.
     next_inbound_seq: int = 0
     #: Retransmitted copies of already-accepted cells (re-acked, dropped).
@@ -113,8 +134,7 @@ class TorHost:
         controller: WindowController,
     ) -> HopSender:
         """Register this host as circuit *circuit_id*'s data source."""
-        state = self._new_state(circuit_id)
-        state.next_hop = next_hop
+        state = self._new_state(circuit_id, None, next_hop)
         state.sender = self._make_sender(state, config, controller)
         return state.sender
 
@@ -127,9 +147,7 @@ class TorHost:
         controller: WindowController,
     ) -> HopSender:
         """Register this host as a forwarding relay on the circuit."""
-        state = self._new_state(circuit_id)
-        state.prev_hop = prev_hop
-        state.next_hop = next_hop
+        state = self._new_state(circuit_id, prev_hop, next_hop)
         state.sender = self._make_sender(state, config, controller)
         return state.sender
 
@@ -137,8 +155,7 @@ class TorHost:
         """Register this host as the circuit's data sink."""
         state = self.circuits.get(circuit_id)
         if state is None:
-            state = self._new_state(circuit_id)
-            state.prev_hop = prev_hop
+            state = self._new_state(circuit_id, prev_hop, None)
         state.sink = sink_app
 
     def attach_sink_app(self, circuit_id: int, sink_app: Any) -> None:
@@ -161,12 +178,28 @@ class TorHost:
             state.sender.close()
         self.retired.add(circuit_id)
 
-    def _new_state(self, circuit_id: int) -> CircuitState:
+    def _new_state(
+        self, circuit_id: int, prev_hop: Optional[str], next_hop: Optional[str]
+    ) -> CircuitState:
         if circuit_id in self.circuits:
             raise ValueError(
                 "circuit %d already registered at %s" % (circuit_id, self.node.name)
             )
-        state = CircuitState(circuit_id)
+        state = CircuitState(circuit_id, prev_hop, next_hop)
+        node = self.node
+        if next_hop is not None:
+            state.egress_next = node.interface_to(next_hop)
+        if prev_hop is not None:
+            egress_prev = node.interface_to(prev_hop)
+            node_name = node.name
+            sim = self.sim
+
+            def feedback(acked_seq: int) -> None:
+                self.feedback_sent += 1
+                cell = FeedbackCell(circuit_id, acked_seq)
+                egress_prev.send(Packet(cell.size, cell, node_name, prev_hop, sim.now))
+
+            state.feedback = feedback
         self.circuits[circuit_id] = state
         # A re-registered id is live again (ids may be recycled by
         # callers); stop treating its cells as stragglers.
@@ -188,37 +221,29 @@ class TorHost:
         controller: WindowController,
     ) -> HopSender:
         label = "c%d:%s->%s" % (state.circuit_id, self.node.name, state.next_hop)
-        node = self.node
-        node_name = node.name
+        node_name = self.node.name
         next_hop = state.next_hop
+        egress_next = state.egress_next
         sim = self.sim
-
-        def feedback_hook(acked_seq: Any) -> None:
-            # A relay acknowledges the upstream copy the moment it
-            # forwards the cell toward its successor — i.e. when the
-            # cell's serialization onto the egress wire begins, *after*
-            # any time spent in the egress queue.  The predecessor's
-            # RTT therefore measures this relay's real backlog, which
-            # is the signal CircuitStart's Vegas detector relies on.
-            self._send_feedback(state, acked_seq)
+        # A relay acknowledges the upstream copy the moment it forwards
+        # the cell toward its successor — i.e. when the cell's
+        # serialization onto the egress wire begins, *after* any time
+        # spent in the egress queue.  The predecessor's RTT therefore
+        # measures this relay's real backlog, which is the signal
+        # CircuitStart's Vegas detector relies on.
+        feedback_hook = state.feedback
 
         def transmit(cell: Cell, token: Any) -> None:
             self.cells_forwarded += 1
-            packet = Packet(
-                cell.size,
-                payload=cell,
-                src=node_name,
-                dst=next_hop,
-                created_at=sim.now,
-            )
-            if token is not None and state.prev_hop is not None:
-                # One closure per *sender* (above), one slot write per
+            packet = Packet(cell.size, cell, node_name, next_hop, sim.now)
+            if token is not None and feedback_hook is not None:
+                # One closure per *circuit* (above), one slot write per
                 # cell: the upstream sequence number rides in the
                 # packet's on_tx_start_arg slot instead of a fresh
                 # lambda plus metadata dict entry per cell.
                 packet.on_tx_start = feedback_hook
                 packet.on_tx_start_arg = token
-            node.send(packet)
+            egress_next.send(packet)
 
         sender = HopSender(self.sim, config, controller, transmit, label=label)
         circuit_id = state.circuit_id
@@ -268,7 +293,7 @@ class TorHost:
         self.circuits_broken += 1
         for neighbor in (prev_hop, next_hop):
             if neighbor is not None:
-                self._send_cell(DestroyCell(circuit_id), neighbor)
+                self._send_destroy(circuit_id, neighbor)
         if self.on_circuit_broken is not None:
             self.on_circuit_broken(circuit_id, error)
 
@@ -282,99 +307,71 @@ class TorHost:
             raise TypeError(
                 "%s received non-cell payload %r" % (self.node.name, packet.payload)
             )
-        if cell.kind is CellKind.FEEDBACK:
-            self._handle_feedback(cell)
-        elif cell.kind is CellKind.DATA:
-            self._handle_data(cell)
-        elif cell.kind is CellKind.DESTROY:
-            self._handle_destroy(cell, packet)
-        else:  # pragma: no cover - exhaustive over CellKind
-            raise ValueError("unhandled cell kind %r" % cell.kind)
-
-    def _handle_feedback(self, cell: FeedbackCell) -> None:
-        if cell.circuit_id in self.retired:
+        kind = cell.kind
+        circuit_id = cell.circuit_id
+        state = self.circuits.get(circuit_id)
+        if state is None and (kind is _DATA or kind is _FEEDBACK):
+            # A straggler of a departed circuit is counted, not raised.
+            if circuit_id not in self.retired:
+                self._state(circuit_id)  # raises, naming the host
             self.late_cells += 1
-            return
-        state = self._state(cell.circuit_id)
-        if state.sender is None:
-            raise RuntimeError(
-                "feedback for circuit %d reached non-sender %s"
-                % (cell.circuit_id, self.node.name)
-            )
-        state.sender.on_feedback(cell.acked_seq)
+        elif kind is _FEEDBACK:
+            sender = state.sender
+            if sender is None:
+                raise RuntimeError(
+                    "feedback for circuit %d reached non-sender %s"
+                    % (circuit_id, self.node.name)
+                )
+            sender.on_feedback(cell.acked_seq)
+        elif kind is _DATA:
+            # In-order acceptance (go-back-N receiver).  On the default
+            # lossless substrate every arrival matches; with loss it
+            # dedups retransmitted copies (re-acknowledging them so the
+            # upstream sender makes progress) and drops out-of-order
+            # arrivals that a retransmission will replace.
+            hop_seq = cell.hop_seq
+            expected = state.next_inbound_seq
+            if hop_seq == expected:
+                state.next_inbound_seq = expected + 1
+                if state.sink is not None:
+                    # Sink role: deliver to the application, acknowledge
+                    # at once (consumption is the last "forwarding" step).
+                    self.cells_delivered += 1
+                    state.sink.on_cell(cell)
+                    state.feedback(hop_seq)
+                elif state.sender is None:
+                    raise RuntimeError(
+                        "data cell on circuit %d reached %s, which is neither "
+                        "relay nor sink" % (circuit_id, self.node.name)
+                    )
+                else:
+                    # Relay role: the upstream sequence number travels as
+                    # the token and is acknowledged when our own window
+                    # releases the cell.
+                    state.sender.enqueue(cell, hop_seq)
+            elif hop_seq > expected:
+                state.gap_drops += 1
+            else:
+                state.duplicate_cells += 1
+                if state.feedback is not None:
+                    state.feedback(hop_seq)
+        elif kind is _DESTROY and state is not None:
+            # Propagate away from whoever sent us the DESTROY: a
+            # teardown started mid-circuit (e.g. a broken hop) travels
+            # toward both ends; one started at an end sweeps to the other.
+            neighbors = [
+                hop for hop in (state.prev_hop, state.next_hop)
+                if hop is not None and hop != packet.src
+            ]
+            self.teardown(circuit_id)
+            for neighbor in neighbors:
+                self._send_destroy(circuit_id, neighbor)
+        elif kind is not _DESTROY:  # pragma: no cover - exhaustive over CellKind
+            raise ValueError("unhandled cell kind %r" % kind)
 
-    def _handle_data(self, cell: DataCell) -> None:
-        if cell.circuit_id in self.retired:
-            self.late_cells += 1
-            return
-        state = self._state(cell.circuit_id)
-        # In-order acceptance (go-back-N receiver).  On the default
-        # lossless substrate every arrival matches, so this is a no-op;
-        # with loss it dedups retransmitted copies (re-acknowledging
-        # them so the upstream sender makes progress) and drops
-        # out-of-order arrivals that a retransmission will replace.
-        if cell.hop_seq < state.next_inbound_seq:
-            state.duplicate_cells += 1
-            if state.prev_hop is not None:
-                self._send_feedback(state, cell.hop_seq)
-            return
-        if cell.hop_seq > state.next_inbound_seq:
-            state.gap_drops += 1
-            return
-        state.next_inbound_seq += 1
-        if state.sink is not None:
-            # Sink role: deliver to the application, acknowledge at once
-            # (consumption is the last "forwarding" step).
-            self.cells_delivered += 1
-            arrival_seq = cell.hop_seq
-            state.sink.on_cell(cell)
-            self._send_feedback(state, arrival_seq)
-            return
-        if state.sender is None:
-            raise RuntimeError(
-                "data cell on circuit %d reached %s, which is neither relay "
-                "nor sink" % (cell.circuit_id, self.node.name)
-            )
-        # Relay role: the upstream sequence number travels as the token
-        # and is acknowledged when our own window releases the cell.
-        state.sender.enqueue(cell, token=cell.hop_seq)
-
-    def _handle_destroy(self, cell: DestroyCell, packet: Packet) -> None:
-        state = self.circuits.get(cell.circuit_id)
-        if state is None:
-            return
-        # Propagate away from whoever sent us the DESTROY: a teardown
-        # started mid-circuit (e.g. a broken hop) travels toward both
-        # ends; one started at an end sweeps to the other.
-        neighbors = [
-            hop for hop in (state.prev_hop, state.next_hop)
-            if hop is not None and hop != packet.src
-        ]
-        self.teardown(cell.circuit_id)
-        for neighbor in neighbors:
-            self._send_cell(DestroyCell(cell.circuit_id), neighbor)
-
-    # ------------------------------------------------------------------
-    # Emission helpers
-    # ------------------------------------------------------------------
-
-    def _send_feedback(self, state: CircuitState, acked_seq: int) -> None:
-        assert state.prev_hop is not None
-        feedback = FeedbackCell(state.circuit_id, acked_seq)
-        self.feedback_sent += 1
-        self._send_cell(feedback, state.prev_hop)
-
-    def _make_packet(self, cell: Cell, dst: str) -> Packet:
-        return Packet(
-            cell.size,
-            payload=cell,
-            src=self.node.name,
-            dst=dst,
-            created_at=self.sim.now,
-        )
-
-    def _send_cell(self, cell: Cell, dst: str) -> None:
-        self.node.send(self._make_packet(cell, dst))
+    def _send_destroy(self, circuit_id: int, dst: str) -> None:
+        cell = DestroyCell(circuit_id)
+        self.node.send(Packet(cell.size, cell, self.node.name, dst, self.sim.now))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<TorHost %s circuits=%d>" % (self.node.name, len(self.circuits))

@@ -143,9 +143,18 @@ class HopSender:
 
     def enqueue(self, cell: Any, token: Any = None) -> None:
         """Accept *cell* for transmission toward the next hop."""
-        self._buffer.append((cell, token))
-        if len(self._buffer) > self.max_buffer_depth:
-            self.max_buffer_depth = len(self._buffer)
+        buffer = self._buffer
+        if not buffer and self.controller.can_send():
+            # Nothing ahead of it and the window open: pump() would pop
+            # it straight back, so it counts as one buffered cell.
+            self.max_buffer_depth = self.max_buffer_depth or 1
+            self._transmit_one(cell, token)
+            if self.cell_source is None:
+                return
+        else:
+            buffer.append((cell, token))
+            if len(buffer) > self.max_buffer_depth:
+                self.max_buffer_depth = len(buffer)
         self.pump()
 
     def pump(self) -> None:
@@ -228,38 +237,42 @@ class HopSender:
         before it moved too); in the default lossless mode it is exact.
         Unknown or repeated sequence numbers are counted and ignored.
         """
+        send_times = self._send_times
         if self._reliable:
-            acked = sorted(s for s in self._send_times if s <= seq)
+            # Keys enter _send_times in ascending order (a retransmission
+            # re-stores in place): the prefix ends at the first key > seq.
+            acked = []
+            for sent_seq in send_times:
+                if sent_seq > seq:
+                    break
+                acked.append(sent_seq)
             if not acked:
                 self.duplicate_feedback += 1
                 return
             self._timeout_streak = 0
+            now = self.sim.now
             for acked_seq in acked:
-                self._complete_one(acked_seq)
+                sent_at = send_times.pop(acked_seq)
+                self.feedback_received += 1
+                self._unacked.pop(acked_seq, None)
+                # Karn's rule: retransmitted cells yield no RTT sample.
+                sampled = acked_seq not in self._retransmitted
+                self._retransmitted.discard(acked_seq)
+                self.controller.on_feedback(now - sent_at, now, sampled=sampled)
             self._arm_timer()
         else:
-            if seq not in self._send_times:
+            sent_at = send_times.pop(seq, None)
+            if sent_at is None:
                 self.duplicate_feedback += 1
                 return
-            self._complete_one(seq)
+            # Nothing is ever retransmitted without per-hop reliability:
+            # every feedback is an RTT sample, with no go-back-N books.
+            now = self.sim.now
+            self.feedback_received += 1
+            self.controller.on_feedback(now - sent_at, now)
         self.pump()
-        if self.idle and self.on_drained is not None:
+        if self.on_drained is not None and self.idle:
             self.on_drained()
-
-    def _complete_one(self, seq: int) -> None:
-        sent_at = self._send_times.pop(seq)
-        now = self.sim.now
-        self.feedback_received += 1
-        if self._reliable:
-            self._unacked.pop(seq, None)
-            # Karn's rule: retransmitted cells yield no RTT sample.
-            sampled = seq not in self._retransmitted
-            self._retransmitted.discard(seq)
-        else:
-            # Without per-hop reliability nothing is ever retransmitted,
-            # so skip the go-back-N bookkeeping entirely on this path.
-            sampled = True
-        self.controller.on_feedback(now - sent_at, now, sampled=sampled)
 
     # ------------------------------------------------------------------
     # Retransmission (go-back-N, RFC 6298 timeout with backoff)

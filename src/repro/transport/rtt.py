@@ -33,9 +33,6 @@ class RoundAggregate:
     def __init__(self) -> None:
         self.samples: List[float] = []
 
-    def add(self, rtt: float) -> None:
-        self.samples.append(rtt)
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -125,7 +122,7 @@ class RttEstimator:
             assert self._rttvar is not None
             self._rttvar += 0.25 * (abs(self._smoothed - rtt) - self._rttvar)
             self._smoothed += self.ewma_gain * (rtt - self._smoothed)
-        self._round.add(rtt)
+        self._round.samples.append(rtt)
 
     def current_rtt(self) -> float:
         """Representative RTT of the round in progress.

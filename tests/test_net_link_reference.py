@@ -51,6 +51,9 @@ class EagerInterface:
         self.packets_sent = self.bytes_sent = 0
         self.fault_model = None
 
+    def attach_peer(self, peer):
+        self.peer = peer
+
     def send(self, packet):
         accepted = self.queue.offer(packet)
         if accepted and not self.busy:
@@ -86,8 +89,7 @@ class EagerInterface:
             self._transmit_next()
 
     def _deliver(self, packet):
-        packet.hops += 1
-        self.peer.deliver(packet, self)
+        self.peer.deliver(packet, self)  # Node.deliver counts the hop
 
 
 class ScriptedFaults:
@@ -117,7 +119,7 @@ class World:
         queue = DropTailQueue(capacity) if capacity else None
         self.link = Link(RATE, DELAY)
         self.iface = interface_cls(sim, Node(sim, "tx"), self.link, queue=queue)
-        self.iface.peer = receiver
+        self.iface.attach_peer(receiver)
         if verdicts:
             self.iface.fault_model = ScriptedFaults(verdicts)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, FifoQueue
+from repro.net.queues import DropTailQueue, FifoQueue, ScriptedLossQueue
 
 
 def make_packet(size=100):
@@ -121,3 +121,56 @@ def test_property_droptail_never_exceeds_capacity(capacity, ops):
         assert len(q) <= capacity
     assert offered == q.stats.enqueued + q.stats.dropped
     assert q.stats.enqueued == q.stats.dequeued + len(q)
+
+
+# ----------------------------------------------------------------------
+# pass_through: the idle-wire verdict must leave offer + take's stats
+# ----------------------------------------------------------------------
+
+DISCIPLINES = [
+    FifoQueue,
+    lambda: DropTailQueue(1),
+    lambda: ScriptedLossQueue({1, 2}),
+]
+
+
+@pytest.mark.parametrize("make_queue", DISCIPLINES, ids=["fifo", "droptail", "scripted"])
+@given(st.lists(st.integers(min_value=1, max_value=1500), min_size=1, max_size=12))
+def test_pass_through_equals_offer_then_take_on_an_empty_queue(make_queue, sizes):
+    round_trip, direct = make_queue(), make_queue()
+    for size in sizes:
+        packet = make_packet(size)
+        accepted = round_trip.offer(packet)
+        assert (round_trip.take() is packet) == accepted
+        assert direct.pass_through(packet) == accepted
+        assert direct.stats == round_trip.stats
+        assert len(direct) == 0 and direct.bytes_queued == 0
+    assert direct.stats.max_depth_packets == (1 if direct.stats.enqueued else 0)
+
+
+def test_pass_through_depth_marks_never_shrink():
+    q = FifoQueue()
+    for __ in range(3):
+        q.offer(make_packet(400))
+    while q:
+        q.take()
+    assert q.pass_through(make_packet(50))
+    assert (q.stats.max_depth_packets, q.stats.max_depth_bytes) == (3, 1200)
+    assert (q.stats.enqueued, q.stats.dequeued, q.stats.current_bytes) == (4, 4, 0)
+
+
+@given(st.frozensets(st.integers(0, 15), max_size=6), st.lists(st.booleans(), max_size=16))
+def test_scripted_loss_indexes_arrivals_across_offer_and_pass_through(drops, direct):
+    """The n-th arrival is dropped iff n is scripted, however it arrives."""
+    q = ScriptedLossQueue(drops)
+    for index, use_pass_through in enumerate(direct):
+        packet = make_packet()
+        if use_pass_through:
+            accepted = q.pass_through(packet)
+        else:
+            accepted = q.offer(packet)
+            assert (q.take() is packet) == accepted
+        assert accepted == (index not in drops)
+    dropped = sum(1 for index in range(len(direct)) if index in drops)
+    assert q.stats.dropped == dropped
+    assert q.stats.enqueued == q.stats.dequeued == len(direct) - dropped

@@ -93,6 +93,9 @@ def test_unknown_circuit_raises(sim):
     with pytest.raises(KeyError):
         hosts["b"].handle_packet_for_tests = None
         hosts["b"]._state(99)
+    for cell in (DataCell(99, 1, 0, 498), FeedbackCell(99, 0)):
+        with pytest.raises(KeyError, match="no state for circuit 99 at b"):
+            hosts["b"].handle_packet(Packet(cell.size, cell, src="a", dst="b"), None)
 
 
 def test_feedback_to_non_sender_raises(sim):
@@ -111,16 +114,37 @@ def test_non_cell_payload_rejected(sim):
 
 
 @pytest.mark.parametrize("kind", list(CellKind))
-def test_every_cell_kind_reaches_a_handler_arm(sim, monkeypatch, kind):
-    """No CellKind member can fall through to ``unhandled cell kind``."""
+def test_every_cell_kind_reaches_a_handler_arm(sim, kind):
+    """No CellKind member can fall through to ``unhandled cell kind``:
+    at a relay each one has an effect of its own, on a live circuit and
+    on a departed one."""
     __, hosts = chain_hosts(sim)
-    handled = []
-    monkeypatch.setattr(
-        hosts["b"], "_handle_%s" % kind.value, lambda cell, *rest: handled.append(cell)
-    )
-    cell = Cell(1, kind, CELL_SIZE)
-    hosts["b"].handle_packet(Packet(cell.size, cell, src="a", dst="b"), None)
-    assert handled == [cell]
+    __, sink_app = wire_circuit(sim, hosts)
+    relay = hosts["b"]
+    relay_sender = relay.circuits[1].sender
+
+    def arrive(cell):
+        relay.handle_packet(Packet(cell.size, cell, src="a", dst="b"), None)
+
+    data = DataCell(1, 1, 0, 498)
+    data.hop_seq = 0
+    if kind is CellKind.DATA:
+        arrive(data)
+        sim.run()
+        assert relay.cells_forwarded == 1 and sink_app.cells_received == 1
+    elif kind is CellKind.FEEDBACK:
+        arrive(data)  # puts the relay's own seq 0 in flight
+        arrive(FeedbackCell(1, 0))
+        assert relay_sender.feedback_received == 1
+    else:
+        assert kind is CellKind.DESTROY  # a new member needs an arm here
+        arrive(DestroyCell(1))
+        assert 1 not in relay.circuits and 1 in relay.retired
+    # The same kind for a circuit that has left: counted or ignored.
+    relay.teardown(1)
+    late = relay.late_cells
+    arrive(Cell(1, kind, CELL_SIZE))
+    assert relay.late_cells == late + (kind is not CellKind.DESTROY)
 
 
 def test_teardown_removes_state(sim):

@@ -11,7 +11,10 @@ history:
   that was never retransmitted (``sampled=False`` otherwise);
 * retransmission **clones carry the original hop_seq** (and leave the
   original cell object untouched);
-* ``_timeout_streak`` **resets on progress** and only on progress.
+* ``_timeout_streak`` **resets on progress** and only on progress;
+* ``_send_times`` **stays in ascending seq order** after every step,
+  which is what lets ``on_feedback`` stop at the first key beyond the
+  acknowledged one instead of sorting the window.
 """
 
 from __future__ import annotations
@@ -113,7 +116,24 @@ def run_history(events):
                     pass
         elif event[0] == "advance":
             sim.run_until(sim.now + 0.01)
+        # A contract, not an assumption: on_feedback's prefix scan
+        # breaks at the first key beyond the acknowledged seq.
+        assert list(sender._send_times) == sorted(sender._send_times)
     return sim, sender, controller, wire, acked_done
+
+
+@settings(max_examples=120, deadline=None)
+@given(EVENTS)
+# First transmissions, a go-back-N round re-storing every key, a
+# partial ack, then more first transmissions behind the survivors.
+@example([("enqueue",)] * 4 + [("timeout",), ("ack", 1)] + [("enqueue",)] * 3
+         + [("timeout",), ("ack", 0), ("timeout",)])
+def test_send_times_stay_in_ascending_seq_order(events):
+    sim, sender, controller, wire, acked_done = run_history(events)
+    # run_history asserted the order after every step; what the acks
+    # left outstanding lies above everything they completed.
+    assert list(sender._send_times) == sorted(sender._send_times)
+    assert all(s > max(acked_done) for s in sender._send_times if acked_done)
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,8 +10,7 @@ from repro.transport.rtt import RoundAggregate, RttEstimator
 
 def test_round_aggregate_values():
     agg = RoundAggregate()
-    for sample in (0.3, 0.1, 0.2):
-        agg.add(sample)
+    agg.samples.extend((0.3, 0.1, 0.2))
     assert agg.value("min") == 0.1
     assert agg.value("max") == 0.3
     assert agg.value("last") == 0.2
@@ -25,7 +24,7 @@ def test_round_aggregate_empty_raises():
 
 def test_round_aggregate_unknown_kind():
     agg = RoundAggregate()
-    agg.add(0.1)
+    agg.samples.append(0.1)
     with pytest.raises(ValueError):
         agg.value("median")
 
