@@ -154,11 +154,11 @@ class Simulator:
         the loop must not be past ``(time, seq)`` yet (see
         :attr:`current_seq`).
         """
-        now = self.now
-        if not (time > now or (time == now and seq >= self._current_seq)):
+        if not (time > self.now or (time == self.now and seq >= self._current_seq)):
             raise SchedulingError(  # *time* is in the past, or NaN
                 "cannot schedule at (%r, %d), already at (%r, %d)"
-                % (time, seq, now, self._current_seq))
+                % (time, seq, self.now, self._current_seq)
+            )
         heappush(self._heap, (time, seq, callback, args))
 
     def schedule_at(
