@@ -22,11 +22,11 @@ checkpoint counters ride along as run metadata only.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from ..analysis.stats import EmpiricalCdf
 from ..scenario.cache import DEFAULT_CACHE
+from ..scenario.engine import _in_child_process
 from ..scenario.netgen import NetworkConfig
 from ..units import kib
 from .api import Experiment, ExperimentResult, RunContext, SpecError
@@ -164,10 +164,10 @@ class GridStudy(Experiment):
             for point in self.grid(spec)
         ]
         workers = ctx.workers
-        if workers > 1 and multiprocessing.current_process().daemon:
+        if workers > 1 and _in_child_process():
             # Inside a pool worker (the study itself swept by `repro
-            # batch --workers N`): daemonic processes cannot spawn
-            # children, so the inner sweep degrades to serial.
+            # batch --workers N`): the outer pool already fills the
+            # cores, so the inner sweep runs serially, not nested.
             workers = 1
         on_item = None
         if ctx.checkpoint_dir is not None:

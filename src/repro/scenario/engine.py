@@ -6,10 +6,17 @@ the identical circuit table once per controller kind on a fresh
 simulator — network instantiation included, but *without* re-drawing
 anything — and assemble a serializable :class:`ScenarioResult` with
 per-circuit samples, probe time series and engine accounting.
+
+The kinds share nothing, so :func:`run_planned` replays a large enough
+plan's kinds side by side, one forked process each, byte for byte the
+result of replaying them one after the other.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -290,7 +297,14 @@ def run_scenario(
 def run_planned(
     plan: ScenarioPlan, kinds: Optional[Sequence[str]] = None
 ) -> ScenarioResult:
-    """Replay *plan* once per controller kind and assemble the result."""
+    """Replay *plan* once per controller kind and assemble the result.
+
+    Two or more kinds of a plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops or
+    more replay side by side, one in this process and each other one in
+    a forked child, when this process may use two CPUs and is itself no
+    worker.  Otherwise, and again if anything fails on that path, they
+    replay serially: an error is always the serial engine's own.
+    """
     scenario = plan.scenario
     run_kinds = list(kinds) if kinds is not None else list(scenario.kinds)
     samples: Dict[str, List[ScenarioCircuitSample]] = {}
@@ -299,17 +313,10 @@ def run_planned(
     failures: Dict[str, List[CircuitFailure]] = {}
     counters: Dict[str, Dict[str, int]] = {}
     faulted = bool(scenario.faults)
-    for kind in run_kinds:
-        (
-            samples[kind],
-            probes[kind],
-            events[kind],
-            kind_failures,
-            kind_counters,
-        ) = _run_kind(plan, kind)
+    for kind, outcome in zip(run_kinds, _run_kinds(plan, run_kinds)):
+        samples[kind], probes[kind], events[kind] = outcome[:3]
         if faulted:
-            failures[kind] = kind_failures
-            counters[kind] = kind_counters
+            failures[kind], counters[kind] = outcome[3:]
     return ScenarioResult(
         scenario=scenario,
         spec_hash=plan.spec_hash,
@@ -320,6 +327,67 @@ def run_planned(
         failures=failures,
         transport_counters=counters,
     )
+
+
+#: Planned cell-hops per kind under which the kinds replay serially.  A
+#: fork plus the outcome pickle costs 5-7 ms; ``run_planned`` on 2-circuit
+#: ``netscale`` plans, serial -> forked, median of 7 (BENCH_kinds.json):
+#: 72 cell-hops 3.4 -> 8.5 ms, 528: 19.9 -> 18.6 ms, 2 112: 79.5 ->
+#: 58.2 ms, 8 424: 397 -> 233 ms.  The floor is ~4x the break-even.
+_SIDE_BY_SIDE_FLOOR = 2000
+
+
+def _in_child_process() -> bool:
+    """Whether :mod:`multiprocessing` started this process (a pool worker,
+    a shard, a forked kind): it runs serially, never nesting processes."""
+    return multiprocessing.parent_process() is not None
+
+
+def _run_kinds(plan: ScenarioPlan, kinds: List[str]) -> list:
+    """The :func:`_run_kind` outcome of each of *kinds*, in kind order."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if (
+        min(len(kinds), cpus) > 1
+        and not _in_child_process()
+        and threading.active_count() == 1  # fork is unsafe beside threads
+        and plan.estimated_cost()["cell_hops"] >= _SIDE_BY_SIDE_FLOOR
+    ):
+        # Groups of *cpus* kinds: a group's first replays here, the others
+        # in forked children (plan inherited, pickled outcome sent back).
+        outcomes, children = [], []
+        try:
+            fork = multiprocessing.get_context("fork")  # ValueError if none
+            for start in range(0, len(kinds), cpus):
+                receivers = []
+                for kind in kinds[start + 1:start + cpus]:
+                    receiver, sender = fork.Pipe(duplex=False)
+                    child = fork.Process(target=_send_kind, args=(plan, kind, sender))
+                    child.start()
+                    children.append(child)
+                    receivers.append(receiver)
+                    sender.close()
+                outcomes.append(_run_kind(plan, kinds[start]))
+                # EOFError if a child raised or died: its pipe closed unsent.
+                outcomes.extend(receiver.recv() for receiver in receivers)
+            return outcomes
+        except Exception:
+            pass  # replay below, so the caller sees the serial engine's error
+        finally:
+            # No child outlives the call, error or interrupt included.
+            for child in children:
+                if len(outcomes) < len(kinds):
+                    child.kill()
+                child.join()
+    return [_run_kind(plan, kind) for kind in kinds]
+
+
+def _send_kind(plan: ScenarioPlan, kind: str, sender) -> None:
+    """A forked child's whole run: replay *kind* and send the outcome."""
+    try:
+        sender.send(_run_kind(plan, kind))
+    except Exception:
+        pass  # the parent reads the closed pipe and replays serially
 
 
 def build_circuit_run(

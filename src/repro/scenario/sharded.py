@@ -33,6 +33,7 @@ from .engine import (
     KindRun,
     ScenarioCircuitSample,
     ScenarioResult,
+    _in_child_process,
     _make_sample,
     build_circuit_run,
     run_planned,
@@ -290,7 +291,7 @@ def _run_disjoint(
         for comp in components
     ]
     workers = min(shards, len(payloads))
-    if workers <= 1 or multiprocessing.current_process().daemon:
+    if workers <= 1 or _in_child_process():
         # Serial fallback (shards=1, or already inside a pool worker):
         # the identical payload -> run -> encode round trip, so the
         # result is byte-identical to the pooled path.
