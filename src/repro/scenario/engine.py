@@ -330,10 +330,10 @@ def run_planned(
 
 
 #: Planned cell-hops per kind under which the kinds replay serially.  A
-#: fork plus the outcome pickle costs 5-7 ms; ``run_planned`` on 2-circuit
+#: fork plus the outcome pickle costs 5-12 ms; ``run_planned`` on 2-circuit
 #: ``netscale`` plans, serial -> forked, median of 7 (BENCH_kinds.json):
-#: 72 cell-hops 3.4 -> 8.5 ms, 528: 19.9 -> 18.6 ms, 2 112: 79.5 ->
-#: 58.2 ms, 8 424: 397 -> 233 ms.  The floor is ~4x the break-even.
+#: 72 cell-hops 4.2 -> 12.2 ms, 528: 18.7 -> 20.6 ms, 2 112: 76.7 ->
+#: 54.0 ms, 8 424: 324 -> 217 ms.  The floor is ~4x that break-even.
 _SIDE_BY_SIDE_FLOOR = 2000
 
 

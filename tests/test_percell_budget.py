@@ -53,10 +53,6 @@ def reliable_scenario():
 #:              calls / cells_forwarded      parent, before ROADMAP 2(a)-(c)
 #:   lossless   1,005,389 / 10,752 = 93.507  1,330,515 / 10,752 = 123.746
 #:   reliable     332,930 /  2,644 = 125.919   411,077 /  2,644 = 155.475
-#:
-#: (Replayed one kind per ``run_planned`` call since the engine forks
-#: kinds: +16 calls of engine bookkeeping on the 1,005,373 / 332,914 a
-#: single two-kind call made.)
 BUDGETS = {
     "lossless": (lossless_scenario, 95.37),
     "reliable": (reliable_scenario, 128.43),

@@ -89,10 +89,8 @@ def low_floor(monkeypatch):
     monkeypatch.setattr(engine, "_SIDE_BY_SIDE_FLOOR", 0)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids this process forked, in order."""
-    pids = []
+def recording_fork(pids):
+    """``os.fork``, appending each child's pid to *pids* in the parent."""
     real_fork = os.fork
 
     def fork():
@@ -101,7 +99,14 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", fork)
+    return fork
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids this process forked, in order."""
+    pids = []
+    monkeypatch.setattr(os, "fork", recording_fork(pids))
     return pids
 
 
@@ -287,13 +292,7 @@ def _replay_in_worker():
     """(in a child?, forks, result bytes) of a floor-less replay."""
     engine._SIDE_BY_SIDE_FLOOR = 0
     pids = []
-    real_fork = os.fork
-
-    def fork():
-        pids.append(real_fork())
-        return pids[-1]
-
-    os.fork = fork
+    os.fork = recording_fork(pids)  # this worker is not reused
     result = run_planned(lossless_plan())
     return engine._in_child_process(), len(pids), result_bytes(result)
 
