@@ -197,8 +197,11 @@ class JobStore:
         payload = data.get("payload")
         if not isinstance(payload, dict) or "result" not in payload:
             return None
-        if job_key(payload.get("experiment"), payload.get("spec")) != key:
-            return None
+        try:
+            if job_key(payload.get("experiment"), payload.get("spec")) != key:
+                return None
+        except RecursionError:
+            return None  # a spec nested too deep to hash is not ours
         return payload
 
     def put(

@@ -263,7 +263,9 @@ class DiskPlanCache:
                 from .spec import ScenarioPlan
 
                 plan = decode(ScenarioPlan, payload)
-                if plan.spec_hash != key:
+                # The stored echo can survive an edit of the scenario
+                # it names; only the scenario's own hash is proof.
+                if plan.spec_hash != key or spec_hash(plan.scenario) != key:
                     return None
                 return plan
             from .netgen import NetworkPlan

@@ -98,7 +98,9 @@ def read_envelope(
     try:
         with open(path, "r") as handle:
             data = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
+        # ValueError covers bad JSON and bad UTF-8; a file of nothing
+        # but "[" exhausts the parser's recursion budget instead.
         return None
     if not isinstance(data, dict):
         return None
@@ -177,11 +179,11 @@ class OwnerLocks:
         if token is None:
             return  # nothing acquired (unwritable directory)
         try:
-            with open(path, "r") as handle:
+            with open(path, "rb") as handle:
                 current = handle.read()
         except OSError:
             return
-        if current == token:
+        if current == token.encode("ascii"):
             try:
                 os.unlink(path)
             except OSError:
