@@ -48,6 +48,9 @@ from typing import List, Optional
 from .experiments.api import RunContext
 from .experiments.registry import get_experiment, iter_experiments
 from .experiments.runner import run_batch
+from .jobs.store import CHECKPOINT_ENV_VAR
+from .scenario.cache import PLAN_CACHE_ENV_VAR
+from .storage import resolve_dir
 
 __all__ = ["main", "build_parser"]
 
@@ -279,9 +282,9 @@ def _attached_plan_cache(args: argparse.Namespace):
     in-process callers of :func:`main` (tests, notebooks) do not leak
     one command's cache directory into the next.
     """
-    from .scenario.cache import DEFAULT_CACHE, attached_disk_tier, resolve_cache_dir
+    from .scenario.cache import DEFAULT_CACHE, attached_disk_tier
 
-    directory = resolve_cache_dir(getattr(args, "plan_cache", None))
+    directory = resolve_dir(getattr(args, "plan_cache", None), PLAN_CACHE_ENV_VAR)
     return attached_disk_tier(DEFAULT_CACHE, directory)
 
 
@@ -390,7 +393,6 @@ def _run_sweep(args: argparse.Namespace, data: list,
     the latter two with a resume hint when checkpointing is on.
     """
     from .jobs.dispatch import SweepBroken, SweepInterrupted
-    from .scenario.cache import resolve_cache_dir
 
     progress = args.progress
     store = None
@@ -431,7 +433,8 @@ def _run_sweep(args: argparse.Namespace, data: list,
         # run_batch normalizes dicts, bare experiment names, and BatchJobs.
         result = run_batch(data, workers=args.workers,
                            base_seed=args.base_seed,
-                           plan_cache_dir=resolve_cache_dir(args.plan_cache),
+                           plan_cache_dir=resolve_dir(args.plan_cache,
+                                                      PLAN_CACHE_ENV_VAR),
                            checkpoint_dir=checkpoint_dir,
                            resume=resume,
                            on_item=on_item if streaming else None)
@@ -500,17 +503,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return _dry_run_batch(
             args.specs, data, plan=args.plan, base_seed=args.base_seed
         )
-    from .jobs.store import resolve_checkpoint_dir
-
     return _run_sweep(args, data,
-                      checkpoint_dir=resolve_checkpoint_dir(args.checkpoint),
+                      checkpoint_dir=resolve_dir(args.checkpoint,
+                                                 CHECKPOINT_ENV_VAR),
                       resume=False)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .jobs.store import resolve_checkpoint_dir
-
-    directory = resolve_checkpoint_dir(args.checkpoint)
+    directory = resolve_dir(args.checkpoint, CHECKPOINT_ENV_VAR)
     if not directory:
         print("repro serve needs a checkpoint directory: pass "
               "--checkpoint DIR or set REPRO_CHECKPOINT", file=sys.stderr)
@@ -522,9 +522,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from .jobs.store import resolve_checkpoint_dir
-
-    directory = resolve_checkpoint_dir(args.checkpoint)
+    directory = resolve_dir(args.checkpoint, CHECKPOINT_ENV_VAR)
     if not directory:
         print("repro resume needs a checkpoint directory: pass "
               "--checkpoint DIR or set REPRO_CHECKPOINT", file=sys.stderr)
@@ -659,9 +657,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache info|clear``: manage the on-disk plan cache."""
-    from .scenario.cache import DiskPlanCache, resolve_cache_dir
+    from .scenario.cache import DiskPlanCache
 
-    directory = resolve_cache_dir(args.dir)
+    directory = resolve_dir(args.dir, PLAN_CACHE_ENV_VAR)
     if not directory:
         print(
             "no plan-cache directory: pass --dir DIR or set "

@@ -30,7 +30,6 @@ from .store import (
     JobStore,
     code_fingerprint,
     job_key,
-    resolve_checkpoint_dir,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "code_fingerprint",
     "execute_sweep",
     "job_key",
-    "resolve_checkpoint_dir",
 ]

@@ -13,7 +13,7 @@ encoded (and, under ``base_seed``, per-index re-seeded) spec — so
 * two identical jobs inside one sweep (or across concurrent sweeps
   sharing a directory) resolve to one execution.
 
-The disk discipline is the one the scenario plan cache established
+The disk discipline is the one the scenario plan cache uses
 (:mod:`repro.scenario.cache`), via the shared :mod:`repro.storage`
 helpers: envelope files with a format version and a writer
 fingerprint, atomic temp-file-and-rename publication so partially
@@ -23,9 +23,9 @@ anything corrupt or foreign is a miss, never an error.
 Checkpoints written by *different simulator code* must not satisfy a
 resume — the resumed half of a sweep would silently disagree with the
 checkpointed half.  Every envelope therefore carries
-:func:`code_fingerprint`, a content hash over the entire ``repro``
-package source; entries from another commit are misses and their jobs
-re-run.
+:func:`repro.storage.source_fingerprint`, a content hash over the
+entire ``repro`` package source; entries from another commit are
+misses and their jobs re-run.
 
 Alongside the results, the store keeps per-job **lease records**: a
 worker writes a lease when it starts a job and removes it on
@@ -37,15 +37,17 @@ an un-checkpointed job is re-run whether or not its lease survived.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import socket
 import time
 from typing import Any, Dict, List, Optional
 
 from ..storage import (
+    clear_entries,
     content_hash,
+    list_entries,
     read_envelope,
+    source_fingerprint,
     sweep_stale_files,
     write_envelope,
 )
@@ -55,23 +57,10 @@ __all__ = [
     "JobStore",
     "code_fingerprint",
     "job_key",
-    "resolve_checkpoint_dir",
 ]
 
 #: Environment variable naming the default sweep-checkpoint directory.
 CHECKPOINT_ENV_VAR = "REPRO_CHECKPOINT"
-
-
-def resolve_checkpoint_dir(explicit: Optional[str] = None) -> Optional[str]:
-    """The checkpoint directory to use: *explicit*, else the environment.
-
-    Returns ``None`` when neither a directory argument nor a non-empty
-    :data:`CHECKPOINT_ENV_VAR` is present (checkpointing stays off).
-    """
-    if explicit:
-        return explicit
-    value = os.environ.get(CHECKPOINT_ENV_VAR, "").strip()
-    return value or None
 
 
 def job_key(experiment: str, spec_data: Dict[str, Any]) -> str:
@@ -92,39 +81,16 @@ def job_key(experiment: str, spec_data: Dict[str, Any]) -> str:
     return content_hash({"experiment": experiment, "spec": spec_data})
 
 
+#: Set to ``None`` to make the next :func:`code_fingerprint` re-walk the
+#: package (the perf ledger times a cold walk this way).
 _code_fingerprint_memo: Optional[str] = None
 
 
 def code_fingerprint() -> str:
-    """Content hash of the whole ``repro`` package, once per process.
-
-    The job-store analogue of the plan cache's planner fingerprint —
-    but a job's result can depend on *any* module (engine, transport,
-    scenario parts, experiment harnesses), so the honest guard hashes
-    every ``.py`` file under the package.  Checkpoint directories
-    outlive commits (CI caches, long-lived ``REPRO_CHECKPOINT``
-    directories); entries stamped by different code are misses, so a
-    resume never merges results two versions of the simulator disagree
-    on.  Unreadable sources degrade toward fewer cross-version hits,
-    never toward stale answers.
-    """
+    """The stamp on every checkpoint: :func:`repro.storage.source_fingerprint`."""
     global _code_fingerprint_memo
     if _code_fingerprint_memo is None:
-        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256()
-        for root, dirs, names in sorted(os.walk(package_dir)):
-            dirs.sort()
-            for name in sorted(names):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(root, name)
-                digest.update(os.path.relpath(path, package_dir).encode("utf-8"))
-                try:
-                    with open(path, "rb") as handle:
-                        digest.update(handle.read())
-                except OSError:
-                    pass
-        _code_fingerprint_memo = digest.hexdigest()
+        _code_fingerprint_memo = source_fingerprint(refresh=True)
     return _code_fingerprint_memo
 
 
@@ -190,7 +156,7 @@ class JobStore:
             "format": self.FORMAT_VERSION,
             "kind": "job",
             "key": key,
-            "code": code_fingerprint(),
+            "code": source_fingerprint(),
         })
         if data is None:
             return None
@@ -220,7 +186,7 @@ class JobStore:
             "format": self.FORMAT_VERSION,
             "kind": "job",
             "key": key,
-            "code": code_fingerprint(),
+            "code": source_fingerprint(),
             "payload": {
                 "experiment": experiment,
                 "spec": spec_data,
@@ -231,13 +197,7 @@ class JobStore:
 
     def keys(self) -> List[str]:
         """Every checkpointed job key currently on disk (sorted)."""
-        try:
-            names = os.listdir(self._results_dir())
-        except OSError:
-            return []
-        return sorted(
-            name[:-len(".json")] for name in names if name.endswith(".json")
-        )
+        return list_entries(self._results_dir())
 
     # --- leases -----------------------------------------------------------
 
@@ -274,22 +234,15 @@ class JobStore:
         original worker stamped.  ``repro resume`` reports these and
         re-leases them (the re-run worker overwrites the record).
         """
-        try:
-            names = os.listdir(self._leases_dir())
-        except OSError:
-            return {}
         checkpointed = set(self.keys())
         orphans: Dict[str, Dict[str, Any]] = {}
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            key = name[:-len(".json")]
+        for key in list_entries(self._leases_dir()):
             if key in checkpointed:
                 # The worker died between publishing the result and
                 # unlinking its lease: the job is done, not orphaned.
                 self.release(key)
                 continue
-            data = read_envelope(os.path.join(self._leases_dir(), name), expect={
+            data = read_envelope(self._lease_path(key), expect={
                 "format": self.FORMAT_VERSION,
                 "kind": "lease",
                 "key": key,
@@ -340,26 +293,18 @@ class JobStore:
         }
 
     def sweep_scratch(self) -> None:
-        """Janitor pass: drop temp files orphaned by killed writers."""
-        for directory in (self._results_dir(), self._leases_dir()):
+        """Janitor pass: drop temp files orphaned by killed writers.
+
+        Covers the top directory too: ``partial.json``'s temp file
+        lands there, beside the snapshot it is renamed onto.
+        """
+        for directory in (self._results_dir(), self._leases_dir(), self.directory):
             sweep_stale_files(directory, (".tmp",), older_than=60.0)
 
     def clear(self) -> int:
         """Delete every checkpoint, lease and snapshot; checkpoints removed."""
-        removed = 0
-        for directory in (self._results_dir(), self._leases_dir()):
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            for name in names:
-                path = os.path.join(directory, name)
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                if directory == self._results_dir() and name.endswith(".json"):
-                    removed += 1
+        removed = clear_entries(self._results_dir())
+        clear_entries(self._leases_dir())
         try:
             os.unlink(self.partial_path())
         except OSError:

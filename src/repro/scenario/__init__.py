@@ -53,7 +53,6 @@ from .cache import (
     PLAN_CACHE_ENV_VAR,
     PlanCache,
     attached_disk_tier,
-    resolve_cache_dir,
     spec_hash,
 )
 from .churn import ClosedLoopChurn, NoChurn, OpenLoopChurn
@@ -157,7 +156,6 @@ __all__ = [
     "plan_network",
     "plan_scenario",
     "register_part",
-    "resolve_cache_dir",
     "run_planned",
     "run_scenario",
     "spec_hash",

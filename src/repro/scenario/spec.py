@@ -190,8 +190,8 @@ def plan_scenario(
     key = spec_hash(scenario)
     if cache is None:
         return _plan_cold(scenario, key, None)
-    return cache.get_or_compute_plan(
-        key, lambda: _plan_cold(scenario, key, cache)
+    return cache.get_or_compute(
+        "plan", key, lambda: _plan_cold(scenario, key, cache)
     )
 
 
@@ -204,8 +204,9 @@ def _plan_cold(
 
     if cache is not None:
         network_key = spec_hash(topology.network_fingerprint(scenario))
-        network = cache.get_or_compute_network(
-            network_key, lambda: topology.plan_network(scenario, streams)
+        network = cache.get_or_compute(
+            "network", network_key,
+            lambda: topology.plan_network(scenario, streams),
         )
     else:
         network = topology.plan_network(scenario, streams)

@@ -1,28 +1,35 @@
-"""Shared on-disk envelope, atomic-write and lock-file machinery.
+"""Shared on-disk envelope, atomic-write, directory and lock-file machinery.
 
 Two subsystems persist content-addressed JSON entries under a shared
 directory: the scenario plan cache (:mod:`repro.scenario.cache`) and
-the experiment job store (:mod:`repro.jobs.store`).  Both need the same
-three disciplines, extracted here so they cannot drift apart:
+the experiment job store (:mod:`repro.jobs.store`).  Both are "a
+directory of ``<key>.json`` envelopes", so everything directory- or
+clock-shaped about that lives here, once:
 
 * **envelopes** — every entry file wraps its payload in a dict carrying
   a format version, a kind, its own key and a writer fingerprint, so a
   reader can reject stale layouts, misplaced files and entries written
   by different code *before* trusting the payload;
+* **one writer fingerprint** — :func:`source_fingerprint`, a hash of
+  the whole package source, stamps both stores: one invalidation rule,
+  no hand-kept list of "modules that matter" to forget a module in;
 * **atomic writes** — entries land via a per-process temp file renamed
   into place, so concurrent readers only ever observe complete entries
   (two processes racing on one key write the same deterministic bytes
   and the last rename wins);
+* **directories** — listing a directory's entries, clearing it, and
+  sweeping the ``.tmp``/``.lock`` files a killed process left in it;
 * **owner-token lock files** — cross-process mutual exclusion with
-  stale-lock breaking: each lock file records a token unique to its
-  creator, so releasing cannot unlink a lock that was broken and
-  re-taken by someone else, and locks older than a timeout are treated
-  as abandoned by protocol.
+  stale-lock breaking and a bounded wait: each lock file records a
+  token unique to its creator, so releasing cannot unlink a lock that
+  was broken and re-taken by someone else, and locks older than a
+  timeout are treated as abandoned by protocol.
 
 Everything here degrades safely: writes to an unusable directory are
 no-ops, reads of corrupt or foreign files are misses, and lock
 acquisition on an unwritable directory falls back to "go ahead"
-(redundant work is deterministic work, never a wrong answer).
+(redundant work is deterministic work, never a wrong answer).  The host
+clock is read here and nowhere in the simulated packages.
 """
 
 from __future__ import annotations
@@ -32,17 +39,30 @@ import itertools
 import json
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .serialize import encode
 
 __all__ = [
     "OwnerLocks",
+    "clear_entries",
     "content_hash",
+    "list_entries",
     "read_envelope",
+    "resolve_dir",
+    "source_fingerprint",
     "sweep_stale_files",
     "write_envelope",
 ]
+
+
+def resolve_dir(explicit: Optional[str], env_var: str) -> Optional[str]:
+    """The store directory to use: *explicit*, else the environment.
+
+    Returns ``None`` when neither a directory argument nor a non-empty
+    *env_var* is present (that store stays off).
+    """
+    return explicit or os.environ.get(env_var, "").strip() or None
 
 
 def content_hash(payload: Any) -> str:
@@ -57,6 +77,41 @@ def content_hash(payload: Any) -> str:
         encode(payload), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+_source_fingerprint_memo: Optional[str] = None
+
+
+def source_fingerprint(refresh: bool = False) -> str:
+    """Content hash of the whole ``repro`` package, once per process.
+
+    The writer stamp of both stores.  A plan or a job's result can
+    depend on *any* module (planner, parts, fault processes, engine,
+    transport, experiment harnesses), so the honest guard hashes every
+    ``.py`` file under the package.  Store directories outlive commits
+    (``actions/cache`` in CI, a long-lived ``REPRO_PLAN_CACHE`` or
+    ``REPRO_CHECKPOINT``); entries stamped by different code are
+    misses, so a run never mixes what two versions of the simulator
+    disagree on.  Unreadable sources degrade toward fewer cross-version
+    hits, never toward stale answers.  *refresh* walks the tree again.
+    """
+    global _source_fingerprint_memo
+    if refresh or _source_fingerprint_memo is None:
+        digest = hashlib.sha256()
+        for root, __, names in sorted(os.walk(_PACKAGE_DIR)):
+            for name in sorted(names):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                digest.update(os.path.relpath(path, _PACKAGE_DIR).encode("utf-8"))
+                try:
+                    with open(path, "rb") as handle:
+                        digest.update(handle.read())
+                except OSError:
+                    pass
+        _source_fingerprint_memo = digest.hexdigest()
+    return _source_fingerprint_memo
 
 
 def write_envelope(path: str, envelope: Dict[str, Any]) -> Optional[int]:
@@ -188,6 +243,51 @@ class OwnerLocks:
                 os.unlink(path)
             except OSError:
                 pass
+
+    def wait(
+        self, path: str, poll: Callable[[], Optional[Any]]
+    ) -> Optional[Any]:
+        """What the holder of the lock at *path* publishes, else ``None``.
+
+        Calls *poll* every 10 ms until it returns a value, the lock
+        file disappears without one (its holder released or died; the
+        poll just before already failed) or *timeout* elapses.
+        """
+        deadline = time.monotonic() + self.timeout
+        while True:
+            value = poll()
+            if (
+                value is not None
+                or time.monotonic() >= deadline
+                or not os.path.exists(path)
+            ):
+                return value
+            time.sleep(0.01)
+
+
+def list_entries(directory: str) -> List[str]:
+    """Sorted keys of the ``<key>.json`` entries under *directory*."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted(name[:-len(".json")] for name in names if name.endswith(".json"))
+
+
+def clear_entries(directory: str) -> int:
+    """Unlink every file under *directory*, scratch included; entries removed."""
+    removed = 0
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return 0
+    for name in names:
+        try:
+            os.unlink(os.path.join(directory, name))
+        except OSError:
+            continue
+        removed += name.endswith(".json")
+    return removed
 
 
 def sweep_stale_files(

@@ -13,9 +13,8 @@ from repro.jobs.store import (
     JobStore,
     code_fingerprint,
     job_key,
-    resolve_checkpoint_dir,
 )
-from repro.storage import write_envelope
+from repro.storage import resolve_dir, write_envelope
 from repro.units import milliseconds
 
 
@@ -181,6 +180,23 @@ def test_info_and_clear(tmp_path):
     assert store.read_partial() is None
 
 
+def test_sweep_scratch_reaches_the_snapshot_temp_file(tmp_path):
+    """A writer killed mid-snapshot leaves ``partial.json.<pid>.tmp`` up top."""
+    store = JobStore(str(tmp_path / "ckpt"))
+    key = _put_one(store)
+    store.write_partial({"done": 1, "total": 1, "failed": 0, "items": []})
+    orphan = store.partial_path() + ".4242.tmp"
+    live = store.partial_path() + ".4243.tmp"
+    for path in (orphan, live):
+        with open(path, "w") as handle:
+            handle.write('{"format":1,"kind":"partial","payl')
+    os.utime(orphan, (1, 1))  # ancient: its writer is long dead
+    store.sweep_scratch()
+    assert not os.path.exists(orphan)
+    assert os.path.exists(live)  # a writer renames within milliseconds
+    assert store.read_partial() is not None and store.keys() == [key]
+
+
 def test_lease_timeout_must_be_positive(tmp_path):
     with pytest.raises(ValueError, match="lease_timeout"):
         JobStore(str(tmp_path), lease_timeout=0.0)
@@ -188,10 +204,10 @@ def test_lease_timeout_must_be_positive(tmp_path):
 
 def test_resolve_checkpoint_dir(monkeypatch):
     monkeypatch.delenv(CHECKPOINT_ENV_VAR, raising=False)
-    assert resolve_checkpoint_dir(None) is None
-    assert resolve_checkpoint_dir("explicit") == "explicit"
+    assert resolve_dir(None, CHECKPOINT_ENV_VAR) is None
+    assert resolve_dir("explicit", CHECKPOINT_ENV_VAR) == "explicit"
     monkeypatch.setenv(CHECKPOINT_ENV_VAR, "from-env")
-    assert resolve_checkpoint_dir(None) == "from-env"
-    assert resolve_checkpoint_dir("explicit") == "explicit"
+    assert resolve_dir(None, CHECKPOINT_ENV_VAR) == "from-env"
+    assert resolve_dir("explicit", CHECKPOINT_ENV_VAR) == "explicit"
     monkeypatch.setenv(CHECKPOINT_ENV_VAR, "   ")
-    assert resolve_checkpoint_dir(None) is None
+    assert resolve_dir(None, CHECKPOINT_ENV_VAR) is None

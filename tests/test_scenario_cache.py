@@ -60,7 +60,7 @@ def test_cached_plan_is_byte_identical_to_cold_plan():
     miss = plan_scenario(scenario, cache=cache)   # cold through the cache
     hit = plan_scenario(scenario, cache=cache)    # warm
     assert hit is miss
-    assert cache.plan_hits == 1 and cache.plan_misses == 1
+    assert cache.stats()["plan_hits"] == 1 and cache.stats()["plan_misses"] == 1
     assert [c.to_dict() for c in cold.circuits] == \
         [c.to_dict() for c in hit.circuits]
     assert cold.bottleneck_relay == hit.bottleneck_relay
@@ -75,7 +75,7 @@ def test_cache_hit_and_miss_runs_produce_identical_json():
     uncached = run_scenario(scenario, cache=None)
     as_json = lambda r: json.dumps(r.to_dict(), sort_keys=True)  # noqa: E731
     assert as_json(first) == as_json(second) == as_json(uncached)
-    assert cache.plan_hits == 1
+    assert cache.stats()["plan_hits"] == 1
 
 
 def test_shared_network_plan_is_byte_identical_to_cold_plan():
@@ -93,7 +93,7 @@ def test_shared_network_plan_is_byte_identical_to_cold_plan():
     plan_scenario(base, cache=cache)
     warm = plan_scenario(variant, cache=cache)    # network from cache
     cold = plan_scenario(variant, cache=None)     # everything drawn cold
-    assert cache.network_hits == 1
+    assert cache.stats()["network_hits"] == 1
     assert [c.to_dict() for c in warm.circuits] == \
         [c.to_dict() for c in cold.circuits]
     assert warm.bottleneck_relay == cold.bottleneck_relay
@@ -109,15 +109,15 @@ def test_network_plan_shared_across_different_specs():
         cache=cache,
     )
     # Three distinct specs (three plan misses), one generated network.
-    assert cache.plan_misses == 3 and cache.plan_hits == 0
-    assert cache.network_misses == 1 and cache.network_hits == 2
+    assert cache.stats()["plan_misses"] == 3 and cache.stats()["plan_hits"] == 0
+    assert cache.stats()["network_misses"] == 1 and cache.stats()["network_hits"] == 2
 
 
 def test_network_cache_respects_seed():
     cache = PlanCache()
     plan_scenario(small_scenario(seed=1), cache=cache)
     plan_scenario(small_scenario(seed=2), cache=cache)
-    assert cache.network_misses == 2 and cache.network_hits == 0
+    assert cache.stats()["network_misses"] == 2 and cache.stats()["network_hits"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -255,20 +255,20 @@ def test_cache_lru_eviction():
     cache = PlanCache(max_entries=2)
     for count in (2, 3, 4):  # three distinct specs, capacity two
         plan_scenario(small_scenario(circuit_count=count), cache=cache)
-    assert cache.plan_misses == 3
+    assert cache.stats()["plan_misses"] == 3
     # The oldest spec was evicted: re-planning it misses again...
     plan_scenario(small_scenario(circuit_count=2), cache=cache)
-    assert cache.plan_misses == 4
+    assert cache.stats()["plan_misses"] == 4
     # ...while the newest is still cached.
     plan_scenario(small_scenario(circuit_count=4), cache=cache)
-    assert cache.plan_hits == 1
+    assert cache.stats()["plan_hits"] == 1
 
 
 def test_cache_clear_resets_everything():
     cache = PlanCache()
     plan_scenario(small_scenario(), cache=cache)
     plan_scenario(small_scenario(), cache=cache)
-    assert len(cache) > 0 and cache.plan_hits == 1
+    assert len(cache) > 0 and cache.stats()["plan_hits"] == 1
     cache.clear()
     assert len(cache) == 0
     assert cache.stats() == {"plan_hits": 0, "plan_misses": 0,

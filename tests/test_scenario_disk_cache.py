@@ -100,16 +100,16 @@ def test_disk_tier_shares_plans_across_cache_instances(tmp_path):
 
     writer = PlanCache(disk=DiskPlanCache(directory))
     written = plan_scenario(scenario, cache=writer)
-    assert writer.plan_misses == 1
-    assert writer.disk.plan_misses == 1  # consulted before planning
+    assert writer.stats()["plan_misses"] == 1
+    assert writer.disk.stats()["disk_plan_misses"] == 1  # consulted before planning
 
     # A fresh PlanCache (a new process, in effect) is served from disk:
     # no re-planning, no network generation.
     reader = PlanCache(disk=DiskPlanCache(directory))
     loaded = plan_scenario(scenario, cache=reader)
-    assert reader.plan_hits == 1 and reader.plan_misses == 0
-    assert reader.network_misses == 0
-    assert reader.disk.plan_hits == 1
+    assert reader.stats()["plan_hits"] == 1 and reader.stats()["plan_misses"] == 0
+    assert reader.stats()["network_misses"] == 0
+    assert reader.disk.stats()["disk_plan_hits"] == 1
     assert encode(loaded) == encode(written)
 
     # Byte-identical experiment output, disk-loaded vs fully cold.
@@ -126,9 +126,9 @@ def test_disk_tier_shares_network_plans(tmp_path):
     # scenario plan misses but the network comes from disk.
     reader = PlanCache(disk=DiskPlanCache(directory))
     warm = plan_scenario(small_scenario(circuit_count=5), cache=reader)
-    assert reader.plan_misses == 1
-    assert reader.network_hits == 1 and reader.network_misses == 0
-    assert reader.disk.network_hits == 1
+    assert reader.stats()["plan_misses"] == 1
+    assert reader.stats()["network_hits"] == 1 and reader.stats()["network_misses"] == 0
+    assert reader.disk.stats()["disk_network_hits"] == 1
 
     cold = plan_scenario(small_scenario(circuit_count=5), cache=None)
     assert encode(warm) == encode(cold)
@@ -138,10 +138,10 @@ def test_memory_hit_skips_disk(tmp_path):
     scenario = small_scenario()
     cache = PlanCache(disk=DiskPlanCache(str(tmp_path)))
     plan_scenario(scenario, cache=cache)
-    consults = cache.disk.plan_hits + cache.disk.plan_misses
+    consults = cache.disk.stats()["disk_plan_hits"] + cache.disk.stats()["disk_plan_misses"]
     plan_scenario(scenario, cache=cache)  # memory hit
-    assert cache.plan_hits == 1
-    assert cache.disk.plan_hits + cache.disk.plan_misses == consults
+    assert cache.stats()["plan_hits"] == 1
+    assert cache.disk.stats()["disk_plan_hits"] + cache.disk.stats()["disk_plan_misses"] == consults
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_truncated_entry_falls_back_to_cold_plan(tmp_path):
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
-    assert cache.plan_misses == 1 and cache.disk.plan_misses == 1
+    assert cache.stats()["plan_misses"] == 1 and cache.disk.stats()["disk_plan_misses"] == 1
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
 
 
@@ -195,7 +195,7 @@ def test_wrong_format_version_is_a_miss(tmp_path):
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
-    assert cache.disk.plan_hits == 0 and cache.disk.plan_misses == 1
+    assert cache.disk.stats()["disk_plan_hits"] == 0 and cache.disk.stats()["disk_plan_misses"] == 1
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
     # Re-planning republished the entries at the current version.
     with open(_entry_paths(directory)[0]) as handle:
@@ -211,7 +211,7 @@ def test_garbage_entry_is_a_miss(tmp_path):
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
-    assert cache.plan_misses == 1
+    assert cache.stats()["plan_misses"] == 1
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
 
 
@@ -234,8 +234,94 @@ def test_entry_from_different_planner_code_is_a_miss(tmp_path):
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
-    assert cache.disk.plan_hits == 0 and cache.plan_misses == 1
+    assert cache.disk.stats()["disk_plan_hits"] == 0 and cache.stats()["plan_misses"] == 1
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
+
+
+def _forget_fingerprints(monkeypatch):
+    """Make the next stamp re-read the sources, whichever module memoizes it."""
+    import repro.jobs.store
+    import repro.scenario.cache
+    import repro.storage
+
+    for module in (repro.storage, repro.scenario.cache, repro.jobs.store):
+        for name in list(vars(module)):
+            if name.endswith("fingerprint_memo"):
+                monkeypatch.setattr(module, name, None)
+
+
+def test_entry_predating_an_edit_of_the_fault_planner_is_a_miss(
+        tmp_path, monkeypatch):
+    """``scenario/faults.py`` draws the fault events a plan persists.
+
+    The stamp has to see its bytes: a plan with relay churn written to
+    a disk tier, then an edit of that file (served here by patching
+    the reader the stamp goes through), must not be served again.
+    """
+    import builtins
+
+    import repro.scenario.faults as faults_module
+    from repro.scenario import RelayChurnFaults
+
+    scenario = small_scenario(faults=(RelayChurnFaults(mttf=2.0),))
+    _forget_fingerprints(monkeypatch)
+    directory = _warm_directory(tmp_path, scenario)
+    warm = PlanCache(disk=DiskPlanCache(directory))
+    assert plan_scenario(scenario, cache=warm).fault_events
+    assert warm.disk.stats()["disk_plan_hits"] == 1  # same code: served
+
+    real_open = builtins.open
+    target = os.path.realpath(faults_module.__file__)
+
+    def open_edited(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if mode == "rb" and os.path.realpath(file) == target:
+            import io
+
+            with handle:
+                return io.BytesIO(handle.read() + b"\n# a different draw\n")
+        return handle
+
+    monkeypatch.setattr(builtins, "open", open_edited)
+    _forget_fingerprints(monkeypatch)
+    cache = PlanCache(disk=DiskPlanCache(directory))
+    plan = plan_scenario(scenario, cache=cache)
+    stats = cache.stats()
+    assert stats["disk_plan_hits"] == 0 and stats["disk_network_hits"] == 0
+    assert stats["plan_misses"] == 1 and stats["network_misses"] == 1
+    assert encode(plan) == encode(plan_scenario(scenario, cache=None))
+
+
+def test_directory_stamped_by_the_module_list_reads_as_all_miss(tmp_path):
+    """What a checkout before the whole-package stamp left behind.
+
+    Those entries carry a hash over a hand-kept list of planner
+    modules; under the one stamp both stores share now they are plain
+    misses (never an error), replanned and republished.
+    """
+    import hashlib
+
+    scenario = small_scenario()
+    directory = _warm_directory(tmp_path, scenario)
+    digest = hashlib.sha256()
+    for name in ("repro.scenario.spec", "repro.scenario.netgen", "repro.units"):
+        digest.update(name.encode("utf-8"))
+    for path in _entry_paths(directory):
+        with open(path, "r") as handle:
+            data = json.load(handle)
+        data["planner"] = digest.hexdigest()
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+
+    cache = PlanCache(disk=DiskPlanCache(directory))
+    plan = plan_scenario(scenario, cache=cache)
+    stats = cache.stats()
+    assert stats["disk_plan_hits"] == 0 and stats["disk_network_hits"] == 0
+    assert stats["disk_plan_misses"] == 1 and stats["disk_network_misses"] == 1
+    assert encode(plan) == encode(plan_scenario(scenario, cache=None))
+    reader = PlanCache(disk=DiskPlanCache(directory))
+    plan_scenario(scenario, cache=reader)
+    assert reader.stats()["disk_plan_hits"] == 1  # republished under the new stamp
 
 
 def test_scan_sweeps_orphaned_temp_and_lock_files(tmp_path):
@@ -278,7 +364,7 @@ def test_entry_under_wrong_key_is_a_miss(tmp_path):
 
     disk = DiskPlanCache(directory)
     assert disk.get_network("f" * 64) is None  # key mismatch inside file
-    assert disk.network_misses == 1
+    assert disk.stats()["disk_network_misses"] == 1
 
 
 def test_unusable_directory_degrades_to_memory_only(tmp_path):
@@ -293,7 +379,7 @@ def test_unusable_directory_degrades_to_memory_only(tmp_path):
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
     # Memory tier still works; disk never produced a hit.
     assert plan_scenario(scenario, cache=cache) is plan
-    assert cache.disk.plan_hits == 0
+    assert cache.disk.stats()["disk_plan_hits"] == 0
     assert blocker.read_text() == "occupied"  # nothing clobbered it
 
 
@@ -347,8 +433,8 @@ def test_lock_loser_waits_for_winners_entry(tmp_path):
     assert encode(plan) == encode(reference)
     # The wait resolved to a hit, not a cold plan: nothing was planned
     # by the loser (misses net out to zero).
-    assert loser.plan_hits == 1 and loser.plan_misses == 0
-    assert loser.disk.plan_hits == 1
+    assert loser.stats()["plan_hits"] == 1 and loser.stats()["plan_misses"] == 0
+    assert loser.disk.stats()["disk_plan_hits"] == 1
 
 
 def test_lock_timeout_falls_back_to_cold_plan(tmp_path):
@@ -361,7 +447,7 @@ def test_lock_timeout_falls_back_to_cold_plan(tmp_path):
     cache = PlanCache(disk=DiskPlanCache(directory, lock_timeout=0.2))
     plan = plan_scenario(scenario, cache=cache)  # waits 0.2 s, then plans
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
-    assert cache.plan_misses == 1
+    assert cache.stats()["plan_misses"] == 1
 
     # The abandoned lock (now older than the timeout) is broken by a
     # later cold planner instead of stalling every arrival forever.
@@ -412,7 +498,7 @@ def test_two_processes_racing_on_one_directory(tmp_path):
     assert total_network_misses <= 1
     reader = PlanCache(disk=DiskPlanCache(directory))
     assert plan_scenario(small_scenario(), cache=reader) is not None
-    assert reader.disk.plan_hits == 1
+    assert reader.disk.stats()["disk_plan_hits"] == 1
 
 
 # ----------------------------------------------------------------------
