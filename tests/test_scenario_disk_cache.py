@@ -259,6 +259,7 @@ def test_entry_predating_an_edit_of_the_fault_planner_is_a_miss(
     the reader the stamp goes through), must not be served again.
     """
     import builtins
+    import io
 
     import repro.scenario.faults as faults_module
     from repro.scenario import RelayChurnFaults
@@ -276,8 +277,6 @@ def test_entry_predating_an_edit_of_the_fault_planner_is_a_miss(
     def open_edited(file, mode="r", *args, **kwargs):
         handle = real_open(file, mode, *args, **kwargs)
         if mode == "rb" and os.path.realpath(file) == target:
-            import io
-
             with handle:
                 return io.BytesIO(handle.read() + b"\n# a different draw\n")
         return handle
