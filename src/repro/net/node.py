@@ -14,7 +14,9 @@ interface; delivery at the destination invokes the handler.  Transit
 nodes whose handler leaves packets alone can use
 :class:`ForwardingHandler`, which simply forwards anything not
 addressed to the node itself (this is how the star topology's hub
-behaves).
+behaves).  A destination the table lacks goes out of the node's
+``default_route`` if it has one (a star leaf's uplink) and is an error
+otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ class Node:
         self.name = name
         self.interfaces: List[Interface] = []
         self.routes: Dict[str, Interface] = {}
+        #: Egress for any destination missing from ``routes``; set only
+        #: by ``build_star``, on leaves.  ``None``: a miss is an error.
+        self.default_route: Optional[Interface] = None
         self.set_handler(handler)
         self.packets_received = 0
         self.bytes_received = 0
@@ -88,6 +93,8 @@ class Node:
         try:
             return self.routes[dst_name]
         except KeyError:
+            if self.default_route is not None:
+                return self.default_route
             raise KeyError(
                 "node %s has no route to %s (routes: %s)"
                 % (self.name, dst_name, sorted(self.routes))

@@ -1,10 +1,13 @@
 """Topology construction and static routing.
 
 A :class:`Topology` owns a set of nodes and the duplex links between
-them, and computes static next-hop routing tables (shortest path by
-propagation delay, via :mod:`networkx`; a star's tables are filled in
-directly).  The two shapes used by the paper's evaluation have
-dedicated builders:
+them, and computes static next-hop routing tables: shortest path by
+propagation delay, by its own Dijkstra search over the adjacency that
+:meth:`Topology.connect` records (standard library only).  Among
+equal-delay paths the search keeps the one it found first: a path is
+replaced only by a strictly shorter one, and neighbours are tried in
+the order they were connected.  The two shapes used by the paper's
+evaluation have dedicated builders:
 
 * :func:`build_chain` — client, a sequence of relays, and a server in a
   line; used for the Figure-1 cwnd traces where the bottleneck link's
@@ -12,14 +15,16 @@ dedicated builders:
 * :func:`build_star` — every host hangs off a central hub by its own
   access link; used for the Figure-1 CDF experiment ("a randomly
   generated network of Tor relays, connected in a star topology").
+  A star is not searched: the hub holds one route per leaf and each
+  leaf a single default route, its uplink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..units import Rate
 from .link import Interface, Link
@@ -54,20 +59,22 @@ class Topology:
     def __init__(self, sim) -> None:
         self.sim = sim
         self.nodes: Dict[str, Node] = {}
-        self.graph = nx.Graph()
-        self._links: List[Tuple[str, str, LinkSpec]] = []
+        #: name -> {neighbour -> spec of the link between them}, both in
+        #: the order they were added (the search's tie order).
+        self._neighbours: Dict[str, Dict[str, LinkSpec]] = {}
+        self._interfaces: Dict[Tuple[str, str], Interface] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     def add_node(self, name: str, handler=None) -> Node:
-        """Create (or fetch) the node called *name*."""
+        """Create the node called *name*; a duplicate name raises."""
         if name in self.nodes:
             raise ValueError("duplicate node name %r" % name)
         node = Node(self.sim, name, handler=handler)
         self.nodes[name] = node
-        self.graph.add_node(name)
+        self._neighbours[name] = {}
         return node
 
     def node(self, name: str) -> Node:
@@ -87,7 +94,7 @@ class Topology:
         """
         node_a = self.node(a_name)
         node_b = self.node(b_name)
-        if self.graph.has_edge(a_name, b_name):
+        if (a_name, b_name) in self._interfaces:
             raise ValueError("nodes %s and %s are already connected" % (a_name, b_name))
         for src, dst in ((node_a, node_b), (node_b, node_a)):
             link = Link(spec.rate, spec.delay, name="%s->%s" % (src.name, dst.name))
@@ -97,49 +104,72 @@ class Topology:
             )
             iface.attach_peer(dst)
             src.add_interface(iface)
-        self.graph.add_edge(a_name, b_name, delay=spec.delay, spec=spec)
-        self._links.append((a_name, b_name, spec))
+            self._interfaces[src.name, dst.name] = iface
+            self._neighbours[src.name][dst.name] = spec
 
     def build_routes(self) -> None:
         """Populate every node's next-hop table (shortest delay paths)."""
-        paths = dict(nx.all_pairs_dijkstra_path(self.graph, weight="delay"))
-        for src_name, per_dst in paths.items():
-            node = self.nodes[src_name]
-            for dst_name, path in per_dst.items():
-                if dst_name == src_name or len(path) < 2:
-                    continue
-                next_hop = path[1]
-                node.set_route(dst_name, self._interface_between(src_name, next_hop))
+        for src_name, node in self.nodes.items():
+            first_hop: Dict[str, str] = {}
+            for name, before in self._shortest_tree(src_name).items():
+                if before is not None:  # None: the source itself
+                    first_hop[name] = name if before == src_name else first_hop[before]
+                    node.routes[name] = self._interfaces[src_name, first_hop[name]]
+
+    def _shortest_tree(self, src_name: str) -> Dict[str, Optional[str]]:
+        """Every node reachable from *src_name*, nearest first, mapped to
+        its predecessor on the shortest-delay path (``None`` for the
+        source).  Ties are broken as the module docstring says."""
+        tree: Dict[str, Optional[str]] = {}
+        best: Dict[str, float] = {src_name: 0}
+        pushes = count(1)  # equal distances settle in the order found
+        fringe: List[tuple] = [(0, 0, src_name, None)]
+        while fringe:
+            distance, _, name, before = heappop(fringe)
+            if name in tree:
+                continue
+            tree[name] = before
+            for peer, spec in self._neighbours[name].items():
+                through = distance + spec.delay
+                if peer not in tree and (peer not in best or through < best[peer]):
+                    best[peer] = through
+                    heappush(fringe, (through, next(pushes), peer, name))
+        return tree
 
     def _interface_between(self, src_name: str, dst_name: str) -> Interface:
-        for iface in self.nodes[src_name].interfaces:
-            if iface.peer is not None and iface.peer.name == dst_name:
-                return iface
-        raise KeyError("no interface from %s to %s" % (src_name, dst_name))
+        try:
+            return self._interfaces[src_name, dst_name]
+        except KeyError:
+            raise KeyError("no interface from %s to %s" % (src_name, dst_name)) from None
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
 
     def path(self, src_name: str, dst_name: str) -> List[str]:
-        """Node names along the routed path, endpoints included."""
-        return nx.shortest_path(self.graph, src_name, dst_name, weight="delay")
+        """Node names along the shortest-delay path, endpoints included
+        (the one *src_name*'s routes are built from)."""
+        tree = self._shortest_tree(src_name) if src_name in self.nodes else {}
+        if dst_name not in tree:
+            raise KeyError("no path from %r to %r" % (src_name, dst_name))
+        names = [dst_name]
+        while tree[names[-1]] is not None:
+            names.append(tree[names[-1]])
+        return names[::-1]
 
     def path_links(self, src_name: str, dst_name: str) -> List[LinkSpec]:
-        """The :class:`LinkSpec` of each link along the routed path."""
+        """The :class:`LinkSpec` of each link along :meth:`path`."""
         names = self.path(src_name, dst_name)
-        return [
-            self.graph.edges[a, b]["spec"] for a, b in zip(names, names[1:])
-        ]
+        return [self._neighbours[a][b] for a, b in zip(names, names[1:])]
 
     def link_spec(self, a_name: str, b_name: str) -> LinkSpec:
         """The spec of the (single) link between two adjacent nodes."""
-        return self.graph.edges[a_name, b_name]["spec"]
+        return self._neighbours[a_name][b_name]
 
     @property
     def link_count(self) -> int:
         """Number of duplex links in the topology."""
-        return len(self._links)
+        return len(self._interfaces) // 2
 
 
 def build_chain(
@@ -180,15 +210,14 @@ def build_star(
     """
     topo = Topology(sim)
     hub = topo.add_node(hub_name, handler=ForwardingHandler())
-    names = [hub_name, *leaves]
     for leaf_name, spec in leaves.items():
         leaf = topo.add_node(leaf_name)
         topo.connect(hub_name, leaf_name, spec)
-        # A star has exactly one path per pair, so the tables
+        # A star has exactly one path per pair, so the routes
         # build_routes() would search for are known: the hub reaches
         # each leaf over that leaf's own link, and a leaf reaches
-        # everything else over its uplink.
+        # everything else over its uplink (one default route, not a
+        # table of n entries on each of n leaves).
         hub.routes[leaf_name] = hub.interfaces[-1]
-        leaf.routes = dict.fromkeys(names, leaf.interfaces[-1])
-        del leaf.routes[leaf_name]
+        leaf.default_route = leaf.interfaces[-1]
     return topo

@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -188,6 +191,40 @@ def test_every_public_name_still_imports():
         assert getattr(repro, name) is not None, name
     assert repro.get_experiment is get_experiment
     assert repro.RunContext is RunContext
+
+
+_COLD_IMPORT = """
+import json, os, sys, sysconfig
+before = set(sys.modules)   # whatever site.py and .pth files loaded
+import repro, repro.cli, repro.experiments, repro.jobs
+home = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+third_party = {sysconfig.get_path(k) + os.sep for k in ("purelib", "platlib")}
+stdlib = {sysconfig.get_path(k) + os.sep for k in ("stdlib", "platstdlib")}
+def foreign(path):
+    path = os.path.abspath(path)
+    return not path.startswith(home) and (
+        any(path.startswith(d) for d in third_party)
+        or not any(path.startswith(d) for d in stdlib))
+print(json.dumps(sorted(
+    name for name, module in sys.modules.items()
+    if name not in before and getattr(module, "__file__", None)
+    and foreign(module.__file__))))
+"""
+
+
+def test_a_cold_import_loads_only_the_standard_library_and_repro():
+    """The package has no third-party runtime dependency, and the price of
+    one (networkx was half of ``import repro``'s time and 14 MB of every
+    process) is paid before the first event of every run: the next such
+    import fails here, on any machine, not in a benchmark."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_configs_construct_with_defaults():

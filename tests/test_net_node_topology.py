@@ -7,7 +7,12 @@ import pytest
 from repro.net.node import ForwardingHandler
 from repro.net.packet import Packet
 from repro.net.topology import LinkSpec, Topology, build_chain, build_star
-from repro.scenario.netgen import NetworkConfig, generate_network
+from repro.scenario.netgen import (
+    NetworkConfig,
+    generate_network,
+    instantiate_network,
+    plan_network,
+)
 from repro.sim.rand import RandomStreams
 from repro.units import mbit_per_second, milliseconds
 
@@ -88,6 +93,27 @@ def test_chain_path_helpers(sim):
     assert topo.link_spec("b", "c") == slow
 
 
+def test_path_to_unknown_or_unreachable_node_names_both_ends(sim):
+    topo = build_chain(sim, ["a", "b"], [SPEC])
+    topo.add_node("c")
+    topo.add_node("d")
+    topo.connect("c", "d", SPEC)  # a second, disconnected component
+    for src, dst in (("a", "ghost"), ("ghost", "a"), ("a", "d"), ("c", "b")):
+        with pytest.raises(KeyError, match="no path from %r to %r" % (src, dst)):
+            topo.path(src, dst)
+        with pytest.raises(KeyError, match="no path from %r to %r" % (src, dst)):
+            topo.path_links(src, dst)
+    assert topo.path("c", "d") == ["c", "d"] and topo.path("a", "a") == ["a"]
+
+
+def test_interface_between_is_a_lookup(sim):
+    topo = build_star(sim, "hub", {"x": SPEC, "y": SPEC})
+    assert topo._interface_between("hub", "y") is topo.node("hub").interfaces[1]
+    assert topo._interface_between("y", "hub") is topo.node("y").interfaces[0]
+    with pytest.raises(KeyError, match="no interface from x to y"):
+        topo._interface_between("x", "y")
+
+
 def test_star_routes_leaf_to_leaf_via_hub(sim):
     topo = build_star(sim, "hub", {"x": SPEC, "y": SPEC})
     handler, received = collector()
@@ -100,17 +126,48 @@ def test_star_routes_leaf_to_leaf_via_hub(sim):
 
 
 def test_star_routes_equal_the_searched_ones(sim):
-    """build_star fills its tables directly; build_routes() (Dijkstra
-    over the graph) must find nothing different on a generated star."""
+    """build_star sets its routes directly (a table at the hub, one
+    default route per leaf); build_routes() (Dijkstra over the graph)
+    must send no ordered pair anywhere different on a generated star."""
     config = NetworkConfig(relay_count=9, client_count=5, server_count=4)
     topo = generate_network(sim, config, RandomStreams(11)).topology
-    direct = {name: dict(node.routes) for name, node in topo.nodes.items()}
+
+    def egresses():
+        return {
+            (src, dst): node.interface_to(dst)
+            for src, node in topo.nodes.items()
+            for dst in topo.nodes
+            if dst != src
+        }
+
+    direct = egresses()
     for node in topo.nodes.values():
         node.routes = {}
+        node.default_route = None
     topo.build_routes()
-    searched = {name: node.routes for name, node in topo.nodes.items()}
-    assert direct == searched
-    assert all(len(routes) == 18 for routes in direct.values())
+    assert direct == egresses()
+    assert all(len(node.routes) == 18 for node in topo.nodes.values())
+    assert len(direct) == 19 * 18
+
+
+def test_star_is_linear_in_its_leaves(sim):
+    """The O(n) shape, structurally: one hub table of n routes and one
+    default route per leaf, not n leaf tables of n entries."""
+    config = NetworkConfig(relay_count=300, client_count=300, server_count=300)
+    network = instantiate_network(plan_network(config, RandomStreams(3)), sim)
+    hub = network.topology.node(network.hub_name)
+    assert len(hub.routes) == 900 and hub.default_route is None
+    leaves = [n for n in network.topology.nodes.values() if n is not hub]
+    assert len(leaves) == 900
+    assert all(leaf.routes == {} for leaf in leaves)
+    assert all(leaf.default_route is leaf.interfaces[0] for leaf in leaves)
+
+
+def test_star_leaf_to_unknown_name_fails_at_the_hub(sim):
+    topo = build_star(sim, "hub", {"x": SPEC, "y": SPEC})
+    topo.node("x").send(Packet(100, dst="ghost"))
+    with pytest.raises(KeyError, match="node hub has no route to ghost"):
+        sim.run()
 
 
 def test_star_hub_swallows_addressed_packets(sim):
