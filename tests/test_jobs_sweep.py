@@ -305,3 +305,155 @@ def test_streaming_callback_sees_every_job_in_completion_order(tmp_path):
     assert all(source == "checkpoint" for __, __, __, source in seen)
     assert sorted(entry[0] for entry in seen) == [0, 1, 2]
     assert resumed.checkpoint["reused"] == 3
+
+
+# ----------------------------------------------------------------------
+# One sweep, every way a job can end: the stream, the counters, the
+# exceptions' records, the keys
+# ----------------------------------------------------------------------
+
+
+def tiny_netscale(extra, label):
+    """A ~5 ms scenario-backed job (the ``sweep-tiny`` shape)."""
+    return {"experiment": "netscale", "label": label, "spec": {
+        "circuit_count": 2, "bulk_fraction": 1.0,
+        "bulk_payload_bytes": 4096 + extra,
+        "network": {"relay_count": 8, "client_count": 4, "server_count": 4},
+    }}
+
+
+#: index -> how the job ends, once ``kept-a`` and ``kept-b`` are on disk.
+MIXED_SOURCES = {0: "run", 1: "checkpoint", 2: "duplicate", 3: "run",
+                 4: "checkpoint", 5: "run"}
+
+
+def mixed_jobs():
+    jobs = [
+        tiny_netscale(0, "fresh"),
+        tiny_netscale(1, "kept-a"),
+        tiny_netscale(0, "twin"),  # the same bytes as "fresh"
+        {"experiment": "test-flaky", "label": "boom",
+         "spec": {"value": 7, "fail": True}},
+        tiny_netscale(2, "kept-b"),
+        tiny_netscale(3, "fresh-b"),
+    ]
+    return jobs, [jobs[1], jobs[4]]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_mixed_sweep_stream_counters_and_cache_totals(tmp_path, workers):
+    from repro.scenario.cache import DEFAULT_CACHE
+
+    ckpt = str(tmp_path / "ckpt")
+    jobs, kept = mixed_jobs()
+    run_batch(kept, workers=1, checkpoint_dir=ckpt)
+    seen = []
+
+    def on_item(item, done, total, source):
+        seen.append((item, done, total, source))
+
+    DEFAULT_CACHE.clear()
+    batch = run_batch(jobs, workers=workers, checkpoint_dir=ckpt,
+                      on_item=on_item)
+
+    order = [item.index for item, __, __, __ in seen]
+    assert [done for __, done, __, __ in seen] == [1, 2, 3, 4, 5, 6]
+    assert all(total == 6 for __, __, total, __ in seen)
+    assert {item.index: source for item, __, __, source in seen} == MIXED_SOURCES
+    assert order[:2] == [1, 4]  # prefills first, in input order
+    assert order.index(2) == order.index(0) + 1  # the twin right behind
+    if workers == 1:
+        assert order == [1, 4, 0, 2, 3, 5]
+    # What streamed is what merged, in input order.
+    assert sorted((item for item, __, __, __ in seen),
+                  key=lambda item: item.index) == batch.items
+    assert [item.label for item in batch.items] == [
+        "fresh", "kept-a", "twin", "boom", "kept-b", "fresh-b"
+    ]
+    assert batch.items[2].result == batch.items[0].result != {}
+    assert [item.index for item in batch.failures()] == [3]
+    assert batch.items[3].error["label"] == "boom"
+
+    assert batch.checkpoint == {
+        "reused": 2, "computed": 3, "duplicates": 1, "failed": 1,
+        "directory": os.path.abspath(ckpt), "orphans": {},
+    }
+    # Only the two executed scenario jobs consulted the plan cache: the
+    # prefills, the twin and the probe job add nothing to the totals.
+    cache = batch.plan_cache
+    assert sorted(cache) == sorted(DEFAULT_CACHE.stats())
+    assert (cache["plan_hits"], cache["plan_misses"]) == (0, 2)
+    assert cache["network_hits"] + cache["network_misses"] == 2
+    if workers == 1:
+        assert (cache["network_hits"], cache["network_misses"]) == (1, 1)
+    assert not any(cache[name] for name in cache if name.startswith("disk_"))
+
+
+def assert_twins_follow_their_primaries(outcomes):
+    for position, outcome in enumerate(outcomes):
+        if outcome.source == "duplicate":
+            primary = outcomes[position - 1]
+            assert position and primary.key == outcome.key
+            assert primary.result == outcome.result
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_interrupt_carries_prefills_and_duplicates(tmp_path, workers):
+    marker = tmp_path / "trip.armed"
+    ckpt = str(tmp_path / "ckpt")
+    jobs = trip_jobs(marker, count=5, trip_index=3)
+    jobs[2] = dict(jobs[1], label="twin")  # job 2 is job 1 again
+    run_batch([jobs[0]], workers=1, checkpoint_dir=ckpt)
+
+    with pytest.raises(SweepInterrupted) as pause:
+        run_batch(jobs, workers=workers, checkpoint_dir=ckpt)
+    outcomes = pause.value.outcomes
+    assert pause.value.total == len(jobs)
+    assert (outcomes[0].index, outcomes[0].source) == (0, "checkpoint")
+    assert_twins_follow_their_primaries(outcomes)
+    if workers == 1:
+        assert [(outcome.index, outcome.source) for outcome in outcomes] == [
+            (0, "checkpoint"), (1, "run"), (2, "duplicate"),
+        ]
+
+
+def test_worker_death_carries_prefills_and_duplicates(tmp_path):
+    marker = tmp_path / "fuse.armed"
+    ckpt = str(tmp_path / "ckpt")
+    jobs = fuse_jobs(marker, count=5, kill_index=4)
+    jobs[2] = dict(jobs[1], label="twin")
+    run_batch([jobs[0]], workers=1, checkpoint_dir=ckpt)
+
+    with pytest.raises(SweepBroken) as crash:
+        run_batch(jobs, workers=2, checkpoint_dir=ckpt)
+    outcomes = crash.value.outcomes
+    assert crash.value.total == len(jobs)
+    assert (outcomes[0].index, outcomes[0].source) == (0, "checkpoint")
+    assert_twins_follow_their_primaries(outcomes)
+    assert {outcome.index for outcome in outcomes} <= {0, 1, 2, 3}
+
+
+def test_dry_run_prints_exactly_the_keys_serve_writes(tmp_path, capsys):
+    from repro.cli import main
+
+    jobs = fuse_jobs(tmp_path / "never.armed", count=4, kill_index=-1)
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps(jobs))
+    ckpt = tmp_path / "ckpt"
+
+    assert main(["batch", str(specs), "--dry-run", "--base-seed", "11"]) == 0
+    printed = [line.split("key=")[1].strip()
+               for line in capsys.readouterr().out.splitlines()
+               if "key=" in line]
+    assert len(set(printed)) == len(jobs)
+    assert main(["serve", str(specs), "--checkpoint", str(ckpt),
+                 "--base-seed", "11", "--progress", "none"]) == 0
+    written = sorted(name[:-len(".json")]
+                     for name in os.listdir(str(ckpt / "results")))
+    assert sorted(printed) == written
+    # Another base seed re-seeds every job: not one key in common.
+    assert main(["batch", str(specs), "--dry-run", "--base-seed", "12"]) == 0
+    assert not set(written) & {
+        line.split("key=")[1].strip()
+        for line in capsys.readouterr().out.splitlines() if "key=" in line
+    }

@@ -4,7 +4,7 @@ ROADMAP 4(b), written before the ``scenario/cache.py`` consolidation so
 the cut has a net under it.  Every test drives only names that survive
 the cut (``read_envelope``, ``OwnerLocks``, ``DiskPlanCache.get_*`` /
 ``put_*`` / ``acquire`` / ``release`` / ``wait``, ``JobStore``,
-``plan_scenario``, ``execute_sweep``) and addresses files by the
+``plan_scenario``, ``run_batch``) and addresses files by the
 documented on-disk layout, never through a private path helper.
 
 Three properties, on every generated damage:
@@ -15,7 +15,7 @@ Three properties, on every generated damage:
    hashes to the key it was asked for, a served checkpoint's
    ``(experiment, spec)`` hashes to its job key;
 3. **the directory stays resumable** — afterwards a fresh ``PlanCache``
-   / ``execute_sweep(resume=True)`` on it completes, byte-identical to
+   / ``run_batch(resume=True)`` on it completes, byte-identical to
    a clean run.
 
 One limit is by format, not by accident: the envelope (format version
@@ -43,7 +43,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _sweep_exps
-from repro.jobs.service import execute_sweep
+from repro.experiments.runner import run_batch
 from repro.jobs.store import JobStore, job_key
 from repro.scenario import (
     BulkWorkload,
@@ -382,9 +382,9 @@ JOB_HEADER = ("format", "kind", "key", "code")
 
 
 def sweep_results(**kwargs):
-    report = execute_sweep(PAYLOADS, **kwargs)
-    assert [outcome.error for outcome in report.outcomes] == [None] * len(PAYLOADS)
-    return [outcome.result for outcome in report.outcomes]
+    batch = run_batch(PAYLOADS, **kwargs)
+    assert [item.error for item in batch.items] == [None] * len(PAYLOADS)
+    return [item.result for item in batch.items]
 
 
 def job_file(directory: str, index: int, subdir: str = "results") -> str:
