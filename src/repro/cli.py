@@ -47,7 +47,8 @@ from typing import List, Optional
 
 from .experiments.api import RunContext
 from .experiments.registry import get_experiment, iter_experiments
-from .experiments.runner import run_batch
+from .experiments.runner import prepare_job, run_batch
+from .jobs.dispatch import SweepBroken, SweepInterrupted
 from .jobs.store import CHECKPOINT_ENV_VAR
 from .scenario.cache import PLAN_CACHE_ENV_VAR
 from .storage import resolve_dir
@@ -382,9 +383,30 @@ def _print_cache_stats(result) -> None:
     print(line, file=sys.stderr)
 
 
+def _sweep_stopped(stop: BaseException, checkpoint_dir: Optional[str],
+                   hint: str) -> int:
+    """A paused or crashed sweep as stderr lines and an exit code.
+
+    130 for Ctrl-C, 3 for a dead worker; with a checkpoint directory
+    everything finished is on disk, and *hint* says how to go on.
+    """
+    if isinstance(stop, SweepInterrupted):
+        print("interrupted: %d of %d jobs finished%s"
+              % (len(stop.outcomes), stop.total,
+                 " and checkpointed" if checkpoint_dir else ""),
+              file=sys.stderr)
+        if checkpoint_dir:
+            print(hint, file=sys.stderr)
+        return 130
+    print("sweep broken: %s" % stop, file=sys.stderr)
+    if checkpoint_dir:
+        print("completed jobs are checkpointed; %s" % hint, file=sys.stderr)
+    return 3
+
+
 def _run_sweep(args: argparse.Namespace, data: list,
-               checkpoint_dir: Optional[str], resume: bool) -> int:
-    """The shared engine behind ``batch``, ``serve`` and ``resume``.
+               checkpoint_dir: Optional[str]) -> int:
+    """The engine behind ``batch``, ``serve`` and ``resume``.
 
     Streams progress and ``partial.json`` as jobs finish, writes the
     merged JSON at the end, and maps sweep outcomes to exit codes:
@@ -392,14 +414,12 @@ def _run_sweep(args: argparse.Namespace, data: list,
     2 usage/spec errors, 130 interrupted (Ctrl-C), 3 a worker died —
     the latter two with a resume hint when checkpointing is on.
     """
-    from .jobs.dispatch import SweepBroken, SweepInterrupted
-
     progress = args.progress
-    store = None
+    write_partial = None
     if checkpoint_dir:
-        from .jobs.store import JobStore
+        from .report.partial import partial_writer
 
-        store = JobStore(checkpoint_dir)
+        write_partial = partial_writer(checkpoint_dir)
     completed: list = []
     sources: dict = {}
 
@@ -423,12 +443,10 @@ def _run_sweep(args: argparse.Namespace, data: list,
 
             print(render_partial_table(completed, total, sources),
                   file=sys.stderr)
-        if store is not None:
-            from .report.partial import partial_payload
+        if write_partial is not None:
+            write_partial(item, done, total, source)
 
-            store.write_partial(partial_payload(completed, total))
-
-    streaming = progress != "none" or store is not None
+    streaming = progress != "none" or write_partial is not None
     try:
         # run_batch normalizes dicts, bare experiment names, and BatchJobs.
         result = run_batch(data, workers=args.workers,
@@ -436,24 +454,14 @@ def _run_sweep(args: argparse.Namespace, data: list,
                            plan_cache_dir=resolve_dir(args.plan_cache,
                                                       PLAN_CACHE_ENV_VAR),
                            checkpoint_dir=checkpoint_dir,
-                           resume=resume,
+                           resume=args.command == "resume",
                            on_item=on_item if streaming else None)
-    except SweepInterrupted as pause:
-        print("interrupted: %d of %d jobs finished%s"
-              % (len(pause.outcomes), pause.total,
-                 " and checkpointed" if checkpoint_dir else ""),
-              file=sys.stderr)
-        if checkpoint_dir:
-            print("resume with: repro resume %s --checkpoint %s"
-                  % (args.specs, checkpoint_dir), file=sys.stderr)
-        return 130
-    except SweepBroken as crash:
-        print("sweep broken: %s" % crash, file=sys.stderr)
-        if checkpoint_dir:
-            print("completed jobs are checkpointed; resume with: "
-                  "repro resume %s --checkpoint %s"
-                  % (args.specs, checkpoint_dir), file=sys.stderr)
-        return 3
+    except (SweepInterrupted, SweepBroken) as stop:
+        return _sweep_stopped(
+            stop, checkpoint_dir,
+            "resume with: repro resume %s --checkpoint %s"
+            % (args.specs, checkpoint_dir),
+        )
     except TypeError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -495,46 +503,33 @@ def _run_sweep(args: argparse.Namespace, data: list,
     return 1 if failures else 0
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """``repro batch``, ``serve`` and ``resume``: one sweep, asked for
+    three ways.
+
+    ``serve`` and ``resume`` insist on a checkpoint directory (``resume``
+    on one that exists); ``batch`` checkpoints only when given one, and
+    alone has ``--dry-run`` / ``--plan``.
+    """
+    checkpoint_dir = resolve_dir(args.checkpoint, CHECKPOINT_ENV_VAR)
+    if args.command != "batch":
+        if not checkpoint_dir:
+            print("repro %s needs a checkpoint directory: pass "
+                  "--checkpoint DIR or set REPRO_CHECKPOINT" % args.command,
+                  file=sys.stderr)
+            return 2
+        if args.command == "resume" and not os.path.isdir(checkpoint_dir):
+            print("nothing to resume: checkpoint directory %s does not exist"
+                  % checkpoint_dir, file=sys.stderr)
+            return 2
     data = _load_jobs(args.specs)
     if data is None:
         return 2
-    if args.dry_run or args.plan:
+    if args.command == "batch" and (args.dry_run or args.plan):
         return _dry_run_batch(
             args.specs, data, plan=args.plan, base_seed=args.base_seed
         )
-    return _run_sweep(args, data,
-                      checkpoint_dir=resolve_dir(args.checkpoint,
-                                                 CHECKPOINT_ENV_VAR),
-                      resume=False)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    directory = resolve_dir(args.checkpoint, CHECKPOINT_ENV_VAR)
-    if not directory:
-        print("repro serve needs a checkpoint directory: pass "
-              "--checkpoint DIR or set REPRO_CHECKPOINT", file=sys.stderr)
-        return 2
-    data = _load_jobs(args.specs)
-    if data is None:
-        return 2
-    return _run_sweep(args, data, checkpoint_dir=directory, resume=False)
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    directory = resolve_dir(args.checkpoint, CHECKPOINT_ENV_VAR)
-    if not directory:
-        print("repro resume needs a checkpoint directory: pass "
-              "--checkpoint DIR or set REPRO_CHECKPOINT", file=sys.stderr)
-        return 2
-    if not os.path.isdir(directory):
-        print("nothing to resume: checkpoint directory %s does not exist"
-              % directory, file=sys.stderr)
-        return 2
-    data = _load_jobs(args.specs)
-    if data is None:
-        return 2
-    return _run_sweep(args, data, checkpoint_dir=directory, resume=True)
+    return _run_sweep(args, data, checkpoint_dir)
 
 
 def _dry_run_batch(path: str, jobs: list, plan: bool = False,
@@ -552,12 +547,6 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
     hops) and the sweep totals are printed, so big launches are
     predictable up front.
     """
-    # The same normalizer, seeding and keying run_batch uses, so a
-    # dry-run verdict (and key) can never disagree with the real run.
-    from .experiments.api import encode
-    from .experiments.runner import _normalize_job, _seeded
-    from .jobs.store import job_key
-
     errors = 0
     estimated = 0
     total_cells = 0
@@ -565,8 +554,9 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
     total_weighted = 0
     for index, raw in enumerate(jobs):
         try:
-            job = _normalize_job(raw)
-            spec = job.resolved_spec()
+            # What run_batch itself does to a job before running it, so
+            # a dry-run verdict (and key) cannot disagree with the run.
+            job, __, key = prepare_job(raw, index, base_seed)
         except KeyError as error:  # unknown experiment
             errors += 1
             message = error.args[0] if error.args else str(error)
@@ -576,9 +566,7 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
             errors += 1
             print("job %d: %s" % (index, error), file=sys.stderr)
             continue
-        if base_seed is not None:
-            spec = _seeded(spec, base_seed, index, job.experiment)
-        key = job_key(job.experiment, encode(spec))
+        spec = job.spec
         label = " [%s]" % job.label if job.label else ""
         suffix = ""
         if plan:
@@ -869,9 +857,9 @@ _BUILTIN_COMMANDS = {
     "check": _cmd_check,
     "lint": _cmd_lint,
     "list": _cmd_list,
-    "batch": _cmd_batch,
-    "serve": _cmd_serve,
-    "resume": _cmd_resume,
+    "batch": _cmd_sweep,
+    "serve": _cmd_sweep,
+    "resume": _cmd_sweep,
     "cache": _cmd_cache,
     "report": _cmd_report,
     # The scenario experiment's subcommand doubles as the parts

@@ -2,11 +2,26 @@
 
 :func:`run_batch` executes a list of jobs — each naming a registered
 experiment plus a spec — and merges the structured outputs into one
-serializable :class:`BatchResult`.  It is a thin client of the
-resumable experiment service (:mod:`repro.jobs`): this module owns job
-normalization, per-job seeding and the input-order merge; keying,
-checkpoint reuse, work-stealing dispatch and streaming live in the
-service.  Serial and pooled execution take the same encode → run →
+serializable :class:`BatchResult`.  It is the one function that owns
+how a list of jobs becomes a list of results:
+
+1. **prepare** (:func:`prepare_job`) — normalize the job, resolve its
+   spec, re-seed it per index, encode it and key it with a content
+   hash of the experiment name plus the encoded spec;
+2. **prefill** — with a checkpoint directory, jobs whose key is already
+   checkpointed are served from disk here, never reaching a worker;
+3. **dedup** — identical remaining jobs collapse to one execution, the
+   outcome fanned out to every index that asked for it;
+4. **dispatch** — the rest run through
+   :func:`repro.jobs.dispatch.run_tasks`, the only code that knows
+   serial from pooled, each worker checkpointing its result the moment
+   it exists;
+5. **merge** — every terminal outcome (prefilled, executed or fanned
+   out) becomes one :class:`BatchItem`, streamed to ``on_item`` in
+   completion order and returned in input order.
+
+Steps 2 and 3 need a checkpoint directory; without one every job
+executes.  Serial and pooled execution take the same encode → run →
 encode path job by job, so given the simulator's determinism a
 ``workers=2`` sweep produces *byte-identical* structured output to a
 serial one — and, with a ``checkpoint_dir``, so does a sweep killed at
@@ -15,10 +30,11 @@ any point and resumed.
 Failure is captured per job: an exception inside an experiment becomes
 a structured :attr:`BatchItem.error` (type, message, experiment, spec
 hash, traceback) while every other job completes and checkpoints.
-Ctrl-C and worker death surface as
-:class:`~repro.jobs.dispatch.SweepInterrupted` /
-:class:`~repro.jobs.dispatch.SweepBroken`; with a checkpoint directory
-both mean "pause", not "loss".
+Ctrl-C at any point after the jobs are prepared and worker death
+surface as :class:`~repro.jobs.dispatch.SweepInterrupted` /
+:class:`~repro.jobs.dispatch.SweepBroken`, carrying every record
+delivered so far; because workers checkpoint before they report, with
+a checkpoint directory both mean "pause", not "loss".
 
 Seeding is deterministic: with ``base_seed`` given, every job whose
 spec carries a ``seed`` field gets a stable per-job seed derived via
@@ -52,12 +68,19 @@ from typing import (
     Union,
 )
 
-from ..jobs.service import execute_sweep
+from ..jobs.dispatch import (
+    JobOutcome,
+    JobTask,
+    SweepBroken,
+    SweepInterrupted,
+    run_tasks,
+)
+from ..jobs.store import JobStore, job_key
 from ..sim.rand import derive_seed
 from .api import Serializable, SpecError, encode
 from .registry import get_experiment
 
-__all__ = ["BatchJob", "BatchItem", "BatchResult", "run_batch"]
+__all__ = ["BatchJob", "BatchItem", "BatchResult", "prepare_job", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -200,10 +223,33 @@ def _seeded(spec: Any, base_seed: int, index: int, experiment: str) -> Any:
     return spec
 
 
+def prepare_job(
+    job: JobLike, index: int, base_seed: Optional[int] = None
+) -> Tuple[BatchJob, Dict[str, Any], str]:
+    """Job *index* as the sweep runs it: ``(job, encoded spec, key)``.
+
+    The returned job carries its spec as the experiment's typed object,
+    re-seeded for *index* when *base_seed* is given; the key is
+    :func:`repro.jobs.store.job_key` over what a worker is handed.
+    :func:`run_batch` and ``repro batch --dry-run`` both prepare their
+    jobs here, so a printed key is a written key.
+
+    Raises ``TypeError`` for a job of no known shape, ``KeyError`` for
+    an unknown experiment and ``ValueError`` (:class:`SpecError`) for a
+    spec that does not decode.
+    """
+    job = _normalize_job(job)
+    spec = job.resolved_spec()
+    if base_seed is not None:
+        spec = _seeded(spec, base_seed, index, job.experiment)
+    spec_data = encode(spec)
+    return replace(job, spec=spec), spec_data, job_key(job.experiment, spec_data)
+
+
 def _batch_item(
     job: BatchJob,
     spec_data: Dict[str, Any],
-    outcome: Any,
+    outcome: JobOutcome,
 ) -> BatchItem:
     """Merge one terminal outcome with its job's inputs."""
     error = outcome.error
@@ -220,6 +266,10 @@ def _batch_item(
         result=outcome.result if outcome.result is not None else {},
         error=error,
     )
+
+
+#: ``JobOutcome.source`` -> the ``BatchResult.checkpoint`` counter it bumps.
+_COUNTED_AS = {"checkpoint": "reused", "run": "computed", "duplicate": "duplicates"}
 
 
 def run_batch(
@@ -270,51 +320,86 @@ def run_batch(
     on_item:
         Streaming hook, called as ``on_item(item, done, total, source)``
         for every merged :class:`BatchItem` *in completion order*
-        (``source`` is ``"run"``, ``"checkpoint"`` or ``"duplicate"``),
-        so partial sweeps can render partial tables and JSON while
-        running.
+        (``source`` is ``"run"``, ``"checkpoint"`` or ``"duplicate"``):
+        checkpoint prefills first, in input order, then executed jobs
+        as they finish, each fanned-out duplicate right behind its
+        twin — so partial sweeps can render partial tables and JSON
+        while running.
+
+    Raises :class:`~repro.jobs.dispatch.SweepInterrupted` /
+    :class:`~repro.jobs.dispatch.SweepBroken` with every delivered
+    record and the sweep's ``total`` attached; a bad job (unknown
+    experiment, undecodable spec) raises before anything runs.
     """
-    normalized = [_normalize_job(job) for job in jobs]
-    specs = [job.resolved_spec() for job in normalized]
-    if base_seed is not None:
-        specs = [
-            _seeded(spec, base_seed, index, job.experiment)
-            for index, (job, spec) in enumerate(zip(normalized, specs))
-        ]
-    encoded = [encode(spec) for spec in specs]
-    payloads = [
-        (job.experiment, spec_data)
-        for job, spec_data in zip(normalized, encoded)
+    prepared = [
+        prepare_job(job, index, base_seed) for index, job in enumerate(jobs)
     ]
+    total = len(prepared)
+    store = JobStore(checkpoint_dir) if checkpoint_dir else None
+    batch = BatchResult(items=[])
+    batch.plan_cache = {}
+    if store is not None:
+        batch.checkpoint = {
+            "reused": 0, "computed": 0, "duplicates": 0, "failed": 0,
+            "directory": store.directory, "orphans": {},
+        }
+    #: Every terminal record so far, in delivery order: what the sweep
+    #: exceptions carry.
+    delivered: List[JobOutcome] = []
 
-    def handle_outcome(outcome: Any, done: int, total: int) -> None:
+    def deliver(outcome: JobOutcome) -> None:
+        job, spec_data, __ = prepared[outcome.index]
+        item = _batch_item(job, spec_data, outcome)
+        delivered.append(outcome)
+        batch.items.append(item)
+        if batch.checkpoint is not None:
+            batch.checkpoint[_COUNTED_AS[outcome.source]] += 1
+            if outcome.error is not None:
+                batch.checkpoint["failed"] += 1
+        for name, value in outcome.cache_delta.items():
+            batch.plan_cache[name] = batch.plan_cache.get(name, 0) + value
         if on_item is not None:
-            item = _batch_item(
-                normalized[outcome.index], encoded[outcome.index], outcome
-            )
-            on_item(item, done, total, outcome.source)
+            on_item(item, len(delivered), total, outcome.source)
 
-    report = execute_sweep(
-        payloads,
-        workers=workers,
-        plan_cache_dir=plan_cache_dir,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        on_outcome=handle_outcome if on_item is not None else None,
-    )
+    #: key of every queued job -> the later indexes that asked for the
+    #: same bytes: they execute once and the outcome fans out.
+    twins: Dict[str, List[int]] = {}
 
-    items = [
-        _batch_item(normalized[outcome.index], encoded[outcome.index], outcome)
-        for outcome in report.outcomes
-    ]
-    batch = BatchResult(items=items)
-    cache_totals: Dict[str, int] = {}
-    for outcome in report.outcomes:
-        for key, value in outcome.cache_delta.items():
-            cache_totals[key] = cache_totals.get(key, 0) + value
-    batch.plan_cache = cache_totals
-    if report.checkpoint_dir is not None:
-        batch.checkpoint = dict(report.counts())
-        batch.checkpoint["directory"] = report.checkpoint_dir
-        batch.checkpoint["orphans"] = report.orphans
+    def deliver_with_twins(outcome: JobOutcome) -> None:
+        deliver(outcome)
+        for index in twins.get(outcome.key, ()):
+            # The work happened once: the copy carries no cache delta.
+            deliver(replace(outcome, index=index, cache_delta={},
+                            source="duplicate"))
+
+    try:
+        if store is not None:
+            store.sweep_scratch()
+            if resume:
+                batch.checkpoint["orphans"] = store.orphaned_leases()
+        todo: List[JobTask] = []
+        for index, (job, spec_data, key) in enumerate(prepared):
+            if store is not None:
+                payload = store.get(key)
+                if payload is not None:
+                    deliver(JobOutcome(index=index, key=key,
+                                       result=payload["result"], error=None,
+                                       cache_delta={}, source="checkpoint"))
+                    continue
+                if key in twins:
+                    twins[key].append(index)
+                    continue
+                twins[key] = []
+            todo.append((index, job.experiment, spec_data, key))
+        if todo:
+            run_tasks(todo, deliver_with_twins, workers=workers,
+                      plan_cache_dir=plan_cache_dir,
+                      checkpoint_dir=store.directory if store else None)
+    except SweepBroken as crash:
+        raise SweepBroken(delivered, total) from crash
+    except KeyboardInterrupt:
+        # run_tasks' SweepInterrupted, or Ctrl-C anywhere else in the
+        # sweep (the prefill, a callback): the same pause either way.
+        raise SweepInterrupted(delivered, total) from None
+    batch.items.sort(key=lambda item: item.index)
     return batch

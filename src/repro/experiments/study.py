@@ -173,15 +173,9 @@ class GridStudy(Experiment):
         if ctx.checkpoint_dir is not None:
             # Stream the partial state as points finish, so `repro
             # report <checkpoint-dir>` can watch the sweep in flight.
-            from ..jobs.store import JobStore
-            from ..report.partial import partial_payload
+            from ..report.partial import partial_writer
 
-            store = JobStore(ctx.checkpoint_dir)
-            completed: List[object] = []
-
-            def on_item(item, done, total, source):
-                completed.append(item)
-                store.write_partial(partial_payload(completed, total))
+            on_item = partial_writer(ctx.checkpoint_dir)
 
         disk = DEFAULT_CACHE.disk
         batch = run_batch(

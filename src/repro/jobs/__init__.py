@@ -1,30 +1,26 @@
-"""``repro.jobs`` — the crash-resumable experiment service.
+"""``repro.jobs`` — checkpoints and dispatch under resumable sweeps.
 
-The durable job-queue and checkpoint layer under batch sweeps: per-job
-results checkpointed to disk as they complete, work-stealing dispatch
-over a persistent worker pool with per-job failure capture, streaming
-aggregation for partial views, and idempotent resume keyed by content
-hashes of each job's identity.
-
-Layering (lowest first):
+What :func:`repro.experiments.runner.run_batch` stands on to make a
+sweep crash-resumable: per-job results checkpointed to disk as they
+complete, keyed by a content hash of each job's identity, and
+work-stealing dispatch over a worker pool with per-job failure capture.
 
 * :mod:`repro.jobs.store`    — :class:`JobStore`: checkpoint/lease
-  persistence on the shared :mod:`repro.storage` envelope discipline;
-* :mod:`repro.jobs.dispatch` — the work-stealing executor and the
-  sweep-level exceptions (:class:`SweepInterrupted`,
-  :class:`SweepBroken`);
-* :mod:`repro.jobs.service`  — :func:`execute_sweep`: keying, prefill,
-  dedup, dispatch and streaming, which
-  :func:`repro.experiments.runner.run_batch` is a thin client of.
+  persistence on the shared :mod:`repro.storage` envelope discipline,
+  and :func:`job_key`;
+* :mod:`repro.jobs.dispatch` — ``run_tasks``, the only code that knows
+  serial from pooled; the record a worker sends home
+  (:class:`JobOutcome`); the sweep-level exceptions
+  (:class:`SweepInterrupted`, :class:`SweepBroken`).
 
-The CLI exposes the service as ``repro serve`` (run a sweep against a
-checkpoint directory) and ``repro resume`` (finish an interrupted
-one); both merge to output byte-identical to an uninterrupted
-``repro batch`` at any worker count.
+``run_batch`` owns the sweep itself (prepare, prefill, dedup, dispatch,
+merge); the CLI exposes it as ``repro batch``, ``repro serve`` (run
+against a checkpoint directory) and ``repro resume`` (finish an
+interrupted one), all three merging to byte-identical output at any
+worker count.
 """
 
 from .dispatch import JobOutcome, SweepBroken, SweepInterrupted
-from .service import SweepReport, execute_sweep
 from .store import (
     CHECKPOINT_ENV_VAR,
     JobStore,
@@ -38,8 +34,6 @@ __all__ = [
     "JobStore",
     "SweepBroken",
     "SweepInterrupted",
-    "SweepReport",
     "code_fingerprint",
-    "execute_sweep",
     "job_key",
 ]

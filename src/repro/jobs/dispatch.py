@@ -1,9 +1,10 @@
 """Work-stealing job execution over a persistent worker pool.
 
-The execution layer under :func:`repro.jobs.service.execute_sweep`:
+The execution layer under :func:`repro.experiments.runner.run_batch`:
 takes fully-encoded job tasks, runs them serially or across a
 ``concurrent.futures.ProcessPoolExecutor``, and streams
-:class:`JobOutcome` records back *in completion order*.
+:class:`JobOutcome` records back *in completion order*.  Nothing above
+this module knows which of the two happened.
 
 Work-stealing, not chunking: every task is submitted as its own future
 against one shared queue, so a free worker always takes the oldest
@@ -15,7 +16,9 @@ Failure is per-job: an exception inside an experiment is captured in
 the worker and returned as a structured error record (type, message,
 experiment, spec hash, traceback), so one bad spec costs one job, not
 the sweep.  Only two things abort a sweep early, and both are
-converted into exceptions that carry the completed outcomes:
+converted into exceptions that carry the completed outcomes
+(``run_batch`` re-raises them with its checkpoint prefills and
+fanned-out duplicates added):
 
 * :class:`SweepInterrupted` (a ``KeyboardInterrupt`` subclass) — the
   user hit Ctrl-C.  The pool is torn down, and because workers
@@ -40,7 +43,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -92,8 +95,8 @@ class SweepInterrupted(KeyboardInterrupt):
     """Ctrl-C stopped a sweep; everything completed so far is carried.
 
     Subclasses :class:`KeyboardInterrupt` so callers that treat a sweep
-    as one blocking call still see interrupt semantics; the service
-    layer catches it to report "paused, resume with ``repro resume``".
+    as one blocking call still see interrupt semantics; the CLI catches
+    it to report "paused, resume with ``repro resume``".
     """
 
     def __init__(self, outcomes: List[JobOutcome], total: int) -> None:
@@ -239,17 +242,16 @@ def _halt_pool(executor: ProcessPoolExecutor) -> None:
 
 def run_tasks(
     tasks: Sequence[JobTask],
+    on_outcome: Callable[[JobOutcome], None],
     workers: Optional[int] = None,
     plan_cache_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    on_outcome: Optional[Callable[[JobOutcome], None]] = None,
-) -> List[JobOutcome]:
+) -> None:
     """Run every task; outcomes stream to *on_outcome* in completion order.
 
     Serial (``workers`` ``None``/``1``) and pooled execution share
-    :func:`execute_task`, so a job computes identical bytes either way;
-    the returned list is also in completion order (the caller owns
-    input-order merging via ``JobOutcome.index``).
+    :func:`execute_task`, so a job computes identical bytes either way
+    (the caller owns input-order merging via ``JobOutcome.index``).
 
     Raises :class:`SweepInterrupted` on Ctrl-C and :class:`SweepBroken`
     on worker death, both carrying the outcomes completed so far.
@@ -260,8 +262,7 @@ def run_tasks(
 
     def record(outcome: JobOutcome) -> None:
         outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
+        on_outcome(outcome)
 
     if workers is None or workers <= 1:
         with attached_disk_tier(DEFAULT_CACHE, plan_cache_dir), \
@@ -271,7 +272,7 @@ def run_tasks(
                     record(execute_task(task))
                 except KeyboardInterrupt:
                     raise SweepInterrupted(outcomes, total) from None
-        return outcomes
+        return
 
     with ProcessPoolExecutor(
         max_workers=min(workers, max(total, 1)),
@@ -290,14 +291,3 @@ def run_tasks(
         except BrokenProcessPool as exc:
             _halt_pool(executor)
             raise SweepBroken(outcomes, total) from exc
-    return outcomes
-
-
-def duplicate_outcome(outcome: JobOutcome, index: int) -> JobOutcome:
-    """The same terminal record fanned out to another job index.
-
-    Identical jobs in one sweep execute once; the copies carry no
-    cache delta (the work happened once) and are marked
-    ``"duplicate"`` so reports can say what was actually run.
-    """
-    return replace(outcome, index=index, cache_delta={}, source="duplicate")

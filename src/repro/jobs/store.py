@@ -1,10 +1,11 @@
 """Durable per-job checkpoints for experiment sweeps.
 
-A :class:`JobStore` is the persistence layer under the resumable sweep
-service (:mod:`repro.jobs.service`): every completed job's serialized
-result is checkpointed to disk *as it finishes*, keyed by a content
-hash of the job's identity — the experiment name plus the fully
-encoded (and, under ``base_seed``, per-index re-seeded) spec — so
+A :class:`JobStore` is the persistence layer under resumable sweeps
+(:func:`repro.experiments.runner.run_batch` with a ``checkpoint_dir``):
+every completed job's serialized result is checkpointed to disk *as it
+finishes*, keyed by a content hash of the job's identity — the
+experiment name plus the fully encoded (and, under ``base_seed``,
+per-index re-seeded) spec — so
 
 * a sweep killed at any point loses only its in-flight jobs: completed
   ones are re-served from disk on resume, byte-for-byte;

@@ -6,7 +6,7 @@ from .ascii import (
     render_series,
     render_trace,
 )
-from .partial import partial_payload, render_partial_table
+from .partial import partial_payload, partial_writer, render_partial_table
 from .summary import generate_report
 from .tables import format_table, rows_to_csv_text, write_csv
 
@@ -14,6 +14,7 @@ __all__ = [
     "format_table",
     "generate_report",
     "partial_payload",
+    "partial_writer",
     "render_cdf_pair",
     "render_improvement_vs_utilization",
     "render_partial_table",

@@ -1,10 +1,11 @@
 """Streaming views of a partially completed sweep.
 
-The aggregation side of the resumable sweep service: as jobs finish
-(in completion order), the completed :class:`~repro.experiments.runner
+The aggregation side of a resumable sweep: as jobs finish (in
+completion order), the completed :class:`~repro.experiments.runner
 .BatchItem` records accumulate, and these helpers render the partial
 view — a plain-text table for terminals and a JSON snapshot for
-pollers — without waiting for the sweep to end.
+pollers (:func:`partial_writer` keeps it on disk) — without waiting
+for the sweep to end.
 
 Both views are pure functions of the completed items plus the total,
 so they are as deterministic as the sweep itself; the JSON snapshot is
@@ -15,11 +16,11 @@ matter of re-reading one atomic file.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from .tables import format_table
 
-__all__ = ["partial_payload", "render_partial_table"]
+__all__ = ["partial_payload", "partial_writer", "render_partial_table"]
 
 
 def _ordered(items: Iterable[Any]) -> List[Any]:
@@ -41,6 +42,26 @@ def partial_payload(items: Iterable[Any], total: int) -> Dict[str, Any]:
         "failed": sum(1 for item in ordered if item.error is not None),
         "items": [item.to_dict() for item in ordered],
     }
+
+
+def partial_writer(checkpoint_dir: str) -> Callable[[Any, int, int, str], None]:
+    """A ``run_batch`` ``on_item`` hook that keeps ``partial.json`` current.
+
+    After every job the complete snapshot so far is republished,
+    atomically, to *checkpoint_dir*'s ``partial.json``: what ``repro
+    report DIR`` renders while ``repro serve`` or a checkpointing study
+    is still running.
+    """
+    from ..jobs.store import JobStore
+
+    store = JobStore(checkpoint_dir)
+    completed: List[Any] = []
+
+    def on_item(item: Any, done: int, total: int, source: str) -> None:
+        completed.append(item)
+        store.write_partial(partial_payload(completed, total))
+
+    return on_item
 
 
 def _status(item: Any, source: Optional[str]) -> str:

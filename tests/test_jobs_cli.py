@@ -156,3 +156,48 @@ def test_parent_written_checkpoint_resumes_with_zero_jobs_executed(
     for item in items:
         assert item["spec"] == parent[item["experiment"]]["spec"]
         assert item["result"] == parent[item["experiment"]]["result"]
+
+
+# ----------------------------------------------------------------------
+# A sweep that stops early: one mapping to exit codes, for every verb
+# ----------------------------------------------------------------------
+
+
+def _interrupt_second_get(monkeypatch):
+    """Ctrl-C lands in the prefill, between two checkpoint reads."""
+    real_get = JobStore.get
+    calls = []
+
+    def get(self, key):
+        calls.append(key)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_get(self, key)
+
+    monkeypatch.setattr(JobStore, "get", get)
+
+
+def test_interrupt_during_the_prefill_is_a_pause_too(
+        tmp_path, capsys, monkeypatch):
+    from repro.experiments.runner import run_batch
+    from repro.jobs import SweepInterrupted
+
+    path = _write_specs(tmp_path, FLAKY_JOBS)
+    ckpt = str(tmp_path / "ckpt")
+    run_batch(FLAKY_JOBS, checkpoint_dir=ckpt)
+
+    _interrupt_second_get(monkeypatch)
+    with pytest.raises(SweepInterrupted) as pause:
+        run_batch(FLAKY_JOBS, checkpoint_dir=ckpt, resume=True)
+    assert [(outcome.index, outcome.source)
+            for outcome in pause.value.outcomes] == [(0, "checkpoint")]
+    assert pause.value.total == 2
+
+    _interrupt_second_get(monkeypatch)
+    assert main(["resume", path, "--checkpoint", ckpt]) == 130
+    assert capsys.readouterr().err.splitlines() == [
+        "[1/2] job 0: test-flaky [a] ok (checkpoint)",
+        "interrupted: 1 of 2 jobs finished and checkpointed",
+        "resume with: repro resume %s --checkpoint %s" % (path, ckpt),
+    ]
+
