@@ -299,8 +299,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except ValueError as error:  # SpecError, or a bad knob value
         print(str(error), file=sys.stderr)
         return 2
-    with _attached_plan_cache(args):
-        result = experiment.run(spec, ctx)
+    try:
+        with _attached_plan_cache(args):
+            result = experiment.run(spec, ctx)
+    except (SweepInterrupted, SweepBroken) as stop:  # the study verbs
+        return _sweep_stopped(stop, ctx.checkpoint_dir, "re-run with --resume")
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:

@@ -201,3 +201,45 @@ def test_interrupt_during_the_prefill_is_a_pause_too(
         "resume with: repro resume %s --checkpoint %s" % (path, ckpt),
     ]
 
+
+#: argv of a study sweep, and whether it checkpoints (only
+#: ``adversity-study`` has the knob).
+STUDY_SWEEPS = (
+    (["churn-study", "--rates", "2"], False),
+    (["adversity-study", "--loss-rates", "0.02", "--mttfs", "4"], False),
+    (["adversity-study", "--loss-rates", "0.02", "--mttfs", "4"], True),
+)
+
+
+@pytest.mark.parametrize(
+    "study_argv, checkpointed", STUDY_SWEEPS,
+    ids=("churn-study", "adversity-study", "adversity-study-checkpointed"),
+)
+@pytest.mark.parametrize("stop, code, line", (
+    ("SweepInterrupted", 130, "interrupted: 0 of 3 jobs finished"),
+    ("SweepBroken", 3, "sweep broken: a sweep worker died: 0 of 3 jobs "
+     "completed (checkpointed jobs survive; resume to finish)"),
+), ids=("interrupted", "broken"))
+def test_study_verbs_report_a_stopped_sweep_like_the_sweep_verbs(
+        tmp_path, capsys, monkeypatch, study_argv, checkpointed, stop, code,
+        line):
+    import repro.jobs
+    from repro.experiments import study
+
+    def stopped_sweep(jobs, **kwargs):
+        raise getattr(repro.jobs, stop)([], 3)
+
+    monkeypatch.setattr(study, "run_batch", stopped_sweep)
+    argv = study_argv + ["--workers", "2", "--circuits", "4", "--relays", "6"]
+    expected = [line]
+    if checkpointed:
+        argv += ["--checkpoint", str(tmp_path / "ckpt")]
+        hint = "re-run with --resume"
+        if code == 130:
+            expected = [line + " and checkpointed", hint]
+        else:
+            expected.append("completed jobs are checkpointed; " + hint)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == expected
+    assert captured.out == ""
