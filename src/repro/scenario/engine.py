@@ -314,7 +314,8 @@ def run_planned(
     counters: Dict[str, Dict[str, int]] = {}
     faulted = bool(scenario.faults)
     for kind, outcome in zip(run_kinds, _run_kinds(plan, run_kinds)):
-        samples[kind], probes[kind], events[kind] = outcome[:3]
+        samples[kind], per_probe, events[kind] = outcome[:3]
+        probes[kind] = [series for bucket in per_probe for series in bucket]
         if faulted:
             failures[kind], counters[kind] = outcome[3:]
     return ScenarioResult(
@@ -399,9 +400,9 @@ def build_circuit_run(
 ) -> WorkloadRun:
     """Instantiate one planned circuit and attach its workload.
 
-    Shared by the classic single-simulator engine and the sharded
-    engine (:mod:`repro.scenario.sharded`): both must build byte-
-    identical circuits from the same plan row.
+    The one place a plan row becomes a live circuit, whether the plan
+    is the whole scenario or one component of it
+    (:mod:`repro.scenario.sharded`).
     """
     workload = scenario.workloads[planned.workload]
     spec = CircuitSpec(
@@ -426,7 +427,13 @@ def build_circuit_run(
 
 
 def _run_kind(plan: ScenarioPlan, kind: str):
-    """One controller kind's full run of the planned scenario."""
+    """One controller kind's full run of *plan* — a whole scenario's, or
+    one disjoint component's (:mod:`repro.scenario.sharded`).
+
+    Returns ``(samples, series, events_executed, failures, counters)``;
+    the probe series stay grouped, one list per scenario probe, so a
+    caller merging components knows which probe produced what.
+    """
     scenario = plan.scenario
     sim = Simulator()
     network = instantiate_network(plan.network, sim)
@@ -449,11 +456,7 @@ def _run_kind(plan: ScenarioPlan, kind: str):
     if faulted:
         _arm_fault_plane(sim, scenario, plan, network, runs)
 
-    collectors = [
-        collector
-        for probe in scenario.probes
-        for collector in probe.install(sim, context)
-    ]
+    installed = [probe.install(sim, context) for probe in scenario.probes]
 
     sim.run_until(scenario.max_sim_time)
 
@@ -504,7 +507,7 @@ def _run_kind(plan: ScenarioPlan, kind: str):
                     kind_counters[name] = kind_counters.get(name, 0) + value
     return (
         kind_samples,
-        [c.series() for c in collectors],
+        [[collector.series() for collector in probe] for probe in installed],
         sim.events_executed,
         kind_failures,
         kind_counters,
@@ -562,35 +565,12 @@ def _make_sample(
     workload = scenario.workloads[planned.workload]
     exit_time = run.flow.source_controller.startup_exit_time
     total_bytes = workload.total_bytes()
-    if run.failed:
-        # A failed circuit keeps whatever it measured before dying
-        # (TTFB if the first byte made it) and None for the rest; the
-        # cause lives in the result's failure records.
-        first_byte = run.first_byte_time
-        return ScenarioCircuitSample(
-            index=planned.index,
-            circuit_id=planned.index + 1,
-            generation=planned.generation,
-            workload=workload.part_name,
-            source=planned.source,
-            sink=planned.sink,
-            relays=list(planned.relays),
-            payload_bytes=total_bytes,
-            start_time=planned.start_time,
-            time_to_first_byte=(
-                None if first_byte is None else first_byte - planned.start_time
-            ),
-            time_to_last_byte=None,
-            goodput_bytes_per_second=None,
-            startup_duration=(
-                None if exit_time is None else exit_time - planned.start_time
-            ),
-            departed_at=run.departed_at,
-            message_latencies=list(run.message_latencies),
-        )
     first_byte = run.first_byte_time
-    assert first_byte is not None
-    ttlb = run.last_byte_time - planned.start_time
+    # A failed circuit keeps whatever it measured before dying (TTFB if
+    # the first byte made it) and None for the rest; the cause lives in
+    # the result's failure records.
+    assert run.failed or first_byte is not None
+    ttlb = None if run.failed else run.last_byte_time - planned.start_time
     return ScenarioCircuitSample(
         index=planned.index,
         circuit_id=planned.index + 1,
@@ -601,9 +581,11 @@ def _make_sample(
         relays=list(planned.relays),
         payload_bytes=total_bytes,
         start_time=planned.start_time,
-        time_to_first_byte=first_byte - planned.start_time,
+        time_to_first_byte=(
+            None if first_byte is None else first_byte - planned.start_time
+        ),
         time_to_last_byte=ttlb,
-        goodput_bytes_per_second=total_bytes / ttlb,
+        goodput_bytes_per_second=None if ttlb is None else total_bytes / ttlb,
         startup_duration=(
             None if exit_time is None else exit_time - planned.start_time
         ),

@@ -24,24 +24,19 @@ shard count.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..serialize import decode, encode
-from ..sim.simulator import Simulator
 from .cache import PlanCache
 from .engine import (
-    KindRun,
     ScenarioCircuitSample,
     ScenarioResult,
     _in_child_process,
-    _make_sample,
-    build_circuit_run,
+    _run_kind,
     run_planned,
 )
-from .netgen import NetworkPlan, instantiate_network
+from .netgen import NetworkPlan
 from .probes import GoodputProbe, ProbeSeries
 from .spec import PlannedCircuit, Scenario, ScenarioPlan, plan_scenario
-from .workloads import WorkloadRun
 
 __all__ = [
     "ShardingError",
@@ -203,75 +198,11 @@ def _component_subplan(
     )
 
 
-def _run_component_kind(plan: ScenarioPlan, kind: str):
-    """One kind's run of one component sub-plan, probe series bucketed.
-
-    The classic :func:`~repro.scenario.engine._run_kind` with one
-    difference: probe series stay grouped per probe (a bucket per
-    scenario probe), so the merge can interleave components' series
-    without guessing which probe produced what.
-    """
-    scenario = plan.scenario
-    sim = Simulator()
-    network = instantiate_network(plan.network, sim)
-    runs = [
-        build_circuit_run(scenario, planned, kind, sim, network)
-        for planned in plan.circuits
-    ]
-    if scenario.churn.departures:
-        for run in runs:
-            run.enable_departure()
-    context = KindRun(sim, network, plan.bottleneck_relay, runs)
-    buckets = [probe.install(sim, context) for probe in scenario.probes]
-
-    sim.run_until(scenario.max_sim_time)
-
-    _check_finished(plan, kind, runs)
-    samples = [
-        _make_sample(scenario, planned, run)
-        for planned, run in zip(plan.circuits, runs)
-    ]
-    series = [[c.series() for c in bucket] for bucket in buckets]
-    return samples, series, sim.events_executed
-
-
-def _check_finished(
-    plan: ScenarioPlan, kind: str, runs: Sequence[WorkloadRun]
-) -> None:
-    scenario = plan.scenario
-    unfinished = [
-        planned
-        for planned, run in zip(plan.circuits, runs)
-        if not run.done
-    ]
-    if unfinished:
-        raise RuntimeError(
-            "%d/%d circuits did not finish within %.1fs (kind=%s); first: "
-            "circuit %d (%s)"
-            % (
-                len(unfinished),
-                len(plan.circuits),
-                scenario.max_sim_time,
-                kind,
-                unfinished[0].index + 1,
-                scenario.workloads[unfinished[0].workload].part_name,
-            )
-        )
-
-
-def _execute_component(payload: Tuple[Any, Tuple[str, ...]]) -> Dict[str, Any]:
-    """Pool worker: run one encoded component sub-plan, every kind."""
-    plan_data, kinds = payload
-    plan = decode(ScenarioPlan, plan_data)
-    out: Dict[str, Any] = {}
-    for kind in kinds:
-        samples, buckets, events = _run_component_kind(plan, kind)
-        out[kind] = {
-            "samples": [encode(s) for s in samples],
-            "buckets": [[encode(s) for s in bucket] for bucket in buckets],
-            "events": events,
-        }
-    return out
+def _execute_component(payload: Tuple[ScenarioPlan, Sequence[str]]) -> list:
+    """Pool worker: the engine's own kind run of one component sub-plan,
+    once per kind, the outcome tuples as they are."""
+    plan, kinds = payload
+    return [_run_kind(plan, kind) for kind in kinds]
 
 
 def _series_circuit_id(series: ProbeSeries) -> int:
@@ -285,16 +216,11 @@ def _run_disjoint(
     kinds: List[str],
     shards: int,
 ) -> ScenarioResult:
-    scenario = plan.scenario
-    payloads = [
-        (encode(_component_subplan(plan, comp)), tuple(kinds))
-        for comp in components
-    ]
+    payloads = [(_component_subplan(plan, comp), kinds) for comp in components]
     workers = min(shards, len(payloads))
     if workers <= 1 or _in_child_process():
-        # Serial fallback (shards=1, or already inside a pool worker):
-        # the identical payload -> run -> encode round trip, so the
-        # result is byte-identical to the pooled path.
+        # shards=1, or already inside a pool worker: the same kind runs
+        # on the same sub-plans, one after the other.
         outputs = [_execute_component(p) for p in payloads]
     else:
         with multiprocessing.Pool(processes=workers) as pool:
@@ -303,24 +229,21 @@ def _run_disjoint(
     samples: Dict[str, List[ScenarioCircuitSample]] = {}
     probes: Dict[str, List[ProbeSeries]] = {}
     events: Dict[str, int] = {}
-    for kind in kinds:
-        merged = [
-            decode(ScenarioCircuitSample, data)
-            for out in outputs
-            for data in out[kind]["samples"]
-        ]
-        merged.sort(key=lambda s: s.index)
-        samples[kind] = merged
-        buckets: List[List[ProbeSeries]] = [[] for __ in scenario.probes]
-        for out in outputs:
-            for slot, bucket in enumerate(out[kind]["buckets"]):
-                buckets[slot].extend(decode(ProbeSeries, d) for d in bucket)
-        for bucket in buckets:
-            bucket.sort(key=_series_circuit_id)
-        probes[kind] = [series for bucket in buckets for series in bucket]
-        events[kind] = sum(out[kind]["events"] for out in outputs)
+    for slot, kind in enumerate(kinds):
+        # One (samples, per-probe series, events, ...) per component.
+        runs = [out[slot] for out in outputs]
+        samples[kind] = sorted(
+            (sample for run in runs for sample in run[0]),
+            key=lambda sample: sample.index,
+        )
+        probes[kind] = []
+        for per_probe in zip(*(run[1] for run in runs)):
+            # One probe's series from every component, by circuit id.
+            merged = [series for bucket in per_probe for series in bucket]
+            probes[kind].extend(sorted(merged, key=_series_circuit_id))
+        events[kind] = sum(run[2] for run in runs)
     return ScenarioResult(
-        scenario=scenario,
+        scenario=plan.scenario,
         spec_hash=plan.spec_hash,
         bottleneck_relay=plan.bottleneck_relay,
         samples=samples,
