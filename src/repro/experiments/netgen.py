@@ -4,8 +4,7 @@ The generator moved to :mod:`repro.scenario.netgen` when the scenario
 layer was introduced (it is the substrate every topology source builds
 on, and the scenario package must not depend on the experiment
 harnesses).  This module keeps the historical import path working:
-``from repro.experiments.netgen import NetworkConfig, generate_network``
-remains the documented spelling for experiment code.
+``from repro.experiments.netgen import NetworkConfig, generate_network``.
 """
 
 from __future__ import annotations
