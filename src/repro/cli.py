@@ -427,8 +427,6 @@ def _run_sweep(args: argparse.Namespace, data: list,
     sources: dict = {}
 
     def on_item(item, done: int, total: int, source: str) -> None:
-        completed.append(item)
-        sources[item.index] = source
         if progress == "lines":
             if item.error is not None:
                 status = "error: %s" % item.error.get("type", "Error")
@@ -444,6 +442,8 @@ def _run_sweep(args: argparse.Namespace, data: list,
         elif progress == "table":
             from .report.partial import render_partial_table
 
+            completed.append(item)
+            sources[item.index] = source
             print(render_partial_table(completed, total, sources),
                   file=sys.stderr)
         if write_partial is not None:

@@ -243,7 +243,8 @@ def prepare_job(
     if base_seed is not None:
         spec = _seeded(spec, base_seed, index, job.experiment)
     spec_data = encode(spec)
-    return replace(job, spec=spec), spec_data, job_key(job.experiment, spec_data)
+    key = job_key(job.experiment, spec_data)
+    return BatchJob(job.experiment, spec, job.label), spec_data, key
 
 
 def _batch_item(

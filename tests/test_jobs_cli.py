@@ -163,20 +163,6 @@ def test_parent_written_checkpoint_resumes_with_zero_jobs_executed(
 # ----------------------------------------------------------------------
 
 
-def _interrupt_second_get(monkeypatch):
-    """Ctrl-C lands in the prefill, between two checkpoint reads."""
-    real_get = JobStore.get
-    calls = []
-
-    def get(self, key):
-        calls.append(key)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return real_get(self, key)
-
-    monkeypatch.setattr(JobStore, "get", get)
-
-
 def test_interrupt_during_the_prefill_is_a_pause_too(
         tmp_path, capsys, monkeypatch):
     from repro.experiments.runner import run_batch
@@ -186,14 +172,24 @@ def test_interrupt_during_the_prefill_is_a_pause_too(
     ckpt = str(tmp_path / "ckpt")
     run_batch(FLAKY_JOBS, checkpoint_dir=ckpt)
 
-    _interrupt_second_get(monkeypatch)
+    # Ctrl-C lands in the prefill, between two checkpoint reads.
+    real_get = JobStore.get
+    reads = []
+
+    def get(self, key):
+        reads.append(key)
+        if len(reads) == 2:
+            raise KeyboardInterrupt
+        return real_get(self, key)
+
+    monkeypatch.setattr(JobStore, "get", get)
     with pytest.raises(SweepInterrupted) as pause:
         run_batch(FLAKY_JOBS, checkpoint_dir=ckpt, resume=True)
     assert [(outcome.index, outcome.source)
             for outcome in pause.value.outcomes] == [(0, "checkpoint")]
     assert pause.value.total == 2
 
-    _interrupt_second_get(monkeypatch)
+    reads.clear()
     assert main(["resume", path, "--checkpoint", ckpt]) == 130
     assert capsys.readouterr().err.splitlines() == [
         "[1/2] job 0: test-flaky [a] ok (checkpoint)",
