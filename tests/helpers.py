@@ -9,12 +9,26 @@ resolve to whichever directory was scanned first.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.net.topology import LinkSpec, build_chain
 from repro.tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from repro.transport.config import TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
-__all__ = ["make_chain_flow"]
+__all__ = ["json_digest", "make_chain_flow"]
+
+
+def json_digest(result) -> str:
+    """sha256 of the text ``repro <verb> --json`` prints for *result*.
+
+    The chain harnesses pin their output with it: a digest in the test
+    file stands for a golden file of a few KB, and says "these bytes
+    did not move" just as exactly.
+    """
+    text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def make_chain_flow(

@@ -73,3 +73,23 @@ def test_backpropagation_labels():
     rows = backpropagation_study(settle_time=0.5)
     assert rows[0].hop_label.startswith("source->")
     assert rows[-1].hop_label.endswith("->sink")
+
+
+def test_json_bytes_are_pinned():
+    """A reduced ``repro ablations --json``, byte for byte (captured
+    before the chain harnesses shared one builder)."""
+    from helpers import json_digest
+    from repro.experiments import get_experiment
+    from repro.experiments.ablations import AblationsConfig
+
+    spec = AblationsConfig(
+        gammas=(2.0, 8.0),
+        compensations=("acked", "none"),
+        initial_windows=(2, 10),
+        near=TraceConfig(duration=0.3),
+        far=TraceConfig(bottleneck_distance=3, duration=0.3),
+        settle_time=0.5,
+    )
+    assert json_digest(get_experiment("ablations").run(spec)) == (
+        "76e84df548d48a5132dd30114612edfc00befe8a50db348b5fde9e88cc5221df"
+    )

@@ -58,3 +58,14 @@ def test_both_deliver_data_after_change(result):
 def test_traces_recorded_for_all_kinds(result):
     for kind in result.config.controller_kinds:
         assert len(result.traces[kind]) > 3
+
+
+def test_json_bytes_are_pinned():
+    """A reduced ``repro dynamic --json``, byte for byte (captured
+    before the chain harnesses shared one builder)."""
+    from helpers import json_digest
+
+    spec = DynamicConfig(change_time=0.6, duration=1.2)
+    assert json_digest(get_experiment("dynamic").run(spec)) == (
+        "1b1661930d5f9cc15cf82b1231c3671d21c0670b8780b92ee445fb7159d9df76"
+    )

@@ -49,3 +49,14 @@ def test_latency_floor_is_propagation(rows):
     floor = 4 * 0.012
     for row in rows.values():
         assert min(row.latencies) > floor
+
+
+def test_json_bytes_are_pinned():
+    """A reduced ``repro interactive --json``, byte for byte (captured
+    before the chain harnesses shared one builder)."""
+    from helpers import json_digest
+
+    spec = InteractiveConfig(duration=1.2, settle_time=0.5)
+    assert json_digest(get_experiment("interactive").run(spec)) == (
+        "99a1b30205b9e628e575c6e443ee6d4245dbb5cc48ee27b804aa8cd2d10f457a"
+    )

@@ -109,3 +109,18 @@ def test_plain_slow_start_overshoots_then_halves():
     )
     assert result.startup_exit_time is not None
     assert result.peak_cwnd_cells > result.optimal_cwnd_cells
+
+
+@pytest.mark.parametrize("distance,digest", [
+    (1, "97bef4a72384ab5a95bc9e5c512ef2380d634240989909b139ca854e2f9e0eb5"),
+    (3, "4f17c230fa3b9f8f544d19fac4dc2690acf9e857ebd8256dbec932770ae9c709"),
+])
+def test_json_bytes_are_pinned(distance, digest):
+    """``repro trace --distance D --duration-ms 300 --json``, byte for byte
+    (captured before the chain harnesses shared one builder)."""
+    from helpers import json_digest
+
+    result = run_trace_experiment(
+        TraceConfig(bottleneck_distance=distance, duration=0.3)
+    )
+    assert json_digest(result) == digest

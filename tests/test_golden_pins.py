@@ -15,6 +15,12 @@ skeleton): it is the one pin with the fault plane *on* (link loss and
 relay kills), and it covers the study's aggregated rows, which no
 other golden reaches.
 
+``scenario_closed_loop.json`` (captured at the commit before the three
+workload run classes became one ``WorkloadRun``) runs the generic
+``scenario`` experiment over the parts no other golden reaches: a
+closed-loop user population, request/response circuits mixed with bulk
+ones, queue depth at every relay and the per-circuit goodput series.
+
 The golden files live in ``tests/golden/`` and are regenerated only
 deliberately (a conscious format change), never by test code.
 """
@@ -33,6 +39,15 @@ from repro.experiments import (
 from repro.experiments.netgen import NetworkConfig
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import BatchJob, run_batch
+from repro.scenario import (
+    BulkWorkload,
+    ClosedLoopChurn,
+    GeneratedTopology,
+    GoodputProbe,
+    QueueDepthProbe,
+    RequestResponseWorkload,
+    Scenario,
+)
 from repro.units import kib
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -89,11 +104,36 @@ def golden_adversity_study():
     )
 
 
+def golden_closed_loop():
+    # Users that come back after a think time, each fetching either one
+    # bulk payload or three small responses separated by think times
+    # drawn at run time; every circuit crosses the slowest relay.
+    return Scenario(
+        topology=GeneratedTopology(network=_network(), force_bottleneck=True),
+        workloads=(
+            BulkWorkload(payload_bytes=kib(60)),
+            RequestResponseWorkload(
+                response_bytes=kib(4), request_count=3,
+                think_time=0.05, think_seed=7,
+            ),
+        ),
+        churn=ClosedLoopChurn(
+            start_window=1.0, think_time=0.5, service_estimate=0.5, horizon=3.0
+        ),
+        probes=(
+            QueueDepthProbe(interval=0.5, scope="relays"),
+            GoodputProbe(interval=0.5, workload="request-response"),
+        ),
+        circuit_count=6,
+    )
+
+
 CASES = [
     ("cdf", golden_cdf, "cdf.json"),
     ("netscale", golden_netscale, "netscale.json"),
     ("churn-study", golden_churn_study, "churn_study.json"),
     ("adversity-study", golden_adversity_study, "adversity_study.json"),
+    ("scenario", golden_closed_loop, "scenario_closed_loop.json"),
 ]
 
 
@@ -165,3 +205,35 @@ def test_adversity_pin_has_teeth(monkeypatch):
     for row in planted["points"] + planted["improvements"]:
         row["failure_rate"] -= 0.125
     assert json.dumps(planted, sort_keys=True) == golden
+
+
+def test_closed_loop_pin_has_teeth(monkeypatch):
+    """A think time drawn from the wrong substream must trip the pin.
+
+    The plan (arrivals, paths, workload classes) is drawn before any
+    circuit runs and must not move; what a request/response circuit
+    does between its responses is the only run-time draw in the
+    scenario, so planting a bug there moves those circuits' delivery
+    times and, through the relays they share, the rest of the bytes.
+    """
+    from repro.scenario import workloads
+
+    golden = _golden("scenario_closed_loop.json")
+    honest = workloads.derive_seed
+    monkeypatch.setattr(
+        workloads, "derive_seed",
+        lambda seed, label: honest(seed, "planted." + label),
+    )
+    planted = get_experiment("scenario").run(golden_closed_loop()).to_dict()
+    assert json.dumps(planted, sort_keys=True) != golden
+    pinned = json.loads(golden)
+    assert planted["scenario"] == pinned["scenario"]
+    assert planted["spec_hash"] == pinned["spec_hash"]
+    moved = 0
+    for kind in ("with", "without"):
+        for got, want in zip(planted["samples"][kind], pinned["samples"][kind]):
+            for key in ("index", "workload", "generation", "relays", "start_time"):
+                assert got[key] == want[key]
+            if got["workload"] == "request-response":
+                moved += got["message_latencies"] != want["message_latencies"]
+    assert moved
