@@ -421,9 +421,7 @@ def build_circuit_run(
         start_time=planned.start_time,
         workload=workload.flow_workload,
     )
-    run = workload.attach(sim, flow, planned)
-    run.workload_name = workload.part_name
-    return run
+    return workload.attach(sim, flow, planned)
 
 
 def _run_kind(plan: ScenarioPlan, kind: str):
@@ -520,7 +518,7 @@ def _arm_fault_plane(
     plan: ScenarioPlan,
     network: GeneratedNetwork,
     runs: Sequence[WorkloadRun],
-) -> FaultInjector:
+) -> None:
     """Install the fault plane on a freshly built kind run.
 
     Wires failure attribution (broken hops and relay deaths become
@@ -554,9 +552,7 @@ def _arm_fault_plane(
                 seen.add(id(host))
                 host.on_circuit_broken = on_circuit_broken
 
-    injector = FaultInjector(sim, scenario, plan, network)
-    injector.arm()
-    return injector
+    FaultInjector(sim, scenario, plan, network).arm()
 
 
 def _make_sample(

@@ -268,8 +268,10 @@ class FaultInjector:
     """Runtime fault state of one kind run.
 
     Owns relay liveness, executes the plan's kill/restart schedule, and
-    installs link fault models.  The engine subscribes
-    :attr:`on_relay_killed` for failure attribution.
+    installs link fault models.  A kill cascades through the dead
+    relay's :meth:`~repro.tor.hosts.TorHost.fail_all_circuits`; the
+    engine attributes the failures through each host's
+    ``on_circuit_broken``.
     """
 
     def __init__(self, sim: Any, scenario: Any, plan: Any, network: Any) -> None:
@@ -281,12 +283,8 @@ class FaultInjector:
         self.down: Dict[str, float] = {}
         self.kills = 0
         self.restarts = 0
-        self.circuits_failed = 0
         #: Installed link fault models, for counter aggregation.
         self.link_models: List[FaultModel] = []
-        #: Observer invoked as ``callback(relay, now)`` right before a
-        #: killed relay's circuit cascade runs.
-        self.on_relay_killed: Optional[Callable[[str, float], None]] = None
 
     def arm(self) -> None:
         """Install every fault part and schedule the planned events."""
@@ -299,13 +297,6 @@ class FaultInjector:
 
     def is_down(self, relay: str) -> bool:
         return relay in self.down
-
-    def down_relay_on(self, relays: Any) -> Optional[str]:
-        """The first currently-down relay on *relays*, or ``None``."""
-        for relay in relays:
-            if relay in self.down:
-                return relay
-        return None
 
     def _execute(self, event: FaultEvent) -> None:
         if event.action == "kill":
@@ -321,11 +312,9 @@ class FaultInjector:
         node.up = False
         self.down[relay] = self.sim.now
         self.kills += 1
-        if self.on_relay_killed is not None:
-            self.on_relay_killed(relay, self.sim.now)
         handler = getattr(node, "_handler", None)
         if handler is not None and hasattr(handler, "fail_all_circuits"):
-            self.circuits_failed += handler.fail_all_circuits(RelayFailure(relay))
+            handler.fail_all_circuits(RelayFailure(relay))
 
     def restart(self, relay: str) -> None:
         """Bring *relay* back: newly planned circuits may use it again."""

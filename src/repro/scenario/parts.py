@@ -193,12 +193,9 @@ class Workload(ScenarioPart):
         return -(-self.total_bytes() // CELL_PAYLOAD)  # ceil division
 
     def attach(self, sim: Any, flow: Any, planned: Any) -> Any:
-        """Install the workload on *flow*; return its runtime handle.
-
-        The handle must expose ``done`` (bool), ``first_byte_time`` /
-        ``last_byte_time`` (floats once done), ``completed`` (a
-        :class:`~repro.sim.process.Waiter`) and ``message_latencies``
-        (possibly empty list).
+        """Install the workload on *flow*; returns a
+        :class:`~repro.scenario.workloads.WorkloadRun` over the sink it
+        attached.
         """
         raise NotImplementedError
 

@@ -1,11 +1,12 @@
 """Instrumentation probes: time series sampled while a scenario runs.
 
-Probes turn the previously unused :class:`~repro.sim.monitor.PeriodicSampler`
-into a first-class scenario part: each probe installs one sampler per
-target relay and surfaces the sampled grid as serializable
-:class:`ProbeSeries` rows in the scenario result, keyed by controller
-kind — so "what did the bottleneck look like over time, with vs without
-CircuitStart" is a field access, not a bespoke harness.
+A probe is a scenario part that installs
+:class:`~repro.sim.monitor.PeriodicSampler` instances on a kind run and
+surfaces each sampled grid as a serializable :class:`ProbeSeries` row
+in the scenario result, keyed by controller kind — so "what did the
+bottleneck look like over time, with vs without CircuitStart" is a
+field access, not a bespoke harness.  Every probe hands the engine one
+:class:`_Collector` per target (a relay, a circuit, or the whole run).
 
 * :class:`UtilizationProbe` — per-relay access-link utilization: the
   fraction of each sampling interval the relay's egress spent sending
@@ -15,16 +16,19 @@ CircuitStart" is a field access, not a bespoke harness.
   above 1.0 on a single sample.
 * :class:`QueueDepthProbe` — the relay egress queue depth in packets,
   the standing-queue signal CircuitStart's Vegas detector keys on.
+* :class:`FailureRateProbe` — the fraction of the run's circuits that
+  have failed so far (fault plane), one series per kind run.
 * :class:`GoodputProbe` — *per-circuit* delivered-bytes rate: one
   sampler per planned circuit, armed at the circuit's start time and
   stopped at its completion, reporting bytes delivered to the sink per
-  sampling interval (in bytes per second).  Optionally restricted to
-  one workload class (``workload="bulk"``).
+  sampling interval (in bytes per second).
 
 The relay probes accept ``scope="bottleneck"`` (the scenario's
-designated bottleneck relay only) or ``scope="relays"`` (every relay).
-Samplers stop once every planned circuit has completed, so probes never
-keep an otherwise finished simulation ticking.
+designated bottleneck relay only) or ``scope="relays"`` (every relay);
+the other two can be restricted to one workload class
+(``workload="bulk"``).  Samplers stop once every planned circuit has
+completed, so probes never keep an otherwise finished simulation
+ticking.
 """
 
 from __future__ import annotations
@@ -95,26 +99,51 @@ class ProbeSeries(Serializable):
 
 
 class _Collector:
-    """Binds a sampler to its target for post-run series assembly."""
+    """Binds a sampler to its target for post-run series assembly.
 
-    def __init__(self, probe_name: str, target: str, sampler: PeriodicSampler) -> None:
+    The sampler may arrive mid-run (the goodput probe arms one per
+    circuit at the circuit's start time); a collector that never got
+    one reports an empty series.
+    """
+
+    def __init__(
+        self, probe_name: str, target: str, sampler: Optional[PeriodicSampler] = None
+    ) -> None:
         self.probe_name = probe_name
         self.target = target
         self.sampler = sampler
 
     def series(self) -> ProbeSeries:
+        sampler = self.sampler
         return ProbeSeries(
             probe=self.probe_name,
             target=self.target,
-            times=list(self.sampler.times),
-            values=list(self.sampler.values),
+            times=list(sampler.times) if sampler is not None else [],
+            values=list(sampler.values) if sampler is not None else [],
         )
+
+
+def _check_interval(interval: float) -> None:
+    if interval <= 0:
+        raise ValueError("sampling interval must be positive, got %r" % interval)
 
 
 def _check_scope(scope: str) -> None:
     if scope not in _SCOPES:
         raise ValueError(
             "probe scope must be one of %s, got %r" % (_SCOPES, scope)
+        )
+
+
+def _check_workload(probe: Any, scenario: Any) -> None:
+    """Spec-time check shared by the per-workload probes (Probe.validate)."""
+    if probe.workload is None:
+        return
+    names = [w.part_name for w in scenario.workloads]
+    if probe.workload not in names:
+        raise ValueError(
+            "%s probe restricted to workload %r, but the scenario only "
+            "carries %s" % (probe.part_name, probe.workload, ", ".join(names))
         )
 
 
@@ -162,10 +191,7 @@ class UtilizationProbe(Probe):
     part: str = field(default="utilization", init=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(
-                "sampling interval must be positive, got %r" % self.interval
-            )
+        _check_interval(self.interval)
         _check_scope(self.scope)
 
     def validate(self, scenario: Any) -> None:
@@ -209,10 +235,7 @@ class QueueDepthProbe(Probe):
     part: str = field(default="queue-depth", init=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(
-                "sampling interval must be positive, got %r" % self.interval
-            )
+        _check_interval(self.interval)
         _check_scope(self.scope)
 
     def validate(self, scenario: Any) -> None:
@@ -252,20 +275,10 @@ class FailureRateProbe(Probe):
     part: str = field(default="failure-rate", init=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(
-                "sampling interval must be positive, got %r" % self.interval
-            )
+        _check_interval(self.interval)
 
     def validate(self, scenario: Any) -> None:
-        if self.workload is None:
-            return
-        names = [w.part_name for w in scenario.workloads]
-        if self.workload not in names:
-            raise ValueError(
-                "failure-rate probe restricted to workload %r, but the "
-                "scenario only carries %s" % (self.workload, ", ".join(names))
-            )
+        _check_workload(self, scenario)
 
     def install(self, sim: Any, context: Any) -> List[_Collector]:
         runs = [
@@ -289,25 +302,6 @@ class FailureRateProbe(Probe):
             name="failure-rate:%s" % target,
         )
         return [_Collector(self.part, target, sampler)]
-
-
-class _DeferredCollector:
-    """A collector whose sampler is armed mid-run (at circuit start)."""
-
-    def __init__(self, probe_name: str, target: str) -> None:
-        self.probe_name = probe_name
-        self.target = target
-        self.sampler: Optional[PeriodicSampler] = None
-
-    def series(self) -> ProbeSeries:
-        if self.sampler is None:
-            return ProbeSeries(self.probe_name, self.target, [], [])
-        return ProbeSeries(
-            probe=self.probe_name,
-            target=self.target,
-            times=list(self.sampler.times),
-            values=list(self.sampler.values),
-        )
 
 
 @register_part
@@ -334,20 +328,10 @@ class GoodputProbe(Probe):
     part: str = field(default="goodput", init=False)
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(
-                "sampling interval must be positive, got %r" % self.interval
-            )
+        _check_interval(self.interval)
 
     def validate(self, scenario: Any) -> None:
-        if self.workload is None:
-            return
-        names = [w.part_name for w in scenario.workloads]
-        if self.workload not in names:
-            raise ValueError(
-                "goodput probe restricted to workload %r, but the scenario "
-                "only carries %s" % (self.workload, ", ".join(names))
-            )
+        _check_workload(self, scenario)
 
     def _make_probe(self, run: Any) -> Callable[[], float]:
         last = [run.delivered_bytes]
@@ -360,28 +344,16 @@ class GoodputProbe(Probe):
 
         return probe
 
-    def install(self, sim: Any, context: Any) -> List[_DeferredCollector]:
+    def install(self, sim: Any, context: Any) -> List[_Collector]:
         collectors = []
         for run in context.runs:
             if self.workload is not None and run.workload_name != self.workload:
                 continue
-            try:
-                run.delivered_bytes
-            except NotImplementedError:
-                # Fail at install time with a pointed message, not deep
-                # in the event loop at the first sampler tick.
-                raise TypeError(
-                    "goodput probe needs workload runs that expose "
-                    "delivered_bytes; %s (workload part %r) does not"
-                    % (type(run).__name__, run.workload_name)
-                ) from None
-            collector = _DeferredCollector(
+            collector = _Collector(
                 self.part, "circuit-%d" % run.flow.spec.circuit_id
             )
 
-            def arm(
-                run: Any = run, collector: _DeferredCollector = collector
-            ) -> None:
+            def arm(run: Any = run, collector: _Collector = collector) -> None:
                 # Completed (or already failed) before its own start
                 # tick: nothing to sample.
                 if run.done or run.failed:

@@ -1,6 +1,6 @@
 """Workload parts: what one circuit carries.
 
-Two workload classes ship with the scenario API, both registered under
+Three workload classes ship with the scenario API, all registered under
 :class:`~repro.scenario.parts.Workload`:
 
 * :class:`BulkWorkload` — the paper's evaluation workload, "transferring
@@ -9,27 +9,32 @@ Two workload classes ship with the scenario API, both registered under
   windows pace everything from there.
 * :class:`InteractiveWorkload` — a *real* interactive circuit, backed by
   the stream layer (:class:`~repro.tor.streams.StreamScheduler` and
-  :class:`~repro.tor.streams.MultiStreamSink`) instead of the
-  small-bulk-transfer stand-in earlier network-scale harnesses used: the
-  source queues a fixed number of small messages on an open-loop timer
-  (a page fetch followed by its resources), and the sink timestamps
-  every message's delivery, so per-message latency under network-scale
-  load comes out of the run for free.
+  :class:`~repro.tor.streams.MultiStreamSink`): the source queues a
+  fixed number of small messages on an open-loop timer (a page fetch
+  followed by its resources), and every message's delivery is
+  timestamped, so per-message latency under network-scale load comes
+  out of the run for free.
+* :class:`RequestResponseWorkload` — the closed-loop counterpart: the
+  next message goes out one think time after the previous one fully
+  arrived.
 
 A workload part has two lives.  At *planning* time it is pure data —
 :meth:`~repro.scenario.parts.Workload.total_bytes` feeds the cost
 estimator and the goodput denominator.  At *run* time,
 :meth:`~repro.scenario.parts.Workload.attach` installs the application
 endpoints on a built :class:`~repro.tor.circuit.CircuitFlow` and
-returns a :class:`WorkloadRun` handle the engine polls for completion
-and mines for the per-circuit sample.
+returns a :class:`WorkloadRun`: the handle the engine polls for
+completion and mines for the per-circuit sample, which reads all of it
+off the sink the workload attached.  A bulk circuit's run is exactly
+that; a message workload's run is a :class:`_StreamRun` subclass that
+also owns the stream, its send timer and the per-message books.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, List, Optional
+from typing import Any, Callable, ClassVar, List, Optional
 
 from ..sim.rand import derive_seed
 from ..tor.streams import MultiStreamSink, StreamScheduler
@@ -48,54 +53,58 @@ __all__ = [
 class WorkloadRun:
     """Runtime handle of one circuit's workload (engine-facing).
 
-    Subclasses fill in the completion/timing surface; the base class
-    owns the departure wiring: when the scenario's churn process tears
+    The one concrete handle: completion and timing are read off the
+    *sink* the workload attached — a :class:`~repro.tor.apps.SinkApp`
+    or a :class:`~repro.tor.streams.MultiStreamSink`, anything with
+    ``done``, ``received_bytes``, ``first_cell_time`` and a
+    ``completed`` waiter.  The handle itself keeps the failure record
+    and the departure wiring: when the scenario's churn process tears
     completed circuits down, :meth:`enable_departure` subscribes the
-    teardown to the workload's completion waiter.
+    teardown to the sink's completion waiter.
     """
 
-    def __init__(self, flow: Any) -> None:
+    def __init__(self, flow: Any, sink: Any, workload_name: str) -> None:
         self.flow = flow
+        self.sink = sink
+        #: Registry name of the workload part that attached this run,
+        #: so probes can filter by workload class.
+        self.workload_name = workload_name
         self.departed_at: Optional[float] = None
-        #: Registry name of the workload part that attached this run;
-        #: set by the engine so probes can filter by workload class.
-        self.workload_name: Optional[str] = None
         #: Failure record (fault plane): when and why the circuit died.
         self.failed_at: Optional[float] = None
         self.failure_cause: Optional[str] = None
         self._failure_subscribers: List[Callable[["WorkloadRun"], None]] = []
 
-    # --- completion surface (subclass responsibility) ------------------
+    # --- completion surface (the sink's) --------------------------------
 
     @property
     def done(self) -> bool:
-        raise NotImplementedError
+        return self.sink.done
 
     @property
     def delivered_bytes(self) -> int:
         """Application bytes delivered to the sink so far.
 
-        The per-circuit goodput probe samples this on its grid; both
-        built-in workloads expose their sink's running byte count.
+        The per-circuit goodput probe samples this on its grid.
         """
-        raise NotImplementedError
+        return self.sink.received_bytes
 
     @property
     def completed(self) -> Any:
         """The :class:`~repro.sim.process.Waiter` triggered at the last byte."""
-        raise NotImplementedError
+        return self.sink.completed
 
     @property
     def first_byte_time(self) -> Optional[float]:
-        raise NotImplementedError
+        return self.sink.first_cell_time
 
     @property
     def last_byte_time(self) -> float:
-        raise NotImplementedError
+        return self.sink.completed.value
 
     @property
     def message_latencies(self) -> List[float]:
-        """Queue-to-delivery latency per message (interactive only)."""
+        """Queue-to-delivery latency per message (message workloads only)."""
         return []
 
     # --- failures (fault plane) -----------------------------------------
@@ -124,11 +133,7 @@ class WorkloadRun:
         self.failed_at = at
         self.failure_cause = cause
         self._cancel_pending()
-        abort = getattr(self.flow, "abort", None)
-        if abort is not None:
-            abort()
-        else:
-            self.flow.teardown()
+        self.flow.abort()
         for callback in list(self._failure_subscribers):
             callback(self)
 
@@ -144,30 +149,6 @@ class WorkloadRun:
     def _depart(self, at: float) -> None:
         self.departed_at = at
         self.flow.teardown()
-
-
-class _BulkRun(WorkloadRun):
-    """Wraps the flow's built-in bulk source/sink pair."""
-
-    @property
-    def done(self) -> bool:
-        return self.flow.done
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self.flow.sink.received_bytes
-
-    @property
-    def completed(self) -> Any:
-        return self.flow.sink.completed
-
-    @property
-    def first_byte_time(self) -> Optional[float]:
-        return self.flow.sink.first_cell_time
-
-    @property
-    def last_byte_time(self) -> float:
-        return self.flow.sink.completed.value
 
 
 @register_part
@@ -195,47 +176,47 @@ class BulkWorkload(Workload):
 
     def attach(self, sim: Any, flow: Any, planned: Any) -> WorkloadRun:
         # CircuitFlow(workload="bulk") already installed the source and
-        # sink; the handle only adapts their surface.
-        return _BulkRun(flow)
+        # the sink.
+        return WorkloadRun(flow, flow.sink, self.part)
 
 
-class _InteractiveRun(WorkloadRun):
-    """Stream-scheduler-backed interactive fetch on one circuit."""
+class _StreamRun(WorkloadRun):
+    """A message workload on one circuit: one stream, one sink, one timer.
 
-    def __init__(self, sim: Any, flow: Any, workload: "InteractiveWorkload") -> None:
-        super().__init__(flow)
-        self.sim = sim
-        self.workload = workload
+    Owns what every message workload needs — the stream scheduler on
+    the source's hop sender, the multi-stream sink at the far end, the
+    pending send timer and its cancel, and the per-message books: the
+    stream's own :class:`~repro.tor.streams.MessageRecord` list, each
+    record stamped with its delivery time as the sink reports it.  A
+    subclass only says when the next message goes out: it defines
+    ``_send_next()`` — first called at the circuit's start time — out
+    of :meth:`_send` and :meth:`_send_after`.
+    """
+
+    def __init__(self, sim: Any, flow: Any, workload: Workload) -> None:
         circuit_id = flow.spec.circuit_id
-        self.scheduler = StreamScheduler(flow.hop_senders[0], circuit_id)
-        self.stream = self.scheduler.open_stream(1)
-        self.sink = MultiStreamSink(
+        sink = MultiStreamSink(
             sim, circuit_id, expected_bytes=workload.total_bytes()
         )
-        flow.hosts[-1].attach_sink_app(circuit_id, self.sink)
-        self.records: List[Any] = []
-        self._delivered: Dict[int, float] = {}
-        self.sink.on_message = self._on_message
-        self._sent = 0
+        super().__init__(flow, sink, workload.part_name)
+        self.sim = sim
+        self.workload = workload
+        self.scheduler = StreamScheduler(flow.hop_senders[0], circuit_id)
+        self.stream = self.scheduler.open_stream(1)
+        flow.hosts[-1].attach_sink_app(circuit_id, sink)
+        sink.on_message = self._on_message
         self._timer = sim.schedule_at(max(flow.start_time, sim.now), self._send_next)
 
-    def _on_message(self, stream_id: int, message_id: int, at: float) -> None:
-        self._delivered[message_id] = at
-
-    def _send_next(self) -> None:
-        # Open-loop: messages go out on the planned timer regardless of
-        # delivery, like a page pulling its resources.  The final
-        # message absorbs the configured remainder so the circuit's
-        # total matches the declared payload exactly.
+    def _send(self, size: int) -> None:
+        """Queue one message of *size* bytes now (the timer has fired)."""
         self._timer = None
-        workload = self.workload
-        size = workload.message_bytes
-        if self._sent == workload.message_count - 1:
-            size += workload.remainder_bytes
-        self.records.append(self.scheduler.send_message(1, size, self.sim.now))
-        self._sent += 1
-        if self._sent < workload.message_count:
-            self._timer = self.sim.schedule(workload.message_interval, self._send_next)
+        self.scheduler.send_message(1, size, self.sim.now)
+
+    def _send_after(self, delay: float) -> None:
+        self._timer = self.sim.schedule(delay, self._send_next)
+
+    def _on_message(self, stream_id: int, message_id: int, at: float) -> None:
+        self.stream.messages[message_id].last_byte_at = at
 
     def _cancel_pending(self) -> None:
         if self._timer is not None:
@@ -243,32 +224,29 @@ class _InteractiveRun(WorkloadRun):
             self._timer = None
 
     @property
-    def done(self) -> bool:
-        return self.sink.done
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self.sink.received_bytes
-
-    @property
-    def completed(self) -> Any:
-        return self.sink.completed
-
-    @property
-    def first_byte_time(self) -> Optional[float]:
-        return self.sink.first_cell_time
-
-    @property
-    def last_byte_time(self) -> float:
-        return self.sink.completed.value
-
-    @property
     def message_latencies(self) -> List[float]:
         return [
-            self._delivered[record.message_id] - record.queued_at
-            for record in self.records
-            if record.message_id in self._delivered
+            record.latency
+            for record in self.stream.messages
+            if record.last_byte_at is not None
         ]
+
+
+class _InteractiveRun(_StreamRun):
+    """Stream-scheduler-backed interactive fetch on one circuit."""
+
+    def _send_next(self) -> None:
+        # Open-loop: messages go out on the planned timer regardless of
+        # delivery, like a page pulling its resources.  The final
+        # message absorbs the configured remainder so the circuit's
+        # total matches the declared payload exactly.
+        workload = self.workload
+        last = len(self.stream.messages) == workload.message_count - 1
+        self._send(
+            workload.message_bytes + (workload.remainder_bytes if last else 0)
+        )
+        if not last:
+            self._send_after(workload.message_interval)
 
 
 @register_part
@@ -318,7 +296,7 @@ class InteractiveWorkload(Workload):
         return _InteractiveRun(sim, flow, self)
 
 
-class _RequestResponseRun(WorkloadRun):
+class _RequestResponseRun(_StreamRun):
     """Closed-loop request/response exchange on one circuit.
 
     Only the response direction carries simulated bytes (circuits are
@@ -332,73 +310,21 @@ class _RequestResponseRun(WorkloadRun):
     def __init__(
         self, sim: Any, flow: Any, workload: "RequestResponseWorkload", planned: Any
     ) -> None:
-        super().__init__(flow)
-        self.sim = sim
-        self.workload = workload
-        circuit_id = flow.spec.circuit_id
-        self.scheduler = StreamScheduler(flow.hop_senders[0], circuit_id)
-        self.stream = self.scheduler.open_stream(1)
-        self.sink = MultiStreamSink(
-            sim, circuit_id, expected_bytes=workload.total_bytes()
-        )
-        flow.hosts[-1].attach_sink_app(circuit_id, self.sink)
-        self.records: List[Any] = []
-        self._delivered: Dict[int, float] = {}
-        self.sink.on_message = self._on_response
-        self._sent = 0
+        super().__init__(sim, flow, workload)
         # Think times are runtime draws, but deterministic: the RNG is
         # derived from the part's think_seed and the planned circuit
         # index, never from global state, so reruns replay identically.
         self._rng = random.Random(
             derive_seed(workload.think_seed, "reqresp.%d" % planned.index)
         )
-        self._timer = sim.schedule_at(max(flow.start_time, sim.now), self._request)
 
-    def _request(self) -> None:
-        self._timer = None
-        self.records.append(
-            self.scheduler.send_message(1, self.workload.response_bytes, self.sim.now)
-        )
-        self._sent += 1
+    def _send_next(self) -> None:
+        self._send(self.workload.response_bytes)
 
-    def _on_response(self, stream_id: int, message_id: int, at: float) -> None:
-        self._delivered[message_id] = at
-        if self._sent < self.workload.request_count and not self.failed:
-            think = self._rng.expovariate(1.0 / self.workload.think_time)
-            self._timer = self.sim.schedule(think, self._request)
-
-    def _cancel_pending(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    @property
-    def done(self) -> bool:
-        return self.sink.done
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self.sink.received_bytes
-
-    @property
-    def completed(self) -> Any:
-        return self.sink.completed
-
-    @property
-    def first_byte_time(self) -> Optional[float]:
-        return self.sink.first_cell_time
-
-    @property
-    def last_byte_time(self) -> float:
-        return self.sink.completed.value
-
-    @property
-    def message_latencies(self) -> List[float]:
-        return [
-            self._delivered[record.message_id] - record.queued_at
-            for record in self.records
-            if record.message_id in self._delivered
-        ]
+    def _on_message(self, stream_id: int, message_id: int, at: float) -> None:
+        super()._on_message(stream_id, message_id, at)
+        if len(self.stream.messages) < self.workload.request_count and not self.failed:
+            self._send_after(self._rng.expovariate(1.0 / self.workload.think_time))
 
 
 @register_part

@@ -583,22 +583,6 @@ def test_goodput_probe_flushes_circuits_faster_than_one_interval():
         assert delivered == pytest.approx(sample.payload_bytes)
 
 
-def test_goodput_probe_rejects_run_without_delivered_bytes():
-    """A workload run predating delivered_bytes fails at install time."""
-    from types import SimpleNamespace
-
-    from repro.scenario.workloads import WorkloadRun
-    from repro.sim.simulator import Simulator
-
-    run = WorkloadRun(
-        flow=SimpleNamespace(spec=SimpleNamespace(circuit_id=1),
-                             start_time=0.0)
-    )
-    context = SimpleNamespace(runs=[run])
-    with pytest.raises(TypeError, match="delivered_bytes"):
-        GoodputProbe().install(Simulator(), context)
-
-
 def test_goodput_probe_rejects_unknown_workload_at_spec_time():
     with pytest.raises(ValueError, match="teleport"):
         small_scenario(probes=(GoodputProbe(workload="teleport"),))
