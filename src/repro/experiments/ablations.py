@@ -26,11 +26,9 @@ from ..analysis.optimal_window import (
     backpropagated_window,
     optimal_windows,
 )
-from ..net.topology import build_chain
 from ..sim.simulator import Simulator
-from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import TraceConfig, TraceResult
+from .fig1_traces import TraceConfig, TraceResult, chain_flow
 from .registry import get_experiment, register_experiment
 
 __all__ = [
@@ -210,15 +208,10 @@ def backpropagation_study(
     """
     base = base or TraceConfig(bottleneck_distance=3)
     sim = Simulator()
-    relay_names = ["relay%d" % (i + 1) for i in range(base.relay_count)]
-    names = ["source", *relay_names, "sink"]
     specs = base.link_specs()
-    topology = build_chain(sim, names, specs)
-    spec = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
-    flow = CircuitFlow(
+    flow = chain_flow(
         sim,
-        topology,
-        spec,
+        specs,
         base.transport,
         controller_kind=base.controller_kind,
         payload_bytes=base.payload_bytes,
@@ -228,6 +221,7 @@ def backpropagation_study(
     links = [HopLink(s.rate, s.delay) for s in specs]
     per_hop_optimal = optimal_windows(links, base.transport)
     prediction = backpropagated_window(links, base.transport)
+    names = flow.spec.node_path
     labels = ["%s->%s" % (a, b) for a, b in zip(names, names[1:])]
     return [
         BackpropagationRow(

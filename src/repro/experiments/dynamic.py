@@ -18,16 +18,16 @@ published (startup-only) controller:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.optimal_window import HopLink, source_optimal_window
 from ..analysis.trace import TraceRecorder
-from ..net.topology import LinkSpec, Topology, build_chain
+from ..net.topology import Topology
 from ..sim.simulator import Simulator
-from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .fig1_traces import chain_flow, slow_link_specs
 from .registry import register_experiment
 
 __all__ = [
@@ -70,6 +70,14 @@ class DynamicConfig(ExperimentSpec):
     payload_bytes: int = mib(16)
     controller_kinds: tuple = ("dynamic", "circuitstart")
     transport: TransportConfig = field(default_factory=TransportConfig)
+
+    def __post_init__(self) -> None:
+        slow_link_specs(self, self.bottleneck_rate_before)  # its range checks
+        if not 0 <= self.change_time < self.duration:
+            raise ValueError(
+                "the rate change must fall inside the run: change_time %r, "
+                "duration %r" % (self.change_time, self.duration)
+            )
 
 
 @dataclass
@@ -146,28 +154,11 @@ class DynamicExperiment(Experiment):
         )
 
 
-def _link_specs(config: DynamicConfig) -> List[LinkSpec]:
-    specs = []
-    for index in range(config.relay_count + 1):
-        rate = (
-            config.bottleneck_rate_before
-            if index == config.bottleneck_distance
-            else config.fast_rate
-        )
-        specs.append(LinkSpec(rate, config.link_delay))
-    return specs
-
-
 def _run_one(config: DynamicConfig, kind: str):
     sim = Simulator()
-    relay_names = ["relay%d" % (i + 1) for i in range(config.relay_count)]
-    names = ["source", *relay_names, "sink"]
-    topology = build_chain(sim, names, _link_specs(config))
-    spec = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
-    flow = CircuitFlow(
+    flow = chain_flow(
         sim,
-        topology,
-        spec,
+        slow_link_specs(config, config.bottleneck_rate_before),
         config.transport,
         controller_kind=kind,
         payload_bytes=config.payload_bytes,
@@ -175,13 +166,14 @@ def _run_one(config: DynamicConfig, kind: str):
     recorder = TraceRecorder("cwnd:%s" % kind)
     flow.trace_cwnd(recorder)
 
+    names = flow.spec.node_path
     bottleneck_a = names[config.bottleneck_distance]
     bottleneck_b = names[config.bottleneck_distance + 1]
     received_at_change: Dict[str, int] = {}
 
     def apply_change() -> None:
         set_duplex_rate(
-            topology, bottleneck_a, bottleneck_b, config.bottleneck_rate_after
+            flow.topology, bottleneck_a, bottleneck_b, config.bottleneck_rate_after
         )
         received_at_change["bytes"] = flow.sink.received_bytes
 
@@ -196,14 +188,7 @@ def _run_one(config: DynamicConfig, kind: str):
 
 def _optimal_windows(config: DynamicConfig):
     def windows(bottleneck: Rate) -> int:
-        links = []
-        for index in range(config.relay_count + 1):
-            rate = (
-                bottleneck
-                if index == config.bottleneck_distance
-                else config.fast_rate
-            )
-            links.append(HopLink(rate, config.link_delay))
+        links = [HopLink(s.rate, s.delay) for s in slow_link_specs(config, bottleneck)]
         return source_optimal_window(links, config.transport).window_cells
 
     return (

@@ -21,7 +21,7 @@ Representative behaviour (the claims our benches assert):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from ..analysis.optimal_window import (
     HopLink,
@@ -37,7 +37,57 @@ from ..units import Rate, mbit_per_second, mib, milliseconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .registry import register_experiment
 
-__all__ = ["TraceConfig", "TraceExperiment", "TraceResult"]
+__all__ = [
+    "TraceConfig",
+    "TraceExperiment",
+    "TraceResult",
+    "chain_flow",
+    "slow_link_specs",
+]
+
+
+def slow_link_specs(chain: Any, slow_rate: Rate) -> List[LinkSpec]:
+    """Link specs of a chain: fast everywhere, slow at one distance.
+
+    *chain* is a spec with the four fields every chain harness shares:
+    ``relay_count`` (so ``relay_count + 1`` links: the source's egress,
+    then one per relay), ``bottleneck_distance`` (where the slow link
+    sits, in hops from the source as the paper counts), ``fast_rate``
+    and ``link_delay``.  A distance that names no link is an error,
+    not a chain without a bottleneck.
+    """
+    if chain.relay_count < 1:
+        raise ValueError("need at least one relay")
+    if not 0 <= chain.bottleneck_distance <= chain.relay_count:
+        raise ValueError(
+            "bottleneck distance %d out of range [0, %d]"
+            % (chain.bottleneck_distance, chain.relay_count)
+        )
+    return [
+        LinkSpec(
+            slow_rate if index == chain.bottleneck_distance else chain.fast_rate,
+            chain.link_delay,
+        )
+        for index in range(chain.relay_count + 1)
+    ]
+
+
+def chain_flow(
+    sim: Simulator,
+    link_specs: List[LinkSpec],
+    transport: TransportConfig,
+    **flow_options: Any,
+) -> CircuitFlow:
+    """One circuit over a fresh chain ``source, relay1..relayN, sink``.
+
+    One node per link end; *flow_options* go to :class:`CircuitFlow`.
+    The topology and the node names are ``flow.topology`` and
+    ``flow.spec.node_path``.
+    """
+    relay_names = ["relay%d" % (i + 1) for i in range(len(link_specs) - 1)]
+    topology = build_chain(sim, ["source", *relay_names, "sink"], link_specs)
+    spec = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
+    return CircuitFlow(sim, topology, spec, transport, **flow_options)
 
 
 @dataclass(frozen=True)
@@ -59,27 +109,11 @@ class TraceConfig(ExperimentSpec):
     transport: TransportConfig = field(default_factory=TransportConfig)
 
     def __post_init__(self) -> None:
-        if self.relay_count < 1:
-            raise ValueError("need at least one relay")
-        max_distance = self.relay_count  # links: source egress + one per relay
-        if not 0 <= self.bottleneck_distance <= max_distance:
-            raise ValueError(
-                "bottleneck distance %d out of range [0, %d]"
-                % (self.bottleneck_distance, max_distance)
-            )
+        self.link_specs()  # the layout's range checks
 
     def link_specs(self) -> List[LinkSpec]:
         """The chain's link specs, slow link at the configured position."""
-        link_count = self.relay_count + 1
-        specs = []
-        for index in range(link_count):
-            rate = (
-                self.bottleneck_rate
-                if index == self.bottleneck_distance
-                else self.fast_rate
-            )
-            specs.append(LinkSpec(rate, self.link_delay))
-        return specs
+        return slow_link_specs(self, self.bottleneck_rate)
 
 
 @dataclass
@@ -128,20 +162,13 @@ class TraceExperiment(Experiment):
     ) -> TraceResult:
         """Run one chain-topology transfer and trace the source's window."""
         sim = Simulator()
-        relay_names = ["relay%d" % (i + 1) for i in range(spec.relay_count)]
-        names = ["source", *relay_names, "sink"]
         link_specs = spec.link_specs()
-        topology = build_chain(sim, names, link_specs)
-
-        circuit = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
-        flow = CircuitFlow(
+        flow = chain_flow(
             sim,
-            topology,
-            circuit,
+            link_specs,
             spec.transport,
             controller_kind=spec.controller_kind,
             payload_bytes=spec.payload_bytes,
-            start_time=0.0,
         )
         recorder = TraceRecorder("source-cwnd:%s" % spec.controller_kind)
         flow.trace_cwnd(recorder)

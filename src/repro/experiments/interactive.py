@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..net.topology import LinkSpec, build_chain
 from ..sim.simulator import Simulator
-from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..tor.streams import MultiStreamSink, StreamScheduler
 from ..transport.config import TransportConfig
 from ..units import Rate, kib, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .fig1_traces import chain_flow, slow_link_specs
 from .registry import register_experiment
 
 __all__ = [
@@ -65,6 +64,9 @@ class InteractiveConfig(ExperimentSpec):
         }
     )
     transport: TransportConfig = field(default_factory=TransportConfig)
+
+    def __post_init__(self) -> None:
+        slow_link_specs(self, self.bottleneck_rate)  # its range checks
 
 
 @dataclass
@@ -121,28 +123,15 @@ class InteractiveExperiment(Experiment):
 
 def _run_one(config: InteractiveConfig, kind: str) -> InteractiveRow:
     sim = Simulator()
-    relay_names = ["relay%d" % (i + 1) for i in range(config.relay_count)]
-    names = ["source", *relay_names, "sink"]
-    specs = []
-    for index in range(config.relay_count + 1):
-        rate = (
-            config.bottleneck_rate
-            if index == config.bottleneck_distance
-            else config.fast_rate
-        )
-        specs.append(LinkSpec(rate, config.link_delay))
-    topology = build_chain(sim, names, specs)
-
-    spec = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
-    flow = CircuitFlow(
+    flow = chain_flow(
         sim,
-        topology,
-        spec,
+        slow_link_specs(config, config.bottleneck_rate),
         config.transport,
         controller_kind=kind,
         controller_kwargs=config.controller_kwargs.get(kind),
         workload="none",
     )
+    spec = flow.spec
 
     scheduler = StreamScheduler(flow.hop_senders[0], spec.circuit_id)
     scheduler.open_stream(BULK_STREAM)

@@ -69,3 +69,21 @@ def test_json_bytes_are_pinned():
     assert json_digest(get_experiment("dynamic").run(spec)) == (
         "1b1661930d5f9cc15cf82b1231c3671d21c0670b8780b92ee445fb7159d9df76"
     )
+
+
+def test_bottleneck_must_be_on_the_path():
+    """Was an IndexError out of the running experiment."""
+    with pytest.raises(ValueError, match="out of range"):
+        DynamicConfig(bottleneck_distance=9)
+    with pytest.raises(ValueError, match="at least one relay"):
+        DynamicConfig(relay_count=0, bottleneck_distance=0)
+
+
+@pytest.mark.parametrize("change_time,duration", [
+    (5.0, 0.3),   # never applied: the whole transfer counted as "after"
+    (0.3, 0.3),
+    (-0.1, 1.0),
+])
+def test_rate_change_must_fall_inside_the_run(change_time, duration):
+    with pytest.raises(ValueError, match="inside the run"):
+        DynamicConfig(change_time=change_time, duration=duration)

@@ -60,3 +60,11 @@ def test_json_bytes_are_pinned():
     assert json_digest(get_experiment("interactive").run(spec)) == (
         "99a1b30205b9e628e575c6e443ee6d4245dbb5cc48ee27b804aa8cd2d10f457a"
     )
+
+
+@pytest.mark.parametrize("distance", [-1, 4, 9])
+def test_bottleneck_must_be_on_the_path(distance):
+    """Three relays have links 0..3; a distance past them used to run
+    with no slow link at all and report a plausible latency."""
+    with pytest.raises(ValueError, match="out of range"):
+        InteractiveConfig(bottleneck_distance=distance)
