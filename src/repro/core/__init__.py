@@ -21,7 +21,12 @@ from .baselines import (
 )
 from .circuitstart import CircuitStartController
 from .dynamic import DynamicCircuitStartController
-from .factory import CONTROLLER_REGISTRY, controller_kinds, make_controller
+from .factory import (
+    CONTROLLER_REGISTRY,
+    check_controller_kinds,
+    controller_kinds,
+    make_controller,
+)
 
 __all__ = [
     "CONTROLLER_REGISTRY",
@@ -31,6 +36,7 @@ __all__ = [
     "JumpStartController",
     "PlainSlowStartController",
     "VegasStartController",
+    "check_controller_kinds",
     "controller_kinds",
     "make_controller",
 ]

@@ -9,7 +9,7 @@ paper's Figure 1.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Iterable, List
 
 from ..transport.config import TransportConfig
 from ..transport.controller import WindowController
@@ -22,7 +22,12 @@ from .baselines import (
 from .circuitstart import CircuitStartController
 from .dynamic import DynamicCircuitStartController
 
-__all__ = ["make_controller", "controller_kinds", "CONTROLLER_REGISTRY"]
+__all__ = [
+    "CONTROLLER_REGISTRY",
+    "check_controller_kinds",
+    "controller_kinds",
+    "make_controller",
+]
 
 #: kind -> constructor.  Constructors accept (config, **kwargs).
 #: "with"/"without" match the legend of the paper's Figure 1: *with*
@@ -45,6 +50,21 @@ def controller_kinds() -> List[str]:
     return sorted(CONTROLLER_REGISTRY)
 
 
+def check_controller_kinds(kinds: Iterable[str]) -> None:
+    """Reject the first of *kinds* that names no controller.
+
+    Specs call this when they are built, so an unknown kind is refused
+    before a network exists instead of by :func:`make_controller` at
+    the first hop of the first circuit.
+    """
+    for kind in kinds:
+        if kind not in CONTROLLER_REGISTRY:
+            raise ValueError(
+                "unknown controller kind %r (known: %s)"
+                % (kind, ", ".join(controller_kinds()))
+            )
+
+
 def make_controller(
     kind: str, config: TransportConfig, **kwargs: Any
 ) -> WindowController:
@@ -54,11 +74,5 @@ def make_controller(
     (e.g. ``window_cells`` for ``"fixed"``, ``initial_cells`` for
     ``"jumpstart"``, ``reentry_rounds`` for ``"dynamic"``).
     """
-    try:
-        constructor = CONTROLLER_REGISTRY[kind]
-    except KeyError:
-        raise ValueError(
-            "unknown controller kind %r (known: %s)"
-            % (kind, ", ".join(controller_kinds()))
-        ) from None
-    return constructor(config, **kwargs)
+    check_controller_kinds((kind,))
+    return CONTROLLER_REGISTRY[kind](config, **kwargs)

@@ -40,12 +40,14 @@ from typing import (
     Any,
     ClassVar,
     Dict,
+    Iterable,
     Optional,
     Protocol,
     Tuple,
     runtime_checkable,
 )
 
+from ..core.factory import check_controller_kinds
 from ..serialize import Serializable, SpecError, decode, encode
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "RunContext",
     "Serializable",
     "SpecError",
+    "check_kinds_and_duration",
     "decode",
     "encode",
 ]
@@ -72,6 +75,18 @@ class ExperimentSpec(Serializable):
 
 class ExperimentResult(Serializable):
     """Base for experiment result dataclasses (serializable)."""
+
+
+def check_kinds_and_duration(kinds: Iterable[str], duration: float) -> None:
+    """What a spec that runs circuits for a fixed time checks when built.
+
+    Both used to surface only once the run was under way (the
+    controller factory's ``ValueError``, the simulator's
+    ``ClockError``); a spec that decodes must be a spec that runs.
+    """
+    check_controller_kinds(kinds)
+    if duration <= 0:
+        raise ValueError("duration must be positive, got %r" % duration)
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,14 @@ class CdfConfig(ExperimentSpec):
     transport: TransportConfig = field(default_factory=TransportConfig)
 
     def __post_init__(self) -> None:
-        if self.circuit_count < 1:
-            raise ValueError("need at least one circuit")
         if self.circuit_count > min(
             self.network.client_count, self.network.server_count
         ):
             raise ValueError("not enough client/server hosts for the circuits")
+        # The rest (counts, payload, kinds, path lengths) is the
+        # scenario's and its parts' to judge: compile once here, so a
+        # config that builds is a config that plans.
+        self.to_scenario()
 
     def to_scenario(self) -> Scenario:
         """Compile this legacy spec into a declarative scenario."""

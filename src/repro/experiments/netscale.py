@@ -125,10 +125,6 @@ class NetScaleConfig(ExperimentSpec):
     clusters: int = 1
 
     def __post_init__(self) -> None:
-        if self.circuit_count < 1:
-            raise ValueError("need at least one circuit")
-        if self.hops < 1:
-            raise ValueError("need at least one relay hop")
         if not 0.0 <= self.bulk_fraction <= 1.0:
             raise ValueError(
                 "bulk_fraction must be within [0, 1], got %r" % self.bulk_fraction
@@ -142,6 +138,10 @@ class NetScaleConfig(ExperimentSpec):
                 "%d relays cannot form %d-hop paths"
                 % (self.network.relay_count, self.hops)
             )
+        # Everything else (counts, clusters, kinds, churn, probes) is the
+        # scenario's and its parts' to judge: compile once here, so a
+        # config that builds is a config that plans.
+        self.to_scenario()
 
     def interactive_workload(self) -> InteractiveWorkload:
         """The stream-backed interactive class for this config.

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.factory import check_controller_kinds
 from ..serialize import Serializable
 from ..sim.rand import RandomStreams
 from ..transport.config import TransportConfig
@@ -95,6 +96,7 @@ class Scenario(Serializable):
             raise ValueError("a scenario needs at least one controller kind")
         if len(set(self.kinds)) != len(self.kinds):
             raise ValueError("controller kinds must be distinct")
+        check_controller_kinds(self.kinds)
         if self.max_sim_time <= 0:
             raise ValueError(
                 "max_sim_time must be positive, got %r" % self.max_sim_time

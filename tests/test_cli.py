@@ -252,6 +252,56 @@ def test_batch_dry_run_reports_unknown_field(tmp_path, capsys):
     assert "1 of 2 jobs invalid" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["netscale", "--clusters", "0"], "clusters must be at least 1"),
+    (["netscale", "--clusters", "50"], "split into 50 clusters"),
+    (["cdf", "--payload-kib", "0"], "payload_bytes must be positive"),
+    (["trace", "--controller", "nope"], "unknown controller kind 'nope'"),
+    (["trace", "--duration-ms", "-5"], "duration must be positive"),
+])
+def test_spec_that_cannot_run_is_a_usage_error(argv, message, capsys):
+    """Validity is decided when the spec is built: one stderr line and
+    exit 2, where the planner, the controller factory or the clock
+    used to raise out of the running experiment."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+#: Each decodes field by field and used to fail only inside the run.
+CANNOT_RUN = [
+    ({"experiment": "netscale", "spec": {"clusters": 0}}, "clusters"),
+    ({"experiment": "cdf", "spec": {"payload_bytes": 0}}, "payload_bytes"),
+    ({"experiment": "trace", "spec": {"controller_kind": "nope"}},
+     "unknown controller kind"),
+    ({"experiment": "trace", "spec": {"duration": -1.0}}, "duration"),
+]
+
+
+def test_batch_dry_run_rejects_specs_that_cannot_run(tmp_path, capsys):
+    """A passing dry run means ``repro batch`` will accept the file."""
+    path = _write_specs(tmp_path, [job for job, __ in CANNOT_RUN])
+    code = main(["batch", path, "--dry-run"])
+    captured = capsys.readouterr()
+    assert code == 2
+    errors = captured.err.splitlines()
+    for index, (__, message) in enumerate(CANNOT_RUN):
+        assert errors[index].startswith("job %d: " % index)
+        assert message in errors[index]
+    assert "4 of 4 jobs invalid" in captured.err
+    assert " ok" not in captured.out
+
+
+@pytest.mark.parametrize("job,message", CANNOT_RUN)
+def test_each_spec_that_cannot_run_fails_dry_run(job, message, tmp_path, capsys):
+    path = _write_specs(tmp_path, [job])
+    assert main(["batch", path, "--dry-run"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_netscale_command_small(capsys):
     code = main([
         "netscale", "--circuits", "8", "--relays", "8",

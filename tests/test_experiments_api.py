@@ -245,6 +245,31 @@ KNOB_FLAGS = {
 }
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TraceConfig(controller_kind="nope"),
+    lambda: TraceConfig(duration=0.0),
+    lambda: DynamicConfig(controller_kinds=("dynamic", "nope")),
+    lambda: DynamicConfig(change_time=-2.0, duration=-1.0),
+    lambda: InteractiveConfig(controller_kinds=("nope",)),
+    lambda: InteractiveConfig(duration=-1.0),
+    lambda: FriendlinessConfig(controller_kinds=("nope",)),
+    lambda: FriendlinessConfig(circuit_start=-2.0, duration=-1.0),
+    lambda: CdfConfig(payload_bytes=0),
+    lambda: CdfConfig(kinds=("with", "nope")),
+    lambda: CdfConfig(max_sim_time=0.0),
+    lambda: get_experiment("netscale").spec_type(clusters=0),
+    lambda: get_experiment("netscale").spec_type(clusters=50),
+    lambda: get_experiment("netscale").spec_type(kinds=("nope", "without")),
+    lambda: get_experiment("scenario").spec_type(kinds=("nope",)),
+])
+def test_spec_that_cannot_run_does_not_build(build):
+    """Each of these built fine and failed inside the run (the planner,
+    the controller factory, the simulator clock); validity is the
+    spec's to decide, so ``repro batch --dry-run`` and the CLI see it."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_run_context_is_three_validated_knobs():
     assert [f.name for f in dataclasses.fields(RunContext)] == [
         "workers", "checkpoint_dir", "resume",
