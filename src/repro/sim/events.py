@@ -9,26 +9,19 @@ the simulator:
   increasing sequence number breaks ties, so runs are deterministic
   regardless of heap internals.
 * **Cheap cancellation.**  Cancelling an event marks its handle instead
-  of rebuilding the heap; the queue discards dead entries lazily when
-  they surface.  Timers that are rescheduled often (retransmission
-  timers, idle timeouts) stay O(log n).
+  of rebuilding the heap; the simulator's loop discards dead entries
+  lazily when they surface.  Timers that are rescheduled often
+  (retransmission timers, idle timeouts) stay O(log n).
 
-Three ways in share one heap and one sequence counter, so FIFO ordering
-holds *across* them:
-
-* the **handle path** (:meth:`EventQueue.push`) returns an
-  :class:`EventHandle` that can be cancelled — for timers;
-* the **fast path** (:meth:`EventQueue.push_fast`) stores a plain
-  ``(time, seq, callback, args)`` tuple with no handle object at all —
-  for the ~95% of events that are never cancelled (deliveries,
-  feedback);
-* a **reserved push** (:meth:`EventQueue.reserve_seq`, then maybe
-  :meth:`EventQueue.push_reserved`) draws the sequence number now and
-  decides later whether the event is needed at all.  A link transmitter
-  reserves the slot of its "transmission complete" event when a packet
-  starts serializing and only pushes it if another packet shows up
-  while the wire is busy; the event then fires at exactly the
-  ``(time, seq)`` position an eagerly pushed one would have had.
+:class:`EventQueue` owns the heap, the sequence counter and the books on
+cancelled entries, and builds the cancellable entries
+(:meth:`EventQueue.push`, one :class:`EventHandle` each — for timers).
+:class:`~repro.sim.simulator.Simulator` holds the same heap and counter
+and does everything per-event itself: the handle-free pushes
+(``schedule_fast``, and ``schedule_reserved`` under a sequence number
+drawn earlier) for the ~95% of events that are never cancelled, and
+every pop.  One heap and one counter, so FIFO ordering holds *across*
+the ways in.
 
 **Heap compaction.**  Cancelled handle entries normally leave the heap
 lazily, when they surface at the top.  Under cancel-heavy load (churn
@@ -40,7 +33,8 @@ O(events ever scheduled).
 The queue counts its *dead* entries, not its live ones: pushes and pops
 of live events — all the hot path ever does — touch no counter.
 
-All of this is exercised by the hypothesis property tests in
+Ordering, cancellation and compaction are exercised through the
+simulator by the hypothesis property tests in
 ``tests/test_sim_events.py``.
 """
 
@@ -72,7 +66,7 @@ class EventHandle:
         seq: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
-        queue: Optional["EventQueue"] = None,
+        queue: "EventQueue",
     ) -> None:
         self.time = time
         self.seq = seq
@@ -81,9 +75,10 @@ class EventHandle:
         self._cancelled = False
         self._fired = False
         # Back-reference to the owning queue while the handle is live in
-        # its heap, so cancel() keeps the live count honest no matter
-        # whether it is called directly or via Simulator.cancel().
-        self._queue = queue
+        # its heap (the loop clears it as it pops the entry), so cancel()
+        # keeps the live count honest no matter whether it is called
+        # directly or via Simulator.cancel().
+        self._queue: Optional["EventQueue"] = queue
 
     @property
     def cancelled(self) -> bool:
@@ -122,10 +117,6 @@ class EventHandle:
         self.args = ()
         return True
 
-    def _fire(self) -> None:
-        self._fired = True
-        self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "fired" if self._fired else "pending"
         return "<EventHandle t=%.9f seq=%d %s>" % (self.time, self.seq, state)
@@ -141,14 +132,13 @@ class EventQueue:
     Heap entries come in two shapes that share one sequence counter:
 
     * ``(time, seq, EventHandle)`` — cancellable, from :meth:`push`;
-    * ``(time, seq, callback, args)`` — handle-free, from
-      :meth:`push_fast` and :meth:`push_reserved`.
+    * ``(time, seq, callback, args)`` — handle-free, pushed by the
+      simulator straight onto :attr:`_heap`.
 
     ``(time, seq)`` is unique per entry, so heap comparisons never reach
     the third element and the two shapes mix freely.  The queue itself
     knows nothing about simulated time; the simulator validates times
-    before pushing.  This split keeps the heap logic independently
-    testable (including with hypothesis).
+    before pushing, and pops.
     """
 
     __slots__ = ("_heap", "_counter", "_dead")
@@ -183,106 +173,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, handle.seq, handle))
         return handle
 
-    def push_fast(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-    ) -> None:
-        """Schedule *callback(\\*args)* at absolute *time*, handle-free.
-
-        The fast path for events that are never cancelled: no
-        :class:`EventHandle` is allocated, only the heap tuple itself.
-        FIFO-within-timestamp ordering against :meth:`push` events is
-        preserved because both paths draw from the same counter.
-        """
-        if time != time:
-            raise SchedulingError("event time must not be NaN")
-        heapq.heappush(self._heap, (time, next(self._counter), callback, args))
-
-    def reserve_seq(self) -> int:
-        """Draw the next sequence number without scheduling anything.
-
-        The caller may later :meth:`push_reserved` an event under it —
-        at most once — or never use it; an unused number costs nothing.
-        """
-        return next(self._counter)
-
-    def push_reserved(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-    ) -> None:
-        """Schedule *callback(\\*args)* at ``(time, seq)``, handle-free.
-
-        *seq* must come from :meth:`reserve_seq` and be used once.  The
-        event fires exactly where one pushed at reservation time would
-        have: after everything scheduled for *time* before the
-        reservation, before everything scheduled for *time* after it.
-        """
-        if time != time:
-            raise SchedulingError("event time must not be NaN")
-        heapq.heappush(self._heap, (time, seq, callback, args))
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` when empty."""
-        self._drop_dead()
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> EventHandle:
-        """Remove and return the next live event.
-
-        Fast-path entries are wrapped in a fresh (already detached)
-        :class:`EventHandle` so callers see one uniform type; the
-        simulator's hot loop works on the raw heap entries instead.
-
-        Raises :class:`IndexError` when no live events remain (mirrors
-        :meth:`list.pop` semantics, callers check :func:`len` first).
-        """
-        self._drop_dead()
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        entry = heapq.heappop(self._heap)
-        if len(entry) == 4:
-            return EventHandle(entry[0], entry[1], entry[2], entry[3])
-        handle = entry[2]
-        handle._queue = None
-        return handle
-
-    def pop_callback(self) -> Tuple[float, Callable[..., Any], Tuple[Any, ...]]:
-        """Remove the next live event; return ``(time, callback, args)``.
-
-        The allocation-free variant of :meth:`pop`: no wrapper handle is
-        created for fast-path entries, and handle-path entries are
-        marked fired here so the caller can invoke the callback
-        directly.
-        """
-        self._drop_dead()
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        entry = heapq.heappop(self._heap)
-        if len(entry) == 4:
-            return entry[0], entry[2], entry[3]
-        handle = entry[2]
-        handle._queue = None
-        handle._fired = True
-        return entry[0], handle.callback, handle.args
-
-    def clear(self) -> int:
-        """Drop every pending event; return how many live ones were dropped."""
-        dropped = len(self)
-        for entry in self._heap:
-            if len(entry) == 3:
-                # Detach first: the heap is about to be emptied, so the
-                # cancellation must not count (or compact) against it.
-                entry[2]._queue = None
-                entry[2].cancel()
-        self._heap.clear()
-        self._dead = 0
-        return dropped
-
     def _note_handle_cancelled(self) -> None:
         """One live handle entry in the heap was cancelled.
 
@@ -301,10 +191,3 @@ class EventQueue:
             ]
             heapq.heapify(heap)
             self._dead = 0
-
-    def _drop_dead(self) -> None:
-        """Discard cancelled entries sitting at the top of the heap."""
-        heap = self._heap
-        while heap and len(heap[0]) == 3 and heap[0][2]._cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1

@@ -20,6 +20,13 @@ and provides the scheduling API every other subsystem builds on:
 * :attr:`Simulator.now` — the clock, a plain attribute that only the
   event loop writes.
 
+Division of labour with :class:`~repro.sim.events.EventQueue`: the
+queue owns the heap, the sequence counter and the count of cancelled
+entries, and builds the cancellable entries behind ``schedule`` /
+``schedule_at`` / ``call_soon``; the handle-free pushes and the loop
+below work on that same heap and counter directly, one call level per
+event.
+
 The fast-path contract: ``schedule_fast`` events cannot be cancelled
 and return no handle, but fire with exactly the same deterministic
 (time, seq) FIFO ordering as ``schedule`` events — both draw from one

@@ -1,4 +1,14 @@
-"""Unit and property tests for the event queue (repro.sim.events)."""
+"""Unit and property tests for event ordering and cancellation.
+
+:class:`~repro.sim.events.EventQueue` owns the heap, the sequence
+counter, the dead-entry count and compaction;
+:class:`~repro.sim.simulator.Simulator` does its own pushes and pops on
+that heap.  The ordering properties are therefore driven through the
+simulator — ``schedule`` / ``schedule_fast`` / ``reserve_seq`` +
+``schedule_reserved`` in, ``run`` / ``step`` out — so they hold for the
+loop production executes, and the queue is tested directly only for
+what it does itself.
+"""
 
 from __future__ import annotations
 
@@ -7,35 +17,34 @@ from hypothesis import given, strategies as st
 
 from repro.sim.errors import SchedulingError
 from repro.sim.events import EventQueue
+from repro.sim.simulator import Simulator
 
 
 def test_empty_queue_has_no_events():
     q = EventQueue()
     assert len(q) == 0
     assert not q
-    assert q.peek_time() is None
-
-
-def test_pop_from_empty_raises():
-    q = EventQueue()
-    with pytest.raises(IndexError):
-        q.pop()
+    sim = Simulator()
+    assert sim.pending_events == 0
+    assert not sim.step()
 
 
 def test_events_pop_in_time_order():
-    q = EventQueue()
-    q.push(3.0, lambda: None)
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    times = [q.pop().time for __ in range(3)]
-    assert times == [1.0, 2.0, 3.0]
+    sim = Simulator()
+    fired = []
+    for delay in (3.0, 1.0, 2.0):
+        sim.schedule(delay, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
 
 
 def test_same_time_events_pop_fifo():
-    q = EventQueue()
-    handles = [q.push(1.0, lambda: None) for __ in range(10)]
-    popped = [q.pop() for __ in range(10)]
-    assert popped == handles
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        sim.schedule(1.0, fired.append, i)
+    sim.run()
+    assert fired == list(range(10))
 
 
 def test_nan_time_rejected():
@@ -68,12 +77,14 @@ def test_cancel_is_idempotent():
 
 
 def test_cancelled_events_are_skipped():
-    q = EventQueue()
-    h1 = q.push(1.0, lambda: None)
-    h2 = q.push(2.0, lambda: None)
+    sim = Simulator()
+    fired = []
+    h1 = sim.schedule(1.0, fired.append, "first")
+    sim.schedule(2.0, fired.append, "second")
     h1.cancel()
-    assert q.peek_time() == 2.0
-    assert q.pop() is h2
+    assert sim.step()
+    assert (sim.now, fired) == (2.0, ["second"])
+    assert not sim.step()
 
 
 def test_cancel_drops_callback_reference():
@@ -85,19 +96,21 @@ def test_cancel_drops_callback_reference():
 
 
 def test_fire_runs_callback_with_args():
-    q = EventQueue()
+    sim = Simulator()
     out = []
-    h = q.push(1.0, out.append, ("x",))
-    q.pop()._fire()
-    assert out == ["x"]
-    assert h.fired
+    # Marked fired before the callback runs: it sees itself as spent.
+    h = sim.schedule(1.0, lambda tag: out.append((tag, h.fired)), "x")
+    sim.run()
+    assert out == [("x", True)]
+    assert h.fired and not h.pending
 
 
 def test_fired_handle_cannot_cancel():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
-    q.pop()._fire()
+    sim = Simulator()
+    h = sim.schedule(1.0, lambda: None)
+    sim.run()
     assert not h.cancel()
+    assert not h.cancelled
 
 
 def test_len_tracks_cancellations():
@@ -108,118 +121,87 @@ def test_len_tracks_cancellations():
     assert len(q) == 3
 
 
-def test_clear_cancels_everything():
-    q = EventQueue()
-    handles = [q.push(float(i), lambda: None) for i in range(5)]
-    assert q.clear() == 5
-    assert len(q) == 0
-    assert all(h.cancelled for h in handles)
-
-
 def test_fast_path_push_and_pop():
-    q = EventQueue()
-    q.push_fast(2.0, lambda: None)
-    q.push_fast(1.0, lambda: None)
-    assert len(q) == 2
-    assert q.peek_time() == 1.0
-    assert [q.pop().time for __ in range(2)] == [1.0, 2.0]
-    assert not q
-
-
-def test_fast_path_pop_wraps_in_detached_handle():
-    q = EventQueue()
-    out = []
-    q.push_fast(1.0, out.append, ("x",))
-    handle = q.pop()
-    assert handle.pending
-    handle._fire()
-    assert out == ["x"]
+    sim = Simulator()
+    fired = []
+    sim.schedule_fast(2.0, lambda: fired.append(sim.now))
+    sim.schedule_fast(1.0, lambda: fired.append(sim.now))
+    assert sim.pending_events == 2
+    sim.run()
+    assert fired == [1.0, 2.0]
+    assert sim.pending_events == 0
 
 
 def test_fast_path_nan_rejected():
-    q = EventQueue()
+    sim = Simulator()
     with pytest.raises(SchedulingError):
-        q.push_fast(float("nan"), lambda: None)
+        sim.schedule_fast(float("nan"), lambda: None)
+    assert sim.pending_events == 0
 
 
 def test_fast_and_handle_paths_share_fifo_order():
-    q = EventQueue()
-    q.push(1.0, lambda: None, ("a",))
-    q.push_fast(1.0, lambda: None, ("b",))
-    q.push(1.0, lambda: None, ("c",))
-    q.push_fast(1.0, lambda: None, ("d",))
-    assert [q.pop().args[0] for __ in range(4)] == ["a", "b", "c", "d"]
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule_fast(1.0, fired.append, "b")
+    sim.schedule(1.0, fired.append, "c")
+    sim.schedule_fast(1.0, fired.append, "d")
+    sim.run()
+    assert fired == ["a", "b", "c", "d"]
 
 
 def test_reserved_push_fires_where_it_was_reserved():
-    q = EventQueue()
-    q.push_fast(1.0, lambda: None, ("before",))
-    seq = q.reserve_seq()
-    q.push_fast(1.0, lambda: None, ("after",))
-    q.push(0.5, lambda: None, ("earlier",))
-    assert len(q) == 3  # a reservation alone is not an event
-    q.push_reserved(1.0, seq, lambda: None, ("reserved",))
-    assert len(q) == 4
-    assert [q.pop().args[0] for __ in range(4)] == [
-        "earlier", "before", "reserved", "after",
-    ]
+    sim = Simulator()
+    fired = []
+    sim.schedule_fast(1.0, fired.append, "before")
+    seq = sim.reserve_seq()
+    sim.schedule_fast(1.0, fired.append, "after")
+    sim.schedule(0.5, fired.append, "earlier")
+    assert sim.pending_events == 3  # a reservation alone is not an event
+    sim.schedule_reserved(1.0, seq, fired.append, "reserved")
+    assert sim.pending_events == 4
+    sim.run()
+    assert fired == ["earlier", "before", "reserved", "after"]
     with pytest.raises(SchedulingError):
-        q.push_reserved(float("nan"), q.reserve_seq(), lambda: None)
-
-
-def test_pop_callback_returns_raw_triples():
-    q = EventQueue()
-    out = []
-    q.push_fast(1.0, out.append, ("fast",))
-    handle = q.push(2.0, out.append, ("handle",))
-    time, callback, args = q.pop_callback()
-    assert (time, args) == (1.0, ("fast",))
-    callback(*args)
-    time, callback, args = q.pop_callback()
-    assert (time, args) == (2.0, ("handle",))
-    assert handle.fired  # marked before the caller even invokes it
-    with pytest.raises(IndexError):
-        q.pop_callback()
+        sim.schedule_reserved(float("nan"), sim.reserve_seq(), lambda: None)
 
 
 def test_direct_handle_cancel_updates_live_count():
-    """EventHandle.cancel() alone must keep len(queue) honest (no
+    """EventHandle.cancel() alone must keep the live count honest (no
     Simulator.cancel call needed)."""
-    q = EventQueue()
-    handles = [q.push(float(i), lambda: None) for i in range(4)]
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(float(i), fired.append, i) for i in range(4)]
     handles[0].cancel()
-    assert len(q) == 3
-    assert q.pop() is handles[1]
+    assert sim.pending_events == 3
+    assert sim.step()
+    assert fired == [1]
 
 
 def test_cancel_after_pop_does_not_corrupt_live_count():
-    q = EventQueue()
-    handle = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    assert q.pop() is handle
-    assert len(q) == 1
-    assert handle.cancel()  # popped but unfired: cancellable, but the
-    assert len(q) == 1      # queue no longer owns it
-    assert q.clear() == 1
-
-
-def test_clear_with_mixed_paths():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push_fast(2.0, lambda: None)
-    q.push(3.0, lambda: None)
-    assert q.clear() == 3
-    assert len(q) == 0
-    assert q.peek_time() is None
+    """The loop detaches a handle as it pops it: cancelling it from its
+    own callback, or afterwards, is refused and counts nothing dead."""
+    sim = Simulator()
+    refused = []
+    handle = sim.schedule(1.0, lambda: refused.append(handle.cancel()))
+    sim.schedule(2.0, lambda: None)
+    assert sim.step()
+    assert refused == [False]
+    assert sim.pending_events == 1
+    assert not handle.cancel()
+    assert sim.pending_events == 1
+    sim.run()
+    assert sim.pending_events == 0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
 def test_property_pop_order_is_sorted(times):
-    q = EventQueue()
+    sim = Simulator()
+    fired = []
     for t in times:
-        q.push(t, lambda: None)
-    popped = [q.pop().time for __ in range(len(times))]
-    assert popped == sorted(times)
+        sim.schedule_at(t, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == sorted(times)
 
 
 @given(
@@ -231,13 +213,14 @@ def test_property_pop_order_is_sorted(times):
 )
 def test_property_stable_within_equal_times(entries):
     """Events at equal timestamps preserve their insertion order."""
-    q = EventQueue()
+    sim = Simulator()
+    fired = []
     for t, tag in entries:
-        q.push(t, lambda: None, (tag,))
-    popped = [q.pop() for __ in range(len(entries))]
+        sim.schedule_at(t, lambda tag=tag: fired.append((sim.now, tag)))
+    sim.run()
     for time_value in (1.0, 2.0, 3.0):
         expected = [tag for t, tag in entries if t == time_value]
-        got = [h.args[0] for h in popped if h.time == time_value]
+        got = [tag for t, tag in fired if t == time_value]
         assert got == expected
 
 
@@ -246,35 +229,35 @@ def test_property_stable_within_equal_times(entries):
     st.sets(st.integers(0, 79)),
 )
 def test_property_cancelled_never_pop(times, cancel_indices):
-    q = EventQueue()
-    handles = [q.push(t, lambda: None) for t in times]
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule_at(t, fired.append, i) for i, t in enumerate(times)]
     cancelled = set()
     for i in cancel_indices:
         if i < len(handles) and handles[i].cancel():
-            cancelled.add(handles[i])
-    survivors = []
-    while q:
-        survivors.append(q.pop())
-    assert not (set(survivors) & cancelled)
-    assert len(survivors) == len(handles) - len(cancelled)
+            cancelled.add(i)
+    assert sim.pending_events == len(handles) - len(cancelled)
+    sim.run()
+    assert not (set(fired) & cancelled)
+    assert len(fired) == len(handles) - len(cancelled)
 
 
 # ----------------------------------------------------------------------
-# Property tests over arbitrary interleavings of all scheduling paths.
+# Property test over arbitrary interleavings of all scheduling paths.
 #
 # Operations are interpreted against a simple reference model: a list of
-# (time, seq, tag) entries sorted by (time, seq).  The queue must agree
-# with the model on length and on the exact (time, seq)-stable order of
-# everything that pops — for handle events, fast events, reserved
-# pushes (which enter under a sequence number drawn earlier),
-# cancellations and clears in any interleaving.
+# (time, seq, tag) entries sorted by (time, seq).  The simulator must
+# agree with the model on the live count and on the exact (time, seq)-
+# stable order of everything that fires — for handle events, fast
+# events, reserved pushes (which enter under a sequence number drawn
+# earlier, and are refused once the loop is past their place) and
+# cancellations, with single steps of the loop in any interleaving.
 # ----------------------------------------------------------------------
 
 _ops = st.lists(
     st.tuples(
         st.sampled_from([
-            "push", "push_fast", "reserve", "push_reserved", "pop",
-            "cancel", "clear",
+            "push", "push_fast", "reserve", "push_reserved", "pop", "cancel",
         ]),
         st.sampled_from([0.0, 1.0, 2.0, 3.0]),
         st.integers(0, 999),
@@ -285,40 +268,51 @@ _ops = st.lists(
 
 @given(_ops)
 def test_property_mixed_paths_order_and_accounting(ops):
-    q = EventQueue()
+    sim = Simulator()
     model = []      # live entries: (time, seq, tag)
     handles = {}    # seq -> handle (handle-path entries only)
     reserved = []   # drawn but not yet pushed: (time, seq, tag)
-    popped_queue = []
-    popped_model = []
+    fired = []      # what the simulator ran: (now, tag)
+    expected = []   # what the model says it should have run
     seq = 0
+    last = (0.0, -1)  # (time, seq) of the last event the loop executed
 
-    for op, time, tag in ops:
+    def note(tag):
+        fired.append((sim.now, tag))
+
+    for op, delay, tag in ops:
+        time = sim.now + delay
         if op == "push":
-            handles[seq] = q.push(time, lambda: None, (tag,))
+            handles[seq] = sim.schedule(delay, note, tag)
             model.append((time, seq, tag))
             seq += 1
         elif op == "push_fast":
-            q.push_fast(time, lambda: None, (tag,))
+            sim.schedule_fast(delay, note, tag)
             model.append((time, seq, tag))
             seq += 1
         elif op == "reserve":
-            assert q.reserve_seq() == seq
+            assert sim.reserve_seq() == seq
             reserved.append((time, seq, tag))
             seq += 1
         elif op == "push_reserved":
             if reserved:
                 entry = reserved.pop(tag % len(reserved))
-                q.push_reserved(entry[0], entry[1], lambda: None, (entry[2],))
-                model.append(entry)
+                if entry[:2] > last:
+                    sim.schedule_reserved(entry[0], entry[1], note, entry[2])
+                    model.append(entry)
+                else:
+                    # The loop is past that place: an event there would
+                    # already have fired, so the caller acts on the spot.
+                    with pytest.raises(SchedulingError):
+                        sim.schedule_reserved(entry[0], entry[1], note, entry[2])
         elif op == "pop":
+            assert sim.step() == bool(model)
             if model:
-                popped_queue.append(q.pop().args[0])
                 model.sort()
-                popped_model.append(model.pop(0)[2])
-            else:
-                with pytest.raises(IndexError):
-                    q.pop()
+                time, entry_seq, entry_tag = model.pop(0)
+                expected.append((time, entry_tag))
+                last = (time, entry_seq)
+                assert sim.current_seq == entry_seq
         elif op == "cancel":
             # Cancel the live handle-path event selected by `tag`.
             live_handles = [
@@ -328,35 +322,13 @@ def test_property_mixed_paths_order_and_accounting(ops):
                 chosen = live_handles[tag % len(live_handles)]
                 assert handles[chosen].cancel()
                 model = [e for e in model if e[1] != chosen]
-        elif op == "clear":
-            assert q.clear() == len(model)
-            model = []
-        assert len(q) == len(model)
-        assert bool(q) == bool(model)
+        assert sim.pending_events == len(model)
+        assert fired == expected
 
-    assert popped_queue == popped_model
     model.sort()
-    drained = [q.pop().args[0] for __ in range(len(model))]
-    assert drained == [tag for (__, __s, tag) in model]
-    assert not q
-
-
-@given(_ops)
-def test_property_peek_time_matches_next_pop(ops):
-    q = EventQueue()
-    live = 0
-    for op, time, tag in ops:
-        if op in ("push", "push_fast"):
-            getattr(q, "push" if op == "push" else "push_fast")(
-                time, lambda: None, (tag,)
-            )
-            live += 1
-        elif op == "pop" and live:
-            q.pop()
-            live -= 1
-    while q:
-        expected = q.peek_time()
-        assert q.pop().time == expected
+    sim.run()
+    assert fired == expected + [(time, tag) for (time, __s, tag) in model]
+    assert sim.pending_events == 0
 
 
 # ----------------------------------------------------------------------
@@ -370,55 +342,43 @@ def test_compaction_keeps_heap_proportional_to_live_events():
     # workload that schedules and cancels N timers (retransmission
     # timers, departure watchdogs) holds O(N) memory while only O(live)
     # events are real.  Compaction bounds the heap at O(live).
-    q = EventQueue()
+    sim = Simulator()
+    q = sim._queue
     live = []
+    fired = []
     for wave in range(20):
         handles = [
-            q.push(1.0 + wave + i * 1e-6, lambda: None) for i in range(500)
+            sim.schedule_at(1.0 + wave + i * 1e-6, fired.append, (wave, i))
+            for i in range(500)
         ]
-        keep = handles[::100]  # keep 5 of each 500
-        for h in handles:
-            if h not in keep:
+        for i, h in enumerate(handles):
+            if i % 100:  # keep 5 of each 500
                 assert h.cancel()
-        live.extend(keep)
+            else:
+                live.append((wave, i))
         # The invariant after every cancel: dead entries never exceed
         # max(live entries, compaction threshold).
         assert len(q._heap) <= 2 * len(q) + q._COMPACT_MIN_DEAD
-    assert len(q) == len(live)
-    # Everything still pops in order, dead entries never surface.
-    popped = [q.pop() for __ in range(len(live))]
-    assert popped == live
-    assert not q
+    assert sim.pending_events == len(live)
+    # Everything still fires in order, dead entries never surface.
+    sim.run()
+    assert fired == live
+    assert not q and q._heap == []
 
 
 def test_same_timestamp_fifo_survives_compaction():
     # Cancellation-triggered compaction re-heapifies; fast-path entries
     # sharing one timestamp must still fire in push order afterwards.
-    q = EventQueue()
-    handles = [q.push(5.0, lambda __i: None, (i,)) for i in range(200)]
+    sim = Simulator()
     order = []
+    handles = [sim.schedule(5.0, order.append, "late") for __ in range(200)]
     for i in range(10):
-        q.push_fast(1.0, order.append, (i,))  # all at one timestamp
+        sim.schedule_fast(1.0, order.append, i)  # all at one timestamp
     for h in handles[:-1]:
         h.cancel()
-    fired = []
-    while q:
-        time, callback, args = q.pop_callback()
-        fired.append(time)
-        callback(*args)
+    assert len(sim._queue._heap) < len(handles)  # compacted on the way
+    sim.run()
     # The t=1.0 entries fired first, in FIFO order, then the one
     # surviving handle event; dead entries never surfaced.
-    assert order == list(range(10))
-    assert fired == [1.0] * 10 + [5.0]
-
-
-def test_compaction_during_clear_snapshot():
-    # clear() cancels handles one by one; a cancellation that triggers
-    # in-place compaction mid-iteration must not break the snapshot.
-    q = EventQueue()
-    handles = [q.push(1.0 + i, lambda: None) for i in range(300)]
-    for h in handles[: len(handles) // 2]:
-        h.cancel()
-    assert q.clear() == len(handles) - len(handles) // 2
-    assert not q
-    assert q._heap == []
+    assert order == list(range(10)) + ["late"]
+    assert sim.events_executed == 11
