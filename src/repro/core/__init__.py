@@ -21,12 +21,7 @@ from .baselines import (
 )
 from .circuitstart import CircuitStartController
 from .dynamic import DynamicCircuitStartController
-from .factory import (
-    CONTROLLER_REGISTRY,
-    check_controller_kinds,
-    controller_kinds,
-    make_controller,
-)
+from .factory import CONTROLLER_REGISTRY, controller_kinds, make_controller
 
 __all__ = [
     "CONTROLLER_REGISTRY",
@@ -36,7 +31,6 @@ __all__ = [
     "JumpStartController",
     "PlainSlowStartController",
     "VegasStartController",
-    "check_controller_kinds",
     "controller_kinds",
     "make_controller",
 ]

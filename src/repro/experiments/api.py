@@ -58,7 +58,6 @@ __all__ = [
     "RunContext",
     "Serializable",
     "SpecError",
-    "check_kinds_and_duration",
     "decode",
     "encode",
 ]
@@ -72,21 +71,21 @@ __all__ = [
 class ExperimentSpec(Serializable):
     """Base for experiment parameter dataclasses (frozen, serializable)."""
 
+    @staticmethod
+    def check_kinds_and_duration(kinds: Iterable[str], duration: float) -> None:
+        """What a spec that runs circuits for a fixed time checks when built.
+
+        Left unchecked, both surface only once the run is under way
+        (the controller factory's ``ValueError``, the simulator's
+        ``ClockError``); a spec that decodes must be a spec that runs.
+        """
+        check_controller_kinds(kinds)
+        if duration <= 0:
+            raise ValueError("duration must be positive, got %r" % duration)
+
 
 class ExperimentResult(Serializable):
     """Base for experiment result dataclasses (serializable)."""
-
-
-def check_kinds_and_duration(kinds: Iterable[str], duration: float) -> None:
-    """What a spec that runs circuits for a fixed time checks when built.
-
-    Both used to surface only once the run was under way (the
-    controller factory's ``ValueError``, the simulator's
-    ``ClockError``); a spec that decodes must be a spec that runs.
-    """
-    check_controller_kinds(kinds)
-    if duration <= 0:
-        raise ValueError("duration must be positive, got %r" % duration)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,7 @@ from ..net.topology import Topology
 from ..sim.simulator import Simulator
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
-from .api import (
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    RunContext,
-    check_kinds_and_duration,
-)
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .fig1_traces import chain_flow, slow_link_specs
 from .registry import register_experiment
 
@@ -79,7 +73,7 @@ class DynamicConfig(ExperimentSpec):
 
     def __post_init__(self) -> None:
         slow_link_specs(self, self.bottleneck_rate_before)  # its range checks
-        check_kinds_and_duration(self.controller_kinds, self.duration)
+        self.check_kinds_and_duration(self.controller_kinds, self.duration)
         if not 0 <= self.change_time < self.duration:
             raise ValueError(
                 "the rate change must fall inside the run: change_time %r, "

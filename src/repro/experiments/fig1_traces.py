@@ -34,13 +34,7 @@ from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds
-from .api import (
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    RunContext,
-    check_kinds_and_duration,
-)
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .registry import register_experiment
 
 __all__ = [
@@ -116,7 +110,7 @@ class TraceConfig(ExperimentSpec):
 
     def __post_init__(self) -> None:
         self.link_specs()  # the layout's range checks
-        check_kinds_and_duration((self.controller_kind,), self.duration)
+        self.check_kinds_and_duration((self.controller_kind,), self.duration)
 
     def link_specs(self) -> List[LinkSpec]:
         """The chain's link specs, slow link at the configured position."""

@@ -30,13 +30,7 @@ from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
-from .api import (
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    RunContext,
-    check_kinds_and_duration,
-)
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .registry import register_experiment
 
 __all__ = [
@@ -69,7 +63,7 @@ class FriendlinessConfig(ExperimentSpec):
             raise ValueError(
                 "background load must be in (0, 1), got %r" % self.background_load
             )
-        check_kinds_and_duration(self.controller_kinds, self.duration)
+        self.check_kinds_and_duration(self.controller_kinds, self.duration)
         if self.circuit_start >= self.duration:
             raise ValueError("circuit must start before the run ends")
 

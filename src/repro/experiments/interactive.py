@@ -25,13 +25,7 @@ from ..sim.simulator import Simulator
 from ..tor.streams import MultiStreamSink, StreamScheduler
 from ..transport.config import TransportConfig
 from ..units import Rate, kib, mbit_per_second, mib, milliseconds, seconds
-from .api import (
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    RunContext,
-    check_kinds_and_duration,
-)
+from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
 from .fig1_traces import chain_flow, slow_link_specs
 from .registry import register_experiment
 
@@ -73,7 +67,7 @@ class InteractiveConfig(ExperimentSpec):
 
     def __post_init__(self) -> None:
         slow_link_specs(self, self.bottleneck_rate)  # its range checks
-        check_kinds_and_duration(self.controller_kinds, self.duration)
+        self.check_kinds_and_duration(self.controller_kinds, self.duration)
 
 
 @dataclass
