@@ -295,13 +295,6 @@ def test_batch_dry_run_rejects_specs_that_cannot_run(tmp_path, capsys):
     assert " ok" not in captured.out
 
 
-@pytest.mark.parametrize("job,message", CANNOT_RUN)
-def test_each_spec_that_cannot_run_fails_dry_run(job, message, tmp_path, capsys):
-    path = _write_specs(tmp_path, [job])
-    assert main(["batch", path, "--dry-run"]) == 2
-    assert message in capsys.readouterr().err
-
-
 def test_netscale_command_small(capsys):
     code = main([
         "netscale", "--circuits", "8", "--relays", "8",
