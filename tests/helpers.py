@@ -17,7 +17,7 @@ from repro.tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from repro.transport.config import TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
-__all__ = ["json_digest", "make_chain_flow"]
+__all__ = ["json_digest", "make_chain_flow", "render_digest", "text_digest"]
 
 
 def json_digest(result) -> str:
@@ -29,6 +29,20 @@ def json_digest(result) -> str:
     """
     text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def text_digest(text: str) -> str:
+    """sha256 of *text*: a rendering, or a verb's captured stdout."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def render_digest(name: str, result) -> str:
+    """sha256 of the text ``repro <name>`` prints for *result* without
+    ``--json``: what :func:`json_digest` is to the data, for the tables
+    and figures a reader sees."""
+    from repro.experiments import get_experiment
+
+    return text_digest(get_experiment(name).render(result))
 
 
 def make_chain_flow(

@@ -652,3 +652,30 @@ def test_lint_default_paths_cover_the_package(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 finding(s)" in out
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["list"], "dbea7f0c666fb05c8b6b7836f2ad156a644a209ceb8cc21d2092e94b6a605024"),
+    (["list", "--json"], "0940164143405d03ae3fccc24dd831e9202e9e10cccb9b4ac244785d1915b096"),
+    (["scenario", "list"], "d72b59ba52a8baf24bc81c69b86757463105e6236fe959a42b15af48ba810eba"),
+    (["scenario", "list", "--json"], "29f134ac53c0aefcb7a61cfeb1ad4e95603680620a9b17cea5a60a3d0c2981b4"),
+])
+def test_listing_stdout_is_pinned(argv, digest, capsys):
+    """What the two listing verbs print, text and ``--json``, byte for
+    byte (captured before they shared one printer)."""
+    from helpers import text_digest
+
+    assert main(argv) == 0
+    assert text_digest(capsys.readouterr().out) == digest
+
+
+def test_optimal_rendered_text_is_pinned():
+    """``repro optimal`` on the Figure-1a path (the default spec), as
+    printed."""
+    from helpers import render_digest
+    from repro.experiments import OptimalConfig, get_experiment
+
+    result = get_experiment("optimal").run(OptimalConfig())
+    assert render_digest("optimal", result) == (
+        "cadbf9d6fc11f5fcb703bf51e4aef49d1ccd9231b08ed928a49d0483663e2c1e"
+    )

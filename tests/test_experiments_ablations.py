@@ -93,3 +93,22 @@ def test_json_bytes_are_pinned():
     assert json_digest(get_experiment("ablations").run(spec)) == (
         "76e84df548d48a5132dd30114612edfc00befe8a50db348b5fde9e88cc5221df"
     )
+
+
+def test_rendered_text_is_pinned():
+    """The four tables ``repro ablations`` prints for the reduced spec."""
+    from helpers import render_digest
+    from repro.experiments import get_experiment
+    from repro.experiments.ablations import AblationsConfig
+
+    spec = AblationsConfig(
+        gammas=(2.0, 8.0),
+        compensations=("acked", "none"),
+        initial_windows=(2, 10),
+        near=TraceConfig(duration=0.3),
+        far=TraceConfig(bottleneck_distance=3, duration=0.3),
+        settle_time=0.5,
+    )
+    assert render_digest("ablations", get_experiment("ablations").run(spec)) == (
+        "5458d7df3f913c94d5203c7bebfa79d1dba647cd9f2308b9149b0aaf05fe4f6d"
+    )

@@ -87,3 +87,12 @@ def test_bottleneck_must_be_on_the_path():
 def test_rate_change_must_fall_inside_the_run(change_time, duration):
     with pytest.raises(ValueError, match="inside the run"):
         DynamicConfig(change_time=change_time, duration=duration)
+
+
+def test_rendered_text_is_pinned(result):
+    """``repro dynamic`` as printed for the module's 2.5 s run."""
+    from helpers import render_digest
+
+    assert render_digest("dynamic", result) == (
+        "fa1f12d148846fe44d80c6aaf95bd946b1e2b6593e604fd897c45cfae82d860d"
+    )

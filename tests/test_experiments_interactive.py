@@ -68,3 +68,14 @@ def test_bottleneck_must_be_on_the_path(distance):
     with no slow link at all and report a plausible latency."""
     with pytest.raises(ValueError, match="out of range"):
         InteractiveConfig(bottleneck_distance=distance)
+
+
+def test_rendered_text_is_pinned():
+    """``repro interactive`` as printed for the reduced spec."""
+    from helpers import render_digest
+
+    spec = InteractiveConfig(duration=1.2, settle_time=0.5)
+    result = get_experiment("interactive").run(spec)
+    assert render_digest("interactive", result) == (
+        "448a18baa46320d10964e4956d26af7f18fd62cf54b9b2d5b46535f5d971914f"
+    )

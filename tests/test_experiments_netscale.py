@@ -241,3 +241,36 @@ def test_render_with_single_workload_class():
     text = get_experiment("netscale").render(result)
     assert BULK in text
     assert "median TTLB improvement" in text
+
+
+def test_rendered_text_is_pinned(result, churned):
+    """``repro netscale`` as printed, plain and with ``--churn``: the
+    table, the improvement / start-up / engine-events lines, and under
+    churn the steady-state and probe lines."""
+    from helpers import render_digest
+
+    assert render_digest("netscale", result) == (
+        "37893d31f9f2e79bcf4aacc0361c1f204de467e608e4b11992b2f5b540ae174a"
+    )
+    assert render_digest("netscale", churned) == (
+        "5d4212a9fbcc5087e1b98b0031bac6246ff2ce7ac4a31ea4fb83b30407a6d6fb"
+    )
+
+
+def test_rendered_text_pin_has_teeth(result, monkeypatch):
+    """One header of one table spelled differently must move the digest
+    (renderers fetch ``format_table`` from ``repro.report`` per call)."""
+    import repro.report
+    from helpers import render_digest
+
+    honest = render_digest("netscale", result)
+    real = repro.report.format_table
+
+    def respelled(headers, rows, **kwargs):
+        headers = ["Controller" if h == "controller" else h for h in headers]
+        return real(headers, rows, **kwargs)
+
+    monkeypatch.setattr(repro.report, "format_table", respelled)
+    assert render_digest("netscale", result) != honest
+    monkeypatch.undo()
+    assert render_digest("netscale", result) == honest

@@ -124,3 +124,20 @@ def test_json_bytes_are_pinned(distance, digest):
         TraceConfig(bottleneck_distance=distance, duration=0.3)
     )
     assert json_digest(result) == digest
+
+
+@pytest.mark.parametrize("distance,digest", [
+    (1, "96f6d25543053627f848e87c2db380f7a4f9966919c8fec2fb637ba09a86b59e"),
+    (3, "721bbd5d99df1a82dbac53d4aa7974529c57c8b744a4b1df3ae4a20beaf67baf"),
+])
+def test_rendered_text_is_pinned(distance, digest):
+    """``repro trace --distance D --duration-ms 300`` as printed: the
+    figure, its axis labels and the summary line (captured before
+    ``repro report`` started printing this same rendering)."""
+    from helpers import render_digest
+
+    result = run_trace_experiment(
+        TraceConfig(bottleneck_distance=distance, duration=0.3)
+    )
+    assert render_digest("trace", result) == digest
+
