@@ -11,10 +11,11 @@ CDFs at matching quantiles.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EmpiricalCdf",
+    "quantile",
     "summarize",
     "Summary",
     "cdf_horizontal_gap",
@@ -65,6 +66,12 @@ class EmpiricalCdf:
         """(x, CDF(x)) at every sample — the staircase's upper corners."""
         n = len(self.samples)
         return [(x, (i + 1) / n) for i, x in enumerate(self.samples)]
+
+
+def quantile(samples: Sequence[float], q: float = 0.5) -> Optional[float]:
+    """The *q*-quantile of *samples* (the median by default); ``None`` for
+    an empty sample, which a table prints as ``-``."""
+    return EmpiricalCdf(samples).quantile(q) if samples else None
 
 
 @dataclass(frozen=True)

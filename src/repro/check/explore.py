@@ -104,18 +104,6 @@ def _independent(a: Action, b: Action, config: CheckConfig) -> bool:
     return not (fa & fb)
 
 
-def _independence_table(config: CheckConfig) -> Dict[Tuple[Action, Action], bool]:
-    """All pairwise independence verdicts, precomputed (the alphabet is
-    tiny — six kinds × hops — and the DFS queries it millions of times)."""
-    kinds = ("cell", "feedback", "lose_cell", "lose_feedback", "rto", "close")
-    alphabet = [(kind, i) for kind in kinds for i in range(config.hops)]
-    return {
-        (a, b): _independent(a, b, config)
-        for a in alphabet
-        for b in alphabet
-    }
-
-
 def _independence_masks(
     config: CheckConfig,
 ) -> Tuple[Dict[Action, int], Dict[Action, int]]:

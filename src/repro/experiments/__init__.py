@@ -26,7 +26,6 @@ serializable spec/result pair, discoverable by name::
 
 from .api import (
     Experiment,
-    ExperimentProtocol,
     ExperimentResult,
     ExperimentSpec,
     RunContext,
@@ -51,7 +50,6 @@ from .fig1_cdf import (
     CdfExperiment,
     CdfResult,
     FlowSample,
-    select_circuit_paths,
 )
 from .ablations import (
     AblationsConfig,
@@ -94,7 +92,6 @@ from .netscale import (
     NetScaleConfig,
     NetScaleExperiment,
     NetScaleResult,
-    select_netscale_paths,
 )
 from .churn_study import (
     ChurnStudyConfig,
@@ -149,7 +146,6 @@ __all__ = [
     "DynamicExperiment",
     "DynamicResult",
     "Experiment",
-    "ExperimentProtocol",
     "ExperimentResult",
     "ExperimentSpec",
     "FlowSample",
@@ -193,7 +189,5 @@ __all__ = [
     "plan_network",
     "register_experiment",
     "run_batch",
-    "select_circuit_paths",
-    "select_netscale_paths",
     "set_duplex_rate",
 ]

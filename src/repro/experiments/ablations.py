@@ -1,4 +1,4 @@
-"""Ablation studies over CircuitStart's design choices (DESIGN.md §7).
+"""Ablation studies over CircuitStart's design choices.
 
 * **A1 — γ sweep** (:func:`gamma_sweep`): the Vegas exit threshold
   trades ramp-up time against overshoot; the paper fixes γ = 4.

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.stats import EmpiricalCdf
+from ..analysis.stats import quantile
 from ..scenario import (
     FailureRateProbe,
     LinkFaults,
@@ -47,6 +47,7 @@ from ..scenario import (
     plan_scenario,
 )
 from ..scenario.cache import DEFAULT_CACHE
+from ..scenario.engine import present
 from ..scenario.netgen import NetworkConfig
 from ..transport.config import TransportConfig, transport_profile_names
 from ..units import kib, seconds
@@ -356,10 +357,6 @@ class AdversityStudyResult(StudyResult):
         return "\n\n".join([improvement_panel, failure_panel])
 
 
-def _quantile(values: List[float], q: float) -> Optional[float]:
-    return EmpiricalCdf(values).quantile(q) if values else None
-
-
 def _mttf_label(row: Any) -> str:
     return "inf" if row.relay_mttf == 0.0 else "%g" % row.relay_mttf
 
@@ -416,19 +413,17 @@ class AdversityStudyExperiment(GridStudy):
     def point_fields(
         self, spec: AdversityStudyConfig, result: ScenarioResult, kind: str
     ) -> Dict[str, Any]:
-        steady_ttfb = [
-            sample.time_to_first_byte
-            for sample in result.steady_samples(kind)
-            if sample.time_to_first_byte is not None
-        ]
+        steady_ttfb = present(
+            result.steady_samples(kind), "time_to_first_byte"
+        )
         counters = result.transport_counters.get(kind, {})
         return dict(
             # Covers every planned circuit of the run, not only the
             # steady ones: a warm-up circuit killed by a dying relay is
             # just as failed.
             failure_rate=result.failure_rate(kind),
-            p95_ttfb=_quantile(steady_ttfb, 0.95),
-            p99_ttfb=_quantile(steady_ttfb, 0.99),
+            p95_ttfb=quantile(steady_ttfb, 0.95),
+            p99_ttfb=quantile(steady_ttfb, 0.99),
             retransmissions=int(counters.get("retransmissions", 0)),
             timeouts=int(counters.get("timeouts", 0)),
         )

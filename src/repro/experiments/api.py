@@ -36,23 +36,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import (
-    Any,
-    ClassVar,
-    Dict,
-    Iterable,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, ClassVar, Dict, Iterable, Optional, Tuple
 
 from ..core.factory import check_controller_kinds
 from ..serialize import Serializable, SpecError, decode, encode
 
 __all__ = [
     "Experiment",
-    "ExperimentProtocol",
     "ExperimentResult",
     "ExperimentSpec",
     "RunContext",
@@ -112,16 +102,6 @@ class RunContext:
             raise ValueError("workers must be >= 1, got %r" % (self.workers,))
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume needs a checkpoint directory")
-
-
-@runtime_checkable
-class ExperimentProtocol(Protocol):
-    """What the registry, runner and CLI require of an experiment."""
-
-    name: str
-    spec_type: type
-
-    def run(self, spec: Any, ctx: RunContext = RunContext()) -> Any: ...
 
 
 class Experiment:

@@ -46,8 +46,6 @@ from ..scenario import (
     run_planned,
 )
 from ..scenario.cache import DEFAULT_CACHE
-from ..sim.rand import RandomStreams
-from ..tor.path_selection import PathSelector
 from ..transport.config import TransportConfig
 from ..units import kib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
@@ -59,7 +57,6 @@ __all__ = [
     "CdfExperiment",
     "CdfResult",
     "FlowSample",
-    "select_circuit_paths",
 ]
 
 
@@ -167,17 +164,6 @@ class CdfResult(ExperimentResult):
             s = summarize(self.ttlb[kind])
             rows.append((kind, s.median, s.p10, s.p90, s.maximum))
         return rows
-
-
-def select_circuit_paths(
-    config: CdfConfig, streams: RandomStreams, directory
-) -> List[List[str]]:
-    """Choose each circuit's relay path (deterministic given the seed)."""
-    selector = PathSelector(directory, streams.stream("paths"))
-    return [
-        [relay.name for relay in selector.select_path(config.hops)]
-        for __ in range(config.circuit_count)
-    ]
 
 
 @register_experiment

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.stats import EmpiricalCdf, summarize
+from ..analysis.stats import EmpiricalCdf
 from ..scenario import (
     BulkWorkload,
     ChurnProcess,
@@ -54,15 +54,14 @@ from ..scenario import (
     OpenLoopChurn,
     Probe,
     ProbeSeries,
+    SampleTable,
     Scenario,
     ScenarioResult,
     UtilizationProbe,
-    forced_bottleneck_paths,
     plan_scenario,
     run_scenario,
 )
 from ..scenario.cache import DEFAULT_CACHE
-from ..sim.rand import RandomStreams
 from ..transport.config import TransportConfig
 from ..units import kib, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
@@ -74,7 +73,6 @@ __all__ = [
     "NetScaleExperiment",
     "NetScaleResult",
     "CircuitSample",
-    "select_netscale_paths",
 ]
 
 BULK = "bulk"
@@ -216,7 +214,7 @@ class CircuitSample(ExperimentResult):
 
 
 @dataclass
-class NetScaleResult(ExperimentResult):
+class NetScaleResult(SampleTable, ExperimentResult):
     """Per-kind circuit samples plus engine-level accounting."""
 
     config: NetScaleConfig
@@ -230,77 +228,19 @@ class NetScaleResult(ExperimentResult):
     #: controller kind -> probe time series (utilization, queue depth).
     probes: Dict[str, List[ProbeSeries]] = field(default_factory=dict)
 
-    # --- analysis helpers -------------------------------------------------
+    @property
+    def compared_kinds(self) -> Tuple[str, str]:
+        return self.config.kinds
 
-    def of_workload(self, kind: str, workload: Optional[str]) -> List[CircuitSample]:
-        """Samples for *kind*, optionally restricted to one workload."""
-        rows = self.samples[kind]
-        if workload is None:
-            return list(rows)
-        return [s for s in rows if s.workload == workload]
-
-    def steady_samples(self, kind: str) -> List[CircuitSample]:
-        """Samples from circuits that arrived at steady state.
-
-        With churn enabled, the initial wave is warm-up: only circuits
-        that started at or after the churn process's settle time count.
-        Without churn every sample is returned.
-        """
+    @property
+    def settle_time(self) -> float:
+        # Without churn there is no warm-up wave: every sample counts.
         churn = self.config.churn
-        if churn is None:
-            return list(self.samples[kind])
-        settle = churn.settle_time()
-        return [s for s in self.samples[kind] if s.start_time >= settle]
+        return 0.0 if churn is None else churn.settle_time()
 
     def utilization_series(self, kind: str) -> List[ProbeSeries]:
         """Per-relay utilization-over-time rows for *kind*."""
-        return [s for s in self.probes.get(kind, []) if s.probe == "utilization"]
-
-    def ttlb_cdf(self, kind: str, workload: Optional[str] = None) -> EmpiricalCdf:
-        return EmpiricalCdf(
-            [s.time_to_last_byte for s in self.of_workload(kind, workload)]
-        )
-
-    def ttfb_cdf(self, kind: str, workload: Optional[str] = None) -> EmpiricalCdf:
-        return EmpiricalCdf(
-            [s.time_to_first_byte for s in self.of_workload(kind, workload)]
-        )
-
-    def median_improvement(self, workload: Optional[str] = None) -> float:
-        """Median TTLB difference, without − with (positive = faster)."""
-        with_kind, without_kind = self.config.kinds
-        return (
-            self.ttlb_cdf(without_kind, workload).median
-            - self.ttlb_cdf(with_kind, workload).median
-        )
-
-    def startup_durations(self, kind: str) -> List[float]:
-        """Start-up phase lengths of the circuits that did exit it."""
-        return sorted(
-            s.startup_duration
-            for s in self.samples[kind]
-            if s.startup_duration is not None
-        )
-
-
-def select_netscale_paths(
-    config: NetScaleConfig, streams: RandomStreams, directory, bottleneck: str
-) -> List[List[str]]:
-    """Relay paths with *bottleneck* forced into every middle position.
-
-    The remaining positions are sampled bandwidth-weighted without
-    replacement (Tor-style), excluding the bottleneck so it appears
-    exactly once per path.  Deterministic given the seed.  Thin wrapper
-    over :func:`repro.scenario.forced_bottleneck_paths` using the
-    legacy ``netscale.paths`` substream.
-    """
-    return forced_bottleneck_paths(
-        streams.stream("netscale.paths"),
-        directory,
-        bottleneck,
-        config.hops,
-        config.circuit_count,
-    )
+        return self.probe_series(kind, "utilization")
 
 
 def _to_netscale_result(
@@ -419,11 +359,11 @@ class NetScaleExperiment(Experiment):
                 samples = result.of_workload(kind, workload)
                 if not samples:
                     continue
-                ttlb = summarize([s.time_to_last_byte for s in samples])
-                ttfb = summarize([s.time_to_first_byte for s in samples])
+                ttlb = result.ttlb_cdf(kind, workload)
                 rows.append([
                     workload, kind, len(samples),
-                    ttfb.median, ttlb.median, ttlb.p90,
+                    result.ttfb_cdf(kind, workload).median,
+                    ttlb.median, ttlb.quantile(0.90),
                 ])
         table = format_table(
             ["workload", "controller", "circuits",
@@ -450,11 +390,7 @@ class NetScaleExperiment(Experiment):
             "startup exits (%s): %d/%d circuits, median %.3f s"
             % (with_kind, len(startup), circuit_total,
                EmpiricalCdf(startup).median if startup else float("nan")),
-            "engine events: %s"
-            % ", ".join(
-                "%s=%d" % (kind, result.events_executed[kind])
-                for kind in config.kinds
-            ),
+            result.events_line(config.kinds),
         ]
         if config.churn is not None:
             for kind in config.kinds:
@@ -465,11 +401,4 @@ class NetScaleExperiment(Experiment):
                         "steady state (%s): %d circuits, median TTLB %.3f s"
                         % (kind, len(steady), ttlb.median)
                     )
-        for kind in config.kinds:
-            for series in result.probes.get(kind, []):
-                lines.append(
-                    "probe %s@%s (%s): mean %.3f peak %.3f over %d samples"
-                    % (series.probe, series.target, kind,
-                       series.mean, series.peak, len(series.values))
-                )
-        return "\n".join(lines)
+        return "\n".join(lines + result.probe_lines(config.kinds))

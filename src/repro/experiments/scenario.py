@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
+from ..analysis.stats import quantile
 from ..scenario.cache import DEFAULT_CACHE
-from ..scenario.engine import ScenarioResult, run_scenario
+from ..scenario.engine import ScenarioResult, present, run_scenario
 from ..scenario.spec import Scenario, plan_scenario
 from .api import Experiment, RunContext, SpecError
 from .registry import register_experiment
@@ -84,37 +85,25 @@ class ScenarioExperiment(Experiment):
                 samples = result.of_workload(kind, workload)
                 if not samples:
                     continue
-                ttlb = result.ttlb_cdf(kind, workload)
-                ttfb = result.ttfb_cdf(kind, workload)
-                rows.append(
-                    [workload, kind, len(samples), ttfb.median, ttlb.median]
-                )
+                # A class with no completed circuit (fault plane) has
+                # no median: the cell prints as "-".
+                rows.append([
+                    workload, kind, len(samples),
+                    quantile(present(samples, "time_to_first_byte")),
+                    quantile(present(samples, "time_to_last_byte")),
+                ])
         title = "Scenario: %d circuits (%s)" % (
             len(result.samples[run_kinds[0]]) if run_kinds else 0,
             ", ".join(workload_names),
         )
         if result.bottleneck_relay:
             title += " through bottleneck %s" % result.bottleneck_relay
-        lines = [
-            format_table(
-                ["workload", "controller", "circuits",
-                 "median TTFB [s]", "median TTLB [s]"],
-                rows,
-                title=title,
-            )
-        ]
-        for kind in run_kinds:
-            for series in result.probes.get(kind, []):
-                lines.append(
-                    "probe %s@%s (%s): mean %.3f peak %.3f over %d samples"
-                    % (series.probe, series.target, kind,
-                       series.mean, series.peak, len(series.values))
-                )
-        lines.append(
-            "engine events: %s"
-            % ", ".join(
-                "%s=%d" % (kind, result.events_executed[kind])
-                for kind in run_kinds
-            )
+        table = format_table(
+            ["workload", "controller", "circuits",
+             "median TTFB [s]", "median TTLB [s]"],
+            rows,
+            title=title,
         )
-        return "\n".join(lines)
+        return "\n".join(
+            [table, *result.probe_lines(run_kinds), result.events_line(run_kinds)]
+        )

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
-from ..analysis.stats import EmpiricalCdf
+from ..analysis.stats import quantile
 from ..scenario.cache import DEFAULT_CACHE
-from ..scenario.engine import _in_child_process
+from ..scenario.engine import _in_child_process, present
 from ..scenario.netgen import NetworkConfig
 from ..units import kib
 from .api import Experiment, ExperimentResult, RunContext, SpecError
@@ -38,7 +38,6 @@ __all__ = [
     "IMPROVEMENT_METRICS",
     "StudyResult",
     "delta",
-    "median",
     "star_network",
 ]
 
@@ -59,10 +58,6 @@ def star_network(relays: int = 30) -> NetworkConfig:
     return NetworkConfig(
         relay_count=relays, client_count=ends, server_count=ends
     )
-
-
-def median(values: List[float]) -> Optional[float]:
-    return EmpiricalCdf(values).median if values else None
 
 
 def delta(
@@ -264,10 +259,7 @@ class GridStudy(Experiment):
             )
 
         def steady_median(attribute: str) -> Optional[float]:
-            return median([
-                value for sample in steady
-                if (value := getattr(sample, attribute)) is not None
-            ])
+            return quantile(present(steady, attribute))
 
         return dict(
             kind=kind,

@@ -59,6 +59,7 @@ from .churn import ClosedLoopChurn, NoChurn, OpenLoopChurn
 from .engine import (
     CircuitFailure,
     KindRun,
+    SampleTable,
     ScenarioCircuitSample,
     ScenarioResult,
     run_planned,
@@ -86,7 +87,6 @@ from .parts import (
     ScenarioPart,
     TopologySource,
     Workload,
-    iter_part_kinds,
     list_parts,
     lookup_part,
     register_part,
@@ -137,6 +137,7 @@ __all__ = [
     "RelayChurnFaults",
     "RelayFailure",
     "RequestResponseWorkload",
+    "SampleTable",
     "Scenario",
     "ScenarioCircuitSample",
     "ScenarioPart",
@@ -150,7 +151,6 @@ __all__ = [
     "forced_bottleneck_paths",
     "generate_network",
     "instantiate_network",
-    "iter_part_kinds",
     "list_parts",
     "lookup_part",
     "plan_network",

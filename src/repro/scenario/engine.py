@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.stats import EmpiricalCdf
 from ..serialize import Serializable
@@ -34,6 +34,7 @@ from .workloads import WorkloadRun
 __all__ = [
     "CircuitFailure",
     "KindRun",
+    "SampleTable",
     "ScenarioCircuitSample",
     "ScenarioResult",
     "build_circuit_run",
@@ -97,8 +98,113 @@ class CircuitFailure(Serializable):
     cause: str
 
 
+class SampleTable:
+    """How a result's per-kind tables are read and printed.
+
+    The readers and the two text lines ``repro scenario`` and ``repro
+    netscale`` share.  A subclass is a result dataclass whose
+    ``samples``, ``probes`` and ``events_executed`` are keyed by
+    controller kind; it states two facts about the spec it ran.
+    """
+
+    @property
+    def compared_kinds(self) -> Sequence[str]:
+        """The spec's controller kinds; the first two are compared."""
+        raise NotImplementedError
+
+    @property
+    def settle_time(self) -> float:
+        """When the warm-up wave ends (0.0: every circuit is steady)."""
+        raise NotImplementedError
+
+    def of_workload(self, kind: str, workload: Optional[str] = None) -> list:
+        """Samples for *kind*, optionally restricted to one workload part."""
+        rows = self.samples[kind]
+        if workload is None:
+            return list(rows)
+        return [s for s in rows if s.workload == workload]
+
+    def steady_samples(self, kind: str) -> list:
+        """Samples from circuits that arrived at steady state.
+
+        Circuits started before the churn process's settle time (the
+        warm-up wave) are excluded; without churn every sample counts.
+        """
+        settle = self.settle_time
+        return [s for s in self.samples[kind] if s.start_time >= settle]
+
+    def ttlb_cdf(self, kind: str, workload: Optional[str] = None) -> EmpiricalCdf:
+        return EmpiricalCdf(
+            present(self.of_workload(kind, workload), "time_to_last_byte")
+        )
+
+    def ttfb_cdf(self, kind: str, workload: Optional[str] = None) -> EmpiricalCdf:
+        return EmpiricalCdf(
+            present(self.of_workload(kind, workload), "time_to_first_byte")
+        )
+
+    def median_improvement(self, workload: Optional[str] = None) -> float:
+        """Median TTLB difference, second kind − first (positive = faster)."""
+        kinds = self.compared_kinds
+        if len(kinds) < 2:
+            raise ValueError(
+                "median_improvement needs two controller kinds, scenario "
+                "has %r" % (kinds,)
+            )
+        with_kind, without_kind = kinds[:2]
+        missing = [kind for kind in (with_kind, without_kind)
+                   if kind not in self.samples]
+        if missing:
+            raise ValueError(
+                "median_improvement needs kinds %r, but %r did not run "
+                "(ran: %r)" % (list(kinds[:2]), missing, list(self.samples))
+            )
+        return (
+            self.ttlb_cdf(without_kind, workload).median
+            - self.ttlb_cdf(with_kind, workload).median
+        )
+
+    def startup_durations(self, kind: str) -> List[float]:
+        """Start-up phase lengths of the circuits that did exit it."""
+        return sorted(present(self.samples[kind], "startup_duration"))
+
+    def probe_series(
+        self, kind: str, probe: Optional[str] = None
+    ) -> List[ProbeSeries]:
+        """Probe series for *kind*, optionally restricted to one probe part."""
+        rows = self.probes.get(kind, [])
+        if probe is None:
+            return list(rows)
+        return [series for series in rows if series.probe == probe]
+
+    def probe_lines(self, kinds: Sequence[str]) -> List[str]:
+        """One text line per probe series, *kinds* in the given order."""
+        return [
+            "probe %s@%s (%s): mean %.3f peak %.3f over %d samples"
+            % (series.probe, series.target, kind,
+               series.mean, series.peak, len(series.values))
+            for kind in kinds
+            for series in self.probe_series(kind)
+        ]
+
+    def events_line(self, kinds: Sequence[str]) -> str:
+        """The simulator events each of *kinds* executed, as one text line."""
+        return "engine events: %s" % ", ".join(
+            "%s=%d" % (kind, self.events_executed[kind]) for kind in kinds
+        )
+
+
+def present(rows: Sequence[Any], attribute: str) -> List[Any]:
+    """*attribute* of every row that has one (a failed circuit has no
+    last byte, a short transfer no start-up exit)."""
+    return [
+        value for row in rows
+        if (value := getattr(row, attribute)) is not None
+    ]
+
+
 @dataclass
-class ScenarioResult(Serializable):
+class ScenarioResult(SampleTable, Serializable):
     """Per-kind samples, probe series and engine accounting."""
 
     scenario: Scenario
@@ -120,7 +226,13 @@ class ScenarioResult(Serializable):
     #: pre-fault-plane shape modulo empty defaults.
     transport_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
-    # --- analysis helpers -------------------------------------------------
+    @property
+    def compared_kinds(self) -> Sequence[str]:
+        return self.scenario.kinds
+
+    @property
+    def settle_time(self) -> float:
+        return self.scenario.churn.settle_time()
 
     @property
     def run_kinds(self) -> List[str]:
@@ -131,92 +243,12 @@ class ScenarioResult(Serializable):
         """
         return list(self.samples)
 
-    def of_workload(
-        self, kind: str, workload: Optional[str] = None
-    ) -> List[ScenarioCircuitSample]:
-        """Samples for *kind*, optionally restricted to one workload part."""
-        rows = self.samples[kind]
-        if workload is None:
-            return list(rows)
-        return [s for s in rows if s.workload == workload]
-
-    def steady_samples(
-        self, kind: str, settle_time: Optional[float] = None
-    ) -> List[ScenarioCircuitSample]:
-        """Samples from circuits that arrived at steady state.
-
-        Circuits started before the churn process's settle time (the
-        warm-up wave) are excluded; pass *settle_time* to override.
-        """
-        settle = (
-            self.scenario.churn.settle_time()
-            if settle_time is None
-            else settle_time
-        )
-        return [s for s in self.samples[kind] if s.start_time >= settle]
-
-    def ttlb_cdf(self, kind: str, workload: Optional[str] = None) -> EmpiricalCdf:
-        return EmpiricalCdf(
-            [
-                s.time_to_last_byte
-                for s in self.of_workload(kind, workload)
-                if s.time_to_last_byte is not None
-            ]
-        )
-
-    def ttfb_cdf(self, kind: str, workload: Optional[str] = None) -> EmpiricalCdf:
-        return EmpiricalCdf(
-            [
-                s.time_to_first_byte
-                for s in self.of_workload(kind, workload)
-                if s.time_to_first_byte is not None
-            ]
-        )
-
     def failure_rate(self, kind: str, workload: Optional[str] = None) -> float:
         """Fraction of planned circuits that failed (0.0 fault-free)."""
         rows = self.of_workload(kind, workload)
         if not rows:
             return 0.0
         return sum(1 for s in rows if not s.completed) / len(rows)
-
-    def median_improvement(self, workload: Optional[str] = None) -> float:
-        """Median TTLB difference, second kind − first (positive = faster)."""
-        kinds = self.scenario.kinds
-        if len(kinds) < 2:
-            raise ValueError(
-                "median_improvement needs two controller kinds, scenario "
-                "has %r" % (kinds,)
-            )
-        with_kind, without_kind = kinds[:2]
-        missing = [kind for kind in (with_kind, without_kind)
-                   if kind not in self.samples]
-        if missing:
-            raise ValueError(
-                "median_improvement needs kinds %r, but %r did not run "
-                "(ran: %r)" % (list(kinds[:2]), missing, self.run_kinds)
-            )
-        return (
-            self.ttlb_cdf(without_kind, workload).median
-            - self.ttlb_cdf(with_kind, workload).median
-        )
-
-    def startup_durations(self, kind: str) -> List[float]:
-        """Start-up phase lengths of the circuits that did exit it."""
-        return sorted(
-            s.startup_duration
-            for s in self.samples[kind]
-            if s.startup_duration is not None
-        )
-
-    def probe_series(
-        self, kind: str, probe: Optional[str] = None
-    ) -> List[ProbeSeries]:
-        """Probe series for *kind*, optionally restricted to one probe part."""
-        rows = self.probes[kind]
-        if probe is None:
-            return list(rows)
-        return [series for series in rows if series.probe == probe]
 
 
 class KindRun:

@@ -8,8 +8,8 @@ networks deterministically from a seed:
   capacity;
 * relays, each attached to the hub by its own access link whose rate is
   drawn from a heterogeneous distribution — a discrete mix modelled on
-  the spread of Tor relay bandwidth classes (DESIGN.md §5 records the
-  substitution for the real consensus distribution);
+  the spread of Tor relay bandwidth classes (a stand-in for the real
+  consensus distribution);
 * per-circuit client and server hosts with fast access links, so
   measured bottlenecks are always relay capacity, never the endpoints.
 

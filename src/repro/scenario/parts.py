@@ -41,7 +41,6 @@ __all__ = [
     "ScenarioPart",
     "TopologySource",
     "Workload",
-    "iter_part_kinds",
     "list_parts",
     "lookup_part",
     "register_part",
@@ -329,11 +328,6 @@ def lookup_part(kind_base: Type[ScenarioPart], name: str) -> type:
             "unknown %s part %r (have: %s)"
             % (kind_base.kind, name, ", ".join(sorted(registry)))
         ) from None
-
-
-def iter_part_kinds() -> List[Type[ScenarioPart]]:
-    """The abstract part kinds, in presentation order."""
-    return list(_KINDS)
 
 
 def list_parts(kind_base: Optional[Type[ScenarioPart]] = None) -> List[Tuple[str, str, type]]:

@@ -679,3 +679,30 @@ def test_optimal_rendered_text_is_pinned():
     assert render_digest("optimal", result) == (
         "cadbf9d6fc11f5fcb703bf51e4aef49d1ccd9231b08ed928a49d0483663e2c1e"
     )
+
+
+def test_scenario_run_renders_a_class_with_no_completed_circuit(tmp_path, capsys):
+    """90 % loss and a 0.2 s horizon: every circuit times out.  The run
+    is fine (``--json`` always printed it); the text rendering died on
+    the median of an empty sample."""
+    import json
+
+    spec = {
+        "circuit_count": 3,
+        "max_sim_time": 0.2,
+        "topology": {"part": "generated",
+                     "network": {"relay_count": 6, "client_count": 3,
+                                 "server_count": 3}},
+        "faults": [{"part": "link-faults", "loss_rate": 0.9}],
+        "transport": {"reliable": True},
+    }
+    path = tmp_path / "lossy.json"
+    path.write_text(json.dumps(spec))
+    code = main(["scenario", "run", "--spec", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "Scenario: 3 circuits (bulk)"
+    failed = [line.split() for line in lines if line.startswith("bulk")]
+    assert failed == [["bulk", "with", "3", "-", "-"],
+                      ["bulk", "without", "3", "-", "-"]]
+    assert lines[-1].startswith("engine events: with=")

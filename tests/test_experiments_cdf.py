@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import get_experiment
-from repro.experiments.fig1_cdf import CdfConfig, select_circuit_paths
+from repro.experiments.fig1_cdf import CdfConfig
 from repro.experiments.netgen import NetworkConfig, generate_network
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
+from repro.tor.path_selection import PathSelector
 from repro.units import kib
 
 
@@ -41,8 +42,17 @@ def test_path_selection_deterministic():
     config = small_cdf_config()
     sim = Simulator()
     net = generate_network(sim, config.network, RandomStreams(config.seed))
-    a = select_circuit_paths(config, RandomStreams(config.seed), net.directory)
-    b = select_circuit_paths(config, RandomStreams(config.seed), net.directory)
+
+    def select_paths():
+        streams = RandomStreams(config.seed)
+        selector = PathSelector(net.directory, streams.stream("paths"))
+        return [
+            [relay.name for relay in selector.select_path(config.hops)]
+            for __ in range(config.circuit_count)
+        ]
+
+    a = select_paths()
+    b = select_paths()
     assert a == b
     assert len(a) == config.circuit_count
     for path in a:

@@ -14,8 +14,8 @@ from repro.experiments.netscale import (
     CircuitSample,
     NetScaleConfig,
     NetScaleResult,
-    select_netscale_paths,
 )
+from repro.scenario import forced_bottleneck_paths
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.units import kib
@@ -124,8 +124,9 @@ def test_select_paths_forces_bottleneck_middle():
     streams = RandomStreams(config.seed)
     network = generate_network(Simulator(), config.network, streams)
     bottleneck = network.relay_names[0]
-    paths = select_netscale_paths(
-        config, streams, network.directory, bottleneck
+    paths = forced_bottleneck_paths(
+        streams.stream("netscale.paths"), network.directory, bottleneck,
+        config.hops, config.circuit_count,
     )
     assert len(paths) == config.circuit_count
     for path in paths:

@@ -736,7 +736,8 @@ def test_scenario_experiment_estimates_cost():
 
 def test_netscale_adapter_matches_legacy_plan():
     """The netscale spec compiles into a scenario replaying its draws."""
-    from repro.experiments.netscale import NetScaleConfig, select_netscale_paths
+    from repro.experiments.netscale import NetScaleConfig
+    from repro.scenario import forced_bottleneck_paths
     from repro.scenario.netgen import plan_network
 
     config = NetScaleConfig(
@@ -748,7 +749,8 @@ def test_netscale_adapter_matches_legacy_plan():
     streams = RandomStreams(config.seed)
     network = plan_network(config.network, streams)
     directory = network.build_directory()
-    legacy_paths = select_netscale_paths(
-        config, streams, directory, plan.bottleneck_relay
+    legacy_paths = forced_bottleneck_paths(
+        streams.stream("netscale.paths"), directory, plan.bottleneck_relay,
+        config.hops, config.circuit_count,
     )
     assert [c.relays for c in plan.circuits] == legacy_paths
