@@ -311,31 +311,36 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
-    experiments = iter_experiments()
+def _print_listing(args: argparse.Namespace, rows: List[dict],
+                   headers: List[str], title: str) -> int:
+    """*rows* as ``--json``, or as a table titled with their count."""
     if args.json:
-        print(json.dumps(
-            [
-                {
-                    "name": e.name,
-                    "spec": e.spec_type.__name__,
-                    "result": e.result_type.__name__,
-                    "help": e.help,
-                }
-                for e in experiments
-            ],
-            indent=2,
-        ))
-        return 0
-    from .report import format_table
+        print(json.dumps(rows, indent=2))
+    else:
+        from .report import format_table
 
-    print(format_table(
-        ["experiment", "spec", "result", "description"],
-        [[e.name, e.spec_type.__name__, e.result_type.__name__, e.help]
-         for e in experiments],
-        title="Registered experiments (%d)" % len(experiments),
-    ))
+        print(format_table(
+            headers, [list(row.values()) for row in rows],
+            title="%s (%d)" % (title, len(rows)),
+        ))
     return 0
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    return _print_listing(
+        args,
+        [
+            {
+                "name": e.name,
+                "spec": e.spec_type.__name__,
+                "result": e.result_type.__name__,
+                "help": e.help,
+            }
+            for e in iter_experiments()
+        ],
+        ["experiment", "spec", "result", "description"],
+        "Registered experiments",
+    )
 
 
 def _load_jobs(path: str) -> Optional[list]:
@@ -417,31 +422,25 @@ def _run_sweep(args: argparse.Namespace, data: list,
     2 usage/spec errors, 130 interrupted (Ctrl-C), 3 a worker died —
     the latter two with a resume hint when checkpointing is on.
     """
-    progress = args.progress
-    write_partial = None
-    if checkpoint_dir:
-        from .report.partial import partial_writer
+    from .report.partial import (
+        item_status,
+        partial_writer,
+        render_partial_table,
+    )
 
-        write_partial = partial_writer(checkpoint_dir)
+    progress = args.progress
+    write_partial = partial_writer(checkpoint_dir) if checkpoint_dir else None
     completed: list = []
     sources: dict = {}
 
     def on_item(item, done: int, total: int, source: str) -> None:
         if progress == "lines":
-            if item.error is not None:
-                status = "error: %s" % item.error.get("type", "Error")
-            elif source == "run":
-                status = "ok"
-            else:
-                status = "ok (%s)" % source
             label = " [%s]" % item.label if item.label else ""
             print("[%d/%d] job %d: %s%s %s"
                   % (done, total, item.index, item.experiment, label,
-                     status),
+                     item_status(item, source)),
                   file=sys.stderr)
         elif progress == "table":
-            from .report.partial import render_partial_table
-
             completed.append(item)
             sources[item.index] = source
             print(render_partial_table(completed, total, sources),
@@ -619,31 +618,20 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return _cmd_experiment(args)
     from .scenario import list_parts
 
-    rows = list_parts()
-    if args.json:
-        print(json.dumps(
-            [
-                {
-                    "kind": kind,
-                    "part": name,
-                    "class": cls.__name__,
-                    "help": (cls.__doc__ or "").strip().splitlines()[0],
-                }
-                for kind, name, cls in rows
-            ],
-            indent=2,
-        ))
-        return 0
-    from .report import format_table
-
-    print(format_table(
+    return _print_listing(
+        args,
+        [
+            {
+                "kind": kind,
+                "part": name,
+                "class": cls.__name__,
+                "help": (cls.__doc__ or "").strip().splitlines()[0],
+            }
+            for kind, name, cls in list_parts()
+        ],
         ["kind", "part", "class", "description"],
-        [[kind, name, cls.__name__,
-          (cls.__doc__ or "").strip().splitlines()[0]]
-         for kind, name, cls in rows],
-        title="Registered scenario parts (%d)" % len(rows),
-    ))
-    return 0
+        "Registered scenario parts",
+    )
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -680,6 +668,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.checkpoint_dir is not None:
         return _report_checkpoint(args)
+    if args.json:
+        print("repro report: --json prints a checkpointed sweep's "
+              "partial.json and needs DIR", file=sys.stderr)
+        return 2
     from .report.summary import generate_report
 
     text = generate_report(full=args.full)

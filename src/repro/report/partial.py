@@ -20,7 +20,12 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from .tables import format_table
 
-__all__ = ["partial_payload", "partial_writer", "render_partial_table"]
+__all__ = [
+    "item_status",
+    "partial_payload",
+    "partial_writer",
+    "render_partial_table",
+]
 
 
 def _ordered(items: Iterable[Any]) -> List[Any]:
@@ -64,7 +69,8 @@ def partial_writer(checkpoint_dir: str) -> Callable[[Any, int, int, str], None]:
     return on_item
 
 
-def _status(item: Any, source: Optional[str]) -> str:
+def item_status(item: Any, source: Optional[str]) -> str:
+    """How a finished job reads in a progress line or a table cell."""
     if item.error is not None:
         return "error: %s" % item.error.get("type", "Error")
     if source == "checkpoint":
@@ -92,7 +98,7 @@ def render_partial_table(
             item.index,
             item.experiment,
             item.label or "-",
-            _status(item, sources.get(item.index) if sources else None),
+            item_status(item, sources.get(item.index) if sources else None),
         ]
         for item in ordered
     ]

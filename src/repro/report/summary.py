@@ -1,18 +1,16 @@
 """One-shot reproduction report.
 
-:func:`generate_report` runs every experiment of the reproduction (at
-either paper scale or a fast reduced scale) and renders a single
-markdown document: trace panels, the CDF comparison, all ablations,
-the future-work study, and the friendliness/interactive extensions.
+:func:`generate_report` runs the six chain and CDF experiments of the
+reproduction (at either paper scale or a fast reduced scale) and puts
+what each one's own ``render`` prints — exactly what ``repro trace``,
+``repro cdf``, ``repro ablations``, ``repro dynamic``, ``repro
+friendliness`` and ``repro interactive`` show — under markdown headings.
 
 ``python -m repro report --out report.md`` is the CLI entry point.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from ..analysis.stats import summarize
 from ..experiments import (
     AblationsConfig,
     CdfConfig,
@@ -24,155 +22,45 @@ from ..experiments import (
     get_experiment,
 )
 from ..units import kib, seconds
-from .ascii import render_cdf_pair, render_trace
-from .tables import format_table
 
-__all__ = ["generate_report"]
+__all__ = ["generate_report", "report_sections"]
 
 
-def _code_block(text: str) -> str:
-    return "```\n" + text + "\n```"
-
-
-def _trace_section(full: bool) -> List[str]:
-    lines = ["## Figure 1 (upper): source cwnd traces", ""]
+def report_sections(full: bool = False) -> list:
+    """``(heading, experiment name, spec)`` rows, in document order; a
+    heading with no experiment under it opens a group."""
     duration = seconds(1.0) if full else seconds(0.6)
-    for distance in (1, 3):
-        result = get_experiment("trace").run(
-            TraceConfig(bottleneck_distance=distance, duration=duration)
-        )
-        cell_kb = result.config.transport.cell_size / 1000.0
-        lines.append("### distance to bottleneck: %d hop(s)" % distance)
-        lines.append("")
-        lines.append(_code_block(render_trace(
-            result.trace_kb_ms(),
-            x_label="time [ms]",
-            y_label="source cwnd [KB]",
-            hline=result.optimal_cwnd_cells * cell_kb,
-            hline_label="optimal",
-            height=14,
-        )))
-        lines.append("")
-        lines.append(
-            "exit %.1f ms, peak %d cells, final %d cells, optimal %d cells."
-            % (result.startup_exit_time * 1e3, result.peak_cwnd_cells,
-               result.final_cwnd_cells, result.optimal_cwnd_cells)
-        )
-        lines.append("")
-    return lines
-
-
-def _cdf_section(full: bool) -> List[str]:
+    near = TraceConfig(bottleneck_distance=1, duration=duration)
+    far = TraceConfig(bottleneck_distance=3, duration=duration)
     if full:
-        config = CdfConfig()
+        cdf, ablations = CdfConfig(), AblationsConfig()
     else:
-        config = CdfConfig(
+        cdf = CdfConfig(
             circuit_count=12,
             payload_bytes=kib(200),
             network=NetworkConfig(relay_count=16, client_count=12,
                                   server_count=12),
         )
-    result = get_experiment("cdf").run(config)
-    with_kind, without_kind = config.kinds
-    lines = ["## Figure 1 (lower): download-time CDF", ""]
-    lines.append(_code_block(render_cdf_pair(
-        "with CircuitStart", result.cdf(with_kind),
-        "without CircuitStart", result.cdf(without_kind),
-        height=14,
-    )))
-    lines.append("")
-    rows = []
-    for kind in config.kinds:
-        s = summarize(result.ttlb[kind])
-        rows.append([kind, s.median, s.p10, s.p90, s.maximum,
-                     result.fairness(kind)])
-    lines.append(_code_block(format_table(
-        ["controller", "median [s]", "p10", "p90", "max", "fairness"], rows
-    )))
-    lines.append("")
-    lines.append(
-        "Median improvement **%.3f s**, max CDF gap **%.3f s** "
-        "(paper: up to ~0.5 s), dominance %.2f over %d circuits."
-        % (result.median_improvement, result.max_improvement,
-           result.dominance, config.circuit_count)
-    )
-    lines.append("")
-    return lines
+        ablations = AblationsConfig(near=near, far=far)
+    return [
+        ("## Figure 1 (upper): source cwnd traces", None, None),
+        ("### distance to bottleneck: 1 hop(s)", "trace", near),
+        ("### distance to bottleneck: 3 hop(s)", "trace", far),
+        ("## Figure 1 (lower): download-time CDF", "cdf", cdf),
+        ("## Ablations (A1-A4)", "ablations", ablations),
+        ("## Extensions", None, None),
+        ("### Future work: mid-flow rate change", "dynamic", DynamicConfig()),
+        ("### Friendliness toward background traffic", "friendliness",
+         FriendlinessConfig()),
+        ("### Interactive latency under a competing bulk stream",
+         "interactive", InteractiveConfig()),
+    ]
 
 
-def _ablation_section(full: bool) -> List[str]:
-    if full:
-        config = AblationsConfig()
-    else:
-        config = AblationsConfig(
-            near=TraceConfig(duration=seconds(0.6)),
-            far=TraceConfig(bottleneck_distance=3, duration=seconds(0.6)),
-        )
-    result = get_experiment("ablations").run(config)
-    lines = ["## Ablations (A1-A4)", ""]
-    lines.append(_code_block(format_table(
-        ["gamma", "exit [ms]", "peak", "final", "optimal"],
-        [[r.gamma, r.exit_time_ms, r.peak_cwnd_cells, r.final_cwnd_cells,
-          r.optimal_cwnd_cells] for r in result.gamma_rows],
-        title="A1 - gamma",
-    )))
-    lines.append("")
-    lines.append(_code_block(format_table(
-        ["mode", "peak", "after exit", "final", "optimal"],
-        [[r.mode, r.peak_cwnd_cells, r.cwnd_after_exit_cells,
-          r.final_cwnd_cells, r.optimal_cwnd_cells]
-         for r in result.compensation_rows],
-        title="A2 - compensation",
-    )))
-    lines.append("")
-    lines.append(_code_block(format_table(
-        ["initial cwnd", "exit [ms]", "final", "optimal"],
-        [[r.initial_cwnd_cells, r.exit_time_ms, r.final_cwnd_cells,
-          r.optimal_cwnd_cells] for r in result.initial_window_rows],
-        title="A3 - initial window",
-    )))
-    lines.append("")
-    lines.append(_code_block(format_table(
-        ["hop", "final", "optimal", "prediction"],
-        [[r.hop_label, r.final_cwnd_cells, r.optimal_cwnd_cells,
-          r.backprop_prediction_cells] for r in result.backpropagation_rows],
-        title="A4 - backpropagation",
-    )))
-    lines.append("")
-    return lines
-
-
-def _extensions_section() -> List[str]:
-    lines = ["## Extensions", ""]
-    dynamic = get_experiment("dynamic").run(DynamicConfig())
-    rows = []
-    for kind in dynamic.config.controller_kinds:
-        adapt = dynamic.time_to_adapt(kind)
-        rows.append([kind, adapt * 1e3 if adapt is not None else None,
-                     dynamic.reentries[kind]])
-    lines.append(_code_block(format_table(
-        ["controller", "adapt [ms]", "re-entries"], rows,
-        title="Future work - mid-flow rate change (optimal %d -> %d cells)"
-        % (dynamic.optimal_before_cells, dynamic.optimal_after_cells),
-    )))
-    lines.append("")
-    friendly = get_experiment("friendliness").run(FriendlinessConfig())
-    lines.append(_code_block(format_table(
-        ["controller", "added p95 [ms]", "peak queue [pkts]"],
-        [[r.kind, r.added_delay_p95 * 1e3, r.peak_queue_packets]
-         for r in friendly.rows],
-        title="Friendliness toward background traffic",
-    )))
-    lines.append("")
-    interactive = get_experiment("interactive").run(InteractiveConfig())
-    lines.append(_code_block(format_table(
-        ["controller", "steady mean [ms]", "steady max [ms]"],
-        [[r.kind, r.steady_mean * 1e3, r.steady_max * 1e3]
-         for r in interactive.rows],
-        title="Interactive latency under a competing bulk stream",
-    )))
-    lines.append("")
-    return lines
+def _rendered(name: str, spec) -> str:
+    """Run experiment *name* on *spec*: its own rendering, fenced."""
+    experiment = get_experiment(name)
+    return "```\n" + experiment.render(experiment.run(spec)) + "\n```"
 
 
 def generate_report(full: bool = False) -> str:
@@ -184,12 +72,11 @@ def generate_report(full: bool = False) -> str:
     lines = [
         "# CircuitStart reproduction report",
         "",
-        "Scale: %s.  See EXPERIMENTS.md for the paper-vs-measured"
-        " discussion." % ("paper (full)" if full else "reduced (fast)"),
+        "Scale: %s." % ("paper (full)" if full else "reduced (fast)"),
         "",
     ]
-    lines += _trace_section(full)
-    lines += _cdf_section(full)
-    lines += _ablation_section(full)
-    lines += _extensions_section()
+    for heading, name, spec in report_sections(full):
+        lines += [heading, ""]
+        if name is not None:
+            lines += [_rendered(name, spec), ""]
     return "\n".join(lines)

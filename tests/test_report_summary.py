@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.report.summary import generate_report
+from repro.experiments import get_experiment
+from repro.report.summary import generate_report, report_sections
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,32 @@ def test_report_contains_extension_tables(report_text):
 
 
 def test_report_headline_numbers(report_text):
-    assert "Median improvement" in report_text
+    assert "median improvement" in report_text.lower()
     assert "max CDF gap" in report_text
+
+
+def test_report_shows_exactly_what_each_verb_prints(report_text):
+    """The point of the report: under each heading stands the text the
+    verb itself prints for that spec, not a second rendering of it."""
+    sections = [row for row in report_sections(full=False) if row[1]]
+    assert [name for __, name, __ in sections] == [
+        "trace", "trace", "cdf", "ablations",
+        "dynamic", "friendliness", "interactive",
+    ]
+    for heading, name, spec in sections:
+        experiment = get_experiment(name)
+        rendering = experiment.render(experiment.run(spec))
+        assert "%s\n\n```\n%s\n```\n" % (heading, rendering) in report_text
+
+
+def test_cli_report_json_needs_a_checkpoint_dir(capsys):
+    """``--json`` belongs to ``repro report DIR``; without DIR it was
+    ignored and the ten-second markdown report ran instead."""
+    code = main(["report", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "DIR" in captured.err
 
 
 def test_cli_report_to_file(tmp_path, capsys):
