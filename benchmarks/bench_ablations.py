@@ -1,4 +1,4 @@
-"""Ablation benches A1-A4 (DESIGN.md §7).
+"""Ablation benches A1-A4.
 
 Each bench regenerates one design-choice table and asserts the expected
 qualitative ordering.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Ablations over CircuitStart's design choices.
 
-Prints the four ablation tables DESIGN.md §7 calls out:
+Prints the four ablation tables (README, "Experiments → paper artifacts"):
 
 * A1 — the Vegas exit threshold γ (ramp time vs overshoot);
 * A2 — overshoot compensation vs traditional halving vs none;

@@ -3,8 +3,8 @@
 This package models the parts of ns-3 the CircuitStart evaluation
 depends on — store-and-forward point-to-point links with configurable
 rate, propagation delay and egress queueing — without the parts it does
-not (L2 framing, ARP, full TCP/IP).  DESIGN.md §5 documents why this
-substitution preserves the paper's behaviour.
+not (L2 framing, ARP, full TCP/IP).  :mod:`repro.sim.simulator` says why
+this substitution preserves the paper's behaviour.
 """
 
 from .link import Interface, Link

@@ -98,6 +98,15 @@ class CircuitFailure(Serializable):
     cause: str
 
 
+def present(rows: Sequence[Any], attribute: str) -> List[Any]:
+    """*attribute* of every row that has one (a failed circuit has no
+    last byte, a short transfer no start-up exit)."""
+    return [
+        value for row in rows
+        if (value := getattr(row, attribute)) is not None
+    ]
+
+
 class SampleTable:
     """How a result's per-kind tables are read and printed.
 
@@ -192,15 +201,6 @@ class SampleTable:
         return "engine events: %s" % ", ".join(
             "%s=%d" % (kind, self.events_executed[kind]) for kind in kinds
         )
-
-
-def present(rows: Sequence[Any], attribute: str) -> List[Any]:
-    """*attribute* of every row that has one (a failed circuit has no
-    last byte, a short transfer no start-up exit)."""
-    return [
-        value for row in rows
-        if (value := getattr(row, attribute)) is not None
-    ]
 
 
 @dataclass

@@ -44,8 +44,8 @@ uses this so that a link transmission costs one event (the delivery)
 unless a second packet arrives while the first is on the wire.
 
 The simulator replaces ns-3 as the substrate the paper's evaluation ran
-on (see DESIGN.md §5): CircuitStart's behaviour depends only on event
-timing, which a calendar-queue DES reproduces exactly.
+on: CircuitStart's behaviour depends only on event timing, which a
+calendar-queue DES reproduces exactly.
 """
 
 from __future__ import annotations
