@@ -51,6 +51,7 @@ from .experiments.runner import prepare_job, run_batch
 from .jobs.dispatch import SweepBroken, SweepInterrupted
 from .jobs.store import CHECKPOINT_ENV_VAR
 from .scenario.cache import PLAN_CACHE_ENV_VAR
+from .serialize import SpecError, read_json_file
 from .storage import resolve_dir
 
 __all__ = ["main", "build_parser"]
@@ -346,14 +347,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _load_jobs(path: str) -> Optional[list]:
     """Read a sweep's job file; ``None`` (after a stderr message) if bad."""
     try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as error:
-        print("cannot read batch file: %s" % error, file=sys.stderr)
-        return None
-    except json.JSONDecodeError as error:
-        print("batch file %s is not valid JSON: %s" % (path, error),
-              file=sys.stderr)
+        data = read_json_file(path, "batch file")
+    except SpecError as error:
+        print(error, file=sys.stderr)
         return None
     if isinstance(data, dict):
         data = data.get("jobs", [])

@@ -15,14 +15,14 @@ The subcommand doubles as the parts browser::
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from ..analysis.stats import quantile
 from ..scenario.cache import DEFAULT_CACHE
 from ..scenario.engine import ScenarioResult, present, run_scenario
 from ..scenario.spec import Scenario, plan_scenario
-from .api import Experiment, RunContext, SpecError
+from ..serialize import read_json_file
+from .api import Experiment, RunContext
 from .registry import register_experiment
 
 __all__ = ["ScenarioExperiment"]
@@ -60,16 +60,7 @@ class ScenarioExperiment(Experiment):
     def spec_from_cli(self, args: Any) -> Scenario:
         if args.spec is None:
             return self.default_spec()
-        try:
-            with open(args.spec) as handle:
-                data = json.load(handle)
-        except OSError as error:
-            raise SpecError("cannot read scenario spec: %s" % error) from error
-        except json.JSONDecodeError as error:
-            raise SpecError(
-                "scenario spec %s is not valid JSON: %s" % (args.spec, error)
-            ) from error
-        return Scenario.from_dict(data)
+        return Scenario.from_dict(read_json_file(args.spec, "scenario spec"))
 
     def render(self, result: ScenarioResult) -> str:
         from ..report import format_table

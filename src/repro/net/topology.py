@@ -136,6 +136,20 @@ class Topology:
                     heappush(fringe, (through, next(pushes), peer, name))
         return tree
 
+    def release(self) -> None:
+        """Drop each interface's pointers back to the nodes (the run is over).
+
+        A node holds its interfaces and an interface its node, its peer
+        and two methods bound to one of them: without these pointers
+        reference counting frees a finished network.  Nodes, interfaces,
+        queues and every counter on them stay readable.
+        """
+        for interface in self._interfaces.values():
+            interface.owner = None
+            interface.peer = None
+            interface._on_wake = None
+            interface._on_deliver = None
+
     def _interface_between(self, src_name: str, dst_name: str) -> Interface:
         try:
             return self._interfaces[src_name, dst_name]

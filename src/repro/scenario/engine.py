@@ -24,6 +24,7 @@ from ..analysis.stats import EmpiricalCdf
 from ..serialize import Serializable
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec
+from ..tor.hosts import TorHost
 from .cache import PlanCache
 from .faults import FaultInjector, RelayFailure
 from .netgen import GeneratedNetwork, instantiate_network
@@ -463,15 +464,36 @@ def _run_kind(plan: ScenarioPlan, kind: str):
     Returns ``(samples, series, events_executed, failures, counters)``;
     the probe series stay grouped, one list per scenario probe, so a
     caller merging components knows which probe produced what.
+
+    The run's simulator, network, hosts and circuits reference each
+    other.  Once the outcome exists (or the run raised), each layer
+    drops its own back-references, so reference counting frees the
+    whole run at once instead of leaving it to the cyclic collector.
     """
-    scenario = plan.scenario
     sim = Simulator()
     network = instantiate_network(plan.network, sim)
+    runs: List[WorkloadRun] = []
+    try:
+        return _replay_kind(plan, kind, sim, network, runs)
+    finally:
+        for run in runs:
+            run.release()
+        TorHost.release_all(network.topology.nodes.values())
+        network.topology.release()
+        sim.release()
 
-    runs: List[WorkloadRun] = [
-        build_circuit_run(scenario, planned, kind, sim, network)
-        for planned in plan.circuits
-    ]
+
+def _replay_kind(
+    plan: ScenarioPlan,
+    kind: str,
+    sim: Simulator,
+    network: GeneratedNetwork,
+    runs: List[WorkloadRun],
+):
+    """:func:`_run_kind` on a fresh *sim* and *network*; fills *runs*."""
+    scenario = plan.scenario
+    for planned in plan.circuits:
+        runs.append(build_circuit_run(scenario, planned, kind, sim, network))
 
     # Departures: completed circuits leave — their state is removed
     # from every host along the path, so churn reaches a steady-state

@@ -140,6 +140,15 @@ class WorkloadRun:
     def _cancel_pending(self) -> None:
         """Subclass hook: cancel the workload's own scheduled events."""
 
+    def release(self) -> None:
+        """Drop every subscription on this run once its kind run is over.
+
+        The engine's, the probes' and the departure's callbacks all
+        reference this run, which references the sink and its waiter.
+        """
+        self._failure_subscribers = []
+        self.completed.release()
+
     # --- departures -----------------------------------------------------
 
     def enable_departure(self) -> None:
@@ -222,6 +231,10 @@ class _StreamRun(WorkloadRun):
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+    def release(self) -> None:
+        super().release()
+        self.sink.on_message = None
 
     @property
     def message_latencies(self) -> List[float]:

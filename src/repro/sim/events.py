@@ -173,6 +173,23 @@ class EventQueue:
         heapq.heappush(self._heap, (time, handle.seq, handle))
         return handle
 
+    def clear(self) -> None:
+        """Drop every pending event; each live handle ends cancelled.
+
+        A cancelled handle no longer holds its callback, so a timer
+        that its owner still references (``owner -> handle -> bound
+        method -> owner``) stops being a reference cycle.
+        """
+        for entry in self._heap:
+            if len(entry) == 3 and not entry[2]._cancelled:
+                handle = entry[2]
+                handle._cancelled = True
+                handle._queue = None
+                handle.callback = _noop
+                handle.args = ()
+        self._heap.clear()
+        self._dead = 0
+
     def _note_handle_cancelled(self) -> None:
         """One live handle entry in the heap was cancelled.
 

@@ -65,3 +65,12 @@ class Waiter:
             self._sim.call_soon(callback, self._value)
         else:
             self._callbacks.append(callback)
+
+    def release(self) -> None:
+        """Forget the subscribers of a waiter that will never trigger.
+
+        For the end of a run: a subscriber usually references whatever
+        owns this waiter, and keeping it would make the pair a
+        reference cycle.
+        """
+        self._callbacks = []

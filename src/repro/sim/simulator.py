@@ -17,6 +17,8 @@ and provides the scheduling API every other subsystem builds on:
 * :meth:`Simulator.run` / :meth:`run_until` / :meth:`run_for` — drive
   the event loop;
 * :meth:`Simulator.stop` — halt the loop from inside a callback;
+* :meth:`Simulator.release` — drop every pending event once a run is
+  over;
 * :attr:`Simulator.now` — the clock, a plain attribute that only the
   event loop writes.
 
@@ -243,6 +245,16 @@ class Simulator:
     def stop(self) -> None:
         """Request the running loop to halt after the current event."""
         self._stop_requested = True
+
+    def release(self) -> None:
+        """Drop every pending event: the run is over.
+
+        Pending events are what tie a finished run's objects to each
+        other through the simulator (callbacks bound to links, hosts
+        and timers); dropping them lets reference counting free the
+        run.  The clock and :attr:`events_executed` stay readable.
+        """
+        self._queue.clear()
 
     # ------------------------------------------------------------------
     # Internals

@@ -41,7 +41,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .serialize import encode
+from .serialize import SpecError, encode, read_json_file
 
 __all__ = [
     "OwnerLocks",
@@ -151,11 +151,8 @@ def read_envelope(
     are misses, never errors.
     """
     try:
-        with open(path, "r") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError, RecursionError):
-        # ValueError covers bad JSON and bad UTF-8; a file of nothing
-        # but "[" exhausts the parser's recursion budget instead.
+        data = read_json_file(path, "envelope")
+    except SpecError:
         return None
     if not isinstance(data, dict):
         return None

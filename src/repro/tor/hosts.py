@@ -39,7 +39,7 @@ handful of cells per run, still routes per cell through ``node.send``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from ..net.node import Node
 from ..net.packet import Packet
@@ -177,6 +177,27 @@ class TorHost:
         if state is not None and state.sender is not None:
             state.sender.close()
         self.retired.add(circuit_id)
+
+    def release(self) -> None:
+        """Tear down every circuit left and let go of the node (run over).
+
+        A circuit's state closes over this host (its feedback, transmit
+        and broken-hop callbacks), and the node holds this host as its
+        handler: without these references reference counting frees a
+        finished run.  The counters stay readable through the node.
+        """
+        for circuit_id in list(self.circuits):
+            self.teardown(circuit_id)
+        self.node = None
+        self.on_circuit_broken = None
+
+    @classmethod
+    def release_all(cls, nodes: Iterable[Node]) -> None:
+        """:meth:`release` the host installed on each of *nodes*, if any."""
+        for node in nodes:
+            handler = node._handler
+            if isinstance(handler, cls):
+                handler.release()
 
     def _new_state(
         self, circuit_id: int, prev_hop: Optional[str], next_hop: Optional[str]
