@@ -181,7 +181,7 @@ class EventQueue:
         method -> owner``) stops being a reference cycle.
         """
         for entry in self._heap:
-            if len(entry) == 3 and not entry[2]._cancelled:
+            if len(entry) == 3:
                 handle = entry[2]
                 handle._cancelled = True
                 handle._queue = None
