@@ -86,6 +86,28 @@ def test_dominance_majority(result):
     assert result.dominance >= 0.7
 
 
+def test_paper_scale_claims():
+    """Figure 1c at the paper's scale (50 concurrent circuits): the
+    "with" CDF dominates, the median improves, the largest gap is a
+    sizeable fraction of a second ("by up to 0.5 seconds"), and the
+    faster start starves no competing circuit."""
+    result = get_experiment("cdf").run(CdfConfig())
+    assert result.config.circuit_count == 50
+    assert result.median_improvement > 0.1
+    assert 0.2 < result.max_improvement < 1.5
+    assert result.dominance >= 0.9
+    assert result.fairness("with") > 0.5
+
+
+def test_reduced_payload_keeps_the_gap():
+    """Smaller downloads shrink the gap but do not erase it."""
+    result = get_experiment("cdf").run(
+        CdfConfig(circuit_count=25, payload_bytes=kib(150))
+    )
+    assert result.median_improvement > 0
+    assert result.dominance >= 0.7
+
+
 def test_summary_rows_shape(result):
     rows = result.summary_rows()
     assert [row[0] for row in rows] == list(result.config.kinds)
