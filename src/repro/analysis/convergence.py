@@ -2,7 +2,7 @@
 
 The Figure-1 panels make a claim the eye checks instantly — "the trace
 settles onto the dashed line" — that needs a number to assert in
-benchmarks: :func:`convergence_time` returns the first instant from
+tests: :func:`convergence_time` returns the first instant from
 which the trace stays inside a tolerance band around the target for
 good, and :func:`settled_error` the trace's final distance from it.
 """

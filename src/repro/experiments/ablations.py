@@ -12,8 +12,8 @@
   window should converge near the bottleneck's, demonstrating the
   "implicitly propagates the minimum cwnd back to the source" claim.
 
-Each study returns plain result rows (lists of dataclasses) so the
-benchmark harness can print paper-style tables.
+Each study returns plain result rows (lists of dataclasses) so
+``repro ablations`` can print paper-style tables.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..analysis.optimal_window import (
 )
 from ..sim.simulator import Simulator
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import TraceConfig, TraceResult, chain_flow
+from .fig1_traces import TraceConfig, TraceResult, chain_flow, released
 from .registry import get_experiment, register_experiment
 
 __all__ = [
@@ -216,7 +216,9 @@ def backpropagation_study(
         controller_kind=base.controller_kind,
         payload_bytes=base.payload_bytes,
     )
-    sim.run_until(settle_time)
+    with released(sim, flow.topology):
+        sim.run_until(settle_time)
+        final_cwnds = [controller.cwnd_cells for controller in flow.controllers]
 
     links = [HopLink(s.rate, s.delay) for s in specs]
     per_hop_optimal = optimal_windows(links, base.transport)
@@ -227,11 +229,11 @@ def backpropagation_study(
         BackpropagationRow(
             hop_index=i,
             hop_label=labels[i],
-            final_cwnd_cells=flow.controllers[i].cwnd_cells,
+            final_cwnd_cells=final_cwnd,
             optimal_cwnd_cells=per_hop_optimal[i].window_cells,
             backprop_prediction_cells=prediction,
         )
-        for i in range(len(flow.controllers))
+        for i, final_cwnd in enumerate(final_cwnds)
     ]
 
 

@@ -208,10 +208,6 @@ class ChurnStudyResult(StudyResult):
                 return row
         raise KeyError("no study point for rate=%r kind=%r" % (rate, kind))
 
-    def points_for(self, kind: str) -> List[ChurnStudyPoint]:
-        """The rows of one controller kind, in swept-rate order."""
-        return [row for row in self.points if row.kind == kind]
-
     def improvement_points(
         self, metric: str = "ttfb"
     ) -> List[Tuple[float, float]]:

@@ -27,7 +27,7 @@ from ..sim.simulator import Simulator
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import chain_flow, slow_link_specs
+from .fig1_traces import chain_flow, released, slow_link_specs
 from .registry import register_experiment
 
 __all__ = [
@@ -178,12 +178,12 @@ def _run_one(config: DynamicConfig, kind: str):
         )
         received_at_change["bytes"] = flow.sink.received_bytes
 
-    sim.schedule_at(config.change_time, apply_change)
-    sim.run_until(config.duration)
+    with released(sim, flow.topology):
+        sim.schedule_at(config.change_time, apply_change)
+        sim.run_until(config.duration)
 
-    delivered_after = flow.sink.received_bytes - received_at_change.get("bytes", 0)
-    controller = flow.source_controller
-    reentry_count = getattr(controller, "reentries", 0)
+        delivered_after = flow.sink.received_bytes - received_at_change.get("bytes", 0)
+        reentry_count = getattr(flow.source_controller, "reentries", 0)
     return recorder, delivered_after, reentry_count
 
 

@@ -157,14 +157,6 @@ class CdfResult(ExperimentResult):
             self.cdf(with_kind), self.cdf(without_kind)
         )
 
-    def summary_rows(self) -> List[Tuple[str, float, float, float, float]]:
-        """(kind, median, p10, p90, max) rows for the report table."""
-        rows = []
-        for kind in self.config.kinds:
-            s = summarize(self.ttlb[kind])
-            rows.append((kind, s.median, s.p10, s.p90, s.maximum))
-        return rows
-
 
 @register_experiment
 class CdfExperiment(Experiment):

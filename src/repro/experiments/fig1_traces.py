@@ -8,7 +8,7 @@ of a circuit whose bottleneck sits at different distances:
 * "distance to bottleneck: 3 hops" — the slow link is the last relay's
   egress, directly in front of the destination.
 
-Representative behaviour (the claims our benches assert):
+Representative behaviour (the claims the tests assert):
 
 * the window doubles per round up to a temporary overshoot;
 * CircuitStart's compensation then drops it close to the *optimal*
@@ -20,8 +20,9 @@ Representative behaviour (the claims our benches assert):
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from ..analysis.optimal_window import (
     HopLink,
@@ -29,9 +30,10 @@ from ..analysis.optimal_window import (
     source_optimal_window,
 )
 from ..analysis.trace import TraceRecorder
-from ..net.topology import LinkSpec, build_chain
+from ..net.topology import LinkSpec, Topology, build_chain
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
+from ..tor.hosts import TorHost
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
@@ -42,6 +44,7 @@ __all__ = [
     "TraceExperiment",
     "TraceResult",
     "chain_flow",
+    "released",
     "slow_link_specs",
 ]
 
@@ -88,6 +91,25 @@ def chain_flow(
     topology = build_chain(sim, ["source", *relay_names, "sink"], link_specs)
     spec = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
     return CircuitFlow(sim, topology, spec, transport, **flow_options)
+
+
+@contextmanager
+def released(sim: Simulator, topology: Topology) -> Iterator[None]:
+    """Free a hand-built run's object graph when the block exits.
+
+    The simulator, network, hosts and circuits of a run reference each
+    other.  Once the block has read its outcome (or raised), each layer
+    drops its own back-references, as the scenario engine's kind runs
+    do, so reference counting frees the run instead of the cyclic
+    collector.  Read the senders' and controllers' state inside the
+    block: releasing tears down every circuit still open.
+    """
+    try:
+        yield
+    finally:
+        TorHost.release_all(topology.nodes.values())
+        topology.release()
+        sim.release()
 
 
 @dataclass(frozen=True)
@@ -174,7 +196,10 @@ class TraceExperiment(Experiment):
         recorder = TraceRecorder("source-cwnd:%s" % spec.controller_kind)
         flow.trace_cwnd(recorder)
 
-        sim.run_until(spec.duration)
+        with released(sim, flow.topology):
+            sim.run_until(spec.duration)
+            startup_exit_time = flow.source_controller.startup_exit_time
+            final_cwnd_cells = flow.source_controller.cwnd_cells
 
         links = [HopLink(s.rate, s.delay) for s in link_specs]
         optimal = source_optimal_window(links, spec.transport)
@@ -182,9 +207,9 @@ class TraceExperiment(Experiment):
             config=spec,
             trace=recorder,
             optimal=optimal,
-            startup_exit_time=flow.source_controller.startup_exit_time,
+            startup_exit_time=startup_exit_time,
             peak_cwnd_cells=int(recorder.max_value),
-            final_cwnd_cells=flow.source_controller.cwnd_cells,
+            final_cwnd_cells=final_cwnd_cells,
         )
 
     def add_cli_arguments(self, parser) -> None:

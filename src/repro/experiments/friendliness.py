@@ -31,6 +31,7 @@ from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .fig1_traces import released
 from .registry import register_experiment
 
 __all__ = [
@@ -178,7 +179,9 @@ def _run_one(config: FriendlinessConfig, kind: str) -> FriendlinessRow:
     bottleneck_iface = topo._interface_between("R1", "R2")
     probe = QueueProbe(sim, bottleneck_iface, interval=milliseconds(1.0))
 
-    sim.run_until(config.duration)
+    with released(sim, topo):
+        sim.run_until(config.duration)
+        circuit_bytes = flow.sink.received_bytes
 
     settle_margin = seconds(0.1)
     baseline = tracker.delays_between(settle_margin, config.circuit_start)
@@ -191,7 +194,7 @@ def _run_one(config: FriendlinessConfig, kind: str) -> FriendlinessRow:
         baseline_p95=_p95(baseline),
         loaded_p95=_p95(loaded),
         peak_queue_packets=int(peak_queue),
-        circuit_bytes=flow.sink.received_bytes,
+        circuit_bytes=circuit_bytes,
     )
 
 

@@ -19,14 +19,14 @@ taxes every interactive message for the whole connection lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Callable, Dict, List
 
 from ..sim.simulator import Simulator
 from ..tor.streams import MultiStreamSink, StreamScheduler
 from ..transport.config import TransportConfig
 from ..units import Rate, kib, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import chain_flow, slow_link_specs
+from .fig1_traces import chain_flow, released, slow_link_specs
 from .registry import register_experiment
 
 __all__ = [
@@ -149,7 +149,7 @@ def _run_one(config: InteractiveConfig, kind: str) -> InteractiveRow:
 
     sink.on_message = on_message
 
-    def queue_interactive() -> None:
+    def queue_interactive(again: Callable[[Any], None]) -> None:
         if sim.now >= config.duration:
             return
         records.append(
@@ -157,11 +157,16 @@ def _run_one(config: InteractiveConfig, kind: str) -> InteractiveRow:
                 INTERACTIVE_STREAM, config.message_bytes, sim.now
             )
         )
-        sim.schedule(config.message_interval, queue_interactive)
+        # Handed itself, not closed over: a function in its own closure
+        # is a reference cycle that would keep the whole circuit alive.
+        sim.schedule(config.message_interval, again, again)
 
-    sim.call_soon(lambda: scheduler.send_message(BULK_STREAM, config.bulk_bytes, 0.0))
-    sim.call_soon(queue_interactive)
-    sim.run_until(config.duration)
+    with released(sim, flow.topology):
+        sim.call_soon(
+            lambda: scheduler.send_message(BULK_STREAM, config.bulk_bytes, 0.0)
+        )
+        sim.call_soon(queue_interactive, queue_interactive)
+        sim.run_until(config.duration)
 
     latencies = [
         completion[r.message_id] - r.queued_at

@@ -144,10 +144,6 @@ class BatchItem(Serializable):
         """Whether this job ended in a captured per-job failure."""
         return self.error is not None
 
-    def spec_object(self) -> Any:
-        """The spec decoded back into its experiment's spec type."""
-        return get_experiment(self.experiment).spec_type.from_dict(self.spec)
-
     def result_object(self) -> Any:
         """The result decoded back into its experiment's result type."""
         if self.error is not None:
@@ -189,10 +185,6 @@ class BatchResult(Serializable):
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def by_experiment(self, name: str) -> List[BatchItem]:
-        """All items produced by the experiment called *name*."""
-        return [item for item in self.items if item.experiment == name]
 
     def failures(self) -> List[BatchItem]:
         """Every item that ended in a captured per-job error."""

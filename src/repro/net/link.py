@@ -106,10 +106,6 @@ class Link:
         """Serialization time of *packet* on this link."""
         return self.transmission_time_for(packet.size)
 
-    def one_way_time(self, packet: Packet) -> float:
-        """Serialization plus propagation for *packet* (unloaded link)."""
-        return self.transmission_time_for(packet.size) + self.delay
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Link %s %s delay=%.4fs>" % (self.name or "?", self.rate, self.delay)
 
@@ -178,11 +174,6 @@ class Interface:
     def backlog_packets(self) -> int:
         """Packets waiting in the egress queue (excluding the one in flight)."""
         return len(self.queue)
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes waiting in the egress queue."""
-        return self.queue.bytes_queued
 
     def attach_peer(self, peer: "Node") -> None:
         """Declare the node at the far end of the link."""

@@ -73,14 +73,6 @@ class Node:
         """Register *interface* as one of this node's egress ports."""
         self.interfaces.append(interface)
 
-    def set_route(self, dst_name: str, interface: Interface) -> None:
-        """Route packets destined to *dst_name* out of *interface*."""
-        if interface not in self.interfaces:
-            raise ValueError(
-                "interface %s does not belong to node %s" % (interface.name, self.name)
-            )
-        self.routes[dst_name] = interface
-
     def set_handler(self, handler: Optional[PacketHandler]) -> None:
         """Install the packet handler (relay / client / server logic)."""
         self._handler = handler

@@ -77,11 +77,6 @@ class Packet:
         """Number of links this packet has traversed so far."""
         return self.hops
 
-    def note_hop(self) -> None:
-        """Record one more traversed link (``Node.deliver`` bumps
-        :attr:`hops` itself; this is for receivers that are not nodes)."""
-        self.hops += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Packet #%d %s->%s %dB %r>" % (
             self.uid,

@@ -176,10 +176,6 @@ class Topology:
         names = self.path(src_name, dst_name)
         return [self._neighbours[a][b] for a, b in zip(names, names[1:])]
 
-    def link_spec(self, a_name: str, b_name: str) -> LinkSpec:
-        """The spec of the (single) link between two adjacent nodes."""
-        return self._neighbours[a_name][b_name]
-
     @property
     def link_count(self) -> int:
         """Number of duplex links in the topology."""

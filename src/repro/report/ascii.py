@@ -1,6 +1,6 @@
 """ASCII rendering of traces and CDFs.
 
-The benches and examples run in terminals without a plotting stack, so
+The CLI and examples run in terminals without a plotting stack, so
 the figures are rendered as text: good enough to eyeball the shapes the
 paper shows (the exponential ramp, the compensation drop, the CDF gap).
 """

@@ -238,9 +238,6 @@ class DiskPlanCache:
     def put_plan(self, key: str, plan: Any) -> None:
         self.put("plan", key, plan)
 
-    def put_network(self, key: str, network: Any) -> None:
-        self.put("network", key, network)
-
     def _scan(self) -> List[Tuple[float, int, str]]:
         """``(mtime, size, path)`` of every entry, after a janitor pass.
 

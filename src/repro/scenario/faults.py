@@ -295,9 +295,6 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
 
-    def is_down(self, relay: str) -> bool:
-        return relay in self.down
-
     def _execute(self, event: FaultEvent) -> None:
         if event.action == "kill":
             self.kill(event.relay)

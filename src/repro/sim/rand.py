@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, List, Sequence, TypeVar
+from typing import Dict, List, Sequence, TypeVar
 
 __all__ = ["RandomStreams", "derive_seed"]
 
@@ -58,11 +58,6 @@ class RandomStreams:
             self._streams[name] = rng
         return rng
 
-    def reseed(self, seed: int) -> None:
-        """Reset the master seed and drop all existing substreams."""
-        self.seed = int(seed)
-        self._streams.clear()
-
     # Convenience draws used across experiments -------------------------
 
     def uniform(self, name: str, low: float, high: float) -> float:
@@ -73,31 +68,8 @@ class RandomStreams:
         """One uniform choice from *options* using substream *name*."""
         return self.stream(name).choice(list(options))
 
-    def weighted_choice(
-        self, name: str, options: Sequence[T], weights: Sequence[float]
-    ) -> T:
-        """One weighted choice (weights need not be normalized)."""
-        if len(options) != len(weights):
-            raise ValueError(
-                "options (%d) and weights (%d) differ in length"
-                % (len(options), len(weights))
-            )
-        return self.stream(name).choices(list(options), weights=list(weights), k=1)[0]
-
-    def sample_distinct(self, name: str, options: Sequence[T], k: int) -> List[T]:
-        """Sample *k* distinct elements from *options*."""
-        return self.stream(name).sample(list(options), k)
-
     def shuffled(self, name: str, options: Sequence[T]) -> List[T]:
         """A shuffled copy of *options*."""
         items = list(options)
         self.stream(name).shuffle(items)
         return items
-
-    def iter_lognormal(
-        self, name: str, mu: float, sigma: float
-    ) -> Iterator[float]:
-        """An endless iterator of log-normal draws (bandwidth modelling)."""
-        rng = self.stream(name)
-        while True:
-            yield rng.lognormvariate(mu, sigma)

@@ -210,10 +210,6 @@ class CircuitFlow:
         recorder.add(self.start_time, self.source_controller.cwnd_cells)
         self.source_controller.bind_cwnd_listener(recorder.add)
 
-    def relay_cwnds(self) -> List[int]:
-        """Current windows along the circuit, source hop first."""
-        return [controller.cwnd_cells for controller in self.controllers]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<CircuitFlow c%d %s %s>" % (
             self.spec.circuit_id,

@@ -81,11 +81,6 @@ class Directory:
             return everyone
         return [relay for relay in everyone if relay.has_flag(with_flag)]
 
-    @property
-    def total_bandwidth(self) -> float:
-        """Sum of all relay weights (bytes/s)."""
-        return sum(relay.weight for relay in self._relays.values())
-
     def weighted_sample(
         self,
         rng: random.Random,

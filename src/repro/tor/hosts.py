@@ -78,10 +78,6 @@ class CircuitState:
     gap_drops: int = 0
 
     @property
-    def is_source(self) -> bool:
-        return self.prev_hop is None and self.sender is not None
-
-    @property
     def is_sink(self) -> bool:
         return self.next_hop is None
 

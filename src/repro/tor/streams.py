@@ -71,10 +71,6 @@ class Stream:
         self.bytes_queued = 0
         self.bytes_sent = 0
 
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)
-
     def queue_message(self, size: int, now: float) -> MessageRecord:
         """Append *size* application bytes as one message."""
         if size <= 0:

@@ -202,11 +202,3 @@ class TransportConfig:
         transport to the reliable configuration.
         """
         return replace(self, **_lookup_profile(name))
-
-    def cells_for_payload(self, nbytes: int) -> int:
-        """Number of DATA cells needed to carry *nbytes* of payload."""
-        if nbytes < 0:
-            raise ValueError("payload size must be non-negative")
-        if nbytes == 0:
-            return 0
-        return -(-nbytes // self.cell_payload)  # ceiling division

@@ -99,11 +99,6 @@ class WindowController:
         return self._cwnd_cells
 
     @property
-    def cwnd_bytes(self) -> int:
-        """Current congestion window, in wire bytes."""
-        return self._cwnd_cells * self.config.cell_size
-
-    @property
     def in_startup(self) -> bool:
         """Whether the controller is still in its start-up phase."""
         return self.phase is Phase.STARTUP

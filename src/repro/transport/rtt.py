@@ -10,7 +10,7 @@ Two derived values drive the algorithm:
   window growth; we aggregate the round's samples (mean by default,
   configurable to min/max/last for ablations).
 
-The estimator also keeps an EWMA ("smoothed") RTT for diagnostics and
+The estimator also keeps an EWMA ("smoothed") RTT and its deviation
 for the optional retransmission timer.
 """
 
@@ -90,16 +90,6 @@ class RttEstimator:
         return self._base_rtt
 
     @property
-    def smoothed_rtt(self) -> Optional[float]:
-        """EWMA-smoothed RTT (``None`` before any sample)."""
-        return self._smoothed
-
-    @property
-    def last_sample(self) -> Optional[float]:
-        """Most recent raw sample."""
-        return self._last_sample
-
-    @property
     def round_samples(self) -> int:
         """Number of samples collected in the current round."""
         return len(self._round)
@@ -140,11 +130,6 @@ class RttEstimator:
         """Close the current round and start collecting the next one."""
         self._round.reset()
 
-    @property
-    def rtt_variance(self) -> Optional[float]:
-        """RFC 6298 RTTVAR (``None`` before any sample)."""
-        return self._rttvar
-
     def retransmission_timeout(
         self, minimum: float = 0.05, maximum: float = 10.0, fallback: float = 1.0
     ) -> float:
@@ -157,12 +142,6 @@ class RttEstimator:
             return max(minimum, min(fallback, maximum))
         rto = self._smoothed + 4.0 * self._rttvar
         return max(minimum, min(rto, maximum))
-
-    def queuing_delay(self) -> float:
-        """Current RTT minus base RTT: the estimated queueing component."""
-        if self._base_rtt is None:
-            return 0.0
-        return max(0.0, self.current_rtt() - self._base_rtt)
 
     def vegas_diff(self, cwnd_cells: float, rtt: Optional[float] = None) -> float:
         """The paper's queue-length estimate for window *cwnd_cells*.

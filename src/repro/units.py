@@ -111,12 +111,6 @@ class Rate:
             raise ValueError("cannot transmit a negative size: %r" % nbytes)
         return nbytes / self.bytes_per_second
 
-    def bytes_in(self, duration: float) -> float:
-        """Bytes this rate can move within *duration* seconds."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative, got %r" % duration)
-        return self.bytes_per_second * duration
-
     def scaled(self, factor: float) -> "Rate":
         """A new rate equal to this one multiplied by *factor* (> 0)."""
         return Rate(self.bytes_per_second * factor)

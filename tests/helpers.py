@@ -2,9 +2,7 @@
 
 Lives in its own module (not ``conftest.py``) so test files can
 ``from helpers import make_chain_flow`` without depending on which
-``conftest`` pytest put on ``sys.path`` first — with both ``tests/``
-and ``benchmarks/`` collected, ``from conftest import ...`` used to
-resolve to whichever directory was scanned first.
+``conftest`` pytest put on ``sys.path`` first.
 """
 
 from __future__ import annotations

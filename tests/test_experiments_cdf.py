@@ -108,13 +108,6 @@ def test_reduced_payload_keeps_the_gap():
     assert result.dominance >= 0.7
 
 
-def test_summary_rows_shape(result):
-    rows = result.summary_rows()
-    assert [row[0] for row in rows] == list(result.config.kinds)
-    for __, median, p10, p90, maximum in rows:
-        assert p10 <= median <= p90 <= maximum
-
-
 def test_cdf_accessor(result):
     cdf = result.cdf("with")
     assert cdf.min > 0

@@ -90,7 +90,6 @@ def test_chain_path_helpers(sim):
     topo = build_chain(sim, ["a", "b", "c"], [SPEC, slow])
     assert topo.path("a", "c") == ["a", "b", "c"]
     assert topo.path_links("a", "c") == [SPEC, slow]
-    assert topo.link_spec("b", "c") == slow
 
 
 def test_path_to_unknown_or_unreachable_node_names_both_ends(sim):
@@ -200,13 +199,6 @@ def test_missing_route_raises(sim):
     topo.add_node("a")
     with pytest.raises(KeyError):
         topo.node("a").interface_to("nowhere")
-
-
-def test_set_route_requires_owned_interface(sim):
-    topo = build_chain(sim, ["a", "b", "c"], [SPEC, SPEC])
-    foreign = topo.node("b").interfaces[0]
-    with pytest.raises(ValueError):
-        topo.node("a").set_route("c", foreign)
 
 
 def test_receive_counters(sim):

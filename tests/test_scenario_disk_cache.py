@@ -417,7 +417,7 @@ def test_lock_loser_waits_for_winners_entry(tmp_path):
     reference = plan_scenario(scenario, cache=None)
 
     def publish():
-        winner.put_network(network_key, reference.network)
+        winner.put("network", network_key, reference.network)
         winner.put_plan(key, reference)
         winner.release("network", network_key)
         winner.release("plan", key)

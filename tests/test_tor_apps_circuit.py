@@ -133,8 +133,9 @@ def test_flow_trace_records_initial_point(sim):
 
 def test_flow_relay_cwnds_shape(sim):
     flow, __, __s = make_chain_flow(sim)
-    assert len(flow.relay_cwnds()) == 4
-    assert all(w >= 2 for w in flow.relay_cwnds())
+    windows = [controller.cwnd_cells for controller in flow.controllers]
+    assert len(windows) == 4
+    assert all(w >= 2 for w in windows)
 
 
 def test_flow_works_with_single_relay(sim):

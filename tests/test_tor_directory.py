@@ -50,11 +50,6 @@ def test_flag_filter():
     assert len(d.relays()) == 2
 
 
-def test_total_bandwidth():
-    d = Directory([relay("a", 8.0), relay("b", 8.0)])
-    assert d.total_bandwidth == pytest.approx(2e6)
-
-
 def test_weighted_sample_distinct():
     d = make_directory(10)
     rng = random.Random(1)

@@ -188,8 +188,6 @@ def test_counters_track_roles(sim):
 def test_circuit_state_role_properties(sim):
     __, hosts = chain_hosts(sim)
     wire_circuit(sim, hosts)
-    assert hosts["a"].circuits[1].is_source
     assert not hosts["a"].circuits[1].is_sink
     assert hosts["c"].circuits[1].is_sink
-    assert not hosts["b"].circuits[1].is_source
     assert not hosts["b"].circuits[1].is_sink

@@ -29,8 +29,7 @@ def test_next_cell_carves_message_into_cells():
     stream = Stream(1)
     stream.queue_message(CELL_PAYLOAD * 2 + 10, now=0.0)
     sizes = []
-    while stream.has_pending:
-        cell = stream.next_cell(circuit_id=7)
+    while (cell := stream.next_cell(circuit_id=7)) is not None:
         sizes.append(cell.payload_bytes)
     assert sizes == [CELL_PAYLOAD, CELL_PAYLOAD, 10]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.transport.config import CELL_PAYLOAD, CELL_SIZE, TransportConfig
+from repro.transport.config import CELL_SIZE, TransportConfig
 
 
 def test_defaults_follow_the_paper():
@@ -21,26 +21,6 @@ def test_with_returns_modified_copy():
     assert changed.gamma == 8.0
     assert config.gamma == 4.0
     assert changed.cell_size == config.cell_size
-
-
-def test_cells_for_payload_exact_multiple():
-    config = TransportConfig()
-    assert config.cells_for_payload(CELL_PAYLOAD * 3) == 3
-
-
-def test_cells_for_payload_rounds_up():
-    config = TransportConfig()
-    assert config.cells_for_payload(CELL_PAYLOAD + 1) == 2
-    assert config.cells_for_payload(1) == 1
-
-
-def test_cells_for_payload_zero():
-    assert TransportConfig().cells_for_payload(0) == 0
-
-
-def test_cells_for_payload_negative_rejected():
-    with pytest.raises(ValueError):
-        TransportConfig().cells_for_payload(-1)
 
 
 @pytest.mark.parametrize(

@@ -37,11 +37,6 @@ def test_initial_state():
     assert c.startup_exit_time is None
 
 
-def test_cwnd_bytes():
-    c = CircuitStartController(TransportConfig())
-    assert c.cwnd_bytes == 2 * 512
-
-
 def test_can_send_respects_window():
     c = CircuitStartController(TransportConfig())
     assert c.can_send()

@@ -78,7 +78,7 @@ def test_feedback_measures_rtt(sim):
     sender.enqueue(StubCell())
     sim.run_until(0.25)
     sender.on_feedback(0)
-    assert controller.rtt.last_sample == pytest.approx(0.25)
+    assert controller.rtt.base_rtt == pytest.approx(0.25)
 
 
 def test_unknown_feedback_counted_not_crashing(sim):

@@ -64,8 +64,10 @@ def test_rtt_variance_updates():
     est = RttEstimator()
     est.add_sample(0.1)
     est.add_sample(0.2)
-    assert est.rtt_variance is not None
-    assert est.rtt_variance > 0
+    # rttvar = 0.05 + (0.1 - 0.05) / 4, srtt = 0.1 + 0.1 / 8.
+    assert est.retransmission_timeout(minimum=0.0) == pytest.approx(
+        0.1125 + 4 * 0.0625
+    )
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,6 @@ def test_round_aggregate_unknown_kind():
 def test_estimator_initial_state():
     est = RttEstimator()
     assert est.base_rtt is None
-    assert est.smoothed_rtt is None
-    assert est.last_sample is None
     assert est.sample_count == 0
 
 
@@ -62,11 +60,14 @@ def test_base_rtt_is_running_minimum():
 
 
 def test_smoothed_rtt_moves_toward_samples():
+    """Read through the RTO, SRTT + 4 RTTVAR: the first sample seeds
+    SRTT = 0.1, RTTVAR = 0.05; the second moves SRTT halfway, to 0.2, and
+    RTTVAR to 0.05 + (|0.1 - 0.3| - 0.05) / 4 = 0.0875 (RFC 6298)."""
     est = RttEstimator(ewma_gain=0.5)
     est.add_sample(0.1)
-    assert est.smoothed_rtt == 0.1
+    assert est.retransmission_timeout(minimum=0.0) == pytest.approx(0.3)
     est.add_sample(0.3)
-    assert est.smoothed_rtt == pytest.approx(0.2)
+    assert est.retransmission_timeout(minimum=0.0) == pytest.approx(0.2 + 4 * 0.0875)
 
 
 def test_current_rtt_uses_round_samples():
@@ -88,21 +89,6 @@ def test_current_rtt_falls_back_to_last_sample_after_round():
 def test_current_rtt_without_samples_raises():
     with pytest.raises(ValueError):
         RttEstimator().current_rtt()
-
-
-def test_queuing_delay():
-    est = RttEstimator(aggregate="last")
-    est.add_sample(0.1)
-    est.add_sample(0.15)
-    assert est.queuing_delay() == pytest.approx(0.05)
-
-
-def test_queuing_delay_never_negative():
-    est = RttEstimator(aggregate="min")
-    est.add_sample(0.2)
-    est.finish_round()
-    est.add_sample(0.1)  # new base; current == base
-    assert est.queuing_delay() == 0.0
 
 
 def test_vegas_diff_matches_paper_formula():
