@@ -27,8 +27,9 @@ from ..analysis.optimal_window import (
     optimal_windows,
 )
 from ..sim.simulator import Simulator
+from ..tor.hosts import released
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import TraceConfig, TraceResult, chain_flow, released
+from .fig1_traces import TraceConfig, TraceResult, chain_flow
 from .registry import get_experiment, register_experiment
 
 __all__ = [

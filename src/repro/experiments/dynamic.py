@@ -24,10 +24,11 @@ from ..analysis.optimal_window import HopLink, source_optimal_window
 from ..analysis.trace import TraceRecorder
 from ..net.topology import Topology
 from ..sim.simulator import Simulator
+from ..tor.hosts import released
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import chain_flow, released, slow_link_specs
+from .fig1_traces import chain_flow, slow_link_specs
 from .registry import register_experiment
 
 __all__ = [

@@ -20,9 +20,8 @@ Representative behaviour (the claims the tests assert):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional
+from typing import Any, List, Optional
 
 from ..analysis.optimal_window import (
     HopLink,
@@ -30,10 +29,10 @@ from ..analysis.optimal_window import (
     source_optimal_window,
 )
 from ..analysis.trace import TraceRecorder
-from ..net.topology import LinkSpec, Topology, build_chain
+from ..net.topology import LinkSpec, build_chain
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
-from ..tor.hosts import TorHost
+from ..tor.hosts import released
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
@@ -44,7 +43,6 @@ __all__ = [
     "TraceExperiment",
     "TraceResult",
     "chain_flow",
-    "released",
     "slow_link_specs",
 ]
 
@@ -91,25 +89,6 @@ def chain_flow(
     topology = build_chain(sim, ["source", *relay_names, "sink"], link_specs)
     spec = CircuitSpec(allocate_circuit_id(), "source", relay_names, "sink")
     return CircuitFlow(sim, topology, spec, transport, **flow_options)
-
-
-@contextmanager
-def released(sim: Simulator, topology: Topology) -> Iterator[None]:
-    """Free a hand-built run's object graph when the block exits.
-
-    The simulator, network, hosts and circuits of a run reference each
-    other.  Once the block has read its outcome (or raised), each layer
-    drops its own back-references, as the scenario engine's kind runs
-    do, so reference counting frees the run instead of the cyclic
-    collector.  Read the senders' and controllers' state inside the
-    block: releasing tears down every circuit still open.
-    """
-    try:
-        yield
-    finally:
-        TorHost.release_all(topology.nodes.values())
-        topology.release()
-        sim.release()
 
 
 @dataclass(frozen=True)

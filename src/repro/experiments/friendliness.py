@@ -28,10 +28,10 @@ from ..net.traffic import ConstantRateSender, LatencyTracker
 from ..sim.monitor import QueueProbe
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
+from ..tor.hosts import released
 from ..transport.config import TransportConfig
 from ..units import Rate, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import released
 from .registry import register_experiment
 
 __all__ = [

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
 from ..sim.simulator import Simulator
+from ..tor.hosts import released
 from ..tor.streams import MultiStreamSink, StreamScheduler
 from ..transport.config import TransportConfig
 from ..units import Rate, kib, mbit_per_second, mib, milliseconds, seconds
 from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
-from .fig1_traces import chain_flow, released, slow_link_specs
+from .fig1_traces import chain_flow, slow_link_specs
 from .registry import register_experiment
 
 __all__ = [

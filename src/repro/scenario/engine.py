@@ -24,7 +24,7 @@ from ..analysis.stats import EmpiricalCdf
 from ..serialize import Serializable
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec
-from ..tor.hosts import TorHost
+from ..tor.hosts import released
 from .cache import PlanCache
 from .faults import FaultInjector, RelayFailure
 from .netgen import GeneratedNetwork, instantiate_network
@@ -473,14 +473,12 @@ def _run_kind(plan: ScenarioPlan, kind: str):
     sim = Simulator()
     network = instantiate_network(plan.network, sim)
     runs: List[WorkloadRun] = []
-    try:
-        return _replay_kind(plan, kind, sim, network, runs)
-    finally:
-        for run in runs:
-            run.release()
-        TorHost.release_all(network.topology.nodes.values())
-        network.topology.release()
-        sim.release()
+    with released(sim, network.topology):
+        try:
+            return _replay_kind(plan, kind, sim, network, runs)
+        finally:
+            for run in runs:
+                run.release()
 
 
 def _replay_kind(

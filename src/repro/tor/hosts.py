@@ -38,17 +38,20 @@ handful of cells per run, still routes per cell through ``node.send``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional
 
 from ..net.node import Node
 from ..net.packet import Packet
+from ..net.topology import Topology
+from ..sim.simulator import Simulator
 from ..transport.config import TransportConfig
 from ..transport.controller import WindowController
 from ..transport.hop import HopSender
 from .cells import Cell, CellKind, DestroyCell, FeedbackCell
 
-__all__ = ["CircuitState", "TorHost"]
+__all__ = ["CircuitState", "TorHost", "released"]
 
 # handle_packet compares against these by identity; a dict keyed on the
 # enum would pay Enum.__hash__, a Python-level call, per cell.
@@ -392,3 +395,22 @@ class TorHost:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<TorHost %s circuits=%d>" % (self.node.name, len(self.circuits))
+
+
+@contextmanager
+def released(sim: Simulator, topology: Topology) -> Iterator[None]:
+    """Free a run's object graph when the block exits.
+
+    The simulator, network, hosts and circuits of a run reference each
+    other.  Once the block has read its outcome (or raised), each layer
+    drops its own back-references, hosts first, so reference counting
+    frees the run instead of the cyclic collector.  Read the senders'
+    and controllers' state inside the block: releasing tears down every
+    circuit still open.
+    """
+    try:
+        yield
+    finally:
+        TorHost.release_all(topology.nodes.values())
+        topology.release()
+        sim.release()

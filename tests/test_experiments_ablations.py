@@ -15,6 +15,9 @@ from repro.units import seconds
 
 
 FAST = TraceConfig(duration=seconds(0.6))
+#: ``base=None`` runs each study on its own default, the run ``repro
+#: ablations`` prints.
+BASES = (FAST, None)
 
 
 def test_gamma_sweep_rows_complete():
@@ -29,19 +32,21 @@ def test_gamma_sweep_rows_complete():
 def test_gamma_trades_exit_time_for_overshoot():
     """Smaller gamma exits earlier (or equally early) with lower peak,
     across the whole default sweep."""
-    rows = gamma_sweep(base=FAST)
-    assert [r.gamma for r in rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
-    exits = [r.exit_time_ms for r in rows]
-    peaks = [r.peak_cwnd_cells for r in rows]
-    assert all(a <= b for a, b in zip(exits, exits[1:]))
-    assert all(a <= b for a, b in zip(peaks, peaks[1:]))
+    for base in BASES:
+        rows = gamma_sweep(base=base)
+        assert [r.gamma for r in rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
+        exits = [r.exit_time_ms for r in rows]
+        peaks = [r.peak_cwnd_cells for r in rows]
+        assert all(a <= b for a, b in zip(exits, exits[1:]))
+        assert all(a <= b for a, b in zip(peaks, peaks[1:]))
 
 
 def test_compensation_modes_ordering():
     """acked lands closest to optimal; none keeps the full overshoot.
     Checked with the bottleneck next to the source and three hops away,
-    where the overshoot (and so the compensation) is largest."""
-    for base in (FAST, replace(FAST, bottleneck_distance=3)):
+    where the overshoot (and so the compensation) is largest; the
+    study's default is the latter at 0.4 s."""
+    for base in (*BASES, replace(FAST, bottleneck_distance=3)):
         rows = {r.mode: r for r in compensation_modes(base=base)}
         assert set(rows) == {"acked", "halve", "none"}
         assert (
@@ -58,9 +63,10 @@ def test_compensation_modes_ordering():
 
 def test_initial_window_sweep_monotone_exit():
     """Larger initial windows reach the exit point sooner."""
-    rows = initial_window_sweep(initial_windows=(1, 2, 4, 10), base=FAST)
-    exits = [r.exit_time_ms for r in rows]
-    assert all(a > b for a, b in zip(exits, exits[1:]))
+    for base in BASES:
+        rows = initial_window_sweep(initial_windows=(1, 2, 4, 10), base=base)
+        exits = [r.exit_time_ms for r in rows]
+        assert all(a > b for a, b in zip(exits, exits[1:]))
 
 
 def test_backpropagation_converges_all_hops():

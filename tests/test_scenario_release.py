@@ -8,8 +8,8 @@ time.  Now each layer drops its own back-references once the outcome
 exists (or the run raised), so reference counting frees the run, and
 ``gc.collect()`` right after ``run_planned`` finds nothing.  The chain
 verbs, which build their simulator by hand, release the same layers
-through ``fig1_traces.released`` (one 100 ms ``repro trace`` left
-17,195 objects before).
+through the same ``tor.hosts.released`` (one 100 ms ``repro trace``
+left 17,195 objects before).
 
 On failure the message lists what leaked (``gc.DEBUG_SAVEALL`` keeps
 the garbage for inspection).  The teeth test skips one layer's release
@@ -146,22 +146,29 @@ def test_a_run_with_a_forked_kind_leaves_no_cyclic_garbage(monkeypatch):
     assert found == 0, "%d objects left for the collector: %s" % (found, what)
 
 
+def replay_trace():
+    return run_chain_verb("trace")
+
+
+#: Each minimum sits below what skipping that release leaks today: the
+#: kind runs 546 to 1,314 objects; the 100 ms trace 16,990 (hosts),
+#: 96 (its five-node topology) and 276 (simulator).
 @pytest.mark.parametrize(
-    "owner, make_replay",
+    "owner, make_replay, minimum",
     [
-        pytest.param(WorkloadRun, lambda: replay_all(lossless_plan()), id="runs"),
-        pytest.param(TorHost, lambda: replay_all(lossless_plan()), id="hosts"),
-        pytest.param(Topology, lambda: replay_all(lossless_plan()), id="topology"),
-        pytest.param(Simulator, replay_raising, id="simulator"),
-        pytest.param(TorHost, lambda: run_chain_verb("trace"), id="chain-hosts"),
-        pytest.param(Topology, lambda: run_chain_verb("trace"), id="chain-topology"),
-        pytest.param(Simulator, lambda: run_chain_verb("trace"), id="chain-simulator"),
+        pytest.param(WorkloadRun, lambda: replay_all(lossless_plan()), 100, id="runs"),
+        pytest.param(TorHost, lambda: replay_all(lossless_plan()), 100, id="hosts"),
+        pytest.param(Topology, lambda: replay_all(lossless_plan()), 100, id="topology"),
+        pytest.param(Simulator, replay_raising, 100, id="simulator"),
+        pytest.param(TorHost, replay_trace, 1000, id="chain-hosts"),
+        pytest.param(Topology, replay_trace, 50, id="chain-topology"),
+        pytest.param(Simulator, replay_trace, 100, id="chain-simulator"),
     ],
 )
-def test_each_layer_release_is_needed(monkeypatch, owner, make_replay):
+def test_each_layer_release_is_needed(monkeypatch, owner, make_replay, minimum):
     monkeypatch.setattr(owner, "release", lambda self: None)
     found, __ = cyclic_garbage(make_replay())
-    assert found > 0
+    assert found > minimum
 
 
 def test_reads_from_the_top_stay_valid_after_release(monkeypatch):
