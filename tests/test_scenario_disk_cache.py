@@ -117,6 +117,20 @@ def test_disk_tier_shares_plans_across_cache_instances(tmp_path):
         result_json(run_scenario(scenario, cache=None))
 
 
+def test_disk_hit_of_a_float_field_spelled_as_an_int_is_byte_identical(tmp_path):
+    """``max_sim_time=60`` comes back from disk as ``60.0``.
+
+    The two spellings encode, and so hash, differently: serving the
+    stored plan would echo ``60.0`` in a result whose cold run says
+    ``60``.  The disk tier must answer this spec with a cold plan.
+    """
+    scenario = small_scenario(max_sim_time=60)
+    cold = result_json(run_scenario(scenario, cache=None))
+    directory = _warm_directory(tmp_path, scenario)
+    reader = PlanCache(disk=DiskPlanCache(directory))
+    assert result_json(run_planned(plan_scenario(scenario, cache=reader))) == cold
+
+
 def test_disk_tier_shares_network_plans(tmp_path):
     directory = str(tmp_path / "plan-cache")
     writer = PlanCache(disk=DiskPlanCache(directory))
