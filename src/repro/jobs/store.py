@@ -15,15 +15,17 @@ per-index re-seeded) spec — so
   sharing a directory) resolve to one execution.
 
 The disk discipline is the one the scenario plan cache uses
-(:mod:`repro.scenario.cache`), via the shared :mod:`repro.storage`
-helpers: envelope files with a format version and a writer
-fingerprint, atomic temp-file-and-rename publication so partially
-written checkpoints are never observed, and defensive reads where
-anything corrupt or foreign is a miss, never an error.
+(:mod:`repro.scenario.cache`): one :class:`repro.storage.EntryDir` per
+kind of file, so envelopes with a format version and a digest of their
+payload, atomic temp-file-and-rename publication so partially written
+checkpoints are never observed, and defensive reads where anything
+corrupt, edited or foreign is a miss, never an error.  A resumed sweep
+is only as credible as what it reads back: a checkpoint whose payload
+changed under its header is re-run, not merged.
 
 Checkpoints written by *different simulator code* must not satisfy a
 resume — the resumed half of a sweep would silently disagree with the
-checkpointed half.  Every envelope therefore carries
+checkpointed half.  Every result entry is therefore stamped with
 :func:`repro.storage.source_fingerprint`, a content hash over the
 entire ``repro`` package source; entries from another commit are
 misses and their jobs re-run.
@@ -43,15 +45,7 @@ import socket
 import time
 from typing import Any, Dict, List, Optional
 
-from ..storage import (
-    clear_entries,
-    content_hash,
-    list_entries,
-    read_envelope,
-    source_fingerprint,
-    sweep_stale_files,
-    write_envelope,
-)
+from ..storage import FORMAT_VERSION, EntryDir, content_hash, source_fingerprint
 
 __all__ = [
     "CHECKPOINT_ENV_VAR",
@@ -104,17 +98,16 @@ class JobStore:
         <directory>/leases/<job-key>.json    # in-flight lease records
         <directory>/partial.json             # streaming sweep snapshot
 
-    Every result file wraps ``{"experiment", "spec", "result"}`` in the
-    shared envelope format (version, kind, key, code fingerprint);
-    reads reject anything stale, misplaced or written by different
-    simulator code.  All writes are atomic, so concurrent workers —
+    Each is an entry of one :class:`repro.storage.EntryDir`.  A result
+    entry's payload is ``{"experiment", "spec", "result"}``, stamped
+    with the source fingerprint; reads reject anything stale,
+    misplaced, edited or written by different simulator code.  Leases
+    and the snapshot are unstamped, so ``repro resume`` reports them
+    across commits.  All writes are atomic, so concurrent workers —
     including workers of *separate* sweeps sharing the directory —
     cannot corrupt each other: racers on one key write the same
     deterministic bytes and the last rename wins.
     """
-
-    #: Bump when the checkpoint envelope or payload changes shape.
-    FORMAT_VERSION = 1
 
     def __init__(self, directory: str, lease_timeout: float = 3600.0) -> None:
         if lease_timeout <= 0:
@@ -123,24 +116,12 @@ class JobStore:
             )
         self.directory = os.path.abspath(directory)
         self.lease_timeout = lease_timeout
-
-    # --- paths ------------------------------------------------------------
-
-    def _results_dir(self) -> str:
-        return os.path.join(self.directory, "results")
-
-    def _leases_dir(self) -> str:
-        return os.path.join(self.directory, "leases")
-
-    def _result_path(self, key: str) -> str:
-        return os.path.join(self._results_dir(), key + ".json")
-
-    def _lease_path(self, key: str) -> str:
-        return os.path.join(self._leases_dir(), key + ".json")
-
-    def partial_path(self) -> str:
-        """Where the streaming sweep snapshot lands."""
-        return os.path.join(self.directory, "partial.json")
+        self._results = EntryDir(os.path.join(self.directory, "results"), "job")
+        self._leases = EntryDir(
+            os.path.join(self.directory, "leases"), "lease", stamped=False
+        )
+        #: ``partial.json``: the one entry, keyed ``partial``, of the top.
+        self._partial = EntryDir(self.directory, "partial", stamped=False)
 
     # --- checkpoints ------------------------------------------------------
 
@@ -148,28 +129,11 @@ class JobStore:
         """The checkpointed payload for *key*, or ``None``.
 
         The payload is ``{"experiment", "spec", "result"}`` exactly as
-        :meth:`put` stored it.  Beyond the envelope checks, the payload
-        must hash back to its own key — a checkpoint whose content
-        drifted from its name (partial copy, manual restore) would
-        otherwise be merged into the wrong job.
+        :meth:`put` stored it.  The header names the key, so a file
+        copied onto another key's name is a miss; the digest covers the
+        payload, so one edited in place is a miss too.
         """
-        data = read_envelope(self._result_path(key), expect={
-            "format": self.FORMAT_VERSION,
-            "kind": "job",
-            "key": key,
-            "code": source_fingerprint(),
-        })
-        if data is None:
-            return None
-        payload = data.get("payload")
-        if not isinstance(payload, dict) or "result" not in payload:
-            return None
-        try:
-            if job_key(payload.get("experiment"), payload.get("spec")) != key:
-                return None
-        except RecursionError:
-            return None  # a spec nested too deep to hash is not ours
-        return payload
+        return self._results.get(key)
 
     def put(
         self,
@@ -183,22 +147,12 @@ class JobStore:
         Failures (unwritable directory) degrade to ``False`` — the
         sweep keeps running, it just loses durability for this job.
         """
-        written = write_envelope(self._result_path(key), {
-            "format": self.FORMAT_VERSION,
-            "kind": "job",
-            "key": key,
-            "code": source_fingerprint(),
-            "payload": {
-                "experiment": experiment,
-                "spec": spec_data,
-                "result": result_data,
-            },
-        })
-        return written is not None
+        payload = {"experiment": experiment, "spec": spec_data, "result": result_data}
+        return self._results.put(key, payload) is not None
 
     def keys(self) -> List[str]:
         """Every checkpointed job key currently on disk (sorted)."""
-        return list_entries(self._results_dir())
+        return self._results.keys()
 
     # --- leases -----------------------------------------------------------
 
@@ -210,10 +164,7 @@ class JobStore:
         exclusion — two sweeps racing on one key both run the (
         deterministic) job and publish identical checkpoints.
         """
-        write_envelope(self._lease_path(key), {
-            "format": self.FORMAT_VERSION,
-            "kind": "lease",
-            "key": key,
+        self._leases.put(key, {
             "experiment": experiment,
             "index": index,
             "pid": os.getpid(),
@@ -223,10 +174,7 @@ class JobStore:
 
     def release(self, key: str) -> None:
         """Drop the lease for *key* (the job completed or failed cleanly)."""
-        try:
-            os.unlink(self._lease_path(key))
-        except OSError:
-            pass
+        self._leases.discard(key)
 
     def orphaned_leases(self) -> Dict[str, Dict[str, Any]]:
         """Leases whose job never checkpointed: the crash's in-flight set.
@@ -237,22 +185,15 @@ class JobStore:
         """
         checkpointed = set(self.keys())
         orphans: Dict[str, Dict[str, Any]] = {}
-        for key in list_entries(self._leases_dir()):
+        for key in self._leases.keys():
             if key in checkpointed:
                 # The worker died between publishing the result and
                 # unlinking its lease: the job is done, not orphaned.
                 self.release(key)
                 continue
-            data = read_envelope(self._lease_path(key), expect={
-                "format": self.FORMAT_VERSION,
-                "kind": "lease",
-                "key": key,
-            })
-            if data is not None:
-                orphans[key] = {
-                    field: data.get(field)
-                    for field in ("experiment", "index", "pid", "host", "time")
-                }
+            record = self._leases.get(key)
+            if record is not None:
+                orphans[key] = record
         return orphans
 
     # --- streaming snapshot ----------------------------------------------
@@ -265,22 +206,11 @@ class JobStore:
         readers polling ``partial.json`` always see a complete
         document.
         """
-        write_envelope(self.partial_path(), {
-            "format": self.FORMAT_VERSION,
-            "kind": "partial",
-            "payload": payload,
-        })
+        self._partial.put("partial", payload)
 
     def read_partial(self) -> Optional[Dict[str, Any]]:
         """The last streaming snapshot, or ``None``."""
-        data = read_envelope(self.partial_path(), expect={
-            "format": self.FORMAT_VERSION,
-            "kind": "partial",
-        })
-        if data is None:
-            return None
-        payload = data.get("payload")
-        return payload if isinstance(payload, dict) else None
+        return self._partial.get("partial")
 
     # --- bookkeeping ------------------------------------------------------
 
@@ -288,7 +218,7 @@ class JobStore:
         """Directory summary (``repro serve``/``resume`` reporting)."""
         return {
             "directory": self.directory,
-            "format_version": self.FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "checkpoints": len(self.keys()),
             "orphaned_leases": len(self.orphaned_leases()),
         }
@@ -299,17 +229,14 @@ class JobStore:
         Covers the top directory too: ``partial.json``'s temp file
         lands there, beside the snapshot it is renamed onto.
         """
-        for directory in (self._results_dir(), self._leases_dir(), self.directory):
-            sweep_stale_files(directory, (".tmp",), older_than=60.0)
+        for entries in (self._results, self._leases, self._partial):
+            entries.sweep((".tmp",), older_than=60.0)
 
     def clear(self) -> int:
         """Delete every checkpoint, lease and snapshot; checkpoints removed."""
-        removed = clear_entries(self._results_dir())
-        clear_entries(self._leases_dir())
-        try:
-            os.unlink(self.partial_path())
-        except OSError:
-            pass
+        removed = self._results.clear()
+        self._leases.clear()
+        self._partial.discard("partial")
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -36,10 +36,10 @@ to succeed.
 
 **SER002** — the persistence modules (``scenario/cache.py``,
 ``jobs/store.py``) must route every artifact through
-``repro.storage.write_envelope``/``read_envelope``: no raw
-``json.dump``/``json.load`` and no write-mode ``open``.  The envelope
-is what carries the format version, key echo and code fingerprint that
-make cached entries misses instead of stale answers.
+``repro.storage.EntryDir``: no raw ``json.dump``/``json.load`` and no
+write-mode ``open``.  The envelope is what carries the format version,
+key echo, code fingerprint and payload digest that make cached entries
+misses instead of stale or damaged answers.
 
 Architecture
 ------------
@@ -523,15 +523,15 @@ class EnvelopeDisciplineRule(Rule):
                     and func.attr in ("dump", "dumps", "load", "loads")):
                 yield (node.lineno,
                        "raw json.%s in a persistence module; route "
-                       "artifacts through repro.storage.write_envelope/"
-                       "read_envelope" % func.attr)
+                       "artifacts through repro.storage.EntryDir"
+                       % func.attr)
             elif isinstance(func, ast.Name) and func.id == "open":
                 mode = self._open_mode(node)
                 if mode is not None and _WRITE_MODE_CHARS & set(mode):
                     yield (node.lineno,
                            "write-mode open(%r) in a persistence "
                            "module; artifacts must go through "
-                           "repro.storage.write_envelope" % mode)
+                           "repro.storage.EntryDir" % mode)
 
     @staticmethod
     def _open_mode(node: ast.Call) -> Optional[str]:

@@ -26,12 +26,13 @@ planner takes a per-key lock file, re-reads the entry (it may have
 landed in between), plans and publishes; racers that lose the lock wait
 for the winner's entry and plan themselves only if it never lands.
 Planning is deterministic, so that fallback is wasted work, never a
-different answer.  The disk tier is a directory of
-:mod:`repro.storage` envelopes: written atomically, stamped with a
-format version and the whole-package
-:func:`~repro.storage.source_fingerprint`, capped in total size with
-least-recently-used eviction, and read back defensively — anything
-corrupt, truncated, foreign or unreadable is a miss, never an error.
+different answer.  The disk tier is one
+:class:`repro.storage.EntryDir` per kind: entries written atomically,
+stamped with the whole-package
+:func:`~repro.storage.source_fingerprint`, carrying a digest of their
+payload, capped in total size with least-recently-used eviction, and
+read back defensively — anything corrupt, truncated, foreign, edited
+or unreadable is a miss, never an error.
 
 :func:`repro.experiments.runner.run_batch` aggregates every worker's
 hit/miss counters (memory and disk) into the batch report so sweeps
@@ -46,16 +47,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..serialize import decode, encode
-from ..storage import (
-    OwnerLocks,
-    clear_entries,
-    content_hash,
-    list_entries,
-    read_envelope,
-    source_fingerprint,
-    sweep_stale_files,
-    write_envelope,
-)
+from ..storage import FORMAT_VERSION, EntryDir, OwnerLocks, content_hash
 
 __all__ = [
     "DEFAULT_CACHE",
@@ -93,25 +85,23 @@ class DiskPlanCache:
         <directory>/plans/<spec-hash>.json
         <directory>/networks/<network-fingerprint>.json
 
-    Every file wraps its payload in an envelope carrying
-    :data:`FORMAT_VERSION` (bumping it — a serialization or layout
-    change — silently invalidates every older entry) plus the
-    :func:`~repro.storage.source_fingerprint` of the code that wrote
-    it, so entries published by a different version of the package are
-    misses even when the layout still matches (directories outlive
-    commits: ``actions/cache`` in CI, a long-lived
-    ``REPRO_PLAN_CACHE``).  Writes go through a per-process temp file
-    renamed into place, so readers only ever see complete entries — two
-    processes racing on one key both write the same deterministic bytes
-    and the last rename wins.  Reads never raise: anything unreadable
-    or undecodable is a miss and cold planning takes over.
+    Each kind is one :class:`repro.storage.EntryDir`: every file is a
+    version-:data:`~repro.storage.FORMAT_VERSION` envelope stamped with
+    the :func:`~repro.storage.source_fingerprint` of the code that
+    wrote it, so entries published by a different version of the
+    package are misses even when the layout still matches (directories
+    outlive commits: ``actions/cache`` in CI, a long-lived
+    ``REPRO_PLAN_CACHE``), and carrying a digest of its payload, so an
+    entry edited under an intact header is a miss too.  Writes go
+    through a per-process temp file renamed into place, so readers only
+    ever see complete entries — two processes racing on one key both
+    write the same deterministic bytes and the last rename wins.  Reads
+    never raise: anything unreadable or undecodable is a miss and cold
+    planning takes over.
 
     The total size of all entries is capped at *max_bytes*; eviction is
     least-recently-used (entry mtimes are refreshed on every hit).
     """
-
-    #: Bump when the entry layout or plan serialization changes shape.
-    FORMAT_VERSION = 1
 
     def __init__(
         self,
@@ -128,23 +118,16 @@ class DiskPlanCache:
         #: stale-lock breaking and the bounded wait live in
         #: :class:`repro.storage.OwnerLocks` (which validates the timeout).
         self._locks = OwnerLocks(lock_timeout)
+        self._dirs = {
+            kind: EntryDir(os.path.join(self.directory, kind + "s"), kind)
+            for kind in KINDS
+        }
         self._counters = _zeroed_counters()
         #: Running size estimate; ``None`` forces a rescan on next put.
         #: Writes by other processes are invisible until then, so the
         #: cap is enforced approximately — eviction happens on the next
         #: put whose estimate crosses it, not at the exact byte.
         self._approx_total: Optional[int] = None
-
-    # --- paths ------------------------------------------------------------
-
-    def _kind_dir(self, kind: str) -> str:
-        return os.path.join(self.directory, kind + "s")
-
-    def _entry_path(self, kind: str, key: str) -> str:
-        return os.path.join(self._kind_dir(kind), key + ".json")
-
-    def _lock_path(self, kind: str, key: str) -> str:
-        return os.path.join(self._kind_dir(kind), key + ".lock")
 
     # --- lookup -----------------------------------------------------------
 
@@ -156,22 +139,11 @@ class DiskPlanCache:
         entry is there and nothing when it is not: the consult's miss
         was recorded by the first lookup.
         """
-        path = self._entry_path(kind, key)
-        data = read_envelope(path, expect={
-            "format": self.FORMAT_VERSION,
-            "kind": kind,
-            # A renamed/copied entry (partial rsync, manual restore)
-            # would otherwise be served under the wrong key — for
-            # network entries this is the only payload-to-key check.
-            "key": key,
-            # Entries written by different code are stale even when
-            # the layout matches.
-            "planner": source_fingerprint(),
-        })
-        value = None if data is None else self._decode(kind, key, data.get("payload"))
+        entries = self._dirs[kind]
+        value = self._decode(kind, key, entries.get(key))
         if value is not None:
             try:
-                os.utime(path, None)  # refresh LRU recency
+                os.utime(entries.path(key), None)  # refresh LRU recency
             except OSError:
                 pass
             self._counters[kind + "_hits"] += 1
@@ -197,11 +169,13 @@ class DiskPlanCache:
                 from .spec import ScenarioPlan
 
                 plan = decode(ScenarioPlan, payload)
-                # The stored echo can survive an edit of the scenario
-                # it names; only the scenario's own hash is proof.
-                if plan.spec_hash != key or spec_hash(plan.scenario) != key:
-                    return None
-                return plan
+                # Not an integrity check (the envelope digest is that):
+                # a float field the caller spelled as an int
+                # (``max_sim_time=60``) decodes as ``60.0``, hashes to
+                # another key, and served would change the result
+                # JSON.  It goes once a spec's key is a function of its
+                # value (the ROADMAP item of that name).
+                return plan if spec_hash(plan.scenario) == key else None
             from .netgen import NetworkPlan
 
             return decode(NetworkPlan, payload)
@@ -216,13 +190,7 @@ class DiskPlanCache:
             payload = encode(value)
         except TypeError:
             return  # unencodable value: the in-memory tiers still work
-        written = write_envelope(self._entry_path(kind, key), {
-            "format": self.FORMAT_VERSION,
-            "kind": kind,
-            "key": key,
-            "planner": source_fingerprint(),
-            "payload": payload,
-        })
+        written = self._dirs[kind].put(key, payload)
         if written is None:
             # Unwritable directory: the disk tier degrades to a no-op,
             # the in-memory tiers still work.
@@ -249,13 +217,10 @@ class DiskPlanCache:
         re-persists) does not accumulate them.
         """
         entries = []
-        for kind in KINDS:
-            kind_dir = self._kind_dir(kind)
-            sweep_stale_files(
-                kind_dir, (".tmp", ".lock"), max(self.lock_timeout, 60.0)
-            )
-            for key in list_entries(kind_dir):
-                path = self._entry_path(kind, key)
+        for kind_dir in self._dirs.values():
+            kind_dir.sweep((".tmp", ".lock"), max(self.lock_timeout, 60.0))
+            for key in kind_dir.keys():
+                path = kind_dir.path(key)
                 try:
                     stat = os.stat(path)
                 except OSError:
@@ -293,7 +258,7 @@ class DiskPlanCache:
         redundant (still deterministic, still correct) planning, never
         to a wrong answer.
         """
-        return self._locks.acquire(self._lock_path(kind, key))
+        return self._locks.acquire(self._dirs[kind].path(key, ".lock"))
 
     def release(self, kind: str, key: str) -> None:
         """Unlink the lock for *key* — only if this instance still owns it.
@@ -302,7 +267,7 @@ class DiskPlanCache:
         its own; blindly unlinking would free that *live* lock and
         cascade into yet more planners.
         """
-        self._locks.release(self._lock_path(kind, key))
+        self._locks.release(self._dirs[kind].path(key, ".lock"))
 
     def wait(self, kind: str, key: str) -> Optional[Any]:
         """Wait for a racing planner's entry; ``None`` if it never lands.
@@ -312,7 +277,7 @@ class DiskPlanCache:
         one disk hit on success, one miss on giving up.
         """
         value = self._locks.wait(
-            self._lock_path(kind, key),
+            self._dirs[kind].path(key, ".lock"),
             lambda: self.get(kind, key, recheck=True),
         )
         if value is None:
@@ -330,7 +295,7 @@ class DiskPlanCache:
 
     def entry_counts(self) -> Dict[str, int]:
         """``{"plan": n, "network": m}`` entries currently on disk."""
-        return {kind: len(list_entries(self._kind_dir(kind))) for kind in KINDS}
+        return {kind: len(entries.keys()) for kind, entries in self._dirs.items()}
 
     def total_bytes(self) -> int:
         return sum(size for __, size, __ in self._scan())
@@ -340,7 +305,7 @@ class DiskPlanCache:
         counts = self.entry_counts()
         return {
             "directory": self.directory,
-            "format_version": self.FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "plan_entries": counts["plan"],
             "network_entries": counts["network"],
             "total_bytes": self.total_bytes(),
@@ -349,7 +314,7 @@ class DiskPlanCache:
 
     def clear(self) -> int:
         """Delete every entry (and stray lock/temp file); entries removed."""
-        removed = sum(clear_entries(self._kind_dir(kind)) for kind in KINDS)
+        removed = sum(entries.clear() for entries in self._dirs.values())
         self.reset_counters()
         self._approx_total = 0
         return removed

@@ -1,4 +1,4 @@
-"""Shared on-disk envelope, atomic-write, directory and lock-file machinery.
+"""Shared on-disk envelope, entry-directory and lock-file machinery.
 
 Two subsystems persist content-addressed JSON entries under a shared
 directory: the scenario plan cache (:mod:`repro.scenario.cache`) and
@@ -6,10 +6,20 @@ the experiment job store (:mod:`repro.jobs.store`).  Both are "a
 directory of ``<key>.json`` envelopes", so everything directory- or
 clock-shaped about that lives here, once:
 
-* **envelopes** — every entry file wraps its payload in a dict carrying
-  a format version, a kind, its own key and a writer fingerprint, so a
-  reader can reject stale layouts, misplaced files and entries written
-  by different code *before* trusting the payload;
+* **envelopes** (version :data:`FORMAT_VERSION`) — an entry file is
+  one compact-JSON header line, then its payload as compact JSON.  The
+  header carries the format version, a kind, the entry's own key, a
+  writer stamp where the store wants one, and a ``sha256`` of the
+  payload bytes as written.  A reader rejects stale layouts, misplaced
+  files, entries written by different code and payloads changed under
+  an intact header *before* decoding the payload; the digest is checked
+  over the raw bytes, never by re-serialising.  A version-1 entry (one
+  JSON object, no digest) is a miss;
+* **entry directories** — :class:`EntryDir` is one directory of one
+  kind of entry: it owns the entry path, the header, atomic write and
+  defensive read, listing, clearing and sweeping the ``.tmp``/``.lock``
+  files a killed process left behind.  The stores hold one per kind
+  and never build a header themselves;
 * **one writer fingerprint** — :func:`source_fingerprint`, a hash of
   the whole package source, stamps both stores: one invalidation rule,
   no hand-kept list of "modules that matter" to forget a module in;
@@ -17,8 +27,6 @@ clock-shaped about that lives here, once:
   into place, so concurrent readers only ever observe complete entries
   (two processes racing on one key write the same deterministic bytes
   and the last rename wins);
-* **directories** — listing a directory's entries, clearing it, and
-  sweeping the ``.tmp``/``.lock`` files a killed process left in it;
 * **owner-token lock files** — cross-process mutual exclusion with
   stale-lock breaking and a bounded wait: each lock file records a
   token unique to its creator, so releasing cannot unlink a lock that
@@ -41,19 +49,22 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .serialize import SpecError, encode, read_json_file
+from .serialize import encode
 
 __all__ = [
+    "EntryDir",
+    "FORMAT_VERSION",
     "OwnerLocks",
-    "clear_entries",
     "content_hash",
-    "list_entries",
     "read_envelope",
     "resolve_dir",
     "source_fingerprint",
-    "sweep_stale_files",
     "write_envelope",
 ]
+
+#: The envelope layout.  Bump when the header or the way a payload is
+#: written changes shape: every older entry then reads as a miss.
+FORMAT_VERSION = 2
 
 
 def resolve_dir(explicit: Optional[str], env_var: str) -> Optional[str]:
@@ -115,19 +126,27 @@ def source_fingerprint(refresh: bool = False) -> str:
 
 
 def write_envelope(path: str, envelope: Dict[str, Any]) -> Optional[int]:
-    """Atomically publish *envelope* as compact JSON at *path*.
+    """Atomically publish *envelope* at *path*: a header line, then the payload.
 
-    The blob goes through a per-process temp file renamed into place,
-    so a reader never observes a partially written entry.  Returns the
-    published byte length, or ``None`` when the directory is unusable
-    or the envelope unencodable — persistence degrades to a no-op, it
-    never raises.
+    ``envelope["payload"]`` is written as compact JSON after one line
+    holding every other item plus ``"sha256"``, the digest of those
+    payload bytes.  The blob goes through a per-process temp file
+    renamed into place, so a reader never observes a partially written
+    entry.  Returns the published byte length, or ``None`` when the
+    directory is unusable or the envelope unencodable — persistence
+    degrades to a no-op, it never raises.
     """
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        blob = json.dumps(envelope, separators=(",", ":"))
-        with open(tmp, "w") as handle:
+        body = json.dumps(
+            envelope.get("payload"), separators=(",", ":")
+        ).encode("utf-8")
+        header = {name: value for name, value in envelope.items() if name != "payload"}
+        header["sha256"] = hashlib.sha256(body).hexdigest()
+        # json.dumps escapes every newline, so the first one ends the header.
+        blob = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + body
+        with open(tmp, "wb") as handle:
             handle.write(blob)
         os.replace(tmp, path)
     except (OSError, TypeError, ValueError):
@@ -142,24 +161,30 @@ def write_envelope(path: str, envelope: Dict[str, Any]) -> Optional[int]:
 def read_envelope(
     path: str, expect: Dict[str, Any]
 ) -> Optional[Dict[str, Any]]:
-    """Read the envelope at *path*, or ``None`` on any defect.
+    """The envelope at *path* as one dict (header items + ``"payload"``), or ``None``.
 
-    Every item of *expect* must match the stored envelope exactly —
-    format version, kind, key, writer fingerprint — otherwise the file
-    is stale, misplaced or foreign and reading it would serve a wrong
-    answer under a right-looking name.  Unreadable or undecodable files
-    are misses, never errors.
+    Every item of *expect* must match the stored header exactly —
+    format version, kind, key, writer stamp — otherwise the file is
+    stale, misplaced or foreign and reading it would serve a wrong
+    answer under a right-looking name.  The payload bytes must then
+    hash to the header's ``"sha256"``: damage inside a payload is a
+    miss, not a different answer.  Unreadable or undecodable files are
+    misses, never errors.
     """
     try:
-        data = read_json_file(path, "envelope")
-    except SpecError:
-        return None
-    if not isinstance(data, dict):
-        return None
-    for field, value in expect.items():
-        if data.get(field) != value:
+        with open(path, "rb") as handle:
+            head, __, body = handle.read().partition(b"\n")
+        header = json.loads(head)
+        if not isinstance(header, dict) or any(
+            header.get(field) != value for field, value in expect.items()
+        ):
             return None
-    return data
+        if header.get("sha256") != hashlib.sha256(body).hexdigest():
+            return None
+        header["payload"] = json.loads(body)
+    except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+        return None
+    return header
 
 
 class OwnerLocks:
@@ -262,54 +287,91 @@ class OwnerLocks:
             time.sleep(0.01)
 
 
-def list_entries(directory: str) -> List[str]:
-    """Sorted keys of the ``<key>.json`` entries under *directory*."""
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    return sorted(name[:-len(".json")] for name in names if name.endswith(".json"))
+class EntryDir:
+    """One directory of ``<key>.json`` envelopes of one *kind*.
 
-
-def clear_entries(directory: str) -> int:
-    """Unlink every file under *directory*, scratch included; entries removed."""
-    removed = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return 0
-    for name in names:
-        try:
-            os.unlink(os.path.join(directory, name))
-        except OSError:
-            continue
-        removed += name.endswith(".json")
-    return removed
-
-
-def sweep_stale_files(
-    directory: str, suffixes: Tuple[str, ...], older_than: float
-) -> None:
-    """Remove protocol-dead scratch files (``.tmp``/``.lock``) in *directory*.
-
-    Temp files orphaned by a killed writer and lock files abandoned by
-    a crashed owner would otherwise accumulate forever in a shared
-    directory; anything matching *suffixes* untouched for longer than
-    *older_than* seconds is dead by protocol — a live writer renames
-    within milliseconds, a live lock is honoured for at most its
-    timeout — and is unlinked here.
+    The one place an entry's path and header are made: :meth:`put`
+    writes the header (format version, kind, key, and with *stamped*
+    the :func:`source_fingerprint` of the writing code) and :meth:`get`
+    demands the same header back, plus a payload that matches its
+    digest.  Stamped entries are misses under any other source tree;
+    unstamped ones (a sweep's leases and snapshot) stay readable across
+    commits.  The directory is created on first write.
     """
-    now = time.time()
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return
-    for name in names:
-        if not name.endswith(suffixes):
-            continue
-        path = os.path.join(directory, name)
+
+    def __init__(self, directory: str, kind: str, stamped: bool = True) -> None:
+        self.directory = directory
+        self.kind = kind
+        self.stamped = stamped
+
+    def path(self, key: str, suffix: str = ".json") -> str:
+        """*key*'s entry file; with *suffix*, its lock or scratch file."""
+        return os.path.join(self.directory, key + suffix)
+
+    def _header(self, key: str) -> Dict[str, Any]:
+        header = {"format": FORMAT_VERSION, "kind": self.kind, "key": key}
+        if self.stamped:
+            header["source"] = source_fingerprint()
+        return header
+
+    def put(self, key: str, payload: Any) -> Optional[int]:
+        """Publish *payload* as *key*'s entry; bytes written, or ``None``."""
+        envelope = self._header(key)
+        envelope["payload"] = payload
+        return write_envelope(self.path(key), envelope)
+
+    def get(self, key: str) -> Optional[Any]:
+        """*key*'s payload exactly as :meth:`put` stored it, or ``None``."""
+        data = read_envelope(self.path(key), self._header(key))
+        return None if data is None else data["payload"]
+
+    def discard(self, key: str) -> None:
+        """Unlink *key*'s entry, if there is one."""
         try:
-            if now - os.stat(path).st_mtime > older_than:
-                os.unlink(path)
+            os.unlink(self.path(key))
         except OSError:
-            continue
+            pass
+
+    def _names(self) -> List[str]:
+        try:
+            return os.listdir(self.directory)
+        except OSError:
+            return []
+
+    def keys(self) -> List[str]:
+        """Sorted keys of the entries on disk."""
+        return sorted(
+            name[:-len(".json")] for name in self._names() if name.endswith(".json")
+        )
+
+    def clear(self) -> int:
+        """Unlink every file in the directory, scratch included; entries removed."""
+        removed = 0
+        for name in self._names():
+            try:
+                os.unlink(os.path.join(self.directory, name))
+            except OSError:
+                continue
+            removed += name.endswith(".json")
+        return removed
+
+    def sweep(self, suffixes: Tuple[str, ...], older_than: float) -> None:
+        """Remove protocol-dead scratch files (``.tmp``/``.lock``).
+
+        Temp files orphaned by a killed writer and lock files abandoned
+        by a crashed owner would otherwise accumulate forever in a
+        shared directory; anything matching *suffixes* untouched for
+        longer than *older_than* seconds is dead by protocol — a live
+        writer renames within milliseconds, a live lock is honoured for
+        at most its timeout — and is unlinked here.
+        """
+        now = time.time()
+        for name in self._names():
+            if not name.endswith(suffixes):
+                continue
+            path = os.path.join(self.directory, name)
+            try:
+                if now - os.stat(path).st_mtime > older_than:
+                    os.unlink(path)
+            except OSError:
+                continue

@@ -15,7 +15,14 @@ from repro.tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from repro.transport.config import TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
-__all__ = ["json_digest", "make_chain_flow", "render_digest", "text_digest"]
+__all__ = [
+    "json_digest",
+    "make_chain_flow",
+    "read_header",
+    "render_digest",
+    "rewrite_header",
+    "text_digest",
+]
 
 
 def json_digest(result) -> str:
@@ -41,6 +48,28 @@ def render_digest(name: str, result) -> str:
     from repro.experiments import get_experiment
 
     return text_digest(get_experiment(name).render(result))
+
+
+def read_header(path: str) -> dict:
+    """The header of the storage entry at *path*: its first line."""
+    with open(path, "rb") as handle:
+        return json.loads(handle.readline())
+
+
+def rewrite_header(path: str, **fields) -> None:
+    """Set *fields* in the header of the storage entry at *path*.
+
+    An entry is a header line, then the payload; only the header is
+    rewritten, so the payload bytes and the digest over them stay as
+    written and a miss can only come from the fields changed.
+    """
+    with open(path, "rb") as handle:
+        head, newline, body = handle.read().partition(b"\n")
+    header = dict(json.loads(head), **fields)
+    with open(path, "wb") as handle:
+        handle.write(
+            json.dumps(header, separators=(",", ":")).encode("utf-8") + newline + body
+        )
 
 
 def make_chain_flow(

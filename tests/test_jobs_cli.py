@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import pytest
 
@@ -12,7 +11,6 @@ import _sweep_exps
 from repro.cli import main
 from repro.experiments import encode
 from repro.jobs import JobStore, job_key
-from repro.jobs.store import code_fingerprint
 
 #: A three-job sweep (``specs.json``) and the ``results/`` directory
 #: ``repro serve`` wrote for it at the last commit whose ``JobTask``
@@ -132,18 +130,19 @@ def test_dry_run_keys_include_base_seed(tmp_path, capsys):
 def test_parent_written_checkpoint_resumes_with_zero_jobs_executed(
         tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
-    shutil.copytree(os.path.join(PARENT_CHECKPOINT, "results"),
-                    str(ckpt / "results"))
-    # A checkpoint is served only to the code that wrote it, so the
-    # parent's envelopes are re-stamped as ours: what is left to
-    # disagree on is the key, which is what dropping the context
-    # element from the task tuple must not have moved.
+    store = JobStore(str(ckpt))
+    # A checkpoint is served only to the code that wrote it, so each
+    # parent payload is re-published as ours, under its file name: what
+    # is left to disagree on is the key, which is what dropping the
+    # context element from the task tuple must not have moved.
     parent = {}
-    for entry in (ckpt / "results").iterdir():
-        envelope = json.loads(entry.read_text())
-        envelope["code"] = code_fingerprint()
-        entry.write_text(json.dumps(envelope, separators=(",", ":")))
-        parent[envelope["payload"]["experiment"]] = envelope["payload"]
+    results = os.path.join(PARENT_CHECKPOINT, "results")
+    for name in sorted(os.listdir(results)):
+        with open(os.path.join(results, name)) as handle:
+            payload = json.load(handle)["payload"]
+        assert store.put(name[:-len(".json")], payload["experiment"],
+                         payload["spec"], payload["result"])
+        parent[payload["experiment"]] = payload
     out = str(tmp_path / "out.json")
     assert main(["resume", os.path.join(PARENT_CHECKPOINT, "specs.json"),
                  "--checkpoint", str(ckpt), "--out", out,

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
+import repro.storage
 from repro.experiments import TraceConfig, encode
 from repro.jobs.store import (
     CHECKPOINT_ENV_VAR,
@@ -14,8 +16,20 @@ from repro.jobs.store import (
     code_fingerprint,
     job_key,
 )
-from repro.storage import resolve_dir, write_envelope
+from repro.storage import resolve_dir, source_fingerprint
 from repro.units import milliseconds
+
+from helpers import read_header, rewrite_header
+
+#: Checkpoints ``repro serve`` wrote in the version-1 envelope.
+PARENT_RESULTS = os.path.join(
+    os.path.dirname(__file__), "golden", "parent_checkpoint", "results"
+)
+
+
+def entry_file(store, key, subdir="results"):
+    """The documented layout: ``DIR/results/<key>.json``, ``DIR/leases/<key>.json``."""
+    return os.path.join(store.directory, subdir, key + ".json")
 
 
 # ----------------------------------------------------------------------
@@ -83,41 +97,60 @@ def test_put_get_round_trip(tmp_path):
 def test_corrupt_checkpoint_is_a_miss(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
     key = _put_one(store)
-    with open(store._result_path(key), "w") as handle:
+    with open(entry_file(store, key), "w") as handle:
         handle.write("{not json")
     assert store.get(key) is None
 
 
+def test_rewriting_a_checkpoint_header_with_its_own_values_is_still_a_hit(tmp_path):
+    """What the header-edit tests change is one field, nothing else."""
+    store = JobStore(str(tmp_path / "ckpt"))
+    key = _put_one(store, value=9)
+    path = entry_file(store, key)
+    rewrite_header(path, **read_header(path))
+    assert store.get(key)["result"] == {"answer": 18}
+
+
 def test_checkpoint_from_other_code_is_a_miss(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
-    spec_data = {"value": 9}
-    key = job_key("trace", spec_data)
-    write_envelope(store._result_path(key), {
-        "format": JobStore.FORMAT_VERSION,
-        "kind": "job",
-        "key": key,
-        "code": "0" * 64,  # stamped by a different simulator version
-        "payload": {"experiment": "trace", "spec": spec_data,
-                    "result": {"answer": 18}},
-    })
+    key = _put_one(store, value=9)
+    # Stamped by a different simulator version.
+    rewrite_header(entry_file(store, key), source="0" * 64)
     assert store.get(key) is None
 
 
-def test_checkpoint_whose_payload_drifted_is_a_miss(tmp_path):
+def test_checkpoint_copied_onto_another_keys_name_is_a_miss(tmp_path):
+    """A manual restore or partial copy must not satisfy the wrong job."""
     store = JobStore(str(tmp_path / "ckpt"))
-    spec_data = {"value": 9}
-    key = job_key("trace", spec_data)
-    write_envelope(store._result_path(key), {
-        "format": JobStore.FORMAT_VERSION,
-        "kind": "job",
-        "key": key,
-        "code": code_fingerprint(),
-        # The payload no longer hashes to the file's key: a manual
-        # restore or partial copy must not satisfy the wrong job.
-        "payload": {"experiment": "trace", "spec": {"value": 10},
-                    "result": {"answer": 20}},
-    })
+    source = _put_one(store, value=10)
+    target = job_key("trace", {"value": 9})
+    shutil.copy(entry_file(store, source), entry_file(store, target))
+    assert store.get(target) is None
+    assert store.get(source)["result"] == {"answer": 20}
+
+
+def test_version_1_checkpoint_is_a_miss(tmp_path):
+    """The previous envelope, stamped as this code's, is re-run, not read.
+
+    The version-1 layout (one JSON object, no payload digest) is what
+    ``repro serve`` wrote before; stamped with this code's fingerprint
+    it would have been served.  Re-published through :meth:`put`, the
+    same payload is a hit.
+    """
+    store = JobStore(str(tmp_path / "ckpt"))
+    name = sorted(os.listdir(PARENT_RESULTS))[0]
+    with open(os.path.join(PARENT_RESULTS, name)) as handle:
+        envelope = json.load(handle)
+    assert envelope["format"] == 1
+    envelope["code"] = source_fingerprint()
+    key = envelope["key"]
+    os.makedirs(os.path.dirname(entry_file(store, key)))
+    with open(entry_file(store, key), "w") as handle:
+        json.dump(envelope, handle, separators=(",", ":"))
     assert store.get(key) is None
+    payload = envelope["payload"]
+    assert store.put(key, payload["experiment"], payload["spec"], payload["result"])
+    assert store.get(key) == payload
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +173,7 @@ def test_orphaned_lease_lifecycle(tmp_path):
     # garbage-collects it instead of reporting a phantom crash.
     assert store.put(key, "trace", spec_data, {"answer": 10})
     assert store.orphaned_leases() == {}
-    assert not os.path.exists(store._lease_path(key))
+    assert not os.path.exists(entry_file(store, key, "leases"))
 
 
 def test_release_drops_the_lease(tmp_path):
@@ -150,6 +183,21 @@ def test_release_drops_the_lease(tmp_path):
     store.release(key)
     assert store.orphaned_leases() == {}
     store.release(key)  # idempotent
+
+
+def test_leases_and_snapshot_are_read_across_a_source_change(tmp_path, monkeypatch):
+    """Only results are stamped: ``repro resume`` under new code still
+    reports the old run's orphans and its last snapshot."""
+    store = JobStore(str(tmp_path / "ckpt"))
+    done = _put_one(store, value=1)
+    orphan = job_key("trace", {"value": 2})
+    store.lease(orphan, "trace", 1)
+    snapshot = {"done": 1, "total": 2, "failed": 0, "items": []}
+    store.write_partial(snapshot)
+    monkeypatch.setattr(repro.storage, "_source_fingerprint_memo", "f" * 64)
+    assert store.get(done) is None
+    assert set(store.orphaned_leases()) == {orphan}
+    assert store.read_partial() == snapshot
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +233,9 @@ def test_sweep_scratch_reaches_the_snapshot_temp_file(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
     key = _put_one(store)
     store.write_partial({"done": 1, "total": 1, "failed": 0, "items": []})
-    orphan = store.partial_path() + ".4242.tmp"
-    live = store.partial_path() + ".4243.tmp"
+    snapshot = os.path.join(store.directory, "partial.json")
+    orphan = snapshot + ".4242.tmp"
+    live = snapshot + ".4243.tmp"
     for path in (orphan, live):
         with open(path, "w") as handle:
             handle.write('{"format":1,"kind":"partial","payl')

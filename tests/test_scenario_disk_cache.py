@@ -34,7 +34,10 @@ from repro.scenario import (
 )
 from repro.serialize import encode
 from repro.sim.rand import RandomStreams
+from repro.storage import FORMAT_VERSION
 from repro.units import kib
+
+from helpers import read_header, rewrite_header
 
 
 def small_network(**overrides) -> NetworkConfig:
@@ -197,23 +200,38 @@ def test_truncated_entry_falls_back_to_cold_plan(tmp_path):
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
 
 
+def test_rewriting_a_header_with_its_own_values_is_still_a_hit(tmp_path):
+    """The header-edit tests below miss for the field they change.
+
+    ``rewrite_header`` itself leaves a servable entry: with every field
+    set to what it already was, both levels are still disk hits.
+    """
+    scenario = small_scenario()
+    directory = _warm_directory(tmp_path, scenario)
+    for path in _entry_paths(directory):
+        rewrite_header(path, **read_header(path))
+
+    cache = PlanCache(disk=DiskPlanCache(directory))
+    plan = plan_scenario(scenario, cache=cache)
+    assert cache.stats()["disk_plan_hits"] == 1 and cache.stats()["plan_misses"] == 0
+    assert DiskPlanCache(directory).get_network(
+        spec_hash(scenario.topology.network_fingerprint(scenario))
+    ) is not None
+    assert encode(plan) == encode(plan_scenario(scenario, cache=None))
+
+
 def test_wrong_format_version_is_a_miss(tmp_path):
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
     for path in _entry_paths(directory):
-        with open(path, "r") as handle:
-            data = json.load(handle)
-        data["format"] = DiskPlanCache.FORMAT_VERSION + 1
-        with open(path, "w") as handle:
-            json.dump(data, handle)
+        rewrite_header(path, format=FORMAT_VERSION + 1)
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
     assert cache.disk.stats()["disk_plan_hits"] == 0 and cache.disk.stats()["disk_plan_misses"] == 1
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
     # Re-planning republished the entries at the current version.
-    with open(_entry_paths(directory)[0]) as handle:
-        assert json.load(handle)["format"] == DiskPlanCache.FORMAT_VERSION
+    assert read_header(_entry_paths(directory)[0])["format"] == FORMAT_VERSION
 
 
 def test_garbage_entry_is_a_miss(tmp_path):
@@ -240,11 +258,7 @@ def test_entry_from_different_planner_code_is_a_miss(tmp_path):
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
     for path in _entry_paths(directory):
-        with open(path, "r") as handle:
-            data = json.load(handle)
-        data["planner"] = "e" * 64  # some other commit's planner
-        with open(path, "w") as handle:
-            json.dump(data, handle)
+        rewrite_header(path, source="e" * 64)  # some other commit's planner
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -320,11 +334,7 @@ def test_directory_stamped_by_the_module_list_reads_as_all_miss(tmp_path):
     for name in ("repro.scenario.spec", "repro.scenario.netgen", "repro.units"):
         digest.update(name.encode("utf-8"))
     for path in _entry_paths(directory):
-        with open(path, "r") as handle:
-            data = json.load(handle)
-        data["planner"] = digest.hexdigest()
-        with open(path, "w") as handle:
-            json.dump(data, handle)
+        rewrite_header(path, source=digest.hexdigest())
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -359,7 +369,7 @@ def test_scan_sweeps_orphaned_temp_and_lock_files(tmp_path):
     assert not os.path.exists(orphan_tmp)
     assert not os.path.exists(orphan_lock)
     assert os.path.exists(fresh_lock)  # recent files are honoured
-    assert os.path.exists(disk._entry_path("plan", plan.spec_hash))
+    assert os.path.exists(os.path.join(plans_dir, plan.spec_hash + ".json"))
 
 
 def test_entry_under_wrong_key_is_a_miss(tmp_path):
@@ -535,7 +545,7 @@ def test_disk_eviction_is_least_recently_used(tmp_path):
         keys.append(p.spec_hash)
     # Cap that holds roughly two entries: the oldest goes first.
     entry_bytes = roomy.total_bytes() // 3
-    os.utime(roomy._entry_path("plan", keys[0]), (1, 1))  # force the order
+    os.utime(os.path.join(directory, "plans", keys[0] + ".json"), (1, 1))  # force the order
     tight = DiskPlanCache(directory, max_bytes=entry_bytes * 2)
     p = plan_scenario(small_scenario(circuit_count=6), cache=None)
     tight.put_plan(p.spec_hash, p)

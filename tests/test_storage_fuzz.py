@@ -1,30 +1,24 @@
 """Fuzz the host-side stores: envelopes, the plan cache's disk tier, the job store.
 
-ROADMAP 4(b), written before the ``scenario/cache.py`` consolidation so
-the cut has a net under it.  Every test drives only names that survive
-the cut (``read_envelope``, ``OwnerLocks``, ``DiskPlanCache.get_*`` /
-``put_*`` / ``acquire`` / ``release`` / ``wait``, ``JobStore``,
-``plan_scenario``, ``run_batch``) and addresses files by the
-documented on-disk layout, never through a private path helper.
+Every test drives public names only (``read_envelope`` /
+``write_envelope``, ``EntryDir``, ``OwnerLocks``,
+``DiskPlanCache.get_*`` / ``put_*`` / ``acquire`` / ``release`` /
+``wait``, ``JobStore``, ``plan_scenario``, ``run_batch``) and addresses
+files by the documented on-disk layout, never through a private path
+helper.  Damage that edits fields (``field``, ``bury``) reads the
+version-2 envelope as what it is, a header line and a payload, and
+lands in either.
 
 Three properties, on every generated damage:
 
 1. **never raises** — a damaged, foreign or unwritable directory is a
    miss or a no-op, not a traceback;
-2. **never a payload under the wrong key** — a served plan's scenario
-   hashes to the key it was asked for, a served checkpoint's
-   ``(experiment, spec)`` hashes to its job key;
+2. **never a wrong payload** — whatever a store serves is what was
+   written under that key, byte for byte: a plan equal to the cold
+   plan, a checkpoint equal to the clean run's result;
 3. **the directory stays resumable** — afterwards a fresh ``PlanCache``
    / ``run_batch(resume=True)`` on it completes, byte-identical to
    a clean run.
-
-One limit is by format, not by accident: the envelope (format version
-1, fields fixed) carries no digest of its payload, so damage that
-leaves well-formed JSON under an intact header — a low bit flipped in
-one digit of a result, one letter of a relay name — cannot be seen by
-any reader.  Such examples still check (1) and (2) on the stores' own
-entry points; (3) is asserted whenever the damage is visible, i.e. the
-file no longer parses or its header no longer matches.
 """
 
 from __future__ import annotations
@@ -57,7 +51,14 @@ from repro.scenario import (
     plan_scenario,
 )
 from repro.serialize import encode
-from repro.storage import OwnerLocks, content_hash, read_envelope, write_envelope
+from repro.storage import (
+    FORMAT_VERSION,
+    EntryDir,
+    OwnerLocks,
+    content_hash,
+    read_envelope,
+    write_envelope,
+)
 from repro.units import kib
 
 # ----------------------------------------------------------------------
@@ -73,7 +74,7 @@ JSON_VALUES = st.recursive(
 )
 #: Openers repeated without a closer: the parser recurses once per level.
 OPENERS = ("[", '{"a":', '[{"payload":')
-HEADER_FIELDS = ("format", "kind", "key", "planner", "code", "payload")
+HEADER_FIELDS = ("format", "kind", "key", "source", "sha256", "payload")
 #: Where a deep (closed, well-formed) nest is buried inside an envelope.
 BURY_AT = (("payload",), ("payload", "spec"), ("payload", "scenario"), ("key",))
 
@@ -102,15 +103,17 @@ def damaged(blob: bytes, op) -> bytes:
         return blob[:at] + op[2] + blob[at:]
     if name == "nest":
         return op[1].encode("ascii") * op[2]
+    head, __, body = blob.partition(b"\n")
     try:
-        data = json.loads(blob)
+        header, payload = json.loads(head), json.loads(body)
     except (ValueError, RecursionError):
-        data = None
-    if not isinstance(data, dict):
+        header = None
+    if not isinstance(header, dict):
         return blob  # field edits only apply to envelopes (not lock tokens)
+    data = dict(header, payload=payload)
     if name == "field":
         data[op[1]] = op[2]
-        return json.dumps(data).encode("utf-8")
+        return envelope_bytes(data)
     # "bury": too deep for json.dumps, so splice the nest in as text.
     target = data
     for step in op[1][:-1]:
@@ -118,8 +121,21 @@ def damaged(blob: bytes, op) -> bytes:
         if not isinstance(target, dict):
             return blob
     target[op[1][-1]] = "@DEEP@"
-    nest = "[" * op[2] + "]" * op[2]
-    return json.dumps(data).replace('"@DEEP@"', nest).encode("utf-8")
+    nest = b"[" * op[2] + b"]" * op[2]
+    return envelope_bytes(data).replace(b'"@DEEP@"', nest)
+
+
+def envelope_bytes(data) -> bytes:
+    """*data* (header items + ``"payload"``) laid out as a version-2 entry.
+
+    The header's ``sha256`` is written as it stands, never recomputed:
+    what an edit did to the payload stays visible to the reader.
+    """
+    header = {name: value for name, value in data.items() if name != "payload"}
+    return b"\n".join(
+        json.dumps(part, separators=(",", ":")).encode("utf-8")
+        for part in (header, data["payload"])
+    )
 
 
 def damage_file(path: str, op) -> None:
@@ -136,33 +152,26 @@ def copy_over(source: str, target: str) -> None:
         shutil.copy(source, target)
 
 
-def trustworthy(path: str, pristine: bytes, header) -> bool:
-    """Whether serving *path* can only be right: untouched, or rejectable.
-
-    ``False`` exactly in the format's blind spot (module docstring):
-    changed bytes that are still well-formed JSON under an intact header.
-    """
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob == pristine:
-        return True
-    try:
-        data = json.loads(blob)
-    except (ValueError, RecursionError):
-        return True
-    return not isinstance(data, dict) or any(
-        data.get(field) != json.loads(pristine)[field] for field in header
-    )
-
-
 # ----------------------------------------------------------------------
 # read_envelope
 # ----------------------------------------------------------------------
 
-ENVELOPE = {"format": 1, "kind": "fuzz", "key": "k" * 64, "code": "c" * 64,
+ENVELOPE = {"format": FORMAT_VERSION, "kind": "fuzz", "key": "k" * 64,
+            "source": "c" * 64,
             "payload": {"spec": {"value": 3}, "result": [1, 2.5, "x", None]}}
-EXPECT = {field: ENVELOPE[field] for field in ("format", "kind", "key", "code")}
-ENVELOPE_BYTES = json.dumps(ENVELOPE, separators=(",", ":")).encode("utf-8")
+EXPECT = {field: ENVELOPE[field] for field in ("format", "kind", "key", "source")}
+
+
+def written(envelope) -> bytes:
+    """The bytes :func:`write_envelope` publishes for *envelope*."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "entry.json")
+        write_envelope(path, envelope)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+ENVELOPE_BYTES = written(ENVELOPE)
 
 
 def check_read_envelope(blob: bytes) -> None:
@@ -174,6 +183,15 @@ def check_read_envelope(blob: bytes) -> None:
     if data is not None:
         assert isinstance(data, dict)
         assert all(data[field] == value for field, value in EXPECT.items())
+        assert data["payload"] == ENVELOPE["payload"]
+
+
+def test_write_then_read_envelope_round_trips(tmp_path):
+    path = str(tmp_path / "entry.json")
+    assert write_envelope(path, ENVELOPE) == len(ENVELOPE_BYTES)
+    data = read_envelope(path, expect=EXPECT)
+    assert len(data.pop("sha256")) == 64
+    assert data == ENVELOPE
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,7 +263,6 @@ KEYS = {
     "plan": content_hash(SCENARIO),
     "network": content_hash(SCENARIO.topology.network_fingerprint(SCENARIO)),
 }
-PLAN_HEADER = ("format", "kind", "key", "planner")
 
 
 def plan_file(directory: str, kind: str, suffix: str = ".json") -> str:
@@ -257,24 +274,16 @@ def plan_file(directory: str, kind: str, suffix: str = ".json") -> str:
 def warm_plan_dir(tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("warm-plans"))
     plan_scenario(SCENARIO, cache=PlanCache(disk=DiskPlanCache(directory)))
-    pristine = {}
-    for kind in KEYS:
-        with open(plan_file(directory, kind), "rb") as handle:
-            pristine[kind] = handle.read()
-    return directory, pristine
+    return directory
 
 
-def assert_plan_tier_serves_only_the_truth(directory: str, trusted: bool):
+def assert_plan_tier_serves_only_the_truth(directory: str):
     """Properties 1-3 on *directory*, through every public entry point."""
     disk = DiskPlanCache(directory, lock_timeout=0.02)
     plan = disk.get_plan(KEYS["plan"])
-    if plan is not None:
-        assert plan.spec_hash == KEYS["plan"]
-        assert content_hash(plan.scenario) == KEYS["plan"]
+    assert plan is None or encode(plan) == encode(REFERENCE)
     network = disk.get_network(KEYS["network"])
-    if trusted:
-        assert plan is None or encode(plan) == encode(REFERENCE)
-        assert network is None or encode(network) == encode(REFERENCE.network)
+    assert network is None or encode(network) == encode(REFERENCE.network)
     # Nothing in the directory belongs under any other key.
     assert disk.get_plan(KEYS["network"]) is None
     assert disk.get_network(KEYS["plan"]) is None
@@ -282,12 +291,11 @@ def assert_plan_tier_serves_only_the_truth(directory: str, trusted: bool):
         if not disk.acquire(kind, key):
             disk.wait(kind, key)  # bounded by lock_timeout
         disk.release(kind, key)
-    if trusted:
-        fresh = PlanCache(disk=DiskPlanCache(directory, lock_timeout=0.02))
-        assert encode(plan_scenario(SCENARIO, cache=fresh)) == encode(REFERENCE)
-        # ...and what that run published is the truth, for the next one.
-        again = PlanCache(disk=DiskPlanCache(directory, lock_timeout=0.02))
-        assert encode(plan_scenario(SCENARIO, cache=again)) == encode(REFERENCE)
+    fresh = PlanCache(disk=DiskPlanCache(directory, lock_timeout=0.02))
+    assert encode(plan_scenario(SCENARIO, cache=fresh)) == encode(REFERENCE)
+    # ...and what that run published is the truth, for the next one.
+    again = PlanCache(disk=DiskPlanCache(directory, lock_timeout=0.02))
+    assert encode(plan_scenario(SCENARIO, cache=again)) == encode(REFERENCE)
 
 
 PLAN_TARGETS = st.sampled_from(["plan", "network"])
@@ -305,11 +313,11 @@ PLAN_OPS = st.one_of(
 @example(ops=[("entry", "network", ("bury", ("payload",), 600))])
 @example(ops=[("lock", "plan", ("flip", 0.0, 7), True)])
 @example(ops=[("rename", "network", "plan")])
+@example(ops=[("entry", "network", ("flip", 0.5, 0))])  # a payload bit
 def test_plan_tier_survives_damage(warm_plan_dir, ops):
-    warm, pristine = warm_plan_dir
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
-        shutil.copytree(warm, directory)
+        shutil.copytree(warm_plan_dir, directory)
         for op in ops:
             if op[0] == "entry":
                 damage_file(plan_file(directory, op[1]), op[2])
@@ -322,47 +330,38 @@ def test_plan_tier_survives_damage(warm_plan_dir, ops):
                     os.utime(path, (1, 1))  # its planner died long ago
             else:
                 copy_over(plan_file(directory, op[1]), plan_file(directory, op[2]))
-        trusted = all(
-            trustworthy(plan_file(directory, kind), pristine[kind], PLAN_HEADER)
-            for kind in KEYS
-        )
-        assert_plan_tier_serves_only_the_truth(directory, trusted)
+        assert_plan_tier_serves_only_the_truth(directory)
 
 
 def test_plan_entry_edited_under_an_intact_header_is_a_miss(warm_plan_dir):
-    """The stored ``spec_hash`` echo is not proof: hash the scenario."""
-    warm, __ = warm_plan_dir
+    """The stored scenario edited in place: the payload digest sees it."""
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
-        shutil.copytree(warm, directory)
+        shutil.copytree(warm_plan_dir, directory)
         path = plan_file(directory, "plan")
-        with open(path) as handle:
-            data = json.load(handle)
-        data["payload"]["scenario"]["circuit_count"] += 1
-        with open(path, "w") as handle:
-            json.dump(data, handle)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        assert blob.count(b'"circuit_count":3') == 1
+        with open(path, "wb") as handle:
+            handle.write(blob.replace(b'"circuit_count":3', b'"circuit_count":4'))
         assert DiskPlanCache(directory).get_plan(KEYS["plan"]) is None
-        assert_plan_tier_serves_only_the_truth(directory, trusted=True)
+        assert_plan_tier_serves_only_the_truth(directory)
 
 
-@pytest.mark.xfail(strict=True, reason="the envelope carries no payload digest")
 def test_flipped_bit_in_a_plan_payload_is_a_miss(warm_plan_dir):
     """The fuzz's first falsifying example: a bit flipped inside the payload."""
-    warm, __ = warm_plan_dir
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
-        shutil.copytree(warm, directory)
+        shutil.copytree(warm_plan_dir, directory)
         damage_file(plan_file(directory, "plan"), ("flip", 0.34375, 0))
-        assert_plan_tier_serves_only_the_truth(directory, trusted=True)
+        assert_plan_tier_serves_only_the_truth(directory)
 
 
-@pytest.mark.xfail(strict=True, reason="the envelope carries no payload digest")
 def test_network_entry_with_one_relay_delay_edited_is_a_miss(warm_plan_dir):
     """One relay's link delay doubled, everything else left as written."""
-    warm, __ = warm_plan_dir
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
-        shutil.copytree(warm, directory)
+        shutil.copytree(warm_plan_dir, directory)
         path = plan_file(directory, "network")
         with open(path, "rb") as handle:
             blob = handle.read()
@@ -375,7 +374,7 @@ def test_network_entry_with_one_relay_delay_edited_is_a_miss(warm_plan_dir):
         with open(path, "wb") as handle:
             handle.write(edited)
         assert DiskPlanCache(directory).get_network(KEYS["network"]) is None
-        assert_plan_tier_serves_only_the_truth(directory, trusted=True)
+        assert_plan_tier_serves_only_the_truth(directory)
 
 
 class LockDamagingTier(DiskPlanCache):
@@ -412,7 +411,6 @@ PAYLOADS = [
     ("test-flaky", encode(_sweep_exps.FlakySpec(value=value))) for value in range(4)
 ]
 JOB_KEYS = [job_key(experiment, spec) for experiment, spec in PAYLOADS]
-JOB_HEADER = ("format", "kind", "key", "code")
 
 
 def sweep_results(**kwargs):
@@ -432,14 +430,13 @@ def clean_results():
     return sweep_results()
 
 
-def assert_job_store_serves_only_the_truth(directory, clean, trusted):
+def assert_job_store_serves_only_the_truth(directory, clean):
     store = JobStore(directory)
     for index, key in enumerate(JOB_KEYS):
         payload = store.get(key)
         if payload is not None:
             assert job_key(payload["experiment"], payload["spec"]) == key
-            if trusted:
-                assert payload["result"] == clean[index]
+            assert payload["result"] == clean[index]
     assert store.get(content_hash("no such job")) is None
     assert isinstance(store.orphaned_leases(), dict)
     partial = store.read_partial()
@@ -449,9 +446,8 @@ def assert_job_store_serves_only_the_truth(directory, clean, trusted):
     store.lease(JOB_KEYS[0], "test-flaky", 0)
     store.release(JOB_KEYS[0])
     store.sweep_scratch()
-    if trusted:
-        assert sweep_results(checkpoint_dir=directory, resume=True) == clean
-        assert sweep_results(checkpoint_dir=directory, resume=True) == clean
+    assert sweep_results(checkpoint_dir=directory, resume=True) == clean
+    assert sweep_results(checkpoint_dir=directory, resume=True) == clean
 
 
 JOB_INDEX = st.integers(0, len(PAYLOADS) - 1)
@@ -476,10 +472,6 @@ def test_job_store_survives_damage(clean_results, ops):
         directory = os.path.join(scratch, "ckpt")
         assert sweep_results(checkpoint_dir=directory) == clean_results
         store = JobStore(directory)
-        pristine = []
-        for index in range(len(PAYLOADS)):
-            with open(job_file(directory, index), "rb") as handle:
-                pristine.append(handle.read())
         for op in ops:
             if op[0] == "result":
                 damage_file(job_file(directory, op[1]), op[2])
@@ -490,25 +482,19 @@ def test_job_store_survives_damage(clean_results, ops):
                     os.unlink(job_file(directory, op[1]))  # died before put
             elif op[0] == "partial":
                 store.write_partial({"done": 4, "total": 4, "items": []})
-                damage_file(store.partial_path(), op[1])
+                damage_file(os.path.join(directory, "partial.json"), op[1])
             else:
                 copy_over(job_file(directory, op[1]), job_file(directory, op[2]))
-        trusted = all(
-            not os.path.exists(job_file(directory, index))
-            or trustworthy(job_file(directory, index), pristine[index], JOB_HEADER)
-            for index in range(len(PAYLOADS))
-        )
-        assert_job_store_serves_only_the_truth(directory, clean_results, trusted)
+        assert_job_store_serves_only_the_truth(directory, clean_results)
 
 
-@pytest.mark.xfail(strict=True, reason="the envelope carries no payload digest")
 def test_flipped_bit_in_a_checkpoint_payload_is_a_miss(clean_results):
     """The job store's falsifying fuzz example: one result digit changed."""
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "ckpt")
         assert sweep_results(checkpoint_dir=directory) == clean_results
         damage_file(job_file(directory, 1), ("flip", 0.975, 0))
-        assert_job_store_serves_only_the_truth(directory, clean_results, True)
+        assert_job_store_serves_only_the_truth(directory, clean_results)
 
 
 THEFTS = st.sampled_from(["delete", "steal", "garbage", "directory"])
@@ -528,11 +514,11 @@ def test_lease_stolen_or_deleted_mid_job(clean_results, thefts):
             assert os.path.exists(path)  # we are between lease and put
             os.unlink(path)
             if theft == "steal":
-                write_envelope(path, {
-                    "format": JobStore.FORMAT_VERSION, "kind": "lease",
-                    "key": JOB_KEYS[spec.value], "experiment": "test-flaky",
-                    "index": 99, "pid": 1, "host": "elsewhere", "time": 0.0,
-                })
+                EntryDir(os.path.dirname(path), "lease", stamped=False).put(
+                    JOB_KEYS[spec.value],
+                    {"experiment": "test-flaky", "index": 99, "pid": 1,
+                     "host": "elsewhere", "time": 0.0},
+                )
             elif theft == "garbage":
                 with open(path, "wb") as handle:
                     handle.write(b"\xff" * 9)
@@ -542,7 +528,7 @@ def test_lease_stolen_or_deleted_mid_job(clean_results, thefts):
 
         with mock.patch.object(_sweep_exps.FlakyExperiment, "run", thieving_run):
             assert sweep_results(checkpoint_dir=directory) == clean_results
-        assert_job_store_serves_only_the_truth(directory, clean_results, True)
+        assert_job_store_serves_only_the_truth(directory, clean_results)
 
 
 # ----------------------------------------------------------------------
@@ -610,8 +596,8 @@ def test_failing_writes_cost_durability_never_results(clean_results, code, doome
             store.lease(JOB_KEYS[0], "test-flaky", 0)
             store.release(JOB_KEYS[0])
         # The disk is healthy again: whatever landed is whole and true.
-        assert_plan_tier_serves_only_the_truth(plans, trusted=True)
-        assert_job_store_serves_only_the_truth(ckpt, clean_results, True)
+        assert_plan_tier_serves_only_the_truth(plans)
+        assert_job_store_serves_only_the_truth(ckpt, clean_results)
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores permission bits")
@@ -627,5 +613,5 @@ def test_readonly_directories_cost_durability_never_results(tmp_path, clean_resu
     finally:
         for directory in (plans, ckpt):
             directory.chmod(0o700)
-    assert_plan_tier_serves_only_the_truth(str(plans), trusted=True)
-    assert_job_store_serves_only_the_truth(str(ckpt), clean_results, True)
+    assert_plan_tier_serves_only_the_truth(str(plans))
+    assert_job_store_serves_only_the_truth(str(ckpt), clean_results)
