@@ -359,6 +359,32 @@ def _load_jobs(path: str) -> Optional[list]:
     return data
 
 
+def _out_unwritable(out: str) -> bool:
+    """Whether ``--out`` *out* names a file in a missing directory.
+
+    Checked before any work, so a typo'd path costs one stderr line
+    naming it instead of a finished sweep's output.  ``-`` is stdout.
+    """
+    parent = os.path.dirname(os.path.abspath(out))
+    if out == "-" or os.path.isdir(parent):
+        return False
+    print("cannot write --out %s: %s is not a directory" % (out, parent),
+          file=sys.stderr)
+    return True
+
+
+def _write_out(out: str, text: str) -> bool:
+    """Write *text* and a final newline to *out*; one stderr line if not."""
+    try:
+        with open(out, "w") as handle:
+            handle.write(text if text.endswith("\n") else text + "\n")
+    except OSError as error:
+        print("cannot write --out %s: %s" % (out, error.strerror or error),
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _print_cache_stats(result) -> None:
     """The plan-cache summary line, on stderr (observability only)."""
     stats = getattr(result, "plan_cache", None)
@@ -415,7 +441,8 @@ def _run_sweep(args: argparse.Namespace, data: list,
     Streams progress and ``partial.json`` as jobs finish, writes the
     merged JSON at the end, and maps sweep outcomes to exit codes:
     0 all jobs ok, 1 some jobs failed (the sweep itself completed),
-    2 usage/spec errors, 130 interrupted (Ctrl-C), 3 a worker died —
+    2 usage/spec errors or an ``--out`` that cannot be written,
+    130 interrupted (Ctrl-C), 3 a worker died —
     the latter two with a resume hint when checkpointing is on.
     """
     from .report.partial import (
@@ -424,6 +451,8 @@ def _run_sweep(args: argparse.Namespace, data: list,
         render_partial_table,
     )
 
+    if _out_unwritable(args.out):
+        return 2
     progress = args.progress
     write_partial = partial_writer(checkpoint_dir) if checkpoint_dir else None
     completed: list = []
@@ -494,10 +523,10 @@ def _run_sweep(args: argparse.Namespace, data: list,
     text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     if args.out == "-":
         print(text)
-    else:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+    elif _write_out(args.out, text):
         print("wrote %s (%d jobs)" % (args.out, len(result.items)))
+    else:
+        return 2
     return 1 if failures else 0
 
 
@@ -668,15 +697,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("repro report: --json prints a checkpointed sweep's "
               "partial.json and needs DIR", file=sys.stderr)
         return 2
+    if _out_unwritable(args.out):
+        return 2
     from .report.summary import generate_report
 
     text = generate_report(full=args.full)
     if args.out == "-":
         print(text)
-    else:
-        with open(args.out, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+    elif _write_out(args.out, text):
         print("wrote %s" % args.out)
+    else:
+        return 2
     return 0
 
 

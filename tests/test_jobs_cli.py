@@ -96,6 +96,45 @@ def test_batch_reports_failures_and_exits_1(tmp_path, capsys):
     assert merged["items"][1]["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("verb", ["batch", "serve", "resume"])
+def test_out_in_a_missing_directory_is_refused_before_any_job_runs(
+        tmp_path, capsys, verb):
+    path = _write_specs(tmp_path, FLAKY_JOBS)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    out = str(tmp_path / "no" / "such" / "out.json")
+    argv = [verb, path, "--out", out, "--progress", "none"]
+    assert main(argv + ["--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "cannot write --out %s: %s is not a directory"
+        % (out, os.path.dirname(out))
+    ]
+    assert captured.out == ""
+    assert os.listdir(str(ckpt)) == []  # no job ran, nothing checkpointed
+
+
+def test_out_that_cannot_be_written_at_the_end_is_one_line(tmp_path, capsys):
+    path = _write_specs(tmp_path, FLAKY_JOBS)
+    out = tmp_path / "taken"
+    out.mkdir()  # the parent exists; the path itself is a directory
+    assert main(["batch", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(
+        "cannot write --out %s: " % out
+    )
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_report_out_in_a_missing_directory_is_refused(tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "report.md")
+    assert main(["report", "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "cannot write --out %s: %s is not a directory"
+        % (out, os.path.dirname(out))
+    ]
+
+
 def test_dry_run_reports_runtime_matching_keys(tmp_path, capsys):
     path = _write_specs(tmp_path, FLAKY_JOBS)
     assert main(["batch", path, "--dry-run"]) == 0
