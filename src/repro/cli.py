@@ -360,7 +360,7 @@ def _load_jobs(path: str) -> Optional[list]:
 
 
 def _out_unwritable(out: str) -> bool:
-    """Whether ``--out`` *out* names a file in a missing directory.
+    """Whether ``--out`` *out* names a file whose directory does not exist.
 
     Checked before any work, so a typo'd path costs one stderr line
     naming it instead of a finished sweep's output.  ``-`` is stdout.

@@ -20,8 +20,10 @@ by exposing a ``resolve_part_type(data) -> type`` classmethod on their
 abstract base: a field annotated with the base class then decodes into
 whichever registered subclass the payload's discriminator names.
 
-Every JSON file the package reads — a batch file, a scenario spec, a
-store's envelope — goes through :func:`read_json_file`.
+Every JSON input file the package reads — a batch file, a scenario
+spec — goes through :func:`read_json_file`.  A store's entries are read
+by :func:`repro.storage.read_envelope`, which parses a header line and
+a digest-checked payload.
 """
 
 from __future__ import annotations
