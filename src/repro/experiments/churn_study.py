@@ -116,8 +116,9 @@ class ChurnStudyConfig(ExperimentSpec):
         """The network-scale config of one operating point.
 
         Every point shares the topology source and seed, so the whole
-        sweep shares one generated network (planned once, cached by
-        fingerprint); only the churn process's arrival rate varies.
+        sweep shares one generated network (planned at most once per
+        process, cached by fingerprint); only the churn process's
+        arrival rate varies.
         """
         return NetScaleConfig(
             circuit_count=self.circuit_count,

@@ -47,11 +47,11 @@ carried back from the worker and summed into
 :attr:`BatchResult.plan_cache`, so batch reports show what the cache
 saved.  With ``plan_cache_dir`` set, every worker's cache additionally
 shares one on-disk tier (:class:`repro.scenario.cache.DiskPlanCache`),
-so a network appearing in many workers' jobs is planned exactly once
-across all processes and plans survive into later sweeps.  The
-counters are observability only — they never enter the serialized
-output, which stays byte-identical across worker counts and cache
-states.
+so a network appearing in many workers' jobs is planned at most once
+per worker (racing cold planners each plan and publish the same bytes)
+and plans survive into later sweeps.  The counters are observability
+only — they never enter the serialized output, which stays
+byte-identical across worker counts and cache states.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Execution comes from the :class:`~repro.experiments.api.RunContext`:
 ``resume`` make the sweep crash-resumable (``repro report DIR`` renders
 the partial state while it runs).  All points share one topology
 source and seed, so with a disk plan cache attached the generated
-network is planned exactly once across all workers.  The structured
+network is planned at most once per worker.  The structured
 output is byte-identical under every context; plan-cache and
 checkpoint counters ride along as run metadata only.
 """

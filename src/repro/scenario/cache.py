@@ -21,12 +21,11 @@ and the tests pin that.
 
 One lookup serves both kinds, :meth:`PlanCache.get_or_compute`:
 memory, then the optional **disk tier** (:class:`DiskPlanCache`), then
-a cold computation that is single-flight across processes — the first
-planner takes a per-key lock file, re-reads the entry (it may have
-landed in between), plans and publishes; racers that lose the lock wait
-for the winner's entry and plan themselves only if it never lands.
-Planning is deterministic, so that fallback is wasted work, never a
-different answer.  The disk tier is one
+a cold computation whose result is published to disk.  Nothing
+coordinates cold planners: planning takes less time than one disk
+read, so processes racing on a cold key each plan it and publish the
+same deterministic bytes, and the last atomic rename wins — the policy
+the job store runs too.  The disk tier is one
 :class:`repro.storage.EntryDir` per kind: entries written atomically,
 stamped with the whole-package
 :func:`~repro.storage.source_fingerprint`, carrying a digest of their
@@ -47,7 +46,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..serialize import decode, encode
-from ..storage import FORMAT_VERSION, EntryDir, OwnerLocks, content_hash
+from ..storage import FORMAT_VERSION, EntryDir, content_hash
 
 __all__ = [
     "DEFAULT_CACHE",
@@ -94,30 +93,20 @@ class DiskPlanCache:
     ``REPRO_PLAN_CACHE``), and carrying a digest of its payload, so an
     entry edited under an intact header is a miss too.  Writes go
     through a per-process temp file renamed into place, so readers only
-    ever see complete entries — two processes racing on one key both
-    write the same deterministic bytes and the last rename wins.  Reads
-    never raise: anything unreadable or undecodable is a miss and cold
-    planning takes over.
+    ever see complete entries — processes racing on one cold key each
+    plan it, write the same deterministic bytes, and the last rename
+    wins.  Reads never raise: anything unreadable or undecodable is a
+    miss and cold planning takes over.
 
     The total size of all entries is capped at *max_bytes*; eviction is
     least-recently-used (entry mtimes are refreshed on every hit).
     """
 
-    def __init__(
-        self,
-        directory: str,
-        max_bytes: int = 256 * 1024 * 1024,
-        lock_timeout: float = 10.0,
-    ) -> None:
+    def __init__(self, directory: str, max_bytes: int = 256 * 1024 * 1024) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1, got %r" % max_bytes)
         self.directory = os.path.abspath(directory)
         self.max_bytes = max_bytes
-        self.lock_timeout = lock_timeout
-        #: The per-key lock files this instance holds; owner tokens,
-        #: stale-lock breaking and the bounded wait live in
-        #: :class:`repro.storage.OwnerLocks` (which validates the timeout).
-        self._locks = OwnerLocks(lock_timeout)
         self._dirs = {
             kind: EntryDir(os.path.join(self.directory, kind + "s"), kind)
             for kind in KINDS
@@ -131,13 +120,10 @@ class DiskPlanCache:
 
     # --- lookup -----------------------------------------------------------
 
-    def get(self, kind: str, key: str, recheck: bool = False) -> Optional[Any]:
+    def get(self, kind: str, key: str) -> Optional[Any]:
         """Load, decode and count the *kind* entry for *key*, or ``None``.
 
-        A *recheck* — the double-checked read after winning the lock,
-        or a poll while waiting on its holder — counts a hit when the
-        entry is there and nothing when it is not: the consult's miss
-        was recorded by the first lookup.
+        Every call counts exactly one hit or one miss.
         """
         entries = self._dirs[kind]
         value = self._decode(kind, key, entries.get(key))
@@ -147,7 +133,7 @@ class DiskPlanCache:
             except OSError:
                 pass
             self._counters[kind + "_hits"] += 1
-        elif not recheck:
+        else:
             self._counters[kind + "_misses"] += 1
         return value
 
@@ -209,16 +195,16 @@ class DiskPlanCache:
     def _scan(self) -> List[Tuple[float, int, str]]:
         """``(mtime, size, path)`` of every entry, after a janitor pass.
 
-        Temp files orphaned by a killed writer and lock files abandoned
-        by a crashed planner are outside the ``*.json`` accounting;
-        anything of either shape untouched for longer than the lock
-        timeout (at least a minute) is dead by protocol and swept
-        first, so a shared directory (which CI's ``actions/cache``
-        re-persists) does not accumulate them.
+        Temp files orphaned by a killed writer are outside the
+        ``*.json`` accounting, and so are the per-key lock files that
+        directories written by older builds can hold; anything of
+        either shape untouched for a minute is dead and swept first, so
+        a shared directory (which CI's ``actions/cache`` re-persists)
+        does not accumulate them.
         """
         entries = []
         for kind_dir in self._dirs.values():
-            kind_dir.sweep((".tmp", ".lock"), max(self.lock_timeout, 60.0))
+            kind_dir.sweep((".tmp", ".lock"), 60.0)
             for key in kind_dir.keys():
                 path = kind_dir.path(key)
                 try:
@@ -241,48 +227,6 @@ class DiskPlanCache:
                 continue
             total -= size
         self._approx_total = total
-
-    # --- cross-process single-flight --------------------------------------
-
-    def acquire(self, kind: str, key: str) -> bool:
-        """Try to become the (single) cold planner for *key*.
-
-        ``True`` means "go ahead and plan" — either the lock file was
-        created, or locking is impossible here (unwritable directory),
-        in which case planning redundantly is the safe fallback.
-        ``False`` means another live process holds the lock; the caller
-        should :meth:`wait` for that process's entry.  Lock files older
-        than ``lock_timeout`` are considered abandoned (their writer
-        would have finished or its waiters given up) and are broken —
-        so a planning pass slower than ``lock_timeout`` degrades to
-        redundant (still deterministic, still correct) planning, never
-        to a wrong answer.
-        """
-        return self._locks.acquire(self._dirs[kind].path(key, ".lock"))
-
-    def release(self, kind: str, key: str) -> None:
-        """Unlink the lock for *key* — only if this instance still owns it.
-
-        A racer that judged our lock stale may have broken it and taken
-        its own; blindly unlinking would free that *live* lock and
-        cascade into yet more planners.
-        """
-        self._locks.release(self._dirs[kind].path(key, ".lock"))
-
-    def wait(self, kind: str, key: str) -> Optional[Any]:
-        """Wait for a racing planner's entry; ``None`` if it never lands.
-
-        Polls until the entry decodes, the lock disappears without an
-        entry (the writer failed), or ``lock_timeout`` elapses.  Counts
-        one disk hit on success, one miss on giving up.
-        """
-        value = self._locks.wait(
-            self._dirs[kind].path(key, ".lock"),
-            lambda: self.get(kind, key, recheck=True),
-        )
-        if value is None:
-            self._counters[kind + "_misses"] += 1
-        return value
 
     # --- bookkeeping ------------------------------------------------------
 
@@ -353,12 +297,10 @@ class PlanCache:
     ) -> Any:
         """The *kind* entry for *key*, from any tier, else computed.
 
-        Memory, then disk, then *compute* — at most once across the
-        processes sharing the disk tier.  Without one there is nobody
-        to coordinate with.  With one, take the per-key lock file;
-        losers wait for the winner's entry and only plan themselves if
-        it never lands (the winner crashed, or the directory is
-        unusable).
+        Memory, then disk, then *compute*, whose result is published to
+        the disk tier.  Processes that miss the same key at once each
+        compute it (at most once per process) and publish the same
+        bytes; waiting on one another would cost more than planning.
         """
         entries = self._entries[kind]
         value = entries.get(key)
@@ -367,29 +309,15 @@ class PlanCache:
             self._counters[kind + "_hits"] += 1
             return value
         disk = self.disk
-        held = False
-        try:
+        if disk is not None:
+            value = disk.get(kind, key)
+        if value is None:
+            self._counters[kind + "_misses"] += 1
+            value = compute()
             if disk is not None:
-                value = disk.get(kind, key)
-                if value is None:
-                    held = disk.acquire(kind, key)
-                    # The lock may have been handed over: its last
-                    # holder could have published between our miss and
-                    # our acquire.  Re-check before planning.
-                    value = (
-                        disk.get(kind, key, recheck=True) if held
-                        else disk.wait(kind, key)
-                    )
-            if value is None:
-                self._counters[kind + "_misses"] += 1
-                value = compute()
-                if disk is not None:
-                    disk.put(kind, key, value)
-            else:
-                self._counters[kind + "_hits"] += 1
-        finally:
-            if held:
-                disk.release(kind, key)
+                disk.put(kind, key, value)
+        else:
+            self._counters[kind + "_hits"] += 1
         entries[key] = value
         while len(entries) > self.max_entries:
             entries.popitem(last=False)

@@ -186,8 +186,8 @@ def plan_scenario(
     Network draws live on their own substreams, which makes a plan
     assembled from a cached network byte-identical to one planned cold.
     When the cache carries a disk tier, both levels additionally
-    persist across processes, and concurrent cold planners of the same
-    key coordinate so each distinct key is planned at most once.
+    persist across processes; concurrent cold planners of the same key
+    each plan it and publish the same bytes.
     """
     key = spec_hash(scenario)
     if cache is None:

@@ -31,7 +31,10 @@ clock-shaped about that lives here, once:
   stale-lock breaking and a bounded wait: each lock file records a
   token unique to its creator, so releasing cannot unlink a lock that
   was broken and re-taken by someone else, and locks older than a
-  timeout are treated as abandoned by protocol.
+  timeout are treated as abandoned by protocol.  Neither store takes a
+  lock: both publish by atomic rename and let racers write the same
+  bytes.  :class:`OwnerLocks` stays for the ``storage.lock_cycle_us``
+  row of the benchmark, which times it.
 
 Everything here degrades safely: writes to an unusable directory are
 no-ops, reads of corrupt or foreign files are misses, and lock

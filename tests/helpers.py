@@ -16,6 +16,7 @@ from repro.transport.config import TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
 __all__ = [
+    "assert_shared_tier_counters",
     "json_digest",
     "make_chain_flow",
     "read_header",
@@ -70,6 +71,24 @@ def rewrite_header(path: str, **fields) -> None:
         handle.write(
             json.dumps(header, separators=(",", ":")).encode("utf-8") + newline + body
         )
+
+
+def assert_shared_tier_counters(stats, distinct_specs: int, workers: int) -> None:
+    """What processes sharing one disk plan tier count, however they raced.
+
+    *stats* sums the plan-cache counters of *workers* processes that
+    planned *distinct_specs* specs over one network.  Nothing
+    coordinates cold planners: each spec is planned once, the shared
+    network by anywhere from one process to all of them, and every
+    lookup memory could not answer consulted disk once and counted one
+    hit or one miss — a disk miss being exactly one cold plan.
+    """
+    assert stats["plan_misses"] == distinct_specs and stats["plan_hits"] == 0
+    assert stats["disk_plan_hits"] + stats["disk_plan_misses"] == distinct_specs
+    assert 1 <= stats["network_misses"] <= workers
+    assert stats["network_hits"] + stats["network_misses"] == distinct_specs
+    assert stats["disk_network_misses"] == stats["network_misses"]
+    assert stats["disk_network_hits"] <= stats["network_hits"]
 
 
 def make_chain_flow(
