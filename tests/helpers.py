@@ -129,3 +129,12 @@ def make_chain_flow(
         workload="none" if workload_none else "bulk",
     )
     return flow, topology, specs
+
+
+def link_packet_totals(topology):
+    """``(sent, received)``: packets every interface of *topology* put on
+    a wire, and packets every node took off one.  Equal when no packet
+    was lost and none is still in flight."""
+    nodes = topology.nodes.values()
+    sent = sum(iface.packets_sent for node in nodes for iface in node.interfaces)
+    return sent, sum(node.packets_received for node in nodes)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.experiments.netgen import NetworkConfig, generate_network
+from repro.net.faults import ScriptedLossModel, install_fault_model
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.tor.circuit import CircuitFlow, CircuitSpec
 from repro.tor.path_selection import PathSelector
 from repro.transport.config import CELL_PAYLOAD, TransportConfig
 
-from helpers import make_chain_flow
+from helpers import link_packet_totals, make_chain_flow
 
 
 def test_transfer_conserves_cells(sim):
@@ -64,15 +66,29 @@ def test_relay_buffers_bounded_by_upstream_window(sim):
         assert peaks.get(i, 0) <= upstream_peak_window + 2
 
 
-def test_no_data_loss_on_unbounded_queues(sim):
-    """The transport never relies on loss: zero drops everywhere."""
+def _bottlenecked_chain_totals(sim, drops=()):
     flow, topology, __ = make_chain_flow(
         sim, rates_mbit=[50.0, 4.0, 50.0, 50.0], payload_bytes=CELL_PAYLOAD * 300
     )
+    if drops:
+        install_fault_model(
+            topology._interface_between("relay1", "relay2"), ScriptedLossModel(drops)
+        )
     sim.run()
-    for node in topology.nodes.values():
-        for iface in node.interfaces:
-            assert iface.queue.stats.dropped == 0
+    return link_packet_totals(topology)
+
+
+def test_no_data_loss_on_unbounded_queues(sim):
+    """The transport never relies on loss: every packet sent arrives."""
+    sent, received = _bottlenecked_chain_totals(sim)
+    assert sent == received
+
+
+@pytest.mark.parametrize("drops", [{3}, {3, 4}], ids=["one", "two"])
+def test_packet_conservation_sees_scripted_drops(sim, drops):
+    """The check above has teeth: each packet lost on the wire shows."""
+    sent, received = _bottlenecked_chain_totals(sim, drops)
+    assert sent == received + len(drops)
 
 
 def test_deterministic_repetition():
