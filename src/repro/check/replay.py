@@ -140,10 +140,9 @@ class _HarnessNode(Node):
     def interface_to(self, dst_name: str) -> "_HarnessNode":
         return self  # the egress hosts bind per circuit is this node
 
-    def send(self, packet: Packet) -> bool:
+    def send(self, packet: Packet) -> None:
         packet.src = packet.src or self.name
         self._capture(packet)
-        return True
 
 
 class ReplayHarness:

@@ -10,13 +10,12 @@ this substitution preserves the paper's behaviour.
 from .link import Interface, Link
 from .node import ForwardingHandler, Node, PacketHandler
 from .packet import Packet
-from .queues import DropTailQueue, FifoQueue, QueueStats
+from .queues import FifoQueue, QueueStats
 from .topology import LinkSpec, Topology, build_chain, build_star
 from .traffic import ConstantRateSender, LatencyTracker
 
 __all__ = [
     "ConstantRateSender",
-    "DropTailQueue",
     "FifoQueue",
     "ForwardingHandler",
     "Interface",

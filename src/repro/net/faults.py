@@ -21,7 +21,7 @@ substream per interface from the scenario seed).  Ships with:
   random extra delay with some probability, which reorders it past
   packets serialized later;
 * :class:`ScriptedLossModel` — drops an explicit set of packet indices
-  (deterministic tests and model-schedule replay);
+  (deterministic tests);
 * :class:`FilteredFaultModel` — gates an inner model behind a packet
   predicate (trunk-only faults select on src/dst node names);
 * :class:`CompositeFaultModel` — chains models; first drop wins, extra
@@ -180,9 +180,9 @@ class BoundedReorderModel(FaultModel):
 class ScriptedLossModel(FaultModel):
     """Drops an explicit set of packet indices (0-based, per model).
 
-    The deterministic counterpart of the random models: the replay
-    bridge and the unit tests use it to lose exactly the packets a
-    sampled model schedule says to lose.
+    The deterministic counterpart of the random models: tests use it to
+    lose exactly the packets they name.  The index counts transmissions
+    on the interface, so a FIFO's n-th arrival is its n-th index.
     """
 
     def __init__(self, drop_indices: Iterable[int]) -> None:

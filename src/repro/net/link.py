@@ -9,7 +9,8 @@ ns-3's point-to-point devices:
 * **propagation delay** — after serialization the packet takes a fixed
   ``delay`` to reach the remote end;
 * **an egress queue** — packets arriving while the transmitter is busy
-  wait in the interface's queue (FIFO by default).
+  wait in the interface's unbounded FIFO, which never drops.  Loss
+  happens only in the interface's ``fault_model``.
 
 Links are *unidirectional*; :func:`connect_duplex` (in
 :mod:`repro.net.topology`) wires two of them between a pair of nodes.
@@ -41,11 +42,10 @@ the wire.  ``run_until`` is unaffected.)
 **An idle wire has an empty queue.**  Packets wait only behind a
 transmission, and whoever queues the first one schedules the wake that
 drains them, so ``not _wake_pending`` implies ``not queue``.  A packet
-sent onto an idle wire never enters the deque: the queue gives a
-:meth:`~repro.net.queues.FifoQueue.pass_through` verdict (the statistics
-of ``offer`` + ``take``; a scripted-loss queue still counts and may drop
-the arrival) and the packet goes straight onto the wire.  The delivery
-event is the peer's bound ``deliver`` itself.
+sent onto an idle wire never enters the deque: the queue counts it
+with :meth:`~repro.net.queues.FifoQueue.pass_through` (the statistics
+of ``offer`` + ``take``) and the packet goes straight onto the wire.
+The delivery event is the peer's bound ``deliver`` itself.
 """
 
 from __future__ import annotations
@@ -126,18 +126,11 @@ class Interface:
     test.
     """
 
-    def __init__(
-        self,
-        sim,
-        owner: "Node",
-        link: Link,
-        queue: Optional[FifoQueue] = None,
-        name: str = "",
-    ) -> None:
+    def __init__(self, sim, owner: "Node", link: Link, name: str = "") -> None:
         self._sim = sim
         self.owner = owner
         self.link = link
-        self.queue = queue if queue is not None else FifoQueue()
+        self.queue = FifoQueue()
         self.name = name or ("%s.if" % owner.name)
         self.peer: Optional["Node"] = None  # set when wired into a topology
         # The wire is occupied until the simulator passes
@@ -180,31 +173,25 @@ class Interface:
         self.peer = peer
         self._on_deliver = peer.deliver
 
-    def send(self, packet: Packet) -> bool:
-        """Queue *packet* for transmission; start transmitting if idle.
-
-        Returns whether the packet was accepted by the egress queue
-        (a :class:`~repro.net.queues.DropTailQueue` may refuse it).
-        """
+    def send(self, packet: Packet) -> None:
+        """Queue *packet* for transmission; start transmitting if idle."""
         if self.peer is None:
             raise RuntimeError("interface %s has no peer attached" % self.name)
         if self._wake_pending:
-            return self.queue.offer(packet)
+            self.queue.offer(packet)
+            return
         sim = self._sim
         now = sim.now
         free_at = self._free_at
         if now < free_at or (now == free_at and sim.current_seq < self._free_seq):
             # The wire is occupied and nobody was waiting for it yet:
             # the completion event is needed after all.
-            if not self.queue.offer(packet):
-                return False
+            self.queue.offer(packet)
             self._wake_pending = True
             sim.schedule_reserved(free_at, self._free_seq, self._on_wake)
-        elif self.queue.pass_through(packet):
-            self._transmit_next(packet)
         else:
-            return False
-        return True
+            self.queue.pass_through(packet)
+            self._transmit_next(packet)
 
     # ------------------------------------------------------------------
 

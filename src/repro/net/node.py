@@ -8,15 +8,15 @@ substrate without subclassing the network code.
 
 Forwarding model
 ----------------
-Nodes route by destination name.  ``node.forward(packet)`` looks up
+Nodes route by destination name.  ``node.send(packet)`` looks up
 ``packet.dst`` in the routing table and transmits on the corresponding
-interface; delivery at the destination invokes the handler.  Transit
-nodes whose handler leaves packets alone can use
-:class:`ForwardingHandler`, which simply forwards anything not
-addressed to the node itself (this is how the star topology's hub
-behaves).  A destination the table lacks goes out of the node's
-``default_route`` if it has one (a star leaf's uplink) and is an error
-otherwise.
+interface; a packet delivered to a node it is not addressed to goes
+out the same way, and delivery at the destination invokes the handler.
+Transit nodes whose handler never sees a packet (the star topology's
+hub) use :class:`ForwardingHandler`, which counts anything addressed
+to the node itself.  A destination the table lacks goes out of the
+node's ``default_route`` if it has one (a star leaf's uplink) and is an
+error otherwise.
 """
 
 from __future__ import annotations
@@ -96,14 +96,10 @@ class Node:
     # Data path
     # ------------------------------------------------------------------
 
-    def send(self, packet: Packet) -> bool:
+    def send(self, packet: Packet) -> None:
         """Originate *packet* from this node toward ``packet.dst``."""
         packet.src = packet.src or self.name
-        return self.interface_to(packet.dst).send(packet)
-
-    def forward(self, packet: Packet) -> bool:
-        """Forward a transit packet toward ``packet.dst``."""
-        return self.interface_to(packet.dst).send(packet)
+        self.interface_to(packet.dst).send(packet)
 
     def deliver(self, packet: Packet, from_interface: Interface) -> None:
         """The link layer's delivery event: *packet* arrives at this node
@@ -116,7 +112,7 @@ class Node:
         self.bytes_received += packet.size
         dst = packet.dst
         if dst and dst != self.name:
-            # Transit: forward() spelled out, because half of all link
+            # Transit: interface_to() spelled out, because half of all link
             # traversals (everything crossing a star's hub) pass here.
             interface = self.routes.get(dst)
             if interface is None:

@@ -1,17 +1,13 @@
 """Egress queues for network interfaces.
 
-Two disciplines are provided:
+:class:`FifoQueue` is an unbounded FIFO and never drops.  The hop-by-hop
+transport (BackTap) bounds queue depth through its windows, so the
+CircuitStart experiments *verify* boundedness rather than enforce it.
+Packets are lost in one place only: an interface's ``fault_model``
+(:mod:`repro.net.faults`).
 
-* :class:`FifoQueue` — unbounded FIFO.  The hop-by-hop transport
-  (BackTap) bounds queue depth through its windows, so relays in the
-  CircuitStart experiments use unbounded queues and the experiments
-  *verify* boundedness rather than enforce it.
-* :class:`DropTailQueue` — FIFO bounded in packets, dropping arrivals
-  when full.  Used for generic network tests and for the ablation that
-  checks CircuitStart never relies on loss as a signal.
-
-Both keep :class:`QueueStats` so experiments can inspect backlog and
-drop behaviour after a run.
+The queue keeps :class:`QueueStats` so experiments can inspect backlog
+after a run.
 """
 
 from __future__ import annotations
@@ -22,16 +18,15 @@ from typing import Deque, Optional
 
 from .packet import Packet
 
-__all__ = ["QueueStats", "FifoQueue", "DropTailQueue", "ScriptedLossQueue"]
+__all__ = ["QueueStats", "FifoQueue"]
 
 
 @dataclass
 class QueueStats:
-    """Counters maintained by every queue discipline."""
+    """Counters maintained by the queue."""
 
     enqueued: int = 0
     dequeued: int = 0
-    dropped: int = 0
     max_depth_packets: int = 0
     max_depth_bytes: int = 0
     current_bytes: int = 0
@@ -55,8 +50,8 @@ class FifoQueue:
         """Total bytes currently waiting in the queue."""
         return self.stats.current_bytes
 
-    def offer(self, packet: Packet) -> bool:
-        """Enqueue *packet*.  Always succeeds for the unbounded FIFO."""
+    def offer(self, packet: Packet) -> None:
+        """Enqueue *packet*."""
         packets = self._packets
         packets.append(packet)
         stats = self.stats
@@ -66,19 +61,17 @@ class FifoQueue:
             stats.max_depth_packets = len(packets)
         if current > stats.max_depth_bytes:
             stats.max_depth_bytes = current
-        return True
 
-    def pass_through(self, packet: Packet) -> bool:
+    def pass_through(self, packet: Packet) -> None:
         """``offer`` then ``take`` on an empty queue, minus the deque round
-        trip: the verdict an idle transmitter (whose queue is empty by
-        construction) asks for before putting *packet* on the wire."""
+        trip: the statistics of an idle transmitter (whose queue is empty
+        by construction) putting *packet* straight on the wire."""
         stats = self.stats
         stats.enqueued += 1
         stats.dequeued += 1
         stats.max_depth_packets = stats.max_depth_packets or 1
         if packet.size > stats.max_depth_bytes:
             stats.max_depth_bytes = packet.size
-        return True
 
     def take(self) -> Optional[Packet]:
         """Dequeue and return the oldest packet, or ``None`` when empty."""
@@ -100,47 +93,3 @@ class FifoQueue:
         while self._packets:
             self.take()
         return removed
-
-
-class DropTailQueue(FifoQueue):
-    """A FIFO bounded in packets; arrivals beyond capacity are dropped."""
-
-    def __init__(self, capacity_packets: int) -> None:
-        if capacity_packets <= 0:
-            raise ValueError(
-                "capacity must be a positive packet count, got %r" % capacity_packets
-            )
-        super().__init__()
-        self.capacity_packets = int(capacity_packets)
-
-    def offer(self, packet: Packet) -> bool:
-        """Enqueue *packet* unless the queue is full; report acceptance."""
-        if len(self) >= self.capacity_packets:
-            self.stats.dropped += 1
-            return False
-        return super().offer(packet)
-
-
-class ScriptedLossQueue(FifoQueue):
-    """A FIFO that drops exactly the arrivals named in *drop_indices*.
-
-    Arrival indices count every ``offer`` or ``pass_through`` (0-based),
-    dropped or not.  Deterministic by construction — the loss-recovery
-    tests script precisely which cell or feedback message disappears.
-    """
-
-    def __init__(self, drop_indices) -> None:
-        super().__init__()
-        self.drop_indices = frozenset(int(i) for i in drop_indices)
-        self._arrivals = 0
-
-    def offer(self, packet: Packet) -> bool:
-        index = self._arrivals
-        self._arrivals += 1
-        if index in self.drop_indices:
-            self.stats.dropped += 1
-            return False
-        return super().offer(packet)
-
-    def pass_through(self, packet: Packet) -> bool:
-        return self.offer(packet) and self.take() is packet

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..units import Rate
 from .link import Interface, Link
 from .node import ForwardingHandler, Node
-from .queues import DropTailQueue, FifoQueue
 
 __all__ = [
     "LinkSpec",
@@ -41,16 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Parameters of one duplex link: rate, one-way delay, queue bound."""
+    """Parameters of one duplex link: rate and one-way delay."""
 
     rate: Rate
     delay: float
-    queue_capacity_packets: Optional[int] = None  # None = unbounded FIFO
-
-    def make_queue(self) -> FifoQueue:
-        if self.queue_capacity_packets is None:
-            return FifoQueue()
-        return DropTailQueue(self.queue_capacity_packets)
 
 
 class Topology:
@@ -97,11 +90,8 @@ class Topology:
         if (a_name, b_name) in self._interfaces:
             raise ValueError("nodes %s and %s are already connected" % (a_name, b_name))
         for src, dst in ((node_a, node_b), (node_b, node_a)):
-            link = Link(spec.rate, spec.delay, name="%s->%s" % (src.name, dst.name))
-            iface = Interface(
-                self.sim, src, link, queue=spec.make_queue(),
-                name="%s->%s" % (src.name, dst.name),
-            )
+            name = "%s->%s" % (src.name, dst.name)
+            iface = Interface(self.sim, src, Link(spec.rate, spec.delay, name=name), name=name)
             iface.attach_peer(dst)
             src.add_interface(iface)
             self._interfaces[src.name, dst.name] = iface
@@ -175,11 +165,6 @@ class Topology:
         """The :class:`LinkSpec` of each link along :meth:`path`."""
         names = self.path(src_name, dst_name)
         return [self._neighbours[a][b] for a, b in zip(names, names[1:])]
-
-    @property
-    def link_count(self) -> int:
-        """Number of duplex links in the topology."""
-        return len(self._interfaces) // 2
 
 
 def build_chain(

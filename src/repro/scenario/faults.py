@@ -283,8 +283,6 @@ class FaultInjector:
         self.down: Dict[str, float] = {}
         self.kills = 0
         self.restarts = 0
-        #: Installed link fault models, for counter aggregation.
-        self.link_models: List[FaultModel] = []
 
     def arm(self) -> None:
         """Install every fault part and schedule the planned events."""
@@ -348,9 +346,6 @@ class FaultInjector:
                 install_fault_model(
                     interface, model if wrap is None else wrap(model)
                 )
-                # Counters aggregate the inner model either way: for
-                # trunk faults it sees exactly the inter-relay packets.
-                self.link_models.append(model)
 
         if part.links in ("access", "all"):
             for relay in self.network.relay_names:

@@ -11,8 +11,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.net.faults import BernoulliLossModel, install_fault_model
-from repro.net.queues import ScriptedLossQueue
+from repro.net.faults import BernoulliLossModel, ScriptedLossModel, install_fault_model
 from repro.sim.simulator import Simulator
 from repro.transport.config import CELL_PAYLOAD, TransportConfig
 
@@ -41,7 +40,9 @@ def test_property_any_loss_pattern_recovers(link_index, drops, payload_cells):
         sim, payload_bytes=payload_cells * CELL_PAYLOAD, config=RELIABLE
     )
     node, peer = LINKS[link_index]
-    topology._interface_between(node, peer).queue = ScriptedLossQueue(drops)
+    install_fault_model(
+        topology._interface_between(node, peer), ScriptedLossModel(drops)
+    )
 
     offsets = []
     original = flow.sink.on_cell
@@ -71,11 +72,13 @@ def test_property_simultaneous_data_and_feedback_loss(drops_forward, drops_rever
     flow, topology, __ = make_chain_flow(
         sim, payload_bytes=30 * CELL_PAYLOAD, config=RELIABLE
     )
-    topology._interface_between("relay1", "relay2").queue = ScriptedLossQueue(
-        drops_forward
+    install_fault_model(
+        topology._interface_between("relay1", "relay2"),
+        ScriptedLossModel(drops_forward),
     )
-    topology._interface_between("relay2", "relay1").queue = ScriptedLossQueue(
-        drops_reverse
+    install_fault_model(
+        topology._interface_between("relay2", "relay1"),
+        ScriptedLossModel(drops_reverse),
     )
     sim.run_until(120.0)
     assert flow.done
@@ -94,10 +97,10 @@ def test_property_seeded_bernoulli_fault_plane_recovers(
 ):
     """Seeded Bernoulli loss via the fault plane: full in-order delivery.
 
-    Unlike the scripted-queue tests above, the loss here rides the new
-    per-interface ``fault_model`` hook — the same plane the adversity
-    scenarios use — with an explicitly seeded RNG, so any failure is
-    replayable from (seed, loss_rate, link_index) alone.
+    Unlike the scripted-loss tests above, the loss here is random — the
+    model the adversity scenarios use — with an explicitly seeded RNG,
+    so any failure is replayable from (seed, loss_rate, link_index)
+    alone.
     """
     payload_cells = 20
     sim = Simulator()

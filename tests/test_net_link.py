@@ -7,11 +7,10 @@ import pytest
 from repro.net.link import Interface, Link
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
 from repro.units import mbit_per_second, milliseconds
 
 
-def wire(sim, rate_mbit=8.0, delay_ms=10.0, queue=None):
+def wire(sim, rate_mbit=8.0, delay_ms=10.0):
     """A sender node wired to a receiving node that records arrivals."""
     received = []
 
@@ -22,7 +21,7 @@ def wire(sim, rate_mbit=8.0, delay_ms=10.0, queue=None):
     sender = Node(sim, "tx")
     receiver = Node(sim, "rx", handler=Recorder())
     link = Link(mbit_per_second(rate_mbit), milliseconds(delay_ms), name="tx->rx")
-    iface = Interface(sim, sender, link, queue=queue)
+    iface = Interface(sim, sender, link)
     iface.attach_peer(receiver)
     sender.add_interface(iface)
     sender.routes["rx"] = iface
@@ -84,17 +83,6 @@ def test_interface_counters(sim):
     sim.run()
     assert iface.packets_sent == 3
     assert iface.bytes_sent == 1500
-
-
-def test_droptail_interface_drops_when_full(sim):
-    sender, iface, received = wire(sim, queue=DropTailQueue(1))
-    results = [sender.send(Packet(1000, dst="rx")) for __ in range(5)]
-    sim.run()
-    # First is transmitted immediately, second queued; the rest dropped.
-    assert results[0] and results[1]
-    assert not any(results[2:])
-    assert len(received) == 2
-    assert iface.queue.stats.dropped == 3
 
 
 def test_send_without_peer_raises(sim):

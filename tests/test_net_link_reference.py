@@ -7,9 +7,10 @@ event's sequence number instead and pushes it late (see
 This module keeps the old transmitter, :class:`EagerInterface`, as the
 reference and drives both through the same random arrival schedules —
 exact same-instant ties on both sides of the reserved number, sends
-from inside an ``on_tx_start`` hook, full drop-tail queues, a rate
-change mid-run and fault verdicts — and requires the same log, entry
-for entry.
+from inside an ``on_tx_start`` hook, a rate change mid-run and
+scripted fault verdicts, as a :class:`~repro.net.faults.ScriptedLossModel`
+gives them (the ``-1.0`` verdict drops a packet: the only way a link
+loses one) — and requires the same log, entry for entry.
 
 It also pins what the change is for, as exact event counts.
 """
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from repro.net.link import Interface, Link
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, FifoQueue
+from repro.net.queues import FifoQueue
 from repro.sim.simulator import Simulator
 from repro.units import Rate
 
@@ -43,9 +44,9 @@ HORIZON = 128 * SLOT
 class EagerInterface:
     """The transmitter before the change: one completion event per packet."""
 
-    def __init__(self, sim, owner, link, queue=None):
+    def __init__(self, sim, owner, link):
         self._sim, self.owner, self.link = sim, owner, link
-        self.queue = queue if queue is not None else FifoQueue()
+        self.queue = FifoQueue()
         self.peer = None
         self.busy = False
         self.packets_sent = self.bytes_sent = 0
@@ -55,10 +56,9 @@ class EagerInterface:
         self.peer = peer
 
     def send(self, packet):
-        accepted = self.queue.offer(packet)
-        if accepted and not self.busy:
+        self.queue.offer(packet)
+        if not self.busy:
             self._transmit_next()
-        return accepted
 
     def _transmit_next(self):
         packet = self.queue.take()
@@ -106,7 +106,7 @@ class ScriptedFaults:
 class World:
     """One simulator, one interface under test, and a log of what it did."""
 
-    def __init__(self, interface_cls, capacity, verdicts):
+    def __init__(self, interface_cls, verdicts):
         self.sim = sim = Simulator()
         self.log = log = []
         self.sent = 0
@@ -116,9 +116,8 @@ class World:
                 ("deliver", sim.now, packet.payload, packet.hops)
             ),
         )
-        queue = DropTailQueue(capacity) if capacity else None
         self.link = Link(RATE, DELAY)
-        self.iface = interface_cls(sim, Node(sim, "tx"), self.link, queue=queue)
+        self.iface = interface_cls(sim, Node(sim, "tx"), self.link)
         self.iface.attach_peer(receiver)
         if verdicts:
             self.iface.fault_model = ScriptedFaults(verdicts)
@@ -130,8 +129,8 @@ class World:
         if hook_sends is not None:
             packet.on_tx_start = self.on_tx_start
             packet.on_tx_start_arg = (label, hook_sends)
-        accepted = self.iface.send(packet)
-        self.log.append(("send", self.sim.now, label, accepted))
+        self.iface.send(packet)
+        self.log.append(("send", self.sim.now, label))
 
     def on_tx_start(self, arg):
         label, sends = arg
@@ -172,8 +171,8 @@ _op = st.tuples(
     st.one_of(st.none(), st.integers(0, 4)),   # follow-up, in half slots
 )
 _schedule = st.lists(st.tuples(st.integers(0, 16), _op), max_size=24)
+# Fault verdicts: deliver, drop (-1.0) or deliver late.
 _setup = st.tuples(
-    st.sampled_from([0, 1, 2]),                              # drop-tail bound
     st.lists(st.sampled_from([0.0, 0.0, -1.0, SLOT / 4]), max_size=4),
 )
 
@@ -227,7 +226,7 @@ def test_tie_on_either_side_of_the_reserved_number():
         schedule = [(0, ("send", BIG, None, follow_up))]
         if follow_up is None:
             schedule.append((2, ("send", BIG, None, None)))
-        setup = (0, [])
+        setup = ([],)
         eager = _play(EagerInterface, setup, schedule, _run)
         lazy = _play(Interface, setup, schedule, _run)
         assert lazy.outcome() == eager.outcome()
@@ -243,7 +242,7 @@ def test_send_between_runs_on_the_instant_the_wire_frees():
     # smaller number than the one the transmission reserved.
     seen = []
     for interface_cls in (EagerInterface, Interface):
-        world = World(interface_cls, 0, [])
+        world = World(interface_cls, [])
         world.sim.schedule_at(SLOT, world.apply, ("send", BIG, None, None))
         world.sim.schedule_at(2 * SLOT, world.apply, ("probe", BIG, None, None))
         world.sim.run_until(2 * SLOT)
@@ -263,7 +262,7 @@ def test_assigning_on_serialize_changes_nothing():
     # hook that would have claimed every packet.
     seen = []
     for capture in (None, lambda packet, arrival_time: True):
-        world = World(Interface, 0, [0.0, -1.0, SLOT / 4])
+        world = World(Interface, [0.0, -1.0, SLOT / 4])
         if capture is not None:
             world.iface.on_serialize = capture
         for __ in range(9):

@@ -545,23 +545,29 @@ def test_link_faults_rejects_unknown_links_selector():
         LinkFaults(loss_rate=0.01, links="core").validate(faulted_scenario())
 
 
-def _installed_injector(part):
+def _installed_network(part):
+    """The network with *part* installed, and its interfaces' fault models."""
     scenario = faulted_scenario(faults=(part,))
     plan = plan_scenario(scenario)
     sim = Simulator()
     network = instantiate_network(plan.network, sim)
-    injector = FaultInjector(sim, scenario, plan, network)
-    injector.install_link_faults(part)
-    return injector, network
+    FaultInjector(sim, scenario, plan, network).install_link_faults(part)
+    models = [
+        iface.fault_model
+        for node in network.topology.nodes.values()
+        for iface in node.interfaces
+        if iface.fault_model is not None
+    ]
+    return network, models
 
 
 def test_trunk_selector_installs_filtered_models_on_relay_links():
     part = LinkFaults(loss_rate=0.02, links="trunk")
-    injector, network = _installed_injector(part)
+    network, models = _installed_network(part)
     # One loss model per relay-link direction, counters on the inner.
-    assert len(injector.link_models) == 2 * len(network.relay_names)
-    assert all(isinstance(m, BernoulliLossModel)
-               for m in injector.link_models)
+    assert len(models) == 2 * len(network.relay_names)
+    assert all(isinstance(m, FilteredFaultModel)
+               and isinstance(m.inner, BernoulliLossModel) for m in models)
     iface = network.topology._interface_between(
         network.relay_names[0], network.hub_name
     )
@@ -579,8 +585,8 @@ def test_trunk_selector_installs_filtered_models_on_relay_links():
 
 def test_access_selector_keeps_historical_install_shape():
     part = LinkFaults(loss_rate=0.02)  # default links="access"
-    injector, network = _installed_injector(part)
-    assert len(injector.link_models) == 2 * len(network.relay_names)
+    network, models = _installed_network(part)
+    assert len(models) == 2 * len(network.relay_names)
     iface = network.topology._interface_between(
         network.relay_names[0], network.hub_name
     )
@@ -591,10 +597,10 @@ def test_access_selector_keeps_historical_install_shape():
 
 def test_all_selector_adds_endpoint_links():
     part = LinkFaults(loss_rate=0.02, links="all")
-    injector, network = _installed_injector(part)
+    network, models = _installed_network(part)
     expected = 2 * (len(network.relay_names) + len(network.client_names)
                     + len(network.server_names))
-    assert len(injector.link_models) == expected
+    assert len(models) == expected
     iface = network.topology._interface_between(
         network.client_names[0], network.hub_name
     )

@@ -14,8 +14,9 @@ every cell handed to every host, with the ``(time, seq)`` slot of the
 delivery event, and every host, circuit, sender, controller, node,
 interface and queue counter.  The schedules cover a star and a chain
 (where other hosts' nodes carry transit traffic), a relay shared by
-every circuit, a :class:`ScriptedLossQueue` assigned to an interface
-after construction, a relay kill and restart, a mid-run teardown and a
+every circuit, a :class:`~repro.net.faults.ScriptedLossModel` installed
+on an interface after construction (its drop verdict, counted by the
+model, is how a packet is lost), a relay kill and restart, a mid-run teardown and a
 circuit id registered again after it was retired.  Link rates and delays
 are powers of two, so same-instant ties are the rule, not the exception.
 """
@@ -29,8 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.factory import make_controller
+from repro.net.faults import ScriptedLossModel, install_fault_model
 from repro.net.packet import Packet
-from repro.net.queues import ScriptedLossQueue
 from repro.net.topology import LinkSpec, build_chain, build_star
 from repro.sim.simulator import Simulator
 from repro.tor.cells import Cell, CellKind, DataCell, DestroyCell, FeedbackCell
@@ -325,7 +326,7 @@ class World:
             name, iface_index, drops = loss
             node = self.topology.node(name)
             iface = node.interfaces[iface_index % len(node.interfaces)]
-            iface.queue = ScriptedLossQueue(drops)
+            install_fault_model(iface, ScriptedLossModel(drops))
         self.paths = {}
         self.senders = []      # every sender ever made, closed ones included
         self.controllers = []
@@ -416,7 +417,8 @@ class World:
             name: (
                 node.packets_received, node.bytes_received,
                 node.packets_dropped_down,
-                [(i.packets_sent, i.bytes_sent, i.queue.stats, len(i.queue), i.busy)
+                [(i.packets_sent, i.bytes_sent, i.queue.stats, len(i.queue), i.busy,
+                  i.fault_model and i.fault_model.packets_dropped)
                  for i in node.interfaces],
             )
             for name, node in self.topology.nodes.items()
@@ -539,7 +541,7 @@ def test_fixed_schedules_reach_every_arm_and_match():
     seen = set()
     ops = [("kill", (40, "n4"), 1024), ("teardown", 1, 12), ("recycle", 1, 4096)]
     for shape in ("star", "chain"):
-        # n3's first interface drops a few of its arrivals, or nearly all.
+        # n3's first interface loses a few of the packets it sends, or nearly all.
         for reliable, drops in ((False, {1, 4, 5}), (True, {1, 4, 5}), (True, range(1, 60))):
             schedule = _fixed(shape, reliable, ("n3", 0, frozenset(drops)), ops)
             outcome = play(TorHost, schedule)
@@ -557,7 +559,7 @@ def test_fixed_schedules_reach_every_arm_and_match():
                 "timeout": any(c["timeouts"] for __, c, *___ in outcome["senders"]),
                 "duplicate": any(s[3] for host in hosts for s in host[6].values()),
                 "gap": any(s[4] for host in hosts for s in host[6].values()),
-                "queue-drop": any(i[2].dropped for node in outcome["nodes"].values()
+                "fault-drop": any(i[5] for node in outcome["nodes"].values()
                                   for i in node[3]),
                 "recycled-delivery": any(e[0] == "sink" and e[1] > 2.0
                                          for e in outcome["log"]),
@@ -565,7 +567,7 @@ def test_fixed_schedules_reach_every_arm_and_match():
             seen.update(name for name, hit in found.items() if hit)
     assert seen == {
         "destroy", "late", "relay-died", "hop-broken", "timeout", "duplicate",
-        "gap", "queue-drop", "recycled-delivery",
+        "gap", "fault-drop", "recycled-delivery",
     }
 
 

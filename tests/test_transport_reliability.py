@@ -1,16 +1,17 @@
 """Tests for per-hop loss recovery (go-back-N retransmission).
 
-Loss is injected deterministically with
-:class:`~repro.net.queues.ScriptedLossQueue` on specific interfaces of
-a chain; the reliable transport must deliver the exact payload anyway,
-in order and without duplicates at the application.
+Loss is injected deterministically with a
+:class:`~repro.net.faults.ScriptedLossModel` on specific interfaces of
+a chain: its drop verdict loses the n-th packet the interface
+transmits.  The reliable transport must deliver the exact payload
+anyway, in order and without duplicates at the application.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net.queues import ScriptedLossQueue
+from repro.net.faults import ScriptedLossModel, install_fault_model
 from repro.sim.simulator import Simulator
 from repro.transport.config import CELL_PAYLOAD, TransportConfig
 from repro.transport.hop import HopBrokenError, HopSender
@@ -25,12 +26,12 @@ RELIABLE = TransportConfig(reliable=True, rto_min=0.05, rto_initial=0.3)
 
 def lossy_flow(sim, node_name, peer_name, drop_indices, payload_cells=40,
                config=RELIABLE):
-    """A chain flow with scripted losses on one interface's queue."""
+    """A chain flow with scripted losses on one interface."""
     flow, topology, specs = make_chain_flow(
         sim, payload_bytes=payload_cells * CELL_PAYLOAD, config=config
     )
     iface = topology._interface_between(node_name, peer_name)
-    iface.queue = ScriptedLossQueue(drop_indices)
+    install_fault_model(iface, ScriptedLossModel(drop_indices))
     return flow, topology
 
 
