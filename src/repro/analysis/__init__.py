@@ -18,7 +18,7 @@ from .stats import (
     stochastic_dominance_fraction,
     summarize,
 )
-from .trace import TraceRecorder, resample_step, step_value_at
+from .trace import TraceRecorder, step_value_at
 
 __all__ = [
     "EmpiricalCdf",
@@ -33,7 +33,6 @@ __all__ = [
     "hop_loop_delay",
     "jain_fairness_index",
     "optimal_windows",
-    "resample_step",
     "settled_error",
     "source_optimal_window",
     "stochastic_dominance_fraction",

@@ -3,16 +3,16 @@
 :class:`TraceRecorder` collects ``(time, value)`` samples — the source
 cwnd over time for the Figure-1 upper panels, queue depths for the
 diagnostics — and offers the small amount of post-processing the
-experiments need: step-function evaluation, resampling onto a regular
-grid, and unit conversion (cells → kilobytes, seconds → milliseconds).
+experiments need: step-function evaluation and unit conversion
+(cells → kilobytes, seconds → milliseconds).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["TraceRecorder", "step_value_at", "resample_step"]
+__all__ = ["TraceRecorder", "step_value_at"]
 
 
 class TraceRecorder:
@@ -108,20 +108,3 @@ def step_value_at(times: Sequence[float], values: Sequence[float], time: float) 
             "time %r precedes the first sample at %r" % (time, times[0])
         )
     return values[index]
-
-
-def resample_step(
-    trace: TraceRecorder, grid: Iterable[float]
-) -> List[Tuple[float, Optional[float]]]:
-    """Sample *trace* as a step function on *grid*.
-
-    Grid points before the first sample yield ``None`` instead of
-    raising, which keeps plotting code simple.
-    """
-    out: List[Tuple[float, Optional[float]]] = []
-    for t in grid:
-        if not trace.times or t < trace.times[0]:
-            out.append((t, None))
-        else:
-            out.append((t, trace.value_at(t)))
-    return out

@@ -1,4 +1,4 @@
-"""Reporting: ASCII figures, aligned tables, CSV export, partial sweeps."""
+"""Reporting: ASCII figures, aligned tables, partial sweeps."""
 
 from .ascii import (
     render_cdf_pair,
@@ -8,7 +8,7 @@ from .ascii import (
 )
 from .partial import partial_payload, partial_writer, render_partial_table
 from .summary import generate_report
-from .tables import format_table, rows_to_csv_text, write_csv
+from .tables import format_table
 
 __all__ = [
     "format_table",
@@ -20,6 +20,4 @@ __all__ = [
     "render_partial_table",
     "render_series",
     "render_trace",
-    "rows_to_csv_text",
-    "write_csv",
 ]

@@ -1,12 +1,10 @@
-"""Plain-text tables and CSV export for experiment results."""
+"""Plain-text tables for experiment results."""
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Any, Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "write_csv", "rows_to_csv_text"]
+__all__ = ["format_table"]
 
 
 def _cell_text(value: Any) -> str:
@@ -43,21 +41,3 @@ def format_table(
     parts.append(line(["-" * w for w in widths]))
     parts.extend(line(row) for row in text_rows)
     return "\n".join(parts)
-
-
-def rows_to_csv_text(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Serialize rows as CSV text (header first)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(list(row))
-    return buffer.getvalue()
-
-
-def write_csv(
-    path: str, headers: Sequence[str], rows: Iterable[Sequence[Any]]
-) -> None:
-    """Write rows as a CSV file at *path*."""
-    with open(path, "w", newline="") as f:
-        f.write(rows_to_csv_text(headers, rows))

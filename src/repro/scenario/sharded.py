@@ -26,7 +26,6 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cache import PlanCache
 from .engine import (
     ScenarioCircuitSample,
     ScenarioResult,
@@ -36,12 +35,11 @@ from .engine import (
 )
 from .netgen import NetworkPlan
 from .probes import GoodputProbe, ProbeSeries
-from .spec import PlannedCircuit, Scenario, ScenarioPlan, plan_scenario
+from .spec import PlannedCircuit, Scenario, ScenarioPlan
 
 __all__ = [
     "ShardingError",
     "partition_plan",
-    "run_scenario_sharded",
     "run_sharded",
 ]
 
@@ -101,18 +99,6 @@ def _circuit_leaves(planned: PlannedCircuit) -> List[str]:
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
-
-
-def run_scenario_sharded(
-    scenario: Scenario,
-    kinds: Optional[Sequence[str]] = None,
-    cache: Optional[PlanCache] = None,
-    shards: int = 1,
-) -> ScenarioResult:
-    """Plan (or fetch the cached plan) and run *scenario* sharded."""
-    return run_sharded(
-        plan_scenario(scenario, cache=cache), kinds=kinds, shards=shards
-    )
 
 
 def run_sharded(

@@ -10,8 +10,8 @@ The simulation deals with three kinds of quantities:
   constants (:data:`KIB`, :data:`MIB`) and constructors (:func:`kib`,
   :func:`mib`) cover the common cases.
 * **rates** — transmission speed.  Rates get a real class,
-  :class:`Rate`, because rate arithmetic (transmission time of a packet,
-  bandwidth-delay products) is where unit bugs actually happen.  A
+  :class:`Rate`, because rate arithmetic (transmission time of a packet)
+  is where unit bugs actually happen.  A
   :class:`Rate` stores bytes/second internally and exposes explicit
   conversions.
 
@@ -29,10 +29,7 @@ __all__ = [
     "KIB",
     "MIB",
     "Rate",
-    "bandwidth_delay_product",
     "bits_per_second",
-    "gbit_per_second",
-    "kbit_per_second",
     "kib",
     "mbit_per_second",
     "mib",
@@ -127,27 +124,6 @@ def bits_per_second(value: float) -> Rate:
     return Rate(value / 8.0)
 
 
-def kbit_per_second(value: float) -> Rate:
-    """Rate of *value* kilobits (1e3 bits) per second."""
-    return bits_per_second(value * 1e3)
-
-
 def mbit_per_second(value: float) -> Rate:
     """Rate of *value* megabits (1e6 bits) per second."""
     return bits_per_second(value * 1e6)
-
-
-def gbit_per_second(value: float) -> Rate:
-    """Rate of *value* gigabits (1e9 bits) per second."""
-    return bits_per_second(value * 1e9)
-
-
-def bandwidth_delay_product(rate: Rate, rtt: float) -> float:
-    """Bytes in flight needed to keep a *rate* pipe with delay *rtt* full.
-
-    This is the classic BDP; CircuitStart's optimal-window model
-    (:mod:`repro.analysis.optimal_window`) builds on it hop by hop.
-    """
-    if rtt < 0:
-        raise ValueError("rtt must be non-negative, got %r" % rtt)
-    return rate.bytes_per_second * rtt

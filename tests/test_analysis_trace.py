@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.trace import TraceRecorder, resample_step, step_value_at
+from repro.analysis.trace import TraceRecorder, step_value_at
 
 
 def make_trace():
@@ -86,15 +86,3 @@ def test_window_slices_inclusive():
 def test_window_validates_bounds():
     with pytest.raises(ValueError):
         make_trace().window(2.0, 1.0)
-
-
-def test_resample_step_on_grid():
-    t = make_trace()
-    grid = [-1.0, 0.0, 0.5, 2.5]
-    out = resample_step(t, grid)
-    assert out == [(-1.0, None), (0.0, 2.0), (0.5, 2.0), (2.5, 8.0)]
-
-
-def test_resample_empty_trace():
-    out = resample_step(TraceRecorder(), [0.0, 1.0])
-    assert out == [(0.0, None), (1.0, None)]

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.stats import EmpiricalCdf
 from repro.analysis.trace import TraceRecorder
 from repro.report.ascii import render_cdf_pair, render_series, render_trace
-from repro.report.tables import format_table, rows_to_csv_text, write_csv
+from repro.report.tables import format_table
 
 
 def make_trace():
@@ -97,14 +97,3 @@ def test_format_table_row_length_checked():
 def test_format_table_float_formatting():
     out = format_table(["x"], [[0.123456789]])
     assert "0.1235" in out
-
-
-def test_rows_to_csv_text():
-    text = rows_to_csv_text(["a", "b"], [[1, 2], [3, 4]])
-    assert text.splitlines() == ["a,b", "1,2", "3,4"]
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "out.csv"
-    write_csv(str(path), ["x"], [[1], [2]])
-    assert path.read_text().splitlines() == ["x", "1", "2"]

@@ -30,7 +30,6 @@ from repro.scenario.probes import (
 from repro.scenario.sharded import (
     ShardingError,
     partition_plan,
-    run_scenario_sharded,
     run_sharded,
 )
 from repro.scenario.spec import Scenario, plan_scenario
@@ -202,12 +201,12 @@ def test_sharded_result_identical_cold_and_warm_cache(tmp_path):
     cold_cache = PlanCache()
     cold_cache.disk = DiskPlanCache(str(tmp_path))
     cold = result_bytes(
-        run_scenario_sharded(scenario, cache=cold_cache, shards=3)
+        run_sharded(plan_scenario(scenario, cache=cold_cache), shards=3)
     )
     warm_cache = PlanCache()  # fresh memory tier, warm disk tier
     warm_cache.disk = DiskPlanCache(str(tmp_path))
     warm = result_bytes(
-        run_scenario_sharded(scenario, cache=warm_cache, shards=3)
+        run_sharded(plan_scenario(scenario, cache=warm_cache), shards=3)
     )
     assert warm == cold
     stats = warm_cache.stats()

@@ -10,10 +10,7 @@ from repro.units import (
     KIB,
     MIB,
     Rate,
-    bandwidth_delay_product,
     bits_per_second,
-    gbit_per_second,
-    kbit_per_second,
     kib,
     mbit_per_second,
     mib,
@@ -37,9 +34,7 @@ def test_size_helpers():
 
 def test_rate_constructors_agree():
     assert bits_per_second(8e6).bytes_per_second == 1e6
-    assert kbit_per_second(8000).bytes_per_second == 1e6
     assert mbit_per_second(8).bytes_per_second == 1e6
-    assert gbit_per_second(0.008).bytes_per_second == pytest.approx(1e6)
 
 
 def test_rate_properties():
@@ -85,12 +80,6 @@ def test_rates_order_by_throughput():
     assert min(mbit_per_second(5), mbit_per_second(3)) == mbit_per_second(3)
 
 
-def test_bandwidth_delay_product():
-    assert bandwidth_delay_product(mbit_per_second(8), 0.1) == pytest.approx(1e5)
-    with pytest.raises(ValueError):
-        bandwidth_delay_product(mbit_per_second(8), -0.1)
-
-
 @given(
     st.floats(min_value=1e3, max_value=1e10),
     st.integers(min_value=0, max_value=10**9),
@@ -100,11 +89,3 @@ def test_property_transmission_roundtrip(bytes_per_second, nbytes):
     rate = Rate(bytes_per_second)
     tx = rate.transmission_time(nbytes)
     assert rate.bytes_per_second * tx == pytest.approx(nbytes, rel=1e-9, abs=1e-6)
-
-
-@given(st.floats(min_value=1e3, max_value=1e10), st.floats(min_value=0, max_value=10))
-def test_property_bdp_scales_linearly(bytes_per_second, rtt):
-    rate = Rate(bytes_per_second)
-    assert bandwidth_delay_product(rate, rtt) == pytest.approx(
-        rate.bytes_per_second * rtt
-    )
