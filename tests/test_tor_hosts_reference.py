@@ -16,9 +16,10 @@ interface and queue counter.  The schedules cover a star and a chain
 (where other hosts' nodes carry transit traffic), a relay shared by
 every circuit, a :class:`~repro.net.faults.ScriptedLossModel` installed
 on an interface after construction (its drop verdict, counted by the
-model, is how a packet is lost), a relay kill and restart, a mid-run teardown and a
-circuit id registered again after it was retired.  Link rates and delays
-are powers of two, so same-instant ties are the rule, not the exception.
+model, is how a packet is lost), a relay kill and restart, a mid-run
+teardown and a circuit id registered again after it was retired.  Link
+rates and delays are powers of two, so same-instant ties are the rule,
+not the exception.
 """
 
 from __future__ import annotations
