@@ -10,8 +10,12 @@ the simulator:
   regardless of heap internals.
 * **Cheap cancellation.**  Cancelling an event marks its handle instead
   of rebuilding the heap; the simulator's loop discards dead entries
-  lazily when they surface.  Timers that are rescheduled often
-  (retransmission timers, idle timeouts) stay O(log n).
+  lazily when they surface.  Re-arming a timer to a later deadline
+  (``Simulator.rearm``) costs no heap operation at all: the handle
+  takes a new ``time`` and ``seq`` and its entry stays put, to be
+  pushed again at the due place when it surfaces under its old
+  ``seq``.  A retransmission timer, pushed back on every cell sent,
+  touches the heap only when one of its old deadlines surfaces.
 
 :class:`EventQueue` owns the heap, the sequence counter and the books on
 cancelled entries, and builds the cancellable entries
@@ -136,7 +140,9 @@ class EventQueue:
       simulator straight onto :attr:`_heap`.
 
     ``(time, seq)`` is unique per entry, so heap comparisons never reach
-    the third element and the two shapes mix freely.  The queue itself
+    the third element and the two shapes mix freely.  A handle entry
+    whose ``seq`` differs from its handle's was re-armed to a later
+    place; the simulator's loop moves it there when it surfaces.  The queue itself
     knows nothing about simulated time; the simulator validates times
     before pushing, and pops.
     """

@@ -14,6 +14,8 @@ and provides the scheduling API every other subsystem builds on:
   needed, and tell whether the loop has already gone past that place;
 * :meth:`Simulator.call_soon` — run a callback at the current instant,
   after the currently executing event (FIFO);
+* :meth:`Simulator.rearm` — ``handle.cancel()`` plus ``schedule``, in
+  one call that moves a pending handle to a later deadline in place;
 * :meth:`Simulator.run` / :meth:`run_until` / :meth:`run_for` — drive
   the event loop;
 * :meth:`Simulator.stop` — halt the loop from inside a callback;
@@ -45,6 +47,22 @@ caller acts on the spot instead.  :class:`~repro.net.link.Interface`
 uses this so that a link transmission costs one event (the delivery)
 unless a second packet arrives while the first is on the wire.
 
+The re-arm contract: ``rearm(handle, delay, callback, *args)`` returns
+a handle that fires exactly where ``handle.cancel()`` followed by
+``schedule(delay, callback, *args)`` would have put the event — it
+draws the same sequence number at the same point of the run, so every
+event keeps its ``(time, seq)`` and :attr:`events_executed` and
+:attr:`pending_events` do not change.  When *handle* is pending and the
+new deadline is no earlier than its current one, the handle itself is
+returned with its ``time`` and ``seq`` rewritten: its heap entry stays
+where it is, and when that entry surfaces under its old ``seq`` the
+loop pushes it again at the handle's due place.  That move is not an
+event; like a cancelled entry surfacing, it counts toward neither
+:attr:`events_executed` nor *max_events*.  An earlier deadline, or a
+fired or cancelled handle, takes the cancel + ``schedule`` path and
+returns a new handle.  A retransmission timer pushed back on every
+cell sent thus costs no heap operation per cell.
+
 The simulator replaces ns-3 as the substrate the paper's evaluation ran
 on: CircuitStart's behaviour depends only on event timing, which a
 calendar-queue DES reproduces exactly.
@@ -52,7 +70,7 @@ calendar-queue DES reproduces exactly.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Optional
 
 from .errors import ClockError, SchedulingError
@@ -189,6 +207,32 @@ class Simulator:
         """
         return self._queue.push(self.now, callback, args)
 
+    def rearm(
+        self,
+        handle: EventHandle,
+        delay: float,
+        callback: Callable[..., Any],
+        *args: Any,
+    ) -> EventHandle:
+        """Cancel *handle* and schedule *callback(\\*args)* after *delay*.
+
+        Returns the handle of the new event: *handle* itself, moved in
+        place, when it was pending and the new deadline is no earlier
+        than its old one; a new handle otherwise (see the re-arm
+        contract above).
+        """
+        if not delay >= 0:  # negative or NaN
+            raise SchedulingError("delay must be non-negative, got %r" % delay)
+        time = self.now + delay
+        if handle._queue is None or time < handle.time:
+            handle.cancel()
+            return self._queue.push(time, callback, args)
+        handle.time = time
+        handle.seq = next(self._counter)
+        handle.callback = callback
+        handle.args = args
+        return handle
+
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel *handle*; return whether it was still pending.
 
@@ -282,10 +326,17 @@ class Simulator:
             while heap:
                 entry = heap[0]
                 fast = len(entry) == 4
-                if not fast and entry[2]._cancelled:
-                    heappop(heap)  # dead entry surfacing
-                    queue._dead -= 1
-                    continue
+                if not fast:
+                    handle = entry[2]
+                    if handle._cancelled:
+                        heappop(heap)  # dead entry surfacing
+                        queue._dead -= 1
+                        continue
+                    if handle.seq != entry[1]:
+                        # Re-armed since it was pushed: move the entry
+                        # to the handle's due place (not an event).
+                        heapreplace(heap, (handle.time, handle.seq, handle))
+                        continue
                 if self._stop_requested:
                     completed = False
                     break
@@ -308,7 +359,6 @@ class Simulator:
                 if fast:
                     entry[2](*entry[3])
                 else:
-                    handle = entry[2]
                     handle._queue = None
                     handle._fired = True
                     handle.callback(*handle.args)

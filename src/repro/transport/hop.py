@@ -103,6 +103,9 @@ class HopSender:
         self._retransmitted: Set[int] = set()
         self._retx_timer = None
         self._timeout_streak = 0
+        # The backed-off RTO last computed, until an RTT sample or a
+        # change of the streak makes it stale (None).
+        self._rto: Optional[float] = None
         self.retransmissions = 0
         self.timeouts = 0
         #: Optional pull source: consulted for the next ``(cell, token)``
@@ -250,6 +253,7 @@ class HopSender:
                 self.duplicate_feedback += 1
                 return
             self._timeout_streak = 0
+            self._rto = None
             now = self.sim.now
             for acked_seq in acked:
                 sent_at = send_times.pop(acked_seq)
@@ -279,19 +283,29 @@ class HopSender:
     # ------------------------------------------------------------------
 
     def _arm_timer(self) -> None:
-        if self._retx_timer is not None:
-            self._retx_timer.cancel()
-            self._retx_timer = None
+        timer = self._retx_timer
         if not self._unacked:
+            if timer is not None:
+                timer.cancel()
+                self._retx_timer = None
             self._timeout_streak = 0
+            self._rto = None
             return
-        rto = self.controller.rtt.retransmission_timeout(
-            minimum=self.config.rto_min,
-            maximum=self.config.rto_max,
-            fallback=self.config.rto_initial,
-        )
-        rto = min(rto * (2 ** self._timeout_streak), self.config.rto_max)
-        self._retx_timer = self.sim.schedule(rto, self._on_timeout)
+        rto = self._rto
+        if rto is None:
+            config = self.config
+            rto = self.controller.rtt.retransmission_timeout(
+                minimum=config.rto_min,
+                maximum=config.rto_max,
+                fallback=config.rto_initial,
+            )
+            rto = self._rto = min(rto * (2 ** self._timeout_streak), config.rto_max)
+        if timer is None:
+            self._retx_timer = self.sim.schedule(rto, self._on_timeout)
+        else:
+            # Usually a later deadline: the timer moves without a heap
+            # operation (see Simulator.rearm).
+            self._retx_timer = self.sim.rearm(timer, rto, self._on_timeout)
 
     def _on_timeout(self) -> None:
         self._retx_timer = None
@@ -299,6 +313,7 @@ class HopSender:
             return
         self.timeouts += 1
         self._timeout_streak += 1
+        self._rto = None
         if self._timeout_streak > self.config.max_retransmission_rounds:
             error = HopBrokenError(
                 "hop %s: %d retransmission rounds without progress"

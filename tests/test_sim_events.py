@@ -7,13 +7,14 @@ that heap.  The ordering properties are therefore driven through the
 simulator — ``schedule`` / ``schedule_fast`` / ``reserve_seq`` +
 ``schedule_reserved`` in, ``run`` / ``step`` out — so they hold for the
 loop production executes, and the queue is tested directly only for
-what it does itself.
+what it does itself.  ``Simulator.rearm`` is checked against the
+cancel + ``schedule`` pair it stands for.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.errors import SchedulingError
 from repro.sim.events import EventQueue
@@ -382,3 +383,144 @@ def test_same_timestamp_fifo_survives_compaction():
     # surviving handle event; dead entries never surfaced.
     assert order == list(range(10)) + ["late"]
     assert sim.events_executed == 11
+
+
+# ----------------------------------------------------------------------
+# Re-arm: Simulator.rearm against cancel + schedule
+# ----------------------------------------------------------------------
+
+
+def test_later_rearm_moves_the_handle_in_place():
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "old")
+    heap_size = len(sim._heap)
+    assert sim.rearm(handle, 2.0, fired.append, "new") is handle
+    assert len(sim._heap) == heap_size  # no push, no dead entry
+    assert handle.pending and sim.pending_events == 1
+    sim.run_until(1.5)  # the old place surfaces: a move, not an event
+    assert (fired, sim.events_executed, sim.pending_events) == ([], 0, 1)
+    sim.run()
+    assert (sim.now, fired, sim.events_executed) == (2.0, ["new"], 1)
+    assert handle.fired
+
+
+def test_earlier_or_spent_rearm_takes_a_new_handle():
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(2.0, fired.append, "late")
+    earlier = sim.rearm(handle, 1.0, fired.append, "early")
+    assert earlier is not handle and handle.cancelled and earlier.pending
+    sim.run()
+    assert fired == ["early"]
+    again = sim.rearm(earlier, 1.0, fired.append, "again")  # fired handle
+    assert again is not earlier and again.pending
+    again.cancel()
+    revived = sim.rearm(again, 0.5, fired.append, "revived")  # cancelled
+    assert revived is not again
+    sim.run()
+    assert fired == ["early", "revived"]
+    with pytest.raises(SchedulingError):
+        sim.rearm(revived, -1.0, fired.append)
+    with pytest.raises(SchedulingError):
+        sim.rearm(revived, float("nan"), fired.append)
+
+
+def test_cancel_after_a_deferred_rearm_leaves_no_live_event():
+    sim = Simulator()
+    handle = sim.schedule(1.0, lambda: None)
+    sim.rearm(handle, 3.0, lambda: None)
+    assert handle.cancel()
+    assert sim.pending_events == 0
+    sim.run()
+    assert sim.events_executed == 0 and sim._heap == []
+
+
+class _World:
+    """One simulator, three re-armable timers and a fired log.
+
+    ``deferred`` worlds re-arm through :meth:`Simulator.rearm`; the
+    reference world cancels and schedules, as callers did before it.
+    """
+
+    TIMERS = 3
+
+    def __init__(self, deferred):
+        self.sim = Simulator()
+        self.deferred = deferred
+        self.timers = [None] * self.TIMERS
+        self.log = []
+
+    def fire(self, label):
+        self.log.append((label, self.sim.now, self.sim.current_seq))
+
+    def rearm(self, index, delay):
+        handle = self.timers[index]
+        label = "timer%d" % index
+        if handle is None:
+            handle = self.sim.schedule(delay, self.fire, label)
+        elif self.deferred:
+            handle = self.sim.rearm(handle, delay, self.fire, label)
+        else:
+            handle.cancel()
+            handle = self.sim.schedule(delay, self.fire, label)
+        self.timers[index] = handle
+
+    def fire_and_rearm(self, index, delay):
+        # A timer pushed back from inside a running event, the way a
+        # hop sender re-arms on feedback.
+        self.fire("fast")
+        self.rearm(index, delay)
+
+    def apply(self, op, index, delay):
+        sim = self.sim
+        if op == "rearm":
+            self.rearm(index, delay)
+        elif op == "cancel":
+            if self.timers[index] is not None:
+                self.timers[index].cancel()
+        elif op == "fast":
+            sim.schedule_fast(delay, self.fire, "fast")
+        elif op == "fast_rearm":
+            sim.schedule_fast(delay, self.fire_and_rearm, index, delay)
+        elif op == "run_until":
+            sim.run_until(sim.now + delay)
+        elif op == "step":
+            sim.step()
+
+    def state(self):
+        sim = self.sim
+        return (list(self.log), sim.now, sim.current_seq,
+                sim.events_executed, sim.pending_events)
+
+
+_rearm_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["rearm", "rearm", "cancel", "fast", "fast_rearm", "run_until",
+             "step"]
+        ),
+        st.integers(0, _World.TIMERS - 1),
+        # Few, exactly representable delays: re-arms land earlier than,
+        # on, and later than a timer's deadline, and on fast events.
+        st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rearm_ops)
+# A later re-arm must draw a fresh sequence number: keeping the old one
+# fires timer0 at its old deadline of 0.5, not at 1.0.
+@example([("rearm", 0, 0.5), ("rearm", 0, 1.0), ("step", 0, 0.0)])
+def test_property_rearm_matches_cancel_and_schedule(ops):
+    world, reference = _World(deferred=True), _World(deferred=False)
+    for op in ops:
+        world.apply(*op)
+        reference.apply(*op)
+        assert world.state() == reference.state()
+    world.sim.run()
+    reference.sim.run()
+    assert world.state() == reference.state()
+    assert world.sim.pending_events == 0

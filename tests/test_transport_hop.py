@@ -267,3 +267,50 @@ def test_storm_counters_survive_close(sim):
     # move once the circuit is gone.
     sim.run_until(30.0)
     assert sender.counters() == after
+
+
+# ----------------------------------------------------------------------
+# When the retransmission timer fires, read off the wire
+# ----------------------------------------------------------------------
+#
+# Binary-fraction times and RTOs keep every deadline exact.  No
+# feedback carries an RTT sample here, so the base RTO is rto_initial.
+
+
+def _rto_config():
+    return TransportConfig(reliable=True, rto_initial=0.25, rto_min=0.0625,
+                           rto_max=1.0, max_retransmission_rounds=12)
+
+
+def _wire_times(wire):
+    return [time for time, __c, __t in wire]
+
+
+def test_first_timeout_fires_one_rto_after_the_last_send(sim):
+    sender, __, wire = make_sender(sim, _rto_config())
+    sender.enqueue(StubCell())
+    sim.run_until(0.125)
+    sender.enqueue(StubCell())  # pushes the deadline back to 0.375
+    sim.run_until(0.5)
+    # Go-back-N resends both cells when the timer fires.
+    assert _wire_times(wire) == [0.0, 0.125, 0.375, 0.375]
+
+
+def test_consecutive_timeouts_back_off_up_to_rto_max(sim):
+    sender, __, wire = make_sender(sim, _rto_config())
+    sender.enqueue(StubCell())
+    sim.run_until(3.0)
+    # RTO 0.25, then x2 per timeout: 0.5, 1.0, then capped at 1.0.
+    assert _wire_times(wire) == [0.0, 0.25, 0.75, 1.75, 2.75]
+    assert sender.timeouts == 4
+
+
+def test_feedback_after_a_backoff_brings_the_deadline_forward(sim):
+    sender, __, wire = make_sender(sim, _rto_config())
+    sender.enqueue(StubCell())
+    sender.enqueue(StubCell())
+    sim.run_until(0.3125)  # one timeout at 0.25: the RTO backs off to 0.5
+    sender.on_feedback(0)  # progress resets the backoff: RTO 0.25 again
+    sim.run_until(0.7)
+    # Cell 1 times out at 0.3125 + 0.25, before the 0.75 of the backoff.
+    assert _wire_times(wire) == [0.0, 0.0, 0.25, 0.25, 0.5625]
