@@ -224,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retransmission budget before a hop breaks "
                             "the circuit (default 1 — the break path "
                             "stays reachable while the schedule space "
-                            "stays exhaustively enumerable; 2 is already "
-                            "intractable at 2 hops and the engine "
+                            "stays exhaustively enumerable; 2 takes "
+                            "minutes at 2 hops with --loss-budget 1, is "
+                            "intractable without it, and the engine "
                             "default of 12 explodes the space)")
     check.add_argument("--max-states", type=int, default=None,
                        help="stop after exploring this many states "
