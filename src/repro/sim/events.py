@@ -58,7 +58,9 @@ class EventHandle:
 
     Handles are returned by :meth:`repro.sim.simulator.Simulator.schedule`
     (and friends).  They are single-shot: once fired or cancelled the
-    handle is inert.
+    handle is inert.  While pending, :meth:`Simulator.rearm
+    <repro.sim.simulator.Simulator.rearm>` may move one to a later
+    ``(time, seq)``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_fired",
