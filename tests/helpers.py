@@ -18,6 +18,7 @@ from repro.units import mbit_per_second, milliseconds
 __all__ = [
     "assert_shared_tier_counters",
     "json_digest",
+    "link_counters",
     "make_chain_flow",
     "read_header",
     "render_digest",
@@ -138,3 +139,27 @@ def link_packet_totals(topology):
     nodes = topology.nodes.values()
     sent = sum(iface.packets_sent for node in nodes for iface in node.interfaces)
     return sent, sum(node.packets_received for node in nodes)
+
+
+def link_counters(topology):
+    """What the link layer counted on *topology*: per interface ``(name,
+    packets_sent, bytes_sent, depth)``, then per node ``(name,
+    packets_received)``.
+
+    ``depth`` is the most packets that waited at once behind a
+    transmission, but at least 1 once the interface sent anything: the
+    FIFO the interface once had counted a packet that went straight
+    onto an idle wire as a depth of 1, and this keeps that reading.
+    """
+    nodes = topology.nodes.values()
+    return (
+        [
+            (
+                iface.name, iface.packets_sent, iface.bytes_sent,
+                max(iface.queue.stats.max_depth_packets, min(iface.packets_sent, 1)),
+            )
+            for node in nodes
+            for iface in node.interfaces
+        ],
+        [(node.name, node.packets_received) for node in nodes],
+    )
