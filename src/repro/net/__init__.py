@@ -1,4 +1,4 @@
-"""Network substrate: packets, queues, links, nodes and topologies.
+"""Network substrate: packets, links, nodes and topologies.
 
 This package models the parts of ns-3 the CircuitStart evaluation
 depends on — store-and-forward point-to-point links with configurable
@@ -10,13 +10,11 @@ this substitution preserves the paper's behaviour.
 from .link import Interface, Link
 from .node import ForwardingHandler, Node, PacketHandler
 from .packet import Packet
-from .queues import FifoQueue, QueueStats
 from .topology import LinkSpec, Topology, build_chain, build_star
 from .traffic import ConstantRateSender, LatencyTracker
 
 __all__ = [
     "ConstantRateSender",
-    "FifoQueue",
     "ForwardingHandler",
     "Interface",
     "LatencyTracker",
@@ -25,7 +23,6 @@ __all__ = [
     "Node",
     "Packet",
     "PacketHandler",
-    "QueueStats",
     "Topology",
     "build_chain",
     "build_star",

@@ -17,11 +17,11 @@ Links are *unidirectional*; :func:`connect_duplex` (in
 The receiving side hands packets to ``node.deliver``.
 
 This is the engine's hottest code: every cell crossing every link costs
-one pass through :meth:`Interface._transmit_next`.  Transmission times
-are therefore memoized per packet size (cells come in exactly two sizes,
-512 B data and 53 B feedback), the delivery event goes through the
-simulator's handle-free fast path, and the callbacks are pre-bound
-methods instead of per-cell closures.
+one pass through the transmit body of :meth:`Interface.send`.
+Transmission times are therefore memoized per packet size (cells come
+in exactly two sizes, 512 B data and 53 B feedback), the delivery event
+goes straight onto the simulator's heap, and the callbacks are
+pre-bound methods instead of per-cell closures.
 
 **One event per uncontended transmission.**  Hop-by-hop feedback keeps
 relay queues short, so most transmissions end with nothing waiting
@@ -39,27 +39,32 @@ an event, so ``sim.run()`` to exhaustion leaves the clock at the last
 delivery, not at the moment a dropped last packet would have cleared
 the wire.  ``run_until`` is unaffected.)
 
-**An idle wire has an empty queue.**  Packets wait only behind a
+**An idle wire has an empty backlog.**  Packets wait only behind a
 transmission, and whoever queues the first one schedules the wake that
-drains them, so ``not _wake_pending`` implies ``not queue``.  A packet
-sent onto an idle wire never enters the deque: the queue counts it
-with :meth:`~repro.net.queues.FifoQueue.pass_through` (the statistics
-of ``offer`` + ``take``) and the packet goes straight onto the wire.
-The delivery event is the peer's bound ``deliver`` itself.
+drains them, so ``not _wake_pending`` implies an empty backlog.  A
+packet sent onto an idle wire goes straight into the transmit body in
+:meth:`Interface.send` and touches no queue statistic; the wake runs
+the same body on the head of the backlog.  Deliveries and wakes are
+pushed with :attr:`~repro.sim.simulator.Simulator.push` under a number
+from ``reserve_seq``, so one link traversal costs the ``send`` frame
+plus the delivery event, which is the peer's bound ``deliver`` itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 from ..units import Rate
 from .packet import Packet
-from .queues import FifoQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .node import Node
 
 __all__ = ["Link", "Interface"]
+
+#: The arguments of a wake: ``send(None)``.
+_WAKE = (None,)
 
 
 class Link:
@@ -72,7 +77,7 @@ class Link:
     __slots__ = ("_rate", "delay", "name", "_tx_times")
 
     def __init__(self, rate: Rate, delay: float, name: str = "") -> None:
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise ValueError("propagation delay must be non-negative, got %r" % delay)
         self._rate = rate
         self.delay = float(delay)
@@ -113,12 +118,14 @@ class Link:
 class Interface:
     """The sending endpoint of a unidirectional link.
 
-    An interface belongs to a node, owns an egress queue and serializes
+    An interface belongs to a node, keeps an unbounded FIFO backlog of
+    packets waiting for the wire (it never drops) and serializes
     packets onto its :class:`Link` one at a time.  Delivery to the
     remote node happens ``tx_time + delay`` after transmission starts.
 
-    Statistics (``bytes_sent``, ``packets_sent``, plus the queue's own
-    counters) feed the experiment reports.
+    Statistics (``packets_sent``, ``bytes_sent``, ``backlog_packets``
+    and its high-water mark ``max_backlog_packets``) feed the
+    experiment reports.
 
     ``fault_model`` is an optional :class:`~repro.net.faults.FaultModel`
     filtering every transmission: its verdict drops the packet or adds
@@ -130,7 +137,6 @@ class Interface:
         self._sim = sim
         self.owner = owner
         self.link = link
-        self.queue = FifoQueue()
         self.name = name or ("%s.if" % owner.name)
         self.peer: Optional["Node"] = None  # set when wired into a topology
         # The wire is occupied until the simulator passes
@@ -138,16 +144,21 @@ class Interface:
         # current transmission's completion event sits, or would sit.
         self._free_at = float("-inf")
         self._free_seq = -1
-        # Whether that completion event is actually in the event queue
-        # (someone is waiting for the wire), or the hook of a starting
-        # transmission is still running.  Either way send() only queues.
+        # Whether that completion event (the wake) is actually in the
+        # event queue (someone is waiting for the wire), or the hook of
+        # a starting transmission is still running.  Either way send()
+        # only queues.
         self._wake_pending = False
+        # Packets waiting behind the transmission on the wire, oldest first.
+        self._waiting: Deque[Packet] = deque()
         self.packets_sent = 0
         self.bytes_sent = 0
+        #: The most packets that ever waited at once behind a transmission.
+        self.max_backlog_packets = 0
         self.fault_model = None
         # Bound methods allocated once (here and in attach_peer) instead
         # of once per cell in the transmit loop.
-        self._on_wake = self._transmit_next
+        self._on_wake = self.send
         self._on_deliver = None
 
     # ------------------------------------------------------------------
@@ -165,54 +176,46 @@ class Interface:
 
     @property
     def backlog_packets(self) -> int:
-        """Packets waiting in the egress queue (excluding the one in flight)."""
-        return len(self.queue)
+        """Packets waiting for the wire (excluding the one in flight)."""
+        return len(self._waiting)
 
     def attach_peer(self, peer: "Node") -> None:
         """Declare the node at the far end of the link."""
         self.peer = peer
         self._on_deliver = peer.deliver
 
-    def send(self, packet: Packet) -> None:
-        """Queue *packet* for transmission; start transmitting if idle."""
-        if self.peer is None:
-            raise RuntimeError("interface %s has no peer attached" % self.name)
-        if self._wake_pending:
-            self.queue.offer(packet)
-            return
-        sim = self._sim
-        now = sim.now
-        free_at = self._free_at
-        if now < free_at or (now == free_at and sim.current_seq < self._free_seq):
-            # The wire is occupied and nobody was waiting for it yet:
-            # the completion event is needed after all.
-            self.queue.offer(packet)
-            self._wake_pending = True
-            sim.schedule_reserved(free_at, self._free_seq, self._on_wake)
-        else:
-            self.queue.pass_through(packet)
-            self._transmit_next(packet)
+    def send(self, packet: Optional[Packet]) -> None:
+        """Queue *packet* for transmission; start transmitting if idle.
 
-    # ------------------------------------------------------------------
-
-    def _transmit_next(self, packet: Optional[Packet] = None) -> None:
-        """Put *packet*, or else the head of the queue, on the wire.
-
-        Runs from :meth:`send` with a packet that found the wire idle, or
-        bare, as the completion event of a transmission others waited on.
+        ``send(None)`` is the wake: the completion event of a
+        transmission others waited on, which puts the head of the
+        backlog on the wire.
         """
-        queue = self.queue
+        sim = self._sim
+        waiting = self._waiting
         if packet is None:
-            packet = queue.take()
-            if packet is None:
-                self._wake_pending = False
-                return
+            packet = waiting.popleft()
+        elif self.peer is None:
+            raise RuntimeError("interface %s has no peer attached" % self.name)
+        elif self._wake_pending or sim.now < self._free_at or (
+            sim.now == self._free_at and sim.current_seq < self._free_seq
+        ):
+            # The wire is occupied.  If nobody was waiting for it yet,
+            # the completion event is needed after all.
+            if not self._wake_pending:
+                self._wake_pending = True
+                sim.push((self._free_at, self._free_seq, self._on_wake, _WAKE))
+            waiting.append(packet)
+            if len(waiting) > self.max_backlog_packets:
+                self.max_backlog_packets = len(waiting)
+            return
         link = self.link
-        tx_time = link._tx_times.get(packet.size)
+        size = packet.size
+        tx_time = link._tx_times.get(size)
         if tx_time is None:
-            tx_time = link.transmission_time_for(packet.size)
+            tx_time = link.transmission_time_for(size)
         self.packets_sent += 1
-        self.bytes_sent += packet.size
+        self.bytes_sent += size
         # One-shot hook: fires when serialization begins at the first
         # link the packet traverses.  The Tor layer uses it to issue
         # feedback at the moment a cell is *actually forwarded* onto
@@ -226,19 +229,22 @@ class Interface:
             hook(packet.on_tx_start_arg)
         # The completion event's place in the event order is taken here
         # (after the hook, before the delivery), but the event itself is
-        # only scheduled if a packet is already waiting behind this one.
-        # Only a completion event or a hook, which both leave the flag
-        # set, can have left one; send() on an idle wire found none.
-        sim = self._sim
-        free_at = self._free_at = sim.now + tx_time
-        seq = self._free_seq = sim.reserve_seq()
-        if self._wake_pending and queue:
-            sim.schedule_reserved(free_at, seq, self._on_wake)
+        # only pushed if a packet is already waiting behind this one.
+        # Only a wake or a hook, which both leave the flag set, can have
+        # left one; send() on an idle wire found none.
+        now = sim.now
+        push = sim.push
+        reserve_seq = sim.reserve_seq
+        free_at = self._free_at = now + tx_time
+        seq = self._free_seq = reserve_seq()
+        if waiting:
+            push((free_at, seq, self._on_wake, _WAKE))
         else:
             self._wake_pending = False
         fault = self.fault_model
         if fault is None:
-            sim.schedule_fast(tx_time + link.delay, self._on_deliver, packet, self)
+            push((now + (tx_time + link.delay), reserve_seq(), self._on_deliver,
+                  (packet, self)))
             return
         # A negative verdict drops the packet: the transmitter was still
         # occupied for the full serialization time, but nothing is
@@ -247,13 +253,12 @@ class Interface:
         # delivers at the bit-identical time).
         verdict = fault.on_transmit(packet)
         if verdict >= 0.0:
-            sim.schedule_fast(
-                (tx_time + link.delay) + verdict, self._on_deliver, packet, self
-            )
+            push((now + ((tx_time + link.delay) + verdict), reserve_seq(),
+                  self._on_deliver, (packet, self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Interface %s -> %s backlog=%d>" % (
             self.name,
             self.peer.name if self.peer else "?",
-            len(self.queue),
+            len(self._waiting),
         )

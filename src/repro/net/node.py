@@ -57,7 +57,6 @@ class Node:
         self.default_route: Optional[Interface] = None
         self.set_handler(handler)
         self.packets_received = 0
-        self.bytes_received = 0
         #: Liveness flag driven by the fault plane: a node marked down
         #: (a killed relay) silently drops everything delivered to it
         #: until restarted.  Counted, not raised — a dead relay cannot
@@ -103,13 +102,11 @@ class Node:
 
     def deliver(self, packet: Packet, from_interface: Interface) -> None:
         """The link layer's delivery event: *packet* arrives at this node
-        (which, if it is up, counts the hop: one more link crossed)."""
+        (which, if it is up, counts it)."""
         if not self.up:
             self.packets_dropped_down += 1
             return
-        packet.hops += 1
         self.packets_received += 1
-        self.bytes_received += packet.size
         dst = packet.dst
         if dst and dst != self.name:
             # Transit: interface_to() spelled out, because half of all link

@@ -5,21 +5,16 @@ reproduction a packet usually carries exactly one Tor cell (see
 :mod:`repro.tor.cells`) as its payload; the link layer only looks at the
 size, source and destination.
 
-The per-packet state the forwarding path actually reads is slotted
-(:attr:`Packet.hops`, :attr:`Packet.on_tx_start`) so that moving a cell
-across a link allocates no dictionaries.  A metadata dict for ad-hoc
-tracing still exists — mirroring how nstor attaches ns-3 tags — but is
-created lazily on first access and never influences forwarding.
+The per-packet state is slotted (:attr:`Packet.on_tx_start` is the only
+field the forwarding path writes), so that moving a cell across a link
+allocates no dictionaries.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["Packet"]
-
-_packet_uids = itertools.count(1)
 
 
 class Packet:
@@ -36,8 +31,8 @@ class Packet:
         drives static routing (:mod:`repro.net.routing`).
     """
 
-    __slots__ = ("uid", "size", "payload", "src", "dst", "created_at",
-                 "hops", "on_tx_start", "on_tx_start_arg", "_trace")
+    __slots__ = ("size", "payload", "src", "dst", "created_at",
+                 "on_tx_start", "on_tx_start_arg")
 
     def __init__(
         self,
@@ -49,37 +44,20 @@ class Packet:
     ) -> None:
         if size <= 0:
             raise ValueError("packet size must be positive, got %r" % size)
-        self.uid = next(_packet_uids)
         self.size = int(size)
         self.payload = payload
         self.src = src
         self.dst = dst
         self.created_at = created_at
-        #: Links traversed so far; ``Node.deliver`` bumps it (slotted).
-        self.hops = 0
         #: One-shot hook fired when serialization begins at the first
         #: link this packet traverses; called as ``on_tx_start(arg)``
         #: with :attr:`on_tx_start_arg`.  Slotted so the Tor feedback
         #: path needs no per-cell closure or dict entry.
         self.on_tx_start: Optional[Callable[[Any], None]] = None
         self.on_tx_start_arg: Any = None
-        self._trace: Optional[Dict[str, Any]] = None
-
-    @property
-    def metadata(self) -> Dict[str, Any]:
-        """Lazy tracing dict (measurement only, never forwarding state)."""
-        trace = self._trace
-        if trace is None:
-            trace = self._trace = {}
-        return trace
-
-    def hop_count(self) -> int:
-        """Number of links this packet has traversed so far."""
-        return self.hops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<Packet #%d %s->%s %dB %r>" % (
-            self.uid,
+        return "<Packet %s->%s %dB %r>" % (
             self.src or "?",
             self.dst or "?",
             self.size,

@@ -131,8 +131,8 @@ class Topology:
 
         A node holds its interfaces and an interface its node, its peer
         and two methods bound to one of them: without these pointers
-        reference counting frees a finished network.  Nodes, interfaces,
-        queues and every counter on them stay readable.
+        reference counting frees a finished network.  Nodes, interfaces
+        and every counter on them stay readable.
         """
         for interface in self._interfaces.values():
             interface.owner = None

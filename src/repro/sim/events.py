@@ -22,9 +22,9 @@ cancelled entries, and builds the cancellable entries
 (:meth:`EventQueue.push`, one :class:`EventHandle` each — for timers).
 :class:`~repro.sim.simulator.Simulator` holds the same heap and counter
 and does everything per-event itself: the handle-free pushes
-(``schedule_fast``, and ``schedule_reserved`` under a sequence number
-drawn earlier) for the ~95% of events that are never cancelled, and
-every pop.  One heap and one counter, so FIFO ordering holds *across*
+(``schedule_fast``, and ``push`` under a sequence number drawn earlier
+with ``reserve_seq``) for the ~95% of events that are never cancelled,
+and every pop.  One heap and one counter, so FIFO ordering holds *across*
 the ways in.
 
 **Heap compaction.**  Cancelled handle entries normally leave the heap

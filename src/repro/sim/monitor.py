@@ -107,7 +107,7 @@ class QueueProbe(PeriodicSampler):
     def __init__(self, sim: Simulator, interface, interval: float, **kwargs) -> None:
         super().__init__(
             sim,
-            probe=lambda: len(interface.queue),
+            probe=lambda: interface.backlog_packets,
             interval=interval,
             name="queue:%s" % interface.name,
             **kwargs,

@@ -8,10 +8,10 @@ and provides the scheduling API every other subsystem builds on:
 * :meth:`Simulator.schedule_fast` — like :meth:`schedule`, but without
   allocating a cancellable :class:`~repro.sim.events.EventHandle`; the
   per-cell hot path (deliveries, feedback) uses this;
-* :attr:`Simulator.reserve_seq` / :meth:`schedule_reserved` /
-  :attr:`current_seq` — the deferred-event API: hold a place in the
-  ``(time, seq)`` order now, push the event only if it turns out to be
-  needed, and tell whether the loop has already gone past that place;
+* :attr:`Simulator.reserve_seq` / :attr:`push` / :attr:`current_seq`
+  — the deferred-event API: hold a place in the ``(time, seq)`` order
+  now, push the event only if it turns out to be needed, and tell
+  whether the loop has already gone past that place;
 * :meth:`Simulator.call_soon` — run a callback at the current instant,
   after the currently executing event (FIFO);
 * :meth:`Simulator.rearm` — ``handle.cancel()`` plus ``schedule``, in
@@ -40,12 +40,16 @@ events.
 The deferred-event contract: a number from ``reserve_seq`` stands for
 an event that *may* be scheduled at some time ``t``.  As long as
 ``now < t`` — or ``now == t`` and ``current_seq`` is still below the
-reserved number — ``schedule_reserved(t, seq, ...)`` puts the event
+reserved number — ``push((t, seq, callback, args))`` puts the event
 exactly where one scheduled at reservation time would sit.  Once the
 loop is past that place the event would already have fired, and the
-caller acts on the spot instead.  :class:`~repro.net.link.Interface`
-uses this so that a link transmission costs one event (the delivery)
-unless a second packet arrives while the first is on the wire.
+caller acts on the spot instead.  ``push`` is ``heappush`` on the
+event heap, a C call that checks nothing: the caller guarantees a
+``t`` that is a number no earlier than ``now`` and a ``seq`` it drew
+from ``reserve_seq`` and uses once.  :class:`~repro.net.link.Interface`
+pushes every delivery and wake this way, so that a link transmission
+costs one event (the delivery) unless a second packet arrives while
+the first is on the wire.
 
 The re-arm contract: ``rearm(handle, delay, callback, *args)`` returns
 a handle that fires exactly where ``handle.cancel()`` followed by
@@ -70,6 +74,7 @@ calendar-queue DES reproduces exactly.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Optional
 
@@ -109,6 +114,10 @@ class Simulator:
         #: decided on later (see the deferred-event contract above).
         #: Bound straight to the counter: a link calls it per packet.
         self.reserve_seq: Callable[[], int] = self._counter.__next__
+        #: ``push((time, seq, callback, args))`` puts a handle-free event
+        #: at a place drawn from ``reserve_seq`` (the deferred-event
+        #: contract above): ``heappush`` on the heap, adding no frame.
+        self.push: Callable[[tuple], None] = partial(heappush, self._heap)
         self._running = False
         self._stop_requested = False
         self._events_executed = 0
@@ -171,22 +180,6 @@ class Simulator:
         heappush(
             self._heap, (self.now + delay, next(self._counter), callback, args)
         )
-
-    def schedule_reserved(
-        self, time: float, seq: int, callback: Callable[..., Any], *args: Any
-    ) -> None:
-        """Schedule *callback(\\*args)* at ``(time, seq)``, handle-free.
-
-        *seq* comes from :meth:`reserve_seq`, is used at most once, and
-        the loop must not be past ``(time, seq)`` yet (see
-        :attr:`current_seq`).
-        """
-        if not (time > self.now or (time == self.now and seq >= self._current_seq)):
-            raise SchedulingError(  # *time* is in the past, or NaN
-                "cannot schedule at (%r, %d), already at (%r, %d)"
-                % (time, seq, self.now, self._current_seq)
-            )
-        heappush(self._heap, (time, seq, callback, args))
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any

@@ -156,7 +156,7 @@ def link_counters(topology):
         [
             (
                 iface.name, iface.packets_sent, iface.bytes_sent,
-                max(iface.queue.stats.max_depth_packets, min(iface.packets_sent, 1)),
+                max(iface.max_backlog_packets, min(iface.packets_sent, 1)),
             )
             for node in nodes
             for iface in node.interfaces

@@ -10,12 +10,16 @@ exact same-instant ties on both sides of the reserved number, sends
 from inside an ``on_tx_start`` hook, a rate change mid-run and
 scripted fault verdicts, as a :class:`~repro.net.faults.ScriptedLossModel`
 gives them (the ``-1.0`` verdict drops a packet: the only way a link
-loses one) — and requires the same log, entry for entry.
+loses one) — and requires the same log, entry for entry, and the same
+books at the end: packets and bytes sent, and the high-water mark of
+packets that waited behind a transmission.
 
 It also pins what the change is for, as exact event counts.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +27,6 @@ from hypothesis import strategies as st
 from repro.net.link import Interface, Link
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.queues import FifoQueue
 from repro.sim.simulator import Simulator
 from repro.units import Rate
 
@@ -46,25 +49,31 @@ class EagerInterface:
 
     def __init__(self, sim, owner, link):
         self._sim, self.owner, self.link = sim, owner, link
-        self.queue = FifoQueue()
+        self.queue = deque()
         self.peer = None
         self.busy = False
-        self.packets_sent = self.bytes_sent = 0
+        self.packets_sent = self.bytes_sent = self.max_backlog_packets = 0
         self.fault_model = None
+
+    @property
+    def backlog_packets(self):
+        return len(self.queue)
 
     def attach_peer(self, peer):
         self.peer = peer
 
     def send(self, packet):
-        self.queue.offer(packet)
-        if not self.busy:
+        self.queue.append(packet)
+        if self.busy:
+            self.max_backlog_packets = max(self.max_backlog_packets, len(self.queue))
+        else:
             self._transmit_next()
 
     def _transmit_next(self):
-        packet = self.queue.take()
-        if packet is None:
+        if not self.queue:
             self.busy = False
             return
+        packet = self.queue.popleft()
         self.busy = True
         tx_time = self.link.transmission_time_for(packet.size)
         self.packets_sent += 1
@@ -89,7 +98,7 @@ class EagerInterface:
             self._transmit_next()
 
     def _deliver(self, packet):
-        self.peer.deliver(packet, self)  # Node.deliver counts the hop
+        self.peer.deliver(packet, self)  # Node.deliver counts the packet
 
 
 class ScriptedFaults:
@@ -113,7 +122,7 @@ class World:
         receiver = Node(
             sim, "rx",
             handler=lambda packet, node: log.append(
-                ("deliver", sim.now, packet.payload, packet.hops)
+                ("deliver", sim.now, packet.payload)
             ),
         )
         self.link = Link(RATE, DELAY)
@@ -144,7 +153,7 @@ class World:
             self.send(size, hook_sends)
         elif kind == "probe":
             self.log.append(
-                ("busy", self.sim.now, self.iface.busy, len(self.iface.queue))
+                ("busy", self.sim.now, self.iface.busy, self.iface.backlog_packets)
             )
         else:
             self.link.rate = Rate(2 * RATE.bytes_per_second)
@@ -159,8 +168,9 @@ class World:
     def outcome(self):
         iface = self.iface
         return (
-            self.log, iface.packets_sent, iface.bytes_sent, iface.queue.stats,
-            iface.busy, self.sim.now,
+            self.log, iface.packets_sent, iface.bytes_sent,
+            iface.max_backlog_packets, iface.backlog_packets, iface.busy,
+            self.sim.now,
         )
 
 
@@ -248,7 +258,9 @@ def test_send_between_runs_on_the_instant_the_wire_frees():
         world.sim.run_until(2 * SLOT)
         assert not world.iface.busy
         world.send(BIG, None)  # goes straight onto the wire
-        seen.append((world.iface.packets_sent, world.iface.busy, len(world.iface.queue)))
+        seen.append(
+            (world.iface.packets_sent, world.iface.busy, world.iface.backlog_packets)
+        )
         world.send(BIG, None)  # waits
         world.sim.run_until(HORIZON)
         seen.append(world.outcome())
@@ -290,6 +302,7 @@ def test_spaced_packets_cost_one_event_each():
         iface.send(Packet(BIG))
     sim.run()
     assert iface.packets_sent == count
+    assert iface.max_backlog_packets == 0  # none ever waited
     assert sim.events_executed == count
 
 
@@ -300,5 +313,6 @@ def test_back_to_back_train_costs_two_events_each_but_the_last():
         iface.send(Packet(BIG))
     sim.run()
     assert iface.packets_sent == count
+    assert iface.max_backlog_packets == count - 1
     assert sim.events_executed == 2 * count - 1
     assert sim.now == count * SLOT + DELAY

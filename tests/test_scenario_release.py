@@ -191,7 +191,7 @@ def test_reads_from_the_top_stay_valid_after_release(monkeypatch):
     assert forwarded > 1000
     assert sum(node.packets_received for node in nodes.values()) > forwarded
     assert all(
-        interface.queue.stats.enqueued >= 0 and interface.packets_sent >= 0
+        interface.max_backlog_packets >= 0 and interface.packets_sent >= 0
         for node in nodes.values()
         for interface in node.interfaces
     )

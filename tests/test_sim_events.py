@@ -5,7 +5,7 @@ counter, the dead-entry count and compaction;
 :class:`~repro.sim.simulator.Simulator` does its own pushes and pops on
 that heap.  The ordering properties are therefore driven through the
 simulator — ``schedule`` / ``schedule_fast`` / ``reserve_seq`` +
-``schedule_reserved`` in, ``run`` / ``step`` out — so they hold for the
+``push`` in, ``run`` / ``step`` out — so they hold for the
 loop production executes, and the queue is tested directly only for
 what it does itself.  ``Simulator.rearm`` is checked against the
 cancel + ``schedule`` pair it stands for.
@@ -159,12 +159,10 @@ def test_reserved_push_fires_where_it_was_reserved():
     sim.schedule_fast(1.0, fired.append, "after")
     sim.schedule(0.5, fired.append, "earlier")
     assert sim.pending_events == 3  # a reservation alone is not an event
-    sim.schedule_reserved(1.0, seq, fired.append, "reserved")
+    sim.push((1.0, seq, fired.append, ("reserved",)))
     assert sim.pending_events == 4
     sim.run()
     assert fired == ["earlier", "before", "reserved", "after"]
-    with pytest.raises(SchedulingError):
-        sim.schedule_reserved(float("nan"), sim.reserve_seq(), lambda: None)
 
 
 def test_direct_handle_cancel_updates_live_count():
@@ -298,14 +296,11 @@ def test_property_mixed_paths_order_and_accounting(ops):
         elif op == "push_reserved":
             if reserved:
                 entry = reserved.pop(tag % len(reserved))
+                # Past that place an event there would already have
+                # fired: the caller acts on the spot and pushes nothing.
                 if entry[:2] > last:
-                    sim.schedule_reserved(entry[0], entry[1], note, entry[2])
+                    sim.push((entry[0], entry[1], note, (entry[2],)))
                     model.append(entry)
-                else:
-                    # The loop is past that place: an event there would
-                    # already have fired, so the caller acts on the spot.
-                    with pytest.raises(SchedulingError):
-                        sim.schedule_reserved(entry[0], entry[1], note, entry[2])
         elif op == "pop":
             assert sim.step() == bool(model)
             if model:

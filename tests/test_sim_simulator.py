@@ -348,7 +348,7 @@ def test_running_flag(sim):
 
 
 # ----------------------------------------------------------------------
-# Deferred events: reserve_seq / schedule_reserved / current_seq
+# Deferred events: reserve_seq / push / current_seq
 # ----------------------------------------------------------------------
 
 
@@ -357,7 +357,7 @@ def test_reserved_event_fires_where_it_was_reserved(sim):
     sim.schedule_fast(1.0, order.append, "before")
     seq = sim.reserve_seq()
     sim.schedule_fast(1.0, order.append, "after")
-    sim.schedule_reserved(1.0, seq, order.append, "reserved")
+    sim.push((1.0, seq, order.append, ("reserved",)))
     sim.run()
     assert order == ["before", "reserved", "after"]
     assert sim.events_executed == 3
@@ -417,13 +417,3 @@ def test_current_seq_stays_put_when_a_run_halts_early(sim):
     assert sim.current_seq == first.seq < pending
     sim.run()
     assert sim.current_seq > pending
-
-
-def test_schedule_reserved_rejects_a_place_already_passed(sim):
-    seq = sim.reserve_seq()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(SchedulingError):
-        sim.schedule_reserved(1.0, seq, lambda: None)
-    with pytest.raises(SchedulingError):
-        sim.schedule_reserved(0.5, sim.reserve_seq(), lambda: None)

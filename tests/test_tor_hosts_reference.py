@@ -416,9 +416,9 @@ class World:
         controllers = [(c.cwnd_cells, c.outstanding) for c in self.controllers]
         nodes = {
             name: (
-                node.packets_received, node.bytes_received,
-                node.packets_dropped_down,
-                [(i.packets_sent, i.bytes_sent, i.queue.stats, len(i.queue), i.busy,
+                node.packets_received, node.packets_dropped_down,
+                [(i.packets_sent, i.bytes_sent, i.max_backlog_packets,
+                  i.backlog_packets, i.busy,
                   i.fault_model and i.fault_model.packets_dropped)
                  for i in node.interfaces],
             )
@@ -561,7 +561,7 @@ def test_fixed_schedules_reach_every_arm_and_match():
                 "duplicate": any(s[3] for host in hosts for s in host[6].values()),
                 "gap": any(s[4] for host in hosts for s in host[6].values()),
                 "fault-drop": any(i[5] for node in outcome["nodes"].values()
-                                  for i in node[3]),
+                                  for i in node[2]),
                 "recycled-delivery": any(e[0] == "sink" and e[1] > 2.0
                                          for e in outcome["log"]),
             }
