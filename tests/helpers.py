@@ -148,8 +148,8 @@ def link_counters(topology):
 
     ``depth`` is the most packets that waited at once behind a
     transmission, but at least 1 once the interface sent anything: the
-    FIFO the interface once had counted a packet that went straight
-    onto an idle wire as a depth of 1, and this keeps that reading.
+    pinned digests were taken from a queue that counted a packet going
+    straight onto an idle wire as a depth of 1.
     """
     nodes = topology.nodes.values()
     return (
