@@ -2,10 +2,13 @@
 
 Six invariants, mirroring the contracts the real stack relies on:
 
-1. **conservation** — ``controller.outstanding`` equals the number of
-   in-flight cells at its hop (``Σ`` over the sender's send-time
-   table).  This is the accounting a departed or broken circuit must
-   restore on teardown; the seed leaked it in ``HopSender.close()``.
+1. **conservation** — a hop's ``outstanding`` count, the one its
+   window is compared with, equals the number of its in-flight cells.
+   The engine keeps a single count, the sender's send-time table, so
+   there the two cannot drift; the model keeps both so that a leak on
+   teardown stays checkable (its ``leak-outstanding-on-close`` bug
+   injects one), and the replay compares the model's ``outstanding``
+   with the sender's in-flight count.
 2. **window-bounds** — ``0 <= outstanding <= cwnd_cells`` always.
 3. **in-order-delivery** — no receiver ever *accepts* a ``hop_seq``
    twice or out of order, even across go-back-N retransmissions
@@ -34,7 +37,7 @@ __all__ = ["INVARIANTS", "state_violations", "terminal_violations"]
 
 #: name -> one-line description, in catalog order.
 INVARIANTS = (
-    ("conservation", "controller.outstanding == sum of in-flight cells"),
+    ("conservation", "outstanding == sum of in-flight cells"),
     ("window-bounds", "0 <= outstanding <= cwnd_cells"),
     ("in-order-delivery", "no hop_seq accepted twice or out of order"),
     ("deadlock-freedom", "no quiescent state short of full delivery"),

@@ -304,7 +304,7 @@ def _compare(model: ModelState, harness: ReplayHarness,
         check("buffered", i, len(hop.buffer), sender.buffered_cells)
         check("inflight", i, sorted(hop.inflight), sorted(sender._send_times))
         check("next_seq", i, hop.next_seq, sender._next_seq)
-        check("outstanding", i, hop.outstanding, controller.outstanding)
+        check("outstanding", i, hop.outstanding, len(sender._send_times))
         check("cwnd", i, hop.cwnd, controller.cwnd_cells)
         check("feedback_received", i, hop.feedback_received, sender.feedback_received)
         check("duplicate_feedback", i, hop.dup_feedback, sender.duplicate_feedback)

@@ -86,8 +86,8 @@ class PlainSlowStartController(WindowController):
     def _startup_feedback(self, rtt: float, now: float) -> bool:
         # Same dual detector as CircuitStart: the comparison under test
         # is the growth pattern and the exit *policy*, not the sensing.
-        diff_round = self.rtt.vegas_diff(self._cwnd_cells)
-        diff_sample = self.rtt.vegas_diff(self._cwnd_cells, rtt=rtt)
+        diff_round = self.rtt.vegas_diff(self.cwnd_cells)
+        diff_sample = self.rtt.vegas_diff(self.cwnd_cells, rtt=rtt)
         gamma = self.config.gamma
         triggered = diff_round > gamma or (
             diff_sample > self.config.sample_gamma_factor * gamma
@@ -97,10 +97,10 @@ class PlainSlowStartController(WindowController):
             self._enter_avoidance(
                 now, "diff=%.3f > gamma=%.3f" % (diff, gamma)
             )
-            self._set_cwnd(self._cwnd_cells // 2, now, "halve-on-exit")
+            self._set_cwnd(self.cwnd_cells // 2, now, "halve-on-exit")
             self._start_round(now)
             return True
-        self._set_cwnd(self._cwnd_cells + 1, now, "slowstart-increment")
+        self._set_cwnd(self.cwnd_cells + 1, now, "slowstart-increment")
         return False
 
     def _startup_round_complete(self, now: float, full: bool) -> None:
@@ -122,7 +122,7 @@ class FixedWindowController(WindowController):
         if window_cells < 1:
             raise ValueError("fixed window must be at least one cell")
         self.window_cells = window_cells
-        self._cwnd_cells = max(
+        self.cwnd_cells = max(
             config.min_cwnd_cells, min(window_cells, config.max_cwnd_cells)
         )
         self.phase = Phase.AVOIDANCE  # never performs a start-up
@@ -153,10 +153,10 @@ class JumpStartController(WindowController):
         if initial_cells < 1:
             raise ValueError("jumpstart window must be at least one cell")
         self.initial_cells = initial_cells
-        self._cwnd_cells = max(
+        self.cwnd_cells = max(
             config.min_cwnd_cells, min(initial_cells, config.max_cwnd_cells)
         )
-        self.round_target = self._cwnd_cells
+        self.round_target = self.cwnd_cells
         self.phase = Phase.AVOIDANCE  # skips the start-up phase entirely
 
     def _startup_feedback(self, rtt: float, now: float) -> bool:  # pragma: no cover

@@ -84,8 +84,8 @@ class CircuitStartController(WindowController):
           window saturates because a *distant* bottleneck is
           backpressuring the circuit.
         """
-        diff_round = self.rtt.vegas_diff(self._cwnd_cells)
-        diff_sample = self.rtt.vegas_diff(self._cwnd_cells, rtt=rtt)
+        diff_round = self.rtt.vegas_diff(self.cwnd_cells)
+        diff_sample = self.rtt.vegas_diff(self.cwnd_cells, rtt=rtt)
         gamma = self.config.gamma
         if diff_round > gamma:
             self._exit_startup(now, diff_round)
@@ -104,14 +104,14 @@ class CircuitStartController(WindowController):
         demonstrated the window is the constraint.
         """
         if full:
-            self._set_cwnd(self._cwnd_cells * 2, now, "slowstart-double")
+            self._set_cwnd(self.cwnd_cells * 2, now, "slowstart-double")
 
     # ------------------------------------------------------------------
     # Overshooting compensation
     # ------------------------------------------------------------------
 
     def _exit_startup(self, now: float, diff: float) -> None:
-        self.cwnd_before_exit = self._cwnd_cells
+        self.cwnd_before_exit = self.cwnd_cells
         self.exit_diff = diff
         compensated = self._compensated_window(now)
         self._enter_avoidance(now, "diff=%.3f > gamma=%.3f" % (diff, self.config.gamma))
@@ -128,8 +128,8 @@ class CircuitStartController(WindowController):
             # trailing windows for robustness) — the packet train the
             # successor forwarded in one round — and can never exceed
             # the window that was in flight.
-            return min(self.acked_per_rtt(now), self._cwnd_cells)
+            return min(self.acked_per_rtt(now), self.cwnd_cells)
         if mode == "halve":
-            return self._cwnd_cells // 2
+            return self.cwnd_cells // 2
         # mode == "none": keep the overshot window (ablation A2).
-        return self._cwnd_cells
+        return self.cwnd_cells

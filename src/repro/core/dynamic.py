@@ -74,10 +74,10 @@ class DynamicCircuitStartController(CircuitStartController):
     def _avoidance_round(self, now: float, full: bool) -> None:
         if self.rtt.base_rtt is None or self.rtt.round_samples == 0:
             return
-        diff = self.rtt.vegas_diff(self._cwnd_cells)
+        diff = self.rtt.vegas_diff(self.cwnd_cells)
         if diff < self.config.vegas_alpha and full:
             self._consecutive_low += 1
-            self._set_cwnd(self._cwnd_cells + 1, now, "vegas-increase")
+            self._set_cwnd(self.cwnd_cells + 1, now, "vegas-increase")
             if (
                 self._consecutive_low >= self.reentry_rounds
                 and self.round_index >= self._cooldown_until_round
@@ -90,7 +90,7 @@ class DynamicCircuitStartController(CircuitStartController):
             cut = max(self.config.min_cwnd_cells, self.round_acked)
             self._set_cwnd(cut, now, "dynamic-fast-cut")
         elif diff > self.config.vegas_beta:
-            self._set_cwnd(self._cwnd_cells - 1, now, "vegas-decrease")
+            self._set_cwnd(self.cwnd_cells - 1, now, "vegas-decrease")
         else:
             self._log(now, "vegas-hold")
 

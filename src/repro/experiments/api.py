@@ -70,7 +70,7 @@ class ExperimentSpec(Serializable):
         ``ClockError``); a spec that decodes must be a spec that runs.
         """
         check_controller_kinds(kinds)
-        if duration <= 0:
+        if not duration > 0:  # non-positive or NaN
             raise ValueError("duration must be positive, got %r" % duration)
 
 

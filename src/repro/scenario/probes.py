@@ -124,7 +124,7 @@ class _Collector:
 
 
 def _check_interval(interval: float) -> None:
-    if interval <= 0:
+    if not interval > 0:  # non-positive or NaN
         raise ValueError("sampling interval must be positive, got %r" % interval)
 
 

@@ -97,7 +97,7 @@ class Scenario(Serializable):
         if len(set(self.kinds)) != len(self.kinds):
             raise ValueError("controller kinds must be distinct")
         check_controller_kinds(self.kinds)
-        if self.max_sim_time <= 0:
+        if not self.max_sim_time > 0:  # non-positive or NaN
             raise ValueError(
                 "max_sim_time must be positive, got %r" % self.max_sim_time
             )

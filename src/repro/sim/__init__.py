@@ -8,7 +8,7 @@ which the paper's nstor framework was built on.
 """
 
 from .errors import ClockError, SchedulingError, SimulationError
-from .events import EventHandle, EventQueue
+from .events import EventHandle
 from .monitor import PeriodicSampler, QueueProbe
 from .process import Waiter
 from .rand import RandomStreams, derive_seed
@@ -17,7 +17,6 @@ from .simulator import Simulator
 __all__ = [
     "ClockError",
     "EventHandle",
-    "EventQueue",
     "PeriodicSampler",
     "QueueProbe",
     "RandomStreams",

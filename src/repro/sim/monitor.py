@@ -44,7 +44,7 @@ class PeriodicSampler:
         while_predicate: Optional[Callable[[], bool]] = None,
         name: str = "sampler",
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:  # non-positive or NaN
             raise ValueError("sampling interval must be positive, got %r" % interval)
         self.sim = sim
         self.probe = probe

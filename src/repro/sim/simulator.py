@@ -1,6 +1,6 @@
 """The discrete-event simulator core.
 
-:class:`Simulator` owns the virtual clock and the pending-event queue
+:class:`Simulator` owns the virtual clock and the pending-event heap
 and provides the scheduling API every other subsystem builds on:
 
 * :meth:`Simulator.schedule` — run a callback after a relative delay;
@@ -24,12 +24,24 @@ and provides the scheduling API every other subsystem builds on:
 * :attr:`Simulator.now` — the clock, a plain attribute that only the
   event loop writes.
 
-Division of labour with :class:`~repro.sim.events.EventQueue`: the
-queue owns the heap, the sequence counter and the count of cancelled
-entries, and builds the cancellable entries behind ``schedule`` /
-``schedule_at`` / ``call_soon``; the handle-free pushes and the loop
-below work on that same heap and counter directly, one call level per
-event.
+Division of labour with :mod:`repro.sim.events`: the simulator owns
+the heap, the sequence counter and the count of cancelled entries, and
+does every push, pop and compaction itself; an
+:class:`~repro.sim.events.EventHandle` is the cancellable entry behind
+``schedule`` / ``schedule_at`` / ``call_soon`` and points back at its
+simulator while pending, so that cancelling it is counted here.  Heap
+entries are ``(time, seq, handle)`` or the handle-free ``(time, seq,
+callback, args)``; ``(time, seq)`` is unique, so comparisons never
+reach the third element and the two shapes mix freely.
+
+**Heap compaction.**  Cancelled handle entries normally leave the heap
+lazily, when they surface at the top.  Under cancel-heavy load (churn
+tearing down circuits cancels many timers) the garbage can outnumber
+the live entries; once it does, the heap is rebuilt in place — filter
+plus ``heapify`` — so memory and per-op cost stay O(live events), not
+O(events ever scheduled).  The simulator counts its *dead* entries,
+not its live ones: pushes and pops of live events — all the hot path
+ever does — touch no counter.
 
 The fast-path contract: ``schedule_fast`` events cannot be cancelled
 and return no handle, but fire with exactly the same deterministic
@@ -75,11 +87,12 @@ calendar-queue DES reproduces exactly.
 from __future__ import annotations
 
 from functools import partial
-from heapq import heappop, heappush, heapreplace
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
+from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import ClockError, SchedulingError
-from .events import EventHandle, EventQueue
+from .events import EventHandle, _noop
 
 __all__ = ["Simulator"]
 
@@ -97,18 +110,21 @@ class Simulator:
     (1.5, ['hello'])
     """
 
+    #: Compaction only kicks in once at least this many dead entries
+    #: have accumulated — rebuilding a ten-entry heap is noise.
+    _COMPACT_MIN_DEAD = 64
+
     def __init__(self, start_time: float = 0.0) -> None:
-        if start_time < 0:
+        if not start_time >= 0:  # negative or NaN
             raise ClockError("start time must be non-negative, got %r" % start_time)
         #: Current simulated time in seconds.  Read-only for everyone
         #: but the event loop; a plain attribute because every layer
         #: reads it about twice per event.
         self.now = float(start_time)
-        self._queue = EventQueue()
-        # The scheduling methods and the loop work on the queue's heap
-        # and counter directly: one call level per scheduled event.
-        self._heap = self._queue._heap
-        self._counter = self._queue._counter
+        self._heap: List[Tuple[Any, ...]] = []
+        self._counter = count()
+        # Cancelled handle entries still sitting in the heap.
+        self._dead = 0
         self._current_seq = -1
         #: ``reserve_seq()`` draws the next sequence number for an event
         #: decided on later (see the deferred-event contract above).
@@ -145,8 +161,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events waiting in the queue."""
-        return len(self._queue)
+        """Number of live events waiting in the heap."""
+        return len(self._heap) - self._dead
 
     @property
     def running(self) -> bool:
@@ -163,7 +179,7 @@ class Simulator:
         """Schedule *callback(\\*args)* to run *delay* seconds from now."""
         if delay < 0:
             raise SchedulingError("delay must be non-negative, got %r" % delay)
-        return self._queue.push(self.now + delay, callback, args)
+        return self._push_handle(self.now + delay, callback, args)
 
     def schedule_fast(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -189,7 +205,7 @@ class Simulator:
             raise SchedulingError(
                 "cannot schedule at %r, already at %r" % (time, self.now)
             )
-        return self._queue.push(time, callback, args)
+        return self._push_handle(time, callback, args)
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule *callback(\\*args)* at the current instant.
@@ -198,7 +214,7 @@ class Simulator:
         :attr:`now` (FIFO tie-breaking), which makes ``call_soon`` safe
         for "after this packet is processed" continuations.
         """
-        return self._queue.push(self.now, callback, args)
+        return self._push_handle(self.now, callback, args)
 
     def rearm(
         self,
@@ -217,9 +233,9 @@ class Simulator:
         if not delay >= 0:  # negative or NaN
             raise SchedulingError("delay must be non-negative, got %r" % delay)
         time = self.now + delay
-        if handle._queue is None or time < handle.time:
+        if handle._sim is None or time < handle.time:
             handle.cancel()
-            return self._queue.push(time, callback, args)
+            return self._push_handle(time, callback, args)
         handle.time = time
         handle.seq = next(self._counter)
         handle.callback = callback
@@ -229,8 +245,8 @@ class Simulator:
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel *handle*; return whether it was still pending.
 
-        Equivalent to ``handle.cancel()``: the handle itself keeps the
-        queue's live count honest, so both spellings agree.
+        Equivalent to ``handle.cancel()``: the handle itself reports the
+        dead entry to its simulator, so both spellings agree.
         """
         return handle.cancel()
 
@@ -254,7 +270,7 @@ class Simulator:
         "in the past" and raise a spurious :class:`ClockError` on the
         next run.
         """
-        if time < self.now:
+        if not time >= self.now:  # earlier, or NaN
             raise ClockError("cannot run until %r, already at %r" % (time, self.now))
         completed = self._run_loop(until=time, max_events=max_events)
         if completed:
@@ -262,7 +278,7 @@ class Simulator:
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run for *duration* simulated seconds from the current time."""
-        if duration < 0:
+        if not duration >= 0:  # negative or NaN
             raise ClockError("duration must be non-negative, got %r" % duration)
         self.run_until(self.now + duration, max_events=max_events)
 
@@ -274,7 +290,7 @@ class Simulator:
         """
         if self._running:
             raise SchedulingError("simulator loop is not reentrant")
-        if not self._queue:
+        if len(self._heap) == self._dead:
             return False
         self._run_loop(until=None, max_events=1)
         return True
@@ -289,13 +305,52 @@ class Simulator:
         Pending events are what tie a finished run's objects to each
         other through the simulator (callbacks bound to links, hosts
         and timers); dropping them lets reference counting free the
-        run.  The clock and :attr:`events_executed` stay readable.
+        run.  Each live handle ends cancelled and no longer holds its
+        callback, so a timer its owner still references (``owner ->
+        handle -> bound method -> owner``) stops being a reference
+        cycle.  The clock and :attr:`events_executed` stay readable.
         """
-        self._queue.clear()
+        for entry in self._heap:
+            if len(entry) == 3:
+                handle = entry[2]
+                handle._cancelled = True
+                handle._sim = None
+                handle.callback = _noop
+                handle.args = ()
+        self._heap.clear()
+        self._dead = 0
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _push_handle(
+        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]
+    ) -> EventHandle:
+        """Push *callback(\\*args)* at absolute *time*; return its handle."""
+        if time != time:  # NaN check without importing math
+            raise SchedulingError("event time must not be NaN")
+        handle = EventHandle(time, next(self._counter), callback, args, self)
+        heappush(self._heap, (time, handle.seq, handle))
+        return handle
+
+    def _note_handle_cancelled(self) -> None:
+        """One pending handle entry in the heap was cancelled.
+
+        Once dead entries outnumber the live ones, the heap is compacted
+        in place — filter out the garbage, then re-heapify.  In-place
+        slice assignment matters: :attr:`push` is bound to the list.
+        """
+        dead = self._dead = self._dead + 1
+        heap = self._heap
+        if dead > len(heap) - dead and dead >= self._COMPACT_MIN_DEAD:
+            heap[:] = [
+                entry
+                for entry in heap
+                if len(entry) == 4 or not entry[2]._cancelled
+            ]
+            heapify(heap)
+            self._dead = 0
 
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> bool:
         """Drive the loop; return whether it ran to completion.
@@ -312,7 +367,6 @@ class Simulator:
         # The loop body is deliberately inlined (no peek/pop method
         # pair, a local for the heap): it runs once per event and
         # dominates engine throughput.
-        queue = self._queue
         heap = self._heap
         completed = True
         try:
@@ -323,7 +377,7 @@ class Simulator:
                     handle = entry[2]
                     if handle._cancelled:
                         heappop(heap)  # dead entry surfacing
-                        queue._dead -= 1
+                        self._dead -= 1
                         continue
                     if handle.seq != entry[1]:
                         # Re-armed since it was pushed: move the entry
@@ -352,7 +406,7 @@ class Simulator:
                 if fast:
                     entry[2](*entry[3])
                 else:
-                    handle._queue = None
+                    handle._sim = None
                     handle._fired = True
                     handle.callback(*handle.args)
         finally:
@@ -373,6 +427,6 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Simulator now=%.6f pending=%d executed=%d>" % (
             self.now,
-            len(self._queue),
+            self.pending_events,
             self._events_executed,
         )

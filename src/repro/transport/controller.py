@@ -1,10 +1,11 @@
 """Congestion-window controllers for the per-hop transport.
 
 A :class:`WindowController` owns one hop's congestion window.  The
-surrounding :class:`~repro.transport.hop.HopSender` consults
-:meth:`WindowController.can_send` before transmitting and notifies the
-controller of transmissions and feedback arrivals; everything else —
-round bookkeeping, phase transitions, window arithmetic — happens here.
+surrounding :class:`~repro.transport.hop.HopSender` owns the cells in
+flight: it transmits while it has fewer of them than
+:attr:`WindowController.cwnd_cells` and reports each feedback arrival,
+saying whether the hop drained with it; everything else — round
+bookkeeping, phase transitions, window arithmetic — happens here.
 
 The controller lifecycle has two phases:
 
@@ -20,8 +21,8 @@ The controller lifecycle has two phases:
 Round bookkeeping follows the paper: growth happens "in discrete
 rounds, carried out once per RTT after having received an appropriate
 number of feedback messages."  A round targets one window's worth of
-feedback; it also closes early if the hop runs out of outstanding cells
-(an application-limited flow must not stall the controller).
+feedback; it also closes early if the hop drains, with no cell left in
+flight (an application-limited flow must not stall the controller).
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class WindowController:
         self.rtt = (
             rtt if rtt is not None else RttEstimator(aggregate=config.rtt_aggregate)
         )
-        self._cwnd_cells = config.initial_cwnd_cells
+        #: Current congestion window, in cells.  Only :meth:`_set_cwnd`
+        #: (and a subclass constructor) writes it; the hop sender reads
+        #: it per cell, so it is a plain attribute.
+        self.cwnd_cells = config.initial_cwnd_cells
         self.phase = Phase.STARTUP
-        self.outstanding = 0
-        self.total_sent = 0
-        self.total_acked = 0
         self.round_index = 0
         self.round_target = config.initial_cwnd_cells
         self.round_acked = 0
@@ -92,11 +93,6 @@ class WindowController:
     # ------------------------------------------------------------------
     # Window accounting
     # ------------------------------------------------------------------
-
-    @property
-    def cwnd_cells(self) -> int:
-        """Current congestion window, in cells."""
-        return self._cwnd_cells
 
     @property
     def in_startup(self) -> bool:
@@ -119,58 +115,33 @@ class WindowController:
 
     def _set_cwnd(self, cells: int, now: float, reason: str) -> None:
         clamped = max(self.config.min_cwnd_cells, min(cells, self.config.max_cwnd_cells))
-        if clamped != self._cwnd_cells:
-            self._cwnd_cells = clamped
+        if clamped != self.cwnd_cells:
+            self.cwnd_cells = clamped
             if self._cwnd_listener is not None:
                 self._cwnd_listener(now, clamped)
         self._log(now, reason)
 
     def _log(self, now: float, kind: str, detail: str = "") -> None:
-        self.events.append(ControllerEvent(now, kind, self._cwnd_cells, detail))
+        self.events.append(ControllerEvent(now, kind, self.cwnd_cells, detail))
 
     # ------------------------------------------------------------------
     # Sender-facing API
     # ------------------------------------------------------------------
 
-    def can_send(self) -> bool:
-        """Whether the window admits transmitting one more cell."""
-        return self.outstanding < self._cwnd_cells
-
-    def on_cell_sent(self, now: float) -> None:
-        """The hop sender transmitted one data cell."""
-        self.outstanding += 1
-        self.total_sent += 1
-
-    def release_outstanding(self, cells: int) -> None:
-        """Forget *cells* in-flight cells that will never be acknowledged.
-
-        The teardown path: when a hop sender is closed with cells still
-        in flight, their feedback is never coming, so the window
-        accounting must be released here — otherwise a departed
-        circuit's controller would report in-flight cells forever and
-        the conservation invariant ``outstanding == Σ inflight`` that
-        :mod:`repro.check` asserts would be broken by every churn
-        departure.
-        """
-        if cells < 0:
-            raise ValueError("cannot release %d cells" % cells)
-        self.outstanding = max(0, self.outstanding - cells)
-
-    def on_feedback(self, rtt: float, now: float, sampled: bool = True) -> None:
+    def on_feedback(
+        self, rtt: float, now: float, drained: bool, sampled: bool = True
+    ) -> None:
         """A feedback ("moving") message for one cell arrived.
 
         Updates RTT state, runs the phase-specific per-sample hook, and
-        closes the round when a full window of feedback has arrived (or
-        the hop has drained).
+        closes the round when a full window of feedback has arrived or
+        the hop has *drained* — no cell of it is left in flight.
 
         *sampled=False* applies Karn's rule: the acknowledgment counts
         toward window accounting, but the RTT measurement is ambiguous
         (the cell was retransmitted) and must not feed the estimator or
         the exit detector.
         """
-        if self.outstanding > 0:
-            self.outstanding -= 1
-        self.total_acked += 1
         self.round_acked += 1
         if sampled:
             self.rtt.add_sample(rtt)
@@ -180,7 +151,7 @@ class WindowController:
             exited = self._startup_feedback(rtt, now)
             if exited:
                 return
-        if self.round_acked >= self.round_target or self.outstanding == 0:
+        if self.round_acked >= self.round_target or drained:
             self._complete_round(now, full=self.round_acked >= self.round_target)
 
     def _note_feedback_time(self, now: float) -> None:
@@ -231,7 +202,7 @@ class WindowController:
 
     def _start_round(self, now: float) -> None:
         self.round_index += 1
-        self.round_target = max(1, self._cwnd_cells)
+        self.round_target = max(1, self.cwnd_cells)
         self.round_acked = 0
         self.rtt.finish_round()
 
@@ -265,11 +236,11 @@ class WindowController:
         """
         if self.rtt.base_rtt is None or self.rtt.round_samples == 0:
             return
-        diff = self.rtt.vegas_diff(self._cwnd_cells)
+        diff = self.rtt.vegas_diff(self.cwnd_cells)
         if diff > self.config.vegas_beta:
-            self._set_cwnd(self._cwnd_cells - 1, now, "vegas-decrease")
+            self._set_cwnd(self.cwnd_cells - 1, now, "vegas-decrease")
         elif diff < self.config.vegas_alpha and full:
-            self._set_cwnd(self._cwnd_cells + 1, now, "vegas-increase")
+            self._set_cwnd(self.cwnd_cells + 1, now, "vegas-increase")
         else:
             self._log(now, "vegas-hold")
 
@@ -290,9 +261,8 @@ class WindowController:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<%s cwnd=%d cells phase=%s outstanding=%d>" % (
+        return "<%s cwnd=%d cells phase=%s>" % (
             type(self).__name__,
-            self._cwnd_cells,
+            self.cwnd_cells,
             self.phase.value,
-            self.outstanding,
         )

@@ -4,7 +4,9 @@ A :class:`HopSender` lives at one node and manages one direction of one
 circuit hop: it buffers outbound cells, transmits as many as the
 congestion window admits, timestamps transmissions, and converts
 feedback arrivals into RTT samples for its
-:class:`~repro.transport.controller.WindowController`.
+:class:`~repro.transport.controller.WindowController`.  The sender is
+the one owner of the cells in flight (its send-time table); the
+controller owns only the window the sender compares them with.
 
 The class is deliberately decoupled from both the network layer and the
 Tor layer:
@@ -147,7 +149,7 @@ class HopSender:
     def enqueue(self, cell: Any, token: Any = None) -> None:
         """Accept *cell* for transmission toward the next hop."""
         buffer = self._buffer
-        if not buffer and self.controller.can_send():
+        if not buffer and len(self._send_times) < self.controller.cwnd_cells:
             # Nothing ahead of it and the window open: pump() would pop
             # it straight back, so it counts as one buffered cell.
             self.max_buffer_depth = self.max_buffer_depth or 1
@@ -166,7 +168,9 @@ class HopSender:
         Buffered (pushed) cells go first; once the buffer is empty the
         optional :attr:`cell_source` is pulled for more.
         """
-        while self.controller.can_send():
+        send_times = self._send_times
+        controller = self.controller
+        while len(send_times) < controller.cwnd_cells:
             if self._buffer:
                 cell, token = self._buffer.popleft()
             elif self.cell_source is not None:
@@ -182,13 +186,11 @@ class HopSender:
         seq = self._next_seq
         self._next_seq += 1
         cell.hop_seq = seq
-        now = self.sim.now
-        self._send_times[seq] = now
+        self._send_times[seq] = self.sim.now
         self.cells_sent += 1
         if self._reliable:
             self._unacked[seq] = (cell, token)
             self._arm_timer()
-        self.controller.on_cell_sent(now)
         self._transmit(cell, token)
 
     def counters(self) -> Dict[str, int]:
@@ -211,14 +213,12 @@ class HopSender:
     def close(self) -> None:
         """Release the hop: drop pending work and disarm the timer.
 
-        Called on circuit teardown (departure).  Buffered and unacked
-        cells are discarded, the controller's window accounting for the
-        discarded in-flight cells is released (their feedback is never
-        coming), and the retransmission timer — the only event a
-        dormant sender keeps in the queue — is cancelled, so a departed
-        circuit leaves nothing behind in the simulator.
+        Called on circuit teardown (departure).  Buffered and in-flight
+        cells are discarded (their feedback is never coming), and the
+        retransmission timer — the only event a dormant sender keeps in
+        the queue — is cancelled, so a departed circuit leaves nothing
+        behind in the simulator.
         """
-        inflight = len(self._send_times)
         self._buffer.clear()
         self._send_times.clear()
         self._unacked.clear()
@@ -226,8 +226,6 @@ class HopSender:
         self.cell_source = None
         self.on_drained = None
         self.on_broken = None
-        if inflight:
-            self.controller.release_outstanding(inflight)
         if self._retx_timer is not None:
             self._retx_timer.cancel()
             self._retx_timer = None
@@ -262,7 +260,9 @@ class HopSender:
                 # Karn's rule: retransmitted cells yield no RTT sample.
                 sampled = acked_seq not in self._retransmitted
                 self._retransmitted.discard(acked_seq)
-                self.controller.on_feedback(now - sent_at, now, sampled=sampled)
+                self.controller.on_feedback(
+                    now - sent_at, now, not send_times, sampled=sampled
+                )
             self._arm_timer()
         else:
             sent_at = send_times.pop(seq, None)
@@ -273,7 +273,7 @@ class HopSender:
             # every feedback is an RTT sample, with no go-back-N books.
             now = self.sim.now
             self.feedback_received += 1
-            self.controller.on_feedback(now - sent_at, now)
+            self.controller.on_feedback(now - sent_at, now, not send_times)
         self.pump()
         if self.on_drained is not None and self.idle:
             self.on_drained()

@@ -16,6 +16,7 @@ from repro.transport.config import TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
 __all__ = [
+    "InFlight",
     "assert_shared_tier_counters",
     "json_digest",
     "link_counters",
@@ -25,6 +26,27 @@ __all__ = [
     "rewrite_header",
     "text_digest",
 ]
+
+
+class InFlight:
+    """One hop's count of cells in flight, for a controller driven alone.
+
+    In the engine the hop sender owns this count and tells the
+    controller, with each feedback, whether the hop drained.  A
+    controller unit test keeps the count here and does the same.
+    """
+
+    def __init__(self, controller) -> None:
+        self.controller = controller
+        self.cells = 0
+
+    def send(self, count: int = 1) -> None:
+        self.cells += count
+
+    def feedback(self, rtt: float, now: float, sampled: bool = True) -> None:
+        # A feedback with nothing in flight finds the hop drained.
+        self.cells = max(0, self.cells - 1)
+        self.controller.on_feedback(rtt, now, not self.cells, sampled=sampled)
 
 
 def json_digest(result) -> str:

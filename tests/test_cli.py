@@ -258,6 +258,9 @@ def test_batch_dry_run_reports_unknown_field(tmp_path, capsys):
     (["cdf", "--payload-kib", "0"], "payload_bytes must be positive"),
     (["trace", "--controller", "nope"], "unknown controller kind 'nope'"),
     (["trace", "--duration-ms", "-5"], "duration must be positive"),
+    (["trace", "--duration-ms", "nan"], "duration must be positive"),
+    (["netscale", "--churn", "2", "--churn-horizon", "3",
+      "--probe-interval", "nan"], "sampling interval must be positive"),
 ])
 def test_spec_that_cannot_run_is_a_usage_error(argv, message, capsys):
     """Validity is decided when the spec is built: one stderr line and

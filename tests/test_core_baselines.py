@@ -13,13 +13,14 @@ from repro.core.baselines import (
 from repro.transport.config import TransportConfig
 from repro.transport.controller import Phase
 
+from helpers import InFlight
 
-def full_round(controller, rtt, now):
-    window = controller.cwnd_cells
-    for __ in range(window):
-        controller.on_cell_sent(now)
+
+def full_round(hop, rtt, now):
+    window = hop.controller.cwnd_cells
+    hop.send(window)
     for i in range(window):
-        controller.on_feedback(rtt, now + i * 0.0001)
+        hop.feedback(rtt, now + i * 0.0001)
     return now + rtt
 
 
@@ -36,27 +37,30 @@ def test_vegas_start_begins_in_avoidance():
 
 def test_vegas_start_grows_one_cell_per_round():
     c = VegasStartController(TransportConfig())
+    hop = InFlight(c)
     now = 0.0
     for expected in (3, 4, 5):
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
         assert c.cwnd_cells == expected
 
 
 def test_vegas_start_is_much_slower_than_doubling():
     """Reaching 32 cells takes ~30 rounds instead of ~4."""
     c = VegasStartController(TransportConfig())
+    hop = InFlight(c)
     now, rounds = 0.0, 0
     while c.cwnd_cells < 32:
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
         rounds += 1
     assert rounds == 30
 
 
 def test_vegas_start_shrinks_on_queueing():
     c = VegasStartController(TransportConfig())
-    now = full_round(c, rtt=0.1, now=0.0)  # base established, cwnd 3
-    now = full_round(c, rtt=0.1, now=now)  # cwnd 4
-    full_round(c, rtt=0.5, now=now)  # diff = 4*4 = 16 > beta
+    hop = InFlight(c)
+    now = full_round(hop, rtt=0.1, now=0.0)  # base established, cwnd 3
+    now = full_round(hop, rtt=0.1, now=now)  # cwnd 4
+    full_round(hop, rtt=0.5, now=now)  # diff = 4*4 = 16 > beta
     assert c.cwnd_cells == 3
 
 
@@ -67,22 +71,22 @@ def test_vegas_start_shrinks_on_queueing():
 
 def test_plain_slowstart_grows_per_feedback():
     c = PlainSlowStartController(TransportConfig())
-    c.on_cell_sent(0.0)
-    c.on_cell_sent(0.0)
-    c.on_feedback(0.1, 0.1)
+    hop = InFlight(c)
+    hop.send(2)
+    hop.feedback(0.1, 0.1)
     assert c.cwnd_cells == 3  # grew immediately, not at round end
 
 
 def test_plain_slowstart_halves_on_exit():
     c = PlainSlowStartController(TransportConfig())
+    hop = InFlight(c)
     now = 0.0
     for __ in range(3):
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
     window_before = c.cwnd_cells
-    for __ in range(window_before):
-        c.on_cell_sent(now)
+    hop.send(window_before)
     for i in range(window_before):
-        c.on_feedback(0.5, now + i * 0.0001)
+        hop.feedback(0.5, now + i * 0.0001)
         if not c.in_startup:
             break
     assert not c.in_startup
@@ -91,11 +95,11 @@ def test_plain_slowstart_halves_on_exit():
 
 def test_plain_slowstart_exit_logged():
     c = PlainSlowStartController(TransportConfig())
-    now = full_round(c, rtt=0.1, now=0.0)
-    for __ in range(c.cwnd_cells):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = full_round(hop, rtt=0.1, now=0.0)
+    hop.send(c.cwnd_cells)
     for i in range(8):
-        c.on_feedback(2.0, now + i * 0.0001)
+        hop.feedback(2.0, now + i * 0.0001)
         if not c.in_startup:
             break
     assert "halve-on-exit" in [e.kind for e in c.events]
@@ -108,10 +112,11 @@ def test_plain_slowstart_exit_logged():
 
 def test_fixed_window_holds_forever():
     c = FixedWindowController(TransportConfig(), window_cells=50)
+    hop = InFlight(c)
     assert c.cwnd_cells == 50
     now = 0.0
     for rtt in (0.1, 0.5, 0.05, 1.0):
-        now = full_round(c, rtt=rtt, now=now)
+        now = full_round(hop, rtt=rtt, now=now)
     assert c.cwnd_cells == 50
 
 
@@ -145,8 +150,9 @@ def test_jumpstart_validates():
 def test_jumpstart_recovers_slowly():
     """Overshoot recovery is one cell per round — the multi-hop problem."""
     c = JumpStartController(TransportConfig(), initial_cells=20)
-    now = full_round(c, rtt=0.1, now=0.0)  # establishes base; +1 (diff 0)
+    hop = InFlight(c)
+    now = full_round(hop, rtt=0.1, now=0.0)  # establishes base; +1 (diff 0)
     assert c.cwnd_cells == 21
     for __ in range(3):
-        now = full_round(c, rtt=0.8, now=now)  # heavy queueing: -1 each
+        now = full_round(hop, rtt=0.8, now=now)  # heavy queueing: -1 each
     assert c.cwnd_cells == 18

@@ -7,24 +7,27 @@ from repro.core.circuitstart import CircuitStartController
 from repro.transport.config import TransportConfig
 from repro.transport.controller import Phase
 
+from helpers import InFlight
 
-def run_clean_rounds(controller, rounds, rtt=0.1):
+
+def run_clean_rounds(hop, rounds, rtt=0.1):
     """Drive *rounds* congestion-free slow-start rounds."""
+    controller = hop.controller
     now = 0.0
     for __ in range(rounds):
         window = controller.cwnd_cells
-        for __c in range(window):
-            controller.on_cell_sent(now)
+        hop.send(window)
         for __c in range(window):
             now += 0.0001
-            controller.on_feedback(rtt, now)
+            hop.feedback(rtt, now)
         now += rtt
     return now
 
 
 def test_doubles_per_clean_round():
     c = CircuitStartController(TransportConfig())
-    run_clean_rounds(c, 3)
+    hop = InFlight(c)
+    run_clean_rounds(hop, 3)
     assert c.cwnd_cells == 16
     assert c.in_startup
 
@@ -33,14 +36,14 @@ def test_gamma_exit_on_standing_queue():
     """A uniformly delayed round (min inflated) exits start-up."""
     config = TransportConfig()
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 2, rtt=0.1)  # cwnd 8, base 0.1
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 2, rtt=0.1)  # cwnd 8, base 0.1
     window = c.cwnd_cells
-    for __ in range(window):
-        c.on_cell_sent(now)
+    hop.send(window)
     # Entire train delayed 2x: diff = 8 * (2 - 1) = 8 > gamma = 4.
     for __ in range(window):
         now += 0.0001
-        c.on_feedback(0.2, now)
+        hop.feedback(0.2, now)
         if not c.in_startup:
             break
     assert not c.in_startup
@@ -52,13 +55,13 @@ def test_single_sample_escape_hatch():
     """One massively delayed sample (> factor*gamma) exits immediately."""
     config = TransportConfig(sample_gamma_factor=4.0)
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 2, rtt=0.1)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 2, rtt=0.1)
     window = c.cwnd_cells  # 8
-    for __ in range(window):
-        c.on_cell_sent(now)
-    c.on_feedback(0.1, now)  # keeps the round min low
+    hop.send(window)
+    hop.feedback(0.1, now)  # keeps the round min low
     # diff_sample = 8 * (0.4/0.1 - 1) = 24 > 16 = 4 * gamma.
-    c.on_feedback(0.4, now + 0.001)
+    hop.feedback(0.4, now + 0.001)
     assert not c.in_startup
 
 
@@ -66,25 +69,25 @@ def test_moderate_single_sample_does_not_exit():
     """A transiently delayed cell below the escape threshold is tolerated."""
     config = TransportConfig(sample_gamma_factor=4.0)
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 2, rtt=0.1)
-    for __ in range(c.cwnd_cells):
-        c.on_cell_sent(now)
-    c.on_feedback(0.1, now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 2, rtt=0.1)
+    hop.send(c.cwnd_cells)
+    hop.feedback(0.1, now)
     # diff_sample = 8 * 0.5 = 4; diff_round(min) = 0 -> stay in startup.
-    c.on_feedback(0.15, now + 0.001)
+    hop.feedback(0.15, now + 0.001)
     assert c.in_startup
 
 
 def test_compensation_acked_counts_last_rtt():
     config = TransportConfig(compensation_window_rtts=1)
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 3, rtt=0.1)  # cwnd 16, base 0.1
-    for __ in range(16):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 3, rtt=0.1)  # cwnd 16, base 0.1
+    hop.send(16)
     # Deliver 6 feedbacks within one base rtt, then the delayed trigger.
     for i in range(6):
-        c.on_feedback(0.1, now + i * 0.01)
-    c.on_feedback(0.5, now + 0.06)
+        hop.feedback(0.1, now + i * 0.01)
+    hop.feedback(0.5, now + 0.06)
     assert not c.in_startup
     # 7 feedback arrivals (6 + trigger) within the trailing 0.1 s.
     assert c.cwnd_cells == 7
@@ -93,14 +96,14 @@ def test_compensation_acked_counts_last_rtt():
 def test_compensation_never_exceeds_pre_exit_cwnd():
     config = TransportConfig(compensation_window_rtts=1)
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 1, rtt=0.1)  # cwnd 4
-    for __ in range(4):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 1, rtt=0.1)  # cwnd 4
+    hop.send(4)
     # Burst of feedback inside one RTT window larger than cwnd cannot
     # push the compensated window above the pre-exit cwnd.
     for i in range(3):
-        c.on_feedback(0.1, now + i * 0.001)
-    c.on_feedback(1.0, now + 0.004)
+        hop.feedback(0.1, now + i * 0.001)
+    hop.feedback(1.0, now + 0.004)
     assert not c.in_startup
     assert c.cwnd_cells <= (c.cwnd_before_exit or 0)
 
@@ -108,11 +111,11 @@ def test_compensation_never_exceeds_pre_exit_cwnd():
 def test_compensation_halve_mode():
     config = TransportConfig(compensation="halve")
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 3, rtt=0.1)  # cwnd 16
-    for __ in range(16):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 3, rtt=0.1)  # cwnd 16
+    hop.send(16)
     for i in range(16):
-        c.on_feedback(0.5, now + i * 0.001)
+        hop.feedback(0.5, now + i * 0.001)
         if not c.in_startup:
             break
     assert not c.in_startup
@@ -122,11 +125,11 @@ def test_compensation_halve_mode():
 def test_compensation_none_mode():
     config = TransportConfig(compensation="none")
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 3, rtt=0.1)
-    for __ in range(16):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 3, rtt=0.1)
+    hop.send(16)
     for i in range(16):
-        c.on_feedback(0.5, now + i * 0.001)
+        hop.feedback(0.5, now + i * 0.001)
         if not c.in_startup:
             break
     assert not c.in_startup
@@ -136,22 +139,22 @@ def test_compensation_none_mode():
 def test_compensation_floors_at_min_cwnd():
     config = TransportConfig(compensation_window_rtts=1, min_cwnd_cells=2)
     c = CircuitStartController(config)
-    now = run_clean_rounds(c, 2, rtt=0.1)
-    for __ in range(8):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 2, rtt=0.1)
+    hop.send(8)
     # Single delayed feedback and nothing else recent.
-    c.on_feedback(0.9, now + 5.0)
+    hop.feedback(0.9, now + 5.0)
     assert not c.in_startup
     assert c.cwnd_cells >= config.min_cwnd_cells
 
 
 def test_exit_records_diagnostics():
     c = CircuitStartController(TransportConfig())
-    now = run_clean_rounds(c, 2, rtt=0.1)
-    for __ in range(8):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 2, rtt=0.1)
+    hop.send(8)
     for i in range(8):
-        c.on_feedback(0.3, now + i * 0.001)
+        hop.feedback(0.3, now + i * 0.001)
         if not c.in_startup:
             break
     assert c.cwnd_before_exit == 8
@@ -163,19 +166,18 @@ def test_exit_records_diagnostics():
 
 def test_after_exit_vegas_runs():
     c = CircuitStartController(TransportConfig())
-    now = run_clean_rounds(c, 2, rtt=0.1)
-    for __ in range(8):
-        c.on_cell_sent(now)
+    hop = InFlight(c)
+    now = run_clean_rounds(hop, 2, rtt=0.1)
+    hop.send(8)
     for i in range(8):
-        c.on_feedback(0.3, now + i * 0.001)
+        hop.feedback(0.3, now + i * 0.001)
     assert c.phase is Phase.AVOIDANCE
     before = c.cwnd_cells
     # A clean full round at base rtt now triggers a Vegas increase.
     now += 1.0
-    for __ in range(before):
-        c.on_cell_sent(now)
+    hop.send(before)
     for i in range(before):
-        c.on_feedback(0.1, now + i * 0.0001)
+        hop.feedback(0.1, now + i * 0.0001)
     assert c.cwnd_cells == before + 1
 
 
@@ -183,6 +185,7 @@ def test_no_exit_without_queue():
     """Feedback always at base rtt: start-up continues indefinitely."""
     config = TransportConfig(max_cwnd_cells=64)
     c = CircuitStartController(config)
-    run_clean_rounds(c, 10, rtt=0.1)
+    hop = InFlight(c)
+    run_clean_rounds(hop, 10, rtt=0.1)
     assert c.in_startup
     assert c.cwnd_cells == 64  # clamped, still ramping

@@ -16,13 +16,14 @@ from repro.core.factory import CONTROLLER_REGISTRY, controller_kinds, make_contr
 from repro.transport.config import TransportConfig
 from repro.transport.controller import Phase
 
+from helpers import InFlight
 
-def full_round(controller, rtt, now):
-    window = controller.cwnd_cells
-    for __ in range(window):
-        controller.on_cell_sent(now)
+
+def full_round(hop, rtt, now):
+    window = hop.controller.cwnd_cells
+    hop.send(window)
     for i in range(window):
-        controller.on_feedback(rtt, now + i * 0.0001)
+        hop.feedback(rtt, now + i * 0.0001)
     return now + rtt
 
 
@@ -35,16 +36,16 @@ def make_settled_dynamic(**kwargs):
     """A dynamic controller past its initial start-up, window settled."""
     config = TransportConfig()
     c = DynamicCircuitStartController(config, **kwargs)
-    now = full_round(c, rtt=0.1, now=0.0)  # cwnd 4
+    hop = InFlight(c)
+    now = full_round(hop, rtt=0.1, now=0.0)  # cwnd 4
     # Force exit via a uniformly delayed round.
-    for __ in range(c.cwnd_cells):
-        c.on_cell_sent(now)
+    hop.send(c.cwnd_cells)
     for i in range(c.cwnd_cells):
-        c.on_feedback(0.5, now + i * 0.0001)
+        hop.feedback(0.5, now + i * 0.0001)
         if not c.in_startup:
             break
     assert c.phase is Phase.AVOIDANCE
-    return c, now + 1.0
+    return hop, now + 1.0
 
 
 def test_dynamic_validates_parameters():
@@ -58,66 +59,69 @@ def test_dynamic_validates_parameters():
 
 
 def test_dynamic_reenters_after_consecutive_low_rounds():
-    c, now = make_settled_dynamic(reentry_rounds=3, reentry_cooldown_rounds=0)
+    hop, now = make_settled_dynamic(reentry_rounds=3, reentry_cooldown_rounds=0)
+    c = hop.controller
     for __ in range(3):
-        now = full_round(c, rtt=0.1, now=now)  # diff 0 < alpha
+        now = full_round(hop, rtt=0.1, now=now)  # diff 0 < alpha
     assert c.phase is Phase.STARTUP
     assert c.reentries == 1
 
 
 def test_dynamic_reentry_respects_cooldown():
-    c, now = make_settled_dynamic(reentry_rounds=2, reentry_cooldown_rounds=50)
+    hop, now = make_settled_dynamic(reentry_rounds=2, reentry_cooldown_rounds=50)
+    c = hop.controller
     for __ in range(2):
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
     assert c.reentries == 1
     # Leave the re-entered startup immediately via a delayed round.
-    for __ in range(c.cwnd_cells):
-        c.on_cell_sent(now)
+    hop.send(c.cwnd_cells)
     for i in range(c.cwnd_cells):
-        c.on_feedback(0.9, now + i * 0.0001)
+        hop.feedback(0.9, now + i * 0.0001)
         if not c.in_startup:
             break
     # More low rounds within the cooldown horizon: no second re-entry.
     for __ in range(4):
-        now = full_round(c, rtt=0.1, now=now + 1)
+        now = full_round(hop, rtt=0.1, now=now + 1)
     assert c.reentries == 1
 
 
 def test_dynamic_fast_cut_on_diff_explosion():
     # reentry disabled so growth rounds stay in avoidance.
-    c, now = make_settled_dynamic(cut_factor=2.0, reentry_rounds=100)
+    hop, now = make_settled_dynamic(cut_factor=2.0, reentry_rounds=100)
+    c = hop.controller
     # Grow the window off the floor first.
     for __ in range(5):
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
     assert c.cwnd_cells > 2
     # diff explodes past cut_factor * beta = 8.
-    now = full_round(c, rtt=1.5, now=now)
+    now = full_round(hop, rtt=1.5, now=now)
     assert c.fast_cuts >= 1
     assert c.phase is Phase.AVOIDANCE
 
 
 def test_dynamic_normal_decrease_between_beta_and_cut():
-    c, now = make_settled_dynamic(cut_factor=10.0, reentry_rounds=100)
+    hop, now = make_settled_dynamic(cut_factor=10.0, reentry_rounds=100)
+    c = hop.controller
     for __ in range(4):
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
     before = c.cwnd_cells
     # diff just above beta but far below 10*beta: classic -1.
     window = c.cwnd_cells
     target_rtt = 0.1 * (1 + (5.0 / window))
-    now = full_round(c, rtt=target_rtt, now=now)
+    now = full_round(hop, rtt=target_rtt, now=now)
     assert c.cwnd_cells == before - 1
     assert c.fast_cuts == 0
 
 
 def test_dynamic_reentered_startup_can_exit_again():
-    c, now = make_settled_dynamic(reentry_rounds=2, reentry_cooldown_rounds=0)
+    hop, now = make_settled_dynamic(reentry_rounds=2, reentry_cooldown_rounds=0)
+    c = hop.controller
     for __ in range(2):
-        now = full_round(c, rtt=0.1, now=now)
+        now = full_round(hop, rtt=0.1, now=now)
     assert c.in_startup
-    for __ in range(c.cwnd_cells):
-        c.on_cell_sent(now)
+    hop.send(c.cwnd_cells)
     for i in range(c.cwnd_cells):
-        c.on_feedback(0.9, now + i * 0.0001)
+        hop.feedback(0.9, now + i * 0.0001)
         if not c.in_startup:
             break
     assert c.phase is Phase.AVOIDANCE

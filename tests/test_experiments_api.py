@@ -33,6 +33,7 @@ from repro.experiments import (
 )
 from repro.experiments.api import Experiment, decode
 from repro.experiments.registry import register_experiment
+from repro.scenario.probes import UtilizationProbe
 from repro.units import kib, mib, milliseconds, seconds
 
 EXPECTED_NAMES = [
@@ -261,6 +262,10 @@ KNOB_FLAGS = {
     lambda: get_experiment("netscale").spec_type(clusters=50),
     lambda: get_experiment("netscale").spec_type(kinds=("nope", "without")),
     lambda: get_experiment("scenario").spec_type(kinds=("nope",)),
+    lambda: get_experiment("scenario").spec_type(max_sim_time=float("nan")),
+    lambda: TraceConfig(duration=float("nan")),
+    lambda: CdfConfig(max_sim_time=float("nan")),
+    lambda: UtilizationProbe(interval=float("nan")),
 ])
 def test_spec_that_cannot_run_does_not_build(build):
     """Each of these built fine and failed inside the run (the planner,

@@ -79,13 +79,6 @@ def _snapshot(sender, controller):
     ]
 
 
-def _check_books(sender, controller):
-    """The controller's own counts repeat the sender's, exactly."""
-    assert controller.outstanding == sender.inflight_cells
-    assert controller.total_sent == sender.cells_sent
-    assert controller.total_acked == sender.feedback_received
-
-
 def _advance(sim, seconds):
     try:
         sim.run_for(seconds)
@@ -137,7 +130,6 @@ def run_ops(kind, mode, controller_type=None):
         else:
             op = "close"
             sender.close()
-        _check_books(sender, controller)
         record.append([op, round(sim.now, 9)] + _snapshot(sender, controller))
     return record
 
@@ -170,12 +162,8 @@ def _deaf(kind):
     """*kind*'s controller with the drained signal never reaching it."""
     base = CONTROLLER_REGISTRY[kind]
 
-    def on_feedback(self, rtt, now, sampled=True):
-        self.outstanding += 1
-        try:
-            base.on_feedback(self, rtt, now, sampled=sampled)
-        finally:
-            self.outstanding -= 1
+    def on_feedback(self, rtt, now, drained, sampled=True):
+        base.on_feedback(self, rtt, now, False, sampled=sampled)
 
     return type("Deaf" + base.__name__, (base,), {"on_feedback": on_feedback})
 

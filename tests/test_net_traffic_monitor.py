@@ -117,6 +117,11 @@ def test_sampler_validates_interval(sim):
         PeriodicSampler(sim, lambda: 0.0, interval=0.0)
 
 
+def test_sampler_rejects_nan_interval(sim):
+    with pytest.raises(ValueError):
+        PeriodicSampler(sim, lambda: 0.0, interval=float("nan"))
+
+
 def test_sampler_survives_max_events_parking(sim):
     """Regression: the park-the-clock run_until(max_events=...) semantics.
 

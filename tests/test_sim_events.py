@@ -1,13 +1,12 @@
 """Unit and property tests for event ordering and cancellation.
 
-:class:`~repro.sim.events.EventQueue` owns the heap, the sequence
-counter, the dead-entry count and compaction;
-:class:`~repro.sim.simulator.Simulator` does its own pushes and pops on
-that heap.  The ordering properties are therefore driven through the
-simulator — ``schedule`` / ``schedule_fast`` / ``reserve_seq`` +
-``push`` in, ``run`` / ``step`` out — so they hold for the
-loop production executes, and the queue is tested directly only for
-what it does itself.  ``Simulator.rearm`` is checked against the
+:class:`~repro.sim.simulator.Simulator` owns the heap, the sequence
+counter, the dead-entry count and compaction, and does every push and
+pop itself; :class:`~repro.sim.events.EventHandle` is the cancellable
+entry.  Everything is therefore driven through the simulator —
+``schedule`` / ``schedule_fast`` / ``reserve_seq`` + ``push`` in,
+``run`` / ``step`` out — so the properties hold for the loop
+production executes.  ``Simulator.rearm`` is checked against the
 cancel + ``schedule`` pair it stands for.
 """
 
@@ -17,16 +16,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.errors import SchedulingError
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
 
 def test_empty_queue_has_no_events():
-    q = EventQueue()
-    assert len(q) == 0
-    assert not q
     sim = Simulator()
     assert sim.pending_events == 0
+    assert sim._heap == [] and sim._dead == 0
     assert not sim.step()
 
 
@@ -49,32 +45,36 @@ def test_same_time_events_pop_fifo():
 
 
 def test_nan_time_rejected():
-    q = EventQueue()
+    sim = Simulator()
     with pytest.raises(SchedulingError):
-        q.push(float("nan"), lambda: None)
+        sim.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SchedulingError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim._heap == []
 
 
 def test_handle_starts_pending():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
+    sim = Simulator()
+    h = sim.schedule_at(1.0, lambda: None)
     assert h.pending
     assert not h.cancelled
     assert not h.fired
 
 
 def test_cancel_marks_handle():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
+    sim = Simulator()
+    h = sim.schedule_at(1.0, lambda: None)
     assert h.cancel()
     assert h.cancelled
     assert not h.pending
 
 
 def test_cancel_is_idempotent():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
+    sim = Simulator()
+    h = sim.schedule_at(1.0, lambda: None)
     assert h.cancel()
     assert not h.cancel()
+    assert sim._dead == 1
 
 
 def test_cancelled_events_are_skipped():
@@ -89,9 +89,9 @@ def test_cancelled_events_are_skipped():
 
 
 def test_cancel_drops_callback_reference():
-    q = EventQueue()
+    sim = Simulator()
     payload = object()
-    h = q.push(1.0, lambda x: None, (payload,))
+    h = sim.schedule_at(1.0, lambda x: None, payload)
     h.cancel()
     assert h.args == ()
 
@@ -115,11 +115,12 @@ def test_fired_handle_cannot_cancel():
 
 
 def test_len_tracks_cancellations():
-    q = EventQueue()
-    handles = [q.push(float(i), lambda: None) for i in range(5)]
+    sim = Simulator()
+    handles = [sim.schedule_at(float(i), lambda: None) for i in range(5)]
     for h in handles[:2]:
-        h.cancel()
-    assert len(q) == 3
+        sim.cancel(h)
+    assert sim.pending_events == 3
+    assert (len(sim._heap), sim._dead) == (5, 2)
 
 
 def test_fast_path_push_and_pop():
@@ -339,7 +340,6 @@ def test_compaction_keeps_heap_proportional_to_live_events():
     # timers, departure watchdogs) holds O(N) memory while only O(live)
     # events are real.  Compaction bounds the heap at O(live).
     sim = Simulator()
-    q = sim._queue
     live = []
     fired = []
     for wave in range(20):
@@ -354,12 +354,13 @@ def test_compaction_keeps_heap_proportional_to_live_events():
                 live.append((wave, i))
         # The invariant after every cancel: dead entries never exceed
         # max(live entries, compaction threshold).
-        assert len(q._heap) <= 2 * len(q) + q._COMPACT_MIN_DEAD
+        assert len(sim._heap) <= 2 * sim.pending_events + sim._COMPACT_MIN_DEAD
+        assert sim._dead <= max(sim.pending_events, sim._COMPACT_MIN_DEAD)
     assert sim.pending_events == len(live)
     # Everything still fires in order, dead entries never surface.
     sim.run()
     assert fired == live
-    assert not q and q._heap == []
+    assert sim._heap == [] and sim._dead == 0
 
 
 def test_same_timestamp_fifo_survives_compaction():
@@ -372,7 +373,8 @@ def test_same_timestamp_fifo_survives_compaction():
         sim.schedule_fast(1.0, order.append, i)  # all at one timestamp
     for h in handles[:-1]:
         h.cancel()
-    assert len(sim._queue._heap) < len(handles)  # compacted on the way
+    assert len(sim._heap) < len(handles)  # compacted on the way
+    assert sim._dead < len(handles) - 1
     sim.run()
     # The t=1.0 entries fired first, in FIFO order, then the one
     # surviving handle event; dead entries never surfaced.

@@ -21,6 +21,11 @@ def test_negative_start_time_rejected():
         Simulator(start_time=-1.0)
 
 
+def test_nan_start_time_rejected():
+    with pytest.raises(ClockError):
+        Simulator(start_time=float("nan"))
+
+
 def test_schedule_and_run_advances_clock(sim):
     fired = []
     sim.schedule(1.5, fired.append, "a")
@@ -102,6 +107,18 @@ def test_run_for_is_relative(sim):
 def test_run_for_negative_rejected(sim):
     with pytest.raises(ClockError):
         sim.run_for(-1.0)
+
+
+def test_nan_run_time_rejected(sim):
+    """A NaN deadline compares false both ways: it must not run the
+    heap dry and then leave the clock where the last event put it."""
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    with pytest.raises(ClockError):
+        sim.run_until(float("nan"))
+    with pytest.raises(ClockError):
+        sim.run_for(float("nan"))
+    assert (sim.now, fired, sim.pending_events) == (0.0, [], 1)
 
 
 def test_step_executes_single_event(sim):

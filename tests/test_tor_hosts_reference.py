@@ -413,7 +413,7 @@ class World:
             (s.label, s.counters(), s._next_seq, s.inflight_cells, s.buffered_cells)
             for s in self.senders
         ]
-        controllers = [(c.cwnd_cells, c.outstanding) for c in self.controllers]
+        controllers = [c.cwnd_cells for c in self.controllers]
         nodes = {
             name: (
                 node.packets_received, node.packets_dropped_down,

@@ -42,9 +42,9 @@ class RecordingController(FixedWindowController):
         super().__init__(config, window_cells=window_cells)
         self.feedback_log = []  # (sampled, rtt)
 
-    def on_feedback(self, rtt, now, sampled=True):
+    def on_feedback(self, rtt, now, drained, sampled=True):
         self.feedback_log.append((sampled, rtt))
-        super().on_feedback(rtt, now, sampled=sampled)
+        super().on_feedback(rtt, now, drained, sampled=sampled)
 
 
 class Cell:

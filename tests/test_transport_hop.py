@@ -42,8 +42,7 @@ def test_enqueue_sends_up_to_window(sim):
         sender.enqueue(StubCell())
     assert len(wire) == 2  # initial window
     assert sender.buffered_cells == 3
-    assert sender.inflight_cells == 2
-    assert not controller.can_send()
+    assert sender.inflight_cells == 2 == controller.cwnd_cells  # window full
 
 
 def test_hop_seq_assigned_sequentially(sim):
@@ -133,17 +132,18 @@ def test_cwnd_cells_passthrough(sim):
 
 
 def test_close_releases_window_accounting(sim):
-    """Teardown with cells in flight must release the controller's
-    ``outstanding`` count — a departed circuit's controller otherwise
-    reports in-flight cells forever (the conservation leak the
-    ``repro.check`` invariant catalog asserts against)."""
+    """Teardown with cells in flight drops them from the window: their
+    feedback is never coming, and a window still counting them would
+    admit nothing more."""
     sender, controller, wire = make_sender(sim)
     for __i in range(5):
         sender.enqueue(StubCell())
-    assert controller.outstanding == 2  # initial window's worth in flight
+    assert sender.inflight_cells == 2  # initial window's worth in flight
     sender.close()
-    assert controller.outstanding == 0
+    assert sender.inflight_cells == 0
     assert sender.idle
+    sender.enqueue(StubCell())
+    assert sender.inflight_cells == 1  # the window admits cells again
 
 
 def test_close_releases_accounting_reliable_mode(sim):
@@ -153,17 +153,10 @@ def test_close_releases_accounting_reliable_mode(sim):
     for __i in range(4):
         sender.enqueue(StubCell())
     sender.on_feedback(0)  # one acked, rest in flight
-    inflight = sender.inflight_cells
-    assert controller.outstanding == inflight > 0
+    assert sender.inflight_cells > 0
     sender.close()
-    assert controller.outstanding == 0
     assert sender.inflight_cells == 0
-
-
-def test_release_outstanding_rejects_negative():
-    controller = CircuitStartController(TransportConfig())
-    with pytest.raises(ValueError):
-        controller.release_outstanding(-1)
+    assert not sender._unacked
 
 
 def test_window_never_violated(sim):
@@ -174,8 +167,8 @@ def test_window_never_violated(sim):
     wire = []
 
     def transmit(cell, token):
-        if controller.outstanding > controller.cwnd_cells:
-            violations.append(controller.outstanding)
+        if sender.inflight_cells > controller.cwnd_cells:
+            violations.append(sender.inflight_cells)
         wire.append(cell)
 
     sender = HopSender(sim, config, controller, transmit)
@@ -243,7 +236,7 @@ def test_storm_exhausts_budget_into_broken_terminal_state(sim):
     # The break closed the hop: nothing in flight, accounting released,
     # and the terminal state is stable under further simulated time.
     assert sender.idle
-    assert controller.outstanding == 0
+    assert sender.inflight_cells == 0
     terminal = sender.counters()
     sim.run_until(60.0)
     assert sender.counters() == terminal
@@ -262,7 +255,7 @@ def test_storm_counters_survive_close(sim):
     assert after == before  # close() releases state, never counters
     assert not sender.broken
     assert sender.idle
-    assert controller.outstanding == 0
+    assert sender.inflight_cells == 0
     # The cancelled timer must leave nothing behind: no counter can
     # move once the circuit is gone.
     sim.run_until(30.0)

@@ -187,7 +187,7 @@ def test_hop_gives_up_after_max_rounds(sim):
     # the hop — downstream hosts legitimately cannot learn.)
     assert flow.spec.circuit_id in flow.hosts[0].retired
     assert flow.spec.circuit_id not in flow.hosts[0].circuits
-    assert flow.source_controller.outstanding == 0
+    assert flow.hop_senders[0].inflight_cells == 0
 
 
 def test_bare_sender_without_hook_still_raises(sim):
@@ -226,8 +226,8 @@ def test_midcircuit_break_propagates_destroy_upstream(sim):
     for host in flow.hosts[:3]:
         assert flow.spec.circuit_id in host.retired
         assert flow.spec.circuit_id not in host.circuits
-    for controller in flow.controllers:
-        assert controller.outstanding == 0
+    for sender in flow.hop_senders:
+        assert sender.inflight_cells == 0
 
 
 def test_broken_hop_reports_through_observer(sim):
@@ -255,7 +255,7 @@ def test_karn_rule_skips_retransmitted_samples(sim):
     assert flow.done
     # Fewer samples than acknowledgments: the retransmitted cell's ack
     # carried no sample.
-    assert controller.rtt.sample_count < controller.total_acked
+    assert controller.rtt.sample_count < flow.hop_senders[0].feedback_received
 
 
 def test_reliable_mode_matches_lossless_performance(sim):
