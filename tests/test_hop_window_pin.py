@@ -27,7 +27,7 @@ import pytest
 from repro.core.factory import CONTROLLER_REGISTRY
 from repro.sim.simulator import Simulator
 from repro.transport.config import TransportConfig
-from repro.transport.hop import HopBrokenError, HopSender
+from repro.transport.hop import HopSender
 
 CONFIGS = {
     "lossless": TransportConfig(),
@@ -79,13 +79,6 @@ def _snapshot(sender, controller):
     ]
 
 
-def _advance(sim, seconds):
-    try:
-        sim.run_for(seconds)
-    except HopBrokenError:  # pragma: no cover - the hook reports it
-        pass
-
-
 def run_ops(kind, mode, controller_type=None):
     """Drive one seeded op sequence; return the per-op record."""
     config = CONFIGS[mode]
@@ -93,7 +86,6 @@ def run_ops(kind, mode, controller_type=None):
     sim = Simulator()
     sender = HopSender(sim, config, controller, lambda cell, token: None,
                        label="pin")
-    sender.on_broken = lambda error: None
     rng = random.Random("%s/%s" % (kind, mode))
     record = []
     for __ in range(STEPS):
@@ -111,7 +103,7 @@ def run_ops(kind, mode, controller_type=None):
                 seqs = sorted(send_times)
                 seq = seqs[0] if rng.random() < 0.7 else rng.choice(seqs)
                 due = send_times[seq] + rng.uniform(0.002, 0.0025)
-                _advance(sim, max(0.0, due - sim.now))
+                sim.run_for(max(0.0, due - sim.now))
                 sender.on_feedback(seq)
         elif roll < 0.68:
             op = "duplicate"
@@ -121,12 +113,12 @@ def run_ops(kind, mode, controller_type=None):
                 sender.on_feedback(rng.randrange(low))
         elif roll < 0.93:
             op = "advance"
-            _advance(sim, rng.uniform(0.0005, 0.004))
+            sim.run_for(rng.uniform(0.0005, 0.004))
         elif roll < 0.985:
             op = "timeout"
             timer = sender._retx_timer
             if timer is not None:
-                _advance(sim, timer.time - sim.now)
+                sim.run_for(timer.time - sim.now)
         else:
             op = "close"
             sender.close()
