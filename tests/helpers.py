@@ -7,8 +7,11 @@ Lives in its own module (not ``conftest.py``) so test files can
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
+from typing import Dict
 
 from repro.net.topology import LinkSpec, build_chain
 from repro.tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
@@ -21,6 +24,7 @@ __all__ = [
     "json_digest",
     "link_counters",
     "make_chain_flow",
+    "pins",
     "read_header",
     "render_digest",
     "rewrite_header",
@@ -49,15 +53,30 @@ class InFlight:
         self.controller.on_feedback(rtt, now, not self.cells, sampled=sampled)
 
 
+@functools.lru_cache(maxsize=None)
+def _ledger() -> dict:
+    with open(os.path.join(os.path.dirname(__file__), "pins.json")) as handle:
+        return json.load(handle)
+
+
+def pins(group: str) -> Dict[str, str]:
+    """The pinned sha256 digests of *group* in ``tests/pins.json``, by key.
+
+    Every digest a test pins lives in that one ledger, beside what the
+    group covers and the test that shows a real change moves it.  A
+    re-pin is a hand edit of the ledger, never of a test file.
+    """
+    return dict(_ledger()[group]["sha256"])
+
+
 def json_digest(result) -> str:
     """sha256 of the text ``repro <verb> --json`` prints for *result*.
 
-    The chain harnesses pin their output with it: a digest in the test
-    file stands for a golden file of a few KB, and says "these bytes
+    The chain harnesses pin their output with it: a digest in the
+    ledger stands for a golden file of a few KB, and says "these bytes
     did not move" just as exactly.
     """
-    text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return text_digest(json.dumps(result.to_dict(), indent=2, sort_keys=True))
 
 
 def text_digest(text: str) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 
 import pytest
+from helpers import pins
 
 from repro.cli import build_parser, main
 
@@ -657,19 +658,17 @@ def test_lint_default_paths_cover_the_package(capsys):
     assert "0 finding(s)" in out
 
 
-@pytest.mark.parametrize("argv,digest", [
-    (["list"], "dbea7f0c666fb05c8b6b7836f2ad156a644a209ceb8cc21d2092e94b6a605024"),
-    (["list", "--json"], "0940164143405d03ae3fccc24dd831e9202e9e10cccb9b4ac244785d1915b096"),
-    (["scenario", "list"], "d72b59ba52a8baf24bc81c69b86757463105e6236fe959a42b15af48ba810eba"),
-    (["scenario", "list", "--json"], "29f134ac53c0aefcb7a61cfeb1ad4e95603680620a9b17cea5a60a3d0c2981b4"),
-])
-def test_listing_stdout_is_pinned(argv, digest, capsys):
+@pytest.mark.parametrize(
+    "command", sorted(pins("cli-listing")),
+    ids=lambda command: "-".join(command.replace("--", "").split()),
+)
+def test_listing_stdout_is_pinned(command, capsys):
     """What the two listing verbs print, text and ``--json``, byte for
     byte (captured before they shared one printer)."""
     from helpers import text_digest
 
-    assert main(argv) == 0
-    assert text_digest(capsys.readouterr().out) == digest
+    assert main(command.split()) == 0
+    assert text_digest(capsys.readouterr().out) == pins("cli-listing")[command]
 
 
 def test_optimal_rendered_text_is_pinned():
@@ -679,9 +678,7 @@ def test_optimal_rendered_text_is_pinned():
     from repro.experiments import OptimalConfig, get_experiment
 
     result = get_experiment("optimal").run(OptimalConfig())
-    assert render_digest("optimal", result) == (
-        "cadbf9d6fc11f5fcb703bf51e4aef49d1ccd9231b08ed928a49d0483663e2c1e"
-    )
+    assert render_digest("optimal", result) == pins("optimal")["figure-1a"]
 
 
 def test_scenario_run_renders_a_class_with_no_completed_circuit(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_backpropagation_labels():
 def test_json_bytes_are_pinned():
     """A reduced ``repro ablations --json``, byte for byte (captured
     before the chain harnesses shared one builder)."""
-    from helpers import json_digest
+    from helpers import json_digest, pins
     from repro.experiments import get_experiment
     from repro.experiments.ablations import AblationsConfig
 
@@ -104,13 +104,13 @@ def test_json_bytes_are_pinned():
         settle_time=0.5,
     )
     assert json_digest(get_experiment("ablations").run(spec)) == (
-        "76e84df548d48a5132dd30114612edfc00befe8a50db348b5fde9e88cc5221df"
+        pins("ablations-json")["reduced"]
     )
 
 
 def test_rendered_text_is_pinned():
     """The four tables ``repro ablations`` prints for the reduced spec."""
-    from helpers import render_digest
+    from helpers import pins, render_digest
     from repro.experiments import get_experiment
     from repro.experiments.ablations import AblationsConfig
 
@@ -123,5 +123,5 @@ def test_rendered_text_is_pinned():
         settle_time=0.5,
     )
     assert render_digest("ablations", get_experiment("ablations").run(spec)) == (
-        "5458d7df3f913c94d5203c7bebfa79d1dba647cd9f2308b9149b0aaf05fe4f6d"
+        pins("ablations")["reduced"]
     )

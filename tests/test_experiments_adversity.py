@@ -206,9 +206,7 @@ def test_rendered_text_is_pinned(study):
     and the figure.  Rendered from the decoded result, which carries no
     run metadata: the plan-cache line under the figure counts what this
     process happened to have planned before."""
-    from helpers import render_digest
+    from helpers import pins, render_digest
 
     decoded = type(study).from_dict(study.to_dict())
-    assert render_digest("adversity-study", decoded) == (
-        "8cbeca949570ecaf6381bab21d6760b5e9992e058adbda6dfb221042cc071c11"
-    )
+    assert render_digest("adversity-study", decoded) == pins("adversity-study")["reduced"]

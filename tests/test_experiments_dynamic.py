@@ -71,11 +71,11 @@ def test_traces_recorded_for_all_kinds(result):
 def test_json_bytes_are_pinned():
     """A reduced ``repro dynamic --json``, byte for byte (captured
     before the chain harnesses shared one builder)."""
-    from helpers import json_digest
+    from helpers import json_digest, pins
 
     spec = DynamicConfig(change_time=0.6, duration=1.2)
     assert json_digest(get_experiment("dynamic").run(spec)) == (
-        "1b1661930d5f9cc15cf82b1231c3671d21c0670b8780b92ee445fb7159d9df76"
+        pins("dynamic-json")["reduced"]
     )
 
 
@@ -99,8 +99,6 @@ def test_rate_change_must_fall_inside_the_run(change_time, duration):
 
 def test_rendered_text_is_pinned(result):
     """``repro dynamic`` as printed for the module's 2.5 s run."""
-    from helpers import render_digest
+    from helpers import pins, render_digest
 
-    assert render_digest("dynamic", result) == (
-        "fa1f12d148846fe44d80c6aaf95bd946b1e2b6593e604fd897c45cfae82d860d"
-    )
+    assert render_digest("dynamic", result) == pins("dynamic")["module"]

@@ -67,10 +67,8 @@ def test_circuitstart_added_delay_is_modest(rows):
 
 def test_rendered_text_is_pinned():
     """``repro friendliness`` as printed for the module's 1.2 s spec."""
-    from helpers import render_digest
+    from helpers import pins, render_digest
 
     spec = FriendlinessConfig(duration=seconds(1.2))
     result = get_experiment("friendliness").run(spec)
-    assert render_digest("friendliness", result) == (
-        "daac8d56277a8a9600815c3cbab8452e0d0062465e6a0ec7e1ba2d6cc9f299d7"
-    )
+    assert render_digest("friendliness", result) == pins("friendliness")["1.2 s"]

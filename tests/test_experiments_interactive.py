@@ -64,11 +64,11 @@ def test_latency_floor_is_propagation(rows):
 def test_json_bytes_are_pinned():
     """A reduced ``repro interactive --json``, byte for byte (captured
     before the chain harnesses shared one builder)."""
-    from helpers import json_digest
+    from helpers import json_digest, pins
 
     spec = InteractiveConfig(duration=1.2, settle_time=0.5)
     assert json_digest(get_experiment("interactive").run(spec)) == (
-        "99a1b30205b9e628e575c6e443ee6d4245dbb5cc48ee27b804aa8cd2d10f457a"
+        pins("interactive-json")["reduced"]
     )
 
 
@@ -82,10 +82,8 @@ def test_bottleneck_must_be_on_the_path(distance):
 
 def test_rendered_text_is_pinned():
     """``repro interactive`` as printed for the reduced spec."""
-    from helpers import render_digest
+    from helpers import pins, render_digest
 
     spec = InteractiveConfig(duration=1.2, settle_time=0.5)
     result = get_experiment("interactive").run(spec)
-    assert render_digest("interactive", result) == (
-        "448a18baa46320d10964e4956d26af7f18fd62cf54b9b2d5b46535f5d971914f"
-    )
+    assert render_digest("interactive", result) == pins("interactive")["reduced"]

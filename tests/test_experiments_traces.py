@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import pins
 
 from repro.experiments import get_experiment
 from repro.experiments.fig1_traces import TraceConfig
@@ -111,33 +112,27 @@ def test_plain_slow_start_overshoots_then_halves():
     assert result.peak_cwnd_cells > result.optimal_cwnd_cells
 
 
-@pytest.mark.parametrize("distance,digest", [
-    (1, "97bef4a72384ab5a95bc9e5c512ef2380d634240989909b139ca854e2f9e0eb5"),
-    (3, "4f17c230fa3b9f8f544d19fac4dc2690acf9e857ebd8256dbec932770ae9c709"),
-])
-def test_json_bytes_are_pinned(distance, digest):
+@pytest.mark.parametrize("distance", sorted(pins("trace-json")))
+def test_json_bytes_are_pinned(distance):
     """``repro trace --distance D --duration-ms 300 --json``, byte for byte
     (captured before the chain harnesses shared one builder)."""
     from helpers import json_digest
 
     result = run_trace_experiment(
-        TraceConfig(bottleneck_distance=distance, duration=0.3)
+        TraceConfig(bottleneck_distance=int(distance), duration=0.3)
     )
-    assert json_digest(result) == digest
+    assert json_digest(result) == pins("trace-json")[distance]
 
 
-@pytest.mark.parametrize("distance,digest", [
-    (1, "96f6d25543053627f848e87c2db380f7a4f9966919c8fec2fb637ba09a86b59e"),
-    (3, "721bbd5d99df1a82dbac53d4aa7974529c57c8b744a4b1df3ae4a20beaf67baf"),
-])
-def test_rendered_text_is_pinned(distance, digest):
+@pytest.mark.parametrize("distance", sorted(pins("trace")))
+def test_rendered_text_is_pinned(distance):
     """``repro trace --distance D --duration-ms 300`` as printed: the
     figure, its axis labels and the summary line (captured before
     ``repro report`` started printing this same rendering)."""
     from helpers import render_digest
 
     result = run_trace_experiment(
-        TraceConfig(bottleneck_distance=distance, duration=0.3)
+        TraceConfig(bottleneck_distance=int(distance), duration=0.3)
     )
-    assert render_digest("trace", result) == digest
+    assert render_digest("trace", result) == pins("trace")[distance]
 

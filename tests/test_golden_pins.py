@@ -243,9 +243,7 @@ def test_closed_loop_rendered_text_is_pinned():
     """``repro scenario run`` as printed for the closed-loop spec: the
     per-workload table, one line per probe series (queue depth at every
     relay, goodput per request/response circuit) and the event counts."""
-    from helpers import render_digest
+    from helpers import pins, render_digest
 
     result = get_experiment("scenario").run(golden_closed_loop())
-    assert render_digest("scenario", result) == (
-        "14908c3da128a21cd7cb58f7ef1dfc8b7d080b90c560b5cc34526110a2ee8ac6"
-    )
+    assert render_digest("scenario", result) == pins("scenario")["closed-loop"]

@@ -18,11 +18,11 @@ move at least one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 
 import pytest
+from helpers import pins, text_digest
 
 from repro.core.factory import CONTROLLER_REGISTRY
 from repro.sim.simulator import Simulator
@@ -37,21 +37,8 @@ CONFIGS = {
 #: Ops per sequence.
 STEPS = 600
 
-#: sha256 of the per-op record, per (kind, mode).
-PINNED = {
-    ("with", "lossless"):
-        "d8f3c506ee12867ccd42269089c6acb53dcf2bce151671fe3ffd4fd732f7eaf2",
-    ("with", "reliable"):
-        "30fc11d168259ea28182ce02afe6bd4da86a90ff951102cd41225a13112fcce9",
-    ("without", "lossless"):
-        "a84e715e7068214fed0b2edbeb072377e2da637e8fafb103de6fc1ed1c55b95f",
-    ("without", "reliable"):
-        "26b5d036cf3539481c7be31ec80d0b610565079768312da61f5c5088f5933b35",
-    ("plain-slowstart", "lossless"):
-        "79008d610c9a6e449e42a008921707af9ec67d6b1b22f1376a693a0f42b60292",
-    ("plain-slowstart", "reliable"):
-        "2da25009db98cd62dc1e6e4927935c702f4663fde6652bdc05b9caf7bde9cffe",
-}
+#: (kind, mode) of every pinned sequence: the ledger's keys, split.
+CASES = [tuple(key.split()) for key in sorted(pins("hop-window"))]
 
 
 class _Cell:
@@ -80,7 +67,8 @@ def _snapshot(sender, controller):
 
 
 def run_ops(kind, mode, controller_type=None):
-    """Drive one seeded op sequence; return the per-op record."""
+    """Drive one seeded op sequence; return the per-op record (the
+    ledger pins the sha256 of its compact JSON)."""
     config = CONFIGS[mode]
     controller = (controller_type or CONTROLLER_REGISTRY[kind])(config)
     sim = Simulator()
@@ -126,17 +114,13 @@ def run_ops(kind, mode, controller_type=None):
     return record
 
 
-def digest(record):
-    text = json.dumps(record, separators=(",", ":"))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-@pytest.mark.parametrize("kind, mode", sorted(PINNED))
+@pytest.mark.parametrize("kind, mode", CASES)
 def test_window_books_pinned(kind, mode):
-    assert digest(run_ops(kind, mode)) == PINNED[(kind, mode)]
+    record = json.dumps(run_ops(kind, mode), separators=(",", ":"))
+    assert text_digest(record) == pins("hop-window")["%s %s" % (kind, mode)]
 
 
-@pytest.mark.parametrize("kind, mode", sorted(PINNED))
+@pytest.mark.parametrize("kind, mode", CASES)
 def test_sequence_reaches_every_state(kind, mode):
     """The pin is only as good as what the ops exercise."""
     record = run_ops(kind, mode)
@@ -161,9 +145,12 @@ def _deaf(kind):
 
 
 def test_teeth_drained_signal_moves_a_digest():
+    pinned = pins("hop-window")
     moved = [
         (kind, mode)
-        for kind, mode in sorted(PINNED)
-        if digest(run_ops(kind, mode, _deaf(kind))) != PINNED[(kind, mode)]
+        for kind, mode in CASES
+        if text_digest(json.dumps(run_ops(kind, mode, _deaf(kind)),
+                                  separators=(",", ":")))
+        != pinned["%s %s" % (kind, mode)]
     ]
     assert moved

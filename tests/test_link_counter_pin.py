@@ -13,11 +13,10 @@ counters must leave every digest alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import pytest
-from helpers import link_counters
+from helpers import link_counters, pins, text_digest
 from test_percell_budget import lossless_scenario, reliable_scenario
 
 from repro.net.faults import ScriptedLossModel, install_fault_model
@@ -25,21 +24,6 @@ from repro.scenario import engine, plan_scenario, run_planned
 from repro.scenario.cache import PlanCache
 
 SCENARIOS = {"lossless": lossless_scenario, "reliable": reliable_scenario}
-
-LINK_COUNTERS_SHA256 = {
-    ("lossless", "with"): (
-        "bf30dab7db696d9edf2b59b4f6a49ac2292bfdb8f4496f9ec794e4820445f3ec"
-    ),
-    ("lossless", "without"): (
-        "cd634e8f45a102e3bbbe3efcfa41bac89e5876d0602d6dc6a3d3951aba1c6a2c"
-    ),
-    ("reliable", "with"): (
-        "a64ee8732391ab9897d6eeed6c4a67c48d19821910e47eac8f54f3bbf3437343"
-    ),
-    ("reliable", "without"): (
-        "88ee1ceea695d39fa3b5fcffb9e0b087739943d7835a04f7331878eef9cdf2cf"
-    ),
-}
 
 
 def counter_digests(scenario, tamper=None):
@@ -63,15 +47,17 @@ def counter_digests(scenario, tamper=None):
         for kind in scenario.kinds:
             run_planned(plan, kinds=[kind])
             text = json.dumps(link_counters(networks[-1].topology))
-            digests[kind] = hashlib.sha256(text.encode()).hexdigest()
+            digests[kind] = text_digest(text)
     return digests
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_link_counters_are_pinned(name):
     digests = counter_digests(SCENARIOS[name]())
-    assert {(name, kind): digest for kind, digest in digests.items()} == {
-        key: digest for key, digest in LINK_COUNTERS_SHA256.items() if key[0] == name
+    assert {"%s %s" % (name, kind): digest for kind, digest in digests.items()} == {
+        key: digest
+        for key, digest in pins("link-counters").items()
+        if key.split()[0] == name
     }
 
 
@@ -85,5 +71,6 @@ def test_the_pin_sees_one_dropped_packet():
         )
 
     digests = counter_digests(reliable_scenario(), tamper=drop_first)
+    pinned = pins("link-counters")
     for kind, digest in digests.items():
-        assert digest != LINK_COUNTERS_SHA256["reliable", kind]
+        assert digest != pinned["reliable " + kind]

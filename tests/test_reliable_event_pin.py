@@ -12,10 +12,10 @@ event where it was must leave these three alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import replace
 
+from helpers import pins, text_digest
 from test_percell_budget import reliable_scenario
 
 from repro.scenario import plan_scenario, run_planned
@@ -34,27 +34,20 @@ TRANSPORT_COUNTERS = {
         "retransmissions": 265, "timeouts": 33,
     },
 }
-RESULT_SHA256 = (
-    "0cfb3d4f5f43a1564d2f048ac110cabe03088c4f14d62af80bd80b3ecc9503fe"
-)
 
 
 def fingerprint(scenario):
     """(events_executed, transport_counters, sha256) of one run."""
     result = run_planned(plan_scenario(scenario, cache=PlanCache()))
     text = json.dumps(result.to_dict(), sort_keys=True)
-    return (
-        result.events_executed,
-        result.transport_counters,
-        hashlib.sha256(text.encode()).hexdigest(),
-    )
+    return result.events_executed, result.transport_counters, text_digest(text)
 
 
 def test_reliable_run_is_pinned_at_event_level():
     events, counters, digest = fingerprint(reliable_scenario())
     assert events == EVENTS_EXECUTED
     assert counters == TRANSPORT_COUNTERS
-    assert digest == RESULT_SHA256
+    assert digest == pins("reliable-event")["result"]
 
 
 def test_the_pin_sees_a_moved_timer():
@@ -66,5 +59,5 @@ def test_the_pin_sees_a_moved_timer():
     )
     assert scenario.transport.rto_min == 0.05
     events, counters, digest = fingerprint(nudged)
-    assert digest != RESULT_SHA256
+    assert digest != pins("reliable-event")["result"]
     assert (events, counters) != (EVENTS_EXECUTED, TRANSPORT_COUNTERS)
