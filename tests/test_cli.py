@@ -671,6 +671,19 @@ def test_listing_stdout_is_pinned(command, capsys):
     assert text_digest(capsys.readouterr().out) == pins("cli-listing")[command]
 
 
+def test_listing_pin_has_teeth(monkeypatch, capsys):
+    """One experiment's ``help`` spelled differently must move what
+    ``repro list`` prints."""
+    from helpers import text_digest
+
+    from repro.experiments import get_experiment
+
+    trace = type(get_experiment("trace"))
+    monkeypatch.setattr(trace, "help", trace.help.replace("Figure", "Fig."))
+    assert main(["list"]) == 0
+    assert text_digest(capsys.readouterr().out) != pins("cli-listing")["list"]
+
+
 def test_optimal_rendered_text_is_pinned():
     """``repro optimal`` on the Figure-1a path (the default spec), as
     printed."""

@@ -124,6 +124,23 @@ def test_json_bytes_are_pinned(distance):
     assert json_digest(result) == pins("trace-json")[distance]
 
 
+def test_json_pin_has_teeth(monkeypatch):
+    """CircuitStart's compensated window one cell larger, and nothing
+    else (no spec field, so the config echo stays as it was), must move
+    the ``--json`` digest of the chain verbs' pins."""
+    from helpers import json_digest
+
+    from repro.core.circuitstart import CircuitStartController
+
+    real = CircuitStartController._compensated_window
+    monkeypatch.setattr(
+        CircuitStartController, "_compensated_window",
+        lambda self, now: real(self, now) + 1,
+    )
+    result = run_trace_experiment(TraceConfig(bottleneck_distance=1, duration=0.3))
+    assert json_digest(result) != pins("trace-json")["1"]
+
+
 @pytest.mark.parametrize("distance", sorted(pins("trace")))
 def test_rendered_text_is_pinned(distance):
     """``repro trace --distance D --duration-ms 300`` as printed: the
