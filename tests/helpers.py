@@ -7,11 +7,14 @@ Lives in its own module (not ``conftest.py``) so test files can
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import os
 from typing import Dict
+
+import pytest
 
 from repro.net.topology import LinkSpec, build_chain
 from repro.tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
@@ -24,6 +27,7 @@ __all__ = [
     "json_digest",
     "link_counters",
     "make_chain_flow",
+    "network_spy",
     "pins",
     "read_header",
     "render_digest",
@@ -171,6 +175,34 @@ def make_chain_flow(
         workload="none" if workload_none else "bulk",
     )
     return flow, topology, specs
+
+
+@contextlib.contextmanager
+def network_spy(tamper=None):
+    """Record every network a kind run builds while the block runs.
+
+    Yields the list each network ``repro.scenario.engine`` instantiates
+    is appended to, in build order.  *tamper*, if given, sees each
+    network right after it is built.  Only a run in this process is
+    seen (see ``run_planned(plan, kinds=[kind])``).  The spy costs one
+    frame and one ``append`` per network: the per-cell budget counts
+    the calls made inside it.
+    """
+    from repro.scenario import engine
+
+    networks = []
+    instantiate = engine.instantiate_network
+
+    def remember(*args, **kwargs):
+        network = instantiate(*args, **kwargs)
+        if tamper is not None:
+            tamper(network)
+        networks.append(network)
+        return network
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "instantiate_network", remember)
+        yield networks
 
 
 def link_packet_totals(topology):

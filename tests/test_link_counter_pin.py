@@ -13,14 +13,15 @@ counters must leave every digest alone.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
-from helpers import link_counters, pins, text_digest
+from helpers import link_counters, network_spy, pins, text_digest
 from test_percell_budget import lossless_scenario, reliable_scenario
 
 from repro.net.faults import ScriptedLossModel, install_fault_model
-from repro.scenario import engine, plan_scenario, run_planned
+from repro.scenario import plan_scenario, run_planned
 from repro.scenario.cache import PlanCache
 
 SCENARIOS = {"lossless": lossless_scenario, "reliable": reliable_scenario}
@@ -28,22 +29,13 @@ SCENARIOS = {"lossless": lossless_scenario, "reliable": reliable_scenario}
 
 def counter_digests(scenario, tamper=None):
     """kind -> sha256 of :func:`link_counters` after one replay of
-    *scenario* with that kind.  *tamper*, if given, sees each network
-    right after it is built."""
+    *scenario* with that kind.  *tamper*, if given, sees the plan and
+    each network right after it is built."""
     plan = plan_scenario(scenario, cache=PlanCache())
-    networks = []
-    instantiate = engine.instantiate_network
-
-    def remember(*args, **kwargs):
-        network = instantiate(*args, **kwargs)
-        if tamper is not None:
-            tamper(plan, network)
-        networks.append(network)
-        return network
-
+    if tamper is not None:
+        tamper = functools.partial(tamper, plan)
     digests = {}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "instantiate_network", remember)
+    with network_spy(tamper) as networks:
         for kind in scenario.kinds:
             run_planned(plan, kinds=[kind])
             text = json.dumps(link_counters(networks[-1].topology))

@@ -22,10 +22,11 @@ import gc
 import sys
 
 import pytest
+from helpers import network_spy
 
 from repro.experiments.adversity import AdversityStudyConfig
 from repro.experiments.netscale import NetScaleConfig
-from repro.scenario import engine, plan_scenario, run_planned
+from repro.scenario import plan_scenario, run_planned
 from repro.scenario.cache import PlanCache
 from repro.scenario.netgen import NetworkConfig
 from repro.units import kib
@@ -76,13 +77,6 @@ def calls_per_forwarded_cell(scenario):
     # own: a plan another test left in the default cache must not
     # change the count.
     plan = plan_scenario(scenario, cache=PlanCache())
-    networks = []
-    instantiate = engine.instantiate_network
-
-    def remember(*args, **kwargs):
-        networks.append(instantiate(*args, **kwargs))
-        return networks[-1]
-
     calls = 0
 
     def count(frame, event, arg):
@@ -97,8 +91,7 @@ def calls_per_forwarded_cell(scenario):
     # depends on what the process allocated before it.
     collecting = gc.isenabled()
     gc.disable()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "instantiate_network", remember)
+    with network_spy() as networks:
         sys.setprofile(count)
         try:
             for kind in scenario.kinds:

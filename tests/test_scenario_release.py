@@ -23,6 +23,7 @@ import dataclasses
 import gc
 
 import pytest
+from helpers import network_spy
 
 from repro.experiments import get_experiment
 from repro.experiments.ablations import AblationsConfig
@@ -171,18 +172,11 @@ def test_each_layer_release_is_needed(monkeypatch, owner, make_replay, minimum):
     assert found > minimum
 
 
-def test_reads_from_the_top_stay_valid_after_release(monkeypatch):
+def test_reads_from_the_top_stay_valid_after_release():
     """What the per-cell budget reads after a run: the network, its
     nodes, each node's handler and the counters on all of them."""
-    networks = []
-    instantiate = engine.instantiate_network
-
-    def remember(*args, **kwargs):
-        networks.append(instantiate(*args, **kwargs))
-        return networks[-1]
-
-    monkeypatch.setattr(engine, "instantiate_network", remember)
-    result = run_planned(lossless_plan(), kinds=["with"])
+    with network_spy() as networks:
+        result = run_planned(lossless_plan(), kinds=["with"])
     (network,) = networks
     nodes = network.topology.nodes
     forwarded = sum(
