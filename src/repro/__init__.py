@@ -22,7 +22,6 @@ Quickstart::
 from .experiments import (
     BatchJob,
     RunContext,
-    experiment_names,
     get_experiment,
     iter_experiments,
     run_batch,
@@ -33,7 +32,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BatchJob",
     "RunContext",
-    "experiment_names",
     "get_experiment",
     "iter_experiments",
     "run_batch",

@@ -64,12 +64,6 @@ class VegasStartController(WindowController):
         super().__init__(config, rtt=rtt)
         self.phase = Phase.AVOIDANCE  # BackTap has no start-up phase
 
-    def _startup_feedback(self, rtt: float, now: float) -> bool:  # pragma: no cover
-        raise AssertionError("vegas-start controller never enters STARTUP")
-
-    def _startup_round_complete(self, now: float, full: bool) -> None:  # pragma: no cover
-        raise AssertionError("vegas-start controller never enters STARTUP")
-
 
 class PlainSlowStartController(WindowController):
     """Traditional slow start on top of the feedback loop ("without").
@@ -131,12 +125,6 @@ class FixedWindowController(WindowController):
         """The window never moves."""
         self._log(now, "fixed-hold")
 
-    def _startup_feedback(self, rtt: float, now: float) -> bool:  # pragma: no cover
-        raise AssertionError("fixed-window controller never enters STARTUP")
-
-    def _startup_round_complete(self, now: float, full: bool) -> None:  # pragma: no cover
-        raise AssertionError("fixed-window controller never enters STARTUP")
-
 
 class JumpStartController(WindowController):
     """Start at a large window immediately; rely on Vegas to recover."""
@@ -158,9 +146,3 @@ class JumpStartController(WindowController):
         )
         self.round_target = self.cwnd_cells
         self.phase = Phase.AVOIDANCE  # skips the start-up phase entirely
-
-    def _startup_feedback(self, rtt: float, now: float) -> bool:  # pragma: no cover
-        raise AssertionError("jumpstart controller never enters STARTUP")
-
-    def _startup_round_complete(self, now: float, full: bool) -> None:  # pragma: no cover
-        raise AssertionError("jumpstart controller never enters STARTUP")

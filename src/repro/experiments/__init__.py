@@ -35,7 +35,6 @@ from .api import (
     encode,
 )
 from .registry import (
-    experiment_names,
     get_experiment,
     iter_experiments,
     register_experiment,
@@ -179,7 +178,6 @@ __all__ = [
     "compensation_modes",
     "decode",
     "encode",
-    "experiment_names",
     "gamma_sweep",
     "generate_network",
     "get_experiment",

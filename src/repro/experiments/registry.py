@@ -20,7 +20,6 @@ from typing import Dict, List, Type
 from .api import Experiment
 
 __all__ = [
-    "experiment_names",
     "get_experiment",
     "iter_experiments",
     "register_experiment",
@@ -54,11 +53,6 @@ def get_experiment(name: str) -> Experiment:
             "unknown experiment %r (have: %s)"
             % (name, ", ".join(sorted(_REGISTRY)))
         ) from None
-
-
-def experiment_names() -> List[str]:
-    """All registered experiment names, in registration order."""
-    return list(_REGISTRY)
 
 
 def iter_experiments() -> List[Experiment]:

@@ -88,7 +88,6 @@ from .parts import (
     TopologySource,
     Workload,
     list_parts,
-    lookup_part,
     register_part,
 )
 from .probes import (
@@ -152,7 +151,6 @@ __all__ = [
     "generate_network",
     "instantiate_network",
     "list_parts",
-    "lookup_part",
     "plan_network",
     "plan_scenario",
     "register_part",

@@ -42,7 +42,6 @@ __all__ = [
     "TopologySource",
     "Workload",
     "list_parts",
-    "lookup_part",
     "register_part",
 ]
 
@@ -315,19 +314,6 @@ def register_part(cls: type) -> type:
         )
     registry[name] = cls
     return cls
-
-
-def lookup_part(kind_base: Type[ScenarioPart], name: str) -> type:
-    """The registered class of *kind_base*'s registry called *name*."""
-    registry = kind_base._registry
-    assert registry is not None
-    try:
-        return registry[name]
-    except KeyError:
-        raise KeyError(
-            "unknown %s part %r (have: %s)"
-            % (kind_base.kind, name, ", ".join(sorted(registry)))
-        ) from None
 
 
 def list_parts(kind_base: Optional[Type[ScenarioPart]] = None) -> List[Tuple[str, str, type]]:

@@ -3,9 +3,8 @@
 The simulation deals with three kinds of quantities:
 
 * **time** — simulated seconds, represented as plain ``float`` values.
-  Helper constructors (:func:`seconds`, :func:`milliseconds`,
-  :func:`microseconds`) exist so call sites read naturally and unit
-  mistakes are visible in review.
+  Helper constructors (:func:`seconds`, :func:`milliseconds`) exist so
+  call sites read naturally and unit mistakes are visible in review.
 * **data sizes** — bytes, represented as plain ``int`` values.  Helper
   constants (:data:`KIB`, :data:`MIB`) and constructors (:func:`kib`,
   :func:`mib`) cover the common cases.
@@ -33,7 +32,6 @@ __all__ = [
     "kib",
     "mbit_per_second",
     "mib",
-    "microseconds",
     "milliseconds",
     "seconds",
 ]
@@ -53,11 +51,6 @@ def seconds(value: float) -> float:
 def milliseconds(value: float) -> float:
     """Return *value* milliseconds as simulated seconds."""
     return float(value) / 1e3
-
-
-def microseconds(value: float) -> float:
-    """Return *value* microseconds as simulated seconds."""
-    return float(value) / 1e6
 
 
 def kib(value: float) -> int:

@@ -30,11 +30,7 @@ from repro.experiments.api import (
     ExperimentSpec,
     RunContext,
 )
-from repro.experiments.registry import (
-    _REGISTRY,
-    experiment_names,
-    register_experiment,
-)
+from repro.experiments.registry import _REGISTRY, register_experiment
 
 
 def _arm(marker: Optional[str]) -> bool:
@@ -134,7 +130,7 @@ TEST_EXPERIMENTS = (FuseExperiment, TripExperiment, FlakyExperiment)
 def install() -> None:
     """Register the probe experiments (idempotent)."""
     for cls in TEST_EXPERIMENTS:
-        if cls.name not in experiment_names():
+        if cls.name not in _REGISTRY:
             register_experiment(cls)
 
 

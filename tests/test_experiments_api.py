@@ -26,7 +26,6 @@ from repro.experiments import (
     SpecError,
     TraceConfig,
     encode,
-    experiment_names,
     get_experiment,
     iter_experiments,
     run_batch,
@@ -155,7 +154,7 @@ def fast_spec(name):
 
 
 def test_registry_contains_every_experiment_exactly_once():
-    names = experiment_names()
+    names = [experiment.name for experiment in iter_experiments()]
     assert names == EXPECTED_NAMES
     assert len(names) == len(set(names))
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments import experiment_names, get_experiment
+from repro.experiments import get_experiment
 from repro.experiments.netgen import NetworkConfig, generate_network
 from repro.experiments.netscale import (
     BULK,
@@ -40,7 +40,6 @@ def result() -> NetScaleResult:
 
 
 def test_registered():
-    assert "netscale" in experiment_names()
     experiment = get_experiment("netscale")
     assert experiment.spec_type is NetScaleConfig
     assert experiment.result_type is NetScaleResult

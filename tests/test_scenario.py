@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.experiments import experiment_names, get_experiment
+from repro.experiments import get_experiment
 from repro.scenario import (
     BulkWorkload,
     ChurnProcess,
@@ -24,7 +24,6 @@ from repro.scenario import (
     UtilizationProbe,
     Workload,
     list_parts,
-    lookup_part,
     plan_scenario,
     run_planned,
     run_scenario,
@@ -79,13 +78,6 @@ def test_builtin_parts_registered():
     assert ("probe", "utilization") in rows
     assert ("probe", "queue-depth") in rows
     assert ("probe", "goodput") in rows
-
-
-def test_lookup_part():
-    assert lookup_part(Workload, "bulk") is BulkWorkload
-    assert lookup_part(ChurnProcess, "open-loop") is OpenLoopChurn
-    with pytest.raises(KeyError, match="teleport"):
-        lookup_part(Probe, "teleport")
 
 
 def test_part_name_property():
@@ -698,7 +690,6 @@ def test_custom_part_registers_and_round_trips():
             return [(0, 0.0) for __ in range(scenario.circuit_count)]
 
     try:
-        assert lookup_part(ChurnProcess, "test-burst") is BurstChurn
         rebuilt = decode(ChurnProcess, {"part": "test-burst", "burst_gap": 2.0})
         assert rebuilt == BurstChurn(burst_gap=2.0)
         # Duplicate registration is rejected.
@@ -714,7 +705,6 @@ def test_custom_part_registers_and_round_trips():
 
 
 def test_scenario_experiment_registered():
-    assert "scenario" in experiment_names()
     experiment = get_experiment("scenario")
     assert experiment.spec_type is Scenario
     assert experiment.result_type is ScenarioResult

@@ -30,7 +30,6 @@ from repro.scenario import (
     FailureRateProbe,
     FaultEvent,
     FaultInjector,
-    FaultProcess,
     GeneratedTopology,
     LinkFaults,
     NetworkConfig,
@@ -43,7 +42,6 @@ from repro.scenario import (
     Scenario,
     UtilizationProbe,
     list_parts,
-    lookup_part,
     plan_scenario,
     run_planned,
 )
@@ -192,7 +190,6 @@ def test_fault_parts_registered():
     assert ("churn", "closed-loop") in rows
     assert ("workload", "request-response") in rows
     assert ("probe", "failure-rate") in rows
-    assert lookup_part(FaultProcess, "link-faults") is LinkFaults
 
 
 def test_fault_event_validation_and_round_trip():

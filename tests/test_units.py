@@ -14,7 +14,6 @@ from repro.units import (
     kib,
     mbit_per_second,
     mib,
-    microseconds,
     milliseconds,
     seconds,
 )
@@ -23,7 +22,6 @@ from repro.units import (
 def test_time_helpers():
     assert seconds(2) == 2.0
     assert milliseconds(250) == 0.25
-    assert microseconds(1500) == pytest.approx(0.0015)
 
 
 def test_size_helpers():
