@@ -28,6 +28,7 @@ __all__ = [
     "link_counters",
     "make_chain_flow",
     "network_spy",
+    "pin_ledger",
     "pins",
     "read_header",
     "render_digest",
@@ -58,7 +59,11 @@ class InFlight:
 
 
 @functools.lru_cache(maxsize=None)
-def _ledger() -> dict:
+def pin_ledger() -> dict:
+    """``tests/pins.json``, read once per process: group -> ``covers``
+    (what it pins), ``teeth`` (``file.py::test_name`` of a test showing
+    a real change moves it) and ``sha256`` (key -> digest).  Shared by
+    every caller; read it, never change it."""
     with open(os.path.join(os.path.dirname(__file__), "pins.json")) as handle:
         return json.load(handle)
 
@@ -66,11 +71,10 @@ def _ledger() -> dict:
 def pins(group: str) -> Dict[str, str]:
     """The pinned sha256 digests of *group* in ``tests/pins.json``, by key.
 
-    Every digest a test pins lives in that one ledger, beside what the
-    group covers and the test that shows a real change moves it.  A
-    re-pin is a hand edit of the ledger, never of a test file.
+    Every digest a test pins lives in that one ledger.  A re-pin is a
+    hand edit of the ledger, never of a test file.
     """
-    return dict(_ledger()[group]["sha256"])
+    return dict(pin_ledger()[group]["sha256"])
 
 
 def json_digest(result) -> str:

@@ -9,16 +9,14 @@ exists.  The test files are read as source (an AST scan), never run, so
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 
 import pytest
+from helpers import pin_ledger
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-
-with open(os.path.join(TESTS, "pins.json")) as _handle:
-    LEDGER = json.load(_handle)
+LEDGER = pin_ledger()
 
 DIGEST = re.compile(r"[0-9a-f]{64}")
 
