@@ -4,10 +4,11 @@ The model is a faithful, time-free abstraction of one circuit running
 over the real stack:
 
 * per hop, a sender mirroring :class:`~repro.transport.hop.HopSender`
-  — window-gated pump, per-hop sequence numbers, go-back-N
-  retransmission state, the teardown path — plus the count-driven part
-  of :class:`~repro.transport.controller.WindowController` (the
-  ``outstanding`` accounting and discrete-round bookkeeping);
+  — window-gated pump, the count of cells in flight, per-hop sequence
+  numbers, go-back-N retransmission state, the teardown path — plus
+  the count-driven part of
+  :class:`~repro.transport.controller.WindowController` (discrete-round
+  bookkeeping);
 * per receiving node, the in-order go-back-N receiver of
   :class:`~repro.tor.hosts.TorHost` (duplicates re-acknowledged,
   out-of-order arrivals dropped);
