@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 
 import pytest
-from helpers import pins
+from helpers import pins, render_digest, text_digest
 
 from repro.cli import build_parser, main
 
@@ -665,8 +665,6 @@ def test_lint_default_paths_cover_the_package(capsys):
 def test_listing_stdout_is_pinned(command, capsys):
     """What the two listing verbs print, text and ``--json``, byte for
     byte (captured before they shared one printer)."""
-    from helpers import text_digest
-
     assert main(command.split()) == 0
     assert text_digest(capsys.readouterr().out) == pins("cli-listing")[command]
 
@@ -674,8 +672,6 @@ def test_listing_stdout_is_pinned(command, capsys):
 def test_listing_pin_has_teeth(monkeypatch, capsys):
     """One experiment's ``help`` spelled differently must move what
     ``repro list`` prints."""
-    from helpers import text_digest
-
     from repro.experiments import get_experiment
 
     trace = type(get_experiment("trace"))
@@ -687,7 +683,6 @@ def test_listing_pin_has_teeth(monkeypatch, capsys):
 def test_optimal_rendered_text_is_pinned():
     """``repro optimal`` on the Figure-1a path (the default spec), as
     printed."""
-    from helpers import render_digest
     from repro.experiments import OptimalConfig, get_experiment
 
     result = get_experiment("optimal").run(OptimalConfig())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from helpers import pins
+from helpers import json_digest, pins, render_digest
 
 from repro.experiments import get_experiment
 from repro.experiments.fig1_traces import TraceConfig
@@ -116,8 +116,6 @@ def test_plain_slow_start_overshoots_then_halves():
 def test_json_bytes_are_pinned(distance):
     """``repro trace --distance D --duration-ms 300 --json``, byte for byte
     (captured before the chain harnesses shared one builder)."""
-    from helpers import json_digest
-
     result = run_trace_experiment(
         TraceConfig(bottleneck_distance=int(distance), duration=0.3)
     )
@@ -128,8 +126,6 @@ def test_json_pin_has_teeth(monkeypatch):
     """CircuitStart's compensated window one cell larger, and nothing
     else (no spec field, so the config echo stays as it was), must move
     the ``--json`` digest of the chain verbs' pins."""
-    from helpers import json_digest
-
     from repro.core.circuitstart import CircuitStartController
 
     real = CircuitStartController._compensated_window
@@ -146,8 +142,6 @@ def test_rendered_text_is_pinned(distance):
     """``repro trace --distance D --duration-ms 300`` as printed: the
     figure, its axis labels and the summary line (captured before
     ``repro report`` started printing this same rendering)."""
-    from helpers import render_digest
-
     result = run_trace_experiment(
         TraceConfig(bottleneck_distance=int(distance), duration=0.3)
     )

@@ -37,13 +37,14 @@ def _tree(name):
 def _groups_read(tree):
     """The literal group names of every ``pins("<group>")`` call in *tree*."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or len(node.args) != 1:
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        arg = node.args[0]
-        if name == "pins" and isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            yield arg.value
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "pins"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            yield node.args[0].value
 
 
 def test_no_digest_literal_is_left_in_a_test_file():
