@@ -99,10 +99,13 @@ def test_plain_slowstart_exit_logged():
     now = full_round(hop, rtt=0.1, now=0.0)
     hop.send(c.cwnd_cells)
     for i in range(8):
-        hop.feedback(2.0, now + i * 0.0001)
+        cwnd_before = c.cwnd_cells
+        exit_time = now + i * 0.0001
+        hop.feedback(2.0, exit_time)
         if not c.in_startup:
             break
-    assert "halve-on-exit" in [e.kind for e in c.events]
+    assert c.startup_exit_time == exit_time
+    assert c.cwnd_cells == max(c.config.min_cwnd_cells, cwnd_before // 2)
 
 
 # ----------------------------------------------------------------------

@@ -152,16 +152,20 @@ def test_exit_records_diagnostics():
     c = CircuitStartController(TransportConfig())
     hop = InFlight(c)
     now = run_clean_rounds(hop, 2, rtt=0.1)
+    changes = []
+    c.bind_cwnd_listener(lambda t, cwnd: changes.append((t, cwnd)))
     hop.send(8)
     for i in range(8):
-        hop.feedback(0.3, now + i * 0.001)
+        exit_time = now + i * 0.001
+        hop.feedback(0.3, exit_time)
         if not c.in_startup:
             break
     assert c.cwnd_before_exit == 8
     assert c.exit_diff is not None
-    kinds = [e.kind for e in c.events]
-    assert "exit-startup" in kinds
-    assert "overshoot-compensation" in kinds
+    assert c.startup_exit_time == exit_time
+    # The overshoot compensation cut the window at the exit itself.
+    assert changes == [(exit_time, c.cwnd_cells)]
+    assert c.cwnd_cells < c.cwnd_before_exit
 
 
 def test_after_exit_vegas_runs():

@@ -91,7 +91,7 @@ def run_ops(kind, mode, controller_type=None):
                 seqs = sorted(send_times)
                 seq = seqs[0] if rng.random() < 0.7 else rng.choice(seqs)
                 due = send_times[seq] + rng.uniform(0.002, 0.0025)
-                sim.run_for(max(0.0, due - sim.now))
+                sim.run_until(sim.now + max(0.0, due - sim.now))
                 sender.on_feedback(seq)
         elif roll < 0.68:
             op = "duplicate"
@@ -101,12 +101,12 @@ def run_ops(kind, mode, controller_type=None):
                 sender.on_feedback(rng.randrange(low))
         elif roll < 0.93:
             op = "advance"
-            sim.run_for(rng.uniform(0.0005, 0.004))
+            sim.run_until(sim.now + rng.uniform(0.0005, 0.004))
         elif roll < 0.985:
             op = "timeout"
             timer = sender._retx_timer
             if timer is not None:
-                sim.run_for(timer.time - sim.now)
+                sim.run_until(sim.now + (timer.time - sim.now))
         else:
             op = "close"
             sender.close()

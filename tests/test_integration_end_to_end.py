@@ -48,6 +48,16 @@ def test_relay_buffers_bounded_by_upstream_window(sim):
         sim, rates_mbit=[50.0, 50.0, 2.0, 50.0], payload_bytes=payload
     )
     peaks = {}
+    # The largest window each hop ever had: its start value, then every
+    # change the controller reports.
+    peak_windows = []
+    for controller in flow.controllers:
+        peak_windows.append(controller.cwnd_cells)
+
+        def record(now, cwnd, hop=len(peak_windows) - 1):
+            peak_windows[hop] = max(peak_windows[hop], cwnd)
+
+        controller.bind_cwnd_listener(record)
 
     def watch():
         for i, sender in enumerate(flow.hop_senders):
@@ -60,10 +70,7 @@ def test_relay_buffers_bounded_by_upstream_window(sim):
     assert flow.done
     # Each relay's buffer is fed by its predecessor's in-flight cells.
     for i in range(1, len(flow.hop_senders)):
-        upstream_peak_window = max(
-            e.cwnd_cells for e in flow.controllers[i - 1].events
-        ) if flow.controllers[i - 1].events else flow.controllers[i - 1].cwnd_cells
-        assert peaks.get(i, 0) <= upstream_peak_window + 2
+        assert peaks.get(i, 0) <= peak_windows[i - 1] + 2
 
 
 def _bottlenecked_chain_totals(sim, drops=()):

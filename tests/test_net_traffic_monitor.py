@@ -23,10 +23,9 @@ def test_sender_rate_and_count(sim):
     topo.node("b").set_handler(tracker)
     # 1 Mbit/s with 512-byte packets -> one packet every 4.096 ms.
     ConstantRateSender(
-        sim, topo.node("a"), "b", mbit_per_second(1.0), packet_size=512,
-        stop_time=0.1,
+        sim, topo.node("a"), "b", mbit_per_second(1.0), packet_size=512
     )
-    sim.run_until(0.2)
+    sim.run_until(0.1)
     assert tracker.packets_received == pytest.approx(0.1 / 0.004096, abs=2)
 
 
@@ -55,9 +54,7 @@ def test_tracker_measures_one_way_delay(sim):
     topo = build_chain(sim, ["a", "b"], [SPEC])
     tracker = LatencyTracker(sim)
     topo.node("b").set_handler(tracker)
-    ConstantRateSender(
-        sim, topo.node("a"), "b", mbit_per_second(1.0), stop_time=0.02
-    )
+    ConstantRateSender(sim, topo.node("a"), "b", mbit_per_second(1.0))
     sim.run_until(0.2)
     # Unloaded link: delay = tx + propagation = 0.256 + 5 ms.
     assert tracker.delays
@@ -87,8 +84,8 @@ def test_sampler_grid(sim):
         counter["n"] += 1
         return counter["n"]
 
-    sampler = PeriodicSampler(sim, probe, interval=0.1, until=0.45)
-    sim.run_until(1.0)
+    sampler = PeriodicSampler(sim, probe, interval=0.1)
+    sim.run_until(0.45)
     assert sampler.times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
     assert sampler.values == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert sampler.max_value == 5.0
@@ -131,9 +128,11 @@ def test_sampler_survives_max_events_parking(sim):
     no duplicated or skipped samples.  (Under the old always-advance
     semantics the pending tick could end up behind the advanced clock.)
     """
-    sampler = PeriodicSampler(sim, lambda: 1.0, interval=0.1, until=1.0)
+    sampler = PeriodicSampler(
+        sim, lambda: 1.0, interval=0.1, while_predicate=lambda: sim.now <= 1.0
+    )
     while sim.pending_events:
-        sim.run_until(1.0, max_events=1)  # one event per resume
+        sim.run_until(2.0, max_events=1)  # one event per resume
     assert sampler.times == pytest.approx(
         [round(0.1 * i, 10) for i in range(11)]
     )
@@ -182,7 +181,9 @@ def test_sampler_stop_before_first_tick(sim):
 
 
 def test_sampler_empty_max(sim):
-    sampler = PeriodicSampler(sim, lambda: 1.0, interval=0.1, until=-1.0)
+    sampler = PeriodicSampler(
+        sim, lambda: 1.0, interval=0.1, while_predicate=lambda: False
+    )
     sim.run_until(0.5)
     assert sampler.max_value == 0.0
 

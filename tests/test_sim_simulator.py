@@ -116,8 +116,6 @@ def test_nan_run_time_rejected(sim):
     sim.schedule(1.0, fired.append, "a")
     with pytest.raises(ClockError):
         sim.run_until(float("nan"))
-    with pytest.raises(ClockError):
-        sim.run_for(float("nan"))
     assert (sim.now, fired, sim.pending_events) == (0.0, [], 1)
 
 

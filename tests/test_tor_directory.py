@@ -137,8 +137,7 @@ def test_select_path_hops_validation():
 
 
 def test_select_single_hop_path():
-    d = Directory([relay("only", flags=[RelayFlag.EXIT]), relay("other")])
-    selector = PathSelector(d, random.Random(1))
+    selector = PathSelector(Directory([relay("only")]), random.Random(1))
     path = selector.select_path(1)
     assert [r.name for r in path] == ["only"]
 

@@ -89,10 +89,12 @@ def test_cwnd_listener_called_on_change():
 def test_events_log_doubling():
     hop = counted()
     c = hop.controller
+    changes = []
+    c.bind_cwnd_listener(lambda now, cwnd: changes.append((now, cwnd)))
     hop.send(2)
-    feed(hop, 2, rtt=0.1)
-    kinds = [e.kind for e in c.events]
-    assert "slowstart-double" in kinds
+    end = feed(hop, 2, rtt=0.1)
+    # One change, 2 -> 4, when the round's last feedback arrived.
+    assert changes == [(end - 0.001, 4)]
 
 
 def test_vegas_increase_on_low_diff():
