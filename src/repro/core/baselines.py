@@ -87,14 +87,11 @@ class PlainSlowStartController(WindowController):
             diff_sample > self.config.sample_gamma_factor * gamma
         )
         if triggered:
-            diff = max(diff_round, diff_sample)
-            self._enter_avoidance(
-                now, "diff=%.3f > gamma=%.3f" % (diff, gamma)
-            )
-            self._set_cwnd(self.cwnd_cells // 2, now, "halve-on-exit")
+            self._enter_avoidance(now)
+            self._set_cwnd(self.cwnd_cells // 2, now)
             self._start_round(now)
             return True
-        self._set_cwnd(self.cwnd_cells + 1, now, "slowstart-increment")
+        self._set_cwnd(self.cwnd_cells + 1, now)
         return False
 
     def _startup_round_complete(self, now: float, full: bool) -> None:
@@ -123,7 +120,6 @@ class FixedWindowController(WindowController):
 
     def _avoidance_round(self, now: float, full: bool) -> None:
         """The window never moves."""
-        self._log(now, "fixed-hold")
 
 
 class JumpStartController(WindowController):

@@ -104,7 +104,7 @@ class CircuitStartController(WindowController):
         demonstrated the window is the constraint.
         """
         if full:
-            self._set_cwnd(self.cwnd_cells * 2, now, "slowstart-double")
+            self._set_cwnd(self.cwnd_cells * 2, now)
 
     # ------------------------------------------------------------------
     # Overshooting compensation
@@ -114,8 +114,8 @@ class CircuitStartController(WindowController):
         self.cwnd_before_exit = self.cwnd_cells
         self.exit_diff = diff
         compensated = self._compensated_window(now)
-        self._enter_avoidance(now, "diff=%.3f > gamma=%.3f" % (diff, self.config.gamma))
-        self._set_cwnd(compensated, now, "overshoot-compensation")
+        self._enter_avoidance(now)
+        self._set_cwnd(compensated, now)
         self._start_round(now)
 
     def _compensated_window(self, now: float) -> int:

@@ -77,7 +77,7 @@ class DynamicCircuitStartController(CircuitStartController):
         diff = self.rtt.vegas_diff(self.cwnd_cells)
         if diff < self.config.vegas_alpha and full:
             self._consecutive_low += 1
-            self._set_cwnd(self.cwnd_cells + 1, now, "vegas-increase")
+            self._set_cwnd(self.cwnd_cells + 1, now)
             if (
                 self._consecutive_low >= self.reentry_rounds
                 and self.round_index >= self._cooldown_until_round
@@ -88,15 +88,12 @@ class DynamicCircuitStartController(CircuitStartController):
         if diff > self.cut_factor * self.config.vegas_beta:
             self.fast_cuts += 1
             cut = max(self.config.min_cwnd_cells, self.round_acked)
-            self._set_cwnd(cut, now, "dynamic-fast-cut")
+            self._set_cwnd(cut, now)
         elif diff > self.config.vegas_beta:
-            self._set_cwnd(self.cwnd_cells - 1, now, "vegas-decrease")
-        else:
-            self._log(now, "vegas-hold")
+            self._set_cwnd(self.cwnd_cells - 1, now)
 
     def _reenter_startup(self, now: float) -> None:
         self.reentries += 1
         self._consecutive_low = 0
         self._cooldown_until_round = self.round_index + self.reentry_cooldown_rounds
         self.phase = Phase.STARTUP
-        self._log(now, "startup-reentry", "after %d low rounds" % self.reentry_rounds)

@@ -1,6 +1,6 @@
 """Static analysis for the package's own contracts (``repro lint``).
 
-The framework (rules, suppressions, the driver) lives in
+The framework (rules, the driver) lives in
 :mod:`repro.lint.framework`; the rule pack in :mod:`repro.lint.rules`.
 """
 
@@ -11,8 +11,6 @@ from .framework import (
     PARSE_RULE_ID,
     Project,
     Rule,
-    STALE_RULE_ID,
-    Suppression,
     collect_files,
     run_lint,
 )
@@ -26,8 +24,6 @@ __all__ = [
     "PARSE_RULE_ID",
     "Project",
     "Rule",
-    "STALE_RULE_ID",
-    "Suppression",
     "collect_files",
     "run_lint",
     "rules_by_id",

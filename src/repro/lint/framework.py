@@ -8,35 +8,25 @@ artifacts, and import layering.  The concrete rules live in
 :mod:`repro.lint.rules`; this module provides the machinery:
 
 * :class:`ModuleInfo` — one parsed source file (path, package-relative
-  path, source lines, AST, suppressions);
+  path, source lines, AST);
 * :class:`Project` — every module of one lint run, for cross-module
   rules (SER001 resolves type names project-wide, ARCH001 maps import
   targets to layers);
 * :class:`Rule` — the per-rule base: an id, a one-line title, a
   path-scope predicate (:meth:`Rule.applies_to`) and a checker
   yielding ``(line, message)`` pairs;
-* :func:`run_lint` — the driver: collect files, parse, run the
-  selected rules, apply inline suppressions, and report stale ones.
+* :func:`run_lint` — the driver: collect files, parse, and run the
+  selected rules.
 
-Suppressions are inline comments on the flagged line::
-
-    now = time.time()  # repro: allow[DET002] wall-clock lock staleness
-
-Several ids may share one comment (``allow[DET001,DET002]``).  A
-suppression that matches no finding of its rule is itself reported
-(:data:`STALE_RULE_ID`), so suppressions cannot outlive the code they
-excuse; naming a rule the registry does not know is reported the same
-way.  Files that fail to parse are reported under
-:data:`PARSE_RULE_ID`.  Neither meta rule can be suppressed.
+There are no inline suppressions: a justified exception is made by a
+rule's scope (:meth:`Rule.applies_to`).  Files that fail to parse are
+reported under :data:`PARSE_RULE_ID`.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,22 +39,12 @@ __all__ = [
     "PARSE_RULE_ID",
     "Project",
     "Rule",
-    "STALE_RULE_ID",
-    "Suppression",
     "collect_files",
     "run_lint",
 ]
 
-#: Meta rule id for stale or unknown suppressions.
-STALE_RULE_ID = "LINT001"
 #: Meta rule id for files the parser rejects.
 PARSE_RULE_ID = "LINT002"
-
-#: The inline suppression comment: "repro:" then "allow[RULE]" (one or
-#: more comma-separated ids), then an optional justification.
-_SUPPRESSION_RE = re.compile(
-    r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]\s*(.*)$"
-)
 
 
 @dataclass(frozen=True)
@@ -78,16 +58,6 @@ class Finding(Serializable):
 
     def render(self) -> str:
         return "%s:%d: %s %s" % (self.path, self.line, self.rule, self.message)
-
-
-@dataclass
-class Suppression:
-    """One inline ``# repro: allow[RULE]`` annotation."""
-
-    rule: str
-    line: int
-    justification: str
-    used: bool = False
 
 
 class ModuleInfo:
@@ -108,20 +78,6 @@ class ModuleInfo:
         self.source = source
         self.tree = tree
         self.pkgpath = package_relpath(path)
-        #: line -> suppressions declared on that line.  Scanned from
-        #: real comment tokens, so the syntax can be quoted in strings
-        #: and docstrings (this module does) without registering.
-        self.suppressions: Dict[int, List[Suppression]] = {}
-        for number, text in _comments(source):
-            match = _SUPPRESSION_RE.search(text)
-            if match is None:
-                continue
-            rules = [part.strip() for part in match.group(1).split(",")]
-            entry = self.suppressions.setdefault(number, [])
-            entry.extend(
-                Suppression(rule, number, match.group(2).strip())
-                for rule in rules if rule
-            )
 
     @property
     def package(self) -> str:
@@ -129,30 +85,6 @@ class ModuleInfo:
         top-level modules (``cli.py``, ``serialize.py``)."""
         head, sep, __ = self.pkgpath.partition("/")
         return head if sep else ""
-
-    def suppressed(self, rule: str, line: int) -> bool:
-        """Consume a suppression for *rule* at *line*, if one exists."""
-        for suppression in self.suppressions.get(line, ()):
-            if suppression.rule == rule:
-                suppression.used = True
-                return True
-        return False
-
-
-def _comments(source: str) -> Iterator[Tuple[int, str]]:
-    """``(line, text)`` for every comment token in *source*.
-
-    Callers only see sources that already parsed, but tokenization can
-    still trip over trailing-newline quirks; truncating the scan there
-    is safer than failing the whole module.
-    """
-    readline = io.StringIO(source).readline
-    try:
-        for token in tokenize.generate_tokens(readline):
-            if token.type == tokenize.COMMENT:
-                yield token.start[0], token.string
-    except (tokenize.TokenError, IndentationError):
-        return
 
 
 def package_relpath(path: str) -> str:
@@ -279,15 +211,8 @@ def run_lint(
 ) -> LintReport:
     """Run *rules* over every Python file under *paths*.
 
-    Findings are sorted by ``(path, line, rule)``.  Suppressions are
-    honoured per rule and line; afterwards, every suppression naming a
-    rule this run selected (or a rule the registry does not know at
-    all) that excused nothing is reported as :data:`STALE_RULE_ID`.
+    Findings are sorted by ``(path, line, rule)``.
     """
-    from .rules import ALL_RULES
-
-    known_ids = {rule.id for rule in ALL_RULES}
-    selected_ids = {rule.id for rule in rules}
     findings: List[Finding] = []
     modules: List[ModuleInfo] = []
     for path in collect_files(paths):
@@ -306,9 +231,6 @@ def run_lint(
         modules.append(ModuleInfo(path, display, source, tree))
 
     project = Project(modules)
-    # Phase one: every selected rule over every module.  Cross-module
-    # rules may attribute findings (and consume suppressions) in a
-    # module processed earlier, so staleness is judged only afterwards.
     seen_findings = set()
     for module in modules:
         for rule in rules:
@@ -320,8 +242,6 @@ def run_lint(
                 else:
                     line, message = item
                     target = module
-                if target.suppressed(rule.id, line):
-                    continue
                 key = (rule.id, target.path, line, message)
                 if key in seen_findings:
                     continue
@@ -330,29 +250,9 @@ def run_lint(
                     rule=rule.id, path=target.display, line=line,
                     message=message,
                 ))
-    # Phase two: suppressions that excused nothing are findings too.
-    for module in modules:
-        for entries in module.suppressions.values():
-            for suppression in entries:
-                if suppression.used:
-                    continue
-                if suppression.rule not in known_ids:
-                    findings.append(Finding(
-                        rule=STALE_RULE_ID, path=module.display,
-                        line=suppression.line,
-                        message="suppression names unknown rule %r"
-                                % suppression.rule,
-                    ))
-                elif suppression.rule in selected_ids:
-                    findings.append(Finding(
-                        rule=STALE_RULE_ID, path=module.display,
-                        line=suppression.line,
-                        message="stale suppression: no %s finding on "
-                                "this line" % suppression.rule,
-                    ))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return LintReport(
         findings=findings,
         modules_checked=len(modules),
-        rules=sorted(selected_ids),
+        rules=sorted(rule.id for rule in rules),
     )

@@ -13,8 +13,8 @@ draw makes output depend on import order and process history.
 ``time.perf_counter``, ``datetime.now`` and friends) in the simulated
 paths: ``sim``, ``net``, ``transport``, ``tor``, ``scenario``.
 Simulated time is ``sim.now``; a wall-clock read in these packages is
-either a bug or host-facing bookkeeping that deserves an explicit,
-justified suppression.
+either a bug or host-facing bookkeeping, which belongs in a module
+outside the rule's scope.
 
 **DET003** — no direct iteration over unordered set values in the
 planning and serialization modules (``scenario/``, ``serialize.py``,
@@ -197,9 +197,7 @@ class WallClockRule(Rule):
                         and func.attr in _CLOCK_READS):
                     yield (node.lineno,
                            "time.%s() reads the wall clock in a "
-                           "simulated path; use sim.now (or suppress "
-                           "with a justification if this is genuinely "
-                           "host-facing)" % func.attr)
+                           "simulated path; use sim.now" % func.attr)
                 elif func.attr in _DATETIME_READS:
                     if (isinstance(value, ast.Name)
                             and value.id in datetime_classes):

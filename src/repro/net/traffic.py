@@ -15,7 +15,7 @@ with and without a competing circuit start-up.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..units import Rate
 from .node import Node
@@ -28,8 +28,8 @@ class ConstantRateSender:
     """Sends fixed-size packets from *node* to *dst* at a constant rate.
 
     The schedule is deterministic: one packet every
-    ``packet_size / rate`` seconds, starting at *start_time*.  Stops at
-    *stop_time* (or runs for the whole simulation when ``None``).
+    ``packet_size / rate`` seconds, starting at *start_time*, for the
+    whole simulation.
     """
 
     def __init__(
@@ -40,7 +40,6 @@ class ConstantRateSender:
         rate: Rate,
         packet_size: int = 512,
         start_time: float = 0.0,
-        stop_time: Optional[float] = None,
     ) -> None:
         if packet_size <= 0:
             raise ValueError("packet size must be positive, got %r" % packet_size)
@@ -49,13 +48,10 @@ class ConstantRateSender:
         self.dst = dst
         self.packet_size = packet_size
         self.interval = rate.transmission_time(packet_size)
-        self.stop_time = stop_time
         self.packets_sent = 0
         sim.schedule_at(max(start_time, sim.now), self._send_next)
 
     def _send_next(self) -> None:
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
-            return
         packet = Packet(
             self.packet_size,
             payload=("background", self.packets_sent),

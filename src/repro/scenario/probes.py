@@ -219,7 +219,6 @@ class UtilizationProbe(Probe):
                 self._make_probe(interface, rate),
                 self.interval,
                 while_predicate=context.active,
-                name="utilization:%s" % relay,
             )
             collectors.append(_Collector(self.part, relay, sampler))
         return collectors
@@ -250,7 +249,6 @@ class QueueDepthProbe(Probe):
                 lambda interface=interface: float(interface.backlog_packets),
                 self.interval,
                 while_predicate=context.active,
-                name="queue-depth:%s" % relay,
             )
             collectors.append(_Collector(self.part, relay, sampler))
         return collectors
@@ -299,7 +297,6 @@ class FailureRateProbe(Probe):
             probe,
             self.interval,
             while_predicate=context.active,
-            name="failure-rate:%s" % target,
         )
         return [_Collector(self.part, target, sampler)]
 
@@ -364,7 +361,6 @@ class GoodputProbe(Probe):
                     probe,
                     self.interval,
                     while_predicate=lambda: not (run.done or run.failed),
-                    name="goodput:%s" % collector.target,
                 )
                 collector.sampler = sampler
 

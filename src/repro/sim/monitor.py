@@ -20,10 +20,10 @@ class PeriodicSampler:
     """Samples ``probe()`` every *interval* simulated seconds.
 
     Sampling starts immediately (a sample at the start time) and stops
-    when :meth:`stop` is called, when *until* is reached, or when the
-    optional *while_predicate* turns false — whichever comes first.
-    Once stopped, no tick remains in the event queue: a finished
-    sampler never keeps ``Simulator.run()`` alive.
+    when :meth:`stop` is called or when the optional *while_predicate*
+    turns false, whichever comes first.  Once stopped, no tick remains
+    in the event queue: a finished sampler never keeps
+    ``Simulator.run()`` alive.
 
     The sampler is compatible with the park-the-clock semantics of
     ``run_until(time, max_events=...)``: when the loop halts early the
@@ -40,18 +40,14 @@ class PeriodicSampler:
         sim: Simulator,
         probe: Callable[[], float],
         interval: float,
-        until: Optional[float] = None,
         while_predicate: Optional[Callable[[], bool]] = None,
-        name: str = "sampler",
     ) -> None:
         if not interval > 0:  # non-positive or NaN
             raise ValueError("sampling interval must be positive, got %r" % interval)
         self.sim = sim
         self.probe = probe
         self.interval = interval
-        self.until = until
         self.while_predicate = while_predicate
-        self.name = name
         self.times: List[float] = []
         self.values: List[float] = []
         self._stopped = False
@@ -85,19 +81,10 @@ class PeriodicSampler:
         self._pending = None
         if self._stopped:
             return
-        if self.until is not None and self.sim.now > self.until:
-            return
         if self.while_predicate is not None and not self.while_predicate():
             return
         self.times.append(self.sim.now)
         self.values.append(float(self.probe()))
-        if self.until is not None and self.sim.now + self.interval > self.until:
-            # The next tick would land beyond the horizon: don't leave a
-            # dead event in the queue.  (It would never sample, but it
-            # would keep ``run()`` from terminating and — under the
-            # park-the-clock ``run_until(max_events=...)`` semantics —
-            # linger as a pending event across resumed runs.)
-            return
         self._pending = self.sim.schedule(self.interval, self._tick)
 
 
@@ -109,7 +96,6 @@ class QueueProbe(PeriodicSampler):
             sim,
             probe=lambda: interface.backlog_packets,
             interval=interval,
-            name="queue:%s" % interface.name,
             **kwargs,
         )
         self.interface = interface

@@ -16,9 +16,8 @@ and provides the scheduling API every other subsystem builds on:
   after the currently executing event (FIFO);
 * :meth:`Simulator.rearm` — ``handle.cancel()`` plus ``schedule``, in
   one call that moves a pending handle to a later deadline in place;
-* :meth:`Simulator.run` / :meth:`run_until` / :meth:`run_for` — drive
+* :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive
   the event loop;
-* :meth:`Simulator.stop` — halt the loop from inside a callback;
 * :meth:`Simulator.release` — drop every pending event once a run is
   over;
 * :attr:`Simulator.now` — the clock, a plain attribute that only the
@@ -135,7 +134,6 @@ class Simulator:
         #: contract above): ``heappush`` on the heap, adding no frame.
         self.push: Callable[[tuple], None] = partial(heappush, self._heap)
         self._running = False
-        self._stop_requested = False
         self._events_executed = 0
 
     # ------------------------------------------------------------------
@@ -264,8 +262,8 @@ class Simulator:
         Events scheduled exactly at *time* do fire.  The clock ends at
         *time* when the loop ran to completion (queue drained or only
         later events remain), so subsequent ``run_until`` calls compose
-        naturally.  When the loop halts early — :meth:`stop` or
-        *max_events* — the clock stays at the last executed event:
+        naturally.  When *max_events* halts the loop early, the clock
+        stays at the last executed event:
         advancing it past still-pending events would make those events
         "in the past" and raise a spurious :class:`ClockError` on the
         next run.
@@ -275,12 +273,6 @@ class Simulator:
         completed = self._run_loop(until=time, max_events=max_events)
         if completed:
             self.now = max(self.now, time)
-
-    def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
-        """Run for *duration* simulated seconds from the current time."""
-        if not duration >= 0:  # negative or NaN
-            raise ClockError("duration must be non-negative, got %r" % duration)
-        self.run_until(self.now + duration, max_events=max_events)
 
     def step(self) -> bool:
         """Execute exactly one event.  Return ``False`` if none remain.
@@ -294,10 +286,6 @@ class Simulator:
             return False
         self._run_loop(until=None, max_events=1)
         return True
-
-    def stop(self) -> None:
-        """Request the running loop to halt after the current event."""
-        self._stop_requested = True
 
     def release(self) -> None:
         """Drop every pending event: the run is over.
@@ -356,13 +344,12 @@ class Simulator:
         """Drive the loop; return whether it ran to completion.
 
         ``True`` means the queue drained or only events beyond *until*
-        remain; ``False`` means :meth:`stop` or *max_events* halted it
-        with eligible events still pending.
+        remain; ``False`` means *max_events* halted it with eligible
+        events still pending.
         """
         if self._running:
             raise SchedulingError("simulator loop is not reentrant")
         self._running = True
-        self._stop_requested = False
         executed = 0
         # The loop body is deliberately inlined (no peek/pop method
         # pair, a local for the heap): it runs once per event and
@@ -384,9 +371,6 @@ class Simulator:
                         # to the handle's due place (not an event).
                         heapreplace(heap, (handle.time, handle.seq, handle))
                         continue
-                if self._stop_requested:
-                    completed = False
-                    break
                 if max_events is not None and executed >= max_events:
                     completed = False
                     break
@@ -411,10 +395,6 @@ class Simulator:
                     handle.callback(*handle.args)
         finally:
             self._running = False
-        # A stop() issued by the final event exits via the loop
-        # condition without hitting the in-loop check; it must still
-        # count as an early halt (run_until leaves the clock alone).
-        completed = completed and not self._stop_requested
         if completed and (max_events is None or executed < max_events):
             # Everything due has fired, including any event merely
             # *reserved* so far: step past every number drawn, so that

@@ -19,7 +19,7 @@ from .cells import (
     cells_for_transfer,
 )
 from .circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
-from .directory import Directory, RelayDescriptor, RelayFlag
+from .directory import Directory, RelayDescriptor
 from .hosts import CircuitState, TorHost
 from .path_selection import PathSelector
 
@@ -36,7 +36,6 @@ __all__ = [
     "FeedbackCell",
     "PathSelector",
     "RelayDescriptor",
-    "RelayFlag",
     "SinkApp",
     "TorHost",
     "allocate_circuit_id",

@@ -1,33 +1,24 @@
 """Relay directory (a minimal Tor consensus).
 
 Tor clients learn the relay population from a *consensus* published by
-directory authorities: each relay has a measured bandwidth weight and a
-set of flags (``Guard``, ``Exit``, ...).  Path selection samples relays
-proportionally to bandwidth, subject to position constraints.
+directory authorities, in which each relay has a measured bandwidth
+weight.  Path selection samples relays proportionally to bandwidth.
 
 :class:`Directory` reproduces exactly the parts the CircuitStart
-evaluation needs: named relays with bandwidth weights and flags, and
-weighted sampling without replacement.
+evaluation needs: named relays with bandwidth weights, and weighted
+sampling without replacement.  The synthetic networks carry no
+consensus flags, so any relay can serve any position.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..units import Rate
 
-__all__ = ["RelayFlag", "RelayDescriptor", "Directory"]
-
-
-class RelayFlag:
-    """Consensus flags used by position constraints."""
-
-    GUARD = "Guard"
-    EXIT = "Exit"
-    FAST = "Fast"
-    STABLE = "Stable"
+__all__ = ["RelayDescriptor", "Directory"]
 
 
 @dataclass(frozen=True)
@@ -36,10 +27,6 @@ class RelayDescriptor:
 
     name: str
     bandwidth: Rate
-    flags: FrozenSet[str] = frozenset()
-
-    def has_flag(self, flag: str) -> bool:
-        return flag in self.flags
 
     @property
     def weight(self) -> float:
@@ -74,27 +61,24 @@ class Directory:
         except KeyError:
             raise KeyError("relay %r not in directory" % name) from None
 
-    def relays(self, with_flag: Optional[str] = None) -> List[RelayDescriptor]:
-        """All relays, optionally filtered by a consensus flag."""
-        everyone = list(self._relays.values())
-        if with_flag is None:
-            return everyone
-        return [relay for relay in everyone if relay.has_flag(with_flag)]
+    def relays(self) -> List[RelayDescriptor]:
+        """All relays, in insertion order."""
+        return list(self._relays.values())
 
     def weighted_sample(
         self,
         rng: random.Random,
         count: int,
-        with_flag: Optional[str] = None,
         exclude: Sequence[str] = (),
     ) -> List[RelayDescriptor]:
         """Sample *count* distinct relays, proportional to bandwidth.
 
         Sampling is without replacement: each draw removes the chosen
         relay from the candidate pool.  Raises :class:`ValueError` when
-        the (filtered) pool is too small.
+        the pool left after *exclude* is too small.
         """
-        pool = [r for r in self.relays(with_flag) if r.name not in set(exclude)]
+        excluded = set(exclude)
+        pool = [r for r in self._relays.values() if r.name not in excluded]
         if len(pool) < count:
             raise ValueError(
                 "cannot sample %d relays from a pool of %d" % (count, len(pool))

@@ -5,22 +5,20 @@ sampled proportionally to bandwidth and pairwise distinct.  The
 :class:`PathSelector` reproduces that policy against a
 :class:`~repro.tor.directory.Directory`:
 
-* the first hop must carry the ``Guard`` flag (when any relay has it);
-* the last hop must carry the ``Exit`` flag (when any relay has it);
 * no relay appears twice in one path;
 * every position is sampled bandwidth-weighted without replacement.
 
-When the directory carries no flags at all (the synthetic networks of
-the Figure-1c experiment), any relay can serve any position, matching
-the paper's "randomly generated network of Tor relays".
+The directory carries no consensus flags (the synthetic networks of
+the Figure-1c experiment), so any relay can serve any position,
+matching the paper's "randomly generated network of Tor relays".
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List
 
-from .directory import Directory, RelayDescriptor, RelayFlag
+from .directory import Directory, RelayDescriptor
 
 __all__ = ["PathSelector"]
 
@@ -35,52 +33,10 @@ class PathSelector:
     def select_path(self, hops: int = 3) -> List[RelayDescriptor]:
         """Choose *hops* distinct relays for one circuit.
 
-        The exit is drawn first (Tor's actual order: exit, guard, then
-        middles) so exit scarcity fails fast; then the guard; middles
-        fill the remaining positions.
+        The relays are drawn in Tor's order — exit, guard, then middles
+        — and returned in path order: guard, middles..., exit.
         """
         if hops < 1:
             raise ValueError("a circuit needs at least one hop, got %r" % hops)
-        if len(self.directory) < hops:
-            raise ValueError(
-                "directory has %d relays, cannot build a %d-hop path"
-                % (len(self.directory), hops)
-            )
-
-        exit_pool_flag = self._flag_if_used(RelayFlag.EXIT)
-        guard_pool_flag = self._flag_if_used(RelayFlag.GUARD)
-
-        exit_relay = self.directory.weighted_sample(
-            self.rng, 1, with_flag=exit_pool_flag
-        )[0]
-        chosen = [exit_relay]
-
-        if hops >= 2:
-            guard = self._sample_excluding(1, guard_pool_flag, chosen)[0]
-            chosen.append(guard)
-
-        middles_needed = hops - len(chosen)
-        if middles_needed > 0:
-            chosen.extend(self._sample_excluding(middles_needed, None, chosen))
-
-        # Assemble in path order: guard, middles..., exit.
-        if hops == 1:
-            return [exit_relay]
-        guard = chosen[1]
-        middles = chosen[2:]
-        return [guard] + middles + [exit_relay]
-
-    def _flag_if_used(self, flag: str) -> Optional[str]:
-        """Restrict to *flag* only if some relay actually carries it."""
-        return flag if self.directory.relays(with_flag=flag) else None
-
-    def _sample_excluding(
-        self,
-        count: int,
-        flag: Optional[str],
-        already: Sequence[RelayDescriptor],
-    ) -> List[RelayDescriptor]:
-        exclude = [relay.name for relay in already]
-        return self.directory.weighted_sample(
-            self.rng, count, with_flag=flag, exclude=exclude
-        )
+        chosen = self.directory.weighted_sample(self.rng, hops)
+        return chosen[1:2] + chosen[2:] + chosen[:1]

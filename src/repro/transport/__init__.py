@@ -16,14 +16,13 @@ implements that substrate:
 """
 
 from .config import CELL_PAYLOAD, CELL_SIZE, FEEDBACK_SIZE, TransportConfig
-from .controller import ControllerEvent, Phase, WindowController
+from .controller import Phase, WindowController
 from .hop import HopSender
 from .rtt import RoundAggregate, RttEstimator
 
 __all__ = [
     "CELL_PAYLOAD",
     "CELL_SIZE",
-    "ControllerEvent",
     "FEEDBACK_SIZE",
     "HopSender",
     "Phase",

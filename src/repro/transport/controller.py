@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from .config import TransportConfig
 from .rtt import RttEstimator
 
-__all__ = ["Phase", "ControllerEvent", "WindowController"]
+__all__ = ["Phase", "WindowController"]
 
 
 class Phase(enum.Enum):
@@ -43,16 +42,6 @@ class Phase(enum.Enum):
 
     STARTUP = "startup"
     AVOIDANCE = "avoidance"
-
-
-@dataclass(frozen=True)
-class ControllerEvent:
-    """One entry of the controller's decision log (for tests/analysis)."""
-
-    time: float
-    kind: str
-    cwnd_cells: int
-    detail: str = ""
 
 
 class WindowController:
@@ -83,7 +72,6 @@ class WindowController:
         self.round_index = 0
         self.round_target = config.initial_cwnd_cells
         self.round_acked = 0
-        self.events: List[ControllerEvent] = []
         self._cwnd_listener: Optional[Callable[[float, int], None]] = None
         self._startup_exit_time: Optional[float] = None
         # Timestamps of recent feedback arrivals, used to count the
@@ -113,16 +101,12 @@ class WindowController:
         """
         self._cwnd_listener = listener
 
-    def _set_cwnd(self, cells: int, now: float, reason: str) -> None:
+    def _set_cwnd(self, cells: int, now: float) -> None:
         clamped = max(self.config.min_cwnd_cells, min(cells, self.config.max_cwnd_cells))
         if clamped != self.cwnd_cells:
             self.cwnd_cells = clamped
             if self._cwnd_listener is not None:
                 self._cwnd_listener(now, clamped)
-        self._log(now, reason)
-
-    def _log(self, now: float, kind: str, detail: str = "") -> None:
-        self.events.append(ControllerEvent(now, kind, self.cwnd_cells, detail))
 
     # ------------------------------------------------------------------
     # Sender-facing API
@@ -220,12 +204,11 @@ class WindowController:
             self._avoidance_round(now, full)
         self._start_round(now)
 
-    def _enter_avoidance(self, now: float, reason: str) -> None:
+    def _enter_avoidance(self, now: float) -> None:
         if self.phase is Phase.AVOIDANCE:
             return
         self.phase = Phase.AVOIDANCE
         self._startup_exit_time = now
-        self._log(now, "exit-startup", reason)
 
     def _avoidance_round(self, now: float, full: bool) -> None:
         """Vegas-style once-per-round adjustment (BackTap's behaviour).
@@ -238,11 +221,9 @@ class WindowController:
             return
         diff = self.rtt.vegas_diff(self.cwnd_cells)
         if diff > self.config.vegas_beta:
-            self._set_cwnd(self.cwnd_cells - 1, now, "vegas-decrease")
+            self._set_cwnd(self.cwnd_cells - 1, now)
         elif diff < self.config.vegas_alpha and full:
-            self._set_cwnd(self.cwnd_cells + 1, now, "vegas-increase")
-        else:
-            self._log(now, "vegas-hold")
+            self._set_cwnd(self.cwnd_cells + 1, now)
 
     # ------------------------------------------------------------------
     # Start-up hooks (subclass responsibility)

@@ -651,7 +651,7 @@ def test_lint_json_report(tmp_path, capsys):
 
 def test_lint_default_paths_cover_the_package(capsys):
     # The repo-wide gate: the shipped package lints clean with the full
-    # pack, zero findings and zero stale suppressions.
+    # pack, zero findings.
     code = main(["lint"])
     out = capsys.readouterr().out
     assert code == 0

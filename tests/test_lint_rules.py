@@ -3,9 +3,8 @@
 Every rule gets a planted violation in a temporary ``repro/``-rooted
 tree and must fire on it — and must go silent when deselected, which is
 what makes the repo-wide CI gate meaningful (a disabled rule fails
-these tests, not just the gate).  The framework half covers
-suppressions (honored, stale, unknown), parse failures, path
-collection, and report serialization.
+these tests, not just the gate).  The framework half covers parse
+failures, path collection, and report serialization.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.lint import (
     ALL_RULES,
     LintReport,
     PARSE_RULE_ID,
-    STALE_RULE_ID,
     collect_files,
     run_lint,
     rules_by_id,
@@ -305,73 +303,6 @@ def test_arch001_same_layer_and_downward_imports_are_fine(tmp_path):
     write_module(
         tmp_path, "transport/hop2.py",
         "from repro.tor import cells\n",  # layer 2 -> layer 2
-    )
-    assert lint_tree(tmp_path).ok
-
-
-# ----------------------------------------------------------------------
-# Suppressions
-# ----------------------------------------------------------------------
-
-
-def test_suppression_silences_the_named_rule(tmp_path):
-    write_module(
-        tmp_path, "sim/clock.py",
-        "import time\n"
-        "started = time.time()  # repro: allow[DET002] host bookkeeping\n",
-    )
-    assert lint_tree(tmp_path).ok
-
-
-def test_stale_suppression_is_reported(tmp_path):
-    write_module(
-        tmp_path, "sim/clock.py",
-        "started = 0.0  # repro: allow[DET002] nothing to excuse\n",
-    )
-    report = lint_tree(tmp_path)
-    assert [f.rule for f in report.findings] == [STALE_RULE_ID]
-    assert "stale" in report.findings[0].message
-
-
-def test_unknown_rule_suppression_is_reported(tmp_path):
-    write_module(
-        tmp_path, "sim/clock.py",
-        "started = 0.0  # repro: allow[NOPE123]\n",
-    )
-    report = lint_tree(tmp_path)
-    assert [f.rule for f in report.findings] == [STALE_RULE_ID]
-    assert "unknown rule" in report.findings[0].message
-
-
-def test_suppression_of_deselected_rule_is_not_stale(tmp_path):
-    # Linting with only DET001 must not flag a DET002 suppression as
-    # stale — that rule simply did not run.
-    write_module(
-        tmp_path, "sim/clock.py",
-        "import time\n"
-        "started = time.time()  # repro: allow[DET002] host bookkeeping\n",
-    )
-    report = lint_tree(tmp_path, [rules_by_id()["DET001"]])
-    assert report.ok
-
-
-def test_multi_rule_suppression_comment(tmp_path):
-    write_module(
-        tmp_path, "sim/gen.py",
-        "import time\n"
-        "import random\n"
-        "x = (random.random(), time.time())"
-        "  # repro: allow[DET001,DET002] seeded smoke fixture\n",
-    )
-    assert lint_tree(tmp_path).ok
-
-
-def test_suppression_syntax_in_strings_does_not_register(tmp_path):
-    # Only real comment tokens count: quoting the syntax in a docstring
-    # must not create (stale) suppressions.
-    write_module(
-        tmp_path, "docs.py",
-        '"""Use `# repro: allow[DET001] why` to suppress."""\n',
     )
     assert lint_tree(tmp_path).ok
 

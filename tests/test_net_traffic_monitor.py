@@ -29,19 +29,6 @@ def test_sender_rate_and_count(sim):
     assert tracker.packets_received == pytest.approx(0.1 / 0.004096, abs=2)
 
 
-def test_sender_stop_time(sim):
-    topo = build_chain(sim, ["a", "b"], [SPEC])
-    tracker = LatencyTracker(sim)
-    topo.node("b").set_handler(tracker)
-    sender = ConstantRateSender(
-        sim, topo.node("a"), "b", mbit_per_second(8.0), stop_time=0.01
-    )
-    sim.run_until(0.5)
-    sent_by_deadline = sender.packets_sent
-    sim.run_until(1.0)
-    assert sender.packets_sent == sent_by_deadline
-
-
 def test_sender_validates_packet_size(sim):
     topo = build_chain(sim, ["a", "b"], [SPEC])
     with pytest.raises(ValueError):
@@ -136,20 +123,6 @@ def test_sampler_survives_max_events_parking(sim):
     assert sampler.times == pytest.approx(
         [round(0.1 * i, 10) for i in range(11)]
     )
-
-
-def test_sampler_leaves_no_dead_event_after_until(sim):
-    """A finished sampler must not keep the event queue alive.
-
-    The last in-horizon tick used to reschedule one tick beyond
-    ``until`` that would fire and do nothing; now the queue drains so
-    ``run()`` terminates and ``pending_events`` reaches zero.
-    """
-    sampler = PeriodicSampler(sim, lambda: 1.0, interval=0.1, until=0.45)
-    sim.run()  # would never return if a tick re-armed forever
-    assert sim.pending_events == 0
-    assert sampler.times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
-    assert sim.now == pytest.approx(0.4)
 
 
 def test_sampler_stop_cancels_pending_tick(sim):

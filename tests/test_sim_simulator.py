@@ -98,17 +98,6 @@ def test_run_until_backwards_rejected(sim):
         sim.run_until(1.0)
 
 
-def test_run_for_is_relative(sim):
-    sim.run_until(2.0)
-    sim.run_for(1.5)
-    assert sim.now == 3.5
-
-
-def test_run_for_negative_rejected(sim):
-    with pytest.raises(ClockError):
-        sim.run_for(-1.0)
-
-
 def test_nan_run_time_rejected(sim):
     """A NaN deadline compares false both ways: it must not run the
     heap dry and then leave the clock where the last event put it."""
@@ -127,15 +116,6 @@ def test_step_executes_single_event(sim):
     assert fired == [1]
     assert sim.step()
     assert not sim.step()
-
-
-def test_stop_halts_loop(sim):
-    fired = []
-    sim.schedule(1.0, sim.stop)
-    sim.schedule(2.0, fired.append, "never")
-    sim.run()
-    assert fired == []
-    assert sim.pending_events == 1
 
 
 def test_events_can_schedule_more_events(sim):
@@ -260,25 +240,6 @@ def test_run_until_with_max_events_keeps_pending_events_runnable(sim):
     sim.run_until(10.0)  # must not raise a spurious ClockError
     assert fired == [0, 1, 2, 3, 4]
     assert sim.now == 10.0
-
-
-def test_run_until_stop_from_final_event_keeps_clock(sim):
-    """A stop() issued by the last queued event must not let run_until
-    advance the clock to the target (pre-fast-path behaviour)."""
-    sim.schedule(1.0, sim.stop)
-    sim.run_until(5.0)
-    assert sim.now == 1.0
-
-
-def test_run_until_after_stop_keeps_clock_at_stop_point(sim):
-    fired = []
-    sim.schedule(1.0, sim.stop)
-    sim.schedule(2.0, fired.append, "later")
-    sim.run_until(5.0)
-    assert sim.now == 1.0
-    sim.run_until(5.0)
-    assert fired == ["later"]
-    assert sim.now == 5.0
 
 
 def test_loop_not_reentrant(sim):

@@ -7,13 +7,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tor.directory import Directory, RelayDescriptor, RelayFlag
+from repro.tor.directory import Directory, RelayDescriptor
 from repro.tor.path_selection import PathSelector
 from repro.units import mbit_per_second
 
 
-def relay(name, mbit=10.0, flags=()):
-    return RelayDescriptor(name, mbit_per_second(mbit), frozenset(flags))
+def relay(name, mbit=10.0):
+    return RelayDescriptor(name, mbit_per_second(mbit))
 
 
 def make_directory(count=10, mbit=10.0):
@@ -42,12 +42,6 @@ def test_duplicate_relay_rejected():
 def test_get_unknown_raises():
     with pytest.raises(KeyError):
         Directory().get("ghost")
-
-
-def test_flag_filter():
-    d = Directory([relay("g", flags=[RelayFlag.GUARD]), relay("x")])
-    assert [r.name for r in d.relays(with_flag=RelayFlag.GUARD)] == ["g"]
-    assert len(d.relays()) == 2
 
 
 def test_weighted_sample_distinct():
@@ -102,20 +96,16 @@ def test_select_path_distinct_relays():
     assert len({r.name for r in path}) == 3
 
 
-def test_select_path_respects_flags():
-    d = Directory(
-        [
-            relay("guard", flags=[RelayFlag.GUARD]),
-            relay("mid"),
-            relay("exit", flags=[RelayFlag.EXIT]),
-        ]
-    )
-    selector = PathSelector(d, random.Random(1))
-    for __ in range(10):
-        path = selector.select_path(3)
-        assert path[0].name == "guard"
-        assert path[-1].name == "exit"
-        assert path[1].name == "mid"
+def test_select_path_draws_exit_guard_then_middles():
+    """Tor's draw order, one relay at a time without replacement; every
+    plan's paths depend on it."""
+    d = Directory(relay("r%02d" % i, 5.0 + i) for i in range(10))
+    path = PathSelector(d, random.Random(9)).select_path(4)
+    rng = random.Random(9)
+    exit_relay = d.weighted_sample(rng, 1)[0]
+    guard = d.weighted_sample(rng, 1, exclude=[exit_relay.name])[0]
+    middles = d.weighted_sample(rng, 2, exclude=[exit_relay.name, guard.name])
+    assert path == [guard, *middles, exit_relay]
 
 
 def test_select_path_without_flags_uses_anyone():
