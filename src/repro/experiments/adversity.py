@@ -121,14 +121,14 @@ class AdversityStudyConfig(ExperimentSpec):
                 "the adversity grid needs at least one loss rate and "
                 "one relay MTTF"
             )
-        if any(rate < 0 or rate >= 1 for rate in self.loss_rates):
+        if not all(0 <= rate < 1 for rate in self.loss_rates):  # also NaN
             raise ValueError(
                 "loss rates must be within [0, 1), got %r" % (self.loss_rates,)
             )
-        if any(mttf < 0 for mttf in self.relay_mttfs):
+        if not all(0 <= mttf < float("inf") for mttf in self.relay_mttfs):
             raise ValueError(
-                "relay MTTFs must be non-negative (0 disables), got %r"
-                % (self.relay_mttfs,)
+                "relay MTTFs must be non-negative and finite (0 disables), "
+                "got %r" % (self.relay_mttfs,)
             )
         if len(set(self.loss_rates)) != len(self.loss_rates):
             raise ValueError(
@@ -138,13 +138,15 @@ class AdversityStudyConfig(ExperimentSpec):
             raise ValueError(
                 "relay MTTFs must be distinct, got %r" % (self.relay_mttfs,)
             )
-        if self.arrival_rate <= 0:
+        if not 0 < self.arrival_rate < float("inf"):  # also NaN
             raise ValueError(
-                "arrival_rate must be positive, got %r" % self.arrival_rate
+                "arrival_rate must be positive and finite, got %r"
+                % self.arrival_rate
             )
-        if self.relay_mttr < 0:
+        if not 0 <= self.relay_mttr < float("inf"):  # also NaN
             raise ValueError(
-                "relay_mttr must be non-negative, got %r" % self.relay_mttr
+                "relay_mttr must be non-negative and finite, got %r"
+                % self.relay_mttr
             )
         if self.transport_profile not in transport_profile_names():
             raise ValueError(

@@ -70,8 +70,8 @@ class ExperimentSpec(Serializable):
         ``ClockError``); a spec that decodes must be a spec that runs.
         """
         check_controller_kinds(kinds)
-        if not duration > 0:  # non-positive or NaN
-            raise ValueError("duration must be positive, got %r" % duration)
+        if not 0 < duration < float("inf"):  # also NaN
+            raise ValueError("duration must be positive and finite, got %r" % duration)
 
 
 class ExperimentResult(Serializable):

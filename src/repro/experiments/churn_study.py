@@ -87,22 +87,29 @@ class ChurnStudyConfig(ExperimentSpec):
     def __post_init__(self) -> None:
         if not self.rates:
             raise ValueError("a churn study needs at least one arrival rate")
-        if any(rate <= 0 for rate in self.rates):
+        if not all(0 < rate < float("inf") for rate in self.rates):
             raise ValueError(
-                "arrival rates must be positive, got %r" % (self.rates,)
+                "arrival rates must be positive and finite, got %r"
+                % (self.rates,)
             )
         if len(set(self.rates)) != len(self.rates):
             raise ValueError(
                 "arrival rates must be distinct, got %r" % (self.rates,)
             )
-        if self.horizon < self.start_window:
+        if not 0 <= self.start_window < float("inf"):  # also NaN
             raise ValueError(
-                "horizon (%r) must not precede the start window (%r)"
-                % (self.horizon, self.start_window)
+                "start_window must be non-negative and finite, got %r"
+                % self.start_window
             )
-        if self.probe_interval <= 0:
+        if not self.start_window <= self.horizon < float("inf"):
             raise ValueError(
-                "probe_interval must be positive, got %r" % self.probe_interval
+                "horizon (%r) must be finite and not precede the start "
+                "window (%r)" % (self.horizon, self.start_window)
+            )
+        if not 0 < self.probe_interval < float("inf"):  # also NaN
+            raise ValueError(
+                "probe_interval must be positive and finite, got %r"
+                % self.probe_interval
             )
         if len(self.kinds) != 2 or len(set(self.kinds)) != 2:
             # The improvement rows are with-vs-without deltas; fail at

@@ -65,7 +65,7 @@ class FriendlinessConfig(ExperimentSpec):
                 "background load must be in (0, 1), got %r" % self.background_load
             )
         self.check_kinds_and_duration(self.controller_kinds, self.duration)
-        if self.circuit_start >= self.duration:
+        if not self.circuit_start < self.duration:  # also NaN
             raise ValueError("circuit must start before the run ends")
 
 

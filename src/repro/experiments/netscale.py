@@ -129,8 +129,11 @@ class NetScaleConfig(ExperimentSpec):
             )
         if self.bulk_payload_bytes <= 0 or self.interactive_payload_bytes <= 0:
             raise ValueError("payload sizes must be positive")
-        if self.start_window < 0:
-            raise ValueError("start_window must be non-negative")
+        if not 0 <= self.start_window < float("inf"):  # also NaN
+            raise ValueError(
+                "start_window must be non-negative and finite, got %r"
+                % self.start_window
+            )
         if self.network.relay_count < self.hops:
             raise ValueError(
                 "%d relays cannot form %d-hop paths"

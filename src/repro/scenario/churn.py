@@ -45,6 +45,24 @@ def stream_name(namespace: str, label: str) -> str:
     return "%s.%s" % (namespace, label) if namespace else label
 
 
+def _check_horizon(churn: Any) -> None:
+    # A NaN or infinite horizon never ends the arrival loop.
+    if not churn.start_window <= churn.horizon < float("inf"):
+        raise ValueError(
+            "horizon (%r) must be finite and not precede the start "
+            "window (%r)" % (churn.horizon, churn.start_window)
+        )
+
+
+def _check_settle(churn: Any) -> None:
+    # A negative settle would silently classify every warm-up sample
+    # as steady state.
+    if churn.settle is not None and not 0 <= churn.settle < float("inf"):
+        raise ValueError(
+            "settle must be non-negative and finite, got %r" % churn.settle
+        )
+
+
 @register_part
 @dataclass(frozen=True)
 class NoChurn(ChurnProcess):
@@ -57,9 +75,10 @@ class NoChurn(ChurnProcess):
     departures: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
-        if self.start_window < 0:
+        if not 0 <= self.start_window < float("inf"):  # also NaN
             raise ValueError(
-                "start_window must be non-negative, got %r" % self.start_window
+                "start_window must be non-negative and finite, got %r"
+                % self.start_window
             )
 
     def plan_arrivals(
@@ -97,25 +116,18 @@ class OpenLoopChurn(ChurnProcess):
     departures: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if self.start_window < 0:
+        if not 0 <= self.start_window < float("inf"):  # also NaN
             raise ValueError(
-                "start_window must be non-negative, got %r" % self.start_window
+                "start_window must be non-negative and finite, got %r"
+                % self.start_window
             )
-        if self.arrival_rate <= 0:
+        if not 0 < self.arrival_rate < float("inf"):  # also NaN
             raise ValueError(
-                "arrival_rate must be positive, got %r" % self.arrival_rate
+                "arrival_rate must be positive and finite, got %r"
+                % self.arrival_rate
             )
-        if self.horizon < self.start_window:
-            raise ValueError(
-                "horizon (%r) must not precede the start window (%r)"
-                % (self.horizon, self.start_window)
-            )
-        if self.settle is not None and self.settle < 0:
-            # A negative settle would silently classify every warm-up
-            # sample as steady state.
-            raise ValueError(
-                "settle must be non-negative, got %r" % self.settle
-            )
+        _check_horizon(self)
+        _check_settle(self)
 
     def plan_arrivals(
         self, scenario: Any, streams: Any
@@ -172,27 +184,19 @@ class ClosedLoopChurn(ChurnProcess):
     departures: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if self.start_window < 0:
+        if not 0 <= self.start_window < float("inf"):  # also NaN
             raise ValueError(
-                "start_window must be non-negative, got %r" % self.start_window
+                "start_window must be non-negative and finite, got %r"
+                % self.start_window
             )
-        if self.think_time <= 0:
-            raise ValueError(
-                "think_time must be positive, got %r" % self.think_time
-            )
-        if self.service_estimate <= 0:
-            raise ValueError(
-                "service_estimate must be positive, got %r" % self.service_estimate
-            )
-        if self.horizon < self.start_window:
-            raise ValueError(
-                "horizon (%r) must not precede the start window (%r)"
-                % (self.horizon, self.start_window)
-            )
-        if self.settle is not None and self.settle < 0:
-            raise ValueError(
-                "settle must be non-negative, got %r" % self.settle
-            )
+        for name in ("think_time", "service_estimate"):
+            value = getattr(self, name)
+            if not 0 < value < float("inf"):  # also NaN
+                raise ValueError(
+                    "%s must be positive and finite, got %r" % (name, value)
+                )
+        _check_horizon(self)
+        _check_settle(self)
 
     def plan_arrivals(
         self, scenario: Any, streams: Any

@@ -79,8 +79,11 @@ class FaultEvent(Serializable):
     def __post_init__(self) -> None:
         if not self.relay:
             raise ValueError("fault event needs a relay name")
-        if self.at < 0:
-            raise ValueError("fault event time must be non-negative, got %r" % self.at)
+        if not 0 <= self.at < float("inf"):  # also NaN
+            raise ValueError(
+                "fault event time must be non-negative and finite, got %r"
+                % self.at
+            )
         if self.action not in _ACTIONS:
             raise ValueError(
                 "fault action must be one of %s, got %r" % (_ACTIONS, self.action)
@@ -137,9 +140,10 @@ class LinkFaults(FaultProcess):
             raise ValueError(
                 "reorder_rate must be in [0, 1), got %r" % self.reorder_rate
             )
-        if self.max_extra_delay <= 0:
+        if not 0 < self.max_extra_delay < float("inf"):  # also NaN
             raise ValueError(
-                "max_extra_delay must be positive, got %r" % self.max_extra_delay
+                "max_extra_delay must be positive and finite, got %r"
+                % self.max_extra_delay
             )
         for name in ("p_good_to_bad", "p_bad_to_good"):
             value = getattr(self, name)
@@ -207,18 +211,14 @@ class RelayChurnFaults(FaultProcess):
     part: str = field(default="relay-churn", init=False)
 
     def validate(self, scenario: Any) -> None:
-        if self.mttf < 0:
-            raise ValueError("mttf must be non-negative, got %r" % self.mttf)
-        if self.mttr < 0:
-            raise ValueError("mttr must be non-negative, got %r" % self.mttr)
+        for name in ("mttf", "mttr", "horizon", "start_after"):
+            value = getattr(self, name)
+            if not 0 <= value < float("inf"):  # also NaN
+                raise ValueError(
+                    "%s must be non-negative and finite, got %r" % (name, value)
+                )
         if self.max_kills < 0:
             raise ValueError("max_kills must be non-negative, got %r" % self.max_kills)
-        if self.horizon < 0:
-            raise ValueError("horizon must be non-negative, got %r" % self.horizon)
-        if self.start_after < 0:
-            raise ValueError(
-                "start_after must be non-negative, got %r" % self.start_after
-            )
 
     def plan_events(
         self, scenario: Any, streams: Any, network: Any, bottleneck: Optional[str]

@@ -67,10 +67,13 @@ class NetworkConfig(Serializable):
             )
         if len(self.relay_rate_classes_mbit) != len(self.relay_rate_weights):
             raise ValueError("rate classes and weights must align")
-        if self.relay_delay_ms[0] > self.relay_delay_ms[1]:
-            raise ValueError("relay delay range is inverted")
-        if self.endpoint_delay_ms[0] > self.endpoint_delay_ms[1]:
-            raise ValueError("endpoint delay range is inverted")
+        for name in ("relay_delay_ms", "endpoint_delay_ms"):
+            low, high = getattr(self, name)
+            if not 0 <= low <= high < float("inf"):  # also NaN
+                raise ValueError(
+                    "%s must be a finite, non-negative, ordered range, got %r"
+                    % (name, (low, high))
+                )
 
 
 @dataclass

@@ -124,8 +124,10 @@ class _Collector:
 
 
 def _check_interval(interval: float) -> None:
-    if not interval > 0:  # non-positive or NaN
-        raise ValueError("sampling interval must be positive, got %r" % interval)
+    if not 0 < interval < float("inf"):  # also NaN
+        raise ValueError(
+            "sampling interval must be positive and finite, got %r" % interval
+        )
 
 
 def _check_scope(scope: str) -> None:

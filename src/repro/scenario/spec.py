@@ -97,9 +97,10 @@ class Scenario(Serializable):
         if len(set(self.kinds)) != len(self.kinds):
             raise ValueError("controller kinds must be distinct")
         check_controller_kinds(self.kinds)
-        if not self.max_sim_time > 0:  # non-positive or NaN
+        if not 0 < self.max_sim_time < float("inf"):  # also NaN
             raise ValueError(
-                "max_sim_time must be positive, got %r" % self.max_sim_time
+                "max_sim_time must be positive and finite, got %r"
+                % self.max_sim_time
             )
         self.topology.validate(self)
         for probe in self.probes:

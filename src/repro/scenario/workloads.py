@@ -173,8 +173,10 @@ class BulkWorkload(Workload):
     flow_workload: ClassVar[str] = "bulk"
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("workload weight must be >= 0, got %r" % self.weight)
+        if not 0 <= self.weight < float("inf"):  # also NaN
+            raise ValueError(
+                "workload weight must be >= 0 and finite, got %r" % self.weight
+            )
         if self.payload_bytes <= 0:
             raise ValueError(
                 "payload_bytes must be positive, got %r" % self.payload_bytes
@@ -281,15 +283,18 @@ class InteractiveWorkload(Workload):
     flow_workload: ClassVar[str] = "none"
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("workload weight must be >= 0, got %r" % self.weight)
+        if not 0 <= self.weight < float("inf"):  # also NaN
+            raise ValueError(
+                "workload weight must be >= 0 and finite, got %r" % self.weight
+            )
         if self.message_bytes <= 0 or self.message_count <= 0:
             raise ValueError(
                 "interactive workload needs positive message size and count"
             )
-        if self.message_interval < 0:
+        if not 0 <= self.message_interval < float("inf"):  # also NaN
             raise ValueError(
-                "message_interval must be >= 0, got %r" % self.message_interval
+                "message_interval must be >= 0 and finite, got %r"
+                % self.message_interval
             )
         if self.remainder_bytes < 0:
             raise ValueError(
@@ -365,15 +370,17 @@ class RequestResponseWorkload(Workload):
     flow_workload: ClassVar[str] = "none"
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("workload weight must be >= 0, got %r" % self.weight)
+        if not 0 <= self.weight < float("inf"):  # also NaN
+            raise ValueError(
+                "workload weight must be >= 0 and finite, got %r" % self.weight
+            )
         if self.response_bytes <= 0 or self.request_count <= 0:
             raise ValueError(
                 "request/response workload needs positive response size and count"
             )
-        if self.think_time <= 0:
+        if not 0 < self.think_time < float("inf"):  # also NaN
             raise ValueError(
-                "think_time must be positive, got %r" % self.think_time
+                "think_time must be positive and finite, got %r" % self.think_time
             )
 
     def total_bytes(self) -> int:

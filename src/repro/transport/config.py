@@ -157,19 +157,22 @@ class TransportConfig:
             raise ValueError("min cwnd must be at least one cell")
         if self.max_cwnd_cells < self.initial_cwnd_cells:
             raise ValueError("max cwnd smaller than initial cwnd")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.vegas_alpha < 0 or self.vegas_beta < self.vegas_alpha:
+        if not 0 < self.gamma < float("inf"):  # also NaN
+            raise ValueError("gamma must be positive and finite, got %r" % self.gamma)
+        if not 0 <= self.vegas_alpha <= self.vegas_beta < float("inf"):
             raise ValueError(
-                "need 0 <= alpha <= beta, got alpha=%r beta=%r"
+                "need 0 <= alpha <= beta, both finite, got alpha=%r beta=%r"
                 % (self.vegas_alpha, self.vegas_beta)
             )
         if self.compensation not in ("acked", "halve", "none"):
             raise ValueError("unknown compensation mode %r" % self.compensation)
         if self.rtt_aggregate not in ("min", "mean", "max", "last"):
             raise ValueError("unknown rtt aggregate %r" % self.rtt_aggregate)
-        if self.sample_gamma_factor < 1.0:
-            raise ValueError("sample_gamma_factor must be >= 1")
+        if not 1.0 <= self.sample_gamma_factor < float("inf"):  # also NaN
+            raise ValueError(
+                "sample_gamma_factor must be >= 1 and finite, got %r"
+                % self.sample_gamma_factor
+            )
         if self.compensation_window_rtts < 1:
             raise ValueError("compensation_window_rtts must be >= 1")
         if not 0 < self.rto_min <= self.rto_max:
@@ -177,8 +180,10 @@ class TransportConfig:
                 "need 0 < rto_min <= rto_max, got %r / %r"
                 % (self.rto_min, self.rto_max)
             )
-        if self.rto_initial <= 0:
-            raise ValueError("rto_initial must be positive")
+        if not 0 < self.rto_initial < float("inf"):  # also NaN
+            raise ValueError(
+                "rto_initial must be positive and finite, got %r" % self.rto_initial
+            )
         if self.max_retransmission_rounds < 1:
             raise ValueError("max_retransmission_rounds must be >= 1")
 

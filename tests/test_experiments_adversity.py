@@ -66,6 +66,23 @@ def test_spec_validation():
         small_study(transport_profile="teleport")
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(loss_rates=(float("nan"),)),
+    dict(relay_mttfs=(float("nan"),)),
+    dict(relay_mttfs=(0.0, float("inf"))),
+    dict(arrival_rate=float("nan")),
+    dict(arrival_rate=float("inf")),
+    dict(relay_mttr=float("nan")),
+    dict(relay_mttr=float("inf")),
+    dict(horizon=float("inf")),
+], ids=lambda overrides: "%s=%s" % next(iter(overrides.items())))
+def test_nan_or_infinite_spec_is_refused(overrides):
+    """Construct only: a NaN rate hung the planner or crashed a point,
+    and a NaN MTTF or MTTR ran under a NaN label."""
+    with pytest.raises(ValueError):
+        small_study(**overrides)
+
+
 def test_execution_knobs_are_not_fields(tmp_path):
     ctx = RunContext(workers=3, checkpoint_dir=str(tmp_path / "x"), resume=True)
     spec = small_study(loss_rates=(0.0,), relay_mttfs=(0.0,))

@@ -265,6 +265,11 @@ KNOB_FLAGS = {
     lambda: TraceConfig(duration=float("nan")),
     lambda: CdfConfig(max_sim_time=float("nan")),
     lambda: UtilizationProbe(interval=float("nan")),
+    lambda: TraceConfig(duration=float("inf")),
+    lambda: FriendlinessConfig(circuit_start=float("nan")),
+    lambda: CdfConfig(start_jitter=float("nan")),
+    lambda: CdfConfig(max_sim_time=float("inf")),
+    lambda: get_experiment("netscale").spec_type(start_window=float("nan")),
 ])
 def test_spec_that_cannot_run_does_not_build(build):
     """Each of these built fine and failed inside the run (the planner,

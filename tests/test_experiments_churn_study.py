@@ -67,6 +67,22 @@ def test_spec_validation():
         small_study(kinds=("with", "with"))
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(rates=(float("nan"),)),
+    dict(rates=(2.0, float("inf"))),
+    dict(start_window=float("nan")),
+    dict(horizon=float("nan")),
+    dict(horizon=float("inf")),
+    dict(probe_interval=float("nan")),
+    dict(probe_interval=float("inf")),
+], ids=lambda overrides: "%s=%s" % next(iter(overrides.items())))
+def test_nan_or_infinite_spec_is_refused(overrides):
+    """Construct only: at a NaN or infinite rate or horizon the arrival
+    planner never left its loop."""
+    with pytest.raises(ValueError):
+        small_study(**overrides)
+
+
 def test_workers_is_not_a_spec_field():
     """The execution knob never enters the spec, serialized or live."""
     spec = small_study()

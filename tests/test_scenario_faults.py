@@ -31,6 +31,7 @@ from repro.scenario import (
     FaultEvent,
     FaultInjector,
     GeneratedTopology,
+    InteractiveWorkload,
     LinkFaults,
     NetworkConfig,
     NoChurn,
@@ -437,6 +438,45 @@ def test_closed_loop_churn_validation():
         ClosedLoopChurn(start_window=2.0, horizon=1.0)
     assert ClosedLoopChurn(settle=0.25).settle_time() == 0.25
     assert ClosedLoopChurn(start_window=1.5).settle_time() == 1.5
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NoChurn(start_window=NAN),
+    lambda: NoChurn(start_window=INF),
+    lambda: OpenLoopChurn(arrival_rate=NAN),
+    lambda: OpenLoopChurn(arrival_rate=INF),
+    lambda: OpenLoopChurn(horizon=NAN),
+    lambda: OpenLoopChurn(horizon=INF),
+    lambda: OpenLoopChurn(settle=NAN),
+    lambda: ClosedLoopChurn(think_time=NAN),
+    lambda: ClosedLoopChurn(service_estimate=INF),
+    lambda: ClosedLoopChurn(horizon=INF),
+    lambda: FaultEvent("relay1", NAN, "kill"),
+    lambda: faulted_scenario(
+        faults=(LinkFaults(reorder_rate=0.1, max_extra_delay=NAN),)),
+    lambda: faulted_scenario(
+        faults=(LinkFaults(reorder_rate=0.1, max_extra_delay=INF),)),
+    lambda: faulted_scenario(faults=(RelayChurnFaults(mttf=NAN),)),
+    lambda: faulted_scenario(faults=(RelayChurnFaults(mttf=INF),)),
+    lambda: faulted_scenario(faults=(RelayChurnFaults(mttf=4.0, mttr=NAN),)),
+    lambda: faulted_scenario(faults=(RelayChurnFaults(mttf=4.0, horizon=INF),)),
+    lambda: faulted_scenario(faults=(RelayChurnFaults(start_after=NAN),)),
+    lambda: faulted_scenario(max_sim_time=INF),
+    lambda: BulkWorkload(weight=NAN),
+    lambda: InteractiveWorkload(message_interval=NAN),
+    lambda: RequestResponseWorkload(think_time=INF),
+    lambda: UtilizationProbe(interval=INF),
+    lambda: NetworkConfig(relay_delay_ms=(4.0, NAN)),
+])
+def test_nan_or_infinite_part_is_refused(build):
+    """NaN compares false both ways, so a "< 0" check let it through, and
+    a NaN or infinite rate or horizon never ended a planning loop.
+    Construct only: nothing here plans or runs."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_closed_loop_churn_runs_end_to_end():

@@ -40,6 +40,16 @@ def test_with_returns_modified_copy():
         dict(rtt_aggregate="median"),
         dict(sample_gamma_factor=0.5),
         dict(compensation_window_rtts=0),
+        # NaN compares false both ways: each of these used to build.
+        dict(gamma=float("nan")),
+        dict(gamma=float("inf")),
+        dict(vegas_alpha=float("nan")),
+        dict(vegas_beta=float("nan")),
+        dict(vegas_beta=float("inf")),
+        dict(sample_gamma_factor=float("nan")),
+        dict(sample_gamma_factor=float("inf")),
+        dict(rto_initial=float("nan")),
+        dict(rto_initial=float("inf")),
     ],
 )
 def test_invalid_configurations_rejected(kwargs):
