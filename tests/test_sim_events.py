@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.errors import SchedulingError
+from repro.sim.errors import ClockError, SchedulingError
 from repro.sim.simulator import Simulator
 
 
@@ -250,14 +250,17 @@ def test_property_cancelled_never_pop(times, cancel_indices):
 # agree with the model on the live count and on the exact (time, seq)-
 # stable order of everything that fires — for handle events, fast
 # events, reserved pushes (which enter under a sequence number drawn
-# earlier, and are refused once the loop is past their place) and
-# cancellations, with single steps of the loop in any interleaving.
+# earlier, and are refused once the loop is past their place), re-arms
+# and cancellations — and, after every operation, on the clock,
+# ``current_seq`` and ``events_executed``, with single steps and runs
+# bounded by a deadline, an event budget or both in any interleaving.
 # ----------------------------------------------------------------------
 
 _ops = st.lists(
     st.tuples(
         st.sampled_from([
             "push", "push_fast", "reserve", "push_reserved", "pop", "cancel",
+            "rearm", "run_until", "run_max", "run_until_max",
         ]),
         st.sampled_from([0.0, 1.0, 2.0, 3.0]),
         st.integers(0, 999),
@@ -267,6 +270,15 @@ _ops = st.lists(
 
 
 @given(_ops)
+# A budget used up with only a cancelled entry left at the top: the
+# loop drops it, ends with an empty heap and counts the run complete
+# (the clock moves to the deadline), but steps past no reservation.
+@example([("push", 1.0, 0), ("push", 2.0, 1), ("cancel", 0.0, 1),
+          ("run_until_max", 3.0, 1)])
+# The same with a re-armed entry at the top: it moves to its new place,
+# the live event there stops the run short, and the clock stays put.
+@example([("push", 1.0, 0), ("push", 1.0, 1), ("rearm", 2.0, 1),
+          ("run_until_max", 3.0, 1)])
 def test_property_mixed_paths_order_and_accounting(ops):
     sim = Simulator()
     model = []      # live entries: (time, seq, tag)
@@ -274,11 +286,33 @@ def test_property_mixed_paths_order_and_accounting(ops):
     reserved = []   # drawn but not yet pushed: (time, seq, tag)
     fired = []      # what the simulator ran: (now, tag)
     expected = []   # what the model says it should have run
-    seq = 0
-    last = (0.0, -1)  # (time, seq) of the last event the loop executed
+    seq = 0         # the next number the sequence counter hands out
+    now = 0.0
+    current = -1    # the model's current_seq
+    executed = 0
 
     def note(tag):
         fired.append((sim.now, tag))
+
+    def drive(until=None, max_events=None):
+        """What a run bounded by *until* and *max_events* does."""
+        nonlocal seq, now, current, executed
+        model.sort()
+        due = [e for e in model if until is None or e[0] <= until]
+        ran = due if max_events is None else due[:max_events]
+        del model[:len(ran)]
+        expected.extend((time, tag) for time, __s, tag in ran)
+        executed += len(ran)
+        if ran:
+            now, current = ran[-1][0], ran[-1][1]
+        # The budget is tested before the deadline: a run that used it
+        # up with any live event left (due or not) stopped short.
+        under_budget = max_events is None or len(ran) < max_events
+        if under_budget:
+            current = seq  # stepped past every number drawn so far
+            seq += 1
+        if until is not None and (under_budget or not model):
+            now = max(now, until)
 
     for op, delay, tag in ops:
         time = sim.now + delay
@@ -299,33 +333,102 @@ def test_property_mixed_paths_order_and_accounting(ops):
                 entry = reserved.pop(tag % len(reserved))
                 # Past that place an event there would already have
                 # fired: the caller acts on the spot and pushes nothing.
-                if entry[:2] > last:
+                if entry[:2] > (now, current):
                     sim.push((entry[0], entry[1], note, (entry[2],)))
                     model.append(entry)
         elif op == "pop":
             assert sim.step() == bool(model)
             if model:
-                model.sort()
-                time, entry_seq, entry_tag = model.pop(0)
-                expected.append((time, entry_tag))
-                last = (time, entry_seq)
-                assert sim.current_seq == entry_seq
-        elif op == "cancel":
-            # Cancel the live handle-path event selected by `tag`.
+                drive(max_events=1)
+        elif op in ("cancel", "rearm"):
+            # Cancel or re-arm the live handle-path event selected by
+            # `tag`; a re-arm stands for cancel + schedule.
             live_handles = [
                 s for (__, s, __t) in model if s in handles
             ]
             if live_handles:
                 chosen = live_handles[tag % len(live_handles)]
-                assert handles[chosen].cancel()
                 model = [e for e in model if e[1] != chosen]
+                if op == "cancel":
+                    assert handles[chosen].cancel()
+                else:
+                    handles[seq] = sim.rearm(handles[chosen], delay, note, tag)
+                    model.append((time, seq, tag))
+                    seq += 1
+        elif op == "run_until":
+            sim.run_until(time)
+            drive(until=time)
+        elif op == "run_max":
+            sim.run(max_events=tag % 4)
+            drive(max_events=tag % 4)
+        elif op == "run_until_max":
+            sim.run_until(time, max_events=tag % 4)
+            drive(until=time, max_events=tag % 4)
         assert sim.pending_events == len(model)
         assert fired == expected
+        assert (sim.now, sim.current_seq, sim.events_executed) == (
+            now, current, executed
+        )
+        assert not sim.running
 
     model.sort()
     sim.run()
     assert fired == expected + [(time, tag) for (time, __s, tag) in model]
     assert sim.pending_events == 0
+    assert sim.events_executed == executed + len(model)
+
+
+def test_spent_budget_drops_dead_entries_at_the_top():
+    """Once *max_events* is used up, cancelled and re-armed entries at
+    the top still leave it before the run stops: a budget that ran out
+    exactly as the last live event fired counts as a completed run."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "dead").cancel()
+    moved = sim.schedule(1.5, fired.append, "moved")
+    sim.rearm(moved, 3.0, fired.append, "moved")
+    sim.run(max_events=1)
+    # The dead entry is gone; the re-armed one moved and stopped the run.
+    assert (fired, sim.events_executed, sim.current_seq) == (["a"], 1, 0)
+    assert (len(sim._heap), sim._dead, sim.pending_events) == (1, 0, 1)
+    assert sim._heap[0][0] == 3.0
+    moved.cancel()
+    sim.run_until(5.0, max_events=0)
+    # Only a dead entry was left: the heap empties and the clock moves
+    # to the deadline, but no reservation is stepped past.
+    assert (sim._heap, sim._dead, sim.now, sim.current_seq) == ([], 0, 5.0, 0)
+
+
+def test_events_executed_is_exact_inside_callbacks():
+    sim = Simulator()
+    seen = []
+
+    def note():
+        seen.append(sim.events_executed)
+
+    sim.schedule(1.0, note)
+    sim.schedule_fast(1.0, note)
+    sim.schedule_at(2.0, note)
+    sim.run()
+    assert seen == [1, 2, 3]
+    sim.schedule_fast(1.0, note)
+    sim.run_until(sim.now + 1.0)
+    assert seen == [1, 2, 3, 4]
+
+
+def test_pushed_entry_in_the_past_raises_and_stays_pending():
+    """``push`` checks nothing; the loop refuses an entry behind the
+    clock before popping it, so nothing runs and it stays pending."""
+    sim = Simulator()
+    fired = []
+    sim.run_until(1.0)
+    sim.push((0.5, sim.reserve_seq(), fired.append, ("late",)))
+    for run in (sim.run, sim.step, lambda: sim.run_until(2.0)):
+        with pytest.raises(ClockError):
+            run()
+        assert (fired, sim.now, sim.events_executed) == ([], 1.0, 0)
+        assert sim.pending_events == 1 and not sim.running
 
 
 # ----------------------------------------------------------------------
