@@ -77,8 +77,8 @@ class Link:
     __slots__ = ("_rate", "delay", "name", "_tx_times")
 
     def __init__(self, rate: Rate, delay: float, name: str = "") -> None:
-        if not delay >= 0:  # negative or NaN
-            raise ValueError("propagation delay must be non-negative, got %r" % delay)
+        if not 0 <= delay < float("inf"):  # also NaN
+            raise ValueError("propagation delay must be in [0, inf), got %r" % delay)
         self._rate = rate
         self.delay = float(delay)
         self.name = name

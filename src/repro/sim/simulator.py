@@ -6,8 +6,9 @@ and provides the scheduling API every other subsystem builds on:
 * :meth:`Simulator.schedule` — run a callback after a relative delay;
 * :meth:`Simulator.schedule_at` — run a callback at an absolute time;
 * :meth:`Simulator.schedule_fast` — like :meth:`schedule`, but without
-  allocating a cancellable :class:`~repro.sim.events.EventHandle`; the
-  per-cell hot path (deliveries, feedback) uses this;
+  allocating a cancellable :class:`~repro.sim.events.EventHandle`, for
+  events nothing cancels (the per-cell path itself goes through
+  :attr:`push`; the layer benchmarks and tests schedule this way);
 * :attr:`Simulator.reserve_seq` / :attr:`push` / :attr:`current_seq`
   — the deferred-event API: hold a place in the ``(time, seq)`` order
   now, push the event only if it turns out to be needed, and tell
@@ -29,9 +30,12 @@ does every push, pop and compaction itself; an
 :class:`~repro.sim.events.EventHandle` is the cancellable entry behind
 ``schedule`` / ``schedule_at`` / ``call_soon`` and points back at its
 simulator while pending, so that cancelling it is counted here.  Heap
-entries are ``(time, seq, handle)`` or the handle-free ``(time, seq,
-callback, args)``; ``(time, seq)`` is unique, so comparisons never
-reach the third element and the two shapes mix freely.
+entries are 4-tuples of one of two shapes: ``(time, seq, handle,
+_HANDLE)``, where ``_HANDLE`` is this module's sentinel, or the
+handle-free ``(time, seq, callback, args)``.  The loop tells them apart
+with one identity test on the last element.  ``(time, seq)`` is unique,
+so comparisons never reach the third element and the two shapes mix
+freely.
 
 **Heap compaction.**  Cancelled handle entries normally leave the heap
 lazily, when they surface at the top.  Under cancel-heavy load (churn
@@ -56,11 +60,12 @@ exactly where one scheduled at reservation time would sit.  Once the
 loop is past that place the event would already have fired, and the
 caller acts on the spot instead.  ``push`` is ``heappush`` on the
 event heap, a C call that checks nothing: the caller guarantees a
-``t`` that is a number no earlier than ``now`` and a ``seq`` it drew
-from ``reserve_seq`` and uses once.  :class:`~repro.net.link.Interface`
-pushes every delivery and wake this way, so that a link transmission
-costs one event (the delivery) unless a second packet arrives while
-the first is on the wire.
+finite ``t`` no earlier than ``now`` and a ``seq`` it drew from
+``reserve_seq`` and uses once (an entry behind the clock raises
+:class:`ClockError` when it reaches the top, before it is popped).
+:class:`~repro.net.link.Interface` pushes every delivery and wake this
+way, so that a link transmission costs one event (the delivery) unless
+a second packet arrives while the first is on the wire.
 
 The re-arm contract: ``rearm(handle, delay, callback, *args)`` returns
 a handle that fires exactly where ``handle.cancel()`` followed by
@@ -78,6 +83,11 @@ fired or cancelled handle, takes the cancel + ``schedule`` path and
 returns a new handle.  A retransmission timer pushed back on every
 cell sent thus costs no heap operation per cell.
 
+Every time that enters the heap through the checked API — a delay, an
+absolute time, a start time or a ``run_until`` deadline — must be
+finite: an infinite one would end a run with the clock at infinity,
+where no later ``run_until`` could start.
+
 The simulator replaces ns-3 as the substrate the paper's evaluation ran
 on: CircuitStart's behaviour depends only on event timing, which a
 calendar-queue DES reproduces exactly.
@@ -94,6 +104,12 @@ from .errors import ClockError, SchedulingError
 from .events import EventHandle, _noop
 
 __all__ = ["Simulator"]
+
+_INF = float("inf")
+
+#: The last element of every handle entry: marks ``entry[2]`` as an
+#: :class:`EventHandle` (a handle-free entry ends in its args tuple).
+_HANDLE = object()
 
 
 class Simulator:
@@ -114,8 +130,8 @@ class Simulator:
     _COMPACT_MIN_DEAD = 64
 
     def __init__(self, start_time: float = 0.0) -> None:
-        if not start_time >= 0:  # negative or NaN
-            raise ClockError("start time must be non-negative, got %r" % start_time)
+        if not 0 <= start_time < _INF:  # also NaN
+            raise ClockError("start time must be in [0, inf), got %r" % start_time)
         #: Current simulated time in seconds.  Read-only for everyone
         #: but the event loop; a plain attribute because every layer
         #: reads it about twice per event.
@@ -175,8 +191,8 @@ class Simulator:
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule *callback(\\*args)* to run *delay* seconds from now."""
-        if delay < 0:
-            raise SchedulingError("delay must be non-negative, got %r" % delay)
+        if not 0 <= delay < _INF:  # also NaN
+            raise SchedulingError("delay must be in [0, inf), got %r" % delay)
         return self._push_handle(self.now + delay, callback, args)
 
     def schedule_fast(
@@ -184,13 +200,13 @@ class Simulator:
     ) -> None:
         """Schedule *callback(\\*args)* after *delay* seconds, handle-free.
 
-        The hot-path variant of :meth:`schedule` for events that are
-        never cancelled: no :class:`EventHandle` is allocated and none
+        The variant of :meth:`schedule` for events that are never
+        cancelled: no :class:`EventHandle` is allocated and none
         is returned.  Ordering is identical to :meth:`schedule` — both
         paths share one (time, seq) counter.
         """
-        if not delay >= 0:  # negative or NaN
-            raise SchedulingError("delay must be non-negative, got %r" % delay)
+        if not 0 <= delay < _INF:  # also NaN
+            raise SchedulingError("delay must be in [0, inf), got %r" % delay)
         heappush(
             self._heap, (self.now + delay, next(self._counter), callback, args)
         )
@@ -199,10 +215,8 @@ class Simulator:
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule *callback(\\*args)* at absolute simulated *time*."""
-        if time < self.now:
-            raise SchedulingError(
-                "cannot schedule at %r, already at %r" % (time, self.now)
-            )
+        if not self.now <= time < _INF:  # also NaN
+            raise SchedulingError("cannot schedule at %r (now %r)" % (time, self.now))
         return self._push_handle(time, callback, args)
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -228,8 +242,8 @@ class Simulator:
         than its old one; a new handle otherwise (see the re-arm
         contract above).
         """
-        if not delay >= 0:  # negative or NaN
-            raise SchedulingError("delay must be non-negative, got %r" % delay)
+        if not 0 <= delay < _INF:  # also NaN
+            raise SchedulingError("delay must be in [0, inf), got %r" % delay)
         time = self.now + delay
         if handle._sim is None or time < handle.time:
             handle.cancel()
@@ -268,8 +282,8 @@ class Simulator:
         "in the past" and raise a spurious :class:`ClockError` on the
         next run.
         """
-        if not time >= self.now:  # earlier, or NaN
-            raise ClockError("cannot run until %r, already at %r" % (time, self.now))
+        if not self.now <= time < _INF:  # also NaN
+            raise ClockError("cannot run until %r (now %r)" % (time, self.now))
         completed = self._run_loop(until=time, max_events=max_events)
         if completed:
             self.now = max(self.now, time)
@@ -299,7 +313,7 @@ class Simulator:
         cycle.  The clock and :attr:`events_executed` stay readable.
         """
         for entry in self._heap:
-            if len(entry) == 3:
+            if entry[3] is _HANDLE:
                 handle = entry[2]
                 handle._cancelled = True
                 handle._sim = None
@@ -315,11 +329,9 @@ class Simulator:
     def _push_handle(
         self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]
     ) -> EventHandle:
-        """Push *callback(\\*args)* at absolute *time*; return its handle."""
-        if time != time:  # NaN check without importing math
-            raise SchedulingError("event time must not be NaN")
+        """Push *callback(\\*args)* at a checked absolute *time*; return its handle."""
         handle = EventHandle(time, next(self._counter), callback, args, self)
-        heappush(self._heap, (time, handle.seq, handle))
+        heappush(self._heap, (time, handle.seq, handle, _HANDLE))
         return handle
 
     def _note_handle_cancelled(self) -> None:
@@ -332,11 +344,7 @@ class Simulator:
         dead = self._dead = self._dead + 1
         heap = self._heap
         if dead > len(heap) - dead and dead >= self._COMPACT_MIN_DEAD:
-            heap[:] = [
-                entry
-                for entry in heap
-                if len(entry) == 4 or not entry[2]._cancelled
-            ]
+            heap[:] = [e for e in heap if e[3] is not _HANDLE or not e[2]._cancelled]
             heapify(heap)
             self._dead = 0
 
@@ -350,17 +358,22 @@ class Simulator:
         if self._running:
             raise SchedulingError("simulator loop is not reentrant")
         self._running = True
-        executed = 0
         # The loop body is deliberately inlined (no peek/pop method
-        # pair, a local for the heap): it runs once per event and
-        # dominates engine throughput.
+        # pair, locals for the heap, the clock and the bounds): it runs
+        # once per event and dominates engine throughput.  It is two
+        # straight branches, one per entry shape, rather than one body
+        # that tests the shape twice.  Both test the event budget before
+        # the deadline, and only once dead and re-armed entries at the
+        # top are out of the way; a spent budget returns early.
         heap = self._heap
-        completed = True
+        now = self.now
+        limit = _INF if until is None else until
+        executed = self._events_executed
+        stop = _INF if max_events is None else executed + max_events
         try:
             while heap:
                 entry = heap[0]
-                fast = len(entry) == 4
-                if not fast:
+                if entry[3] is _HANDLE:
                     handle = entry[2]
                     if handle._cancelled:
                         heappop(heap)  # dead entry surfacing
@@ -369,40 +382,45 @@ class Simulator:
                     if handle.seq != entry[1]:
                         # Re-armed since it was pushed: move the entry
                         # to the handle's due place (not an event).
-                        heapreplace(heap, (handle.time, handle.seq, handle))
+                        heapreplace(heap, (handle.time, handle.seq, handle, _HANDLE))
                         continue
-                if max_events is not None and executed >= max_events:
-                    completed = False
-                    break
-                event_time = entry[0]
-                if until is not None and event_time > until:
-                    break
-                if event_time < self.now:
-                    raise ClockError(
-                        "event at %r is in the past (now %r)"
-                        % (event_time, self.now)
-                    )
-                heappop(heap)
-                self.now = event_time
-                self._current_seq = entry[1]
-                self._events_executed += 1
-                executed += 1
-                if fast:
-                    entry[2](*entry[3])
-                else:
+                    if executed >= stop:
+                        return False
+                    time = entry[0]
+                    if time > limit:
+                        break
+                    if time < now:
+                        raise ClockError("event at %r is in the past (now %r)" % (time, now))
+                    heappop(heap)
+                    self.now = now = time
+                    self._current_seq = entry[1]
+                    self._events_executed = executed = executed + 1
                     handle._sim = None
                     handle._fired = True
                     handle.callback(*handle.args)
+                    continue
+                if executed >= stop:
+                    return False
+                time = entry[0]
+                if time > limit:
+                    break
+                if time < now:
+                    raise ClockError("event at %r is in the past (now %r)" % (time, now))
+                heappop(heap)
+                self.now = now = time
+                self._current_seq = entry[1]
+                self._events_executed = executed = executed + 1
+                entry[2](*entry[3])
         finally:
             self._running = False
-        if completed and (max_events is None or executed < max_events):
+        if executed < stop:
             # Everything due has fired, including any event merely
             # *reserved* so far: step past every number drawn, so that
             # code running between runs sees those reservations as gone
             # by.  A run that used up max_events may have stopped just
             # short of one, and does not.
             self._current_seq = next(self._counter)
-        return completed
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Simulator now=%.6f pending=%d executed=%d>" % (

@@ -18,7 +18,7 @@ implements that substrate:
 from .config import CELL_PAYLOAD, CELL_SIZE, FEEDBACK_SIZE, TransportConfig
 from .controller import Phase, WindowController
 from .hop import HopSender
-from .rtt import RoundAggregate, RttEstimator
+from .rtt import RttEstimator
 
 __all__ = [
     "CELL_PAYLOAD",
@@ -26,7 +26,6 @@ __all__ = [
     "FEEDBACK_SIZE",
     "HopSender",
     "Phase",
-    "RoundAggregate",
     "RttEstimator",
     "TransportConfig",
     "WindowController",

@@ -44,6 +44,10 @@ class Phase(enum.Enum):
     AVOIDANCE = "avoidance"
 
 
+# Read per feedback message: a module global, not an enum lookup.
+_STARTUP = Phase.STARTUP
+
+
 class WindowController:
     """Base class: round tracking plus Vegas congestion avoidance.
 
@@ -129,23 +133,20 @@ class WindowController:
         self.round_acked += 1
         if sampled:
             self.rtt.add_sample(rtt)
-        self._note_feedback_time(now)
-
-        if sampled and self.phase is Phase.STARTUP:
-            exited = self._startup_feedback(rtt, now)
-            if exited:
+        # Keep the arrival times the compensation can still look at: the
+        # trailing compensation_window_rtts + 1 base RTTs.
+        times = self._feedback_times
+        times.append(now)
+        base = self.rtt.base_rtt
+        if base is not None:
+            horizon = now - (self.config.compensation_window_rtts + 1.0) * base
+            while times and times[0] < horizon:
+                times.popleft()
+        if sampled and self.phase is _STARTUP:
+            if self._startup_feedback(rtt, now):
                 return
         if self.round_acked >= self.round_target or drained:
             self._complete_round(now, full=self.round_acked >= self.round_target)
-
-    def _note_feedback_time(self, now: float) -> None:
-        self._feedback_times.append(now)
-        base = self.rtt.base_rtt
-        if base is None:
-            return
-        horizon = now - (self.config.compensation_window_rtts + 1.0) * base
-        while self._feedback_times and self._feedback_times[0] < horizon:
-            self._feedback_times.popleft()
 
     def acked_in_last_rtt(self, now: float) -> int:
         """Cells acknowledged "within the current round" — the last RTT.

@@ -274,8 +274,10 @@ class HopSender:
             now = self.sim.now
             self.feedback_received += 1
             self.controller.on_feedback(now - sent_at, now, not send_times)
-        self.pump()
-        if self.on_drained is not None and self.idle:
+        buffer = self._buffer
+        if buffer or self.cell_source is not None:
+            self.pump()
+        if self.on_drained is not None and not buffer and not send_times:
             self.on_drained()
 
     # ------------------------------------------------------------------

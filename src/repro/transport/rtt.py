@@ -19,39 +19,10 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-__all__ = ["RttEstimator", "RoundAggregate"]
+__all__ = ["RttEstimator"]
 
 #: Supported per-round aggregation functions.
 _AGGREGATES = ("mean", "min", "max", "last")
-
-
-class RoundAggregate:
-    """Collects the RTT samples of one growth round."""
-
-    __slots__ = ("samples",)
-
-    def __init__(self) -> None:
-        self.samples: List[float] = []
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def value(self, how: str = "mean") -> float:
-        """The round's representative RTT under aggregation *how*."""
-        if not self.samples:
-            raise ValueError("round has no RTT samples yet")
-        if how == "mean":
-            return math.fsum(self.samples) / len(self.samples)
-        if how == "min":
-            return min(self.samples)
-        if how == "max":
-            return max(self.samples)
-        if how == "last":
-            return self.samples[-1]
-        raise ValueError("unknown aggregate %r (want one of %s)" % (how, _AGGREGATES))
-
-    def reset(self) -> None:
-        self.samples.clear()
 
 
 class RttEstimator:
@@ -75,19 +46,18 @@ class RttEstimator:
             raise ValueError("ewma gain must be in (0, 1], got %r" % ewma_gain)
         self.aggregate = aggregate
         self.ewma_gain = ewma_gain
-        self._base_rtt: Optional[float] = None
+        #: Minimum RTT ever seen on this hop (``None`` before any
+        #: sample).  Only :meth:`add_sample` writes it; the controller
+        #: reads it per feedback, so it is a plain attribute.
+        self.base_rtt: Optional[float] = None
         self._smoothed: Optional[float] = None
         self._rttvar: Optional[float] = None
         self._last_sample: Optional[float] = None
-        self._round = RoundAggregate()
+        # The samples of the round in progress.
+        self._round: List[float] = []
         self.sample_count = 0
 
     # ------------------------------------------------------------------
-
-    @property
-    def base_rtt(self) -> Optional[float]:
-        """Minimum RTT ever seen on this hop (``None`` before any sample)."""
-        return self._base_rtt
 
     @property
     def round_samples(self) -> int:
@@ -102,8 +72,8 @@ class RttEstimator:
             raise ValueError("RTT must be non-negative, got %r" % rtt)
         self.sample_count += 1
         self._last_sample = rtt
-        if self._base_rtt is None or rtt < self._base_rtt:
-            self._base_rtt = rtt
+        if self.base_rtt is None or rtt < self.base_rtt:
+            self.base_rtt = rtt
         if self._smoothed is None:
             self._smoothed = rtt
             self._rttvar = rtt / 2.0
@@ -112,7 +82,7 @@ class RttEstimator:
             assert self._rttvar is not None
             self._rttvar += 0.25 * (abs(self._smoothed - rtt) - self._rttvar)
             self._smoothed += self.ewma_gain * (rtt - self._smoothed)
-        self._round.samples.append(rtt)
+        self._round.append(rtt)
 
     def current_rtt(self) -> float:
         """Representative RTT of the round in progress.
@@ -120,15 +90,23 @@ class RttEstimator:
         Falls back to the last raw sample when the round is empty
         (immediately after :meth:`finish_round`).
         """
-        if len(self._round):
-            return self._round.value(self.aggregate)
+        samples = self._round
+        if samples:
+            how = self.aggregate
+            if how == "mean":
+                return math.fsum(samples) / len(samples)
+            if how == "min":
+                return min(samples)
+            if how == "max":
+                return max(samples)
+            return samples[-1]  # "last"
         if self._last_sample is None:
             raise ValueError("no RTT samples recorded yet")
         return self._last_sample
 
     def finish_round(self) -> None:
         """Close the current round and start collecting the next one."""
-        self._round.reset()
+        self._round.clear()
 
     def retransmission_timeout(
         self, minimum: float = 0.05, maximum: float = 10.0, fallback: float = 1.0
@@ -151,7 +129,7 @@ class RttEstimator:
         cells sitting in the successor's queue.  *rtt* overrides the
         round-aggregate RTT for per-sample checks.
         """
-        if self._base_rtt is None or self._base_rtt <= 0:
+        if self.base_rtt is None or self.base_rtt <= 0:
             return 0.0
         current = self.current_rtt() if rtt is None else rtt
-        return cwnd_cells * current / self._base_rtt - cwnd_cells
+        return cwnd_cells * current / self.base_rtt - cwnd_cells

@@ -40,6 +40,13 @@ def test_link_rejects_nan_delay():
         Link(mbit_per_second(8), float("nan"))
 
 
+def test_link_rejects_infinite_delay():
+    # Every delivery over it would land at an infinite time: the run
+    # would end with the clock at infinity.
+    with pytest.raises(ValueError, match="got inf"):
+        Link(mbit_per_second(8), float("inf"))
+
+
 def test_link_timing_helpers():
     link = Link(mbit_per_second(8), milliseconds(10))  # 1e6 B/s
     p = Packet(1000)

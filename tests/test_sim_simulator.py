@@ -108,6 +108,55 @@ def test_nan_run_time_rejected(sim):
     assert (sim.now, fired, sim.pending_events) == (0.0, [], 1)
 
 
+_INF = float("inf")
+
+
+def test_infinite_start_time_rejected():
+    with pytest.raises(ClockError):
+        Simulator(start_time=_INF)
+
+
+def _assert_clock_still_usable(sim):
+    """The clock stays finite and the next ``run_until`` still runs: an
+    infinite clock refused every later one."""
+    sim.run()
+    assert sim.now < _INF
+    deadline = sim.now + 1.0
+    sim.run_until(deadline)
+    assert sim.now == deadline
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim, cb: sim.schedule(_INF, cb),
+        lambda sim, cb: sim.schedule_fast(_INF, cb),
+        lambda sim, cb: sim.schedule_at(_INF, cb),
+        lambda sim, cb: sim.rearm(sim.schedule(0.5, lambda: None), _INF, cb),
+    ],
+    ids=["schedule", "schedule_fast", "schedule_at", "rearm"],
+)
+def test_infinite_event_time_rejected(sim, schedule):
+    refused = []
+    sim.run_until(1.0)
+    with pytest.raises(SchedulingError):
+        schedule(sim, lambda: refused.append(sim.now))
+    _assert_clock_still_usable(sim)
+    assert refused == []
+
+
+def test_infinite_run_time_rejected(sim):
+    """``run_until(inf)`` after the queue drains would set the clock to
+    infinity; it is refused before anything runs."""
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    with pytest.raises(ClockError):
+        sim.run_until(_INF)
+    assert (sim.now, fired, sim.pending_events) == (0.0, [], 1)
+    _assert_clock_still_usable(sim)
+    assert (sim.now, fired) == (2.0, ["a"])
+
+
 def test_step_executes_single_event(sim):
     fired = []
     sim.schedule(1.0, fired.append, 1)

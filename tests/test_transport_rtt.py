@@ -2,31 +2,52 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.rtt import RoundAggregate, RttEstimator
+from repro.transport.config import TransportConfig
+from repro.transport.rtt import RttEstimator
 
 
-def test_round_aggregate_values():
-    agg = RoundAggregate()
-    agg.samples.extend((0.3, 0.1, 0.2))
-    assert agg.value("min") == 0.1
-    assert agg.value("max") == 0.3
-    assert agg.value("last") == 0.2
-    assert agg.value("mean") == pytest.approx(0.2)
+def test_current_rtt_under_each_aggregate():
+    """The round's samples collapse by min, max, last or mean; the mean
+    is ``math.fsum`` over the count, exactly (ten 0.1 s sum to 1.0 there
+    and to 0.9999999999999999 by plain addition)."""
+    rounds = {
+        "min": ((0.3, 0.1, 0.2), 0.1),
+        "max": ((0.3, 0.1, 0.2), 0.3),
+        "last": ((0.3, 0.1, 0.2), 0.2),
+        "mean": ((0.1,) * 10, math.fsum((0.1,) * 10) / 10),
+    }
+    assert rounds["mean"][1] == 0.1 != sum((0.1,) * 10) / 10
+    for how, (samples, value) in rounds.items():
+        est = RttEstimator(aggregate=how)
+        for sample in samples:
+            est.add_sample(sample)
+        assert (how, est.current_rtt()) == (how, value)
+        assert est.round_samples == len(samples)
 
 
-def test_round_aggregate_empty_raises():
-    with pytest.raises(ValueError):
-        RoundAggregate().value("mean")
+def test_empty_round_falls_back_to_last_sample_under_each_aggregate():
+    for how in ("mean", "min", "max", "last"):
+        est = RttEstimator(aggregate=how)
+        with pytest.raises(ValueError):
+            est.current_rtt()
+        for sample in (0.3, 0.1, 0.2):
+            est.add_sample(sample)
+        est.finish_round()
+        assert (how, est.current_rtt()) == (how, 0.2)
+        est.add_sample(0.4)  # a new round aggregates only its own
+        assert (how, est.current_rtt()) == (how, 0.4)
 
 
-def test_round_aggregate_unknown_kind():
-    agg = RoundAggregate()
-    agg.samples.append(0.1)
-    with pytest.raises(ValueError):
-        agg.value("median")
+def test_unknown_aggregate_refused_at_construction():
+    with pytest.raises(ValueError, match="median"):
+        RttEstimator(aggregate="median")
+    with pytest.raises(ValueError, match="median"):
+        TransportConfig(rtt_aggregate="median")
 
 
 def test_estimator_initial_state():
