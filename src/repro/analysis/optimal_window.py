@@ -69,8 +69,8 @@ class HopLink:
     delay: float
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative, got %r" % self.delay)
+        if not 0 <= self.delay < float("inf"):  # also NaN
+            raise ValueError("delay must be in [0, inf), got %r" % self.delay)
 
 
 @dataclass(frozen=True)

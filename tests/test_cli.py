@@ -180,9 +180,12 @@ def test_optimal_command(capsys):
 
 
 def test_optimal_command_bad_link(capsys):
-    code = main(["optimal", "--link", "fast"])
-    assert code == 2
-    assert "bad --link" in capsys.readouterr().err
+    # An infinite or NaN delay used to reach the window arithmetic and
+    # end in a traceback.
+    for link in ("fast", "50:inf", "50:nan"):
+        code = main(["optimal", "--link", link])
+        assert (link, code) == (link, 2)
+        assert "bad --link" in capsys.readouterr().err
 
 
 def test_ablations_command(capsys):
