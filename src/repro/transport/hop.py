@@ -160,6 +160,8 @@ class HopSender:
             buffer.append((cell, token))
             if len(buffer) > self.max_buffer_depth:
                 self.max_buffer_depth = len(buffer)
+            if len(self._send_times) >= self.controller.cwnd_cells:
+                return  # the window is full: pump() would send nothing
         self.pump()
 
     def pump(self) -> None:
