@@ -30,12 +30,10 @@ does every push, pop and compaction itself; an
 :class:`~repro.sim.events.EventHandle` is the cancellable entry behind
 ``schedule`` / ``schedule_at`` / ``call_soon`` and points back at its
 simulator while pending, so that cancelling it is counted here.  Heap
-entries are 4-tuples of one of two shapes: ``(time, seq, handle,
-_HANDLE)``, where ``_HANDLE`` is this module's sentinel, or the
-handle-free ``(time, seq, callback, args)``.  The loop tells them apart
-with one identity test on the last element.  ``(time, seq)`` is unique,
-so comparisons never reach the third element and the two shapes mix
-freely.
+entries are ``(time, seq, handle, _HANDLE)``, ``_HANDLE`` being this
+module's sentinel, or the handle-free ``(time, seq, callback, args)``:
+one identity test on the last element tells them apart, and ``(time,
+seq)`` is unique, so comparisons never reach the third element.
 
 **Heap compaction.**  Cancelled handle entries normally leave the heap
 lazily, when they surface at the top.  Under cancel-heavy load (churn
@@ -60,12 +58,12 @@ exactly where one scheduled at reservation time would sit.  Once the
 loop is past that place the event would already have fired, and the
 caller acts on the spot instead.  ``push`` is ``heappush`` on the
 event heap, a C call that checks nothing: the caller guarantees a
-finite ``t`` no earlier than ``now`` and a ``seq`` it drew from
-``reserve_seq`` and uses once (an entry behind the clock raises
-:class:`ClockError` when it reaches the top, before it is popped).
-:class:`~repro.net.link.Interface` pushes every delivery and wake this
-way, so that a link transmission costs one event (the delivery) unless
-a second packet arrives while the first is on the wire.
+finite ``t`` no earlier than ``now`` (the loop raises
+:class:`ClockError` on an earlier one, before popping it) and a ``seq``
+it drew from ``reserve_seq`` and uses once.  :class:`~repro.net.link.Interface`
+pushes every delivery and wake this way, so that a link transmission
+costs one event (the delivery) unless a second packet arrives while
+the first is on the wire.
 
 The re-arm contract: ``rearm(handle, delay, callback, *args)`` returns
 a handle that fires exactly where ``handle.cancel()`` followed by
@@ -83,10 +81,8 @@ fired or cancelled handle, takes the cancel + ``schedule`` path and
 returns a new handle.  A retransmission timer pushed back on every
 cell sent thus costs no heap operation per cell.
 
-Every time that enters the heap through the checked API — a delay, an
-absolute time, a start time or a ``run_until`` deadline — must be
-finite: an infinite one would end a run with the clock at infinity,
-where no later ``run_until`` could start.
+Every delay, time, start time and ``run_until`` deadline the checked
+API takes must be finite: an infinite one would leave the clock there.
 
 The simulator replaces ns-3 as the substrate the paper's evaluation ran
 on: CircuitStart's behaviour depends only on event timing, which a
@@ -358,17 +354,13 @@ class Simulator:
         if self._running:
             raise SchedulingError("simulator loop is not reentrant")
         self._running = True
-        # The loop body is deliberately inlined (no peek/pop method
-        # pair, locals for the heap, the clock and the bounds): it runs
-        # once per event and dominates engine throughput.  It is two
-        # straight branches, one per entry shape, rather than one body
-        # that tests the shape twice.  Both test the event budget before
-        # the deadline, and only once dead and re-armed entries at the
-        # top are out of the way; a spent budget returns early.
-        # ``while True`` gives the loop an unconditional back edge:
-        # CPython 3.11 specializes a function after eight calls or eight
-        # such jumps, so a ``while heap:`` loop, entered once per run,
-        # would run its first seven runs in a process unspecialized.
+        # Inlined, with locals for the heap, the clock and the bounds: it
+        # runs once per event.  One straight branch per entry shape; each
+        # tests the budget before the deadline, and only once dead and
+        # re-armed entries at the top are gone.  ``while True`` makes the
+        # back edge unconditional: CPython 3.11 specializes code after 8
+        # calls or 8 such jumps, and a ``while heap:`` loop entered once
+        # per run would run a process's first 7 runs unspecialized.
         heap = self._heap
         now = self.now
         limit = _INF if until is None else until
