@@ -13,12 +13,16 @@ from .schedule import Schedule
 __all__ = ["format_schedule", "render_check_report"]
 
 
-def format_schedule(schedule: Schedule, limit: int = 24) -> str:
+#: Steps :func:`format_schedule` shows before eliding the rest.
+_SCHEDULE_STEPS = 24
+
+
+def format_schedule(schedule: Schedule) -> str:
     """A schedule as a compact one-line action string."""
     parts = ["%s@%d" % (step.kind, step.hop) for step in schedule.steps]
-    if len(parts) > limit:
-        shown = ", ".join(parts[:limit])
-        return "%s, ... (%d more)" % (shown, len(parts) - limit)
+    if len(parts) > _SCHEDULE_STEPS:
+        shown = ", ".join(parts[:_SCHEDULE_STEPS])
+        return "%s, ... (%d more)" % (shown, len(parts) - _SCHEDULE_STEPS)
     return ", ".join(parts)
 
 

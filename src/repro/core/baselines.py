@@ -31,11 +31,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..transport.config import TransportConfig
 from ..transport.controller import Phase, WindowController
-from ..transport.rtt import RttEstimator
 
 __all__ = [
     "VegasStartController",
@@ -56,12 +53,8 @@ class VegasStartController(WindowController):
 
     name = "vegas-start"
 
-    def __init__(
-        self,
-        config: TransportConfig,
-        rtt: Optional[RttEstimator] = None,
-    ) -> None:
-        super().__init__(config, rtt=rtt)
+    def __init__(self, config: TransportConfig) -> None:
+        super().__init__(config)
         self.phase = Phase.AVOIDANCE  # BackTap has no start-up phase
 
 
@@ -103,16 +96,10 @@ class FixedWindowController(WindowController):
 
     name = "fixed-window"
 
-    def __init__(
-        self,
-        config: TransportConfig,
-        window_cells: int = 100,
-        rtt: Optional[RttEstimator] = None,
-    ) -> None:
-        super().__init__(config, rtt=rtt)
+    def __init__(self, config: TransportConfig, window_cells: int = 100) -> None:
+        super().__init__(config)
         if window_cells < 1:
             raise ValueError("fixed window must be at least one cell")
-        self.window_cells = window_cells
         self.cwnd_cells = max(
             config.min_cwnd_cells, min(window_cells, config.max_cwnd_cells)
         )
@@ -127,16 +114,10 @@ class JumpStartController(WindowController):
 
     name = "jumpstart"
 
-    def __init__(
-        self,
-        config: TransportConfig,
-        initial_cells: int = 128,
-        rtt: Optional[RttEstimator] = None,
-    ) -> None:
-        super().__init__(config, rtt=rtt)
+    def __init__(self, config: TransportConfig, initial_cells: int = 128) -> None:
+        super().__init__(config)
         if initial_cells < 1:
             raise ValueError("jumpstart window must be at least one cell")
-        self.initial_cells = initial_cells
         self.cwnd_cells = max(
             config.min_cwnd_cells, min(initial_cells, config.max_cwnd_cells)
         )

@@ -45,7 +45,6 @@ from typing import Optional
 
 from ..transport.config import TransportConfig
 from ..transport.controller import WindowController
-from ..transport.rtt import RttEstimator
 
 __all__ = ["CircuitStartController"]
 
@@ -55,12 +54,8 @@ class CircuitStartController(WindowController):
 
     name = "circuitstart"
 
-    def __init__(
-        self,
-        config: TransportConfig,
-        rtt: Optional[RttEstimator] = None,
-    ) -> None:
-        super().__init__(config, rtt=rtt)
+    def __init__(self, config: TransportConfig) -> None:
+        super().__init__(config)
         #: Window immediately before the overshoot compensation fired
         #: (``None`` until start-up ends); recorded for the ablations.
         self.cwnd_before_exit: Optional[int] = None

@@ -28,11 +28,8 @@ paper's stated goal of avoiding aggressive traffic patterns.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..transport.config import TransportConfig
 from ..transport.controller import Phase
-from ..transport.rtt import RttEstimator
 from .circuitstart import CircuitStartController
 
 __all__ = ["DynamicCircuitStartController"]
@@ -46,12 +43,11 @@ class DynamicCircuitStartController(CircuitStartController):
     def __init__(
         self,
         config: TransportConfig,
-        rtt: Optional[RttEstimator] = None,
         reentry_rounds: int = 3,
         cut_factor: float = 3.0,
         reentry_cooldown_rounds: int = 12,
     ) -> None:
-        super().__init__(config, rtt=rtt)
+        super().__init__(config)
         if reentry_rounds < 1:
             raise ValueError("reentry_rounds must be at least 1")
         if cut_factor <= 1.0:

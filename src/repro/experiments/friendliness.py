@@ -25,7 +25,7 @@ from typing import List
 
 from ..net.topology import LinkSpec, Topology
 from ..net.traffic import ConstantRateSender, LatencyTracker
-from ..sim.monitor import QueueProbe
+from ..sim.monitor import PeriodicSampler
 from ..sim.simulator import Simulator
 from ..tor.circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
 from ..tor.hosts import released
@@ -177,7 +177,9 @@ def _run_one(config: FriendlinessConfig, kind: str) -> FriendlinessRow:
     )
 
     bottleneck_iface = topo._interface_between("R1", "R2")
-    probe = QueueProbe(sim, bottleneck_iface, interval=milliseconds(1.0))
+    probe = PeriodicSampler(
+        sim, lambda: bottleneck_iface.backlog_packets, interval=milliseconds(1.0)
+    )
 
     with released(sim, topo):
         sim.run_until(config.duration)

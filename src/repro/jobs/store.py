@@ -109,13 +109,8 @@ class JobStore:
     deterministic bytes and the last rename wins.
     """
 
-    def __init__(self, directory: str, lease_timeout: float = 3600.0) -> None:
-        if lease_timeout <= 0:
-            raise ValueError(
-                "lease_timeout must be positive, got %r" % lease_timeout
-            )
+    def __init__(self, directory: str) -> None:
         self.directory = os.path.abspath(directory)
-        self.lease_timeout = lease_timeout
         self._results = EntryDir(os.path.join(self.directory, "results"), "job")
         self._leases = EntryDir(
             os.path.join(self.directory, "leases"), "lease", stamped=False

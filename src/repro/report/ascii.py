@@ -19,6 +19,9 @@ __all__ = [
     "render_series",
 ]
 
+#: Point markers, one per series in order (cycling past six).
+_MARKERS = "*o+x#@"
+
 
 def render_series(
     series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
@@ -26,7 +29,6 @@ def render_series(
     height: int = 18,
     x_label: str = "x",
     y_label: str = "y",
-    markers: str = "*o+x#@",
     hline: Optional[float] = None,
     hline_label: str = "",
 ) -> str:
@@ -61,7 +63,7 @@ def render_series(
             grid[row][col] = "-"
 
     for index, (name, pts) in enumerate(points):
-        marker = markers[index % len(markers)]
+        marker = _MARKERS[index % len(_MARKERS)]
         for x, y in pts:
             plot(x, y, marker)
 
@@ -72,7 +74,7 @@ def render_series(
     lines.append("+" + "-" * width)
     lines.append(" %s: %.3g .. %.3g" % (x_label, x_lo, x_hi))
     legend = "  ".join(
-        "%s=%s" % (markers[i % len(markers)], name)
+        "%s=%s" % (_MARKERS[i % len(_MARKERS)], name)
         for i, (name, __) in enumerate(points)
     )
     if hline is not None:

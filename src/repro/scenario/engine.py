@@ -266,51 +266,37 @@ class KindRun:
         self.network = network
         self.bottleneck_relay = bottleneck_relay
         self.runs = runs
-        # active() used to rescan every planned circuit on every call —
-        # with per-grid-tick probes at network scale that is
-        # O(relays × circuits) per tick.  Instead, track the not-yet-
-        # finished runs: each run's completion waiter removes it, and
-        # the done counter keeps the books.  Completion flips ``done``
-        # synchronously but the waiter delivers one call_soon beat
-        # later, so active() double-checks ``done`` on the runs it
-        # touches — the result is always exactly what the full rescan
-        # would have returned, while each run is discarded at most once
-        # (O(1) amortized per call).
-        self._done_count = 0
+        # Track the not-yet-finished runs, so active() is O(1) amortized
+        # rather than a rescan of every planned circuit per probe tick.
+        # A finished or failed run leaves the pending set at most once:
+        # through its completion waiter, or in active() when it reaches
+        # the run first (completion flips ``done`` synchronously, the
+        # waiter delivers one call_soon beat later; a failed run never
+        # completes).
         self._pending: Dict[int, WorkloadRun] = {
             index: run for index, run in enumerate(self.runs)
         }
         for index, run in self._pending.items():
+            # Kept although active() would do without it: the call_soon
+            # per circuit is counted in events_executed.
             run.completed.subscribe(
-                lambda __value, index=index: self._note_done(index)
+                lambda __value, index=index: self._pending.pop(index, None)
             )
-            # Failed circuits never complete; without this a single
-            # failure would keep every probe ticking to max_sim_time.
-            run.subscribe_failure(
-                lambda __run, index=index: self._note_done(index)
-            )
-
-    def _note_done(self, index: int) -> None:
-        """One circuit finished (or failed): drop it from the pending set."""
-        if self._pending.pop(index, None) is not None:
-            self._done_count += 1
 
     def active(self) -> bool:
         """Whether any planned circuit is still unfinished.
 
         Equivalent to ``any(not (run.done or run.failed) for run in
         self.runs)`` but O(1) amortized: finished runs leave the
-        pending set exactly once (via their completion waiter / failure
-        hook, or here when the callback has not been delivered yet).
+        pending set exactly once, via their completion waiter or here.
         """
         pending = self._pending
         while pending:
             index, run = next(iter(pending.items()))
             if not (run.done or run.failed):
                 return True
-            # Done, waiter callback still in flight: retire it now.
+            # Finished or failed, not yet retired: retire it now.
             del pending[index]
-            self._done_count += 1
         return False
 
 

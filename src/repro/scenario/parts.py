@@ -316,11 +316,10 @@ def register_part(cls: type) -> type:
     return cls
 
 
-def list_parts(kind_base: Optional[Type[ScenarioPart]] = None) -> List[Tuple[str, str, type]]:
+def list_parts() -> List[Tuple[str, str, type]]:
     """``(kind, name, class)`` rows for ``repro scenario list``."""
-    kinds = [kind_base] if kind_base is not None else list(_KINDS)
     rows: List[Tuple[str, str, type]] = []
-    for base in kinds:
+    for base in _KINDS:
         registry = base._registry
         assert registry is not None
         for name in sorted(registry):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, List, Optional
+from typing import Any, ClassVar, List, Optional
 
 from ..sim.rand import derive_seed
 from ..tor.streams import MultiStreamSink, StreamScheduler
@@ -73,7 +73,6 @@ class WorkloadRun:
         #: Failure record (fault plane): when and why the circuit died.
         self.failed_at: Optional[float] = None
         self.failure_cause: Optional[str] = None
-        self._failure_subscribers: List[Callable[["WorkloadRun"], None]] = []
 
     # --- completion surface (the sink's) --------------------------------
 
@@ -113,20 +112,15 @@ class WorkloadRun:
     def failed(self) -> bool:
         return self.failed_at is not None
 
-    def subscribe_failure(self, callback: Callable[["WorkloadRun"], None]) -> None:
-        """Invoke *callback(run)* when this run fails (engine accounting)."""
-        self._failure_subscribers.append(callback)
-
     def fail(self, at: float, cause: str) -> None:
         """Mark the run failed: record the cause and release everything.
 
         Idempotent, and a no-op on a run that already completed — a
         relay dying after the last byte landed is not this circuit's
         failure.  Cancels the workload's own pending timers (the
-        subclass hook), aborts the flow (cancelling a not-yet-started
-        bulk source, closing hop senders, cancelling RTO timers) and
-        notifies failure subscribers, so a failed circuit leaves no
-        dead events behind in the queue.
+        subclass hook) and aborts the flow (cancelling a not-yet-started
+        bulk source, closing hop senders, cancelling RTO timers), so a
+        failed circuit leaves no dead events behind in the queue.
         """
         if self.failed or self.done:
             return
@@ -134,19 +128,16 @@ class WorkloadRun:
         self.failure_cause = cause
         self._cancel_pending()
         self.flow.abort()
-        for callback in list(self._failure_subscribers):
-            callback(self)
 
     def _cancel_pending(self) -> None:
         """Subclass hook: cancel the workload's own scheduled events."""
 
     def release(self) -> None:
-        """Drop every subscription on this run once its kind run is over.
+        """Drop the completion subscriptions once its kind run is over.
 
         The engine's, the probes' and the departure's callbacks all
         reference this run, which references the sink and its waiter.
         """
-        self._failure_subscribers = []
         self.completed.release()
 
     # --- departures -----------------------------------------------------

@@ -9,7 +9,7 @@ which the paper's nstor framework was built on.
 
 from .errors import ClockError, SchedulingError, SimulationError
 from .events import EventHandle
-from .monitor import PeriodicSampler, QueueProbe
+from .monitor import PeriodicSampler
 from .process import Waiter
 from .rand import RandomStreams, derive_seed
 from .simulator import Simulator
@@ -18,7 +18,6 @@ __all__ = [
     "ClockError",
     "EventHandle",
     "PeriodicSampler",
-    "QueueProbe",
     "RandomStreams",
     "SchedulingError",
     "SimulationError",

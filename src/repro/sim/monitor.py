@@ -2,8 +2,8 @@
 
 Experiments frequently need a value sampled on a fixed simulated-time
 grid — queue depths, windows, delivered bytes.  :class:`PeriodicSampler`
-wraps the schedule-resample-reschedule pattern; :class:`QueueProbe`
-specializes it for interface queues.
+wraps the schedule-resample-reschedule pattern; the value is any
+callable, e.g. ``lambda: interface.backlog_packets`` for a queue.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Tuple
 from .events import EventHandle
 from .simulator import Simulator
 
-__all__ = ["PeriodicSampler", "QueueProbe"]
+__all__ = ["PeriodicSampler"]
 
 
 class PeriodicSampler:
@@ -87,15 +87,3 @@ class PeriodicSampler:
         self.values.append(float(self.probe()))
         self._pending = self.sim.schedule(self.interval, self._tick)
 
-
-class QueueProbe(PeriodicSampler):
-    """Samples an interface's egress backlog (in packets)."""
-
-    def __init__(self, sim: Simulator, interface, interval: float, **kwargs) -> None:
-        super().__init__(
-            sim,
-            probe=lambda: interface.backlog_packets,
-            interval=interval,
-            **kwargs,
-        )
-        self.interface = interface

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 __all__ = ["RandomStreams", "derive_seed"]
 
@@ -67,9 +67,3 @@ class RandomStreams:
     def choice(self, name: str, options: Sequence[T]) -> T:
         """One uniform choice from *options* using substream *name*."""
         return self.stream(name).choice(list(options))
-
-    def shuffled(self, name: str, options: Sequence[T]) -> List[T]:
-        """A shuffled copy of *options*."""
-        items = list(options)
-        self.stream(name).shuffle(items)
-        return items

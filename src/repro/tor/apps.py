@@ -40,7 +40,6 @@ class BulkSource:
         self.circuit_id = circuit_id
         self.total_bytes = total_bytes
         self.stream_id = stream_id
-        self.started_at: Optional[float] = None
         self.cell_count = 0
         self._start_event = sim.schedule_at(max(start_time, sim.now), self._start)
 
@@ -57,7 +56,6 @@ class BulkSource:
 
     def _start(self) -> None:
         self._start_event = None
-        self.started_at = self.sim.now
         cells: List[DataCell] = cells_for_transfer(
             self.circuit_id, self.total_bytes, stream_id=self.stream_id
         )

@@ -4,11 +4,13 @@ A :class:`CircuitSpec` names the nodes of one circuit in *data
 direction* order: the data source first (for a download, the content
 origin behind the exit), then the relays, then the data sink (the
 client).  :class:`CircuitFlow` wires the per-hop transport along that
-path on an existing topology, attaches the workload, and exposes the
-measurements the experiments need:
+path on an existing topology, attaches the workload, and exposes what
+the experiments measure:
 
-* ``flow.completed`` — a waiter triggered when the last byte arrives;
-* ``flow.time_to_last_byte`` — the paper's Figure-1c metric;
+* ``flow.sink`` — with the built-in bulk workload, the
+  :class:`~repro.tor.apps.SinkApp`; its ``completed`` waiter carries
+  the time the last byte arrived, which less ``flow.start_time`` is
+  the paper's Figure-1c time to last byte;
 * ``flow.source_controller`` — the source's window controller, whose
   trace is the paper's Figure-1a/b panel;
 * ``flow.hop_senders`` — every hop's sender, source first, used by the
@@ -147,34 +149,6 @@ class CircuitFlow:
     def source_controller(self) -> WindowController:
         """The data source's window controller (traced in Fig. 1a/b)."""
         return self.controllers[0]
-
-    @property
-    def completed(self):
-        """Waiter triggered (with the timestamp) at the last byte."""
-        if self.sink is None:
-            raise RuntimeError("flow has no bulk sink (workload='none')")
-        return self.sink.completed
-
-    @property
-    def done(self) -> bool:
-        """Whether the transfer has fully arrived at the sink."""
-        return self.sink is not None and self.sink.done
-
-    @property
-    def time_to_last_byte(self) -> float:
-        """Seconds from transfer start to the last byte at the sink.
-
-        Only meaningful once :attr:`done`; raises otherwise so broken
-        experiments fail loudly instead of reporting zeros.
-        """
-        if self.sink is None:
-            raise RuntimeError("flow has no bulk sink (workload='none')")
-        if not self.sink.completed.triggered:
-            raise RuntimeError(
-                "circuit %d has not completed (received %d/%d bytes)"
-                % (self.spec.circuit_id, self.sink.received_bytes, self.payload_bytes)
-            )
-        return self.sink.completed.value - self.start_time
 
     def teardown(self) -> None:
         """Depart: remove the circuit's state at every host on the path.

@@ -34,8 +34,7 @@ __all__ = ["Stream", "StreamScheduler", "MultiStreamSink", "MessageRecord"]
 class MessageRecord:
     """Delivery bookkeeping for one application message on a stream."""
 
-    __slots__ = ("stream_id", "message_id", "size", "queued_at",
-                 "first_byte_at", "last_byte_at")
+    __slots__ = ("stream_id", "message_id", "size", "queued_at", "last_byte_at")
 
     def __init__(self, stream_id: int, message_id: int, size: int,
                  queued_at: float) -> None:
@@ -43,7 +42,6 @@ class MessageRecord:
         self.message_id = message_id
         self.size = size
         self.queued_at = queued_at
-        self.first_byte_at: Optional[float] = None
         self.last_byte_at: Optional[float] = None
 
     @property
@@ -68,8 +66,6 @@ class Stream:
         self._next_message_id = 0
         self._offset = 0
         self.messages: List[MessageRecord] = []
-        self.bytes_queued = 0
-        self.bytes_sent = 0
 
     def queue_message(self, size: int, now: float) -> MessageRecord:
         """Append *size* application bytes as one message."""
@@ -79,7 +75,6 @@ class Stream:
         self._next_message_id += 1
         self.messages.append(record)
         self._pending.append((record, 0))
-        self.bytes_queued += size
         return record
 
     def next_cell(self, circuit_id: int) -> Optional[DataCell]:
@@ -101,7 +96,6 @@ class Stream:
         # would carry this in the relay header's stream framing).
         cell.message_id = record.message_id  # type: ignore[attr-defined]
         self._offset += chunk
-        self.bytes_sent += chunk
         if is_last_of_message:
             self._pending.popleft()
         else:
@@ -118,7 +112,6 @@ class StreamScheduler:
         self._streams: Dict[int, Stream] = {}
         self._order: Deque[int] = deque()
         sender.cell_source = self._next_cell
-        self.cells_scheduled = 0
 
     def open_stream(self, stream_id: int) -> Stream:
         """Create and register a stream on the circuit."""
@@ -142,7 +135,6 @@ class StreamScheduler:
             self._order.rotate(-1)
             cell = self._streams[stream_id].next_cell(self.circuit_id)
             if cell is not None:
-                self.cells_scheduled += 1
                 return cell, None
         return None
 
@@ -163,7 +155,6 @@ class MultiStreamSink:
         #: When the first cell (any stream) arrived — the circuit's
         #: time-to-first-byte reference, mirroring SinkApp.
         self.first_cell_time: Optional[float] = None
-        self.last_cell_time: Optional[float] = None
         self.per_stream_bytes: Dict[int, int] = {}
         self.delivered_messages: List[Tuple[int, int, float]] = []
         self.completed = Waiter(sim)
@@ -178,7 +169,6 @@ class MultiStreamSink:
         now = self.sim.now
         if self.first_cell_time is None:
             self.first_cell_time = now
-        self.last_cell_time = now
         self.received_bytes += cell.payload_bytes
         self.per_stream_bytes[cell.stream_id] = (
             self.per_stream_bytes.get(cell.stream_id, 0) + cell.payload_bytes

@@ -59,15 +59,9 @@ class WindowController:
     #: Human-readable controller name (overridden by subclasses).
     name = "abstract"
 
-    def __init__(
-        self,
-        config: TransportConfig,
-        rtt: Optional[RttEstimator] = None,
-    ) -> None:
+    def __init__(self, config: TransportConfig) -> None:
         self.config = config
-        self.rtt = (
-            rtt if rtt is not None else RttEstimator(aggregate=config.rtt_aggregate)
-        )
+        self.rtt = RttEstimator(aggregate=config.rtt_aggregate)
         #: Current congestion window, in cells.  Only :meth:`_set_cwnd`
         #: (and a subclass constructor) writes it; the hop sender reads
         #: it per cell, so it is a plain attribute.
@@ -148,27 +142,16 @@ class WindowController:
         if self.round_acked >= self.round_target or drained:
             self._complete_round(now, full=self.round_acked >= self.round_target)
 
-    def acked_in_last_rtt(self, now: float) -> int:
-        """Cells acknowledged "within the current round" — the last RTT.
-
-        A round lasts one RTT, so the feedback messages that arrived in
-        the trailing ``base_rtt`` window are exactly the cells the
-        successor forwarded in one round — "the length of the packet
-        train that could be forwarded by the successor without
-        additional delay".  In a backpressured steady state this equals
-        bottleneck rate × RTT, i.e. the optimal window.
-        """
-        base = self.rtt.base_rtt
-        if base is None:
-            return len(self._feedback_times)
-        cutoff = now - base
-        return sum(1 for t in self._feedback_times if t >= cutoff)
-
     def acked_per_rtt(self, now: float) -> int:
         """Average per-RTT feedback count over the recent past.
 
-        Averages :meth:`acked_in_last_rtt` over the configured number
-        of trailing base-RTT windows.  Window cuts at downstream relays
+        A round lasts one RTT, so the feedback messages that arrived in
+        one trailing ``base_rtt`` window are the cells the successor
+        forwarded in one round — "the length of the packet train that
+        could be forwarded by the successor without additional delay";
+        in a backpressured steady state, bottleneck rate × RTT.  This
+        averages that count over the configured number of trailing
+        base-RTT windows.  Window cuts at downstream relays
         momentarily stall and then burst the feedback stream; averaging
         over a few rounds recovers the steady forwarding rate the
         compensation is after.

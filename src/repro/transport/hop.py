@@ -89,7 +89,6 @@ class HopSender:
         self.feedback_received = 0
         self.duplicate_feedback = 0
         self.max_buffer_depth = 0
-        self.on_drained: Optional[Callable[[], None]] = None
         #: Failure hook: invoked with the :class:`HopBrokenError` when
         #: the hop exhausts its retransmission budget.  When set, the
         #: sender closes itself and reports through the hook instead of
@@ -226,7 +225,6 @@ class HopSender:
         self._unacked.clear()
         self._retransmitted.clear()
         self.cell_source = None
-        self.on_drained = None
         self.on_broken = None
         if self._retx_timer is not None:
             self._retx_timer.cancel()
@@ -276,11 +274,8 @@ class HopSender:
             now = self.sim.now
             self.feedback_received += 1
             self.controller.on_feedback(now - sent_at, now, not send_times)
-        buffer = self._buffer
-        if buffer or self.cell_source is not None:
+        if self._buffer or self.cell_source is not None:
             self.pump()
-        if self.on_drained is not None and not buffer and not send_times:
-            self.on_drained()
 
     # ------------------------------------------------------------------
     # Retransmission (go-back-N, RFC 6298 timeout with backoff)

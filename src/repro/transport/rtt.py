@@ -24,6 +24,9 @@ __all__ = ["RttEstimator"]
 #: Supported per-round aggregation functions.
 _AGGREGATES = ("mean", "min", "max", "last")
 
+#: Gain of the smoothed-RTT filter (RFC 6298's 1/8).
+_EWMA_GAIN = 0.125
+
 
 class RttEstimator:
     """Tracks base RTT, per-round RTT and a smoothed RTT for one hop.
@@ -33,19 +36,14 @@ class RttEstimator:
     aggregate:
         How a round's samples collapse into ``current_rtt``
         (default ``"mean"``).
-    ewma_gain:
-        Gain of the smoothed-RTT filter (RFC 6298 uses 1/8).
     """
 
-    def __init__(self, aggregate: str = "mean", ewma_gain: float = 0.125) -> None:
+    def __init__(self, aggregate: str = "mean") -> None:
         if aggregate not in _AGGREGATES:
             raise ValueError(
                 "unknown aggregate %r (want one of %s)" % (aggregate, _AGGREGATES)
             )
-        if not 0 < ewma_gain <= 1:
-            raise ValueError("ewma gain must be in (0, 1], got %r" % ewma_gain)
         self.aggregate = aggregate
-        self.ewma_gain = ewma_gain
         #: Minimum RTT ever seen on this hop (``None`` before any
         #: sample).  Only :meth:`add_sample` writes it; the controller
         #: reads it per feedback, so it is a plain attribute.
@@ -81,7 +79,7 @@ class RttEstimator:
             # RFC 6298 bookkeeping (beta = 1/4 on the deviation).
             assert self._rttvar is not None
             self._rttvar += 0.25 * (abs(self._smoothed - rtt) - self._rttvar)
-            self._smoothed += self.ewma_gain * (rtt - self._smoothed)
+            self._smoothed += _EWMA_GAIN * (rtt - self._smoothed)
         self._round.append(rtt)
 
     def current_rtt(self) -> float:

@@ -131,7 +131,7 @@ def test_lossy_sample_replays_through_engine_fault_plane(lossy_check):
     # The scripted loss fired, and reliability recovered it.
     assert model.packets_dropped == len(drops)
     assert model.packets_seen > LOSSY_INSTANCE.cells  # retransmission happened
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
     assert offsets == sorted(offsets)
     assert len(offsets) == len(set(offsets)) == LOSSY_INSTANCE.cells

@@ -36,7 +36,7 @@ def test_retired_circuit_tolerates_late_cells():
     # Stop mid-transfer: with 8 ms links there are always cells (and
     # feedback) in flight toward every host on the path.
     sim.run_until(0.02)
-    assert not flow.done
+    assert not flow.sink.done
     flow.teardown()
     circuit_id = flow.spec.circuit_id
     for host in flow.hosts:
@@ -69,7 +69,7 @@ def test_departure_mid_retransmission_cancels_rto_timers():
         ScriptedLossModel({0, 1}),
     )
     sim.run_until(0.02)
-    assert not flow.done
+    assert not flow.sink.done
     assert model.packets_dropped == 2
     senders = _live_senders(flow)
     armed = [s for s in senders if s._retx_timer is not None]

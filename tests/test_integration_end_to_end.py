@@ -62,12 +62,12 @@ def test_relay_buffers_bounded_by_upstream_window(sim):
     def watch():
         for i, sender in enumerate(flow.hop_senders):
             peaks[i] = max(peaks.get(i, 0), sender.buffered_cells)
-        if not flow.done:
+        if not flow.sink.done:
             sim.schedule(0.005, watch)
 
     sim.schedule(0.0, watch)
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     # Each relay's buffer is fed by its predecessor's in-flight cells.
     for i in range(1, len(flow.hop_senders)):
         assert peaks.get(i, 0) <= peak_windows[i - 1] + 2
@@ -105,7 +105,7 @@ def test_deterministic_repetition():
         sim = Simulator()
         flow, __, __s = make_chain_flow(sim, payload_bytes=CELL_PAYLOAD * 100)
         sim.run()
-        return flow.completed.value
+        return flow.sink.completed.value
 
     assert run_once() == run_once()
 
@@ -137,8 +137,8 @@ def test_two_circuits_share_a_relay(sim):
         ),
     ]
     sim.run()
-    assert all(flow.done for flow in flows)
-    times = [flow.time_to_last_byte for flow in flows]
+    assert all(flow.sink.done for flow in flows)
+    times = [flow.sink.completed.value - flow.start_time for flow in flows]
     # Fair-ish sharing: neither circuit is starved.
     assert max(times) < 4 * min(times)
 
@@ -162,7 +162,7 @@ def test_star_network_circuit_with_selected_path():
         payload_bytes=CELL_PAYLOAD * 100,
     )
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == CELL_PAYLOAD * 100
 
 
@@ -177,7 +177,7 @@ def test_all_controller_kinds_complete_a_transfer(sim):
             fresh, controller_kind=kind, payload_bytes=payload
         )
         fresh.run()
-        assert flow.done, "controller %s failed to complete" % kind
+        assert flow.sink.done, "controller %s failed to complete" % kind
 
 
 def test_windows_respect_min_and_max_throughout(sim):
@@ -195,7 +195,7 @@ def test_windows_respect_min_and_max_throughout(sim):
                 <= config.max_cwnd_cells
             ):
                 violations.append(controller.cwnd_cells)
-        if not flow.done:
+        if not flow.sink.done:
             sim.schedule(0.002, watch)
 
     sim.schedule(0.0, watch)

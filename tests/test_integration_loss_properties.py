@@ -54,7 +54,7 @@ def test_property_any_loss_pattern_recovers(link_index, drops, payload_cells):
     flow.sink.on_cell = spy
     sim.run_until(120.0)
 
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
     # Exactly-once, in-order delivery at the application.
     assert offsets == sorted(offsets)
@@ -81,7 +81,7 @@ def test_property_simultaneous_data_and_feedback_loss(drops_forward, drops_rever
         ScriptedLossModel(drops_reverse),
     )
     sim.run_until(120.0)
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
 
 
@@ -122,7 +122,7 @@ def test_property_seeded_bernoulli_fault_plane_recovers(
     flow.sink.on_cell = spy
     sim.run_until(300.0)
 
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
     # Exactly-once, in-order delivery despite every dropped packet.
     assert offsets == sorted(offsets)

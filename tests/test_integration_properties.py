@@ -63,7 +63,7 @@ def test_property_every_transfer_completes_exactly(
     sim.run(max_events=2_000_000)
 
     # Completion and exact delivery.
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == payload
     # In-order delivery.
     assert offsets == sorted(offsets)
@@ -100,7 +100,7 @@ def test_property_window_bounds_hold(rates, payload_cells, gamma):
 
     flow.source_controller.bind_cwnd_listener(record)
     sim.run(max_events=2_000_000)
-    assert flow.done
+    assert flow.sink.done
     for cwnd in seen:
         assert config.min_cwnd_cells <= cwnd <= config.max_cwnd_cells
 
@@ -119,6 +119,6 @@ def test_property_simulations_are_deterministic(seed_a, payload_cells):
             sim, payload_bytes=payload_cells * CELL_PAYLOAD
         )
         sim.run()
-        return (flow.completed.value, flow.source_controller.cwnd_cells)
+        return (flow.sink.completed.value, flow.source_controller.cwnd_cells)
 
     assert run_once() == run_once()

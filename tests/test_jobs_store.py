@@ -6,8 +6,6 @@ import json
 import os
 import shutil
 
-import pytest
-
 import repro.storage
 from repro.experiments import TraceConfig, encode
 from repro.jobs.store import (
@@ -244,11 +242,6 @@ def test_sweep_scratch_reaches_the_snapshot_temp_file(tmp_path):
     assert not os.path.exists(orphan)
     assert os.path.exists(live)  # a writer renames within milliseconds
     assert store.read_partial() is not None and store.keys() == [key]
-
-
-def test_lease_timeout_must_be_positive(tmp_path):
-    with pytest.raises(ValueError, match="lease_timeout"):
-        JobStore(str(tmp_path), lease_timeout=0.0)
 
 
 def test_resolve_checkpoint_dir(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.topology import LinkSpec, build_chain
 from repro.net.traffic import ConstantRateSender, LatencyTracker
-from repro.sim.monitor import PeriodicSampler, QueueProbe
+from repro.sim.monitor import PeriodicSampler
 from repro.units import mbit_per_second, milliseconds
 
 SPEC = LinkSpec(mbit_per_second(16), milliseconds(5))
@@ -60,7 +60,7 @@ def test_tracker_delays_between(sim):
 
 
 # ----------------------------------------------------------------------
-# PeriodicSampler / QueueProbe
+# PeriodicSampler
 # ----------------------------------------------------------------------
 
 
@@ -167,7 +167,7 @@ def test_queue_probe_tracks_backlog(sim):
     topo = build_chain(sim, ["a", "b"], [SPEC])
     topo.node("b").set_handler(lambda packet, node: None)
     iface = topo.node("a").interfaces[0]
-    probe = QueueProbe(sim, iface, interval=0.0001)
+    probe = PeriodicSampler(sim, lambda: iface.backlog_packets, interval=0.0001)
     for __ in range(10):
         topo.node("a").send(Packet(512, dst="b"))
     sim.run_until(0.01)

@@ -607,7 +607,8 @@ def test_kindrun_active_tracks_completions_exactly():
     """The pending-set predicate must equal the brute-force rescan.
 
     Including the one-call_soon-beat window where ``done`` has flipped
-    but the completion waiter's callback has not been delivered yet.
+    but the completion waiter's callback has not been delivered yet,
+    and a run that fails without ever completing.
     """
     from repro.scenario.engine import KindRun
     from repro.sim.process import Waiter
@@ -618,42 +619,35 @@ def test_kindrun_active_tracks_completions_exactly():
     class FakeRun:
         def __init__(self) -> None:
             self.completed = Waiter(sim)
-            self._done = False
-
-        @property
-        def done(self) -> bool:
-            return self._done
+            self.done = False
+            self.failed = False
 
         def finish(self, at: float) -> None:
-            self._done = True
+            self.done = True
             self.completed.trigger(at)
 
-        failed = False
-
-        def subscribe_failure(self, callback) -> None:
-            pass
-
-    runs = [FakeRun() for __ in range(3)]
+    runs = [FakeRun() for __ in range(4)]
     context = KindRun(sim, network=None, bottleneck_relay=None, runs=runs)
 
     def brute_force() -> bool:
-        return any(not run.done for run in runs)
+        return any(not (run.done or run.failed) for run in runs)
 
     assert context.active() is brute_force() is True
     runs[0].finish(1.0)
     # Waiter callback not delivered yet: the lazy sweep must still agree.
     assert context.active() is brute_force() is True
     sim.run()  # deliver the call_soon subscription
-    assert context._done_count == 1
     assert context.active() is brute_force() is True
-    runs[1].finish(2.0)
+    # A failed run never triggers its waiter; active() retires it itself.
+    runs[1].failed = True
+    assert context.active() is brute_force() is True
     runs[2].finish(2.0)
-    # All done, callbacks in flight: active() must already say so.
+    runs[3].finish(2.0)
+    # All finished, callbacks in flight: active() must already say so.
     assert context.active() is brute_force() is False
     sim.run()
-    # The late-firing waiters must not double-count the lazy sweep.
-    assert context._done_count == len(runs)
-    assert context.active() is False
+    # The late-firing waiters find their runs already retired.
+    assert context.active() is brute_force() is False
 
 
 def test_active_predicate_byte_identical_to_rescan():

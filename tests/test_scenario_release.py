@@ -152,12 +152,14 @@ def replay_trace():
 
 
 #: Each minimum sits below what skipping that release leaks today: the
-#: kind runs 546 to 1,314 objects; the 100 ms trace 16,990 (hosts),
-#: 96 (its five-node topology) and 276 (simulator).
+#: kind runs 427 to 1,689 objects; the 100 ms trace 16,990 (hosts),
+#: 96 (its five-node topology) and 276 (simulator).  A run's release
+#: matters only for a circuit that never completes (its waiter keeps
+#: the subscribers), so its case replays the faulted plan.
 @pytest.mark.parametrize(
     "owner, make_replay, minimum",
     [
-        pytest.param(WorkloadRun, lambda: replay_all(lossless_plan()), 100, id="runs"),
+        pytest.param(WorkloadRun, lambda: replay_all(faulted_plan()), 100, id="runs"),
         pytest.param(TorHost, lambda: replay_all(lossless_plan()), 100, id="hosts"),
         pytest.param(Topology, lambda: replay_all(lossless_plan()), 100, id="topology"),
         pytest.param(Simulator, replay_raising, 100, id="simulator"),

@@ -50,11 +50,3 @@ def test_choice_picks_from_options():
     options = ["a", "b", "c"]
     for __ in range(20):
         assert streams.choice("c", options) in options
-
-
-def test_shuffled_is_permutation():
-    streams = RandomStreams(3)
-    items = list(range(20))
-    shuffled = streams.shuffled("sh", items)
-    assert sorted(shuffled) == items
-    assert items == list(range(20))  # input untouched

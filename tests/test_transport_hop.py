@@ -96,26 +96,6 @@ def test_repeated_feedback_counted(sim):
     assert sender.feedback_received == 1
 
 
-def test_on_drained_fires_when_idle(sim):
-    sender, __, __w = make_sender(sim)
-    drained = []
-    sender.on_drained = lambda: drained.append(sim.now)
-    sender.enqueue(StubCell())
-    sim.run_until(0.1)
-    sender.on_feedback(0)
-    assert drained == [0.1]
-
-
-def test_on_drained_not_fired_while_buffered(sim):
-    sender, __, __w = make_sender(sim)
-    drained = []
-    sender.on_drained = lambda: drained.append(True)
-    for __i in range(4):
-        sender.enqueue(StubCell())
-    sender.on_feedback(0)
-    assert drained == []
-
-
 def test_counters(sim):
     sender, __, __w = make_sender(sim)
     for __i in range(3):

@@ -81,7 +81,7 @@ def test_data_cell_loss_recovered(sim):
     the retransmission completes the transfer exactly."""
     flow, topo = lossy_flow(sim, "source", "relay1", drop_indices={5})
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
     assert flow.hop_senders[0].retransmissions >= 1
     assert flow.hop_senders[0].timeouts >= 1
@@ -92,7 +92,7 @@ def test_feedback_loss_recovered(sim):
     retransmit + duplicate re-ack path."""
     flow, topo = lossy_flow(sim, "relay1", "source", drop_indices={3})
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
 
 
@@ -101,7 +101,7 @@ def test_burst_loss_recovered(sim):
         sim, "relay2", "relay3", drop_indices={4, 5, 6, 7}, payload_cells=60
     )
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     assert flow.sink.received_bytes == flow.payload_bytes
 
 
@@ -117,7 +117,7 @@ def test_no_duplicate_delivery_at_sink(sim):
 
     flow.sink.on_cell = spy
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     assert len(offsets) == len(set(offsets))
     assert offsets == sorted(offsets)
 
@@ -127,7 +127,7 @@ def test_midstream_feedback_loss_healed_by_cumulative_ack(sim):
     receiver is in-order, so acks are cumulative): no retransmission."""
     flow, topo = lossy_flow(sim, "relay1", "source", drop_indices={2})
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     assert flow.hop_senders[0].retransmissions == 0
 
 
@@ -138,7 +138,7 @@ def test_dedup_counters_increment(sim):
         sim, "relay1", "source", drop_indices={39}, payload_cells=40
     )
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     relay_state = flow.hosts[1].circuits[flow.spec.circuit_id]
     assert relay_state.duplicate_cells >= 1
     assert flow.hop_senders[0].retransmissions >= 1
@@ -148,7 +148,7 @@ def test_lossless_run_never_retransmits(sim):
     """With no loss, the reliability machinery stays silent."""
     flow, __ = lossy_flow(sim, "source", "relay1", drop_indices=set())
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     for sender in flow.hop_senders:
         assert sender.retransmissions == 0
         assert sender.timeouts == 0
@@ -162,7 +162,7 @@ def test_unreliable_mode_stalls_on_loss(sim):
         sim, "source", "relay1", drop_indices={5}, config=config
     )
     sim.run_until(10.0)
-    assert not flow.done
+    assert not flow.sink.done
 
 
 def test_hop_gives_up_after_max_rounds(sim):
@@ -178,7 +178,7 @@ def test_hop_gives_up_after_max_rounds(sim):
         sim, "source", "relay1", drop_indices=range(10_000), config=config
     )
     sim.run_until(60.0)  # must not raise
-    assert not flow.done
+    assert not flow.sink.done
     assert flow.hop_senders[0].broken
     assert flow.hosts[0].circuits_broken == 1
     # The breaking host retired the circuit and the broken sender
@@ -252,7 +252,7 @@ def test_karn_rule_skips_retransmitted_samples(sim):
     flow, __ = lossy_flow(sim, "source", "relay1", drop_indices={1})
     controller = flow.source_controller
     sim.run()
-    assert flow.done
+    assert flow.sink.done
     # Fewer samples than acknowledgments: the retransmitted cell's ack
     # carried no sample.
     assert controller.rtt.sample_count < flow.hop_senders[0].feedback_received
@@ -270,6 +270,6 @@ def test_reliable_mode_matches_lossless_performance(sim):
         sim2, payload_bytes=50 * CELL_PAYLOAD, config=RELIABLE
     )
     sim2.run()
-    assert flow_rel.completed.value == pytest.approx(
-        flow_plain.completed.value, rel=1e-9
+    assert flow_rel.sink.completed.value == pytest.approx(
+        flow_plain.sink.completed.value, rel=1e-9
     )
