@@ -154,10 +154,13 @@ class AdversityStudyConfig(ExperimentSpec):
                 % (self.transport_profile,
                    ", ".join(transport_profile_names()))
             )
-        # Delegate the shared churn-regime validation (windows, kinds,
-        # probe grid) to the churn study config the points route
-        # through; a bad combination fails here, not mid-sweep.
-        self._churn_config()
+        # Build every grid point: the churn study config the points
+        # route through judges the shared churn regime (windows, kinds,
+        # probe grid, counts, payloads), the compiled scenario the fault
+        # parts and transport profile.  A bad combination fails here,
+        # not mid-sweep.
+        for loss_rate, relay_mttf in self.grid():
+            self.point_scenario(loss_rate, relay_mttf)
 
     # --- the grid ---------------------------------------------------------
 

@@ -96,16 +96,6 @@ class ChurnStudyConfig(ExperimentSpec):
             raise ValueError(
                 "arrival rates must be distinct, got %r" % (self.rates,)
             )
-        if not 0 <= self.start_window < float("inf"):  # also NaN
-            raise ValueError(
-                "start_window must be non-negative and finite, got %r"
-                % self.start_window
-            )
-        if not self.start_window <= self.horizon < float("inf"):
-            raise ValueError(
-                "horizon (%r) must be finite and not precede the start "
-                "window (%r)" % (self.horizon, self.start_window)
-            )
         if not 0 < self.probe_interval < float("inf"):  # also NaN
             raise ValueError(
                 "probe_interval must be positive and finite, got %r"
@@ -118,6 +108,11 @@ class ChurnStudyConfig(ExperimentSpec):
                 "a churn study compares exactly two distinct controller "
                 "kinds, got %r" % (self.kinds,)
             )
+        # Everything else (counts, fractions, payloads, start window and
+        # horizon) is the point configs' to judge: build each one here,
+        # so a spec that builds is a spec whose every point plans.
+        for rate in self.rates:
+            self.point_config(rate)
 
     def point_config(self, rate: float) -> NetScaleConfig:
         """The network-scale config of one operating point.

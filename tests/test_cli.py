@@ -265,6 +265,11 @@ def test_batch_dry_run_reports_unknown_field(tmp_path, capsys):
     (["trace", "--duration-ms", "nan"], "duration must be positive"),
     (["netscale", "--churn", "2", "--churn-horizon", "3",
       "--probe-interval", "nan"], "sampling interval must be positive"),
+    (["churn-study", "--rates", "1", "--circuits", "0"], "need at least one circuit"),
+    (["churn-study", "--bulk-fraction", "2"], "bulk_fraction must be within"),
+    (["churn-study", "--bulk-payload-kib", "0"], "payload sizes must be positive"),
+    (["adversity-study", "--circuits", "0"], "need at least one circuit"),
+    (["adversity-study", "--bulk-fraction", "2"], "bulk_fraction must be within"),
 ])
 def test_spec_that_cannot_run_is_a_usage_error(argv, message, capsys):
     """Validity is decided when the spec is built: one stderr line and
@@ -285,6 +290,10 @@ CANNOT_RUN = [
     ({"experiment": "trace", "spec": {"controller_kind": "nope"}},
      "unknown controller kind"),
     ({"experiment": "trace", "spec": {"duration": -1.0}}, "duration"),
+    ({"experiment": "churn-study", "spec": {"circuit_count": 0}},
+     "need at least one circuit"),
+    ({"experiment": "adversity-study", "spec": {"transport_profile": "default"}},
+     "link faults with unreliable transport"),
 ]
 
 
@@ -298,7 +307,7 @@ def test_batch_dry_run_rejects_specs_that_cannot_run(tmp_path, capsys):
     for index, (__, message) in enumerate(CANNOT_RUN):
         assert errors[index].startswith("job %d: " % index)
         assert message in errors[index]
-    assert "4 of 4 jobs invalid" in captured.err
+    assert "%d of %d jobs invalid" % (len(CANNOT_RUN), len(CANNOT_RUN)) in captured.err
     assert " ok" not in captured.out
 
 

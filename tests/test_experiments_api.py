@@ -270,6 +270,13 @@ KNOB_FLAGS = {
     lambda: CdfConfig(start_jitter=float("nan")),
     lambda: CdfConfig(max_sim_time=float("inf")),
     lambda: get_experiment("netscale").spec_type(start_window=float("nan")),
+    # A study spec is judged by building every point it will run.
+    lambda: get_experiment("churn-study").spec_type(rates=(1.0,), circuit_count=0),
+    lambda: get_experiment("churn-study").spec_type(bulk_fraction=2.0),
+    lambda: get_experiment("churn-study").spec_type(bulk_payload_bytes=0),
+    lambda: get_experiment("adversity-study").spec_type(circuit_count=0),
+    lambda: get_experiment("adversity-study").spec_type(bulk_fraction=2.0),
+    lambda: get_experiment("adversity-study").spec_type(transport_profile="default"),
 ])
 def test_spec_that_cannot_run_does_not_build(build):
     """Each of these built fine and failed inside the run (the planner,
