@@ -152,21 +152,29 @@ def test_cwnd_never_below_min():
     assert c.cwnd_cells >= 2
 
 
+def test_acked_in_last_rtt_counts_recent_feedback():
+    # With one compensation window, acked_per_rtt counts the feedback
+    # of the trailing RTT only.
+    hop = counted(TransportConfig(compensation_window_rtts=1))
+    c = hop.controller
+    hop.send(2)
+    hop.feedback(0.1, 10.0)
+    hop.feedback(0.1, 10.05)
+    # base_rtt = 0.1; both arrivals within the last 0.1 s of t=10.05.
+    assert c.acked_per_rtt(10.05) == 2
+    # Much later, the window is empty.
+    assert c.acked_per_rtt(20.0) == 0
+
+
 def test_acked_per_rtt_averages_windows():
-    # (windows, feedback arrival times, now, expected count); base RTT
-    # 0.1 s throughout.  One window counts the trailing RTT only.
-    cases = [
-        (2, (9.85, 9.90, 9.95, 10.0), 10.0, 2),  # 4 over two windows
-        (1, (10.0, 10.05), 10.05, 2),  # both within the last 0.1 s
-        (1, (10.0, 10.05), 20.0, 0),  # much later, the window is empty
-    ]
-    for windows, arrivals, now, expected in cases:
-        hop = counted(TransportConfig(compensation_window_rtts=windows))
-        c = hop.controller
-        hop.send(10)
-        for t in arrivals:
-            hop.feedback(0.1, t)
-        assert c.acked_per_rtt(now) == expected, (windows, arrivals, now)
+    config = TransportConfig(compensation_window_rtts=2)
+    hop = counted(config)
+    c = hop.controller
+    hop.send(10)
+    # base 0.1; deliver 4 feedbacks within the last 0.2 s.
+    for t in (9.85, 9.90, 9.95, 10.0):
+        hop.feedback(0.1, t)
+    assert c.acked_per_rtt(10.0) == 2  # 4 over two windows
 
 
 def test_abstract_hooks_raise():
