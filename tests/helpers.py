@@ -23,6 +23,8 @@ from repro.units import mbit_per_second, milliseconds
 
 __all__ = [
     "InFlight",
+    "SHORT_HORIZON_ERROR",
+    "SHORT_HORIZON_SCENARIO",
     "assert_shared_tier_counters",
     "json_digest",
     "link_counters",
@@ -35,6 +37,24 @@ __all__ = [
     "rewrite_header",
     "text_digest",
 ]
+
+#: A fault-free scenario whose horizon ends mid-transfer: none of its
+#: three 400 KiB circuits can finish in 0.2 s, so the run is refused.
+SHORT_HORIZON_SCENARIO = {
+    "topology": {"part": "generated",
+                 "network": {"relay_count": 8, "client_count": 6,
+                             "server_count": 6}},
+    "workloads": [{"part": "bulk", "payload_bytes": 409600}],
+    "circuit_count": 3,
+    "max_sim_time": 0.2,
+}
+
+#: The one line that refusal reads as: today's words, then how far the
+#: first unfinished circuit got (slow or stuck).
+SHORT_HORIZON_ERROR = (
+    r"^3/3 circuits did not finish within 0\.2s \(kind=with\); first: "
+    r"circuit 1 \(bulk\), [1-9]\d* of 409600 bytes delivered$"
+)
 
 
 class InFlight:

@@ -67,9 +67,20 @@ def test_check_emit_schedules(tmp_path, capsys):
 
 
 def test_check_rejects_bad_config(capsys):
-    code = main(["check", "--hops", "0"])
-    assert code == 2
-    assert "check:" in capsys.readouterr().err
+    for argv in (
+        ["--hops", "0"],
+        # Bounds under which nothing would be checked: each used to
+        # explore one state and exit 0.
+        ["--max-states", "0"],
+        ["--max-states", "-3"],
+        ["--max-depth", "-1"],
+        ["--replay", "-1"],
+    ):
+        code = main(["check", "--hops", "1", "--cells", "1", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        [line] = captured.err.splitlines()
+        assert line.startswith("check: "), argv
 
 
 def test_check_close_and_double_modes(capsys):

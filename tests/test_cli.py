@@ -5,7 +5,13 @@ from __future__ import annotations
 import argparse
 
 import pytest
-from helpers import pins, render_digest, text_digest
+from helpers import (
+    SHORT_HORIZON_ERROR,
+    SHORT_HORIZON_SCENARIO,
+    pins,
+    render_digest,
+    text_digest,
+)
 
 from repro.cli import build_parser, main
 
@@ -408,6 +414,21 @@ def test_scenario_run_from_spec_file(tmp_path, capsys):
     assert code == 0
     assert "Scenario: 3 circuits" in out
     assert "engine events" in out
+
+
+def test_unfinished_fault_free_run_is_one_stderr_line(tmp_path, capsys):
+    """A fault-free run whose horizon ends mid-transfer exits 1 with one
+    stderr line, not a traceback."""
+    import json
+    import re
+
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT_HORIZON_SCENARIO))
+    code = main(["scenario", "run", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    [line] = captured.err.splitlines()
+    assert re.match(SHORT_HORIZON_ERROR, line), line
 
 
 def test_scenario_run_rejects_bad_spec_file(tmp_path, capsys):

@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 
 import pytest
+from helpers import SHORT_HORIZON_ERROR, SHORT_HORIZON_SCENARIO
 
 import _sweep_exps
 import repro
@@ -228,6 +230,17 @@ def test_one_failing_job_yields_structured_error_others_complete():
     # The surviving jobs are ordinary completed items.
     assert batch.items[0].result_object().value == 2
     assert batch.items[2].result_object().value == 6
+
+
+def test_unfinished_fault_free_run_is_the_jobs_error(tmp_path):
+    """``batch`` and ``serve`` record a run that cannot finish in its
+    horizon as that job's error, and the sweep goes on."""
+    job = {"experiment": "scenario", "spec": SHORT_HORIZON_SCENARIO}
+    batch = run_batch([job], workers=1, checkpoint_dir=str(tmp_path / "ckpt"))
+    assert batch.checkpoint["failed"] == 1
+    error = batch.items[0].error
+    assert error["type"] == "UnfinishedCircuitsError"
+    assert re.match(SHORT_HORIZON_ERROR, error["message"]), error["message"]
 
 
 def test_failure_records_identical_serial_and_pooled():
