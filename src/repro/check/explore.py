@@ -51,7 +51,7 @@ from .model import (
 )
 from .schedule import Schedule
 
-__all__ = ["CheckResult", "CheckStats", "Counterexample", "explore"]
+__all__ = ["CheckResult", "CheckStats", "Counterexample", "check_bounds", "explore"]
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +191,24 @@ class _Frame:
         self.explored = 0       # bitmask of siblings already explored
 
 
+def check_bounds(
+    max_states: Optional[int], max_depth: Optional[int], sample_schedules: int
+) -> None:
+    """Refuse exploration bounds under which nothing would be checked.
+
+    Without this, a state bound below 1 or a negative depth bound
+    explored the initial state alone and passed.
+    """
+    if max_states is not None and max_states < 1:
+        raise ValueError("state bound must be at least 1, got %d" % max_states)
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("depth bound must be non-negative, got %d" % max_depth)
+    if sample_schedules < 0:
+        raise ValueError(
+            "replay count must be non-negative, got %d" % sample_schedules
+        )
+
+
 def explore(
     config: CheckConfig,
     por: bool = True,
@@ -234,6 +252,7 @@ def explore(
         so the checker's teeth — that it actually catches violations —
         can themselves be tested.
     """
+    check_bounds(max_states, max_depth, sample_schedules)
     started = time.monotonic()
     stats = CheckStats(por=por, symmetry=symmetry)
     canonical_key = (ModelState.canonical_symmetric if symmetry

@@ -301,11 +301,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except ValueError as error:  # SpecError, or a bad knob value
         print(str(error), file=sys.stderr)
         return 2
+    from .scenario.engine import UnfinishedCircuitsError
+
     try:
         with _attached_plan_cache(args):
             result = experiment.run(spec, ctx)
     except (SweepInterrupted, SweepBroken) as stop:  # the study verbs
         return _sweep_stopped(stop, ctx.checkpoint_dir, "re-run with --resume")
+    except UnfinishedCircuitsError as error:  # a valid spec, too short a horizon
+        print(error, file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -770,6 +775,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         render_check_report,
         replay_schedule,
     )
+    from .check.explore import check_bounds
 
     try:
         config = CheckConfig(
@@ -782,6 +788,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             allow_close=args.allow_close,
             loss_budget=args.loss_budget,
         )
+        check_bounds(args.max_states, args.max_depth, args.replay)
     except ValueError as error:
         print("check: %s" % error, file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ __all__ = [
     "SampleTable",
     "ScenarioCircuitSample",
     "ScenarioResult",
+    "UnfinishedCircuitsError",
     "build_circuit_run",
     "run_planned",
     "run_scenario",
@@ -467,6 +468,14 @@ def _run_kind(plan: ScenarioPlan, kind: str):
                 run.release()
 
 
+class UnfinishedCircuitsError(RuntimeError):
+    """A fault-free run reached ``max_sim_time`` with circuits unfinished.
+
+    Its message names the first unfinished circuit and how many of its
+    bytes were delivered, which tells a slow run from a stuck one.
+    """
+
+
 def _replay_kind(
     plan: ScenarioPlan,
     kind: str,
@@ -497,22 +506,26 @@ def _replay_kind(
     sim.run_until(scenario.max_sim_time)
 
     unfinished = [
-        planned
+        (planned, run)
         for planned, run in zip(plan.circuits, runs)
         if not (run.done or run.failed)
     ]
     if unfinished:
         if not faulted:
-            raise RuntimeError(
+            first, first_run = unfinished[0]
+            workload = scenario.workloads[first.workload]
+            raise UnfinishedCircuitsError(
                 "%d/%d circuits did not finish within %.1fs (kind=%s); first: "
-                "circuit %d (%s)"
+                "circuit %d (%s), %d of %d bytes delivered"
                 % (
                     len(unfinished),
                     len(plan.circuits),
                     scenario.max_sim_time,
                     kind,
-                    unfinished[0].index + 1,
-                    scenario.workloads[unfinished[0].workload].part_name,
+                    first.index + 1,
+                    workload.part_name,
+                    first_run.delivered_bytes,
+                    workload.total_bytes(),
                 )
             )
         # Under faults an unfinished circuit is an outcome, not a bug:

@@ -198,7 +198,7 @@ def test_second_kind_error_is_the_serial_engines_own(low_floor, forks):
     plan = plan_scenario(config.to_scenario(), cache=PlanCache())
     with one_cpu():
         serial = outcome_of(plan)
-    assert serial[0] is RuntimeError
+    assert serial[0] is engine.UnfinishedCircuitsError
     assert "kind=%s" % config.kinds[1] in serial[1]
     assert outcome_of(plan) == serial
     assert len(forks) == (1 if CAN_FORK else 0)
@@ -403,6 +403,6 @@ def test_batch_is_byte_identical_in_process_and_pooled(low_floor, forks):
     )
     errors = [item.error for item in in_process.items]
     assert errors[0] is None and errors[2] is None
-    assert errors[1]["type"] == "RuntimeError"
+    assert errors[1]["type"] == "UnfinishedCircuitsError"
     assert "_run_kind" in errors[1]["traceback"]
     assert_reaped(forks[:3])
