@@ -82,17 +82,6 @@ class TraceRecorder:
         out.values = [v * value_factor for v in self.values]
         return out
 
-    def window(self, start: float, end: float) -> "TraceRecorder":
-        """The sub-trace with start <= time <= end (boundaries included)."""
-        if end < start:
-            raise ValueError("window end %r precedes start %r" % (end, start))
-        out = TraceRecorder(self.name)
-        for t, v in zip(self.times, self.values):
-            if start <= t <= end:
-                out.times.append(t)
-                out.values.append(v)
-        return out
-
 
 def step_value_at(times: Sequence[float], values: Sequence[float], time: float) -> float:
     """Evaluate a step function defined by sorted *times* / *values*.

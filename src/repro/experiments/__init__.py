@@ -110,7 +110,6 @@ from .netgen import (
     GeneratedNetwork,
     NetworkConfig,
     NetworkPlan,
-    generate_network,
     instantiate_network,
     plan_network,
 )
@@ -179,7 +178,6 @@ __all__ = [
     "decode",
     "encode",
     "gamma_sweep",
-    "generate_network",
     "get_experiment",
     "initial_window_sweep",
     "instantiate_network",

@@ -127,10 +127,6 @@ class CdfResult(ExperimentResult):
     def cdf(self, kind: str) -> EmpiricalCdf:
         return EmpiricalCdf(self.ttlb[kind])
 
-    def ttfb(self, kind: str) -> List[float]:
-        """Sorted time-to-first-byte samples (interactive latency)."""
-        return sorted(s.time_to_first_byte for s in self.flows[kind])
-
     def fairness(self, kind: str) -> float:
         """Jain's fairness index over per-circuit goodputs."""
         return jain_fairness_index(

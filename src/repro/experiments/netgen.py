@@ -4,7 +4,7 @@ The generator moved to :mod:`repro.scenario.netgen` when the scenario
 layer was introduced (it is the substrate every topology source builds
 on, and the scenario package must not depend on the experiment
 harnesses).  This module keeps the historical import path working:
-``from repro.experiments.netgen import NetworkConfig, generate_network``.
+``from repro.experiments.netgen import NetworkConfig, plan_network``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from ..scenario.netgen import (
     GeneratedNetwork,
     NetworkConfig,
     NetworkPlan,
-    generate_network,
     instantiate_network,
     plan_network,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkPlan",
     "GeneratedNetwork",
-    "generate_network",
     "instantiate_network",
     "plan_network",
 ]

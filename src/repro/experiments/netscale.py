@@ -21,7 +21,7 @@ latencies come out of the run), an optional churn process with
 departures and re-arrivals, and utilization/queue probes — and the
 scenario engine does the rest.  Plans are cached by spec hash
 (:data:`repro.scenario.DEFAULT_CACHE`), so batch sweeps over the same
-network never repeat ``generate_network`` or path selection.
+network never repeat ``plan_network`` or path selection.
 
 Measured per circuit and per controller kind (``with``/``without``
 CircuitStart, as in the paper's legend):

@@ -227,13 +227,6 @@ class JobStore:
         for entries in (self._results, self._leases, self._partial):
             entries.sweep((".tmp",), older_than=60.0)
 
-    def clear(self) -> int:
-        """Delete every checkpoint, lease and snapshot; checkpoints removed."""
-        removed = self._results.clear()
-        self._leases.clear()
-        self._partial.discard("partial")
-        return removed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<JobStore dir=%r checkpoints=%d>" % (
             self.directory, len(self.keys())

@@ -107,10 +107,6 @@ class Link:
             time = self._tx_times[size] = self._rate.transmission_time(size)
         return time
 
-    def transmission_time(self, packet: Packet) -> float:
-        """Serialization time of *packet* on this link."""
-        return self.transmission_time_for(packet.size)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Link %s %s delay=%.4fs>" % (self.name or "?", self.rate, self.delay)
 
@@ -165,7 +161,12 @@ class Interface:
 
     @property
     def busy(self) -> bool:
-        """Whether a packet is currently being serialized."""
+        """Whether a packet is currently being serialized.
+
+        Nothing in the package reads it: the link reference test
+        (``tests/test_net_link_reference.py``) compares it with the
+        eager transmitter's flag after every probe and hook.
+        """
         if self._wake_pending:
             return True
         sim = self._sim

@@ -161,11 +161,6 @@ class Topology:
             names.append(tree[names[-1]])
         return names[::-1]
 
-    def path_links(self, src_name: str, dst_name: str) -> List[LinkSpec]:
-        """The :class:`LinkSpec` of each link along :meth:`path`."""
-        names = self.path(src_name, dst_name)
-        return [self._neighbours[a][b] for a, b in zip(names, names[1:])]
-
 
 def build_chain(
     sim,

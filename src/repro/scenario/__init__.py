@@ -76,7 +76,6 @@ from .netgen import (
     GeneratedNetwork,
     NetworkConfig,
     NetworkPlan,
-    generate_network,
     instantiate_network,
     plan_network,
 )
@@ -148,7 +147,6 @@ __all__ = [
     "WorkloadRun",
     "attached_disk_tier",
     "forced_bottleneck_paths",
-    "generate_network",
     "instantiate_network",
     "list_parts",
     "plan_network",

@@ -8,11 +8,11 @@ memoizes it at two levels, its two *kinds*:
 
 * ``"plan"`` — the whole scenario plan, keyed by the hash of the
   *entire* spec (any field change is a different scenario and misses);
-* ``"network"`` — the network plan, keyed by the topology source's
-  :meth:`~repro.scenario.parts.TopologySource.network_fingerprint`
-  (typically just the network config and the seed), so a sweep whose
-  jobs differ only in workload, churn or transport still skips the
-  repeated ``generate_network`` and its consensus draws.
+* ``"network"`` — the network plan, keyed by
+  :meth:`~repro.scenario.topology.GeneratedTopology.network_fingerprint`
+  (just the network config and the seed), so a sweep whose jobs
+  differ only in workload, churn or transport still skips the
+  repeated network draw and its consensus.
 
 Network draws live on substreams independent of the path and arrival
 substreams, so a plan assembled from a *cached* network is

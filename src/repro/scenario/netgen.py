@@ -33,7 +33,6 @@ __all__ = [
     "NetworkConfig",
     "NetworkPlan",
     "GeneratedNetwork",
-    "generate_network",
     "instantiate_network",
     "plan_network",
 ]
@@ -183,18 +182,3 @@ def instantiate_network(plan: NetworkPlan, sim: Simulator) -> GeneratedNetwork:
         server_names=list(plan.server_names),
         relay_specs=dict(plan.relay_specs),
     )
-
-
-def generate_network(
-    sim: Simulator,
-    config: NetworkConfig,
-    streams: RandomStreams,
-) -> GeneratedNetwork:
-    """Generate the star network for *config*, seeded by *streams*.
-
-    The same ``(config, seed)`` pair always yields the same network —
-    relay names, rates and delays included — so "with" and "without"
-    runs of the CDF experiment see identical conditions.  Equivalent to
-    :func:`plan_network` followed by :func:`instantiate_network`.
-    """
-    return instantiate_network(plan_network(config, streams), sim)

@@ -106,59 +106,17 @@ class TopologySource(ScenarioPart):
     """Where the network under test comes from.
 
     A topology source owns the whole *where* of a scenario: it plans
-    the network (:meth:`plan_network`, pure data and cacheable),
-    nominates the bottleneck relay, selects each circuit's relay path
-    and maps circuits to endpoint hosts.
+    the network (pure data and cacheable), nominates the bottleneck
+    relay, selects each circuit's relay path and maps circuits to
+    endpoint hosts.  :class:`~repro.scenario.topology.GeneratedTopology`
+    is the one registered source; the planner calls its ``validate``,
+    ``designates_bottleneck``, ``network_fingerprint``,
+    ``plan_network``, ``select_bottleneck``, ``plan_paths`` and
+    ``endpoints``.
     """
 
     _registry: ClassVar[Dict[str, type]] = {}
     kind: ClassVar[str] = "topology"
-
-    def validate(self, scenario: Any) -> None:
-        """Reject scenario/topology combinations that cannot plan."""
-
-    def designates_bottleneck(self) -> bool:
-        """Whether :meth:`select_bottleneck` will name a relay.
-
-        Answerable without planning, so spec validation can reject
-        bottleneck-scoped probes up front instead of mid-run.
-        """
-        return False
-
-    def network_fingerprint(self, scenario: Any) -> Dict[str, Any]:
-        """JSON-able payload identifying the network this part plans.
-
-        Scenarios with equal fingerprints share one cached network
-        plan; the default is maximally conservative (the whole part
-        plus the seed).
-        """
-        from ..serialize import encode
-
-        return {"topology": encode(self), "seed": scenario.seed}
-
-    def plan_network(self, scenario: Any, streams: Any) -> Any:
-        """Draw the network (a :class:`~repro.scenario.netgen.NetworkPlan`)."""
-        raise NotImplementedError
-
-    def select_bottleneck(self, scenario: Any, plan: Any) -> Optional[str]:
-        """The designated bottleneck relay, or ``None``."""
-        return None
-
-    def plan_paths(
-        self,
-        scenario: Any,
-        streams: Any,
-        plan: Any,
-        directory: Any,
-        bottleneck: Optional[str],
-        count: int,
-    ) -> List[List[str]]:
-        """Relay-name paths for *count* circuits, in circuit order."""
-        raise NotImplementedError
-
-    def endpoints(self, plan: Any, index: int) -> Tuple[str, str]:
-        """(source, sink) host names of circuit *index*."""
-        raise NotImplementedError
 
 
 class Workload(ScenarioPart):

@@ -10,7 +10,7 @@ circuits plus the network plan — and
 controller kind.
 
 The plan is the unit of sharing: the planning pass and every kind's run
-use the same plan object (no repeated ``generate_network``), and plans
+use the same plan object (no repeated ``plan_network``), and plans
 are memoized in a :class:`~repro.scenario.cache.PlanCache` keyed by the
 spec hash so batch sweeps over the same spec (or same network) skip
 planning entirely.

@@ -100,6 +100,11 @@ class GeneratedTopology(TopologySource):
             )
 
     def designates_bottleneck(self) -> bool:
+        """Whether :meth:`select_bottleneck` will name a relay.
+
+        Answerable without planning, so spec validation can reject
+        bottleneck-scoped probes up front instead of mid-run.
+        """
         return self.force_bottleneck
 
     def network_fingerprint(self, scenario: Any) -> Dict[str, Any]:
@@ -115,6 +120,7 @@ class GeneratedTopology(TopologySource):
         return {"network": encode(self.network), "seed": scenario.seed}
 
     def plan_network(self, scenario: Any, streams: Any) -> NetworkPlan:
+        """Draw the network: pure data, cached by :meth:`network_fingerprint`."""
         return plan_network(self.network, streams)
 
     def select_bottleneck(self, scenario: Any, plan: NetworkPlan) -> Optional[str]:
@@ -135,6 +141,7 @@ class GeneratedTopology(TopologySource):
         bottleneck: Optional[str],
         count: int,
     ) -> List[List[str]]:
+        """Relay-name paths for *count* circuits, in circuit order."""
         rng = streams.stream(stream_name(scenario.rng_namespace, "paths"))
         if self.clusters > 1:
             return self._clustered_paths(

@@ -42,8 +42,7 @@ class EventHandle:
     ``(time, seq)``.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_fired",
-                 "_sim")
+    __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_sim")
 
     def __init__(
         self,
@@ -58,25 +57,9 @@ class EventHandle:
         self.callback = callback
         self.args = args
         self._cancelled = False
-        self._fired = False
         # The owning Simulator while pending (firing or cancelling clears
         # it): cancel() reports the dead entry to it.
         self._sim = sim
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called before the event fired."""
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """Whether the event's callback has already run."""
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still waiting to fire."""
-        return self._sim is not None
 
     def cancel(self) -> bool:
         """Cancel the event.
@@ -100,7 +83,8 @@ class EventHandle:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "fired" if self._fired else "pending"
+        state = ("cancelled" if self._cancelled
+                 else "pending" if self._sim is not None else "fired")
         return "<EventHandle t=%.9f seq=%d %s>" % (self.time, self.seq, state)
 
 

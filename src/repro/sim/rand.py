@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Sequence, TypeVar
+from typing import Dict
 
 __all__ = ["RandomStreams", "derive_seed"]
-
-T = TypeVar("T")
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -57,13 +55,3 @@ class RandomStreams:
             rng = random.Random(derive_seed(self.seed, name))
             self._streams[name] = rng
         return rng
-
-    # Convenience draws used across experiments -------------------------
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform draw in [low, high] from substream *name*."""
-        return self.stream(name).uniform(low, high)
-
-    def choice(self, name: str, options: Sequence[T]) -> T:
-        """One uniform choice from *options* using substream *name*."""
-        return self.stream(name).choice(list(options))

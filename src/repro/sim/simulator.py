@@ -17,8 +17,8 @@ and provides the scheduling API every other subsystem builds on:
   after the currently executing event (FIFO);
 * :meth:`Simulator.rearm` — ``handle.cancel()`` plus ``schedule``, in
   one call that moves a pending handle to a later deadline in place;
-* :meth:`Simulator.run` / :meth:`run_until` / :meth:`step` — drive
-  the event loop;
+* :meth:`Simulator.run` / :meth:`run_until` — drive the event loop
+  (``run(max_events=1)`` executes one event);
 * :meth:`Simulator.release` — drop every pending event once a run is
   over;
 * :attr:`Simulator.now` — the clock, a plain attribute that only the
@@ -174,11 +174,6 @@ class Simulator:
         """Number of live events waiting in the heap."""
         return len(self._heap) - self._dead
 
-    @property
-    def running(self) -> bool:
-        """Whether the event loop is currently executing."""
-        return self._running
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -284,19 +279,6 @@ class Simulator:
         if completed:
             self.now = max(self.now, time)
 
-    def step(self) -> bool:
-        """Execute exactly one event.  Return ``False`` if none remain.
-
-        Like :meth:`run`, ``step`` is not reentrant: calling it from
-        inside an executing callback raises :class:`SchedulingError`.
-        """
-        if self._running:
-            raise SchedulingError("simulator loop is not reentrant")
-        if len(self._heap) == self._dead:
-            return False
-        self._run_loop(until=None, max_events=1)
-        return True
-
     def release(self) -> None:
         """Drop every pending event: the run is over.
 
@@ -394,7 +376,6 @@ class Simulator:
                     self._current_seq = entry[1]
                     self._events_executed = executed = executed + 1
                     handle._sim = None
-                    handle._fired = True
                     handle.callback(*handle.args)
                     continue
                 if executed >= stop:

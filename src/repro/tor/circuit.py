@@ -67,11 +67,6 @@ class CircuitSpec:
         """Source, relays, sink — the data's forward direction."""
         return [self.source, *self.relays, self.sink]
 
-    @property
-    def hop_count(self) -> int:
-        """Number of transport hops (links between circuit nodes)."""
-        return len(self.node_path) - 1
-
 
 class CircuitFlow:
     """One unidirectional bulk transfer over one circuit."""

@@ -42,28 +42,11 @@ class Directory:
         for descriptor in descriptors:
             self.add(descriptor)
 
-    def __len__(self) -> int:
-        return len(self._relays)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._relays
-
     def add(self, descriptor: RelayDescriptor) -> None:
         """Register *descriptor*; duplicate names are an error."""
         if descriptor.name in self._relays:
             raise ValueError("duplicate relay %r in directory" % descriptor.name)
         self._relays[descriptor.name] = descriptor
-
-    def get(self, name: str) -> RelayDescriptor:
-        """Look up one relay by name."""
-        try:
-            return self._relays[name]
-        except KeyError:
-            raise KeyError("relay %r not in directory" % name) from None
-
-    def relays(self) -> List[RelayDescriptor]:
-        """All relays, in insertion order."""
-        return list(self._relays.values())
 
     def weighted_sample(
         self,

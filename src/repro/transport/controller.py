@@ -81,11 +81,6 @@ class WindowController:
     # ------------------------------------------------------------------
 
     @property
-    def in_startup(self) -> bool:
-        """Whether the controller is still in its start-up phase."""
-        return self.phase is Phase.STARTUP
-
-    @property
     def startup_exit_time(self) -> Optional[float]:
         """When the controller left STARTUP (``None`` while still in it)."""
         return self._startup_exit_time

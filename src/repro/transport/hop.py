@@ -132,11 +132,6 @@ class HopSender:
         return len(self._send_times)
 
     @property
-    def idle(self) -> bool:
-        """No buffered and no in-flight cells."""
-        return not self._buffer and not self._send_times
-
-    @property
     def cwnd_cells(self) -> int:
         """Convenience passthrough to the controller's window."""
         return self.controller.cwnd_cells

@@ -75,14 +75,3 @@ def test_scaled_converts_units():
     assert kb.values[0] == pytest.approx(1.024)
     # Original untouched.
     assert t.times[1] == 1.0
-
-
-def test_window_slices_inclusive():
-    t = make_trace()
-    w = t.window(1.0, 2.0)
-    assert w.samples == [(1.0, 4.0), (2.0, 8.0)]
-
-
-def test_window_validates_bounds():
-    with pytest.raises(ValueError):
-        make_trace().window(2.0, 1.0)

@@ -87,9 +87,9 @@ def test_plain_slowstart_halves_on_exit():
     hop.send(window_before)
     for i in range(window_before):
         hop.feedback(0.5, now + i * 0.0001)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     assert c.cwnd_cells == window_before // 2
 
 
@@ -102,7 +102,7 @@ def test_plain_slowstart_exit_logged():
         cwnd_before = c.cwnd_cells
         exit_time = now + i * 0.0001
         hop.feedback(2.0, exit_time)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
     assert c.startup_exit_time == exit_time
     assert c.cwnd_cells == max(c.config.min_cwnd_cells, cwnd_before // 2)

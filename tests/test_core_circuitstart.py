@@ -29,7 +29,7 @@ def test_doubles_per_clean_round():
     hop = InFlight(c)
     run_clean_rounds(hop, 3)
     assert c.cwnd_cells == 16
-    assert c.in_startup
+    assert c.phase is Phase.STARTUP
 
 
 def test_gamma_exit_on_standing_queue():
@@ -44,9 +44,9 @@ def test_gamma_exit_on_standing_queue():
     for __ in range(window):
         now += 0.0001
         hop.feedback(0.2, now)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     assert c.startup_exit_time is not None
     assert c.exit_diff > config.gamma
 
@@ -62,7 +62,7 @@ def test_single_sample_escape_hatch():
     hop.feedback(0.1, now)  # keeps the round min low
     # diff_sample = 8 * (0.4/0.1 - 1) = 24 > 16 = 4 * gamma.
     hop.feedback(0.4, now + 0.001)
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
 
 
 def test_moderate_single_sample_does_not_exit():
@@ -75,7 +75,7 @@ def test_moderate_single_sample_does_not_exit():
     hop.feedback(0.1, now)
     # diff_sample = 8 * 0.5 = 4; diff_round(min) = 0 -> stay in startup.
     hop.feedback(0.15, now + 0.001)
-    assert c.in_startup
+    assert c.phase is Phase.STARTUP
 
 
 def test_compensation_acked_counts_last_rtt():
@@ -88,7 +88,7 @@ def test_compensation_acked_counts_last_rtt():
     for i in range(6):
         hop.feedback(0.1, now + i * 0.01)
     hop.feedback(0.5, now + 0.06)
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     # 7 feedback arrivals (6 + trigger) within the trailing 0.1 s.
     assert c.cwnd_cells == 7
 
@@ -104,7 +104,7 @@ def test_compensation_never_exceeds_pre_exit_cwnd():
     for i in range(3):
         hop.feedback(0.1, now + i * 0.001)
     hop.feedback(1.0, now + 0.004)
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     assert c.cwnd_cells <= (c.cwnd_before_exit or 0)
 
 
@@ -116,9 +116,9 @@ def test_compensation_halve_mode():
     hop.send(16)
     for i in range(16):
         hop.feedback(0.5, now + i * 0.001)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     assert c.cwnd_cells == 8
 
 
@@ -130,9 +130,9 @@ def test_compensation_none_mode():
     hop.send(16)
     for i in range(16):
         hop.feedback(0.5, now + i * 0.001)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     assert c.cwnd_cells == 16
 
 
@@ -144,7 +144,7 @@ def test_compensation_floors_at_min_cwnd():
     hop.send(8)
     # Single delayed feedback and nothing else recent.
     hop.feedback(0.9, now + 5.0)
-    assert not c.in_startup
+    assert c.phase is not Phase.STARTUP
     assert c.cwnd_cells >= config.min_cwnd_cells
 
 
@@ -158,7 +158,7 @@ def test_exit_records_diagnostics():
     for i in range(8):
         exit_time = now + i * 0.001
         hop.feedback(0.3, exit_time)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
     assert c.cwnd_before_exit == 8
     assert c.exit_diff is not None
@@ -191,5 +191,5 @@ def test_no_exit_without_queue():
     c = CircuitStartController(config)
     hop = InFlight(c)
     run_clean_rounds(hop, 10, rtt=0.1)
-    assert c.in_startup
+    assert c.phase is Phase.STARTUP
     assert c.cwnd_cells == 64  # clamped, still ramping

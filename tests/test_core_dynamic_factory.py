@@ -42,7 +42,7 @@ def make_settled_dynamic(**kwargs):
     hop.send(c.cwnd_cells)
     for i in range(c.cwnd_cells):
         hop.feedback(0.5, now + i * 0.0001)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
     assert c.phase is Phase.AVOIDANCE
     return hop, now + 1.0
@@ -77,7 +77,7 @@ def test_dynamic_reentry_respects_cooldown():
     hop.send(c.cwnd_cells)
     for i in range(c.cwnd_cells):
         hop.feedback(0.9, now + i * 0.0001)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
     # More low rounds within the cooldown horizon: no second re-entry.
     for __ in range(4):
@@ -118,11 +118,11 @@ def test_dynamic_reentered_startup_can_exit_again():
     c = hop.controller
     for __ in range(2):
         now = full_round(hop, rtt=0.1, now=now)
-    assert c.in_startup
+    assert c.phase is Phase.STARTUP
     hop.send(c.cwnd_cells)
     for i in range(c.cwnd_cells):
         hop.feedback(0.9, now + i * 0.0001)
-        if not c.in_startup:
+        if c.phase is not Phase.STARTUP:
             break
     assert c.phase is Phase.AVOIDANCE
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.netgen import NetworkConfig, generate_network
+from repro.experiments.netgen import (
+    NetworkConfig,
+    instantiate_network,
+    plan_network,
+)
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.units import milliseconds
@@ -17,7 +21,7 @@ def small_config(**kwargs):
 
 
 def test_network_has_all_hosts(sim):
-    net = generate_network(sim, small_config(), RandomStreams(1))
+    net = instantiate_network(plan_network(small_config(), RandomStreams(1)), sim)
     assert len(net.relay_names) == 6
     assert len(net.client_names) == 4
     assert len(net.server_names) == 4
@@ -26,23 +30,19 @@ def test_network_has_all_hosts(sim):
 
 
 def test_every_leaf_connects_to_hub(sim):
-    net = generate_network(sim, small_config(), RandomStreams(1))
+    net = instantiate_network(plan_network(small_config(), RandomStreams(1)), sim)
     for name in net.relay_names + net.client_names + net.server_names:
         assert net.topology.path(name, net.hub_name) == [name, net.hub_name]
 
 
 def test_directory_covers_relays_only(sim):
-    net = generate_network(sim, small_config(), RandomStreams(1))
-    assert len(net.directory) == 6
-    for name in net.relay_names:
-        assert name in net.directory
-    for name in net.client_names:
-        assert name not in net.directory
+    net = instantiate_network(plan_network(small_config(), RandomStreams(1)), sim)
+    assert list(net.directory._relays) == net.relay_names
 
 
 def test_relay_rates_from_configured_classes(sim):
     config = small_config()
-    net = generate_network(sim, config, RandomStreams(2))
+    net = instantiate_network(plan_network(config, RandomStreams(2)), sim)
     classes = set(config.relay_rate_classes_mbit)
     for name in net.relay_names:
         assert round(net.relay_rate(name).mbit_per_second, 6) in classes
@@ -50,22 +50,22 @@ def test_relay_rates_from_configured_classes(sim):
 
 def test_relay_delays_within_range(sim):
     config = small_config(relay_delay_ms=(5.0, 9.0))
-    net = generate_network(sim, config, RandomStreams(2))
+    net = instantiate_network(plan_network(config, RandomStreams(2)), sim)
     for name in net.relay_names:
         delay = net.relay_specs[name].delay
         assert milliseconds(5.0) <= delay <= milliseconds(9.0)
 
 
 def test_directory_weights_match_rates(sim):
-    net = generate_network(sim, small_config(), RandomStreams(3))
+    net = instantiate_network(plan_network(small_config(), RandomStreams(3)), sim)
     for name in net.relay_names:
-        assert net.directory.get(name).bandwidth == net.relay_rate(name)
+        assert net.directory._relays[name].bandwidth == net.relay_rate(name)
 
 
 def test_generation_is_deterministic():
     def build(seed):
         sim = Simulator()
-        net = generate_network(sim, small_config(), RandomStreams(seed))
+        net = instantiate_network(plan_network(small_config(), RandomStreams(seed)), sim)
         return [
             (name, net.relay_rate(name).bytes_per_second, net.relay_specs[name].delay)
             for name in net.relay_names

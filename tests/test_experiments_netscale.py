@@ -7,7 +7,11 @@ import json
 import pytest
 
 from repro.experiments import get_experiment
-from repro.experiments.netgen import NetworkConfig, generate_network
+from repro.experiments.netgen import (
+    NetworkConfig,
+    instantiate_network,
+    plan_network,
+)
 from repro.experiments.netscale import (
     BULK,
     INTERACTIVE,
@@ -121,7 +125,7 @@ def test_determinism():
 def test_select_paths_forces_bottleneck_middle():
     config = small_config()
     streams = RandomStreams(config.seed)
-    network = generate_network(Simulator(), config.network, streams)
+    network = instantiate_network(plan_network(config.network, streams), Simulator())
     bottleneck = network.relay_names[0]
     paths = forced_bottleneck_paths(
         streams.stream("netscale.paths"), network.directory, bottleneck,

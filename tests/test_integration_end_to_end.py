@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.netgen import NetworkConfig, generate_network
+from repro.experiments.netgen import (
+    NetworkConfig,
+    instantiate_network,
+    plan_network,
+)
 from repro.net.faults import ScriptedLossModel, install_fault_model
 from repro.sim.rand import RandomStreams
 from repro.sim.simulator import Simulator
@@ -28,7 +32,7 @@ def test_transfer_conserves_cells(sim):
         assert sender.cells_sent == expected_cells
         assert sender.feedback_received == expected_cells
         assert sender.duplicate_feedback == 0
-        assert sender.idle
+        assert sender.buffered_cells == 0 and sender.inflight_cells == 0
 
 
 def test_feedback_volume_matches_data(sim):
@@ -147,10 +151,11 @@ def test_star_network_circuit_with_selected_path():
     """Full pipeline: generate network, select a path, run a download."""
     sim = Simulator()
     streams = RandomStreams(11)
-    net = generate_network(
+    net = instantiate_network(
+        plan_network(
+            NetworkConfig(relay_count=8, client_count=2, server_count=2), streams
+        ),
         sim,
-        NetworkConfig(relay_count=8, client_count=2, server_count=2),
-        streams,
     )
     selector = PathSelector(net.directory, streams.stream("paths"))
     relays = [r.name for r in selector.select_path(3)]

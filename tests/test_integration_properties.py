@@ -71,7 +71,7 @@ def test_property_every_transfer_completes_exactly(
     for sender in flow.hop_senders:
         assert sender.cells_sent == flow.source_app.cell_count
         assert sender.duplicate_feedback == 0
-        assert sender.idle
+        assert sender.buffered_cells == 0 and sender.inflight_cells == 0
     # No loss anywhere: every packet sent was received.
     sent, received = link_packet_totals(topology)
     assert sent == received

@@ -49,8 +49,7 @@ def test_link_rejects_infinite_delay():
 
 def test_link_timing_helpers():
     link = Link(mbit_per_second(8), milliseconds(10))  # 1e6 B/s
-    p = Packet(1000)
-    assert link.transmission_time(p) == pytest.approx(0.001)
+    assert link.transmission_time_for(1000) == pytest.approx(0.001)
 
 
 def test_single_packet_arrival_time(sim):

@@ -201,8 +201,8 @@ def _run(sim):
 
 
 def _step_through(sim):
-    while sim.step():
-        pass
+    while sim.pending_events:
+        sim.run(max_events=1)
     sim.run_until(HORIZON)
 
 

@@ -9,7 +9,6 @@ from repro.net.packet import Packet
 from repro.net.topology import LinkSpec, Topology, build_chain, build_star
 from repro.scenario.netgen import (
     NetworkConfig,
-    generate_network,
     instantiate_network,
     plan_network,
 )
@@ -89,7 +88,9 @@ def test_chain_path_helpers(sim):
     slow = LinkSpec(mbit_per_second(2), milliseconds(5))
     topo = build_chain(sim, ["a", "b", "c"], [SPEC, slow])
     assert topo.path("a", "c") == ["a", "b", "c"]
-    assert topo.path_links("a", "c") == [SPEC, slow]
+    assert [topo._interface_between(a, b).link.rate for a, b in ("ab", "bc")] == [
+        SPEC.rate, slow.rate,
+    ]
 
 
 def test_path_to_unknown_or_unreachable_node_names_both_ends(sim):
@@ -100,8 +101,6 @@ def test_path_to_unknown_or_unreachable_node_names_both_ends(sim):
     for src, dst in (("a", "ghost"), ("ghost", "a"), ("a", "d"), ("c", "b")):
         with pytest.raises(KeyError, match="no path from %r to %r" % (src, dst)):
             topo.path(src, dst)
-        with pytest.raises(KeyError, match="no path from %r to %r" % (src, dst)):
-            topo.path_links(src, dst)
     assert topo.path("c", "d") == ["c", "d"] and topo.path("a", "a") == ["a"]
 
 
@@ -129,7 +128,7 @@ def test_star_routes_equal_the_searched_ones(sim):
     default route per leaf); build_routes() (Dijkstra over the graph)
     must send no ordered pair anywhere different on a generated star."""
     config = NetworkConfig(relay_count=9, client_count=5, server_count=4)
-    topo = generate_network(sim, config, RandomStreams(11)).topology
+    topo = instantiate_network(plan_network(config, RandomStreams(11)), sim).topology
 
     def egresses():
         return {

@@ -83,7 +83,8 @@ def assert_routes_like_networkx(names, links, topology_cls=Topology):
             assert topology.path(src, dst) == path
             either_way = nx.shortest_path(graph, src, dst, weight="delay")
             assert nx.path_weight(graph, either_way, "delay") == sum(
-                spec.delay for spec in topology.path_links(src, dst)
+                topology._interface_between(a, b).link.delay
+                for a, b in zip(path, path[1:])
             )
             if len(list(nx.all_shortest_paths(graph, src, dst, weight="delay"))) == 1:
                 assert either_way == path

@@ -77,10 +77,10 @@ def test_network_plan_round_trips():
     # rates (Rate objects round-trip through bytes/second).
     assert [
         (d.name, d.bandwidth.bytes_per_second)
-        for d in rebuilt.build_directory().relays()
+        for d in rebuilt.build_directory()._relays.values()
     ] == [
         (d.name, d.bandwidth.bytes_per_second)
-        for d in plan.build_directory().relays()
+        for d in plan.build_directory()._relays.values()
     ]
 
 

@@ -5,8 +5,10 @@ counter, the dead-entry count and compaction, and does every push and
 pop itself; :class:`~repro.sim.events.EventHandle` is the cancellable
 entry.  Everything is therefore driven through the simulator —
 ``schedule`` / ``schedule_fast`` / ``reserve_seq`` + ``push`` in,
-``run`` / ``step`` out — so the properties hold for the loop
-production executes.  ``Simulator.rearm`` is checked against the
+``run`` / ``run_until`` out — so the properties hold for the loop
+production executes.  A handle is pending while it points back at its
+simulator (``_sim``), cancelled when ``_cancelled`` is set, and fired
+when neither holds.  ``Simulator.rearm`` is checked against the
 cancel + ``schedule`` pair it stands for.
 """
 
@@ -23,7 +25,8 @@ def test_empty_queue_has_no_events():
     sim = Simulator()
     assert sim.pending_events == 0
     assert sim._heap == [] and sim._dead == 0
-    assert not sim.step()
+    sim.run(max_events=1)
+    assert sim.events_executed == 0
 
 
 def test_events_pop_in_time_order():
@@ -56,17 +59,16 @@ def test_nan_time_rejected():
 def test_handle_starts_pending():
     sim = Simulator()
     h = sim.schedule_at(1.0, lambda: None)
-    assert h.pending
-    assert not h.cancelled
-    assert not h.fired
+    assert h._sim is sim and not h._cancelled
+    assert sim.pending_events == 1
 
 
 def test_cancel_marks_handle():
     sim = Simulator()
     h = sim.schedule_at(1.0, lambda: None)
     assert h.cancel()
-    assert h.cancelled
-    assert not h.pending
+    assert h._cancelled and h._sim is None
+    assert sim.pending_events == 0
 
 
 def test_cancel_is_idempotent():
@@ -83,9 +85,9 @@ def test_cancelled_events_are_skipped():
     h1 = sim.schedule(1.0, fired.append, "first")
     sim.schedule(2.0, fired.append, "second")
     h1.cancel()
-    assert sim.step()
+    sim.run(max_events=1)
     assert (sim.now, fired) == (2.0, ["second"])
-    assert not sim.step()
+    assert sim.pending_events == 0
 
 
 def test_cancel_drops_callback_reference():
@@ -99,11 +101,11 @@ def test_cancel_drops_callback_reference():
 def test_fire_runs_callback_with_args():
     sim = Simulator()
     out = []
-    # Marked fired before the callback runs: it sees itself as spent.
-    h = sim.schedule(1.0, lambda tag: out.append((tag, h.fired)), "x")
+    # Detached before the callback runs: it sees itself as spent.
+    h = sim.schedule(1.0, lambda tag: out.append((tag, h._sim)), "x")
     sim.run()
-    assert out == [("x", True)]
-    assert h.fired and not h.pending
+    assert out == [("x", None)]
+    assert h._sim is None and not h._cancelled
 
 
 def test_fired_handle_cannot_cancel():
@@ -111,7 +113,7 @@ def test_fired_handle_cannot_cancel():
     h = sim.schedule(1.0, lambda: None)
     sim.run()
     assert not h.cancel()
-    assert not h.cancelled
+    assert not h._cancelled
 
 
 def test_len_tracks_cancellations():
@@ -174,7 +176,7 @@ def test_direct_handle_cancel_updates_live_count():
     handles = [sim.schedule(float(i), fired.append, i) for i in range(4)]
     handles[0].cancel()
     assert sim.pending_events == 3
-    assert sim.step()
+    sim.run(max_events=1)
     assert fired == [1]
 
 
@@ -185,7 +187,7 @@ def test_cancel_after_pop_does_not_corrupt_live_count():
     refused = []
     handle = sim.schedule(1.0, lambda: refused.append(handle.cancel()))
     sim.schedule(2.0, lambda: None)
-    assert sim.step()
+    sim.run(max_events=1)
     assert refused == [False]
     assert sim.pending_events == 1
     assert not handle.cancel()
@@ -337,8 +339,9 @@ def test_property_mixed_paths_order_and_accounting(ops):
                     sim.push((entry[0], entry[1], note, (entry[2],)))
                     model.append(entry)
         elif op == "pop":
-            assert sim.step() == bool(model)
-            if model:
+            # One event, the way a single-step driver takes it.
+            if sim.pending_events:
+                sim.run(max_events=1)
                 drive(max_events=1)
         elif op in ("cancel", "rearm"):
             # Cancel or re-arm the live handle-path event selected by
@@ -369,7 +372,7 @@ def test_property_mixed_paths_order_and_accounting(ops):
         assert (sim.now, sim.current_seq, sim.events_executed) == (
             now, current, executed
         )
-        assert not sim.running
+        assert not sim._running
 
     model.sort()
     sim.run()
@@ -424,11 +427,12 @@ def test_pushed_entry_in_the_past_raises_and_stays_pending():
     fired = []
     sim.run_until(1.0)
     sim.push((0.5, sim.reserve_seq(), fired.append, ("late",)))
-    for run in (sim.run, sim.step, lambda: sim.run_until(2.0)):
+    for run in (sim.run, lambda: sim.run(max_events=1),
+                lambda: sim.run_until(2.0)):
         with pytest.raises(ClockError):
             run()
         assert (fired, sim.now, sim.events_executed) == ([], 1.0, 0)
-        assert sim.pending_events == 1 and not sim.running
+        assert sim.pending_events == 1 and not sim._running
 
 
 # ----------------------------------------------------------------------
@@ -497,12 +501,12 @@ def test_later_rearm_moves_the_handle_in_place():
     heap_size = len(sim._heap)
     assert sim.rearm(handle, 2.0, fired.append, "new") is handle
     assert len(sim._heap) == heap_size  # no push, no dead entry
-    assert handle.pending and sim.pending_events == 1
+    assert handle._sim is sim and sim.pending_events == 1
     sim.run_until(1.5)  # the old place surfaces: a move, not an event
     assert (fired, sim.events_executed, sim.pending_events) == ([], 0, 1)
     sim.run()
     assert (sim.now, fired, sim.events_executed) == (2.0, ["new"], 1)
-    assert handle.fired
+    assert handle._sim is None and not handle._cancelled
 
 
 def test_earlier_or_spent_rearm_takes_a_new_handle():
@@ -510,11 +514,11 @@ def test_earlier_or_spent_rearm_takes_a_new_handle():
     fired = []
     handle = sim.schedule(2.0, fired.append, "late")
     earlier = sim.rearm(handle, 1.0, fired.append, "early")
-    assert earlier is not handle and handle.cancelled and earlier.pending
+    assert earlier is not handle and handle._cancelled and earlier._sim is sim
     sim.run()
     assert fired == ["early"]
     again = sim.rearm(earlier, 1.0, fired.append, "again")  # fired handle
-    assert again is not earlier and again.pending
+    assert again is not earlier and again._sim is sim
     again.cancel()
     revived = sim.rearm(again, 0.5, fired.append, "revived")  # cancelled
     assert revived is not again
@@ -586,7 +590,8 @@ class _World:
         elif op == "run_until":
             sim.run_until(sim.now + delay)
         elif op == "step":
-            sim.step()
+            if sim.pending_events:
+                sim.run(max_events=1)
 
     def state(self):
         sim = self.sim

@@ -36,17 +36,3 @@ def test_streams_independent_of_each_other():
     expected = [lonely.stream("signal").random() for __ in range(5)]
     got = [shared.stream("signal").random() for __ in range(5)]
     assert got == expected
-
-
-def test_uniform_within_bounds():
-    streams = RandomStreams(3)
-    for __ in range(50):
-        value = streams.uniform("u", 2.0, 5.0)
-        assert 2.0 <= value <= 5.0
-
-
-def test_choice_picks_from_options():
-    streams = RandomStreams(3)
-    options = ["a", "b", "c"]
-    for __ in range(20):
-        assert streams.choice("c", options) in options

@@ -161,10 +161,10 @@ def test_step_executes_single_event(sim):
     fired = []
     sim.schedule(1.0, fired.append, 1)
     sim.schedule(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
+    sim.run(max_events=1)
+    assert (fired, sim.now, sim.pending_events) == ([1], 1.0, 1)
+    sim.run(max_events=1)
+    assert (fired, sim.pending_events) == ([1, 2], 0)
 
 
 def test_events_can_schedule_more_events(sim):
@@ -258,9 +258,9 @@ def test_fast_events_can_schedule_more_fast_events(sim):
 def test_step_executes_fast_events(sim):
     fired = []
     sim.schedule_fast(1.0, fired.append, 1)
-    assert sim.step()
-    assert fired == [1]
-    assert not sim.step()
+    sim.schedule_fast(2.0, fired.append, 2)
+    sim.run(max_events=1)
+    assert (fired, sim.now, sim.pending_events) == ([1], 1.0, 1)
 
 
 def test_direct_handle_cancel_agrees_with_simulator(sim):
@@ -301,12 +301,8 @@ def test_loop_not_reentrant(sim):
 
 
 def test_step_callback_cannot_reenter_run(sim):
-    """step() sets the reentrancy guard: its callback can't start run().
-
-    The guard used to be armed only by ``_run_loop``, so a callback
-    fired via ``step()`` could re-enter ``run()`` mid-event and
-    interleave two loops over one queue.
-    """
+    """A single-event run sets the reentrancy guard too: its callback
+    can't start run() and interleave two loops over one queue."""
     caught = []
 
     def naughty():
@@ -316,17 +312,18 @@ def test_step_callback_cannot_reenter_run(sim):
             caught.append(error)
 
     sim.schedule(1.0, naughty)
-    assert sim.step()
+    sim.run(max_events=1)
     assert len(caught) == 1
 
 
 def test_run_callback_cannot_step(sim):
-    """step() inside a run() callback raises instead of double-popping."""
+    """A single-event run inside a run() callback raises instead of
+    double-popping."""
     caught = []
 
     def naughty():
         try:
-            sim.step()
+            sim.run(max_events=1)
         except SchedulingError as error:
             caught.append(error)
 
@@ -338,38 +335,46 @@ def test_run_callback_cannot_step(sim):
 
 
 def test_step_callback_cannot_step_again(sim):
-    """Nested step() from a step() callback raises on that path too."""
+    """A nested single-event run from a single-event run's callback
+    raises on that path too."""
     caught = []
 
     def naughty():
         try:
-            sim.step()
+            sim.run(max_events=1)
         except SchedulingError as error:
             caught.append(error)
 
     sim.schedule(1.0, naughty)
     sim.schedule(2.0, lambda: None)
-    assert sim.step()
+    sim.run(max_events=1)
     assert len(caught) == 1
     assert sim.pending_events == 1  # the guard kept the queue intact
 
 
+def _nested_run_refused(sim, drive):
+    """Inside *drive*'s callback a nested run() is refused; once *drive*
+    returns, the guard is down and the next run() goes ahead."""
+    refused = []
+
+    def nested():
+        with pytest.raises(SchedulingError):
+            sim.run()
+        refused.append(sim.now)
+
+    sim.schedule(1.0, nested)
+    drive()
+    sim.schedule(1.0, refused.append, "after")
+    sim.run()
+    return refused
+
+
 def test_running_flag_during_step(sim):
-    observed = []
-    sim.schedule(1.0, lambda: observed.append(sim.running))
-    assert not sim.running
-    sim.step()
-    assert observed == [True]
-    assert not sim.running
+    assert _nested_run_refused(sim, lambda: sim.run(max_events=1)) == [1.0, "after"]
 
 
 def test_running_flag(sim):
-    observed = []
-    sim.schedule(1.0, lambda: observed.append(sim.running))
-    assert not sim.running
-    sim.run()
-    assert observed == [True]
-    assert not sim.running
+    assert _nested_run_refused(sim, sim.run) == [1.0, "after"]
 
 
 # ----------------------------------------------------------------------
@@ -413,8 +418,8 @@ def _tie_probe(sim, drive):
 
 
 def _step_through(sim):
-    while sim.step():
-        pass
+    while sim.pending_events:
+        sim.run(max_events=1)
 
 
 @pytest.mark.parametrize("drive", [Simulator.run, _step_through])

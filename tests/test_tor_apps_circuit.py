@@ -48,7 +48,6 @@ def test_sink_validates_expected_bytes(sim):
 def test_circuit_spec_path():
     spec = CircuitSpec(1, "src", ["r1", "r2"], "dst")
     assert spec.node_path == ["src", "r1", "r2", "dst"]
-    assert spec.hop_count == 3
 
 
 def test_circuit_spec_rejects_duplicates():

@@ -34,7 +34,6 @@ def test_initial_state():
     c = CircuitStartController(TransportConfig())
     assert c.cwnd_cells == 2
     assert c.phase is Phase.STARTUP
-    assert c.in_startup
     assert c.startup_exit_time is None
 
 

@@ -31,7 +31,7 @@ def make_sender(sim, config=None, controller=None):
 
 def test_initial_state(sim):
     sender, __, __w = make_sender(sim)
-    assert sender.idle
+    assert sender.buffered_cells == 0 and sender.inflight_cells == 0
     assert sender.buffered_cells == 0
     assert sender.inflight_cells == 0
 
@@ -121,7 +121,7 @@ def test_close_releases_window_accounting(sim):
     assert sender.inflight_cells == 2  # initial window's worth in flight
     sender.close()
     assert sender.inflight_cells == 0
-    assert sender.idle
+    assert sender.buffered_cells == 0 and sender.inflight_cells == 0
     sender.enqueue(StubCell())
     assert sender.inflight_cells == 1  # the window admits cells again
 
@@ -215,7 +215,7 @@ def test_storm_exhausts_budget_into_broken_terminal_state(sim):
     assert sender.counters()["retransmissions"] == 2
     # The break closed the hop: nothing in flight, accounting released,
     # and the terminal state is stable under further simulated time.
-    assert sender.idle
+    assert sender.buffered_cells == 0 and sender.inflight_cells == 0
     assert sender.inflight_cells == 0
     terminal = sender.counters()
     sim.run_until(60.0)
@@ -234,7 +234,7 @@ def test_storm_counters_survive_close(sim):
     after = sender.counters()
     assert after == before  # close() releases state, never counters
     assert not sender.broken
-    assert sender.idle
+    assert sender.buffered_cells == 0 and sender.inflight_cells == 0
     assert sender.inflight_cells == 0
     # The cancelled timer must leave nothing behind: no counter can
     # move once the circuit is gone.
