@@ -6,17 +6,26 @@ Every backticked repository path (``src/…``, ``tests/…``,
 ``repro.x.y`` name must import and resolve.  A ``:N`` line suffix is
 dropped; globs and ``<placeholder>`` paths are skipped, and so are the
 run-output directories the repository's ``.gitignore`` lists.  Fenced
-blocks are not read: they hold commands and sample output.
+blocks are not read for names: they hold commands and sample output.
+
+Every ``repro …`` command in ``README.md``'s shell fences (``sh``,
+``bash`` and ``console``) must parse against the real argument parser.
+None of them is run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import os
 import re
-from typing import List
+import shlex
+from typing import List, Tuple
 
 import pytest
+
+from repro.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ("README.md", os.path.join("perfbench", "README.md"))
@@ -98,3 +107,91 @@ def test_a_stale_name_or_path_is_reported_with_its_line(tmp_path):
         "%s:5: repro.scenario.cache.DiskPlanCache.acquire does not resolve" % doc,
         "%s:7: perfbench/gone.py does not exist" % doc,
     ]
+
+
+_SHELL_FENCES = ("```sh", "```bash", "```console")
+#: Where a command's own words end: a redirection, pipe or chain.
+_COMMAND_END = re.compile(r"^(?:[0-9]?>|\||&&|;)")
+
+
+def repro_commands(path: str) -> List[Tuple[int, List[str]]]:
+    """``(line, argv)`` of each ``repro`` command in *path*'s shell fences.
+
+    A console block's ``$ `` prompt and a trailing ``\\`` continuation
+    are handled; comments, redirections and pipes end the command.
+    """
+    commands = []
+    fence = None
+    pending, start = "", 0
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            stripped = line.strip()
+            if stripped.startswith("```"):
+                fence = None if fence else stripped
+                continue
+            if fence not in _SHELL_FENCES:
+                continue
+            if not pending:
+                start = number
+                stripped = stripped[2:] if stripped.startswith("$ ") else stripped
+            if stripped.endswith("\\"):
+                pending += stripped[:-1] + " "
+                continue
+            words, pending = shlex.split(pending + stripped, comments=True), ""
+            while words and "=" in words[0]:  # VAR=value prefixes
+                words.pop(0)
+            if words[:3] == ["python", "-m", "repro"]:
+                words = ["repro"] + words[3:]
+            if words[:1] != ["repro"]:
+                continue
+            argv = []
+            for word in words[1:]:
+                if _COMMAND_END.match(word):
+                    break
+                argv.append(word)
+            commands.append((start, argv))
+    return commands
+
+
+def unparsable_commands(path: str) -> List[str]:
+    """``"<doc>:<line>: repro <args>: <parser error>"`` for each command
+    the parser refuses."""
+    bad = []
+    for number, argv in repro_commands(path):
+        errors = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(errors), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                build_parser().parse_args(argv)
+        except SystemExit as stop:
+            if stop.code:
+                message = errors.getvalue().strip().splitlines()[-1]
+                bad.append("%s:%d: repro %s: %s"
+                           % (path, number, " ".join(argv), message))
+    return bad
+
+
+def test_readme_commands_parse():
+    path = os.path.join(ROOT, "README.md")
+    assert repro_commands(path)
+    assert unparsable_commands(path) == []
+
+
+def test_a_misspelled_flag_is_reported_with_its_line(tmp_path):
+    doc = tmp_path / "README.md"
+    doc.write_text(
+        "```sh\n"
+        "repro trace --distance 3 --json    # fine\n"
+        "PYTHONPATH=src python -m repro check --hops 2 \\\n"
+        "    --replay-count 25\n"
+        "```\n"
+        "```python\nrepro trace --not-read\n```\n"
+        "```console\n$ repro lint --jsn > lint.json\n```\n"
+    )
+    assert [number for number, __ in repro_commands(str(doc))] == [2, 3, 10]
+    bad = unparsable_commands(str(doc))
+    assert [line.split(": repro ")[0] for line in bad] == [
+        "%s:3" % doc, "%s:10" % doc,
+    ]
+    assert "unrecognized arguments: --replay-count 25" in bad[0]
+    assert "unrecognized arguments: --jsn" in bad[1]
