@@ -196,8 +196,8 @@ def check_bounds(
 ) -> None:
     """Refuse exploration bounds under which nothing would be checked.
 
-    Without this, a state bound below 1 or a negative depth bound
-    explored the initial state alone and passed.
+    A state bound below 1 or a negative depth bound would explore the
+    initial state alone and pass; a negative replay count is no count.
     """
     if max_states is not None and max_states < 1:
         raise ValueError("state bound must be at least 1, got %d" % max_states)

@@ -69,8 +69,8 @@ def test_check_emit_schedules(tmp_path, capsys):
 def test_check_rejects_bad_config(capsys):
     for argv in (
         ["--hops", "0"],
-        # Bounds under which nothing would be checked: each used to
-        # explore one state and exit 0.
+        # Bounds under which nothing would be checked: exploration
+        # would stop at the initial state and pass.
         ["--max-states", "0"],
         ["--max-states", "-3"],
         ["--max-depth", "-1"],
