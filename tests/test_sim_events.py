@@ -339,7 +339,7 @@ def test_property_mixed_paths_order_and_accounting(ops):
                     sim.push((entry[0], entry[1], note, (entry[2],)))
                     model.append(entry)
         elif op == "pop":
-            # One event, the way a single-step driver takes it.
+            # One event at a time, as a single-step loop takes it.
             if sim.pending_events:
                 sim.run(max_events=1)
                 drive(max_events=1)
