@@ -67,14 +67,9 @@ _EXECUTION_FLAGS = {
     )),
     "checkpoint_dir": ("--checkpoint", dict(
         default=None, metavar="DIR",
-        help="checkpoint completed sweep points under DIR (resumable "
-             "via --resume; `repro report DIR` renders the partial "
+        help="checkpoint completed sweep points under DIR (a re-run "
+             "reuses them; `repro report DIR` renders the partial "
              "state)",
-    )),
-    "resume": ("--resume", dict(
-        action="store_true",
-        help="serve already-checkpointed points from --checkpoint DIR "
-             "instead of re-running them",
     )),
 }
 
@@ -307,7 +302,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         with _attached_plan_cache(args):
             result = experiment.run(spec, ctx)
     except (SweepInterrupted, SweepBroken) as stop:  # the study verbs
-        return _sweep_stopped(stop, ctx.checkpoint_dir, "re-run with --resume")
+        return _sweep_stopped(stop, ctx.checkpoint_dir, "re-run the same command")
     except UnfinishedCircuitsError as error:  # a valid spec, too short a horizon
         print(error, file=sys.stderr)
         return 1
@@ -451,35 +446,26 @@ def _run_sweep(args: argparse.Namespace, data: list,
     130 interrupted (Ctrl-C), 3 a worker died —
     the latter two with a resume hint when checkpointing is on.
     """
-    from .report.partial import (
-        item_status,
-        partial_writer,
-        render_partial_table,
-    )
+    from .report.partial import partial_writer, render_partial_table, row_status
 
     if _out_unwritable(args.out):
         return 2
     progress = args.progress
-    write_partial = partial_writer(checkpoint_dir) if checkpoint_dir else None
-    completed: list = []
-    sources: dict = {}
+    rows: list = []
+    record = partial_writer(checkpoint_dir, rows)
 
     def on_item(item, done: int, total: int, source: str) -> None:
+        record(item, done, total, source)
         if progress == "lines":
             label = " [%s]" % item.label if item.label else ""
             print("[%d/%d] job %d: %s%s %s"
                   % (done, total, item.index, item.experiment, label,
-                     item_status(item, source)),
+                     row_status(rows[-1])),
                   file=sys.stderr)
         elif progress == "table":
-            completed.append(item)
-            sources[item.index] = source
-            print(render_partial_table(completed, total, sources),
-                  file=sys.stderr)
-        if write_partial is not None:
-            write_partial(item, done, total, source)
+            print(render_partial_table(rows, total), file=sys.stderr)
 
-    streaming = progress != "none" or write_partial is not None
+    streaming = progress != "none" or checkpoint_dir is not None
     try:
         # run_batch normalizes dicts, bare experiment names, and BatchJobs.
         result = run_batch(data, workers=args.workers,
@@ -722,12 +708,8 @@ def _report_checkpoint(args: argparse.Namespace) -> int:
 
     The streaming ``partial.json`` snapshot (written by ``repro serve``
     and checkpointing ``repro batch``/``adversity-study`` sweeps) is
-    re-rendered through the standard table machinery, so watching a
-    sweep and reading its final merge share one format.
+    rendered from its rows as the table ``--progress table`` prints.
     """
-    import os
-
-    from .experiments.runner import BatchItem
     from .jobs.store import JobStore
     from .report import render_partial_table
 
@@ -750,14 +732,14 @@ def _report_checkpoint(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    items = [BatchItem.from_dict(data) for data in payload.get("items", [])]
-    if items:
+    rows = payload.get("items", [])
+    if rows:
         print(render_partial_table(
-            items,
-            payload.get("total", len(items)),
+            rows,
+            payload.get("total", len(rows)),
             title="checkpointed sweep %s (%d/%d done, %d failed)" % (
-                args.checkpoint_dir, payload.get("done", len(items)),
-                payload.get("total", len(items)), payload.get("failed", 0),
+                args.checkpoint_dir, payload.get("done", len(rows)),
+                payload.get("total", len(rows)), payload.get("failed", 0),
             ),
         ))
     else:

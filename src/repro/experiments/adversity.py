@@ -27,7 +27,7 @@ with ``0.0`` meaning *disabled* (infinite MTTF): JSON has no
 
 Each grid point is one declarative :class:`~repro.scenario.Scenario`
 job; the sweep itself — jobs, batch, aggregation, tables, execution
-knobs (``--workers``, ``--checkpoint``/``--resume``) — is the shared
+knobs (``--workers``, ``--checkpoint``) — is the shared
 :class:`~.study.GridStudy` skeleton, and this module only declares
 what is specific to the (loss × MTTF) grid.
 """
@@ -374,7 +374,7 @@ class AdversityStudyExperiment(GridStudy):
     help = "churn under adversity: (loss rate x relay MTTF) fault sweep"
     spec_type = AdversityStudyConfig
     result_type = AdversityStudyResult
-    knobs = ("workers", "checkpoint_dir", "resume")
+    knobs = ("workers", "checkpoint_dir")
 
     point_experiment = "scenario"
     grid_keys = ("loss_rate", "relay_mttf")

@@ -91,17 +91,13 @@ class RunContext:
 
     #: Worker processes a sweep-shaped experiment fans its points over.
     workers: int = 1
-    #: Checkpoint completed points under this directory as they finish.
+    #: Checkpoint completed points under this directory as they finish;
+    #: a run over the same directory reuses every point found there.
     checkpoint_dir: Optional[str] = None
-    #: Collect a crashed predecessor's orphaned leases (needs a
-    #: ``checkpoint_dir``; checkpointed points are reused either way).
-    resume: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1, got %r" % (self.workers,))
-        if self.resume and self.checkpoint_dir is None:
-            raise ValueError("resume needs a checkpoint directory")
 
 
 class Experiment:

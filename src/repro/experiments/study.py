@@ -11,13 +11,14 @@ shrinks to declarations: its grid keys, its point spec, the row fields
 only it computes, its table columns.
 
 Execution comes from the :class:`~repro.experiments.api.RunContext`:
-``workers`` fans the points over a process pool, ``checkpoint_dir`` /
-``resume`` make the sweep crash-resumable (``repro report DIR`` renders
-the partial state while it runs).  All points share one topology
-source and seed, so with a disk plan cache attached the generated
-network is planned at most once per worker.  The structured
-output is byte-identical under every context; plan-cache and
-checkpoint counters ride along as run metadata only.
+``workers`` fans the points over a process pool, ``checkpoint_dir``
+makes the sweep crash-resumable: a re-run reuses every checkpointed
+point, and ``repro report DIR`` renders the partial state while it
+runs.  All points share one topology source and seed, so with a disk
+plan cache attached the generated network is planned at most once per
+worker.  The structured output is byte-identical under every
+context; plan-cache and checkpoint counters ride along as run metadata
+only.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ class GridStudy(Experiment):
             # report <checkpoint-dir>` can watch the sweep in flight.
             from ..report.partial import partial_writer
 
-            on_item = partial_writer(ctx.checkpoint_dir)
+            on_item = partial_writer(ctx.checkpoint_dir, [])
 
         disk = DEFAULT_CACHE.disk
         batch = run_batch(
@@ -178,7 +179,6 @@ class GridStudy(Experiment):
             workers=workers,
             plan_cache_dir=disk.directory if disk is not None else None,
             checkpoint_dir=ctx.checkpoint_dir,
-            resume=ctx.resume,
             on_item=on_item,
         )
         study = self._aggregate(

@@ -515,7 +515,7 @@ def _replay_kind(
             first, first_run = unfinished[0]
             workload = scenario.workloads[first.workload]
             raise UnfinishedCircuitsError(
-                "%d/%d circuits did not finish within %.1fs (kind=%s); first: "
+                "%d/%d circuits did not finish within %gs (kind=%s); first: "
                 "circuit %d (%s), %d of %d bytes delivered"
                 % (
                     len(unfinished),

@@ -18,14 +18,16 @@ from repro.cli import build_parser, main
 #: Every option string (and positional) of every subcommand, captured
 #: at the commit before the execution flags moved from the experiments
 #: into one ``RunContext`` table: the refactor adds and drops none.
-#: (``--shards`` left five verbs later, with the coupled-shard engine.)
+#: (``--shards`` left five verbs later, with the coupled-shard engine;
+#: ``adversity-study --resume`` left when it was found to change nothing:
+#: checkpointed points are reused with or without it.)
 CLI_SURFACE = {
     "ablations": {"--json", "--plan-cache"},
     "adversity-study": {
         "--bulk-fraction", "--bulk-payload-kib", "--checkpoint",
         "--circuits", "--horizon", "--json", "--loss-rates", "--max-kills",
         "--mttfs", "--mttr", "--plan-cache", "--probe-interval", "--rate",
-        "--relays", "--resume", "--seed", "--workers",
+        "--relays", "--seed", "--workers",
     },
     "batch": {
         "--base-seed", "--checkpoint", "--dry-run", "--out", "--plan",
@@ -92,7 +94,6 @@ def test_cli_surface_is_pinned():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["adversity-study", "--resume"], "resume needs a checkpoint"),
     (["adversity-study", "--workers", "0"], "workers must be >= 1"),
     (["churn-study", "--workers", "0"], "workers must be >= 1"),
 ])
@@ -429,6 +430,17 @@ def test_unfinished_fault_free_run_is_one_stderr_line(tmp_path, capsys):
     assert (code, captured.out) == (1, "")
     [line] = captured.err.splitlines()
     assert re.match(SHORT_HORIZON_ERROR, line), line
+
+
+def test_unfinished_run_names_its_horizon_as_given(tmp_path, capsys):
+    """A 0.05 s horizon once read "did not finish within 0.1s"."""
+    import json
+
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(dict(SHORT_HORIZON_SCENARIO, max_sim_time=0.05)))
+    assert main(["scenario", "run", "--spec", str(path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("3/3 circuits did not finish within 0.05s "), line
 
 
 def test_scenario_run_rejects_bad_spec_file(tmp_path, capsys):

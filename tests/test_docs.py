@@ -10,18 +10,20 @@ blocks are not read for names: they hold commands and sample output.
 
 Every ``repro …`` command in ``README.md``'s shell fences (``sh``,
 ``bash`` and ``console``) must parse against the real argument parser.
-None of them is run.
+None of them is run.  Every ``--option`` in a backticked span of
+``README.md``'s prose must be an option of some ``repro`` subcommand.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
 import os
 import re
 import shlex
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import pytest
 
@@ -60,32 +62,37 @@ def _resolves(name: str) -> bool:
     return False
 
 
-def stale_references(path: str) -> List[str]:
-    """``"<doc>:<line>: <reference> ..."`` for each stale reference in *path*."""
-    ignored = _ignored_dirs()
-    stale = []
+def prose_spans(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line, span)`` of each backticked span outside *path*'s fences."""
     fenced = False
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if line.lstrip().startswith("```"):
                 fenced = not fenced
                 continue
-            if fenced:
+            if not fenced:
+                for span in _SPAN.findall(line):
+                    yield number, span
+
+
+def stale_references(path: str) -> List[str]:
+    """``"<doc>:<line>: <reference> ..."`` for each stale reference in *path*."""
+    ignored = _ignored_dirs()
+    stale = []
+    for number, span in prose_spans(path):
+        for token in span.split():
+            token = _LINE_SUFFIX.sub("", token)
+            if (
+                not _PATH.match(token)
+                or any(mark in token for mark in "*?[<")
+                or any(token.startswith(prefix) for prefix in ignored)
+            ):
                 continue
-            for span in _SPAN.findall(line):
-                for token in span.split():
-                    token = _LINE_SUFFIX.sub("", token)
-                    if (
-                        not _PATH.match(token)
-                        or any(mark in token for mark in "*?[<")
-                        or any(token.startswith(prefix) for prefix in ignored)
-                    ):
-                        continue
-                    if not os.path.exists(os.path.join(ROOT, token)):
-                        stale.append("%s:%d: %s does not exist" % (path, number, token))
-                for name in _NAME.findall(span):
-                    if not _resolves(name):
-                        stale.append("%s:%d: %s does not resolve" % (path, number, name))
+            if not os.path.exists(os.path.join(ROOT, token)):
+                stale.append("%s:%d: %s does not exist" % (path, number, token))
+        for name in _NAME.findall(span):
+            if not _resolves(name):
+                stale.append("%s:%d: %s does not resolve" % (path, number, name))
     return stale
 
 
@@ -195,3 +202,53 @@ def test_a_misspelled_flag_is_reported_with_its_line(tmp_path):
     ]
     assert "unrecognized arguments: --replay-count 25" in bad[0]
     assert "unrecognized arguments: --jsn" in bad[1]
+
+
+_OPTION = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+#: Backticked ``--options`` that name no ``repro`` option on purpose:
+#: ``--flag`` is prose for "any flag", and ``--shards`` names a flag
+#: the README says was deleted.
+_NOT_REPRO_OPTIONS = {"--flag", "--shards"}
+
+
+def _is_perfbench_span(span: str) -> bool:
+    """A span about ``perfbench/run.py``, whose flags are its own."""
+    return "perfbench/run.py" in span or span == "--trace 1"
+
+
+def unknown_options(path: str) -> List[str]:
+    """``"<doc>:<line>: <option>"`` for each backticked ``--option`` in
+    *path*'s prose that no subcommand of ``build_parser()`` has."""
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    known = {
+        string
+        for command in subcommands.choices.values()
+        for action in command._actions
+        for string in action.option_strings
+    } | _NOT_REPRO_OPTIONS
+    return [
+        "%s:%d: %s" % (path, number, option)
+        for number, span in prose_spans(path)
+        if not _is_perfbench_span(span)
+        for option in _OPTION.findall(span) if option not in known
+    ]
+
+
+def test_readme_prose_names_only_real_options():
+    assert unknown_options(os.path.join(ROOT, "README.md")) == []
+
+
+def test_an_unknown_option_in_prose_is_reported_with_its_line(tmp_path):
+    doc = tmp_path / "README.md"
+    doc.write_text(
+        "Budgets are off (`--losses 0`); see `repro check --loss-budget 1`.\n"
+        "```sh\nrepro check `--not-prose`\n```\n"
+        "Time it with `perfbench/run.py --smoke` or `--trace 1`, and\n"
+        "`repro adversity-study --resume` a sweep.\n"
+    )
+    assert unknown_options(str(doc)) == [
+        "%s:1: --losses" % doc, "%s:6: --resume" % doc,
+    ]

@@ -84,7 +84,7 @@ def test_nan_or_infinite_spec_is_refused(overrides):
 
 
 def test_execution_knobs_are_not_fields(tmp_path):
-    ctx = RunContext(workers=3, checkpoint_dir=str(tmp_path / "x"), resume=True)
+    ctx = RunContext(workers=3, checkpoint_dir=str(tmp_path / "x"))
     spec = small_study(loss_rates=(0.0,), relay_mttfs=(0.0,))
     config = run_adversity_study(spec, ctx).config
     for knob in vars(ctx):
@@ -188,7 +188,7 @@ def test_checkpointed_sweep_resumes_byte_identical(study, tmp_path):
     )
     assert first.checkpoint and first.checkpoint["computed"] == 4
     resumed = run_adversity_study(
-        small_study(), RunContext(checkpoint_dir=checkpoint, resume=True)
+        small_study(), RunContext(checkpoint_dir=checkpoint)
     )
     assert resumed.checkpoint["computed"] == 0
     assert resumed.checkpoint["reused"] == 4

@@ -241,7 +241,6 @@ def test_configs_construct_with_defaults():
 KNOB_FLAGS = {
     "workers": ["--workers", "2"],
     "checkpoint_dir": ["--checkpoint", "somewhere"],
-    "resume": ["--resume"],
 }
 
 
@@ -286,15 +285,13 @@ def test_spec_that_cannot_run_does_not_build(build):
         build()
 
 
-def test_run_context_is_three_validated_knobs():
+def test_run_context_is_two_validated_knobs():
     assert [f.name for f in dataclasses.fields(RunContext)] == [
-        "workers", "checkpoint_dir", "resume",
+        "workers", "checkpoint_dir",
     ]
-    assert RunContext() == RunContext(1, None, False)
+    assert RunContext() == RunContext(1, None)
     with pytest.raises(ValueError, match="workers"):
         RunContext(workers=0)
-    with pytest.raises(ValueError, match="resume"):
-        RunContext(resume=True)
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunContext().workers = 2
 
@@ -303,7 +300,7 @@ def test_knobs_are_declared_per_experiment():
     declared = {e.name: e.knobs for e in iter_experiments() if e.knobs}
     assert declared == {
         "churn-study": ("workers",),
-        "adversity-study": ("workers", "checkpoint_dir", "resume"),
+        "adversity-study": ("workers", "checkpoint_dir"),
     }
     for knobs in declared.values():
         assert set(knobs) <= set(KNOB_FLAGS)

@@ -80,6 +80,89 @@ def test_serve_then_resume_byte_identical_with_partial_snapshot(
     assert served_text == open(plain).read()
 
 
+#: Every key of a ``partial.json`` row.
+ROW_KEYS = {"index", "experiment", "label", "source", "key", "error"}
+
+
+def test_partial_rows_name_each_jobs_checkpoint(tmp_path, capsys):
+    """A row points at its job's ``results/`` entry; it copies no result."""
+    path = _write_specs(tmp_path, FLAKY_JOBS + [
+        {"experiment": "test-flaky", "label": "twin", "spec": {"value": 1}},
+        {"experiment": "test-flaky", "label": "boom",
+         "spec": {"value": 3, "fail": True}},
+    ])
+    ckpt = str(tmp_path / "ckpt")
+    assert main(["serve", path, "--checkpoint", ckpt]) == 1
+    capsys.readouterr()
+    store = JobStore(ckpt)
+    partial = store.read_partial()
+    assert (partial["done"], partial["total"], partial["failed"]) == (4, 4, 1)
+    rows = partial["items"]
+    assert all(set(row) == ROW_KEYS for row in rows)
+    assert [(row["index"], row["label"], row["source"]) for row in rows] == [
+        (0, "a", "run"), (1, "b", "run"), (2, "twin", "duplicate"),
+        (3, "boom", "run"),
+    ]
+    assert rows[2]["key"] == rows[0]["key"]
+    for row in rows[:3]:
+        assert row["error"] is None
+        assert store.get(row["key"])["experiment"] == "test-flaky"
+    assert rows[3]["error"] == {"type": "ValueError",
+                                "message": "flaky job told to fail (value=3)"}
+
+    # A re-run reuses what is on disk, and its rows say so.
+    assert main(["serve", path, "--checkpoint", ckpt,
+                 "--progress", "none"]) == 1
+    capsys.readouterr()
+    assert [row["source"] for row in store.read_partial()["items"]] == [
+        "checkpoint", "checkpoint", "checkpoint", "run",
+    ]
+    assert main(["report", ckpt]) == 0
+    out = capsys.readouterr().out
+    assert "(4/4 done, 1 failed)" in out
+    assert out.count("ok (checkpoint)") == 3
+    assert "error: ValueError" in out
+
+
+def test_report_renders_a_snapshot_of_whole_items(tmp_path, capsys):
+    """Earlier commits wrote each finished job's whole ``BatchItem``."""
+    ckpt = str(tmp_path / "ckpt")
+    JobStore(ckpt).write_partial({
+        "done": 2, "total": 3, "failed": 1,
+        "items": [
+            {"index": 0, "experiment": "test-flaky", "label": "a",
+             "spec": {"value": 1}, "result": {"value": 2}, "error": None},
+            {"index": 2, "experiment": "test-flaky", "label": None,
+             "spec": {"value": 3}, "result": {},
+             "error": {"type": "ValueError", "message": "boom",
+                       "traceback": "..."}},
+        ],
+    })
+    assert main(["report", ckpt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "checkpointed sweep %s (2/3 done, 1 failed)" % ckpt
+    assert [line.split()[-1] for line in lines if "test-flaky" in line] == [
+        "ok", "ValueError",
+    ]
+    assert lines[-1] == "(1 job pending)"
+
+
+def test_progress_table_lists_every_job_as_it_finishes(tmp_path, capsys):
+    path = _write_specs(tmp_path, FLAKY_JOBS)
+    assert main(["batch", path, "--progress", "table",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    err = capsys.readouterr().err
+    tables = err.split("sweep progress ")
+    assert [table.splitlines()[0] for table in tables[1:]] == ["(1/2)", "(2/2)"]
+    assert "(1 job pending)" in tables[1]
+    last = tables[-1]
+    assert "pending" not in last
+    assert [line.split()[:4] for line in last.splitlines()
+            if "test-flaky" in line] == [
+        ["0", "test-flaky", "a", "ok"], ["1", "test-flaky", "b", "ok"],
+    ]
+
+
 def test_batch_reports_failures_and_exits_1(tmp_path, capsys):
     path = _write_specs(tmp_path, [
         {"experiment": "test-flaky", "label": "ok", "spec": {"value": 1}},
@@ -268,7 +351,7 @@ def test_study_verbs_report_a_stopped_sweep_like_the_sweep_verbs(
     expected = [line]
     if checkpointed:
         argv += ["--checkpoint", str(tmp_path / "ckpt")]
-        hint = "re-run with --resume"
+        hint = "re-run the same command"
         if code == 130:
             expected = [line + " and checkpointed", hint]
         else:
