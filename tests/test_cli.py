@@ -93,9 +93,13 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
 
 
+# The ids keep the names these cases had when the table opened with a
+# third one (the deleted ``--resume`` refusal), so their history stays whole.
 @pytest.mark.parametrize("argv, message", [
-    (["adversity-study", "--workers", "0"], "workers must be >= 1"),
-    (["churn-study", "--workers", "0"], "workers must be >= 1"),
+    pytest.param(["adversity-study", "--workers", "0"], "workers must be >= 1",
+                 id="argv1-workers must be >= 1"),
+    pytest.param(["churn-study", "--workers", "0"], "workers must be >= 1",
+                 id="argv2-workers must be >= 1"),
 ])
 def test_bad_execution_knob_is_one_clean_line(argv, message, capsys):
     """One validator (``RunContext``), one path: nothing runs, exit 2."""
