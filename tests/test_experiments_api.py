@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import pins, text_digest
 
 import repro
 from repro.cli import build_parser
@@ -217,14 +218,107 @@ def test_a_cold_import_loads_only_the_standard_library_and_repro():
     one (networkx was half of ``import repro``'s time and 14 MB of every
     process) is paid before the first event of every run: the next such
     import fails here, on any machine, not in a benchmark."""
+    assert json.loads(_fresh_interpreter(_COLD_IMPORT)) == []
+
+
+def _fresh_interpreter(code):
+    """Stdout of *code* run by a new interpreter that sees ``src`` and ``tests``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([
+        os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))),
+        os.path.dirname(os.path.abspath(__file__)),
+    ])
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_IMPORT],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return proc.stdout
+
+
+def _modules_loaded_by(statement):
+    """Every module a fresh ``<statement>`` adds to ``sys.modules``."""
+    return set(json.loads(_fresh_interpreter(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        + statement + "\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )))
+
+
+#: The eleven harness modules, one per built-in experiment.
+HARNESS_MODULES = {
+    "repro.experiments." + name for name in (
+        "fig1_traces", "fig1_cdf", "ablations", "dynamic", "friendliness",
+        "interactive", "optimal", "netscale", "churn_study", "adversity",
+        "scenario",
+    )
+}
+
+
+def test_a_bare_import_of_the_package_loads_only_its_root():
+    loaded = _modules_loaded_by("import repro")
+    assert sorted(name for name in loaded if name.startswith("repro")) == ["repro"]
+
+
+def test_one_harness_loads_no_other_harness_and_no_worker_pool():
+    """A process that runs one ``netscale`` job pays for that harness and
+    the layers under it, not for the other ten or for a process pool."""
+    loaded = _modules_loaded_by("import repro.experiments.netscale")
+    assert loaded & HARNESS_MODULES == {"repro.experiments.netscale"}
+    assert "repro.analysis.optimal_window" not in loaded
+    assert "concurrent.futures" not in loaded
+
+
+def test_the_job_store_loads_no_harness():
+    assert not _modules_loaded_by("import repro.jobs.store") & HARNESS_MODULES
+
+
+def test_registry_order_does_not_depend_on_which_harness_loads_first():
+    names = json.loads(_fresh_interpreter(
+        "import json\n"
+        "import repro.experiments.adversity\n"
+        "from repro.experiments.registry import iter_experiments\n"
+        "print(json.dumps([e.name for e in iter_experiments()]))\n"
+    ))
+    assert names == EXPECTED_NAMES
+
+
+def test_repro_list_is_the_same_whichever_harness_loads_first():
+    out = _fresh_interpreter(
+        "import repro.experiments.adversity\n"
+        "from repro.cli import main\n"
+        "main(['list'])\n"
+    )
+    assert text_digest(out) == pins("cli-listing")["list"]
+
+
+def test_experiments_registered_outside_the_package_list_after_the_built_ins():
+    names = json.loads(_fresh_interpreter(
+        "import json\n"
+        "import _sweep_exps\n"
+        "_sweep_exps.install()\n"
+        "from repro.experiments.registry import get_experiment, iter_experiments\n"
+        "get_experiment('test-fuse')\n"
+        "print(json.dumps([e.name for e in iter_experiments()]))\n"
+    ))
+    assert names == EXPECTED_NAMES + ["test-fuse", "test-trip", "test-flaky"]
+
+
+def test_a_spawned_worker_runs_a_job_after_importing_only_dispatch():
+    """What a ``spawn`` pool worker does: import the dispatch module, then
+    run a task by experiment name, with no harness imported first."""
+    from repro.jobs.dispatch import execute_task
+
+    task = (0, "trace", encode(fast_trace_config()), None)
+    outcome = json.loads(_fresh_interpreter(
+        "import json\n"
+        "from repro.jobs.dispatch import execute_task\n"
+        "outcome = execute_task(tuple(json.loads(%r)))\n"
+        "print(json.dumps([outcome.error, outcome.result]))\n"
+        % json.dumps(task)
+    ))
+    assert outcome == [None, json.loads(json.dumps(execute_task(task).result))]
 
 
 def test_configs_construct_with_defaults():
