@@ -19,13 +19,8 @@ Quickstart::
                        for d in (1, 2, 3)], workers=3)
 """
 
-from .experiments import (
-    BatchJob,
-    RunContext,
-    get_experiment,
-    iter_experiments,
-    run_batch,
-)
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.0.0"
 
@@ -36,3 +31,15 @@ __all__ = [
     "iter_experiments",
     "run_batch",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve a re-export from :mod:`repro.experiments` on first use.
+
+    Module-level ``__getattr__`` (PEP 562): ``import repro`` loads this
+    module alone, and a run pays only for the subpackages it touches.
+    """
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(import_module(".experiments", __name__), name)
+    return value

@@ -1,24 +1,11 @@
-"""Measurement and modelling: traces, CDFs, the optimal-window baseline."""
+"""Measurement and modelling: traces, CDFs, the optimal-window baseline.
 
-from .convergence import convergence_time, settled_error, time_in_band
-from .optimal_window import (
-    HopLink,
-    OptimalWindow,
-    backpropagated_window,
-    bottleneck_rate,
-    hop_loop_delay,
-    optimal_windows,
-    source_optimal_window,
-)
-from .stats import (
-    EmpiricalCdf,
-    jain_fairness_index,
-    Summary,
-    cdf_horizontal_gap,
-    stochastic_dominance_fraction,
-    summarize,
-)
-from .trace import TraceRecorder, step_value_at
+The names below resolve on first use: code that needs one module (the
+serializer imports :mod:`~repro.analysis.trace`) loads that one alone.
+"""
+
+from importlib import import_module
+from typing import Any
 
 __all__ = [
     "EmpiricalCdf",
@@ -40,3 +27,15 @@ __all__ = [
     "summarize",
     "time_in_band",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the four modules and bind ``__all__`` on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    namespace = globals()
+    for module_name in ("convergence", "optimal_window", "stats", "trace"):
+        module = import_module("." + module_name, __name__)
+        for public in set(module.__all__).intersection(__all__):
+            namespace.setdefault(public, getattr(module, public))
+    return namespace[name]

@@ -22,7 +22,13 @@ serializable spec/result pair, discoverable by name::
 * :mod:`~repro.experiments.optimal` — the analytical optimal-window model;
 * :mod:`~repro.experiments.netscale` — network-scale circuit mix over a
   shared bottleneck relay.
+
+Names beyond ``api`` and ``registry`` resolve on first use, so a
+process that imports one harness module loads that harness alone.
 """
+
+from importlib import import_module
+from typing import Any
 
 from .api import (
     Experiment,
@@ -35,87 +41,11 @@ from .api import (
     encode,
 )
 from .registry import (
+    HARNESS_MODULES,
     get_experiment,
     iter_experiments,
     register_experiment,
 )
-from .runner import BatchItem, BatchJob, BatchResult, run_batch
-
-# Importing the experiment modules populates the registry; the import
-# order below is the registry (and CLI subcommand) order.
-from .fig1_traces import TraceConfig, TraceExperiment, TraceResult
-from .fig1_cdf import (
-    CdfConfig,
-    CdfExperiment,
-    CdfResult,
-    FlowSample,
-)
-from .ablations import (
-    AblationsConfig,
-    AblationsExperiment,
-    AblationsResult,
-    BackpropagationRow,
-    CompensationRow,
-    GammaRow,
-    InitialWindowRow,
-    backpropagation_study,
-    compensation_modes,
-    gamma_sweep,
-    initial_window_sweep,
-)
-from .dynamic import (
-    DynamicConfig,
-    DynamicExperiment,
-    DynamicResult,
-    set_duplex_rate,
-)
-from .friendliness import (
-    FriendlinessConfig,
-    FriendlinessExperiment,
-    FriendlinessResult,
-    FriendlinessRow,
-)
-from .interactive import (
-    InteractiveConfig,
-    InteractiveExperiment,
-    InteractiveResult,
-    InteractiveRow,
-)
-from .optimal import (
-    OptimalConfig,
-    OptimalExperiment,
-    OptimalResult,
-)
-from .netscale import (
-    CircuitSample,
-    NetScaleConfig,
-    NetScaleExperiment,
-    NetScaleResult,
-)
-from .churn_study import (
-    ChurnStudyConfig,
-    ChurnStudyExperiment,
-    ChurnStudyImprovement,
-    ChurnStudyPoint,
-    ChurnStudyResult,
-)
-from .adversity import (
-    AdversityImprovement,
-    AdversityPoint,
-    AdversityStudyConfig,
-    AdversityStudyExperiment,
-    AdversityStudyResult,
-)
-from .netgen import (
-    GeneratedNetwork,
-    NetworkConfig,
-    NetworkPlan,
-    instantiate_network,
-    plan_network,
-)
-
-# The generic declarative-scenario experiment registers last.
-from .scenario import ScenarioExperiment
 
 __all__ = [
     "AblationsConfig",
@@ -187,3 +117,21 @@ __all__ = [
     "run_batch",
     "set_duplex_rate",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve the rest of ``__all__`` on first use (PEP 562).
+
+    ``api`` and ``registry`` load with the package; the first other
+    public name loads the whole surface, ``runner``, ``netgen`` and
+    every harness, and binds each name of ``__all__`` they export.  A
+    process that imports one harness module never pays for the others.
+    """
+    if name not in __all__:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    namespace = globals()
+    for module_name in ("runner", "netgen") + HARNESS_MODULES:
+        module = import_module("." + module_name, __name__)
+        for public in set(module.__all__).intersection(__all__):
+            namespace.setdefault(public, getattr(module, public))
+    return namespace[name]

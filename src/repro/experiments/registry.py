@@ -9,23 +9,51 @@ harness by hand::
 
     result = get_experiment("trace").run(TraceConfig(bottleneck_distance=3))
 
-Importing :mod:`repro.experiments` registers the full set; the registry
-rejects duplicate names so every experiment is registered exactly once.
+Importing one harness module registers that harness only.
+:data:`HARNESS_MODULES` names the built-in harnesses in registry (and
+CLI subcommand) order; :func:`get_experiment` imports all of them on a
+miss, and :func:`iter_experiments` always does, so a process pays for
+the harnesses it runs and a listing is the same whichever harness some
+caller imported first.  The registry rejects duplicate names so every
+experiment is registered exactly once.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Dict, List, Type
 
 from .api import Experiment
 
 __all__ = [
+    "HARNESS_MODULES",
     "get_experiment",
     "iter_experiments",
     "register_experiment",
 ]
 
+#: The built-in harness modules of :mod:`repro.experiments`, in registry order.
+HARNESS_MODULES = (
+    "fig1_traces",
+    "fig1_cdf",
+    "ablations",
+    "dynamic",
+    "friendliness",
+    "interactive",
+    "optimal",
+    "netscale",
+    "churn_study",
+    "adversity",
+    "scenario",
+)
+
 _REGISTRY: Dict[str, Experiment] = {}
+
+
+def _load_harnesses() -> None:
+    """Import every built-in harness, registering the ones not yet loaded."""
+    for module in HARNESS_MODULES:
+        import_module("." + module, __package__)
 
 
 def register_experiment(cls: Type[Experiment]) -> Type[Experiment]:
@@ -45,16 +73,30 @@ def register_experiment(cls: Type[Experiment]) -> Type[Experiment]:
 
 
 def get_experiment(name: str) -> Experiment:
-    """The registered experiment called *name*."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """The registered experiment called *name*, importing its harness if need be."""
+    experiment = _REGISTRY.get(name)
+    if experiment is None:
+        _load_harnesses()
+        experiment = _REGISTRY.get(name)
+    if experiment is None:
         raise KeyError(
             "unknown experiment %r (have: %s)"
             % (name, ", ".join(sorted(_REGISTRY)))
-        ) from None
+        )
+    return experiment
+
+
+def _builtin_rank(experiment: Experiment) -> int:
+    """The position of *experiment*'s module in :data:`HARNESS_MODULES`;
+    past the end for one registered from outside the package."""
+    package, __, module = type(experiment).__module__.rpartition(".")
+    if package == __package__ and module in HARNESS_MODULES:
+        return HARNESS_MODULES.index(module)
+    return len(HARNESS_MODULES)
 
 
 def iter_experiments() -> List[Experiment]:
-    """All registered experiments, in registration order."""
-    return list(_REGISTRY.values())
+    """Every experiment: the built-ins in :data:`HARNESS_MODULES` order,
+    then the rest in registration order."""
+    _load_harnesses()
+    return sorted(_REGISTRY.values(), key=_builtin_rank)

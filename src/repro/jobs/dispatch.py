@@ -39,12 +39,10 @@ around to flushing them.
 from __future__ import annotations
 
 import multiprocessing
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -57,6 +55,9 @@ from typing import (
 
 from ..scenario.cache import DEFAULT_CACHE, DiskPlanCache, attached_disk_tier
 from .store import JobStore
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "JobOutcome",
@@ -170,6 +171,8 @@ def _job_error(exc: Exception, experiment: str, key: Optional[str]) -> Dict[str,
     }
     if key is not None:
         record["spec_hash"] = key
+    import traceback
+
     record["traceback"] = traceback.format_exc()
     return record
 
@@ -177,9 +180,9 @@ def _job_error(exc: Exception, experiment: str, key: Optional[str]) -> Dict[str,
 def execute_task(task: JobTask) -> JobOutcome:
     """Worker entry point: serve from checkpoint, or run / capture / store.
 
-    Runs in pool processes too; importing :mod:`repro.experiments`
-    (lazily, to keep the jobs package import-light) populates the
-    registry, so spawned workers are as self-sufficient as forked ones.
+    Runs in pool processes too: a registry lookup that misses imports
+    every harness, so a spawned worker that imported only this module is
+    as self-sufficient as a forked one.
     With a store attached the order is lease → run → checkpoint →
     release, so the checkpoint exists *before* the outcome is reported
     and a parent killed a microsecond later loses nothing.
@@ -273,6 +276,11 @@ def run_tasks(
                 except KeyboardInterrupt:
                     raise SweepInterrupted(outcomes, total) from None
         return
+
+    # The pool machinery loads here, not with the module: a serial
+    # sweep and a single-job process never use it.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(
         max_workers=min(workers, max(total, 1)),

@@ -203,6 +203,10 @@ class JobStore:
         """
         self._partial.put("partial", payload)
 
+    def write_partial_encoded(self, body: bytes) -> None:
+        """:meth:`write_partial` for a snapshot already encoded as *body*."""
+        self._partial.put_encoded("partial", body)
+
     def read_partial(self) -> Optional[Dict[str, Any]]:
         """The last streaming snapshot, or ``None``."""
         return self._partial.get("partial")

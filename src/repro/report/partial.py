@@ -11,8 +11,9 @@ status snapshot for pollers (:func:`partial_writer` keeps it on disk
 as ``partial.json``), without waiting for the sweep to end.
 
 A row points at its job's checkpoint instead of copying the result,
-so republishing the snapshot after every job re-encodes a few hundred
-bytes per finished job, never the results themselves.  Both views are pure functions of the rows plus
+and each row is encoded once, so republishing the snapshot after every
+job copies a few hundred bytes per finished job and re-encodes only the
+newest row.  Both views are pure functions of the rows plus
 the total, so they are as deterministic as the sweep itself.  A
 snapshot written by an earlier commit, whose items are whole
 ``BatchItem`` dicts, carries ``index``, ``experiment``, ``label`` and
@@ -21,10 +22,12 @@ snapshot written by an earlier commit, whose items are whole
 
 from __future__ import annotations
 
+from bisect import bisect
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..jobs.store import JobStore, job_key
+from ..storage import encode_payload
 from .tables import format_table
 
 __all__ = [
@@ -64,12 +67,12 @@ def partial_payload(rows: Iterable[Row], total: int) -> Dict[str, Any]:
     snapshot lists them in input order, as the final merge will.
     """
     ordered = _ordered(rows)
-    return {
-        "done": len(ordered),
-        "total": total,
-        "failed": sum(1 for row in ordered if row["error"] is not None),
-        "items": ordered,
-    }
+    failed = sum(1 for row in ordered if row["error"] is not None)
+    return _snapshot(len(ordered), total, failed, ordered)
+
+
+def _snapshot(done: int, total: int, failed: int, items: List[Any]) -> Dict[str, Any]:
+    return {"done": done, "total": total, "failed": failed, "items": items}
 
 
 def partial_writer(
@@ -77,17 +80,35 @@ def partial_writer(
 ) -> Callable[[Any, int, int, str], None]:
     """A ``run_batch`` ``on_item`` hook that appends each job's row to *rows*.
 
-    With a *checkpoint_dir*, the snapshot of *rows* is then
-    republished, atomically, to its ``partial.json``: what ``repro
-    report DIR`` renders while ``repro serve`` or a checkpointing study
-    is still running.
+    With a *checkpoint_dir*, the snapshot of *rows* (empty at the
+    start) is then republished, atomically, to its ``partial.json``:
+    what ``repro report DIR`` renders while ``repro serve`` or a
+    checkpointing study is still running.  Each row is encoded once;
+    a write joins the encodings, so it costs a copy of the file, not
+    a re-encoding of every row, and the bytes are those of
+    :func:`partial_payload`'s snapshot.
     """
     store = JobStore(checkpoint_dir) if checkpoint_dir else None
+    # Snapshot order: (index, arrival) keys, and each row's JSON beside its key.
+    order: List[Tuple[int, int]] = []
+    encoded: List[bytes] = []
+    failed = 0
 
     def on_item(item: Any, done: int, total: int, source: str) -> None:
-        rows.append(partial_row(item, source))
-        if store is not None:
-            store.write_partial(partial_payload(rows, total))
+        nonlocal failed
+        row = partial_row(item, source)
+        rows.append(row)
+        if store is None:
+            return
+        key = (row["index"], len(order))
+        at = bisect(order, key)
+        order.insert(at, key)
+        encoded.insert(at, encode_payload(row))
+        if row["error"] is not None:
+            failed += 1
+        # The counters, then the rows spliced into the empty item list.
+        head = encode_payload(_snapshot(len(order), total, failed, []))
+        store.write_partial_encoded(b"".join((head[:-2], b",".join(encoded), head[-2:])))
 
     return on_item
 

@@ -59,6 +59,8 @@ __all__ = [
     "FORMAT_VERSION",
     "OwnerLocks",
     "content_hash",
+    "encode_payload",
+    "publish_envelope",
     "read_envelope",
     "resolve_dir",
     "source_fingerprint",
@@ -139,14 +141,29 @@ def write_envelope(path: str, envelope: Dict[str, Any]) -> Optional[int]:
     directory is unusable or the envelope unencodable — persistence
     degrades to a no-op, it never raises.
     """
+    try:
+        body = encode_payload(envelope.get("payload"))
+    except (TypeError, ValueError):
+        return None
+    header = {name: value for name, value in envelope.items() if name != "payload"}
+    return publish_envelope(path, header, body)
+
+
+def encode_payload(payload: Any) -> bytes:
+    """*payload* as the compact JSON bytes an envelope stores."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def publish_envelope(path: str, header: Dict[str, Any], body: bytes) -> Optional[int]:
+    """:func:`write_envelope` for a payload already encoded as *body*.
+
+    A writer that republishes a growing payload keeps the encodings of
+    its parts and joins them here, instead of re-encoding the whole.
+    """
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        body = json.dumps(
-            envelope.get("payload"), separators=(",", ":")
-        ).encode("utf-8")
-        header = {name: value for name, value in envelope.items() if name != "payload"}
-        header["sha256"] = hashlib.sha256(body).hexdigest()
+        header = dict(header, sha256=hashlib.sha256(body).hexdigest())
         # json.dumps escapes every newline, so the first one ends the header.
         blob = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + body
         with open(tmp, "wb") as handle:
@@ -322,6 +339,10 @@ class EntryDir:
         envelope = self._header(key)
         envelope["payload"] = payload
         return write_envelope(self.path(key), envelope)
+
+    def put_encoded(self, key: str, body: bytes) -> Optional[int]:
+        """:meth:`put` for a payload already encoded (:func:`encode_payload`)."""
+        return publish_envelope(self.path(key), self._header(key), body)
 
     def get(self, key: str) -> Optional[Any]:
         """*key*'s payload exactly as :meth:`put` stored it, or ``None``."""
