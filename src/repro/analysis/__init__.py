@@ -4,8 +4,9 @@ The names below resolve on first use: code that needs one module (the
 serializer imports :mod:`~repro.analysis.trace`) loads that one alone.
 """
 
-from importlib import import_module
 from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "EmpiricalCdf",
@@ -31,11 +32,4 @@ __all__ = [
 
 def __getattr__(name: str) -> Any:
     """Load the four modules and bind ``__all__`` on first use (PEP 562)."""
-    if name not in __all__:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    namespace = globals()
-    for module_name in ("convergence", "optimal_window", "stats", "trace"):
-        module = import_module("." + module_name, __name__)
-        for public in set(module.__all__).intersection(__all__):
-            namespace.setdefault(public, getattr(module, public))
-    return namespace[name]
+    return bind_all(globals(), ("convergence", "optimal_window", "stats", "trace"), name)

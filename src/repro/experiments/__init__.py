@@ -27,9 +27,9 @@ Names beyond ``api`` and ``registry`` resolve on first use, so a
 process that imports one harness module loads that harness alone.
 """
 
-from importlib import import_module
 from typing import Any
 
+from .._lazy import bind_all
 from .api import (
     Experiment,
     ExperimentResult,
@@ -124,14 +124,7 @@ def __getattr__(name: str) -> Any:
 
     ``api`` and ``registry`` load with the package; the first other
     public name loads the whole surface, ``runner``, ``netgen`` and
-    every harness, and binds each name of ``__all__`` they export.  A
-    process that imports one harness module never pays for the others.
+    every harness.  A process that imports one harness module never
+    pays for the others.
     """
-    if name not in __all__:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    namespace = globals()
-    for module_name in ("runner", "netgen") + HARNESS_MODULES:
-        module = import_module("." + module_name, __name__)
-        for public in set(module.__all__).intersection(__all__):
-            namespace.setdefault(public, getattr(module, public))
-    return namespace[name]
+    return bind_all(globals(), ("runner", "netgen") + HARNESS_MODULES, name)

@@ -13,6 +13,8 @@ import pytest
 from helpers import pins, text_digest
 
 import repro
+import repro.analysis
+from repro._lazy import bind_all
 from repro.cli import build_parser
 from repro.experiments import (
     AblationsConfig,
@@ -197,7 +199,12 @@ def test_every_public_name_still_imports():
 _COLD_IMPORT = """
 import json, os, sys, sysconfig
 before = set(sys.modules)   # whatever site.py and .pth files loaded
-import repro, repro.cli, repro.experiments, repro.jobs
+import repro, repro.cli, repro.experiments, repro.jobs, repro.analysis
+# The packages bind their names on first use: load every harness, the
+# sweep runner and the analysis modules, as a run of any of them would.
+repro.experiments.iter_experiments()
+repro.experiments.BatchItem
+repro.analysis.EmpiricalCdf
 home = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 third_party = {sysconfig.get_path(k) + os.sep for k in ("purelib", "platlib")}
 stdlib = {sysconfig.get_path(k) + os.sep for k in ("stdlib", "platstdlib")}
@@ -221,6 +228,33 @@ def test_a_cold_import_loads_only_the_standard_library_and_repro():
     assert json.loads(_fresh_interpreter(_COLD_IMPORT)) == []
 
 
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    """Each package binds its ``__all__`` on first use: every listed name
+    resolves in a process that has imported nothing else, and ``import *``
+    works as it does on an eager module."""
+    missing = json.loads(_fresh_interpreter(
+        "import json\n"
+        "import repro, repro.analysis, repro.experiments\n"
+        "missing = [package.__name__ + '.' + name\n"
+        "           for package in (repro, repro.experiments, repro.analysis)\n"
+        "           for name in package.__all__ if not hasattr(package, name)]\n"
+        "exec('from repro.experiments import *', {})\n"
+        "exec('from repro.analysis import *', {})\n"
+        "print(json.dumps(missing))\n"
+    ))
+    assert missing == []
+
+
+def test_a_listed_name_no_module_exports_is_an_attribute_error():
+    """Not a KeyError: ``hasattr`` and ``getattr`` with a default rely on it."""
+    namespace = {"__name__": "repro.analysis", "__all__": ["Summary", "Ghost"]}
+    with pytest.raises(AttributeError, match="Ghost"):
+        bind_all(namespace, ("stats",), "Ghost")
+    assert bind_all(namespace, ("stats",), "Summary") is repro.analysis.Summary
+    with pytest.raises(AttributeError, match="unlisted"):
+        bind_all(namespace, ("stats",), "unlisted")
+
+
 def _fresh_interpreter(code):
     """Stdout of *code* run by a new interpreter that sees ``src`` and ``tests``."""
     env = dict(os.environ)
@@ -230,7 +264,7 @@ def _fresh_interpreter(code):
     ])
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
