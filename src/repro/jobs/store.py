@@ -193,18 +193,14 @@ class JobStore:
 
     # --- streaming snapshot ----------------------------------------------
 
-    def write_partial(self, payload: Dict[str, Any]) -> None:
+    def write_partial(self, body: bytes) -> None:
         """Atomically publish the streaming sweep snapshot.
 
-        *payload* is whatever the aggregation layer considers the
-        partial view (done/total counts plus the completed items);
-        readers polling ``partial.json`` always see a complete
-        document.
+        *body* is the snapshot already encoded
+        (:func:`~repro.storage.encode_payload`): done/total counts plus
+        the completed items, as the aggregation layer builds them.
+        Readers polling ``partial.json`` always see a complete document.
         """
-        self._partial.put("partial", payload)
-
-    def write_partial_encoded(self, body: bytes) -> None:
-        """:meth:`write_partial` for a snapshot already encoded as *body*."""
         self._partial.put_encoded("partial", body)
 
     def read_partial(self) -> Optional[Dict[str, Any]]:

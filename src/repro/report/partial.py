@@ -72,6 +72,9 @@ def partial_payload(rows: Iterable[Row], total: int) -> Dict[str, Any]:
 
 
 def _snapshot(done: int, total: int, failed: int, items: List[Any]) -> Dict[str, Any]:
+    # partial_writer splices the encoded rows in before the last two
+    # bytes of this dict's compact JSON (encode_payload), ``]}``: "items"
+    # must stay the last key.
     return {"done": done, "total": total, "failed": failed, "items": items}
 
 
@@ -108,7 +111,7 @@ def partial_writer(
             failed += 1
         # The counters, then the rows spliced into the empty item list.
         head = encode_payload(_snapshot(len(order), total, failed, []))
-        store.write_partial_encoded(b"".join((head[:-2], b",".join(encoded), head[-2:])))
+        store.write_partial(b"".join((head[:-2], b",".join(encoded), head[-2:])))
 
     return on_item
 

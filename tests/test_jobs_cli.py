@@ -11,6 +11,7 @@ import _sweep_exps
 from repro.cli import main
 from repro.experiments import encode
 from repro.jobs import JobStore, job_key
+from repro.storage import encode_payload
 
 #: A three-job sweep (``specs.json``) and the ``results/`` directory
 #: ``repro serve`` wrote for it at the last commit whose ``JobTask``
@@ -127,7 +128,7 @@ def test_partial_rows_name_each_jobs_checkpoint(tmp_path, capsys):
 def test_report_renders_a_snapshot_of_whole_items(tmp_path, capsys):
     """Earlier commits wrote each finished job's whole ``BatchItem``."""
     ckpt = str(tmp_path / "ckpt")
-    JobStore(ckpt).write_partial({
+    JobStore(ckpt).write_partial(encode_payload({
         "done": 2, "total": 3, "failed": 1,
         "items": [
             {"index": 0, "experiment": "test-flaky", "label": "a",
@@ -137,7 +138,7 @@ def test_report_renders_a_snapshot_of_whole_items(tmp_path, capsys):
              "error": {"type": "ValueError", "message": "boom",
                        "traceback": "..."}},
         ],
-    })
+    }))
     assert main(["report", ckpt]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "checkpointed sweep %s (2/3 done, 1 failed)" % ckpt

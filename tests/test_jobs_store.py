@@ -14,7 +14,7 @@ from repro.jobs.store import (
     code_fingerprint,
     job_key,
 )
-from repro.storage import resolve_dir, source_fingerprint
+from repro.storage import encode_payload, resolve_dir, source_fingerprint
 from repro.units import milliseconds
 
 from helpers import read_header, rewrite_header
@@ -191,7 +191,7 @@ def test_leases_and_snapshot_are_read_across_a_source_change(tmp_path, monkeypat
     orphan = job_key("trace", {"value": 2})
     store.lease(orphan, "trace", 1)
     snapshot = {"done": 1, "total": 2, "failed": 0, "items": []}
-    store.write_partial(snapshot)
+    store.write_partial(encode_payload(snapshot))
     monkeypatch.setattr(repro.storage, "_source_fingerprint_memo", "f" * 64)
     assert store.get(done) is None
     assert set(store.orphaned_leases()) == {orphan}
@@ -207,7 +207,7 @@ def test_partial_snapshot_round_trip(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
     assert store.read_partial() is None
     snapshot = {"done": 2, "total": 5, "failed": 0, "items": []}
-    store.write_partial(snapshot)
+    store.write_partial(encode_payload(snapshot))
     assert store.read_partial() == snapshot
 
 
@@ -225,7 +225,7 @@ def test_sweep_scratch_reaches_the_snapshot_temp_file(tmp_path):
     """A writer killed mid-snapshot leaves ``partial.json.<pid>.tmp`` up top."""
     store = JobStore(str(tmp_path / "ckpt"))
     key = _put_one(store)
-    store.write_partial({"done": 1, "total": 1, "failed": 0, "items": []})
+    store.write_partial(encode_payload({"done": 1, "total": 1, "failed": 0, "items": []}))
     snapshot = os.path.join(store.directory, "partial.json")
     orphan = snapshot + ".4242.tmp"
     live = snapshot + ".4243.tmp"

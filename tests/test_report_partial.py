@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 
 from repro.experiments.runner import BatchItem
 from repro.jobs import JobStore
 from repro.report.partial import partial_payload, partial_writer
+from repro.storage import encode_payload
 
 
 def _items(count):
@@ -44,7 +46,11 @@ def test_each_snapshot_is_the_whole_payload_encoded_afresh(tmp_path):
     items = _items(40)
     for done, (item, source) in enumerate(items, 1):
         on_item(item, done, len(items), source)
-        JobStore(reference).write_partial(partial_payload(rows, len(items)))
+        snapshot = partial_payload(rows, len(items))
+        JobStore(reference).write_partial(encode_payload(snapshot))
         assert _read(ours) == _read(reference), done
+        # The body is the snapshot's compact JSON, as a whole-dict encoder writes it.
+        body = _read(ours).split(b"\n", 1)[1]
+        assert body == json.dumps(snapshot, separators=(",", ":")).encode("utf-8"), done
     assert [row["index"] for row in JobStore(ours).read_partial()["items"]] == list(range(40))
 

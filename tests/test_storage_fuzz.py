@@ -55,6 +55,7 @@ from repro.storage import (
     EntryDir,
     OwnerLocks,
     content_hash,
+    encode_payload,
     read_envelope,
     write_envelope,
 )
@@ -468,7 +469,7 @@ def test_job_store_survives_damage(clean_results, ops):
                 if op[3] and os.path.exists(job_file(directory, op[1])):
                     os.unlink(job_file(directory, op[1]))  # died before put
             elif op[0] == "partial":
-                store.write_partial({"done": 4, "total": 4, "items": []})
+                store.write_partial(encode_payload({"done": 4, "total": 4, "items": []}))
                 damage_file(os.path.join(directory, "partial.json"), op[1])
             else:
                 copy_over(job_file(directory, op[1]), job_file(directory, op[2]))
@@ -579,7 +580,7 @@ def test_failing_writes_cost_durability_never_results(clean_results, code, doome
             assert encode(plan_scenario(SCENARIO, cache=cache)) == encode(REFERENCE)
             assert sweep_results(checkpoint_dir=ckpt) == clean_results
             store = JobStore(ckpt)
-            store.write_partial({"done": 4, "total": 4, "items": []})
+            store.write_partial(encode_payload({"done": 4, "total": 4, "items": []}))
             store.lease(JOB_KEYS[0], "test-flaky", 0)
             store.release(JOB_KEYS[0])
         # The disk is healthy again: whatever landed is whole and true.
