@@ -15,7 +15,7 @@ from helpers import pins, text_digest
 import repro
 import repro.analysis
 from repro._lazy import bind_all
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.experiments import (
     AblationsConfig,
     BatchJob,
@@ -199,12 +199,17 @@ def test_every_public_name_still_imports():
 _COLD_IMPORT = """
 import json, os, sys, sysconfig
 before = set(sys.modules)   # whatever site.py and .pth files loaded
-import repro, repro.cli, repro.experiments, repro.jobs, repro.analysis
-# The packages bind their names on first use: load every harness, the
-# sweep runner and the analysis modules, as a run of any of them would.
-repro.experiments.iter_experiments()
-repro.experiments.BatchItem
-repro.analysis.EmpiricalCdf
+import importlib, pkgutil
+import repro
+# The packages bind their names on first use: import every module of the
+# package, then resolve every public name of every package, as the runs
+# that use them would.
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+for name, module in sorted(sys.modules.items()):
+    if name.startswith("repro") and hasattr(module, "__path__"):
+        for public in module.__all__:
+            getattr(module, public)
 home = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 third_party = {sysconfig.get_path(k) + os.sep for k in ("purelib", "platlib")}
 stdlib = {sysconfig.get_path(k) + os.sep for k in ("stdlib", "platstdlib")}
@@ -245,6 +250,48 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
     assert missing == []
 
 
+_RESOLVED_NAMES = """
+import importlib, json, pkgutil, sys
+import repro
+packages = ["repro"] + [info.name for info in pkgutil.walk_packages(
+    repro.__path__, "repro.") if info.ispkg]
+wrong = []
+for package_name in packages:
+    package = importlib.import_module(package_name)
+    # Resolve first, as a caller would, then import the submodules.
+    resolved = {name: getattr(package, name) for name in package.__all__}
+    exporters = {name: [] for name in resolved}
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(package_name + "." + info.name)
+        for name in set(getattr(module, "__all__", ())) & set(resolved):
+            exporters[name].append(module)
+    for name, value in sorted(resolved.items()):
+        if not exporters[name] or any(
+                getattr(module, name) is not value for module in exporters[name]):
+            wrong.append("%s.%s" % (package_name, name))
+print(json.dumps(wrong))
+"""
+
+
+def test_every_public_name_is_the_object_its_submodule_exports():
+    """Every name of every package's ``__all__``, resolved in a fresh
+    interpreter, is the object the submodules that list it export: not a
+    same-named submodule (``repro.check.explore`` is both), and never
+    missing."""
+    assert json.loads(_fresh_interpreter(_RESOLVED_NAMES)) == []
+
+
+def test_an_exported_object_wins_over_a_same_named_submodule():
+    """Importing ``repro.check.explore`` binds the module as the package's
+    ``explore`` attribute; the package's public ``explore`` is the function."""
+    import repro.check.explore as module
+
+    namespace = {"__name__": "repro.check", "__all__": ["CheckConfig", "explore"],
+                 "explore": module}
+    bind_all(namespace, ("model", "explore"), "CheckConfig")
+    assert namespace["explore"] is module.explore
+
+
 def test_a_listed_name_no_module_exports_is_an_attribute_error():
     """Not a KeyError: ``hasattr`` and ``getattr`` with a default rely on it."""
     namespace = {"__name__": "repro.analysis", "__all__": ["Summary", "Ghost"]}
@@ -271,13 +318,32 @@ def _fresh_interpreter(code):
 
 
 def _modules_loaded_by(statement):
-    """Every module a fresh ``<statement>`` adds to ``sys.modules``."""
+    """Every module a fresh ``<statement>`` adds to ``sys.modules`` (read
+    off the last line of stdout, so *statement* may print)."""
     return set(json.loads(_fresh_interpreter(
         "import json, sys\n"
         "before = set(sys.modules)\n"
         + statement + "\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-    )))
+    ).splitlines()[-1]))
+
+
+def _modules_loaded_by_cli(*argv):
+    """Every module a fresh ``python -m repro <argv>`` loads; it must exit 0."""
+    return _modules_loaded_by(
+        "from repro.cli import main\n"
+        "assert main(%r) == 0\n" % list(argv)
+    )
+
+
+def _under(loaded, *packages):
+    """The modules of *loaded* that are one of *packages* or inside one."""
+    return {name for name in loaded
+            if any(name == p or name.startswith(p + ".") for p in packages)}
+
+
+#: The layers a run simulates with, and its engine.
+SIMULATOR = ("repro.sim", "repro.net", "repro.tor", "repro.scenario.engine")
 
 
 #: The eleven harness modules, one per built-in experiment.
@@ -306,6 +372,77 @@ def test_one_harness_loads_no_other_harness_and_no_worker_pool():
 
 def test_the_job_store_loads_no_harness():
     assert not _modules_loaded_by("import repro.jobs.store") & HARNESS_MODULES
+
+
+@pytest.mark.parametrize("module", ["repro.jobs.store", "repro.report.partial"])
+def test_the_checkpoint_readers_load_no_simulator(module):
+    """What ``repro report DIR`` reads a sweep with: the store and the
+    partial table, not the simulator, the network or Tor."""
+    loaded = _modules_loaded_by("import " + module)
+    assert not _under(loaded, *SIMULATOR)
+    assert len(_under(loaded, "repro")) <= 12
+
+
+def test_get_experiment_loads_the_one_harness_it_names():
+    loaded = _modules_loaded_by(
+        "from repro.experiments.registry import get_experiment\n"
+        "get_experiment('trace')\n"
+    )
+    assert loaded & HARNESS_MODULES == {"repro.experiments.fig1_traces"}
+
+
+def test_an_unknown_experiment_lists_all_eleven():
+    message = _fresh_interpreter(
+        "from repro.experiments.registry import get_experiment\n"
+        "try:\n"
+        "    get_experiment('teleport')\n"
+        "except KeyError as error:\n"
+        "    print(error.args[0])\n"
+    )
+    assert message.strip() == "unknown experiment 'teleport' (have: %s)" % (
+        ", ".join(sorted(EXPECTED_NAMES)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lint", "--rules", "list"],
+    ["cache", "info", "--dir", "{tmp}"],
+])
+def test_a_verb_that_runs_no_simulation_loads_no_harness(argv, tmp_path):
+    loaded = _modules_loaded_by_cli(*[a.format(tmp=tmp_path) for a in argv])
+    assert not loaded & HARNESS_MODULES
+    assert not _under(loaded, "repro.sim")
+
+
+def test_report_of_a_checkpoint_loads_no_simulator(tmp_path):
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"experiment": "optimal", "spec": {}}]))
+    ckpt = tmp_path / "ckpt"
+    assert main(["batch", str(specs), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    loaded = _modules_loaded_by_cli("report", str(ckpt))
+    assert not _under(loaded, "repro.sim", "repro.net", "repro.tor")
+    assert not loaded & HARNESS_MODULES
+
+
+def test_a_trace_run_loads_its_harness_and_no_other_subsystem():
+    loaded = _modules_loaded_by_cli("trace", "--json", "--duration-ms", "50")
+    assert loaded & HARNESS_MODULES == {"repro.experiments.fig1_traces"}
+    assert not _under(loaded, "repro.jobs", "repro.check", "repro.lint")
+
+
+def test_a_serial_sweep_never_imports_multiprocessing():
+    loaded = _modules_loaded_by(
+        "from repro.experiments.runner import BatchJob, run_batch\n"
+        "from repro.experiments.netscale import NetScaleConfig\n"
+        "from repro.scenario.netgen import NetworkConfig\n"
+        "network = NetworkConfig(relay_count=8, client_count=4, server_count=4)\n"
+        "jobs = [BatchJob('netscale', NetScaleConfig(\n"
+        "    circuit_count=4, bulk_payload_bytes=20000,\n"
+        "    interactive_payload_bytes=5000, network=network, seed=seed))\n"
+        "    for seed in (1, 2)]\n"
+        "assert not run_batch(jobs, workers=1).failures()\n"
+    )
+    assert "multiprocessing" not in loaded
 
 
 def test_registry_order_does_not_depend_on_which_harness_loads_first():

@@ -65,3 +65,14 @@ def test_valid_compensation_modes():
 def test_valid_aggregates():
     for how in ("min", "mean", "max", "last"):
         assert TransportConfig(rtt_aggregate=how).rtt_aggregate == how
+
+
+@pytest.mark.parametrize("field", ["cell_size", "cell_payload", "feedback_size"])
+def test_a_byte_size_the_wire_does_not_use_is_refused(field):
+    """The links carry every cell at ``CELL_SIZE`` and every feedback at
+    ``FEEDBACK_SIZE`` whatever the config says, so another value would
+    change only the optimal-window model and the trace renderer."""
+    default = getattr(TransportConfig(), field)
+    with pytest.raises(ValueError, match=field):
+        TransportConfig(**{field: default - 2})
+    assert getattr(TransportConfig(**{field: default}), field) == default
