@@ -14,6 +14,7 @@ name of the package's ``__all__`` that one of them exports, so
 from __future__ import annotations
 
 from importlib import import_module
+from types import ModuleType
 from typing import Any, Dict, Iterable
 
 __all__ = ["bind_all"]
@@ -23,7 +24,9 @@ def bind_all(namespace: Dict[str, Any], modules: Iterable[str], name: str) -> An
     """*name* from the package whose globals are *namespace*.
 
     Imports *modules* (relative to the package) and binds the names of
-    its ``__all__`` they export, keeping any already bound.  A name
+    its ``__all__`` they export, keeping any already bound, except a
+    submodule: importing ``package.explore`` binds the module as
+    ``explore``, and a public ``explore`` function replaces it.  A name
     outside ``__all__``, or one no module exports, raises
     ``AttributeError``, so ``hasattr`` and ``getattr`` with a default
     work as they do on any module.
@@ -31,10 +34,12 @@ def bind_all(namespace: Dict[str, Any], modules: Iterable[str], name: str) -> An
     package = namespace["__name__"]
     public = namespace["__all__"]
     if name in public:
-        for module_name in modules:
-            module = import_module("." + module_name, package)
+        # Import first, bind after: an import binds its submodule's name.
+        loaded = [import_module("." + module, package) for module in modules]
+        for module in loaded:
             for exported in set(module.__all__).intersection(public):
-                namespace.setdefault(exported, getattr(module, exported))
+                if isinstance(namespace.get(exported, module), ModuleType):
+                    namespace[exported] = getattr(module, exported)
         if name in namespace:
             return namespace[name]
     raise AttributeError("module %r has no attribute %r" % (package, name))

@@ -19,12 +19,9 @@ schedule byte-for-byte; the checker pins *all* schedules of a small
 instance.
 """
 
-from .model import CheckConfig, ModelError, ModelState
-from .schedule import Schedule, ScheduleStep
-from .explore import CheckResult, Counterexample, explore
-from .invariants import INVARIANTS, state_violations
-from .replay import ReplayMismatch, ReplayReport, replay_schedule
-from .report import render_check_report
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "CheckConfig",
@@ -42,3 +39,10 @@ __all__ = [
     "replay_schedule",
     "state_violations",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), (
+        "model", "schedule", "explore", "invariants", "replay", "report",
+    ), name)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..report import format_table
+from ..report.tables import format_table
 from .explore import CheckResult
 from .invariants import INVARIANTS
 from .replay import ReplayReport

@@ -23,9 +23,10 @@ On top of the generated subcommands:
   finish, progress streams to stderr, and a partial snapshot lands in
   ``DIR/partial.json`` while the sweep runs;
 * ``repro resume specs.json --checkpoint DIR`` — finish an interrupted
-  sweep: checkpointed jobs are served from disk, orphaned leases are
-  re-run, and the merged output is byte-identical to an uninterrupted
-  ``repro batch`` at any worker count;
+  sweep: checkpointed jobs are served from disk, every job without a
+  checkpoint is run (the leases the stopped run left are only
+  reported), and the merged output is byte-identical to an
+  uninterrupted ``repro batch`` at any worker count;
 * ``repro scenario list``    — enumerate the registered scenario parts
   (topology sources, workloads, churn processes, probes);
 * ``repro cache info|clear`` — inspect or empty the on-disk plan cache;
@@ -35,6 +36,10 @@ On top of the generated subcommands:
   ``--plan-cache DIR`` (default: the ``REPRO_PLAN_CACHE`` environment
   variable) to persist scenario/network plans on disk so repeated
   invocations — and parallel ``repro batch`` workers — share them.
+
+A run loads the verb it runs: :func:`main` builds that verb's parser in
+full and names the others only, and each handler imports its subsystem
+when it runs.
 """
 
 from __future__ import annotations
@@ -45,13 +50,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .experiments.api import RunContext
-from .experiments.registry import get_experiment, iter_experiments
-from .experiments.runner import prepare_job, run_batch
-from .jobs.dispatch import SweepBroken, SweepInterrupted
-from .jobs.store import CHECKPOINT_ENV_VAR
-from .scenario.cache import PLAN_CACHE_ENV_VAR
-from .serialize import SpecError, read_json_file
 from .storage import resolve_dir
 
 __all__ = ["main", "build_parser"]
@@ -74,124 +72,134 @@ _EXECUTION_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.
+
+    Given a *command* that names a verb, that verb's subparser is built
+    in full and every other verb's by name only, in the same order, so
+    usage lines and error messages are those of the full parser but only
+    *command*'s experiment harness is imported.  Without one (``repro
+    --help``, a missing or unknown verb), every verb is built in full.
+    """
+    from .experiments.registry import HARNESS_MODULES, get_experiment, iter_experiments
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CircuitStart reproduction (SIGCOMM 2018 Posters)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if command not in HARNESS_MODULES and command not in _BUILTIN_VERBS:
+        command = None
+    names = list(HARNESS_MODULES) if command else [e.name for e in iter_experiments()]
+    for name in names:
+        if command in (None, name):
+            _add_experiment_parser(sub, get_experiment(name))
+        else:
+            sub.add_parser(name)
+    for name, (help_text, add_arguments, __) in _BUILTIN_VERBS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
+        else:
+            sub.add_parser(name)
+    return parser
 
-    for experiment in iter_experiments():
-        command = sub.add_parser(experiment.name, help=experiment.help)
-        experiment.add_cli_arguments(command)
-        for knob in experiment.knobs:
-            flag, options = _EXECUTION_FLAGS[knob]
-            command.add_argument(flag, dest=knob, **options)
-        command.add_argument(
-            "--json", action="store_true",
-            help="print the serialized result instead of the text rendering",
-        )
-        command.add_argument(
-            "--plan-cache", default=None, metavar="DIR",
-            help="persist scenario/network plans in this directory "
-                 "(default: $REPRO_PLAN_CACHE; unset disables disk "
-                 "caching)",
-        )
 
-    lst = sub.add_parser("list", help="list the registered experiments")
-    lst.add_argument("--json", action="store_true",
-                     help="machine-readable listing")
-
-    def add_sweep_arguments(command: argparse.ArgumentParser,
-                            progress_default: str) -> None:
-        """The flags `batch`, `serve` and `resume` share."""
-        command.add_argument(
-            "specs",
-            help='job file: [{"experiment": "trace", "spec": {...}}, ...]',
-        )
-        command.add_argument("--workers", type=int, default=1,
-                             help="worker processes (default 1: serial)")
-        command.add_argument("--base-seed", type=int, default=None,
-                             help="deterministically re-seed seeded specs "
-                                  "per job")
-        command.add_argument("--out", default="-",
-                             help="merged JSON output file "
-                                  "(default: stdout)")
-        command.add_argument("--plan-cache", default=None, metavar="DIR",
-                             help="share scenario/network plans across "
-                                  "workers and sweeps through this "
-                                  "directory (default: $REPRO_PLAN_CACHE; "
-                                  "unset disables disk caching)")
-        command.add_argument("--checkpoint", default=None, metavar="DIR",
-                             help="checkpoint each completed job's result "
-                                  "under DIR as it finishes, and serve "
-                                  "already-checkpointed jobs from disk "
-                                  "(default: $REPRO_CHECKPOINT; unset "
-                                  "disables checkpointing for `batch`)")
-        command.add_argument("--progress", default=progress_default,
-                             choices=("lines", "table", "none"),
-                             help="streaming progress on stderr as jobs "
-                                  "finish: one line per job, a re-rendered "
-                                  "partial table, or nothing (default: "
-                                  "%(default)s)")
-
-    batch = sub.add_parser(
-        "batch", help="run a JSON file of experiment specs as one sweep"
+def _add_experiment_parser(sub, experiment) -> None:
+    """The subcommand of one registered experiment."""
+    command = sub.add_parser(experiment.name, help=experiment.help)
+    experiment.add_cli_arguments(command)
+    for knob in experiment.knobs:
+        flag, options = _EXECUTION_FLAGS[knob]
+        command.add_argument(flag, dest=knob, **options)
+    command.add_argument(
+        "--json", action="store_true",
+        help="print the serialized result instead of the text rendering",
     )
-    add_sweep_arguments(batch, progress_default="none")
-    batch.add_argument("--dry-run", action="store_true",
-                       help="validate the spec file (decode every job, "
-                            "report per-job checkpoint keys) without "
-                            "running anything")
-    batch.add_argument("--plan", action="store_true",
-                       help="like --dry-run, plus per-job estimated cost "
-                            "(cells × hops) and sweep totals, so big "
-                            "sweeps are predictable before launch")
-
-    add_sweep_arguments(sub.add_parser(
-        "serve",
-        help="run a sweep as a crash-resumable checkpointing service",
-    ), progress_default="lines")
-
-    add_sweep_arguments(sub.add_parser(
-        "resume",
-        help="finish an interrupted sweep from its checkpoint directory",
-    ), progress_default="lines")
-
-    cache = sub.add_parser(
-        "cache", help="inspect or clear the on-disk plan cache"
+    command.add_argument(
+        "--plan-cache", default=None, metavar="DIR",
+        help="persist scenario/network plans in this directory "
+             "(default: $REPRO_PLAN_CACHE; unset disables disk "
+             "caching)",
     )
-    cache.add_argument("action", choices=("info", "clear"),
-                       help="'info' summarizes the directory, 'clear' "
-                            "deletes every entry")
-    cache.add_argument("--dir", default=None, metavar="DIR",
-                       help="cache directory (default: $REPRO_PLAN_CACHE)")
-    cache.add_argument("--json", action="store_true",
-                       help="machine-readable output (info only)")
 
-    report = sub.add_parser(
-        "report",
-        help="full reproduction report, or the state of a checkpointed "
-             "sweep (`repro report DIR`)",
+
+def _list_arguments(command: argparse.ArgumentParser) -> None:
+    command.add_argument("--json", action="store_true",
+                         help="machine-readable listing")
+
+
+def _sweep_arguments(command: argparse.ArgumentParser,
+                     progress_default: str = "lines") -> None:
+    """The flags `batch`, `serve` and `resume` share."""
+    command.add_argument(
+        "specs",
+        help='job file: [{"experiment": "trace", "spec": {...}}, ...]',
     )
-    report.add_argument(
+    command.add_argument("--workers", type=int, default=1,
+                         help="worker processes (default 1: serial)")
+    command.add_argument("--base-seed", type=int, default=None,
+                         help="deterministically re-seed seeded specs "
+                              "per job")
+    command.add_argument("--out", default="-",
+                         help="merged JSON output file "
+                              "(default: stdout)")
+    command.add_argument("--plan-cache", default=None, metavar="DIR",
+                         help="share scenario/network plans across "
+                              "workers and sweeps through this "
+                              "directory (default: $REPRO_PLAN_CACHE; "
+                              "unset disables disk caching)")
+    command.add_argument("--checkpoint", default=None, metavar="DIR",
+                         help="checkpoint each completed job's result "
+                              "under DIR as it finishes, and serve "
+                              "already-checkpointed jobs from disk "
+                              "(default: $REPRO_CHECKPOINT; unset "
+                              "disables checkpointing for `batch`)")
+    command.add_argument("--progress", default=progress_default,
+                         choices=("lines", "table", "none"),
+                         help="streaming progress on stderr as jobs "
+                              "finish: one line per job, a re-rendered "
+                              "partial table, or nothing (default: "
+                              "%(default)s)")
+
+
+def _batch_arguments(command: argparse.ArgumentParser) -> None:
+    _sweep_arguments(command, progress_default="none")
+    command.add_argument("--dry-run", action="store_true",
+                         help="validate the spec file (decode every job, "
+                              "report per-job checkpoint keys) without "
+                              "running anything")
+    command.add_argument("--plan", action="store_true",
+                         help="like --dry-run, plus per-job estimated cost "
+                              "(cells × hops) and sweep totals, so big "
+                              "sweeps are predictable before launch")
+
+
+def _cache_arguments(command: argparse.ArgumentParser) -> None:
+    command.add_argument("action", choices=("info", "clear"),
+                         help="'info' summarizes the directory, 'clear' "
+                              "deletes every entry")
+    command.add_argument("--dir", default=None, metavar="DIR",
+                         help="cache directory (default: $REPRO_PLAN_CACHE)")
+    command.add_argument("--json", action="store_true",
+                         help="machine-readable output (info only)")
+
+
+def _report_arguments(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
         "checkpoint_dir", nargs="?", default=None, metavar="DIR",
         help="render a sweep checkpoint directory's partial state as "
              "tables instead of the reproduction report",
     )
-    report.add_argument("--out", default="-",
-                        help="output file (default: stdout)")
-    report.add_argument("--full", action="store_true",
-                        help="paper-scale runs (slow)")
-    report.add_argument("--json", action="store_true",
-                        help="with DIR: print the partial.json snapshot "
-                             "instead of tables")
+    command.add_argument("--out", default="-",
+                         help="output file (default: stdout)")
+    command.add_argument("--full", action="store_true",
+                         help="paper-scale runs (slow)")
+    command.add_argument("--json", action="store_true",
+                         help="with DIR: print the partial.json snapshot "
+                              "instead of tables")
 
-    check = sub.add_parser(
-        "check",
-        help="exhaustively check the hop transport's interleavings "
-             "(model checker + engine replay)",
-    )
+
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     check.add_argument("--hops", type=int, default=2,
                        help="transport hops on the circuit (default 2)")
     check.add_argument("--cells", type=int, default=3,
@@ -249,11 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable result instead of the "
                             "text report")
 
-    lint = sub.add_parser(
-        "lint",
-        help="static analysis of the package's own determinism and "
-             "serialization contracts",
-    )
+
+def _lint_arguments(lint: argparse.ArgumentParser) -> None:
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: the installed "
@@ -268,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="machine-readable findings instead of the "
                            "text report")
 
-    return parser
-
 
 def _attached_plan_cache(args: argparse.Namespace):
     """Give the process-wide plan cache a disk tier, if one is configured.
@@ -280,13 +283,19 @@ def _attached_plan_cache(args: argparse.Namespace):
     in-process callers of :func:`main` (tests, notebooks) do not leak
     one command's cache directory into the next.
     """
-    from .scenario.cache import DEFAULT_CACHE, attached_disk_tier
+    from .scenario.cache import DEFAULT_CACHE, PLAN_CACHE_ENV_VAR, attached_disk_tier
 
     directory = resolve_dir(getattr(args, "plan_cache", None), PLAN_CACHE_ENV_VAR)
     return attached_disk_tier(DEFAULT_CACHE, directory)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    """An experiment subcommand: run its spec, print the result."""
+    from .experiments.api import RunContext
+    from .experiments.registry import get_experiment
+
+    if args.command == "scenario" and args.action == "list":
+        return _list_scenario_parts(args)
     experiment = get_experiment(args.command)
     try:
         spec = experiment.spec_from_cli(args)
@@ -296,15 +305,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except ValueError as error:  # SpecError, or a bad knob value
         print(str(error), file=sys.stderr)
         return 2
-    from .scenario.engine import UnfinishedCircuitsError
-
     try:
         with _attached_plan_cache(args):
             result = experiment.run(spec, ctx)
-    except (SweepInterrupted, SweepBroken) as stop:  # the study verbs
-        return _sweep_stopped(stop, ctx.checkpoint_dir, "re-run the same command")
-    except UnfinishedCircuitsError as error:  # a valid spec, too short a horizon
-        print(error, file=sys.stderr)
+    except (KeyboardInterrupt, RuntimeError) as error:
+        from .jobs.dispatch import SweepBroken, SweepInterrupted
+        from .scenario.engine import UnfinishedCircuitsError
+
+        if isinstance(error, (SweepInterrupted, SweepBroken)):  # the study verbs
+            return _sweep_stopped(error, ctx.checkpoint_dir, "re-run the same command")
+        if not isinstance(error, UnfinishedCircuitsError):
+            raise
+        print(error, file=sys.stderr)  # a valid spec, too short a horizon
         return 1
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -319,7 +331,7 @@ def _print_listing(args: argparse.Namespace, rows: List[dict],
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
-        from .report import format_table
+        from .report.tables import format_table
 
         print(format_table(
             headers, [list(row.values()) for row in rows],
@@ -329,6 +341,8 @@ def _print_listing(args: argparse.Namespace, rows: List[dict],
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .experiments.registry import iter_experiments
+
     return _print_listing(
         args,
         [
@@ -347,6 +361,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _load_jobs(path: str) -> Optional[list]:
     """Read a sweep's job file; ``None`` (after a stderr message) if bad."""
+    from .serialize import SpecError, read_json_file
+
     try:
         data = read_json_file(path, "batch file")
     except SpecError as error:
@@ -421,6 +437,8 @@ def _sweep_stopped(stop: BaseException, checkpoint_dir: Optional[str],
     130 for Ctrl-C, 3 for a dead worker; with a checkpoint directory
     everything finished is on disk, and *hint* says how to go on.
     """
+    from .jobs.dispatch import SweepInterrupted
+
     if isinstance(stop, SweepInterrupted):
         print("interrupted: %d of %d jobs finished%s"
               % (len(stop.outcomes), stop.total,
@@ -446,7 +464,10 @@ def _run_sweep(args: argparse.Namespace, data: list,
     130 interrupted (Ctrl-C), 3 a worker died —
     the latter two with a resume hint when checkpointing is on.
     """
+    from .experiments.runner import run_batch
+    from .jobs.dispatch import SweepBroken, SweepInterrupted
     from .report.partial import partial_writer, render_partial_table, row_status
+    from .scenario.cache import PLAN_CACHE_ENV_VAR
 
     if _out_unwritable(args.out):
         return 2
@@ -530,6 +551,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     on one that exists); ``batch`` checkpoints only when given one, and
     alone has ``--dry-run`` / ``--plan``.
     """
+    from .jobs.store import CHECKPOINT_ENV_VAR
+
     checkpoint_dir = resolve_dir(args.checkpoint, CHECKPOINT_ENV_VAR)
     if args.command != "batch":
         if not checkpoint_dir:
@@ -566,6 +589,9 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
     hops) and the sweep totals are printed, so big launches are
     predictable up front.
     """
+    from .experiments.registry import get_experiment
+    from .experiments.runner import prepare_job
+
     errors = 0
     estimated = 0
     total_cells = 0
@@ -629,10 +655,8 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    """``repro scenario``: run a scenario, or list the registered parts."""
-    if args.action != "list":
-        return _cmd_experiment(args)
+def _list_scenario_parts(args: argparse.Namespace) -> int:
+    """``repro scenario list``: the registered scenario parts."""
     from .scenario import list_parts
 
     return _print_listing(
@@ -653,7 +677,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache info|clear``: manage the on-disk plan cache."""
-    from .scenario.cache import DiskPlanCache
+    from .scenario.cache import PLAN_CACHE_ENV_VAR, DiskPlanCache
 
     directory = resolve_dir(args.dir, PLAN_CACHE_ENV_VAR)
     if not directory:
@@ -711,7 +735,7 @@ def _report_checkpoint(args: argparse.Namespace) -> int:
     rendered from its rows as the table ``--progress table`` prints.
     """
     from .jobs.store import JobStore
-    from .report import render_partial_table
+    from .report.partial import render_partial_table
 
     if not os.path.isdir(args.checkpoint_dir):
         print("no such checkpoint directory: %s" % args.checkpoint_dir,
@@ -865,24 +889,30 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-_BUILTIN_COMMANDS = {
-    "check": _cmd_check,
-    "lint": _cmd_lint,
-    "list": _cmd_list,
-    "batch": _cmd_sweep,
-    "serve": _cmd_sweep,
-    "resume": _cmd_sweep,
-    "cache": _cmd_cache,
-    "report": _cmd_report,
-    # The scenario experiment's subcommand doubles as the parts
-    # browser; its handler falls through to the generic experiment
-    # path for `repro scenario run`.
-    "scenario": _cmd_scenario,
+#: Each verb that is not an experiment: its help line, the builder of
+#: its flags and its handler, in ``repro --help`` order.
+_BUILTIN_VERBS = {
+    "list": ("list the registered experiments", _list_arguments, _cmd_list),
+    "batch": ("run a JSON file of experiment specs as one sweep",
+              _batch_arguments, _cmd_sweep),
+    "serve": ("run a sweep as a crash-resumable checkpointing service",
+              _sweep_arguments, _cmd_sweep),
+    "resume": ("finish an interrupted sweep from its checkpoint directory",
+               _sweep_arguments, _cmd_sweep),
+    "cache": ("inspect or clear the on-disk plan cache",
+              _cache_arguments, _cmd_cache),
+    "report": ("full reproduction report, or the state of a checkpointed "
+               "sweep (`repro report DIR`)", _report_arguments, _cmd_report),
+    "check": ("exhaustively check the hop transport's interleavings "
+              "(model checker + engine replay)", _check_arguments, _cmd_check),
+    "lint": ("static analysis of the package's own determinism and "
+             "serialization contracts", _lint_arguments, _cmd_lint),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    handler = _BUILTIN_COMMANDS.get(args.command, _cmd_experiment)
-    return handler(args)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    verb = _BUILTIN_VERBS.get(args.command)
+    return (verb[2] if verb else _cmd_experiment)(args)

@@ -13,15 +13,9 @@
 * :func:`make_controller` — string-keyed factory used by experiments.
 """
 
-from .baselines import (
-    FixedWindowController,
-    JumpStartController,
-    PlainSlowStartController,
-    VegasStartController,
-)
-from .circuitstart import CircuitStartController
-from .dynamic import DynamicCircuitStartController
-from .factory import CONTROLLER_REGISTRY, controller_kinds, make_controller
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "CONTROLLER_REGISTRY",
@@ -34,3 +28,8 @@ __all__ = [
     "controller_kinds",
     "make_controller",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), ("baselines", "circuitstart", "dynamic", "factory"), name)

@@ -23,29 +23,13 @@ serializable spec/result pair, discoverable by name::
 * :mod:`~repro.experiments.netscale` — network-scale circuit mix over a
   shared bottleneck relay.
 
-Names beyond ``api`` and ``registry`` resolve on first use, so a
-process that imports one harness module loads that harness alone.
+The names resolve on first use, so a process that imports one harness
+module loads that harness alone.
 """
 
 from typing import Any
 
 from .._lazy import bind_all
-from .api import (
-    Experiment,
-    ExperimentResult,
-    ExperimentSpec,
-    RunContext,
-    Serializable,
-    SpecError,
-    decode,
-    encode,
-)
-from .registry import (
-    HARNESS_MODULES,
-    get_experiment,
-    iter_experiments,
-    register_experiment,
-)
 
 __all__ = [
     "AblationsConfig",
@@ -120,11 +104,14 @@ __all__ = [
 
 
 def __getattr__(name: str) -> Any:
-    """Resolve the rest of ``__all__`` on first use (PEP 562).
+    """Resolve ``__all__`` on first use (PEP 562).
 
-    ``api`` and ``registry`` load with the package; the first other
-    public name loads the whole surface, ``runner``, ``netgen`` and
-    every harness.  A process that imports one harness module never
-    pays for the others.
+    The first public name loads the whole surface: ``api``,
+    ``registry``, ``runner``, ``netgen`` and every harness.  A process
+    that imports one harness module never pays for the others.
     """
-    return bind_all(globals(), ("runner", "netgen") + HARNESS_MODULES, name)
+    from .registry import HARNESS_MODULES
+
+    return bind_all(
+        globals(), ("api", "registry", "runner", "netgen", *HARNESS_MODULES.values()), name
+    )

@@ -301,7 +301,7 @@ class AblationsExperiment(Experiment):
         )
 
     def render(self, result: AblationsResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         sections = [
             format_table(

@@ -341,7 +341,7 @@ class AdversityStudyResult(StudyResult):
 
     def figure(self, width: int = 72, height: int = 14) -> str:
         """Two ASCII panels: improvement and failure rate vs loss rate."""
-        from ..report import render_series
+        from ..report.ascii import render_series
 
         improvement_panel = render_series(
             self.improvement_series("startup"),

@@ -228,7 +228,7 @@ class ChurnStudyResult(StudyResult):
 
     def figure(self, width: int = 72, height: int = 18) -> str:
         """The Figure-1c-style ASCII panel of this study."""
-        from ..report import render_improvement_vs_utilization
+        from ..report.ascii import render_improvement_vs_utilization
 
         return render_improvement_vs_utilization(
             [

@@ -140,7 +140,7 @@ class DynamicExperiment(Experiment):
         )
 
     def render(self, result: DynamicResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         rows = []
         for kind in result.config.controller_kinds:

@@ -197,7 +197,8 @@ class CdfExperiment(Experiment):
         )
 
     def render(self, result: CdfResult) -> str:
-        from ..report import format_table, render_cdf_pair
+        from ..report.ascii import render_cdf_pair
+        from ..report.tables import format_table
 
         config = result.config
         with_kind, without_kind = config.kinds

@@ -210,7 +210,7 @@ class TraceExperiment(Experiment):
         )
 
     def render(self, result: TraceResult) -> str:
-        from ..report import render_trace
+        from ..report.ascii import render_trace
 
         cell_kb = result.config.transport.cell_size / 1000.0
         figure = render_trace(

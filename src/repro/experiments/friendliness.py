@@ -115,7 +115,7 @@ class FriendlinessExperiment(Experiment):
         )
 
     def render(self, result: FriendlinessResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         return format_table(
             ["controller", "baseline p95 [ms]", "loaded p95 [ms]",

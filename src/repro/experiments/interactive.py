@@ -112,7 +112,7 @@ class InteractiveExperiment(Experiment):
         )
 
     def render(self, result: InteractiveResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         return format_table(
             ["controller", "steady mean [ms]", "steady max [ms]",

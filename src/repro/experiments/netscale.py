@@ -353,7 +353,7 @@ class NetScaleExperiment(Experiment):
         )
 
     def render(self, result: NetScaleResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         config = result.config
         rows = []

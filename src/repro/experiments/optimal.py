@@ -106,7 +106,7 @@ class OptimalExperiment(Experiment):
         return OptimalConfig(links=tuple(links))
 
     def render(self, result: OptimalResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         links = result.config.links
         return format_table(

@@ -10,18 +10,19 @@ harness by hand::
     result = get_experiment("trace").run(TraceConfig(bottleneck_distance=3))
 
 Importing one harness module registers that harness only.
-:data:`HARNESS_MODULES` names the built-in harnesses in registry (and
-CLI subcommand) order; :func:`get_experiment` imports all of them on a
-miss, and :func:`iter_experiments` always does, so a process pays for
-the harnesses it runs and a listing is the same whichever harness some
-caller imported first.  The registry rejects duplicate names so every
+:data:`HARNESS_MODULES` maps each built-in experiment to its harness
+module, in registry (and CLI subcommand) order: :func:`get_experiment`
+imports the one harness it is asked for (all of them for a name not in
+the table), and :func:`iter_experiments` imports them all, so a process
+pays for the harnesses it runs and a listing is the same whichever
+harness some caller imported first.  The registry rejects duplicate names so every
 experiment is registered exactly once.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Dict, List, Type
+from typing import Dict, Iterable, List, Type
 
 from .api import Experiment
 
@@ -32,27 +33,28 @@ __all__ = [
     "register_experiment",
 ]
 
-#: The built-in harness modules of :mod:`repro.experiments`, in registry order.
-HARNESS_MODULES = (
-    "fig1_traces",
-    "fig1_cdf",
-    "ablations",
-    "dynamic",
-    "friendliness",
-    "interactive",
-    "optimal",
-    "netscale",
-    "churn_study",
-    "adversity",
-    "scenario",
-)
+#: Each built-in experiment's harness module in :mod:`repro.experiments`,
+#: in registry order.
+HARNESS_MODULES = {
+    "trace": "fig1_traces",
+    "cdf": "fig1_cdf",
+    "ablations": "ablations",
+    "dynamic": "dynamic",
+    "friendliness": "friendliness",
+    "interactive": "interactive",
+    "optimal": "optimal",
+    "netscale": "netscale",
+    "churn-study": "churn_study",
+    "adversity-study": "adversity",
+    "scenario": "scenario",
+}
 
 _REGISTRY: Dict[str, Experiment] = {}
 
 
-def _load_harnesses() -> None:
-    """Import every built-in harness, registering the ones not yet loaded."""
-    for module in HARNESS_MODULES:
+def _load_harnesses(modules: Iterable[str]) -> None:
+    """Import the harness *modules*, registering the ones not yet loaded."""
+    for module in modules:
         import_module("." + module, __package__)
 
 
@@ -76,7 +78,8 @@ def get_experiment(name: str) -> Experiment:
     """The registered experiment called *name*, importing its harness if need be."""
     experiment = _REGISTRY.get(name)
     if experiment is None:
-        _load_harnesses()
+        module = HARNESS_MODULES.get(name)
+        _load_harnesses([module] if module else HARNESS_MODULES.values())
         experiment = _REGISTRY.get(name)
     if experiment is None:
         raise KeyError(
@@ -87,16 +90,14 @@ def get_experiment(name: str) -> Experiment:
 
 
 def _builtin_rank(experiment: Experiment) -> int:
-    """The position of *experiment*'s module in :data:`HARNESS_MODULES`;
-    past the end for one registered from outside the package."""
-    package, __, module = type(experiment).__module__.rpartition(".")
-    if package == __package__ and module in HARNESS_MODULES:
-        return HARNESS_MODULES.index(module)
-    return len(HARNESS_MODULES)
+    """The position of *experiment* in :data:`HARNESS_MODULES`; past the
+    end for one registered from outside the package."""
+    names = list(HARNESS_MODULES)
+    return names.index(experiment.name) if experiment.name in names else len(names)
 
 
 def iter_experiments() -> List[Experiment]:
     """Every experiment: the built-ins in :data:`HARNESS_MODULES` order,
     then the rest in registration order."""
-    _load_harnesses()
+    _load_harnesses(HARNESS_MODULES.values())
     return sorted(_REGISTRY.values(), key=_builtin_rank)

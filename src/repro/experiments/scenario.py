@@ -63,7 +63,7 @@ class ScenarioExperiment(Experiment):
         return Scenario.from_dict(read_json_file(args.spec, "scenario spec"))
 
     def render(self, result: ScenarioResult) -> str:
-        from ..report import format_table
+        from ..report.tables import format_table
 
         scenario = result.scenario
         # Iterate the kinds that actually ran, not scenario.kinds: a

@@ -86,7 +86,7 @@ class StudyResult(ExperimentResult):
 
 
 def _table(columns: Columns, rows: List[Any], title: str) -> str:
-    from ..report import format_table
+    from ..report.tables import format_table
 
     return format_table(
         [header for header, __ in columns],

@@ -20,13 +20,9 @@ interrupted one), all three merging to byte-identical output at any
 worker count.
 """
 
-from .dispatch import JobOutcome, SweepBroken, SweepInterrupted
-from .store import (
-    CHECKPOINT_ENV_VAR,
-    JobStore,
-    code_fingerprint,
-    job_key,
-)
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "CHECKPOINT_ENV_VAR",
@@ -37,3 +33,8 @@ __all__ = [
     "code_fingerprint",
     "job_key",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), ("dispatch", "store"), name)

@@ -38,7 +38,6 @@ around to flushing them.
 
 from __future__ import annotations
 
-import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -235,6 +234,8 @@ def _halt_pool(executor: ProcessPoolExecutor) -> None:
     user wants the prompt back now, and every *completed* job is
     already checkpointed by its worker.
     """
+    import multiprocessing
+
     executor.shutdown(wait=False, cancel_futures=True)
     for child in multiprocessing.active_children():
         try:

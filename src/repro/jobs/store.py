@@ -41,7 +41,6 @@ an un-checkpointed job is re-run whether or not its lease survived.
 from __future__ import annotations
 
 import os
-import socket
 import time
 from typing import Any, Dict, List, Optional
 
@@ -159,6 +158,8 @@ class JobStore:
         exclusion — two sweeps racing on one key both run the (
         deterministic) job and publish identical checkpoints.
         """
+        import socket
+
         self._leases.put(key, {
             "experiment": experiment,
             "index": index,

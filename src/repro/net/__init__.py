@@ -7,11 +7,9 @@ not (L2 framing, ARP, full TCP/IP).  :mod:`repro.sim.simulator` says why
 this substitution preserves the paper's behaviour.
 """
 
-from .link import Interface, Link
-from .node import ForwardingHandler, Node, PacketHandler
-from .packet import Packet
-from .topology import LinkSpec, Topology, build_chain, build_star
-from .traffic import ConstantRateSender, LatencyTracker
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "ConstantRateSender",
@@ -27,3 +25,8 @@ __all__ = [
     "build_chain",
     "build_star",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), ("link", "node", "packet", "topology", "traffic"), name)

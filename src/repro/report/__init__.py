@@ -1,14 +1,8 @@
 """Reporting: ASCII figures, aligned tables, partial sweeps."""
 
-from .ascii import (
-    render_cdf_pair,
-    render_improvement_vs_utilization,
-    render_series,
-    render_trace,
-)
-from .partial import partial_payload, partial_writer, render_partial_table
-from .summary import generate_report
-from .tables import format_table
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "format_table",
@@ -21,3 +15,8 @@ __all__ = [
     "render_series",
     "render_trace",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), ("ascii", "partial", "summary", "tables"), name)

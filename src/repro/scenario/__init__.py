@@ -47,63 +47,9 @@ The ``scenario`` experiment registration lives one layer up, in
 without the experiment harnesses.
 """
 
-from .cache import (
-    DEFAULT_CACHE,
-    DiskPlanCache,
-    PLAN_CACHE_ENV_VAR,
-    PlanCache,
-    attached_disk_tier,
-    spec_hash,
-)
-from .churn import ClosedLoopChurn, NoChurn, OpenLoopChurn
-from .engine import (
-    CircuitFailure,
-    KindRun,
-    SampleTable,
-    ScenarioCircuitSample,
-    ScenarioResult,
-    run_planned,
-    run_scenario,
-)
-from .faults import (
-    FaultEvent,
-    FaultInjector,
-    LinkFaults,
-    RelayChurnFaults,
-    RelayFailure,
-)
-from .netgen import (
-    GeneratedNetwork,
-    NetworkConfig,
-    NetworkPlan,
-    instantiate_network,
-    plan_network,
-)
-from .parts import (
-    ChurnProcess,
-    FaultProcess,
-    Probe,
-    ScenarioPart,
-    TopologySource,
-    Workload,
-    list_parts,
-    register_part,
-)
-from .probes import (
-    FailureRateProbe,
-    GoodputProbe,
-    ProbeSeries,
-    QueueDepthProbe,
-    UtilizationProbe,
-)
-from .spec import PlannedCircuit, Scenario, ScenarioPlan, plan_scenario
-from .topology import GeneratedTopology, forced_bottleneck_paths
-from .workloads import (
-    BulkWorkload,
-    InteractiveWorkload,
-    RequestResponseWorkload,
-    WorkloadRun,
-)
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "BulkWorkload",
@@ -156,3 +102,11 @@ __all__ = [
     "run_scenario",
     "spec_hash",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), (
+        "cache", "churn", "engine", "faults", "netgen", "parts", "probes",
+        "spec", "topology", "workloads",
+    ), name)

@@ -14,8 +14,8 @@ result of replaying them one after the other.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -360,8 +360,13 @@ _SIDE_BY_SIDE_FLOOR = 2000
 
 def _in_child_process() -> bool:
     """Whether :mod:`multiprocessing` started this process (a pool worker,
-    a shard, a forked kind): it runs serially, never nesting processes."""
-    return multiprocessing.parent_process() is not None
+    a shard, a forked kind): it runs serially, never nesting processes.
+
+    Such a process has imported :mod:`multiprocessing` before it runs
+    anything, so one that has not is no child and need not import it.
+    """
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is not None and multiprocessing.parent_process() is not None
 
 
 def _run_kinds(plan: ScenarioPlan, kinds: List[str]) -> list:
@@ -378,6 +383,8 @@ def _run_kinds(plan: ScenarioPlan, kinds: List[str]) -> list:
         # in forked children (plan inherited, pickled outcome sent back).
         outcomes, children = [], []
         try:
+            import multiprocessing
+
             fork = multiprocessing.get_context("fork")  # ValueError if none
             for start in range(0, len(kinds), cpus):
                 receivers = []

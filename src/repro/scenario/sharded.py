@@ -23,7 +23,6 @@ shard count.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
@@ -209,6 +208,8 @@ def _run_disjoint(
         # on the same sub-plans, one after the other.
         outputs = [_execute_component(p) for p in payloads]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(processes=workers) as pool:
             outputs = pool.map(_execute_component, payloads)
 

@@ -7,12 +7,9 @@ and seeded random streams (:class:`RandomStreams`).  It stands in for ns-3,
 which the paper's nstor framework was built on.
 """
 
-from .errors import ClockError, SchedulingError, SimulationError
-from .events import EventHandle
-from .monitor import PeriodicSampler
-from .process import Waiter
-from .rand import RandomStreams, derive_seed
-from .simulator import Simulator
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "ClockError",
@@ -25,3 +22,8 @@ __all__ = [
     "Waiter",
     "derive_seed",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), ("errors", "events", "monitor", "process", "rand", "simulator"), name)

@@ -9,19 +9,9 @@ together.  Circuits are pre-established, as in the paper's evaluation:
 establishment handshake is modelled.
 """
 
-from .apps import BulkSource, SinkApp
-from .cells import (
-    Cell,
-    CellKind,
-    DataCell,
-    DestroyCell,
-    FeedbackCell,
-    cells_for_transfer,
-)
-from .circuit import CircuitFlow, CircuitSpec, allocate_circuit_id
-from .directory import Directory, RelayDescriptor
-from .hosts import CircuitState, TorHost
-from .path_selection import PathSelector
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "BulkSource",
@@ -41,3 +31,10 @@ __all__ = [
     "allocate_circuit_id",
     "cells_for_transfer",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), (
+        "apps", "cells", "circuit", "directory", "hosts", "path_selection",
+    ), name)

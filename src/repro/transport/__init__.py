@@ -15,10 +15,9 @@ implements that substrate:
   feedback handling.
 """
 
-from .config import CELL_PAYLOAD, CELL_SIZE, FEEDBACK_SIZE, TransportConfig
-from .controller import Phase, WindowController
-from .hop import HopSender
-from .rtt import RttEstimator
+from typing import Any
+
+from .._lazy import bind_all
 
 __all__ = [
     "CELL_PAYLOAD",
@@ -30,3 +29,8 @@ __all__ = [
     "TransportConfig",
     "WindowController",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
+    return bind_all(globals(), ("config", "controller", "hop", "rtt"), name)

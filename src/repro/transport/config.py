@@ -73,7 +73,9 @@ class TransportConfig:
     Attributes
     ----------
     cell_size / cell_payload / feedback_size:
-        Wire and payload sizes, see module constants.
+        Wire and payload sizes, see module constants.  The links carry
+        every cell and feedback at those sizes, so no other value is
+        accepted.
     initial_cwnd_cells:
         Start-of-circuit congestion window (paper: 2 cells).
     min_cwnd_cells:
@@ -144,13 +146,11 @@ class TransportConfig:
     max_retransmission_rounds: int = 12
 
     def __post_init__(self) -> None:
-        if self.cell_payload <= 0 or self.cell_payload > self.cell_size:
-            raise ValueError(
-                "cell payload %d incompatible with cell size %d"
-                % (self.cell_payload, self.cell_size)
-            )
-        if self.feedback_size <= 0:
-            raise ValueError("feedback size must be positive")
+        for name, wire in (("cell_size", CELL_SIZE), ("cell_payload", CELL_PAYLOAD),
+                           ("feedback_size", FEEDBACK_SIZE)):
+            if getattr(self, name) != wire:
+                raise ValueError("%s is %d bytes on the wire, got %r"
+                                 % (name, wire, getattr(self, name)))
         if self.initial_cwnd_cells < 1:
             raise ValueError("initial cwnd must be at least one cell")
         if self.min_cwnd_cells < 1:

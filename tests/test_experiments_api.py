@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -284,8 +285,7 @@ def test_every_public_name_is_the_object_its_submodule_exports():
 def test_an_exported_object_wins_over_a_same_named_submodule():
     """Importing ``repro.check.explore`` binds the module as the package's
     ``explore`` attribute; the package's public ``explore`` is the function."""
-    import repro.check.explore as module
-
+    module = importlib.import_module("repro.check.explore")
     namespace = {"__name__": "repro.check", "__all__": ["CheckConfig", "explore"],
                  "explore": module}
     bind_all(namespace, ("model", "explore"), "CheckConfig")

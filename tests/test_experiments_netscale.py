@@ -260,18 +260,18 @@ def test_rendered_text_is_pinned(result, churned):
 
 def test_rendered_text_pin_has_teeth(result, monkeypatch):
     """One header of one table spelled differently must move the digest
-    (renderers fetch ``format_table`` from ``repro.report`` per call)."""
-    import repro.report
+    (renderers fetch ``format_table`` from ``repro.report.tables`` per call)."""
+    import repro.report.tables
     from helpers import render_digest
 
     honest = render_digest("netscale", result)
-    real = repro.report.format_table
+    real = repro.report.tables.format_table
 
     def respelled(headers, rows, **kwargs):
         headers = ["Controller" if h == "controller" else h for h in headers]
         return real(headers, rows, **kwargs)
 
-    monkeypatch.setattr(repro.report, "format_table", respelled)
+    monkeypatch.setattr(repro.report.tables, "format_table", respelled)
     assert render_digest("netscale", result) != honest
     monkeypatch.undo()
     assert render_digest("netscale", result) == honest

@@ -362,11 +362,11 @@ def _sharded_pools():
         opened.append(args or kwargs)
         return real_pool(*args, **kwargs)
 
-    sharded.multiprocessing.Pool = pool
+    multiprocessing.Pool = pool
     try:
         result = sharded.run_sharded(_disjoint_plan(), shards=2)
     finally:
-        sharded.multiprocessing.Pool = real_pool
+        multiprocessing.Pool = real_pool
     return len(opened), result_bytes(result)
 
 
