@@ -15,16 +15,17 @@ module, in registry (and CLI subcommand) order: :func:`get_experiment`
 imports the one harness it is asked for (all of them for a name not in
 the table), and :func:`iter_experiments` imports them all, so a process
 pays for the harnesses it runs and a listing is the same whichever
-harness some caller imported first.  The registry rejects duplicate names so every
-experiment is registered exactly once.
+harness some caller imported first.  The registry rejects duplicate
+names so every experiment is registered exactly once.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Dict, Iterable, List, Type
+from typing import TYPE_CHECKING, Dict, Iterable, List, Type
 
-from .api import Experiment
+if TYPE_CHECKING:  # every harness imports api; the verb table needs none of it
+    from .api import Experiment
 
 __all__ = [
     "HARNESS_MODULES",

@@ -117,6 +117,23 @@ def test_shards_flag_is_gone_without_an_alias(capsys):
     assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("verb", sorted(CLI_SURFACE))
+def test_a_parser_built_for_one_verb_reads_as_the_full_parser(verb):
+    """``main`` builds the invoked verb in full and names the others: the
+    verb's help, the usage line and the verb list are those of
+    ``build_parser()``."""
+    full, one = build_parser(), build_parser(verb)
+    assert one.format_usage() == full.format_usage()
+    assert list(_subparsers(one).choices) == list(_subparsers(full).choices)
+    assert (_subparsers(one).choices[verb].format_help()
+            == _subparsers(full).choices[verb].format_help())
+
+
 def test_parser_requires_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

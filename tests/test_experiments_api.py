@@ -171,6 +171,14 @@ def test_every_experiment_declares_spec_and_result_types():
         assert experiment.help
 
 
+def test_the_harness_table_names_each_experiments_module():
+    from repro.experiments.registry import HARNESS_MODULES
+
+    assert list(HARNESS_MODULES) == EXPECTED_NAMES
+    for name, module in HARNESS_MODULES.items():
+        assert type(get_experiment(name)).__module__ == "repro.experiments." + module
+
+
 def test_get_experiment_unknown_name():
     with pytest.raises(KeyError, match="teleport"):
         get_experiment("teleport")
