@@ -106,12 +106,14 @@ __all__ = [
 def __getattr__(name: str) -> Any:
     """Resolve ``__all__`` on first use (PEP 562).
 
-    The first public name loads the whole surface: ``api``,
-    ``registry``, ``runner``, ``netgen`` and every harness.  A process
-    that imports one harness module never pays for the others.
+    A name of ``api`` or ``registry`` loads those two: they are cheap,
+    and every harness needs them anyway.  Any other public name loads
+    the whole surface: ``runner``, ``netgen`` and every harness.  A
+    process that imports one harness module never pays for the others.
     """
-    from .registry import HARNESS_MODULES
+    try:
+        return bind_all(globals(), ("api", "registry"), name)
+    except AttributeError:
+        from .registry import HARNESS_MODULES
 
-    return bind_all(
-        globals(), ("api", "registry", "runner", "netgen", *HARNESS_MODULES.values()), name
-    )
+        return bind_all(globals(), ("runner", "netgen", *HARNESS_MODULES.values()), name)

@@ -378,6 +378,13 @@ def test_one_harness_loads_no_other_harness_and_no_worker_pool():
     assert "concurrent.futures" not in loaded
 
 
+def test_the_api_and_registry_names_load_no_harness():
+    """``from repro.experiments import get_experiment`` (the README's
+    quickstart, and the benchmark's set-up) loads no harness."""
+    loaded = _modules_loaded_by("from repro.experiments import RunContext, get_experiment")
+    assert not loaded & HARNESS_MODULES
+
+
 def test_the_job_store_loads_no_harness():
     assert not _modules_loaded_by("import repro.jobs.store") & HARNESS_MODULES
 
