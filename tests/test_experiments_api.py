@@ -260,7 +260,7 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
 
 
 _RESOLVED_NAMES = """
-import importlib, json, pkgutil, sys
+import importlib, json, pkgutil
 import repro
 packages = ["repro"] + [info.name for info in pkgutil.walk_packages(
     repro.__path__, "repro.") if info.ispkg]
