@@ -26,4 +26,6 @@ __all__ = [
 
 def __getattr__(name: str) -> Any:
     """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
-    return bind_all(globals(), ("errors", "events", "monitor", "process", "rand", "simulator"), name)
+    return bind_all(globals(), (
+        "errors", "events", "monitor", "process", "rand", "simulator",
+    ), name)
