@@ -14,7 +14,6 @@ name of the package's ``__all__`` that one of them exports, so
 from __future__ import annotations
 
 from importlib import import_module
-from types import ModuleType
 from typing import Any, Dict, Iterable
 
 __all__ = ["bind_all"]
@@ -24,22 +23,19 @@ def bind_all(namespace: Dict[str, Any], modules: Iterable[str], name: str) -> An
     """*name* from the package whose globals are *namespace*.
 
     Imports *modules* (relative to the package) and binds the names of
-    its ``__all__`` they export, keeping any already bound, except a
-    submodule: importing ``package.explore`` binds the module as
-    ``explore``, and a public ``explore`` function replaces it.  A name
-    outside ``__all__``, or one no module exports, raises
+    its ``__all__`` they export, keeping any already bound (no public
+    name is also a submodule's, whose import would bind the module).
+    A name outside ``__all__``, or one no module exports, raises
     ``AttributeError``, so ``hasattr`` and ``getattr`` with a default
     work as they do on any module.
     """
     package = namespace["__name__"]
     public = namespace["__all__"]
     if name in public:
-        # Import first, bind after: an import binds its submodule's name.
-        loaded = [import_module("." + module, package) for module in modules]
-        for module in loaded:
-            for exported in set(module.__all__).intersection(public):
-                if isinstance(namespace.get(exported, module), ModuleType):
-                    namespace[exported] = getattr(module, exported)
+        for module in modules:
+            loaded = import_module("." + module, package)
+            for exported in set(loaded.__all__).intersection(public):
+                namespace.setdefault(exported, getattr(loaded, exported))
         if name in namespace:
             return namespace[name]
     raise AttributeError("module %r has no attribute %r" % (package, name))

@@ -4,7 +4,7 @@ This package is the repository's safety net for protocol correctness:
 a compact explicit-state **model** of the hop-by-hop transport
 (:mod:`repro.check.model`), an **enumerator** that explores *every*
 event interleaving of small circuits with state hashing and sleep-set
-partial-order reduction (:mod:`repro.check.explore`), an **invariant
+partial-order reduction (:mod:`repro.check.search`), an **invariant
 catalog** asserted in every reached state
 (:mod:`repro.check.invariants`), and a **replay bridge** that
 re-executes any enumerated schedule — counterexample or sample —
@@ -44,5 +44,5 @@ __all__ = [
 def __getattr__(name: str) -> Any:
     """Load the submodules and bind ``__all__`` on first use (PEP 562)."""
     return bind_all(globals(), (
-        "model", "schedule", "explore", "invariants", "replay", "report",
+        "model", "schedule", "search", "invariants", "replay", "report",
     ), name)

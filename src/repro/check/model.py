@@ -30,7 +30,7 @@ count-driven and therefore schedule-deterministic:
 
 Nondeterminism is the *action* set: deliver the head of any channel,
 lose it (reliable mode), fire a retransmission timeout, or tear the
-circuit down.  :mod:`repro.check.explore` enumerates every
+circuit down.  :mod:`repro.check.search` enumerates every
 interleaving of these actions; :mod:`repro.check.replay` re-executes
 any single interleaving against the real engine.
 """

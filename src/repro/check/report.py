@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..report.tables import format_table
-from .explore import CheckResult
+from .search import CheckResult
 from .invariants import INVARIANTS
 from .replay import ReplayReport
 from .schedule import Schedule

@@ -781,7 +781,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         render_check_report,
         replay_schedule,
     )
-    from .check.explore import check_bounds
+    from .check.search import check_bounds
 
     try:
         config = CheckConfig(
@@ -798,6 +798,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ValueError as error:
         print("check: %s" % error, file=sys.stderr)
         return 2
+    if args.emit_schedules:
+        try:
+            os.makedirs(args.emit_schedules, exist_ok=True)
+        except OSError as error:
+            print("check: --emit-schedules: %s" % error, file=sys.stderr)
+            return 2
     result = explore(
         config,
         por=not args.no_por,
@@ -809,7 +815,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     replays = [replay_schedule(schedule) for schedule in result.samples]
     if args.emit_schedules:
-        os.makedirs(args.emit_schedules, exist_ok=True)
         for index, schedule in enumerate(result.samples):
             path = os.path.join(
                 args.emit_schedules, "schedule-%03d.json" % index

@@ -26,7 +26,7 @@ fanned-out duplicates added):
   far is already durable: Ctrl-C on a checkpointed sweep is a pause.
 * :class:`SweepBroken` — a worker process died (OOM kill, SIGKILL,
   segfault).  ``ProcessPoolExecutor`` detects the death (a bare
-  ``multiprocessing.Pool`` would hang forever on the lost task);
+  ``multiprocessing`` pool would hang forever on the lost task);
   completed jobs are on disk and ``repro resume`` finishes the rest.
 
 Workers checkpoint and lease through a process-local

@@ -334,8 +334,7 @@ def run_planned(
     counters: Dict[str, Dict[str, int]] = {}
     faulted = bool(scenario.faults)
     for kind, outcome in zip(run_kinds, _run_kinds(plan, run_kinds)):
-        samples[kind], per_probe, events[kind] = outcome[:3]
-        probes[kind] = [series for bucket in per_probe for series in bucket]
+        samples[kind], probes[kind], events[kind] = outcome[:3]
         if faulted:
             failures[kind], counters[kind] = outcome[3:]
     return ScenarioResult(
@@ -359,8 +358,8 @@ _SIDE_BY_SIDE_FLOOR = 2000
 
 
 def _in_child_process() -> bool:
-    """Whether :mod:`multiprocessing` started this process (a pool worker,
-    a shard, a forked kind): it runs serially, never nesting processes.
+    """Whether :mod:`multiprocessing` started this process (a pool worker
+    or a forked kind): it runs serially, never nesting processes.
 
     Such a process has imported :mod:`multiprocessing` before it runs
     anything, so one that has not is no child and need not import it.
@@ -425,12 +424,8 @@ def build_circuit_run(
     sim: Simulator,
     network: GeneratedNetwork,
 ) -> WorkloadRun:
-    """Instantiate one planned circuit and attach its workload.
-
-    The one place a plan row becomes a live circuit, whether the plan
-    is the whole scenario or one component of it
-    (:mod:`repro.scenario.sharded`).
-    """
+    """Instantiate one planned circuit and attach its workload: the one
+    place a plan row becomes a live circuit."""
     workload = scenario.workloads[planned.workload]
     spec = CircuitSpec(
         circuit_id=planned.index + 1,
@@ -452,12 +447,10 @@ def build_circuit_run(
 
 
 def _run_kind(plan: ScenarioPlan, kind: str):
-    """One controller kind's full run of *plan* — a whole scenario's, or
-    one disjoint component's (:mod:`repro.scenario.sharded`).
+    """One controller kind's full run of *plan*.
 
-    Returns ``(samples, series, events_executed, failures, counters)``;
-    the probe series stay grouped, one list per scenario probe, so a
-    caller merging components knows which probe produced what.
+    Returns ``(samples, series, events_executed, failures, counters)``,
+    the probe series in probe order.
 
     The run's simulator, network, hosts and circuits reference each
     other.  Once the outcome exists (or the run raised), each layer
@@ -563,7 +556,7 @@ def _replay_kind(
                     kind_counters[name] = kind_counters.get(name, 0) + value
     return (
         kind_samples,
-        [[collector.series() for collector in probe] for probe in installed],
+        [collector.series() for probe in installed for collector in probe],
         sim.events_executed,
         kind_failures,
         kind_counters,

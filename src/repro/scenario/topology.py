@@ -70,8 +70,7 @@ class GeneratedTopology(TopologySource):
     #: entirely from cluster ``i % clusters``.  With
     #: ``force_bottleneck=True`` the globally slowest relay is still
     #: forced into every path, so clusters meet only there.  Without
-    #: it, clusters are fully disjoint components
-    #: (:mod:`repro.scenario.sharded` can run them in parallel).
+    #: it, clusters are disjoint components of one simulation.
     clusters: int = 1
     part: str = field(default="generated", init=False)
 

@@ -66,6 +66,25 @@ def test_check_emit_schedules(tmp_path, capsys):
     assert payload["steps"]
 
 
+def test_check_refuses_an_emit_dir_it_cannot_create_before_exploring(
+        tmp_path, capsys, monkeypatch):
+    import repro.check
+
+    def explore(*args, **kwargs):
+        raise AssertionError("explored before the directory was made")
+
+    monkeypatch.setattr(repro.check, "explore", explore)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["check", "--hops", "1", "--cells", "1",
+                 "--emit-schedules", str(blocker / "schedules")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    [line] = captured.err.splitlines()
+    assert line.startswith("check: --emit-schedules: ")
+    assert str(blocker) in line
+
+
 def test_check_rejects_bad_config(capsys):
     for argv in (
         ["--hops", "0"],

@@ -1,11 +1,11 @@
-"""Tests for the interleaving enumerator (repro.check.explore)."""
+"""Tests for the interleaving enumerator (repro.check.search)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.check import CheckConfig, CheckResult, explore
-from repro.check.explore import _footprint, _independence_masks, _independent
+from repro.check.search import _footprint, _independence_masks, _independent
 from repro.serialize import decode, encode
 
 

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -284,20 +285,24 @@ print(json.dumps(wrong))
 
 def test_every_public_name_is_the_object_its_submodule_exports():
     """Every name of every package's ``__all__``, resolved in a fresh
-    interpreter, is the object the submodules that list it export: not a
-    same-named submodule (``repro.check.explore`` is both), and never
-    missing."""
+    interpreter, is the object the submodules that list it export, and
+    never missing."""
     assert json.loads(_fresh_interpreter(_RESOLVED_NAMES)) == []
 
 
-def test_an_exported_object_wins_over_a_same_named_submodule():
-    """Importing ``repro.check.explore`` binds the module as the package's
-    ``explore`` attribute; the package's public ``explore`` is the function."""
-    module = importlib.import_module("repro.check.explore")
-    namespace = {"__name__": "repro.check", "__all__": ["CheckConfig", "explore"],
-                 "explore": module}
-    bind_all(namespace, ("model", "explore"), "CheckConfig")
-    assert namespace["explore"] is module.explore
+def test_no_package_root_exports_the_name_of_its_own_submodule():
+    """Importing ``package.x`` binds the module as the package's ``x``,
+    so a public ``x`` from another submodule would read as the module."""
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+    clashes = []
+    for package in packages:
+        submodules = {info.name for info in pkgutil.iter_modules(package.__path__)}
+        clashes.extend("%s.%s" % (package.__name__, name)
+                       for name in sorted(submodules & set(package.__all__)))
+    assert clashes == []
 
 
 def test_a_listed_name_no_module_exports_is_an_attribute_error():

@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import signal
 import traceback
@@ -307,7 +308,7 @@ def test_no_fork_inside_a_pool_worker():
 
 
 # ----------------------------------------------------------------------
-# The nesting guard of the study sweep and of the sharded engine
+# The nesting guard of the study sweep; the sharded entry forks as kinds do
 # ----------------------------------------------------------------------
 
 
@@ -353,34 +354,23 @@ def _disjoint_plan():
     )
 
 
-def _sharded_pools():
-    """(pools opened, result bytes) of a 2-shard run of a disjoint plan."""
-    opened = []
-    real_pool = multiprocessing.Pool
-
-    def pool(*args, **kwargs):
-        opened.append(args or kwargs)
-        return real_pool(*args, **kwargs)
-
-    multiprocessing.Pool = pool
-    try:
-        result = sharded.run_sharded(_disjoint_plan(), shards=2)
-    finally:
-        multiprocessing.Pool = real_pool
-    return len(opened), result_bytes(result)
-
-
 def test_a_study_inside_a_pool_worker_sweeps_serially():
     assert _study_sweep_workers() == [2]
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(_study_sweep_workers).result(120) == [1]
 
 
-def test_a_sharded_run_inside_a_pool_worker_opens_no_pool():
-    pools, result = _sharded_pools()
-    assert pools == 1
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(_sharded_pools).result(120) == (0, result)
+def test_a_sharded_run_forks_as_run_planned_does(low_floor, forks, monkeypatch):
+    def no_pool(self, *args, **kwargs):
+        raise AssertionError("a multiprocessing pool was constructed")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    plan = _disjoint_plan()
+    planned = result_bytes(run_planned(plan))
+    assert len(forks) == (1 if CAN_FORK else 0)
+    assert result_bytes(sharded.run_sharded(plan, shards=4)) == planned
+    assert len(forks) == (2 if CAN_FORK else 0)
+    assert_reaped(forks)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Shard-count invariance of the sharded scenario engine.
+"""Plan components, and the kept shard entry point.
 
-The contract under test: :func:`repro.scenario.sharded.run_sharded`
-produces output **byte-identical** to the classic single-simulator
-engine at any shard count — disjoint components in worker processes,
-a single connected component on the classic engine itself, serial or
-pooled, cold or warm plan cache.  Identity is pinned on the JSON
+:func:`repro.scenario.sharded.partition_plan` groups circuits into the
+components they form over shared leaves.
+:func:`repro.scenario.sharded.run_sharded` produces output
+**byte-identical** to :func:`run_planned` at any shard count, disjoint
+or coupled, cold or warm plan cache.  Identity is pinned on the JSON
 serialization of the full result, so every sample, probe series value
 and event count must match bit for bit.
 """
@@ -27,11 +27,7 @@ from repro.scenario.probes import (
     QueueDepthProbe,
     UtilizationProbe,
 )
-from repro.scenario.sharded import (
-    ShardingError,
-    partition_plan,
-    run_sharded,
-)
+from repro.scenario.sharded import partition_plan, run_sharded
 from repro.scenario.spec import Scenario, plan_scenario
 from repro.scenario.topology import GeneratedTopology
 from repro.scenario.workloads import BulkWorkload, InteractiveWorkload
@@ -122,26 +118,15 @@ def test_forced_bottleneck_couples_all_clusters():
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: disjoint-component mode
+# Byte-identity: disjoint components
 # ----------------------------------------------------------------------
 
 
 def test_disjoint_mode_byte_identical_at_any_shard_count():
     plan = plan_scenario(disjoint_scenario())
     classic = result_bytes(run_planned(plan))
-    # shards=1 runs the components serially, shards>1 over a process
-    # pool; both go through the identical encode -> run -> decode path.
     for shards in (1, 2, 4):
         assert result_bytes(run_sharded(plan, shards=shards)) == classic
-
-
-def test_disjoint_mode_rejects_global_probes():
-    scenario = disjoint_scenario(
-        probes=(UtilizationProbe(interval=0.25, scope="relays"),)
-    )
-    plan = plan_scenario(scenario)
-    with pytest.raises(ShardingError, match="disjoint"):
-        run_sharded(plan, shards=2)
 
 
 # ----------------------------------------------------------------------
