@@ -7,8 +7,10 @@ bytes each interface put on a wire, how deep its backlog got, packets
 each node took off one.  This pins a sha256 of
 :func:`helpers.link_counters` for both kinds of
 ``test_percell_budget``'s ``lossless_scenario()`` and
-``reliable_scenario()``.  A change to how ``repro.net`` keeps those
-counters must leave every digest alone.
+``reliable_scenario()``, and, on the reliable one, whose relay churn
+black-holes packets, what each node dropped while it was down.  A
+change to how ``repro.net`` keeps those counters must leave every
+digest alone.
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ from repro.scenario.cache import PlanCache
 SCENARIOS = {"lossless": lossless_scenario, "reliable": reliable_scenario}
 
 
-def counter_digests(scenario, tamper=None):
-    """kind -> sha256 of :func:`link_counters` after one replay of
-    *scenario* with that kind.  *tamper*, if given, sees the plan and
-    each network right after it is built."""
+def dropped_down(topology):
+    """Per node ``(name, packets_dropped_down)``: packets that reached it
+    while it was down."""
+    return [(node.name, node.packets_dropped_down) for node in topology.nodes.values()]
+
+
+def counter_digests(scenario, tamper=None, read=link_counters):
+    """kind -> sha256 of what *read* finds on the topology after one
+    replay of *scenario* with that kind.  *tamper*, if given, sees the
+    plan and each network right after it is built."""
     plan = plan_scenario(scenario, cache=PlanCache())
     if tamper is not None:
         tamper = functools.partial(tamper, plan)
@@ -38,7 +46,7 @@ def counter_digests(scenario, tamper=None):
     with network_spy(tamper) as networks:
         for kind in scenario.kinds:
             run_planned(plan, kinds=[kind])
-            text = json.dumps(link_counters(networks[-1].topology))
+            text = json.dumps(read(networks[-1].topology))
             digests[kind] = text_digest(text)
     return digests
 
@@ -66,3 +74,40 @@ def test_the_pin_sees_one_dropped_packet():
     pinned = pins("link-counters")
     for kind, digest in digests.items():
         assert digest != pinned["reliable " + kind]
+
+
+def test_dropped_down_counts_are_pinned():
+    digests = counter_digests(reliable_scenario(), read=dropped_down)
+    assert {"reliable " + kind: digest for kind, digest in digests.items()} == pins(
+        "dropped-down"
+    )
+
+
+def test_the_drop_pin_sees_one_more_dead_relay():
+    # Teeth: the bottleneck relay down from the start black-holes what
+    # reaches it, in both kinds.
+    def kill_bottleneck(plan, network):
+        network.topology.node(plan.bottleneck_relay).up = False
+
+    digests = counter_digests(
+        reliable_scenario(), tamper=kill_bottleneck, read=dropped_down
+    )
+    pinned = pins("dropped-down")
+    for kind, digest in digests.items():
+        assert digest != pinned["reliable " + kind]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_hub_took_in_what_its_interfaces_took(name):
+    """The hub originates nothing and drops nothing (the fault plane
+    kills relays), so every packet it took off a link is one its
+    interfaces sent or still hold."""
+    scenario = SCENARIOS[name]()
+    plan = plan_scenario(scenario, cache=PlanCache())
+    with network_spy() as networks:
+        for kind in scenario.kinds:
+            run_planned(plan, kinds=[kind])
+            hub = networks[-1].topology.node(networks[-1].hub_name)
+            took = sum(i.packets_sent + i.backlog_packets for i in hub.interfaces)
+            assert hub.packets_received == took > 1000
+            assert hub.packets_dropped_down == hub._handler.swallowed == 0

@@ -191,3 +191,44 @@ def test_circuit_state_role_properties(sim):
     assert not hosts["a"].circuits[1].is_sink
     assert hosts["c"].circuits[1].is_sink
     assert not hosts["b"].circuits[1].is_sink
+
+
+def test_a_host_forwards_a_packet_addressed_to_another_node(sim):
+    """A Tor node is a router too: a packet it takes off a link that is
+    addressed elsewhere goes out again, counted, and its host never
+    sees it."""
+    topo = build_chain(sim, ["a", "b", "c"], [SPEC] * 2)
+    relay = TorHost.install(sim, topo.node("b"))
+    arrived = []
+    topo.node("c").set_handler(lambda packet, node: arrived.append(packet))
+    cell = DestroyCell(7)
+    packet = Packet(cell.size, cell, src="a", dst="c")
+    topo.node("a").send(packet)
+    sim.run()
+    assert arrived == [packet]
+    assert [topo.node(name).packets_received for name in "abc"] == [0, 1, 1]
+    assert topo._interface_between("b", "c").packets_sent == 1
+    assert (relay.late_cells, relay.retired, relay.circuits) == (0, set(), {})
+
+
+def test_a_killed_relay_drops_and_counts_what_reaches_it(sim):
+    topo, hosts = chain_hosts(sim)
+    __, sink_app = wire_circuit(sim, hosts)
+    relay = topo.node("b")
+    relay.up = False
+    for cell in (DataCell(1, 1, 0, 498), FeedbackCell(1, 0)):
+        cell.hop_seq = 0
+        topo.node("a").send(Packet(cell.size, cell, src="a", dst="b"))
+    sim.run()
+    assert (relay.packets_received, relay.packets_dropped_down) == (0, 2)
+    assert hosts["b"].circuits[1].next_inbound_seq == 0
+    assert hosts["b"].cells_forwarded == hosts["b"].feedback_sent == 0
+    assert sink_app.cells_received == 0
+    relay.up = True
+    cell = DataCell(1, 1, 0, 498)
+    cell.hop_seq = 0
+    topo.node("a").send(Packet(cell.size, cell, src="a", dst="b"))
+    sim.run()
+    # Up again: the data cell and the sink's feedback for it.
+    assert (relay.packets_received, relay.packets_dropped_down) == (2, 2)
+    assert sink_app.cells_received == 1
