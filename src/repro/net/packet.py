@@ -23,7 +23,8 @@ class Packet:
     Parameters
     ----------
     size:
-        Wire size in bytes (headers included); must be positive.
+        Wire size in bytes (headers included): a positive whole number
+        (an integral float is stored as an ``int``).
     payload:
         Arbitrary application object, typically a Tor cell.
     src, dst:
@@ -42,8 +43,10 @@ class Packet:
         dst: str = "",
         created_at: float = 0.0,
     ) -> None:
-        if size <= 0:
-            raise ValueError("packet size must be positive, got %r" % size)
+        if not size > 0 or size % 1:  # also NaN and inf
+            raise ValueError(
+                "packet size must be a positive whole number of bytes, got %r" % size
+            )
         self.size = int(size)
         self.payload = payload
         self.src = src

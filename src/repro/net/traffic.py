@@ -41,8 +41,11 @@ class ConstantRateSender:
         packet_size: int = 512,
         start_time: float = 0.0,
     ) -> None:
-        if packet_size <= 0:
-            raise ValueError("packet size must be positive, got %r" % packet_size)
+        if not packet_size > 0 or packet_size % 1:  # what Packet refuses
+            raise ValueError(
+                "packet size must be a positive whole number of bytes, got %r"
+                % packet_size
+            )
         self.sim = sim
         self.node = node
         self.dst = dst

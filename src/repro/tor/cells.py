@@ -46,11 +46,13 @@ class Cell:
     __slots__ = ("circuit_id", "kind", "size", "hop_seq")
 
     def __init__(self, circuit_id: int, kind: CellKind, size: int) -> None:
-        if size <= 0:
-            raise ValueError("cell size must be positive, got %r" % size)
+        if not size > 0 or size % 1:  # also NaN and inf
+            raise ValueError(
+                "cell size must be a positive whole number of bytes, got %r" % size
+            )
         self.circuit_id = circuit_id
         self.kind = kind
-        self.size = size
+        self.size = int(size)
         self.hop_seq: int = -1  # assigned by the hop sender at transmit time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -37,6 +37,14 @@ def test_sender_validates_packet_size(sim):
         )
 
 
+def test_sender_refuses_a_fractional_packet_size_up_front(sim):
+    topo = build_chain(sim, ["a", "b"], [SPEC])
+    with pytest.raises(ValueError, match="positive whole number"):
+        ConstantRateSender(
+            sim, topo.node("a"), "b", mbit_per_second(1.0), packet_size=0.5
+        )
+
+
 def test_tracker_measures_one_way_delay(sim):
     topo = build_chain(sim, ["a", "b"], [SPEC])
     tracker = LatencyTracker(sim)

@@ -59,6 +59,18 @@ def test_cell_size_must_be_positive():
         Cell(1, CellKind.DATA, 0)
 
 
+@pytest.mark.parametrize("size", [0.5, 1.5, 511.25, -0.5, float("nan"), float("inf")])
+def test_a_cell_size_that_is_not_a_positive_whole_number_is_rejected(size):
+    # 0.5 used to be kept as a float size.
+    with pytest.raises(ValueError, match="positive whole number"):
+        Cell(1, CellKind.DATA, size)
+
+
+def test_an_integral_float_cell_size_is_stored_as_an_int():
+    size = Cell(1, CellKind.DATA, 512.0).size
+    assert size == 512 and type(size) is int
+
+
 def test_cells_for_transfer_splits_payload():
     cells = cells_for_transfer(9, CELL_PAYLOAD * 2 + 10)
     assert len(cells) == 3
