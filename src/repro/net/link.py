@@ -12,9 +12,8 @@ ns-3's point-to-point devices:
   wait in the interface's unbounded FIFO, which never drops.  Loss
   happens only in the interface's ``fault_model``.
 
-Links are *unidirectional*; :func:`connect_duplex` (in
-:mod:`repro.net.topology`) wires two of them between a pair of nodes.
-The receiving side hands packets to ``node.deliver``.
+Links are *unidirectional*; :meth:`repro.net.topology.Topology.connect`
+wires two of them between a pair of nodes.
 
 This is the engine's hottest code: every cell crossing every link costs
 one pass through the transmit body of :meth:`Interface.send`.
@@ -22,6 +21,16 @@ Transmission times are therefore memoized per packet size (cells come
 in exactly two sizes, 512 B data and 53 B feedback), the delivery event
 goes straight onto the simulator's heap, and the callbacks are
 pre-bound methods instead of per-cell closures.
+
+**A delivery is one call into its receiver.**  When a transmission
+starts, the interface reads the peer's
+:attr:`~repro.net.node.Node.receive`, and the delivery event calls it
+with the packet alone: a Tor host's ``handle_packet``, which does the
+node's work too, or ``Node.deliver`` for any other handler.  A transit
+peer (the star's hub, whose ``receive`` is ``None``) has no frame of its
+own: the delivery event is the ``send`` of the hub egress that
+``packet.dst`` routes to.  Only a packet the hub has no route for goes
+to its ``Node.deliver``.
 
 **One event per uncontended transmission.**  Hop-by-hop feedback keeps
 relay queues short, so most transmissions end with nothing waiting
@@ -47,7 +56,7 @@ packet sent onto an idle wire goes straight into the transmit body in
 the same body on the head of the backlog.  Deliveries and wakes are
 pushed with :attr:`~repro.sim.simulator.Simulator.push` under a number
 from ``reserve_seq``, so one link traversal costs the ``send`` frame
-plus the delivery event, which is the peer's bound ``deliver`` itself.
+plus the delivery event, which is the receiver itself.
 """
 
 from __future__ import annotations
@@ -152,10 +161,9 @@ class Interface:
         #: The most packets that ever waited at once behind a transmission.
         self.max_backlog_packets = 0
         self.fault_model = None
-        # Bound methods allocated once (here and in attach_peer) instead
-        # of once per cell in the transmit loop.
-        self._on_wake = self.send
-        self._on_deliver = None
+        # Allocated once instead of once per cell: the wake's callback,
+        # and a transit hub's delivery into this interface.
+        self._send = self.send
 
     # ------------------------------------------------------------------
 
@@ -183,7 +191,6 @@ class Interface:
     def attach_peer(self, peer: "Node") -> None:
         """Declare the node at the far end of the link."""
         self.peer = peer
-        self._on_deliver = peer.deliver
 
     def send(self, packet: Optional[Packet]) -> None:
         """Queue *packet* for transmission; start transmitting if idle.
@@ -205,7 +212,7 @@ class Interface:
             # the completion event is needed after all.
             if not self._wake_pending:
                 self._wake_pending = True
-                sim.push((self._free_at, self._free_seq, self._on_wake, _WAKE))
+                sim.push((self._free_at, self._free_seq, self._send, _WAKE))
             waiting.append(packet)
             if len(waiting) > self.max_backlog_packets:
                 self.max_backlog_packets = len(waiting)
@@ -239,23 +246,28 @@ class Interface:
         free_at = self._free_at = now + tx_time
         seq = self._free_seq = reserve_seq()
         if waiting:
-            push((free_at, seq, self._on_wake, _WAKE))
+            push((free_at, seq, self._send, _WAKE))
         else:
             self._wake_pending = False
+        flight = tx_time + link.delay
         fault = self.fault_model
-        if fault is None:
-            push((now + (tx_time + link.delay), reserve_seq(), self._on_deliver,
-                  (packet, self)))
-            return
-        # A negative verdict drops the packet: the transmitter was still
-        # occupied for the full serialization time, but nothing is
-        # delivered.  Otherwise the verdict is extra delay on top of the
-        # lossless offset (parenthesized as above, so a zero verdict
-        # delivers at the bit-identical time).
-        verdict = fault.on_transmit(packet)
-        if verdict >= 0.0:
-            push((now + ((tx_time + link.delay) + verdict), reserve_seq(),
-                  self._on_deliver, (packet, self)))
+        if fault is not None:
+            # A negative verdict drops the packet: the transmitter was
+            # still occupied for the full serialization time, but nothing
+            # is delivered.  Otherwise the verdict is extra delay on top
+            # of the lossless flight (so a zero verdict delivers at the
+            # bit-identical time).
+            verdict = fault.on_transmit(packet)
+            if not verdict >= 0.0:
+                return
+            flight = flight + verdict
+        peer = self.peer
+        receive = peer.receive
+        if receive is None:
+            # A transit hub: straight into its egress toward dst.
+            egress = peer.routes.get(packet.dst)
+            receive = peer.deliver if egress is None else egress._send
+        push((now + flight, reserve_seq(), receive, (packet,)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Interface %s -> %s backlog=%d>" % (

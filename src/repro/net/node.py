@@ -12,11 +12,27 @@ Nodes route by destination name.  ``node.send(packet)`` looks up
 ``packet.dst`` in the routing table and transmits on the corresponding
 interface; a packet delivered to a node it is not addressed to goes
 out the same way, and delivery at the destination invokes the handler.
-Transit nodes whose handler never sees a packet (the star topology's
-hub) use :class:`ForwardingHandler`, which counts anything addressed
-to the node itself.  A destination the table lacks goes out of the
-node's ``default_route`` if it has one (a star leaf's uplink) and is an
-error otherwise.
+A destination the table lacks goes out of the node's ``default_route``
+if it has one (a star leaf's uplink) and is an error otherwise.
+
+Delivery
+--------
+A link's delivery event calls the receiving node's :attr:`Node.receive`
+with the packet alone, chosen by :meth:`Node.set_handler`:
+
+* a handler that declares ``handles_delivery`` (the Tor layer's
+  ``TorHost``) is called straight: its ``handle_packet(packet)`` does
+  the node's ``up`` check, counts and forwarding itself, in one frame;
+* any other handler is reached through :meth:`Node.deliver`;
+* a *transit* node, whose handler is a :class:`ForwardingHandler` (the
+  star topology's hub), has ``receive = None``: the sending interface
+  puts the packet straight into the egress its route names (see
+  :mod:`repro.net.link`), and only a packet it has no route for (one
+  addressed to the hub itself) reaches :meth:`Node.deliver`.  A transit
+  node originates nothing, has no default route and is never taken
+  down (the fault plane kills relays), so what it took off its links
+  is what its egress interfaces sent or still hold:
+  :attr:`Node.packets_received` adds that up instead of counting.
 """
 
 from __future__ import annotations
@@ -55,8 +71,8 @@ class Node:
         #: Egress for any destination missing from ``routes``; set only
         #: by ``build_star``, on leaves.  ``None``: a miss is an error.
         self.default_route: Optional[Interface] = None
+        self._packets_received = 0
         self.set_handler(handler)
-        self.packets_received = 0
         #: Liveness flag driven by the fault plane: a node marked down
         #: (a killed relay) silently drops everything delivered to it
         #: until restarted.  Counted, not raised — a dead relay cannot
@@ -73,11 +89,33 @@ class Node:
         self.interfaces.append(interface)
 
     def set_handler(self, handler: Optional[PacketHandler]) -> None:
-        """Install the packet handler (relay / client / server logic)."""
+        """Install the packet handler (relay / client / server logic)
+        and, from it, what a delivery calls (:attr:`receive`)."""
         self._handler = handler
         # Resolved once here, not per delivered packet: an object with a
         # handle_packet method, or a plain callable.
         self._handle = getattr(handler, "handle_packet", handler)
+        if isinstance(handler, ForwardingHandler):
+            receive = None
+        elif getattr(handler, "handles_delivery", False):
+            receive = self._handle
+        else:
+            receive = self.deliver
+        #: What a link's delivery event calls with the packet: the
+        #: handler itself if it handles the whole delivery, ``None`` on a
+        #: transit node, :meth:`deliver` otherwise (module docstring).
+        #: Read when a transmission toward this node starts.
+        self.receive: Optional[Callable[[Packet], None]] = receive
+
+    @property
+    def packets_received(self) -> int:
+        """Packets this node took off a link while it was up."""
+        received = self._packets_received
+        if isinstance(self._handler, ForwardingHandler):
+            # Transit: everything routed went straight into an egress.
+            for interface in self.interfaces:
+                received += interface.packets_sent + len(interface._waiting)
+        return received
 
     def interface_to(self, dst_name: str) -> Interface:
         """The interface used to reach *dst_name* (routing lookup)."""
@@ -100,21 +138,16 @@ class Node:
         packet.src = packet.src or self.name
         self.interface_to(packet.dst).send(packet)
 
-    def deliver(self, packet: Packet, from_interface: Interface) -> None:
-        """The link layer's delivery event: *packet* arrives at this node
-        (which, if it is up, counts it)."""
+    def deliver(self, packet: Packet) -> None:
+        """*packet* arrives at this node (which, if it is up, counts it):
+        the delivery of a node whose handler does not handle it itself."""
         if not self.up:
             self.packets_dropped_down += 1
             return
-        self.packets_received += 1
+        self._packets_received += 1
         dst = packet.dst
         if dst and dst != self.name:
-            # Transit: interface_to() spelled out, because half of all link
-            # traversals (everything crossing a star's hub) pass here.
-            interface = self.routes.get(dst)
-            if interface is None:
-                interface = self.interface_to(dst)  # raises, naming the routes
-            interface.send(packet)
+            self.interface_to(dst).send(packet)
             return
         handle = self._handle
         if handle is None:
@@ -134,6 +167,7 @@ class Node:
 class ForwardingHandler:
     """Handler for pure transit nodes (e.g. the star topology's hub).
 
+    Installing one makes the node a transit node (module docstring).
     Packets addressed to the node itself are counted and dropped —
     transit nodes are not expected to be packet destinations, and a
     counter is friendlier to debug than an exception raised from deep

@@ -127,18 +127,20 @@ class Topology:
         return tree
 
     def release(self) -> None:
-        """Drop each interface's pointers back to the nodes (the run is over).
+        """Drop the network's pointers back into itself (the run is over).
 
-        A node holds its interfaces and an interface its node, its peer
-        and two methods bound to one of them: without these pointers
+        A node holds its interfaces and what its deliveries call (its
+        own ``deliver`` or its handler's), an interface its node, its
+        peer and its own bound ``send``: without these pointers
         reference counting frees a finished network.  Nodes, interfaces
         and every counter on them stay readable.
         """
         for interface in self._interfaces.values():
             interface.owner = None
             interface.peer = None
-            interface._on_wake = None
-            interface._on_deliver = None
+            interface._send = None
+        for node in self.nodes.values():
+            node.receive = None
 
     def _interface_between(self, src_name: str, dst_name: str) -> Interface:
         try:

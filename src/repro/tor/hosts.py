@@ -24,6 +24,14 @@ sequence to acknowledge.  RTTs measured by the predecessor therefore
 include exactly the successor's queueing — the signal CircuitStart
 feeds into its Vegas detector.
 
+A host takes its node's deliveries itself (``handles_delivery``): a
+link's delivery event calls ``handle_packet(packet)``, which does in
+that one frame what ``Node.deliver`` does for other handlers — drop and
+count while the node is down, count, hand on a packet addressed to
+another node — and then handles the cell.  Called with a node as well,
+``handle_packet(packet, node)`` is only the cell handling, as a plain
+packet handler.
+
 What is fixed per circuit is resolved per circuit: registration looks
 up the egress toward each neighbour once (``node.interface_to``; any
 object with ``send(packet) -> bool`` will do) and closes over it.
@@ -31,8 +39,11 @@ object with ``send(packet) -> bool`` will do) and closes over it.
 packet and hands them to that egress in one frame, as a forwarded
 packet's ``on_tx_start`` hook or straight from ``handle_packet`` (sink
 delivery, duplicate re-ack); the sender's ``transmit`` does the same
-toward the next hop.  Teardown, a relay kill and a recycled id replace
-the ``CircuitState``, the only invalidation needed.  DESTROY alone, a
+toward the next hop.  Both build their wire objects with a module-level
+builder (:func:`_data_packet`, :func:`_feedback_packet`) that fills the
+slots directly instead of going through ``type.__call__`` into
+``__init__``.  Teardown, a relay kill and a recycled id replace the
+``CircuitState``, the only invalidation needed.  DESTROY alone, a
 handful of cells per run, still routes per cell through ``node.send``.
 """
 
@@ -46,7 +57,7 @@ from ..net.node import Node
 from ..net.packet import Packet
 from ..net.topology import Topology
 from ..sim.simulator import Simulator
-from ..transport.config import TransportConfig
+from ..transport.config import FEEDBACK_SIZE, TransportConfig
 from ..transport.controller import WindowController
 from ..transport.hop import HopSender
 from .cells import Cell, CellKind, DestroyCell, FeedbackCell
@@ -58,6 +69,55 @@ __all__ = ["CircuitState", "TorHost", "released"]
 _DATA = CellKind.DATA
 _FEEDBACK = CellKind.FEEDBACK
 _DESTROY = CellKind.DESTROY
+
+#: ``handle_packet``'s default second argument: the call is a link's
+#: delivery event, so the node's own delivery work happens there too.
+_OFF_A_LINK = object()
+
+_new = object.__new__
+
+
+def _data_packet(
+    cell: Cell, src: str, dst: str, now: float,
+    hook: Optional[Callable[[Any], None]], arg: Any,
+) -> Packet:
+    """``Packet(cell.size, cell, src, dst, now)`` with ``on_tx_start`` set
+    to *hook* and its argument to *arg*, built without ``type.__call__``
+    or ``Packet.__init__``.  The size was checked when the cell was built."""
+    packet = _new(Packet)
+    packet.size = cell.size
+    packet.payload = cell
+    packet.src = src
+    packet.dst = dst
+    packet.created_at = now
+    packet.on_tx_start = hook
+    packet.on_tx_start_arg = arg
+    return packet
+
+
+def _feedback_packet(
+    circuit_id: int, acked_seq: int, src: str, dst: str, now: float
+) -> Packet:
+    """``FeedbackCell(circuit_id, acked_seq)`` in ``Packet(cell.size, cell,
+    src, dst, now)``, built without ``type.__call__`` or an ``__init__``;
+    *acked_seq* is checked as ``FeedbackCell`` checks it."""
+    if acked_seq < 0:
+        raise ValueError("acked_seq must be non-negative, got %r" % acked_seq)
+    cell = _new(FeedbackCell)
+    cell.circuit_id = circuit_id
+    cell.kind = _FEEDBACK
+    cell.size = FEEDBACK_SIZE
+    cell.hop_seq = -1
+    cell.acked_seq = acked_seq
+    packet = _new(Packet)
+    packet.size = FEEDBACK_SIZE
+    packet.payload = cell
+    packet.src = src
+    packet.dst = dst
+    packet.created_at = now
+    packet.on_tx_start = None
+    packet.on_tx_start_arg = None
+    return packet
 
 
 @dataclass
@@ -87,6 +147,9 @@ class CircuitState:
 
 class TorHost:
     """Protocol handler multiplexing circuits on one node."""
+
+    #: The node's deliveries call ``handle_packet(packet)`` straight.
+    handles_delivery = True
 
     def __init__(self, sim, node: Node) -> None:
         self.sim = sim
@@ -216,8 +279,9 @@ class TorHost:
 
             def feedback(acked_seq: int) -> None:
                 self.feedback_sent += 1
-                cell = FeedbackCell(circuit_id, acked_seq)
-                egress_prev.send(Packet(cell.size, cell, node_name, prev_hop, sim.now))
+                egress_prev.send(
+                    _feedback_packet(circuit_id, acked_seq, node_name, prev_hop, sim.now)
+                )
 
             state.feedback = feedback
         self.circuits[circuit_id] = state
@@ -255,15 +319,16 @@ class TorHost:
 
         def transmit(cell: Cell, token: Any) -> None:
             self.cells_forwarded += 1
-            packet = Packet(cell.size, cell, node_name, next_hop, sim.now)
-            if token is not None and feedback_hook is not None:
-                # One closure per *circuit* (above), one slot write per
-                # cell: the upstream sequence number rides in the
-                # packet's on_tx_start_arg slot instead of a fresh
-                # lambda plus metadata dict entry per cell.
-                packet.on_tx_start = feedback_hook
-                packet.on_tx_start_arg = token
-            egress_next.send(packet)
+            if token is None or feedback_hook is None:
+                egress_next.send(_data_packet(cell, node_name, next_hop, sim.now, None, None))
+            else:
+                # One closure per *circuit* (above), one slot per cell:
+                # the upstream sequence number rides in the packet's
+                # on_tx_start_arg slot instead of a fresh lambda plus
+                # metadata dict entry per cell.
+                egress_next.send(
+                    _data_packet(cell, node_name, next_hop, sim.now, feedback_hook, token)
+                )
 
         sender = HopSender(self.sim, config, controller, transmit, label=label)
         circuit_id = state.circuit_id
@@ -321,7 +386,19 @@ class TorHost:
     # Packet handling
     # ------------------------------------------------------------------
 
-    def handle_packet(self, packet: Packet, node: Node) -> None:
+    def handle_packet(self, packet: Packet, node: Any = _OFF_A_LINK) -> None:
+        """Handle *packet*; with the packet alone, as the node's delivery
+        (module docstring)."""
+        if node is _OFF_A_LINK:
+            node = self.node
+            if not node.up:
+                node.packets_dropped_down += 1
+                return
+            node._packets_received += 1
+            dst = packet.dst
+            if dst != node.name and dst:
+                node.interface_to(dst).send(packet)
+                return
         cell = packet.payload
         if not isinstance(cell, Cell):
             raise TypeError(

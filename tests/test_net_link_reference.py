@@ -98,7 +98,7 @@ class EagerInterface:
             self._transmit_next()
 
     def _deliver(self, packet):
-        self.peer.deliver(packet, self)  # Node.deliver counts the packet
+        self.peer.deliver(packet)  # Node.deliver counts the packet
 
 
 class ScriptedFaults:

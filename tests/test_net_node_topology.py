@@ -177,6 +177,47 @@ def test_star_hub_swallows_addressed_packets(sim):
     assert hub_handler.swallowed == 1
 
 
+def test_a_packet_crossing_the_hub_is_delivered_into_the_hub_egress(sim):
+    """The hub has no delivery frame of its own: the uplink's delivery
+    event is the send of the hub interface toward the destination."""
+    topo = build_star(sim, "hub", {"x": SPEC, "y": SPEC})
+    handler, received = collector()
+    topo.node("y").set_handler(handler)
+    packet = Packet(100, dst="y")
+    topo.node("x").send(packet)
+    ((__, __, callback, args),) = sim._heap
+    assert callback == topo._interface_between("hub", "y").send
+    assert args == (packet,)
+    topo.node("x").send(Packet(100, dst="hub"))
+    sim.run()
+    assert received == [packet]
+    # Forwarded, and swallowed: both taken off a link.
+    assert topo.node("hub").packets_received == 2
+
+
+def test_what_a_delivery_calls_follows_the_handler(sim):
+    topo = build_star(sim, "hub", {"x": SPEC})
+    hub, leaf = topo.node("hub"), topo.node("x")
+    assert hub.receive is None
+    assert leaf.receive == leaf.deliver
+    handler, __ = collector()
+    hub.set_handler(handler)
+    assert hub.receive == hub.deliver
+    hub.set_handler(ForwardingHandler())
+    assert hub.receive is None
+
+
+def test_release_drops_what_deliveries_call(sim):
+    topo = build_chain(sim, ["a", "b"], [SPEC])
+    handler, __ = collector()
+    topo.node("b").set_handler(handler)
+    topo.node("a").send(Packet(256, dst="b"))
+    sim.run()
+    topo.release()
+    assert [node.receive for node in topo.nodes.values()] == [None, None]
+    assert topo.node("b").packets_received == 1
+
+
 def test_node_without_handler_raises_on_delivery(sim):
     topo = build_chain(sim, ["a", "b"], [SPEC])
     topo.node("a").send(Packet(100, dst="b"))

@@ -300,7 +300,7 @@ def test_down_node_black_holes_deliveries():
         size = 512
         dst = node.name
 
-    node.deliver(FakePacket(), None)
+    node.deliver(FakePacket())
     assert node.packets_received == 0
     assert node.packets_dropped_down == 1
 

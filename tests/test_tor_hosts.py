@@ -9,7 +9,7 @@ from repro.net.packet import Packet
 from repro.net.topology import LinkSpec, build_chain
 from repro.tor.apps import SinkApp
 from repro.tor.cells import Cell, CellKind, DataCell, DestroyCell, FeedbackCell
-from repro.tor.hosts import TorHost
+from repro.tor.hosts import TorHost, _data_packet, _feedback_packet
 from repro.transport.config import CELL_SIZE, TransportConfig
 from repro.units import mbit_per_second, milliseconds
 
@@ -41,6 +41,14 @@ def wire_circuit(sim, hosts, circuit_id=1, config=None, payload=498 * 4):
         )
     hosts[names[-1]].register_sink(circuit_id, names[-2], sink_app)
     return sender, sink_app
+
+
+def test_a_host_takes_its_node_s_deliveries(sim):
+    topo, hosts = chain_hosts(sim)
+    node = topo.node("b")
+    assert node.receive == hosts["b"].handle_packet
+    node.set_handler(lambda packet, node: None)
+    assert node.receive == node.deliver
 
 
 def test_install_is_idempotent(sim):
@@ -232,3 +240,27 @@ def test_a_killed_relay_drops_and_counts_what_reaches_it(sim):
     # Up again: the data cell and the sink's feedback for it.
     assert (relay.packets_received, relay.packets_dropped_down) == (2, 2)
     assert sink_app.cells_received == 1
+
+
+def _slots(obj):
+    names = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+    return type(obj), {name: getattr(obj, name) for name in names}
+
+
+def test_the_wire_builders_fill_every_slot_the_constructors_do():
+    cell = DataCell(3, 1, 0, 498)
+    built = _data_packet(cell, "a", "b", 1.5, None, None)
+    assert _slots(built) == _slots(Packet(cell.size, cell, "a", "b", 1.5))
+    hooked = _data_packet(cell, "a", "b", 1.5, print, 7)
+    assert (hooked.on_tx_start, hooked.on_tx_start_arg) == (print, 7)
+    packet = _feedback_packet(3, 9, "b", "a", 2.5)
+    reference = FeedbackCell(3, 9)
+    assert _slots(packet.payload) == _slots(reference)
+    assert _slots(packet) == _slots(Packet(reference.size, packet.payload, "b", "a", 2.5))
+
+
+def test_the_feedback_builder_refuses_what_feedback_cell_refuses():
+    with pytest.raises(ValueError, match="acked_seq must be non-negative"):
+        FeedbackCell(3, -1)
+    with pytest.raises(ValueError, match="acked_seq must be non-negative"):
+        _feedback_packet(3, -1, "b", "a", 0.0)

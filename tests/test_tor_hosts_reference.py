@@ -10,8 +10,9 @@ observable moves.
 
 "Observable" is everything this module compares after driving both
 through the same Hypothesis-generated multi-circuit schedule: the log of
-every cell handed to every host, with the ``(time, seq)`` slot of the
-delivery event, and every host, circuit, sender, controller, node,
+every cell a link delivered to a host's node (dropped while down and
+handed on included), with the ``(time, seq)`` slot of the delivery
+event, and every host, circuit, sender, controller, node,
 interface and queue counter.  The schedules cover a star and a chain
 (where other hosts' nodes carry transit traffic), a relay shared by
 every circuit, a :class:`~repro.net.faults.ScriptedLossModel` installed
@@ -338,19 +339,22 @@ class World:
         )
 
     def _tap(self, host):
-        sim, log, name = self.sim, self.log, host.node.name
-        handle = host.handle_packet
+        # At the node's delivery entry, so each class's own delivery
+        # path runs: TorHost's handle_packet(packet) for the one,
+        # Node.deliver -> handle_packet(packet, node) for the reference.
+        sim, log, node = self.sim, self.log, host.node
+        name, receive = node.name, node.receive
 
-        def tapped(packet, node):
+        def tapped(packet):
             cell = packet.payload
             seq = cell.acked_seq if cell.kind is CellKind.FEEDBACK else cell.hop_seq
             log.append(
                 (name, sim.now, sim.current_seq, cell.kind.value,
                  cell.circuit_id, seq, packet.src)
             )
-            handle(packet, node)
+            receive(packet)
 
-        host.node.set_handler(tapped)
+        node.receive = tapped
 
     # -- schedule operations, all executed from inside the run ---------
 
