@@ -258,7 +258,7 @@ class Interface:
             # of the lossless flight (so a zero verdict delivers at the
             # bit-identical time).
             verdict = fault.on_transmit(packet)
-            if not verdict >= 0.0:
+            if not verdict >= 0.0:  # NaN drops too
                 return
             flight = flight + verdict
         peer = self.peer

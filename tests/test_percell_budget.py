@@ -85,6 +85,13 @@ BUDGETS = {
 }
 
 
+_LOOP = Simulator._run_loop.__code__
+_SEND = Interface.send.__code__
+_HANDLE_PACKET = TorHost.handle_packet.__code__
+_DELIVER = Node.deliver.__code__
+_ON_TIMEOUT = HopSender._on_timeout.__code__
+
+
 def _event_kind(frame):
     """What an event the loop called *frame* for is: a link delivery, an
     interface wake (``send(None)``), a retransmission timer or other."""
@@ -96,13 +103,6 @@ def _event_kind(frame):
     if code is _ON_TIMEOUT:
         return "timer"
     return "other"
-
-
-_LOOP = Simulator._run_loop.__code__
-_SEND = Interface.send.__code__
-_HANDLE_PACKET = TorHost.handle_packet.__code__
-_DELIVER = Node.deliver.__code__
-_ON_TIMEOUT = HopSender._on_timeout.__code__
 
 
 def calls_per_forwarded_cell(scenario):
