@@ -21,6 +21,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import gc
+# The side-by-side kind path imports multiprocessing, and with it pickle,
+# whose first import leaves class-creation cycles: load both here, before
+# any counted region, so a test run alone counts only the replay's garbage.
+import multiprocessing  # noqa: F401
 
 import pytest
 from helpers import network_spy
