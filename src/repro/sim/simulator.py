@@ -21,8 +21,9 @@ and provides the scheduling API every other subsystem builds on:
   (``run(max_events=1)`` executes one event);
 * :meth:`Simulator.release` — drop every pending event once a run is
   over;
-* :attr:`Simulator.now` — the clock, a plain attribute that only the
-  event loop writes.
+* :attr:`Simulator.now` — the clock, and :attr:`current_seq`, the
+  executing event's place: plain attributes that only the event loop
+  writes.
 
 Division of labour with :mod:`repro.sim.events`: the simulator owns
 the heap, the sequence counter and the count of cancelled entries, and
@@ -136,7 +137,14 @@ class Simulator:
         self._counter = count()
         # Cancelled handle entries still sitting in the heap.
         self._dead = 0
-        self._current_seq = -1
+        #: Sequence number of the event being executed, read-only for
+        #: everyone but the event loop.  Between events it keeps the last
+        #: executed event's number; once a run has executed everything it
+        #: was asked to, it moves past every number drawn so far.  Either
+        #: way, an event reserved under *seq* for the current instant
+        #: would already have fired exactly when ``current_seq > seq``.
+        #: A plain attribute, like ``now``: a link reads it per send.
+        self.current_seq = -1
         #: ``reserve_seq()`` draws the next sequence number for an event
         #: decided on later (see the deferred-event contract above).
         #: Bound straight to the counter: a link calls it per packet.
@@ -156,18 +164,6 @@ class Simulator:
     def events_executed(self) -> int:
         """Total number of events executed so far (for diagnostics)."""
         return self._events_executed
-
-    @property
-    def current_seq(self) -> int:
-        """Sequence number of the event being executed.
-
-        Between events it keeps the last executed event's number; once a
-        run has executed everything it was asked to, it moves past every
-        number drawn so far.  Either way, an event reserved under *seq*
-        for the current instant would already have fired exactly when
-        ``current_seq > seq``.
-        """
-        return self._current_seq
 
     @property
     def pending_events(self) -> int:
@@ -373,7 +369,7 @@ class Simulator:
                         raise ClockError("event at %r is in the past (now %r)" % (time, now))
                     heappop(heap)
                     self.now = now = time
-                    self._current_seq = entry[1]
+                    self.current_seq = entry[1]
                     self._events_executed = executed = executed + 1
                     handle._sim = None
                     handle.callback(*handle.args)
@@ -387,7 +383,7 @@ class Simulator:
                     raise ClockError("event at %r is in the past (now %r)" % (time, now))
                 heappop(heap)
                 self.now = now = time
-                self._current_seq = entry[1]
+                self.current_seq = entry[1]
                 self._events_executed = executed = executed + 1
                 entry[2](*entry[3])
         finally:
@@ -398,7 +394,7 @@ class Simulator:
             # code running between runs sees those reservations as gone
             # by.  A run that used up max_events may have stopped just
             # short of one, and does not.
-            self._current_seq = next(self._counter)
+            self.current_seq = next(self._counter)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
