@@ -27,7 +27,8 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from ..analysis.stats import quantile
 from ..scenario.cache import DEFAULT_CACHE
-from ..scenario.engine import _in_child_process, present
+from ..scenario.engine import present
+from ..scenario.kindworker import in_child_process
 from ..scenario.netgen import NetworkConfig
 from ..units import kib
 from .api import Experiment, ExperimentResult, RunContext, SpecError
@@ -160,7 +161,7 @@ class GridStudy(Experiment):
             for point in self.grid(spec)
         ]
         workers = ctx.workers
-        if workers > 1 and _in_child_process():
+        if workers > 1 and in_child_process():
             # Inside a pool worker (the study itself swept by `repro
             # batch --workers N`): the outer pool already fills the
             # cores, so the inner sweep runs serially, not nested.

@@ -34,6 +34,13 @@ Workers checkpoint and lease through a process-local
 (the same pattern the scenario plan cache uses for its disk tier), so
 results are durable the moment they exist, not when the parent gets
 around to flushing them.
+
+The serial path also opens one kind-worker scope for the whole sweep
+(:func:`~repro.scenario.kindworker.kind_workers`): the first job that
+replays two controller kinds forks one worker per extra usable CPU,
+every later job replays its kinds side by side in those same workers,
+and the sweep's end closes and joins them, on Ctrl-C too.  A pool
+worker forks none: its jobs replay their kinds serially.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from typing import (
 )
 
 from ..scenario.cache import DEFAULT_CACHE, DiskPlanCache, attached_disk_tier
+from ..scenario.kindworker import kind_workers
 from .store import JobStore
 
 if TYPE_CHECKING:
@@ -270,7 +278,7 @@ def run_tasks(
 
     if workers is None or workers <= 1:
         with attached_disk_tier(DEFAULT_CACHE, plan_cache_dir), \
-                _attached_store(checkpoint_dir):
+                _attached_store(checkpoint_dir), kind_workers():
             for task in tasks:
                 try:
                     record(execute_task(task))

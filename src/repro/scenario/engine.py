@@ -7,16 +7,16 @@ simulator — network instantiation included, but *without* re-drawing
 anything — and assemble a serializable :class:`ScenarioResult` with
 per-circuit samples, probe time series and engine accounting.
 
-The kinds share nothing, so :func:`run_planned` replays a large enough
-plan's kinds side by side, one forked process each, byte for byte the
-result of replaying them one after the other.
+The kinds share nothing, so :func:`run_planned` replays them side by
+side in kind workers (:mod:`~repro.scenario.kindworker`), byte for byte
+the result of replaying them one after the other.  Inside a batch's
+scope the workers stay warm from job to job and every plan qualifies;
+a call outside any scope forks workers for itself alone, and only for a
+plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -27,6 +27,7 @@ from ..tor.circuit import CircuitFlow, CircuitSpec
 from ..tor.hosts import released
 from .cache import PlanCache
 from .faults import FaultInjector, RelayFailure
+from .kindworker import kind_workers
 from .netgen import GeneratedNetwork, instantiate_network
 from .probes import ProbeSeries
 from .spec import PlannedCircuit, Scenario, ScenarioPlan, plan_scenario
@@ -319,11 +320,12 @@ def run_planned(
 ) -> ScenarioResult:
     """Replay *plan* once per controller kind and assemble the result.
 
-    Two or more kinds of a plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops or
-    more replay side by side, one in this process and each other one in
-    a forked child, when this process may use two CPUs and is itself no
-    worker.  Otherwise, and again if anything fails on that path, they
-    replay serially: an error is always the serial engine's own.
+    Two or more kinds replay side by side, one in this process and each
+    other one in a kind worker, when this process may use two CPUs and
+    is itself no worker, inside a batch's scope or for a plan of
+    ``_SIDE_BY_SIDE_FLOOR`` cell-hops or more.  Otherwise, and again if
+    anything fails on that path, they replay serially: an error is
+    always the serial engine's own.
     """
     scenario = plan.scenario
     run_kinds = list(kinds) if kinds is not None else list(scenario.kinds)
@@ -349,72 +351,21 @@ def run_planned(
     )
 
 
-#: Planned cell-hops per kind under which the kinds replay serially.  A
-#: fork plus the outcome pickle costs 5-12 ms; ``run_planned`` on 2-circuit
-#: ``netscale`` plans, serial -> forked, median of 7 (BENCH_kinds.json):
-#: 72 cell-hops 4.2 -> 12.2 ms, 528: 18.7 -> 20.6 ms, 2 112: 76.7 ->
-#: 54.0 ms, 8 424: 324 -> 217 ms.  The floor is ~4x that break-even.
+#: Planned cell-hops per kind under which a call outside a batch's scope
+#: replays its kinds serially: forking a worker for one call costs more
+#: than a small plan saves.  ``run_planned`` on 2-circuit ``netscale``
+#: plans, ms, median of 7, serial / fork per call / warm worker
+#: (BENCH_kindworker.json): 72 cell-hops 1.98 / 4.04 / 1.39, 528:
+#: 10.5 / 8.6 / 5.7, 2 112: 42.1 / 25.8 / 22.6, 8 424: 176 / 97 / 97.
+#: A fork per call breaks even between 72 and 528; the floor keeps a
+#: wide margin above that, because the break-even moves from run to run.
 _SIDE_BY_SIDE_FLOOR = 2000
-
-
-def _in_child_process() -> bool:
-    """Whether :mod:`multiprocessing` started this process (a pool worker
-    or a forked kind): it runs serially, never nesting processes.
-
-    Such a process has imported :mod:`multiprocessing` before it runs
-    anything, so one that has not is no child and need not import it.
-    """
-    multiprocessing = sys.modules.get("multiprocessing")
-    return multiprocessing is not None and multiprocessing.parent_process() is not None
 
 
 def _run_kinds(plan: ScenarioPlan, kinds: List[str]) -> list:
     """The :func:`_run_kind` outcome of each of *kinds*, in kind order."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if (
-        min(len(kinds), cpus) > 1
-        and not _in_child_process()
-        and threading.active_count() == 1  # fork is unsafe beside threads
-        and plan.estimated_cost()["cell_hops"] >= _SIDE_BY_SIDE_FLOOR
-    ):
-        # Groups of *cpus* kinds: a group's first replays here, the others
-        # in forked children (plan inherited, pickled outcome sent back).
-        outcomes, children = [], []
-        try:
-            import multiprocessing
-
-            fork = multiprocessing.get_context("fork")  # ValueError if none
-            for start in range(0, len(kinds), cpus):
-                receivers = []
-                for kind in kinds[start + 1:start + cpus]:
-                    receiver, sender = fork.Pipe(duplex=False)
-                    child = fork.Process(target=_send_kind, args=(plan, kind, sender))
-                    child.start()
-                    children.append(child)
-                    receivers.append(receiver)
-                    sender.close()
-                outcomes.append(_run_kind(plan, kinds[start]))
-                # EOFError if a child raised or died: its pipe closed unsent.
-                outcomes.extend(receiver.recv() for receiver in receivers)
-            return outcomes
-        except Exception:
-            pass  # replay below, so the caller sees the serial engine's error
-        finally:
-            # No child outlives the call, error or interrupt included.
-            for child in children:
-                if len(outcomes) < len(kinds):
-                    child.kill()
-                child.join()
-    return [_run_kind(plan, kind) for kind in kinds]
-
-
-def _send_kind(plan: ScenarioPlan, kind: str, sender) -> None:
-    """A forked child's whole run: replay *kind* and send the outcome."""
-    try:
-        sender.send(_run_kind(plan, kind))
-    except Exception:
-        pass  # the parent reads the closed pipe and replays serially
+    with kind_workers(_SIDE_BY_SIDE_FLOOR) as workers:
+        return workers.replay(plan, kinds, _run_kind)
 
 
 def build_circuit_run(

@@ -1,16 +1,18 @@
 """The engine's side-by-side replay of controller kinds, and its fallback.
 
-``run_planned`` may replay a plan's kinds in forked children
-(:func:`repro.scenario.engine._run_kinds`).  Everything observable must
-be what the serial engine produces — results byte for byte, errors down
-to the traceback text — children must never outlive the call, and the
-"do not fork" conditions must hold: a small plan, one usable CPU, a
+``run_planned`` may replay a plan's kinds in forked kind workers
+(:mod:`repro.scenario.kindworker`): for the one call, or for a whole
+serial batch, whose workers stay warm from job to job.  Everything
+observable must be what the serial engine produces — results byte for
+byte, errors down to the traceback text — workers must never outlive
+their call or batch, not even a SIGKILLed parent, and the "do not fork"
+conditions must hold: a small plan outside a batch, one usable CPU, a
 process that is itself somebody's child.
 
-The plans here are small, so most tests lower the size floor.  With one
-usable CPU (CI also runs this module under ``taskset -c 0``) the engine
-never forks and every identity holds trivially; the fork counts are
-asserted against what this process may actually use.
+The plans here are small, so most single-call tests lower the size
+floor.  With one usable CPU (CI also runs this module under ``taskset
+-c 0``) the engine never forks and every identity holds trivially; the
+fork counts are asserted against what this process may actually use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import signal
+import subprocess
+import sys
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,7 +39,7 @@ from repro.experiments.churn_study import ChurnStudyConfig
 from repro.experiments.netscale import NetScaleConfig
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import BatchJob, run_batch
-from repro.scenario import engine, plan_scenario, run_planned, sharded
+from repro.scenario import engine, kindworker, plan_scenario, run_planned, sharded
 from repro.scenario.cache import PlanCache
 from repro.scenario.netgen import NetworkConfig
 from repro.scenario.spec import Scenario
@@ -216,7 +221,7 @@ def replay_where(parent=None, child=None):
     real = engine._run_kind
 
     def run_kind(plan, kind):
-        side = child if engine._in_child_process() else parent
+        side = child if kindworker.in_child_process() else parent
         return real(plan, kind) if side is None else side()
 
     return run_kind
@@ -295,11 +300,11 @@ def _replay_in_worker():
     pids = []
     os.fork = recording_fork(pids)  # this worker is not reused
     result = run_planned(lossless_plan())
-    return engine._in_child_process(), len(pids), result_bytes(result)
+    return kindworker.in_child_process(), len(pids), result_bytes(result)
 
 
 def test_no_fork_inside_a_pool_worker():
-    assert not engine._in_child_process()
+    assert not kindworker.in_child_process()
     with ProcessPoolExecutor(max_workers=1) as pool:
         in_child, fork_count, result = pool.submit(_replay_in_worker).result(120)
     assert in_child
@@ -385,8 +390,9 @@ def test_batch_is_byte_identical_in_process_and_pooled(low_floor, forks):
         BatchJob("netscale", netscale_config(seed=7), label="ok-7"),
     ]
     in_process = run_batch(jobs, workers=1)
-    # Kinds forked in-process: once per good job, once for the failing one.
-    assert len(forks) == (3 if CAN_FORK else 0)
+    # One kind worker for the first job; the failing job's worker raised
+    # and was joined, so the third job forks a fresh one.
+    assert len(forks) == (2 if CAN_FORK else 0)
     pooled = run_batch(jobs, workers=2)
     assert json.dumps(in_process.to_dict(), sort_keys=True) == json.dumps(
         pooled.to_dict(), sort_keys=True
@@ -395,4 +401,168 @@ def test_batch_is_byte_identical_in_process_and_pooled(low_floor, forks):
     assert errors[0] is None and errors[2] is None
     assert errors[1]["type"] == "UnfinishedCircuitsError"
     assert "_run_kind" in errors[1]["traceback"]
-    assert_reaped(forks[:3])
+    assert_reaped(forks[:2])
+
+
+# ----------------------------------------------------------------------
+# (g) a serial batch keeps its kind workers warm from job to job
+# ----------------------------------------------------------------------
+
+
+def tiny_config(index):
+    """The sweep-tiny shape: 72 planned cell-hops per kind, far below the
+    size floor of a call outside any scope."""
+    return netscale_config(
+        circuit_count=2, bulk_fraction=1.0, bulk_payload_bytes=kib(4) + index,
+        network=NetworkConfig(8, 4, 4),
+    )
+
+
+def tiny_jobs(count=4):
+    return [BatchJob("netscale", tiny_config(index), label="tiny-%d" % index)
+            for index in range(count)]
+
+
+def tiny_scenario_jobs(kinds, count=4):
+    """Tiny jobs of the ``scenario`` experiment, which runs any kinds."""
+    return [
+        BatchJob("scenario", dataclasses.replace(
+            tiny_config(index).to_scenario(), kinds=kinds), label="tiny-%d" % index)
+        for index in range(count)
+    ]
+
+
+def batch_bytes(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def serial_batch_bytes(jobs) -> str:
+    with one_cpu():
+        return batch_bytes(run_batch(jobs, workers=1))
+
+
+@pytest.mark.parametrize("kinds", [("with", "without"), ("with", "without", "jumpstart")])
+def test_a_serial_batch_forks_once_per_extra_cpu_not_once_per_job(kinds, forks):
+    jobs = tiny_scenario_jobs(kinds)
+    plan = plan_scenario(jobs[0].spec, cache=PlanCache())
+    assert plan.estimated_cost()["cell_hops"] < engine._SIDE_BY_SIDE_FLOOR
+    expected = serial_batch_bytes(jobs)
+    with pytest.MonkeyPatch.context() as patch:
+        if CAN_FORK:
+            # As many CPUs as kinds, whatever the box has.
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(kinds))))
+        result = run_batch(jobs, workers=1)
+    assert len(forks) == (len(kinds) - 1 if CAN_FORK else 0)
+    assert_reaped(forks)
+    assert batch_bytes(result) == expected
+
+
+def test_a_worker_killed_between_jobs_yields_the_serial_bytes(forks):
+    jobs = tiny_jobs()
+    expected = serial_batch_bytes(jobs)
+
+    def kill_the_worker(item, done, total, source):
+        if done == 1 and forks:
+            os.kill(forks[0], signal.SIGKILL)
+
+    result = run_batch(jobs, workers=1, on_item=kill_the_worker)
+    assert batch_bytes(result) == expected
+    # The second job found its worker dead and replayed serially; the
+    # third forked a fresh one, which the fourth reused.
+    assert len(forks) == (2 if CAN_FORK else 0)
+    assert_reaped(forks)
+
+
+def test_an_error_in_the_workers_kind_is_the_serial_engines_own(forks):
+    tiny = tiny_jobs(3)
+    jobs = [tiny[0], BatchJob("netscale", second_kind_fails(), label="late"), *tiny[1:]]
+    expected = serial_batch_bytes(jobs)
+    result = run_batch(jobs, workers=1)
+    assert batch_bytes(result) == expected
+    error = result.items[1].error
+    assert error["type"] == "UnfinishedCircuitsError"
+    assert "_run_kind" in error["traceback"]
+    # The late job's second kind raised in the worker, which was joined;
+    # the next job forked a fresh one.
+    assert len(forks) == (2 if CAN_FORK else 0)
+    assert_reaped(forks)
+
+
+def test_an_interrupt_in_the_parents_kind_stops_the_warm_worker(forks, monkeypatch):
+    real = engine._run_kind
+    parent_runs = []
+
+    def run_kind(plan, kind):
+        if not kindworker.in_child_process():
+            parent_runs.append(kind)
+            if len(parent_runs) == 2:  # the second job's, with the worker mid-request
+                raise KeyboardInterrupt
+        return real(plan, kind)
+
+    monkeypatch.setattr(engine, "_run_kind", run_kind)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(tiny_jobs(), workers=1)
+    assert len(forks) == (1 if CAN_FORK else 0)
+    assert_reaped(forks)
+
+
+#: A serial batch whose first finished job blocks: the worker is warm
+#: and idle when its parent is killed.
+_KILLED_PARENT = """
+import os, time
+from repro.experiments.netscale import NetScaleConfig
+from repro.experiments.runner import run_batch
+from repro.scenario.netgen import NetworkConfig
+
+pids = []
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
+def block(item, done, total, source):
+    print(pids[0] if pids else 0, flush=True)
+    time.sleep(120)
+
+os.fork = fork
+jobs = [("netscale", NetScaleConfig(circuit_count=2, bulk_fraction=1.0,
+         bulk_payload_bytes=4096 + index, seed=2018, network=NetworkConfig(8, 4, 4)))
+        for index in range(2)]
+run_batch(jobs, workers=1, on_item=block)
+"""
+
+
+def gone(pid) -> bool:
+    """Whether *pid* has exited (a zombie waiting for its reaper counts)."""
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not CAN_FORK, reason="one usable CPU: no worker to orphan")
+def test_a_worker_outlives_no_sigkilled_parent():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(engine.__file__))))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_PARENT],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        worker = int(parent.stdout.readline())
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    assert worker > 0, "the batch forked no worker"
+    for _ in range(100):
+        if gone(worker):
+            return
+        time.sleep(0.05)
+    os.kill(worker, signal.SIGKILL)
+    raise AssertionError("worker %d outlived its SIGKILLed parent by 5 s" % worker)
