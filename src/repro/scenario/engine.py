@@ -355,8 +355,8 @@ def run_planned(
 #: replays its kinds serially: forking a worker for one call costs more
 #: than a small plan saves.  ``run_planned`` on 2-circuit ``netscale``
 #: plans, ms, median of 7, serial / fork per call / warm worker
-#: (BENCH_kindworker.json): 72 cell-hops 1.98 / 4.04 / 1.39, 528:
-#: 10.5 / 8.6 / 5.7, 2 112: 42.1 / 25.8 / 22.6, 8 424: 176 / 97 / 97.
+#: (BENCH_kindworker.json): 72 cell-hops 1.96 / 3.79 / 1.32, 528:
+#: 10.3 / 8.7 / 5.7, 2 112: 41.3 / 26.7 / 22.9, 8 424: 172 / 97 / 92.
 #: A fork per call breaks even between 72 and 528; the floor keeps a
 #: wide margin above that, because the break-even moves from run to run.
 _SIDE_BY_SIDE_FLOOR = 2000

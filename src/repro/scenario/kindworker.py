@@ -178,10 +178,7 @@ class KindWorkers:
         workers, self._workers = self._workers, []
         for worker in workers:
             if kill:
-                try:
-                    os.kill(worker.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+                os.kill(worker.pid, signal.SIGKILL)  # unreaped: never ESRCH
             worker.close_pipes()
         for worker in workers:
             os.waitpid(worker.pid, 0)
