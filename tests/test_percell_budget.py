@@ -68,7 +68,7 @@ def reliable_scenario():
 #:   reliable    82,105 + 109,719 /  2,644      82,230 + 109,719 /  2,644
 #:              = 31.053 + 41.497 = 72.551     = 31.101 + 41.497 = 72.598
 #:
-#: Before direct delivery and the wire builders: 264,944 + 325,737 /
+#: Before direct delivery and the wire-object helpers: 264,944 + 325,737 /
 #: 10,752 = 24.641 + 30.295 = 54.937 and 95,087 + 101,449 / 2,644 =
 #: 35.963 + 38.370 = 74.333.
 #: Earlier, newest first, as one sum of both: 590,707 / 10,752 = 54.939
