@@ -7,7 +7,11 @@ the same protocol:
 * an :class:`Experiment` has a ``name``, a ``spec_type`` and a
   ``run(spec, ctx) -> result`` method — the spec says *what* to
   compute, the :class:`RunContext` *how* to execute it (workers,
-  checkpointing); the context never changes a result byte;
+  checkpointing); the context never changes a result byte.  An
+  experiment that replays one scenario per spec states that instead
+  (:meth:`Experiment.to_scenario` and
+  :meth:`Experiment.from_scenario_result`), and a sweep then replays
+  its controller kinds as separate units of work;
 * its spec is an :class:`ExperimentSpec` (a frozen dataclass) and its
   result an :class:`ExperimentResult` (a dataclass), both of which
   round-trip through JSON via :meth:`Serializable.to_dict` /
@@ -103,7 +107,9 @@ class RunContext:
 class Experiment:
     """Base class for registered experiments.
 
-    Subclasses set the class attributes, implement :meth:`run`, and may
+    Subclasses set the class attributes, implement :meth:`run` — or the
+    scenario pair :meth:`to_scenario` / :meth:`from_scenario_result`,
+    from which :meth:`run` and :meth:`estimate_cost` follow — and may
     override the CLI hooks to expose flags and a text rendering; the
     registry-driven CLI builds its subcommands from exactly these.
     """
@@ -129,7 +135,32 @@ class Experiment:
 
     def run(self, spec: Any, ctx: RunContext = RunContext()) -> Any:
         """Execute the experiment for *spec* under *ctx*; return its result."""
+        if not self.plans_scenario:
+            raise NotImplementedError
+        from ..scenario.cache import DEFAULT_CACHE
+        from ..scenario.engine import run_scenario
+
+        return self.from_scenario_result(
+            spec, run_scenario(self.to_scenario(spec), cache=DEFAULT_CACHE)
+        )
+
+    # --- the scenario pair (optional) ------------------------------------
+
+    def to_scenario(self, spec: Any) -> Any:
+        """The :class:`~repro.scenario.spec.Scenario` *spec* replays."""
         raise NotImplementedError
+
+    def from_scenario_result(self, spec: Any, result: Any) -> Any:
+        """This experiment's result for *spec*, from the
+        :class:`~repro.scenario.engine.ScenarioResult` of its scenario."""
+        raise NotImplementedError
+
+    @property
+    def plans_scenario(self) -> bool:
+        """Whether this experiment implements the scenario pair: a sweep
+        then plans its jobs in the parent and replays their kinds as
+        separate units (:mod:`repro.jobs.dispatch`)."""
+        return type(self).to_scenario is not Experiment.to_scenario
 
     def check_knobs(self, ctx: RunContext) -> None:
         """Raise :class:`SpecError` if *ctx* sets a knob :meth:`run` ignores."""
@@ -165,7 +196,12 @@ class Experiment:
         time is proportional to).  ``repro batch --plan`` sums these
         across a sweep so big launches are predictable up front.
         """
-        return None
+        if not self.plans_scenario:
+            return None
+        from ..scenario.cache import DEFAULT_CACHE
+        from ..scenario.spec import plan_scenario
+
+        return plan_scenario(self.to_scenario(spec), cache=DEFAULT_CACHE).estimated_cost()
 
     # --- CLI hooks (used by the registry-driven repro.cli) -------------
 

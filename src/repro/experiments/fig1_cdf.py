@@ -42,13 +42,10 @@ from ..scenario import (
     NoChurn,
     Scenario,
     ScenarioResult,
-    plan_scenario,
-    run_planned,
 )
-from ..scenario.cache import DEFAULT_CACHE
 from ..transport.config import TransportConfig
 from ..units import kib, milliseconds, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .api import Experiment, ExperimentResult, ExperimentSpec
 from .netgen import NetworkConfig
 from .registry import register_experiment
 
@@ -163,20 +160,17 @@ class CdfExperiment(Experiment):
     spec_type = CdfConfig
     result_type = CdfResult
 
-    def run(self, spec: CdfConfig, ctx: RunContext = RunContext()) -> CdfResult:
-        """Run the concurrent downloads once per controller kind.
+    def to_scenario(self, spec: CdfConfig) -> Scenario:
+        """The concurrent downloads, replayed once per controller kind.
 
         Both modes see identical networks, relay paths and start times
         (one shared scenario plan, cached by spec hash); the only
         difference is the start-up controller at every hop.
         """
-        plan = plan_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
-        return _to_cdf_result(spec, run_planned(plan, kinds=list(spec.kinds)))
+        return spec.to_scenario()
 
-    def estimate_cost(self, spec: CdfConfig) -> Dict[str, int]:
-        return plan_scenario(
-            spec.to_scenario(), cache=DEFAULT_CACHE
-        ).estimated_cost()
+    def from_scenario_result(self, spec: CdfConfig, result: ScenarioResult) -> CdfResult:
+        return _to_cdf_result(spec, result)
 
     def add_cli_arguments(self, parser) -> None:
         parser.add_argument("--circuits", type=int, default=50)

@@ -58,13 +58,10 @@ from ..scenario import (
     Scenario,
     ScenarioResult,
     UtilizationProbe,
-    plan_scenario,
-    run_scenario,
 )
-from ..scenario.cache import DEFAULT_CACHE
 from ..transport.config import TransportConfig
 from ..units import kib, seconds
-from .api import Experiment, ExperimentResult, ExperimentSpec, RunContext
+from .api import Experiment, ExperimentResult, ExperimentSpec
 from .netgen import NetworkConfig
 from .registry import register_experiment
 
@@ -288,17 +285,13 @@ class NetScaleExperiment(Experiment):
     spec_type = NetScaleConfig
     result_type = NetScaleResult
 
-    def run(
-        self, spec: NetScaleConfig, ctx: RunContext = RunContext()
-    ) -> NetScaleResult:
-        return _to_netscale_result(
-            spec, run_scenario(spec.to_scenario(), cache=DEFAULT_CACHE)
-        )
+    def to_scenario(self, spec: NetScaleConfig) -> Scenario:
+        return spec.to_scenario()
 
-    def estimate_cost(self, spec: NetScaleConfig) -> Dict[str, int]:
-        return plan_scenario(
-            spec.to_scenario(), cache=DEFAULT_CACHE
-        ).estimated_cost()
+    def from_scenario_result(
+        self, spec: NetScaleConfig, result: ScenarioResult
+    ) -> NetScaleResult:
+        return _to_netscale_result(spec, result)
 
     def add_cli_arguments(self, parser) -> None:
         parser.add_argument("--circuits", type=int, default=60)

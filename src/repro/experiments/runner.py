@@ -14,18 +14,18 @@ how a list of jobs becomes a list of results:
    outcome fanned out to every index that asked for it;
 4. **dispatch** — the rest run through
    :func:`repro.jobs.dispatch.run_tasks`, the only code that knows
-   serial from pooled, each worker checkpointing its result the moment
-   it exists;
+   where a job or one of its controller kinds ran, which checkpoints
+   each job the moment its result exists;
 5. **merge** — every terminal outcome (prefilled, executed or fanned
    out) becomes one :class:`BatchItem`, streamed to ``on_item`` in
    completion order and returned in input order.
 
 Steps 2 and 3 need a checkpoint directory; without one every job
-executes.  Serial and pooled execution take the same encode → run →
-encode path job by job, so given the simulator's determinism a
-``workers=2`` sweep produces *byte-identical* structured output to a
-serial one — and, with a ``checkpoint_dir``, so does a sweep killed at
-any point and resumed.
+executes.  Every job takes the same decode → plan → replay → encode
+path whichever process replays its kinds, so given the simulator's
+determinism a ``workers=2`` sweep produces *byte-identical* structured
+output to a ``workers=1`` one — and, with a ``checkpoint_dir``, so does
+a sweep killed at any point and resumed.
 
 Failure is captured per job: an exception inside an experiment becomes
 a structured :attr:`BatchItem.error` (type, message, experiment, spec
@@ -33,23 +33,23 @@ hash, traceback) while every other job completes and checkpoints.
 Ctrl-C at any point after the jobs are prepared and worker death
 surface as :class:`~repro.jobs.dispatch.SweepInterrupted` /
 :class:`~repro.jobs.dispatch.SweepBroken`, carrying every record
-delivered so far; because workers checkpoint before they report, with
-a checkpoint directory both mean "pause", not "loss".
+delivered so far; because every job is checkpointed before it is
+reported, with a checkpoint directory both mean "pause", not "loss".
 
 Seeding is deterministic: with ``base_seed`` given, every job whose
 spec carries a ``seed`` field gets a stable per-job seed derived via
 :func:`repro.sim.rand.derive_seed` from the base seed, the job index
 and the experiment name — independent of worker count and scheduling.
 
-Scenario-backed jobs warm the process-local planned-scenario cache
+Scenario-backed jobs are planned in the sweep's own process, through
+the process-local planned-scenario cache
 (:data:`repro.scenario.DEFAULT_CACHE`); each job's hit/miss delta is
-carried back from the worker and summed into
-:attr:`BatchResult.plan_cache`, so batch reports show what the cache
-saved.  With ``plan_cache_dir`` set, every worker's cache additionally
-shares one on-disk tier (:class:`repro.scenario.cache.DiskPlanCache`),
-so a network appearing in many workers' jobs is planned at most once
-per worker (racing cold planners each plan and publish the same bytes)
-and plans survive into later sweeps.  The counters are observability
+summed into :attr:`BatchResult.plan_cache`, so batch reports show what
+the cache saved.  With ``plan_cache_dir`` set, that cache (and every
+worker's, for a job run whole in a worker) additionally shares one
+on-disk tier (:class:`repro.scenario.cache.DiskPlanCache`), so plans
+survive into later sweeps (racing cold planners each plan and publish
+the same bytes).  The counters are observability
 only — they never enter the serialized output, which stays
 byte-identical across worker counts and cache states.
 """
@@ -283,17 +283,19 @@ def run_batch(
         experiment names (run at defaults), or JSON-style dicts
         (``{"experiment": ..., "spec": {...}}``).
     workers:
-        ``None`` or ``1`` runs serially in-process; ``N > 1`` fans jobs
-        out over a work-stealing process pool of *N* workers.  Output
-        is identical either way.
+        ``None`` or ``1``: one forked worker per usable CPU replays the
+        jobs' controller kinds while this process plans and checkpoints
+        them, and jobs that plan no scenario run here; ``N > 1``: *N*
+        workers, which also run those jobs.  Output is identical either
+        way.
     base_seed:
         When given, every spec with a ``seed`` field is re-seeded
         deterministically per job (see module docstring).  ``None``
         leaves the specs' own seeds untouched.
     plan_cache_dir:
         When given, a persistent :class:`~repro.scenario.cache
-        .DiskPlanCache` under this directory backs every worker's plan
-        cache (and the serial path, for the duration of the sweep), so
+        .DiskPlanCache` under this directory backs the plan cache of
+        this process and of every worker, for the duration of the sweep, so
         plans and generated networks are shared across processes and
         across repeated sweeps.  Purely a speedup: the structured
         output stays byte-identical with or without it.

@@ -15,14 +15,13 @@ The subcommand doubles as the parts browser::
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any
 
 from ..analysis.stats import quantile
-from ..scenario.cache import DEFAULT_CACHE
-from ..scenario.engine import ScenarioResult, present, run_scenario
-from ..scenario.spec import Scenario, plan_scenario
+from ..scenario.engine import ScenarioResult, present
+from ..scenario.spec import Scenario
 from ..serialize import read_json_file
-from .api import Experiment, RunContext
+from .api import Experiment
 from .registry import register_experiment
 
 __all__ = ["ScenarioExperiment"]
@@ -37,13 +36,13 @@ class ScenarioExperiment(Experiment):
     spec_type = Scenario
     result_type = ScenarioResult
 
-    def run(
-        self, spec: Scenario, ctx: RunContext = RunContext()
-    ) -> ScenarioResult:
-        return run_scenario(spec, cache=DEFAULT_CACHE)
+    def to_scenario(self, spec: Scenario) -> Scenario:
+        return spec
 
-    def estimate_cost(self, spec: Scenario) -> Optional[Dict[str, int]]:
-        return plan_scenario(spec, cache=DEFAULT_CACHE).estimated_cost()
+    def from_scenario_result(
+        self, spec: Scenario, result: ScenarioResult
+    ) -> ScenarioResult:
+        return result
 
     # --- CLI ------------------------------------------------------------
 

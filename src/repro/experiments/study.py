@@ -11,7 +11,8 @@ shrinks to declarations: its grid keys, its point spec, the row fields
 only it computes, its table columns.
 
 Execution comes from the :class:`~repro.experiments.api.RunContext`:
-``workers`` fans the points over a process pool, ``checkpoint_dir``
+``workers`` sizes the sweep's pool of forked workers, which replay the
+points' controller kinds as separate units; ``checkpoint_dir``
 makes the sweep crash-resumable: a re-run reuses every checkpointed
 point, and ``repro report DIR`` renders the partial state while it
 runs.  All points share one topology source and seed, so with a disk
@@ -162,9 +163,10 @@ class GridStudy(Experiment):
         ]
         workers = ctx.workers
         if workers > 1 and in_child_process():
-            # Inside a pool worker (the study itself swept by `repro
+            # Inside a sweep's worker (the study itself a job of `repro
             # batch --workers N`): the outer pool already fills the
-            # cores, so the inner sweep runs serially, not nested.
+            # cores, and a worker forks none, so the inner sweep runs
+            # serially, here.
             workers = 1
         on_item = None
         if ctx.checkpoint_dir is not None:

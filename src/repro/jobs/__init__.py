@@ -2,14 +2,15 @@
 
 What :func:`repro.experiments.runner.run_batch` stands on to make a
 sweep crash-resumable: per-job results checkpointed to disk as they
-complete, keyed by a content hash of each job's identity, and
-work-stealing dispatch over a worker pool with per-job failure capture.
+complete, keyed by a content hash of each job's identity, and one pool
+of forked workers, whose unit is a controller kind's replay, with
+per-job failure capture.
 
 * :mod:`repro.jobs.store`    — :class:`JobStore`: checkpoint/lease
   persistence on the shared :mod:`repro.storage` envelope discipline,
   and :func:`job_key`;
 * :mod:`repro.jobs.dispatch` — ``run_tasks``, the only code that knows
-  serial from pooled; the record a worker sends home
+  where a job or one of its kinds ran; a job's terminal record
   (:class:`JobOutcome`); the sweep-level exceptions
   (:class:`SweepInterrupted`, :class:`SweepBroken`).
 

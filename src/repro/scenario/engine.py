@@ -8,11 +8,12 @@ anything — and assemble a serializable :class:`ScenarioResult` with
 per-circuit samples, probe time series and engine accounting.
 
 The kinds share nothing, so :func:`run_planned` replays them side by
-side in kind workers (:mod:`~repro.scenario.kindworker`), byte for byte
-the result of replaying them one after the other.  Inside a batch's
-scope the workers stay warm from job to job and every plan qualifies;
-a call outside any scope forks workers for itself alone, and only for a
-plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more.
+side in kind workers (:mod:`~repro.scenario.kindworker`) forked for the
+call, for a plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more,
+byte for byte the result of replaying them one after the other.  A
+sweep does not come through here: its pool replays each kind of a job
+with :func:`replay_kind` and assembles the job's result with
+:func:`scenario_result`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..tor.circuit import CircuitFlow, CircuitSpec
 from ..tor.hosts import released
 from .cache import PlanCache
 from .faults import FaultInjector, RelayFailure
-from .kindworker import kind_workers
+from .kindworker import replay_kinds
 from .netgen import GeneratedNetwork, instantiate_network
 from .probes import ProbeSeries
 from .spec import PlannedCircuit, Scenario, ScenarioPlan, plan_scenario
@@ -41,8 +42,10 @@ __all__ = [
     "ScenarioResult",
     "UnfinishedCircuitsError",
     "build_circuit_run",
+    "replay_kind",
     "run_planned",
     "run_scenario",
+    "scenario_result",
 ]
 
 
@@ -320,22 +323,30 @@ def run_planned(
 ) -> ScenarioResult:
     """Replay *plan* once per controller kind and assemble the result.
 
-    Two or more kinds replay side by side, one in this process and each
-    other one in a kind worker, when this process may use two CPUs and
-    is itself no worker, inside a batch's scope or for a plan of
-    ``_SIDE_BY_SIDE_FLOOR`` cell-hops or more.  Otherwise, and again if
-    anything fails on that path, they replay serially: an error is
-    always the serial engine's own.
+    Two or more kinds replay side by side, one in this process and the
+    others in kind workers, when this process may fork and use two CPUs
+    and the plan has ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more.
+    Otherwise, and again if anything fails on that path, they replay
+    serially: an error is always the serial engine's own.
     """
+    run_kinds = list(kinds) if kinds is not None else list(plan.scenario.kinds)
+    return scenario_result(
+        plan, run_kinds, replay_kinds(plan, run_kinds, _run_kind, _SIDE_BY_SIDE_FLOOR)
+    )
+
+
+def scenario_result(
+    plan: ScenarioPlan, kinds: Sequence[str], outcomes: Sequence[Any]
+) -> ScenarioResult:
+    """The result of *plan* from one :func:`replay_kind` outcome per kind."""
     scenario = plan.scenario
-    run_kinds = list(kinds) if kinds is not None else list(scenario.kinds)
     samples: Dict[str, List[ScenarioCircuitSample]] = {}
     probes: Dict[str, List[ProbeSeries]] = {}
     events: Dict[str, int] = {}
     failures: Dict[str, List[CircuitFailure]] = {}
     counters: Dict[str, Dict[str, int]] = {}
     faulted = bool(scenario.faults)
-    for kind, outcome in zip(run_kinds, _run_kinds(plan, run_kinds)):
+    for kind, outcome in zip(kinds, outcomes):
         samples[kind], probes[kind], events[kind] = outcome[:3]
         if faulted:
             failures[kind], counters[kind] = outcome[3:]
@@ -351,21 +362,20 @@ def run_planned(
     )
 
 
-#: Planned cell-hops per kind under which a call outside a batch's scope
-#: replays its kinds serially: forking a worker for one call costs more
-#: than a small plan saves.  ``run_planned`` on 2-circuit ``netscale``
-#: plans, ms, median of 7, serial / fork per call / warm worker
-#: (BENCH_kindworker.json): 72 cell-hops 1.96 / 3.79 / 1.32, 528:
-#: 10.3 / 8.7 / 5.7, 2 112: 41.3 / 26.7 / 22.9, 8 424: 172 / 97 / 92.
-#: A fork per call breaks even between 72 and 528; the floor keeps a
-#: wide margin above that, because the break-even moves from run to run.
+#: Planned cell-hops per kind under which a call replays its kinds
+#: serially: forking a worker for one call costs more than a small plan
+#: saves.  ``run_planned`` on 2-circuit ``netscale`` plans, ms, median
+#: of 7, serial / fork per call / warm worker (BENCH_kindworker.json):
+#: 72 cell-hops 1.96 / 3.79 / 1.32, 528: 10.3 / 8.7 / 5.7, 2 112: 41.3 /
+#: 26.7 / 22.9, 8 424: 172 / 97 / 92.  A fork per call breaks even
+#: between 72 and 528; the floor keeps a wide margin above that, because
+#: the break-even moves from run to run.
 _SIDE_BY_SIDE_FLOOR = 2000
 
 
-def _run_kinds(plan: ScenarioPlan, kinds: List[str]) -> list:
-    """The :func:`_run_kind` outcome of each of *kinds*, in kind order."""
-    with kind_workers(_SIDE_BY_SIDE_FLOOR) as workers:
-        return workers.replay(plan, kinds, _run_kind)
+def replay_kind(plan: ScenarioPlan, kind: str):
+    """One controller kind's outcome of *plan*, for :func:`scenario_result`."""
+    return _run_kind(plan, kind)
 
 
 def build_circuit_run(

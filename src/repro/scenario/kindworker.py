@@ -1,73 +1,87 @@
-"""Kind workers: forked processes that replay controller kinds side by side.
+"""Kind workers: forked processes that replay controller kinds.
 
 Every scenario job replays one plan under two or more controller kinds,
 and the replays share nothing.  A *kind worker* is a process forked
-from this one that takes ``(plan, kind)`` requests over a pair of pipes
-and answers each with the replay's outcome, until it reads end of file.
-:meth:`KindWorkers.replay` runs one kind here while the workers run the
-others, byte for byte the outcomes of replaying them one after the
-other.
+from this one that reads requests from one pipe and writes one answer
+per request to another, until it reads end of file.  Two callers fork
+them:
 
-The workers live as long as their *scope*, :func:`kind_workers`:
+* **a sweep** — :func:`repro.jobs.dispatch.run_tasks` keeps a pool of
+  them for the whole batch.  Its unit is one ``(plan, kind)`` replay
+  (or a whole job, for a verb that plans no scenario), and the parent
+  plans, encodes and checkpoints while the workers replay;
+* **a single call** — :func:`replay_kinds` replays the first kind here
+  and the others in workers forked for this call alone, and only for a
+  plan of at least its *floor* cell-hops per kind: a fork costs more
+  than a small plan saves.
 
-* **a batch** — the serial path of :func:`repro.jobs.dispatch.run_tasks`
-  opens one scope for the whole sweep.  The first side-by-side replay
-  forks the workers, every later job reuses them whatever its size, and
-  they are closed and joined when the sweep ends;
-* **a single call** — a replay outside any scope opens one for itself,
-  and only for a plan of at least its *floor* cell-hops per kind: a fork
-  costs more than a small plan saves.
+A process forks workers only on a platform with ``fork``, when it is
+itself no worker and runs no other thread (fork is unsafe beside
+threads): :func:`may_fork`.
 
-Kinds replay side by side only when this process may use more than one
-CPU, is itself no worker (of a pool or of a scope) and runs no other
-thread (fork is unsafe beside threads).  If anything fails on that path
-— a worker raised, died or was killed, the pipe broke, this process's
-own kind raised or was interrupted — every worker of the scope is
-killed and joined, and the kinds replay serially, so an error is always
-the serial engine's own.  A later replay in the scope forks afresh.
+**The pipe protocol.**  A message is a 4-byte length and a pickle.  A
+request is ``(unit, body, parts)``; ``parts`` maps a slot name to
+``(key, blob)``, and :meth:`Worker.send` drops the blob when the
+worker last received that slot under the same key.  So a network
+shared by a sweep crosses each pipe once, and a job's plan, pickled
+once, crosses it once for all of its kinds.  An answer is ``(unit,
+status, value)``: ``"done"`` with the value, ``"raised"`` when the
+unit raised, ``"interrupted"`` when it raised ``KeyboardInterrupt``.
+A worker that answers ``"raised"`` serves on.
 
-A worker closes its copies of the pipe ends this process writes and
-reads, its own and every older worker's: when this process dies, even
-by ``SIGKILL``, each worker reads end of file and exits.  A worker
-ignores ``SIGINT``: Ctrl-C interrupts the process that owns the scope,
-which kills the workers itself.
+**Failure rules.**  A unit whose worker raised, died or was killed is
+*lost*, and the caller replays it itself, so an error is always the
+serial engine's own.  A single call that loses anything — its own
+kind raising or being interrupted included — kills and joins its
+workers and replays every kind serially.
+
+A worker closes its copies of every pipe end this process holds for
+any worker: when this process dies, even by ``SIGKILL``, each worker
+reads end of file (or a broken pipe) and exits.  A worker ignores
+``SIGINT``: Ctrl-C interrupts the process that forked it, which kills
+the workers itself.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import signal
-import sys
+import struct
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "KindWorkers",
+    "Worker",
     "in_child_process",
-    "kind_workers",
+    "may_fork",
+    "replay_kinds",
+    "usable_cpus",
 ]
 
 #: Whether this process is a kind worker (set in the child after fork).
 _IN_WORKER = False
 
-#: The open scope's workers (``None``: no scope is open).
-_OPEN: Optional["KindWorkers"] = None
+#: This process's ends of every live worker's pipes; a new worker
+#: closes them all, so only this process keeps a worker's pipes open.
+_PARENT_ENDS: set = set()
+
+_LENGTH = struct.Struct("<I")
+
+#: ``(key, blob)`` per slot name.
+Parts = Dict[str, Tuple[Any, bytes]]
 
 
 def in_child_process() -> bool:
-    """Whether this process is a kind worker or was started by
-    :mod:`multiprocessing` (a pool worker): it replays serially, never
-    nesting processes.
+    """Whether this process is a kind worker: it forks none of its own."""
+    return _IN_WORKER
 
-    A pool worker has imported :mod:`multiprocessing` before it runs
-    anything, so a process that has not is no pool worker and need not
-    import it.
-    """
-    if _IN_WORKER:
-        return True
-    multiprocessing = sys.modules.get("multiprocessing")
-    return multiprocessing is not None and multiprocessing.parent_process() is not None
+
+def may_fork() -> bool:
+    """Whether this process may fork workers: the platform forks, and
+    this process is no worker itself and runs no other thread."""
+    return (hasattr(os, "fork") and not _IN_WORKER
+            and threading.active_count() == 1)
 
 
 def usable_cpus() -> int:
@@ -76,120 +90,19 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-@contextmanager
-def kind_workers(floor: int = 0) -> Iterator["KindWorkers"]:
-    """The open scope's workers, or a scope of this block's own.
+class Worker:
+    """One forked worker and this process's ends of its pipes.
 
-    A scope opened here forks nothing until a replay needs a worker,
-    and closes and joins its workers when the block ends, error or
-    interrupt included.  Its replays go side by side only for plans of
-    *floor* or more cell-hops per kind; a block inside an open scope
-    uses that scope, whose floor is its own.
+    ``serve(body, parts)`` answers each request in the worker, with
+    ``parts`` mapping each slot of the request to its unpickled object.
+    Requests are written without blocking (the unwritten rest waits in
+    :attr:`outbox` for :meth:`flush`); answers are read unbuffered, so a
+    ``select`` on :attr:`answers` never misses one.
     """
-    global _OPEN
-    if _OPEN is not None:
-        yield _OPEN
-        return
-    _OPEN = workers = KindWorkers(floor)
-    try:
-        yield workers
-    finally:
-        _OPEN = None
-        workers.close()
 
+    __slots__ = ("pid", "requests", "answers", "inbox", "outbox", "units", "sent")
 
-class _Worker:
-    """One forked worker: its pid and this process's ends of its pipes."""
-
-    __slots__ = ("pid", "requests", "answers")
-
-    def __init__(self, pid: int, requests: Any, answers: Any) -> None:
-        self.pid = pid
-        self.requests = requests
-        self.answers = answers
-
-    def ask(self, plan: Any, kind: str) -> None:
-        import pickle
-
-        pickle.dump((plan, kind), self.requests, pickle.HIGHEST_PROTOCOL)
-        self.requests.flush()
-
-    def answer(self) -> Any:
-        """The outcome; ``EOFError`` if the worker raised or died."""
-        import pickle
-
-        return pickle.load(self.answers)
-
-    def close_pipes(self) -> None:
-        for end in (self.requests, self.answers):
-            try:
-                end.close()
-            except OSError:
-                pass  # a dead reader: the unsent request goes with it
-
-
-class KindWorkers:
-    """The kind workers of one scope, forked as replays need them."""
-
-    def __init__(self, floor: int = 0) -> None:
-        #: Cell-hops per kind under which this scope replays serially.
-        self.floor = floor
-        self._workers: List[_Worker] = []
-
-    def replay(
-        self,
-        plan: Any,
-        kinds: Sequence[str],
-        run_kind: Callable[[Any, str], Any],
-    ) -> list:
-        """``run_kind(plan, kind)`` of each of *kinds*, in kind order.
-
-        Groups of as many kinds as there are usable CPUs: a group's
-        first replays here, the others in workers.  A worker forked now
-        serves with *run_kind* for the rest of the scope.
-        """
-        cpus = usable_cpus()
-        if (
-            min(len(kinds), cpus) > 1
-            and not in_child_process()
-            and threading.active_count() == 1
-            and (not self.floor or plan.estimated_cost()["cell_hops"] >= self.floor)
-        ):
-            outcomes: list = []
-            try:
-                for start in range(0, len(kinds), cpus):
-                    group = kinds[start:start + cpus]
-                    workers = self._enlist(len(group) - 1, run_kind)
-                    for worker, kind in zip(workers, group[1:]):
-                        worker.ask(plan, kind)
-                    outcomes.append(run_kind(plan, group[0]))
-                    outcomes.extend(worker.answer() for worker in workers)
-                return outcomes
-            except Exception:
-                pass  # replay below, so the caller sees the serial engine's error
-            finally:
-                if len(outcomes) < len(kinds):
-                    self.close(kill=True)  # a worker may be mid-request
-        return [run_kind(plan, kind) for kind in kinds]
-
-    def close(self, kill: bool = False) -> None:
-        """Stop every worker and wait for it: end of file on its request
-        pipe, and first ``SIGKILL`` when *kill* is set."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            if kill:
-                os.kill(worker.pid, signal.SIGKILL)  # unreaped: never ESRCH
-            worker.close_pipes()
-        for worker in workers:
-            os.waitpid(worker.pid, 0)
-
-    def _enlist(self, count: int, run_kind: Callable[[Any, str], Any]) -> List[_Worker]:
-        """The first *count* workers, forking the missing ones."""
-        while len(self._workers) < count:
-            self._workers.append(self._fork(run_kind))
-        return self._workers[:count]
-
-    def _fork(self, run_kind: Callable[[Any, str], Any]) -> _Worker:
+    def __init__(self, serve: Callable[[Any, Dict[str, Any]], Any]) -> None:
         import pickle  # before the fork: the worker needs it too
 
         requests_in, requests_out = os.pipe()
@@ -207,21 +120,163 @@ class KindWorkers:
                 global _IN_WORKER
                 _IN_WORKER = True
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(requests_out)
-                os.close(answers_in)
-                for older in self._workers:
-                    older.close_pipes()
-                requests = open(requests_in, "rb")
-                answers = open(answers_out, "wb")
-                while True:
-                    try:
-                        plan, kind = pickle.load(requests)
-                    except EOFError:
-                        break
-                    pickle.dump(run_kind(plan, kind), answers, pickle.HIGHEST_PROTOCOL)
-                    answers.flush()
+                for fd in (requests_out, answers_in, *_PARENT_ENDS):
+                    os.close(fd)
+                _PARENT_ENDS.clear()
+                _serve(requests_in, answers_out, serve, pickle)
             finally:
                 os._exit(0)
         os.close(requests_in)
         os.close(answers_out)
-        return _Worker(pid, open(requests_out, "wb"), open(answers_in, "rb"))
+        os.set_blocking(requests_out, False)
+        _PARENT_ENDS.update((requests_out, answers_in))
+        self.pid = pid
+        self.requests = requests_out
+        self.answers = answers_in
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        #: Units sent and not yet answered, in the order they were sent.
+        self.units: List[Any] = []
+        #: slot -> the key this worker last received it under.
+        self.sent: Dict[str, Any] = {}
+
+    def send(self, unit: Any, body: Any, parts: Optional[Parts] = None) -> None:
+        """Queue one request and write what the pipe takes now.
+
+        A dead worker is not noticed here: its units are reported lost
+        when :meth:`receive` reads its end of file.
+        """
+        import pickle
+
+        wire = {}
+        for slot, (key, blob) in (parts or {}).items():
+            wire[slot] = (key, None if self.sent.get(slot) == key else blob)
+            self.sent[slot] = key
+        frame = pickle.dumps((unit, body, wire), pickle.HIGHEST_PROTOCOL)
+        self.outbox += _LENGTH.pack(len(frame))
+        self.outbox += frame
+        self.units.append(unit)
+        self.flush()
+
+    def flush(self, wait: bool = False) -> None:
+        """Write queued request bytes: what the pipe takes now, or (with
+        *wait*) all of them."""
+        while self.outbox:
+            try:
+                written = os.write(self.requests, self.outbox)
+            except BlockingIOError:
+                if not wait:
+                    return
+                select.select([], [self.requests], [])
+                continue
+            except BrokenPipeError:
+                self.outbox.clear()  # dead: receive() reports its units
+                return
+            del self.outbox[:written]
+
+    def receive(self) -> Optional[List[Tuple[Any, str, Any]]]:
+        """The answers complete after one read (which blocks until the
+        pipe holds something), or ``None`` at end of file."""
+        import pickle
+
+        chunk = os.read(self.answers, 1 << 16)
+        if not chunk:
+            return None
+        inbox = self.inbox
+        inbox += chunk
+        answers = []
+        while len(inbox) >= _LENGTH.size:
+            (size,) = _LENGTH.unpack_from(inbox)
+            end = _LENGTH.size + size
+            if len(inbox) < end:
+                break
+            answer = pickle.loads(inbox[_LENGTH.size:end])
+            del inbox[:end]
+            self.units.remove(answer[0])
+            answers.append(answer)
+        return answers
+
+    def stop(self, kill: bool = False) -> None:
+        """Close this process's pipe ends (the worker reads end of file),
+        after ``SIGKILL`` when *kill* is set; :meth:`join` reaps it."""
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)  # unreaped: never ESRCH
+        for fd in (self.requests, self.answers):
+            _PARENT_ENDS.discard(fd)
+            os.close(fd)
+
+    def join(self) -> None:
+        os.waitpid(self.pid, 0)
+
+
+def _serve(requests_fd: int, answers_fd: int, serve: Callable, pickle: Any) -> None:
+    """The worker's loop: one answer per request, until end of file."""
+    requests = open(requests_fd, "rb")
+    kept: Dict[str, Any] = {}
+    while True:
+        header = requests.read(_LENGTH.size)
+        if len(header) < _LENGTH.size:
+            return
+        unit, body, wire = pickle.loads(requests.read(_LENGTH.unpack(header)[0]))
+        for slot, (__, blob) in wire.items():
+            if blob is not None:
+                kept[slot] = pickle.loads(blob)
+        try:
+            answer = (unit, "done", serve(body, {slot: kept[slot] for slot in wire}))
+        except KeyboardInterrupt:
+            answer = (unit, "interrupted", None)
+        except Exception:
+            answer = (unit, "raised", None)
+        frame = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_LENGTH.pack(len(frame)) + frame)
+        while view:
+            view = view[os.write(answers_fd, view):]
+
+
+def replay_kinds(
+    plan: Any,
+    kinds: Sequence[str],
+    run_kind: Callable[[Any, str], Any],
+    floor: int,
+) -> list:
+    """``run_kind(plan, kind)`` of each of *kinds*, in kind order.
+
+    Side by side, for a plan of *floor* or more cell-hops per kind when
+    this process may fork and use two CPUs: the first kind replays here
+    and the others in workers forked for this call, one per extra usable
+    CPU, round robin.  Serially otherwise, and again after any failure.
+    """
+    count = min(len(kinds), usable_cpus()) - 1
+    if count > 0 and may_fork() and plan.estimated_cost()["cell_hops"] >= floor:
+        import pickle
+
+        workers: List[Worker] = []
+        answers: Dict[int, Any] = {}
+        try:
+            part = {"plan": (0, pickle.dumps(plan, pickle.HIGHEST_PROTOCOL))}
+            for __ in range(count):
+                workers.append(Worker(lambda kind, parts: run_kind(parts["plan"], kind)))
+            for position, kind in enumerate(kinds[1:], 1):
+                workers[position % count].send(position, kind, part)
+            for worker in workers:
+                worker.flush(wait=True)
+            first = run_kind(plan, kinds[0])
+            for worker in workers:
+                while worker.units:
+                    received = worker.receive()
+                    if received is None:
+                        raise EOFError("kind worker %d died" % worker.pid)
+                    for position, status, value in received:
+                        if status != "done":
+                            raise RuntimeError("kind %r was lost" % kinds[position])
+                        answers[position] = value
+            return [first] + [answers[position] for position in range(1, len(kinds))]
+        except Exception:
+            pass  # replay below, so the caller sees the serial engine's error
+        finally:
+            lost = len(answers) < len(kinds) - 1
+            for worker in workers:
+                worker.stop(kill=lost)  # a worker may be mid-request
+            for worker in workers:
+                worker.join()
+    return [run_kind(plan, kind) for kind in kinds]

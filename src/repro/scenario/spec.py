@@ -38,6 +38,7 @@ __all__ = [
     "PlannedCircuit",
     "Scenario",
     "ScenarioPlan",
+    "network_key",
     "plan_scenario",
 ]
 
@@ -198,6 +199,12 @@ def plan_scenario(
     )
 
 
+def network_key(scenario: Scenario) -> str:
+    """The content key of the network *scenario* plans: scenarios with one
+    key plan one network (the plan cache's key for it)."""
+    return spec_hash(scenario.topology.network_fingerprint(scenario))
+
+
 def _plan_cold(
     scenario: Scenario, key: str, cache: Optional[PlanCache]
 ) -> ScenarioPlan:
@@ -206,9 +213,8 @@ def _plan_cold(
     streams = RandomStreams(scenario.seed)
 
     if cache is not None:
-        network_key = spec_hash(topology.network_fingerprint(scenario))
         network = cache.get_or_compute(
-            "network", network_key,
+            "network", network_key(scenario),
             lambda: topology.plan_network(scenario, streams),
         )
     else:

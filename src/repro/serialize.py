@@ -215,6 +215,10 @@ def decode(target_type: Any, data: Any) -> Any:
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(decode(args[0], item) for item in data)
         if args:
+            if not isinstance(data, (list, tuple)) or len(data) != len(args):
+                raise _WrongLength(
+                    "expects a list of exactly %d item(s), got %r" % (len(args), data)
+                )
             return tuple(decode(a, item) for a, item in zip(args, data))
         return tuple(data)
     if origin is dict or target_type is dict:
@@ -226,6 +230,11 @@ def decode(target_type: Any, data: Any) -> Any:
         }
     # Unparameterized / unknown annotation: pass the data through.
     return data
+
+
+class _WrongLength(SpecError):
+    """A fixed-length tuple field got a list of another length; the
+    enclosing dataclass names the field."""
 
 
 def _decode_key(key_type: Any, key: str) -> Any:
@@ -261,7 +270,10 @@ def _decode_dataclass(cls: type, data: Dict[str, Any]) -> Any:
         if not f.init:
             continue
         if f.name in data:
-            kwargs[f.name] = decode(hints.get(f.name, Any), data[f.name])
+            try:
+                kwargs[f.name] = decode(hints.get(f.name, Any), data[f.name])
+            except _WrongLength as error:
+                raise SpecError("%s.%s %s" % (cls.__name__, f.name, error)) from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise SpecError(
                 "%s is missing required field %r" % (cls.__name__, f.name)

@@ -671,6 +671,49 @@ def test_from_dict_unknown_field_rejected():
         TraceConfig.from_dict({"bottleneck_distanse": 3})
 
 
+@pytest.mark.parametrize("kinds", [
+    ["with", "without", "jumpstart"],  # once ran two of three kinds
+    ["with"],  # once ran one
+    [],
+    "wi",  # a string is no list
+])
+def test_a_fixed_length_tuple_of_another_length_is_refused(kinds):
+    from repro.experiments.netscale import NetScaleConfig
+
+    with pytest.raises(SpecError, match=r"^NetScaleConfig\.kinds expects a list of exactly 2"):
+        NetScaleConfig.from_dict({"kinds": kinds})
+
+
+def test_a_nested_fixed_length_tuple_names_its_own_class():
+    from repro.experiments.netscale import NetScaleConfig
+
+    with pytest.raises(SpecError, match=r"^NetworkConfig\.relay_delay_ms "):
+        NetScaleConfig.from_dict({"network": {"relay_delay_ms": [1.0, 2.0, 3.0]}})
+
+
+def test_a_batch_job_with_three_kinds_is_refused_before_anything_runs(tmp_path, capsys):
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps([{"experiment": "netscale",
+                                  "spec": {"kinds": ["with", "without", "jumpstart"]}}]))
+    assert main(["batch", str(specs), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "job 0: NetScaleConfig.kinds expects a list of exactly 2 item(s)" in err
+    assert main(["batch", str(specs), "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "NetScaleConfig.kinds expects a list of exactly 2 item(s), got "
+        "['with', 'without', 'jumpstart']"
+    ]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_valid_two_kind_spec_decodes_as_before():
+    from repro.experiments.netscale import NetScaleConfig
+
+    config = NetScaleConfig.from_dict({"kinds": ["without", "with"]})
+    assert config.kinds == ("without", "with")
+    assert NetScaleConfig.from_dict(NetScaleConfig().to_dict()) == NetScaleConfig()
+
+
 # ----------------------------------------------------------------------
 # Result serialization (full runs at reduced scale)
 # ----------------------------------------------------------------------

@@ -554,9 +554,8 @@ def test_parallel_workers_share_one_network_through_disk(tmp_path, monkeypatch):
     from repro.scenario.cache import PlanCache as _PlanCache
 
     cold_cache = _PlanCache()
-    monkeypatch.setattr("repro.experiments.netscale.DEFAULT_CACHE", cold_cache)
-    # The batch execution path (and its cache-delta accounting) lives in
-    # the jobs dispatch layer now that run_batch is a thin client of it.
+    # A batch plans its scenario jobs (and counts their cache deltas) in
+    # the jobs dispatch layer, whatever the experiment.
     monkeypatch.setattr("repro.jobs.dispatch.DEFAULT_CACHE", cold_cache)
     cold = run_batch(jobs, workers=1)
     assert cold.plan_cache["plan_misses"] == 4  # genuinely cold

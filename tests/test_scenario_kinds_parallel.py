@@ -1,13 +1,14 @@
-"""The engine's side-by-side replay of controller kinds, and its fallback.
+"""Controller kinds replayed side by side in forked kind workers.
 
-``run_planned`` may replay a plan's kinds in forked kind workers
-(:mod:`repro.scenario.kindworker`): for the one call, or for a whole
-serial batch, whose workers stay warm from job to job.  Everything
-observable must be what the serial engine produces — results byte for
-byte, errors down to the traceback text — workers must never outlive
-their call or batch, not even a SIGKILLed parent, and the "do not fork"
-conditions must hold: a small plan outside a batch, one usable CPU, a
-process that is itself somebody's child.
+Two callers fork kind workers (:mod:`repro.scenario.kindworker`):
+``run_planned``, for the one call, and a sweep's pool
+(:mod:`repro.jobs.dispatch`), whose workers replay one kind of one job
+at a time and stay warm from job to job.  Everything observable must be
+what the serial engine produces — results byte for byte, errors down to
+the traceback text — workers must never outlive their call or batch,
+not even a SIGKILLed parent, and the "do not fork" conditions must
+hold: a small plan outside a batch, one usable CPU, a process that is
+itself a worker.
 
 The plans here are small, so most single-call tests lower the size
 floor.  With one usable CPU (CI also runs this module under ``taskset
@@ -20,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import logging
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -28,20 +30,25 @@ import subprocess
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from typing import List
 
 import pytest
 
 from repro.experiments import study
 from repro.experiments.adversity import AdversityStudyConfig
-from repro.experiments.api import RunContext
+from repro.experiments.api import (
+    Experiment,
+    ExperimentResult,
+    ExperimentSpec,
+    RunContext,
+)
 from repro.experiments.churn_study import ChurnStudyConfig
 from repro.experiments.netscale import NetScaleConfig
-from repro.experiments.registry import get_experiment
+from repro.experiments.registry import _REGISTRY, get_experiment, register_experiment
 from repro.experiments.runner import BatchJob, run_batch
 from repro.scenario import engine, kindworker, plan_scenario, run_planned, sharded
 from repro.scenario.cache import PlanCache
-from repro.scenario.netgen import NetworkConfig
+from repro.scenario.netgen import NetworkConfig, NetworkPlan
 from repro.scenario.spec import Scenario
 from repro.scenario.topology import GeneratedTopology
 from repro.scenario.workloads import BulkWorkload
@@ -122,6 +129,14 @@ def one_cpu():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         yield
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Where this process may fork, the CPU probe reads two usable CPUs,
+    whatever the box has: a serial batch's pool has two workers."""
+    if CAN_FORK:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def serial_bytes(plan, kinds=None) -> str:
@@ -303,13 +318,49 @@ def _replay_in_worker():
     return kindworker.in_child_process(), len(pids), result_bytes(result)
 
 
+@dataclasses.dataclass(frozen=True)
+class ProbeSpec(ExperimentSpec):
+    probe: str = "replay"
+
+
+@dataclasses.dataclass
+class ProbeResult(ExperimentResult):
+    in_child: bool = False
+    forks: int = 0
+    text: str = ""
+    seen: List[int] = dataclasses.field(default_factory=list)
+
+
+class ProbeExperiment(Experiment):
+    """Runs one probe of this module where a sweep runs a whole job."""
+
+    name = "test-kind-probe"
+    spec_type = ProbeSpec
+    result_type = ProbeResult
+
+    def run(self, spec, ctx=RunContext()):
+        if spec.probe == "study":
+            return ProbeResult(seen=_study_sweep_workers())
+        in_child, forks, text = _replay_in_worker()
+        return ProbeResult(in_child=in_child, forks=forks, text=text)
+
+
+def in_a_pool_worker(probe):
+    """The probe's result, run as a whole job in a ``workers=2`` sweep."""
+    register_experiment(ProbeExperiment)
+    try:
+        batch = run_batch([BatchJob("test-kind-probe", ProbeSpec(probe))], workers=2)
+        return batch.items[0].result_object()
+    finally:
+        _REGISTRY.pop(ProbeExperiment.name, None)
+
+
 def test_no_fork_inside_a_pool_worker():
     assert not kindworker.in_child_process()
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        in_child, fork_count, result = pool.submit(_replay_in_worker).result(120)
-    assert in_child
-    assert fork_count == 0
-    assert result == serial_bytes(lossless_plan())
+    probe = in_a_pool_worker("replay")
+    assert probe.in_child == kindworker.may_fork()
+    assert probe.forks == 0
+    assert probe.text == serial_bytes(lossless_plan())
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +412,7 @@ def _disjoint_plan():
 
 def test_a_study_inside_a_pool_worker_sweeps_serially():
     assert _study_sweep_workers() == [2]
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(_study_sweep_workers).result(120) == [1]
+    assert in_a_pool_worker("study").seen == [1 if kindworker.may_fork() else 2]
 
 
 def test_a_sharded_run_forks_as_run_planned_does(low_floor, forks, monkeypatch):
@@ -383,15 +433,15 @@ def test_a_sharded_run_forks_as_run_planned_does(low_floor, forks, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_batch_is_byte_identical_in_process_and_pooled(low_floor, forks):
+def test_batch_is_byte_identical_in_process_and_pooled(two_cpus, forks):
     jobs = [
         BatchJob("netscale", netscale_config(), label="ok"),
         BatchJob("netscale", second_kind_fails(), label="late"),
         BatchJob("netscale", netscale_config(seed=7), label="ok-7"),
     ]
     in_process = run_batch(jobs, workers=1)
-    # One kind worker for the first job; the failing job's worker raised
-    # and was joined, so the third job forks a fresh one.
+    # One worker per usable CPU; the one whose kind raised answered so
+    # and served on, and the parent replayed that kind.
     assert len(forks) == (2 if CAN_FORK else 0)
     pooled = run_batch(jobs, workers=2)
     assert json.dumps(in_process.to_dict(), sort_keys=True) == json.dumps(
@@ -401,11 +451,11 @@ def test_batch_is_byte_identical_in_process_and_pooled(low_floor, forks):
     assert errors[0] is None and errors[2] is None
     assert errors[1]["type"] == "UnfinishedCircuitsError"
     assert "_run_kind" in errors[1]["traceback"]
-    assert_reaped(forks[:2])
+    assert_reaped(forks)
 
 
 # ----------------------------------------------------------------------
-# (g) a serial batch keeps its kind workers warm from job to job
+# (g) a sweep's pool keeps its kind workers warm from job to job
 # ----------------------------------------------------------------------
 
 
@@ -442,7 +492,7 @@ def serial_batch_bytes(jobs) -> str:
 
 
 @pytest.mark.parametrize("kinds", [("with", "without"), ("with", "without", "jumpstart")])
-def test_a_serial_batch_forks_once_per_extra_cpu_not_once_per_job(kinds, forks):
+def test_a_serial_batch_forks_once_per_usable_cpu_not_once_per_job(kinds, forks):
     jobs = tiny_scenario_jobs(kinds)
     plan = plan_scenario(jobs[0].spec, cache=PlanCache())
     assert plan.estimated_cost()["cell_hops"] < engine._SIDE_BY_SIDE_FLOOR
@@ -452,12 +502,12 @@ def test_a_serial_batch_forks_once_per_extra_cpu_not_once_per_job(kinds, forks):
             # As many CPUs as kinds, whatever the box has.
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(kinds))))
         result = run_batch(jobs, workers=1)
-    assert len(forks) == (len(kinds) - 1 if CAN_FORK else 0)
+    assert len(forks) == (len(kinds) if CAN_FORK else 0)
     assert_reaped(forks)
     assert batch_bytes(result) == expected
 
 
-def test_a_worker_killed_between_jobs_yields_the_serial_bytes(forks):
+def test_a_worker_killed_between_jobs_yields_the_serial_bytes(two_cpus, forks):
     jobs = tiny_jobs()
     expected = serial_batch_bytes(jobs)
 
@@ -467,13 +517,13 @@ def test_a_worker_killed_between_jobs_yields_the_serial_bytes(forks):
 
     result = run_batch(jobs, workers=1, on_item=kill_the_worker)
     assert batch_bytes(result) == expected
-    # The second job found its worker dead and replayed serially; the
-    # third forked a fresh one, which the fourth reused.
-    assert len(forks) == (2 if CAN_FORK else 0)
+    # The parent replayed what the dead worker held; a replacement forks
+    # once, if a unit still waits for a worker.
+    assert (2 <= len(forks) <= 3) if CAN_FORK else forks == []
     assert_reaped(forks)
 
 
-def test_an_error_in_the_workers_kind_is_the_serial_engines_own(forks):
+def test_an_error_in_the_workers_kind_is_the_serial_engines_own(two_cpus, forks):
     tiny = tiny_jobs(3)
     jobs = [tiny[0], BatchJob("netscale", second_kind_fails(), label="late"), *tiny[1:]]
     expected = serial_batch_bytes(jobs)
@@ -482,27 +532,30 @@ def test_an_error_in_the_workers_kind_is_the_serial_engines_own(forks):
     error = result.items[1].error
     assert error["type"] == "UnfinishedCircuitsError"
     assert "_run_kind" in error["traceback"]
-    # The late job's second kind raised in the worker, which was joined;
-    # the next job forked a fresh one.
+    # The late job's second kind raised in a worker, which answered so
+    # and served on: no worker was replaced.
     assert len(forks) == (2 if CAN_FORK else 0)
     assert_reaped(forks)
 
 
-def test_an_interrupt_in_the_parents_kind_stops_the_warm_worker(forks, monkeypatch):
+def test_an_interrupt_in_the_parents_kind_stops_the_warm_worker(
+    two_cpus, forks, monkeypatch
+):
     real = engine._run_kind
-    parent_runs = []
 
     def run_kind(plan, kind):
         if not kindworker.in_child_process():
-            parent_runs.append(kind)
-            if len(parent_runs) == 2:  # the second job's, with the worker mid-request
-                raise KeyboardInterrupt
+            # The parent replays a kind only when a worker lost it.
+            raise KeyboardInterrupt
+        if kind == "without":
+            raise RuntimeError("lost in the worker")
         return real(plan, kind)
 
     monkeypatch.setattr(engine, "_run_kind", run_kind)
     with pytest.raises(KeyboardInterrupt):
         run_batch(tiny_jobs(), workers=1)
-    assert len(forks) == (1 if CAN_FORK else 0)
+    # Interrupted with later jobs' units queued in both workers.
+    assert len(forks) == (2 if CAN_FORK else 0)
     assert_reaped(forks)
 
 
@@ -566,3 +619,126 @@ def test_a_worker_outlives_no_sigkilled_parent():
         time.sleep(0.05)
     os.kill(worker, signal.SIGKILL)
     raise AssertionError("worker %d outlived its SIGKILLed parent by 5 s" % worker)
+
+
+# ----------------------------------------------------------------------
+# (h) what crosses the pipe, and what the pool logs
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def unpickled(monkeypatch, tmp_path):
+    """The pid of each process that unpickled a ``NetworkPlan``, in order."""
+    record = tmp_path / "unpickled"
+
+    def setstate(self, state):
+        with open(str(record), "a") as handle:
+            handle.write("%d\n" % os.getpid())
+        self.__dict__.update(state)
+
+    monkeypatch.setattr(NetworkPlan, "__setstate__", setstate, raising=False)
+    return lambda: [int(pid) for pid in record.read_text().split()] if record.exists() else []
+
+
+def test_a_sweep_ships_its_shared_network_once_per_worker(two_cpus, forks, unpickled):
+    jobs = tiny_jobs(8)  # sixteen kind units over one network
+    expected = serial_batch_bytes(jobs)
+    assert unpickled() == []
+    result = run_batch(jobs, workers=1)
+    assert not result.failures()
+    assert batch_bytes(result) == expected
+    assert sorted(unpickled()) == sorted(forks)  # once in each worker
+    assert len(forks) == (2 if CAN_FORK else 0)
+
+
+def test_a_new_network_ships_again(two_cpus, forks, unpickled):
+    jobs = tiny_jobs(3) + [BatchJob("netscale", dataclasses.replace(
+        tiny_config(0), network=NetworkConfig(9, 4, 4)))]
+    expected = serial_batch_bytes(jobs)
+    result = run_batch(jobs, workers=1)
+    assert not result.failures()
+    assert batch_bytes(result) == expected
+    shipped = unpickled()
+    if CAN_FORK:
+        # The first network reaches both workers; the last job's second
+        # network reaches each worker that replays one of its kinds.
+        assert set(shipped) <= set(forks)
+        assert 3 <= len(shipped) <= 4
+    else:
+        assert shipped == []
+
+
+def test_a_lost_worker_is_logged_once_and_output_stays_the_same(two_cpus, forks, caplog):
+    jobs = tiny_jobs(6)
+    expected = serial_batch_bytes(jobs)
+    caplog.set_level(logging.DEBUG, logger="repro")
+
+    def kill_the_first_worker(item, done, total, source):
+        if done == 1 and forks:
+            os.kill(forks[0], signal.SIGKILL)
+
+    result = run_batch(jobs, workers=1, on_item=kill_the_first_worker)
+    assert batch_bytes(result) == expected
+    assert_reaped(forks)
+    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    warnings = [message for __, level, message in records if level >= logging.WARNING]
+    if not CAN_FORK:
+        assert records == []
+        return
+    assert len(warnings) == 1
+    assert warnings[0].startswith("sweep worker %d died; " % forks[0])
+    assert all(name == "repro.jobs.dispatch" for name, __, __ in records)
+    forked = [message for __, level, message in records if level == logging.DEBUG]
+    assert len(forked) == len(forks)
+    assert all("forked sweep worker %d " % pid in message
+               for pid, message in zip(forks, forked))
+
+
+def test_the_engine_layers_log_nothing():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    for layer in ("sim", "net", "transport", "tor"):
+        for name in os.listdir(os.path.join(root, layer)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, layer, name)) as handle:
+                    assert "logging" not in handle.read(), (layer, name)
+
+
+def test_a_dead_worker_is_replaced_once_and_then_the_parent_replays(
+    two_cpus, monkeypatch, caplog
+):
+    """Every worker dies at birth: each of the two is replaced once, the
+    replacements are not, and the parent replays every kind itself."""
+    jobs = tiny_jobs()
+    expected = serial_batch_bytes(jobs)
+    pids = []
+    real_fork = os.fork
+
+    def stillborn():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            os.kill(pid, signal.SIGKILL)
+        return pid
+
+    monkeypatch.setattr(os, "fork", stillborn)
+    caplog.set_level(logging.WARNING, logger="repro.jobs.dispatch")
+    result = run_batch(jobs, workers=1)
+    assert batch_bytes(result) == expected
+    assert len(pids) == (4 if CAN_FORK else 0)
+    assert_reaped(pids)
+    assert len(caplog.records) == len(pids)
+
+
+def test_a_failed_fork_leaves_the_parent_to_replay(two_cpus, monkeypatch, caplog):
+    jobs = tiny_jobs()
+    expected = serial_batch_bytes(jobs)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    caplog.set_level(logging.WARNING, logger="repro.jobs.dispatch")
+    result = run_batch(jobs, workers=1)
+    assert batch_bytes(result) == expected
+    assert [r.getMessage().startswith("cannot fork a sweep worker")
+            for r in caplog.records] == ([True] if CAN_FORK else [])
