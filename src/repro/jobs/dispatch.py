@@ -56,10 +56,9 @@ import heapq
 import logging
 import select
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import count
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.cache import DEFAULT_CACHE, attached_disk_tier
 from ..scenario.kindworker import Worker, may_fork, usable_cpus
@@ -147,22 +146,6 @@ class _WorkerLost(Exception):
 # One job's host work
 # ----------------------------------------------------------------------
 
-#: The sweep's checkpoint store (``None``: checkpointing off).  Module
-#: state, like the plan cache's ``DEFAULT_CACHE.disk``, so a forked
-#: worker running a whole job finds it too.
-_WORKER_STORE: Optional[JobStore] = None
-
-
-@contextmanager
-def _attached_store(checkpoint_dir: Optional[str]) -> Iterator[None]:
-    global _WORKER_STORE
-    previous = _WORKER_STORE
-    _WORKER_STORE = JobStore(checkpoint_dir) if checkpoint_dir else None
-    try:
-        yield
-    finally:
-        _WORKER_STORE = previous
-
 
 def _job_error(exc: Exception, experiment: str, key: Optional[str]) -> Dict[str, Any]:
     """A structured, serializable record of one job's failure.
@@ -184,10 +167,9 @@ def _job_error(exc: Exception, experiment: str, key: Optional[str]) -> Dict[str,
     return record
 
 
-def _check_out(task: JobTask) -> Optional[JobOutcome]:
+def _check_out(task: JobTask, store: Optional[JobStore]) -> Optional[JobOutcome]:
     """The job's checkpoint, or ``None`` after taking its lease."""
     index, name, __, key = task
-    store = _WORKER_STORE
     if store is None or key is None:
         return None
     payload = store.get(key)
@@ -206,6 +188,7 @@ def _cache_delta(before: Dict[str, int]) -> Dict[str, int]:
 
 def _check_in(
     task: JobTask,
+    store: Optional[JobStore],
     result: Optional[Dict[str, Any]],
     error: Optional[Dict[str, Any]],
     delta: Dict[str, int],
@@ -213,7 +196,6 @@ def _check_in(
     """Checkpoint a finished job and release its lease, *then* return
     its outcome: a parent killed a microsecond later loses nothing."""
     index, name, spec_data, key = task
-    store = _WORKER_STORE
     if store is not None and key is not None:
         if error is None:
             store.put(key, name, spec_data, result)
@@ -224,15 +206,15 @@ def _check_in(
                       cache_delta=delta, source="run")
 
 
-def execute_task(task: JobTask) -> JobOutcome:
-    """Run one job whole: serve it from its checkpoint, or run, capture
-    and checkpoint it.
+def execute_task(task: JobTask, store: Optional[JobStore] = None) -> JobOutcome:
+    """Run one job whole: serve it from *store*, or run, capture and
+    checkpoint it there.
 
     Runs in a worker too: a registry lookup that misses imports every
     harness, so a process that imported only this module can run any
     job.
     """
-    hit = _check_out(task)
+    hit = _check_out(task, store)
     if hit is not None:
         return hit
     __, name, spec_data, key = task
@@ -249,7 +231,7 @@ def execute_task(task: JobTask) -> JobOutcome:
         raise  # an interrupt is a sweep event, not a job failure
     except Exception as exc:
         error = _job_error(exc, name, key)
-    return _check_in(task, result, error, _cache_delta(before))
+    return _check_in(task, store, result, error, _cache_delta(before))
 
 
 def _plans_scenario(name: str) -> bool:
@@ -280,27 +262,18 @@ class _Job:
         self.waiting = 0
 
 
-def _serve(body: Any, parts: Dict[str, Any]) -> Any:
-    """What a worker does with one unit: replay a kind, or run a job."""
-    if not parts:
-        return execute_task(body)
-    from ..scenario.engine import replay_kind
-
-    plan = parts["plan"]
-    plan.network = parts["network"]
-    return replay_kind(plan, body)
-
-
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
 
 
 class _Pool:
-    """Up to *size* workers of one sweep, forked as units need them."""
+    """Up to *size* workers of one sweep, forked as units need them, each
+    answering with ``serve(body, parts)``."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, serve: Callable[[Any, Dict[str, Any]], Any]) -> None:
         self.size = size
+        self.serve = serve
         self.workers: List[Worker] = []
         #: Dead first-generation workers not yet replaced.
         self._owed = 0
@@ -322,7 +295,7 @@ class _Pool:
         workers = self.workers
         if len(workers) < self.size and all(worker.units for worker in workers):
             try:
-                worker = Worker(_serve)
+                worker = Worker(self.serve)
             except OSError as error:  # out of processes or memory
                 log.warning("cannot fork a sweep worker (%s); %d remain", error, len(workers))
                 self.size = len(workers)
@@ -392,10 +365,11 @@ class _Sweep:
     """The parent's side of one sweep: plan ahead, send, land, finish."""
 
     def __init__(self, tasks: Sequence[JobTask], record: Callable[[JobOutcome], None],
-                 pool: _Pool, whole_here: bool) -> None:
+                 store: Optional[JobStore], size: int, whole_here: bool) -> None:
         self.pending = deque(tasks)
         self.record = record
-        self.pool = pool
+        self.store = store
+        self.pool = _Pool(size, self._serve)
         self.whole_here = whole_here
         #: ``(-cell-hops, order, unit, body, parts)`` of each unsent unit.
         self.queue: List[Tuple[float, int, Tuple[int, Optional[str]], Any, Any]] = []
@@ -433,7 +407,7 @@ class _Sweep:
             elif self.queue or self.pool.busy:
                 return  # a whole job here waits for the units in flight
             else:
-                self.record(execute_task(self.pending.popleft()))
+                self.record(execute_task(self.pending.popleft(), self.store))
 
     def _enqueue(self, owner: Any, unit: Tuple[int, Optional[str]], body: Any,
                  parts: Any, cost: float) -> None:
@@ -451,7 +425,7 @@ class _Sweep:
 
     def _open(self, task: JobTask) -> None:
         """The host work before a job's replays: checkpoint, decode, plan."""
-        hit = _check_out(task)
+        hit = _check_out(task, self.store)
         if hit is not None:
             self.record(hit)
             return
@@ -467,7 +441,7 @@ class _Sweep:
         except KeyboardInterrupt:
             raise
         except Exception as exc:
-            self.record(_check_in(task, None, _job_error(exc, name, key),
+            self.record(_check_in(task, self.store, None, _job_error(exc, name, key),
                                   _cache_delta(before)))
             return
         job = _Job(task, experiment, spec, plan, _cache_delta(before))
@@ -508,7 +482,7 @@ class _Sweep:
         elif status == "lost":
             raise _WorkerLost("a worker died running job %d" % unit[0])
         else:  # it raised outside the job's own capture, or never went out
-            self.record(execute_task(owner))
+            self.record(execute_task(owner, self.store))
 
     def _finish(self, job: _Job) -> None:
         """The host work after a job's replays: replay what was lost,
@@ -531,7 +505,17 @@ class _Sweep:
             raise
         except Exception as exc:
             error = _job_error(exc, job.task[1], job.task[3])
-        self.record(_check_in(job.task, result, error, job.delta))
+        self.record(_check_in(job.task, self.store, result, error, job.delta))
+
+    def _serve(self, body: Any, parts: Dict[str, Any]) -> Any:
+        """What a worker does with one unit: replay a kind, or run a job."""
+        if not parts:
+            return execute_task(body, self.store)
+        from ..scenario.engine import replay_kind
+
+        plan = parts["plan"]
+        plan.network = parts["network"]
+        return replay_kind(plan, body)
 
 
 def run_tasks(
@@ -559,18 +543,20 @@ def run_tasks(
 
     serial = workers is None or workers <= 1
     size = (usable_cpus() if serial else workers) if may_fork() else 0
-    pool = _Pool(0 if serial and size == 1 else size)
-    with attached_disk_tier(DEFAULT_CACHE, plan_cache_dir), \
-            _attached_store(checkpoint_dir):
+    if serial and size == 1:
+        size = 0
+    sweep = _Sweep(tasks, record, JobStore(checkpoint_dir) if checkpoint_dir else None,
+                   size, whole_here=serial or not size)
+    with attached_disk_tier(DEFAULT_CACHE, plan_cache_dir):
         try:
-            _Sweep(tasks, record, pool, whole_here=serial or not pool.size).run()
+            sweep.run()
         except KeyboardInterrupt:
-            pool.close(kill=True)
+            sweep.pool.close(kill=True)
             raise SweepInterrupted(outcomes, total) from None
         except _WorkerLost as exc:
-            pool.close(kill=True)
+            sweep.pool.close(kill=True)
             raise SweepBroken(outcomes, total) from exc
         except BaseException:
-            pool.close(kill=True)
+            sweep.pool.close(kill=True)
             raise
-        pool.close()
+        sweep.pool.close()

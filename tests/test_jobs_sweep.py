@@ -11,13 +11,11 @@ exactly the same code the in-process assertions use.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 from helpers import SHORT_HORIZON_ERROR, SHORT_HORIZON_SCENARIO
@@ -177,21 +175,32 @@ def test_interrupt_is_a_pause_serial(tmp_path):
     assert resumed.checkpoint["computed"] == len(jobs) - 1
 
 
-def test_interrupt_in_pool_worker_tears_down_and_resumes(tmp_path):
+def test_interrupt_in_pool_worker_tears_down_and_resumes(tmp_path, monkeypatch):
     marker = tmp_path / "trip.armed"
     ckpt = tmp_path / "ckpt"
     jobs = trip_jobs(marker, count=6, trip_index=2)
     reference = reference_run(jobs, marker, workers=1, base_seed=3)
 
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(SweepInterrupted):
         run_batch(jobs, workers=2, base_seed=3, checkpoint_dir=str(ckpt))
+    monkeypatch.undo()
 
     # The pool must be torn down, not abandoned: every worker process
-    # exits promptly once the interrupt surfaces.
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
+    # is gone and reaped once the interrupt surfaces.
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
     resumed = run_batch(jobs, workers=2, base_seed=3,
                         checkpoint_dir=str(ckpt), resume=True)
