@@ -53,7 +53,6 @@ it lost; each fork is logged at DEBUG.
 from __future__ import annotations
 
 import heapq
-import logging
 import select
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -71,8 +70,6 @@ __all__ = [
     "SweepInterrupted",
     "run_tasks",
 ]
-
-log = logging.getLogger(__name__)
 
 #: ``(index, experiment, encoded spec, checkpoint key)`` — plain data,
 #: so tasks cross process boundaries without pickling any experiment
@@ -122,7 +119,8 @@ class SweepInterrupted(KeyboardInterrupt):
 
 
 class SweepBroken(RuntimeError):
-    """A worker process died mid-sweep (SIGKILL, OOM, segfault).
+    """A worker process died mid-sweep (SIGKILL, OOM, segfault) while it
+    ran a whole job.
 
     Completed jobs are already checkpointed (when a store is attached);
     ``repro resume`` re-runs only what is missing.
@@ -136,6 +134,15 @@ class SweepBroken(RuntimeError):
         )
         self.outcomes = outcomes
         self.total = total
+
+
+def _log() -> Any:
+    """This module's logger.  ``logging`` loads on the first fork, not
+    with the module: it costs a cold process ~7 ms, which a process that
+    imports this module and forks no pool need not pay."""
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 class _WorkerLost(Exception):
@@ -297,14 +304,14 @@ class _Pool:
             try:
                 worker = Worker(self.serve)
             except OSError as error:  # out of processes or memory
-                log.warning("cannot fork a sweep worker (%s); %d remain", error, len(workers))
+                _log().warning("cannot fork a sweep worker (%s); %d remain", error, len(workers))
                 self.size = len(workers)
                 return self.send(unit, body, parts) if workers else False
             if self._owed:
                 self._owed -= 1
                 self._spares.add(worker.pid)
             workers.append(worker)
-            log.debug("forked sweep worker %d (%d of %d)", worker.pid, len(workers), self.size)
+            _log().debug("forked sweep worker %d (%d of %d)", worker.pid, len(workers), self.size)
         else:
             worker = min(workers, key=lambda worker: len(worker.units))
         worker.send(unit, body, parts)
@@ -338,7 +345,7 @@ class _Pool:
             self.size -= 1
         else:
             self._owed += 1
-        log.warning(
+        _log().warning(
             "sweep worker %d died; %s", worker.pid,
             "; ".join(
                 "job %d kind %s replays in the parent" % unit if unit[1] is not None

@@ -450,6 +450,12 @@ def test_a_trace_run_loads_its_harness_and_no_other_subsystem():
     assert not _under(loaded, "repro.jobs", "repro.check", "repro.lint")
 
 
+def test_the_sweep_layer_loads_logging_only_once_it_forks():
+    """``logging`` costs a cold process ~7 ms; importing the sweep layer
+    (as every ``perfbench`` set-up and the study verbs do) must not pay it."""
+    assert "logging" not in _modules_loaded_by("import repro.experiments.runner")
+
+
 def test_a_serial_sweep_never_imports_multiprocessing():
     loaded = _modules_loaded_by(
         "from repro.experiments.runner import BatchJob, run_batch\n"
