@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -68,17 +69,13 @@ from typing import (
     Union,
 )
 
-from ..jobs.dispatch import (
-    JobOutcome,
-    JobTask,
-    SweepBroken,
-    SweepInterrupted,
-    run_tasks,
-)
 from ..jobs.store import JobStore, job_key
 from ..sim.rand import derive_seed
 from .api import Serializable, SpecError, encode
 from .registry import get_experiment
+
+if TYPE_CHECKING:
+    from ..jobs.dispatch import JobOutcome, JobTask
 
 __all__ = ["BatchJob", "BatchItem", "BatchResult", "prepare_job", "run_batch"]
 
@@ -326,6 +323,10 @@ def run_batch(
     record and the sweep's ``total`` attached; a bad job (unknown
     experiment, undecodable spec) raises before anything runs.
     """
+    # The pool loads here, not with the module: a process that only
+    # prepares jobs (``repro batch --dry-run``) never loads it.
+    from ..jobs.dispatch import JobOutcome, SweepBroken, SweepInterrupted, run_tasks
+
     prepared = [
         prepare_job(job, index, base_seed) for index, job in enumerate(jobs)
     ]
