@@ -12,7 +12,9 @@ only it computes, its table columns.
 
 Execution comes from the :class:`~repro.experiments.api.RunContext`:
 ``workers`` sizes the sweep's pool of forked workers, which replay the
-points' controller kinds as separate units; ``checkpoint_dir``
+points' controller kinds as separate units (inside a worker, a study
+itself a job of ``repro batch --workers N``, nothing forks and the
+sweep runs there); ``checkpoint_dir``
 makes the sweep crash-resumable: a re-run reuses every checkpointed
 point, and ``repro report DIR`` renders the partial state while it
 runs.  All points share one topology source and seed, so with a disk
@@ -29,7 +31,6 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 from ..analysis.stats import quantile
 from ..scenario.cache import DEFAULT_CACHE
 from ..scenario.engine import present
-from ..scenario.kindworker import in_child_process
 from ..scenario.netgen import NetworkConfig
 from ..units import kib
 from .api import Experiment, ExperimentResult, RunContext, SpecError
@@ -161,13 +162,6 @@ class GridStudy(Experiment):
             BatchJob(self.point_experiment, self.point_spec(spec, *point))
             for point in self.grid(spec)
         ]
-        workers = ctx.workers
-        if workers > 1 and in_child_process():
-            # Inside a sweep's worker (the study itself a job of `repro
-            # batch --workers N`): the outer pool already fills the
-            # cores, and a worker forks none, so the inner sweep runs
-            # serially, here.
-            workers = 1
         on_item = None
         if ctx.checkpoint_dir is not None:
             # Stream the partial state as points finish, so `repro
@@ -179,7 +173,7 @@ class GridStudy(Experiment):
         disk = DEFAULT_CACHE.disk
         batch = run_batch(
             jobs,
-            workers=workers,
+            workers=ctx.workers,
             plan_cache_dir=disk.directory if disk is not None else None,
             checkpoint_dir=ctx.checkpoint_dir,
             on_item=on_item,

@@ -1,4 +1,4 @@
-"""One pool of forked workers under every sweep.
+"""The host side of every sweep, on one pool of forked workers.
 
 The execution layer under :func:`repro.experiments.runner.run_batch`:
 takes fully-encoded job tasks, runs them, and streams
@@ -10,11 +10,11 @@ replays one plan once per controller kind, and the replays share
 nothing.  For a job whose experiment plans a scenario
 (:attr:`~repro.experiments.api.Experiment.plans_scenario`: ``netscale``,
 ``scenario``, ``cdf``) this process does the job's host work:
-checkpoint get and lease, decoding the spec, planning (in input order,
-so per-job plan-cache deltas keep their sums), and, once the job's last
-kind lands, assembling, encoding, ``store.put`` and release.  Each
-``(plan, kind)`` unit replays in a forked
-:class:`~repro.scenario.kindworker.Worker`.  This process plans a few
+checkpoint get, decoding the spec, planning (in input order, so per-job
+plan-cache deltas keep their sums), the lease as its first unit goes
+out, and, once its last kind lands, assembling, encoding, ``store.put``
+and release.  Each ``(plan, kind)`` unit replays in a worker of a
+:class:`~repro.scenario.kindworker.Pool`.  This process plans a few
 jobs ahead and sends units longest-first by planned cell-hops among the
 jobs planned so far, two queued per worker, so its host work overlaps
 the replays.  A job whose experiment plans no scenario runs whole: here
@@ -24,15 +24,12 @@ report in input order), as one unit in a worker otherwise.
 **Pool size.**  ``workers`` ``None`` or ``1``: one worker per usable
 CPU; ``N``: ``N`` workers.  None at all, every unit replaying here, at
 ``workers <= 1`` on one usable CPU, inside a worker, or beside another
-thread.  Workers fork as units need them and are joined when the sweep
-ends, whatever ends it.
+thread.  The pool's workers are joined when the sweep ends, whatever
+ends it, and a unit the pool lost replays here when its job finishes.
 
 Failure is per job: an exception inside an experiment is captured as a
 structured error record (type, message, experiment, spec hash,
-traceback), so one bad spec costs one job, not the sweep.  A unit whose
-worker raised, died or was killed is *lost* and replays here when its
-job finishes, so a job's error is always the serial engine's own; a
-dead worker is replaced once, its replacement not again.  Only two
+traceback), so one bad spec costs one job, not the sweep.  Only two
 things abort a sweep early, and both carry the completed outcomes
 (``run_batch`` re-raises them with its checkpoint prefills and
 fanned-out duplicates added):
@@ -45,22 +42,19 @@ fanned-out duplicates added):
 * :class:`SweepBroken` — a worker died while it ran a whole job (OOM
   kill, SIGKILL, segfault).  Completed jobs are on disk and ``repro
   resume`` finishes the rest.
-
-Each lost worker is logged once, as a WARNING naming its pid and what
-it lost; each fork is logged at DEBUG.
 """
 
 from __future__ import annotations
 
 import heapq
-import select
+import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.cache import DEFAULT_CACHE, attached_disk_tier
-from ..scenario.kindworker import Worker, may_fork, usable_cpus
+from ..scenario.kindworker import Pool, Unit, may_fork, usable_cpus
 from .store import JobStore
 
 __all__ = [
@@ -79,10 +73,6 @@ JobTask = Tuple[int, str, Dict[str, Any], Optional[str]]
 #: Jobs planned and waiting for a worker: enough for longest-first to
 #: choose among, few enough that the first units go out at once.
 _PLAN_AHEAD = 4
-#: Units queued per worker.  With one, a worker idles while its next
-#: unit crosses the pipe (1.05 s against 0.83 s for a cold sweep-tiny
-#: batch on 2 CPUs).
-_DEPTH = 2
 
 
 @dataclass
@@ -136,15 +126,6 @@ class SweepBroken(RuntimeError):
         self.total = total
 
 
-def _log() -> Any:
-    """This module's logger.  ``logging`` loads on the first fork, not
-    with the module: it costs a cold process ~7 ms, which a process that
-    imports this module and forks no pool need not pay."""
-    import logging
-
-    return logging.getLogger(__name__)
-
-
 class _WorkerLost(Exception):
     """A worker died with a whole job: the sweep is broken."""
 
@@ -158,8 +139,9 @@ def _job_error(exc: Exception, experiment: str, key: Optional[str]) -> Dict[str,
     """A structured, serializable record of one job's failure.
 
     Deterministic for a deterministic failure — the same bad spec
-    produces the same record at any worker count and on resume, so
-    sweeps containing failures still merge byte-identically.
+    produces the same record at any worker count, on resume and from
+    any checkout, so sweeps containing failures still merge
+    byte-identically.
     """
     record: Dict[str, Any] = {
         "type": type(exc).__name__,
@@ -170,21 +152,28 @@ def _job_error(exc: Exception, experiment: str, key: Optional[str]) -> Dict[str,
         record["spec_hash"] = key
     import traceback
 
-    record["traceback"] = traceback.format_exc()
+    # Name this package's frames from its parent: "repro/jobs/dispatch.py".
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    record["traceback"] = traceback.format_exc().replace(
+        'File "%s%s' % (package, os.sep), 'File "%s%s' % (os.path.basename(package), os.sep))
     return record
 
 
-def _check_out(task: JobTask, store: Optional[JobStore]) -> Optional[JobOutcome]:
-    """The job's checkpoint, or ``None`` after taking its lease."""
-    index, name, __, key = task
-    if store is None or key is None:
+def _checkpoint(task: JobTask, store: Optional[JobStore]) -> Optional[JobOutcome]:
+    """The job's checkpoint, if *store* holds one."""
+    index, __, __, key = task
+    payload = None if store is None or key is None else store.get(key)
+    if payload is None:
         return None
-    payload = store.get(key)
-    if payload is not None:
-        return JobOutcome(index=index, key=key, result=payload["result"],
-                          error=None, cache_delta={}, source="checkpoint")
-    store.lease(key, name, index)
-    return None
+    return JobOutcome(index=index, key=key, result=payload["result"],
+                      error=None, cache_delta={}, source="checkpoint")
+
+
+def _lease(task: JobTask, store: Optional[JobStore]) -> None:
+    """Record in *store* that the job runs now."""
+    index, name, __, key = task
+    if store is not None and key is not None:
+        store.lease(key, name, index)
 
 
 def _cache_delta(before: Dict[str, int]) -> Dict[str, int]:
@@ -221,9 +210,10 @@ def execute_task(task: JobTask, store: Optional[JobStore] = None) -> JobOutcome:
     harness, so a process that imported only this module can run any
     job.
     """
-    hit = _check_out(task, store)
+    hit = _checkpoint(task, store)
     if hit is not None:
         return hit
+    _lease(task, store)
     __, name, spec_data, key = task
     from ..experiments.registry import get_experiment
     from ..serialize import encode
@@ -253,7 +243,8 @@ def _plans_scenario(name: str) -> bool:
 class _Job:
     """A scenario job between its planning and its last kind."""
 
-    __slots__ = ("task", "experiment", "spec", "plan", "delta", "outcomes", "waiting")
+    __slots__ = ("task", "experiment", "spec", "plan", "delta", "outcomes", "waiting",
+                 "leased")
 
     def __init__(self, task: JobTask, experiment: Any, spec: Any, plan: Any,
                  delta: Dict[str, int]) -> None:
@@ -265,102 +256,9 @@ class _Job:
         self.delta = delta
         #: kind -> outcome, for each kind a worker replayed.
         self.outcomes: Dict[str, Any] = {}
-        #: Units sent and not yet landed.
+        #: Units not yet landed.
         self.waiting = 0
-
-
-# ----------------------------------------------------------------------
-# The pool
-# ----------------------------------------------------------------------
-
-
-class _Pool:
-    """Up to *size* workers of one sweep, forked as units need them, each
-    answering with ``serve(body, parts)``."""
-
-    def __init__(self, size: int, serve: Callable[[Any, Dict[str, Any]], Any]) -> None:
-        self.size = size
-        self.serve = serve
-        self.workers: List[Worker] = []
-        #: Dead first-generation workers not yet replaced.
-        self._owed = 0
-        #: Pids of replacements, which are not replaced in turn.
-        self._spares: set = set()
-
-    @property
-    def busy(self) -> bool:
-        return any(worker.units for worker in self.workers)
-
-    def can_take(self) -> bool:
-        return len(self.workers) < self.size or any(
-            len(worker.units) < _DEPTH for worker in self.workers
-        )
-
-    def send(self, unit: Tuple[int, Optional[str]], body: Any, parts: Any) -> bool:
-        """Queue *unit* on an idle worker, a new one, or the least busy;
-        ``False`` if no worker is left to take it."""
-        workers = self.workers
-        if len(workers) < self.size and all(worker.units for worker in workers):
-            try:
-                worker = Worker(self.serve)
-            except OSError as error:  # out of processes or memory
-                _log().warning("cannot fork a sweep worker (%s); %d remain", error, len(workers))
-                self.size = len(workers)
-                return self.send(unit, body, parts) if workers else False
-            if self._owed:
-                self._owed -= 1
-                self._spares.add(worker.pid)
-            workers.append(worker)
-            _log().debug("forked sweep worker %d (%d of %d)", worker.pid, len(workers), self.size)
-        else:
-            worker = min(workers, key=lambda worker: len(worker.units))
-        worker.send(unit, body, parts)
-        return True
-
-    def wait(self) -> List[Tuple[Any, str, Any]]:
-        """Block until a worker answers or dies: the answers, and a
-        ``"lost"`` answer for each unit a dead worker held."""
-        workers = self.workers
-        readable, writable, __ = select.select(
-            [worker.answers for worker in workers],
-            [worker.requests for worker in workers if worker.outbox], [],
-        )
-        answers: List[Tuple[Any, str, Any]] = []
-        for worker in list(workers):
-            if worker.requests in writable:
-                worker.flush()
-            if worker.answers in readable:
-                received = worker.receive()
-                if received is None:
-                    answers.extend(self._lose(worker))
-                else:
-                    answers.extend(received)
-        return answers
-
-    def _lose(self, worker: Worker) -> List[Tuple[Any, str, Any]]:
-        self.workers.remove(worker)
-        worker.stop()
-        worker.join()
-        if worker.pid in self._spares:
-            self.size -= 1
-        else:
-            self._owed += 1
-        _log().warning(
-            "sweep worker %d died; %s", worker.pid,
-            "; ".join(
-                "job %d kind %s replays in the parent" % unit if unit[1] is not None
-                else "job %d ran whole there: the sweep is broken" % unit[0]
-                for unit in worker.units
-            ) or "it held no unit",
-        )
-        return [(unit, "lost", None) for unit in worker.units]
-
-    def close(self, kill: bool = False) -> None:
-        workers, self.workers = self.workers, []
-        for worker in workers:
-            worker.stop(kill)
-        for worker in workers:
-            worker.join()
+        self.leased = False
 
 
 # ----------------------------------------------------------------------
@@ -376,15 +274,15 @@ class _Sweep:
         self.pending = deque(tasks)
         self.record = record
         self.store = store
-        self.pool = _Pool(size, self._serve)
+        self.pool = Pool(size, self._serve, "sweep")
         self.whole_here = whole_here
         #: ``(-cell-hops, order, unit, body, parts)`` of each unsent unit.
-        self.queue: List[Tuple[float, int, Tuple[int, Optional[str]], Any, Any]] = []
+        self.queue: List[Tuple[float, int, Unit, Any, Any]] = []
         self.order = count()
         #: job index -> its units still in the queue.
         self.unsent: Dict[int, int] = {}
         #: unit -> the job it belongs to (a _Job, or the task of a whole job).
-        self.owners: Dict[Tuple[int, Optional[str]], Any] = {}
+        self.owners: Dict[Unit, Any] = {}
         #: The network last shipped: the object, its content key, its pickle.
         self.network: Tuple[Any, Any, bytes] = (None, None, b"")
 
@@ -416,23 +314,27 @@ class _Sweep:
             else:
                 self.record(execute_task(self.pending.popleft(), self.store))
 
-    def _enqueue(self, owner: Any, unit: Tuple[int, Optional[str]], body: Any,
-                 parts: Any, cost: float) -> None:
+    def _enqueue(self, owner: Any, unit: Unit, body: Any, parts: Any, cost: float) -> None:
         self.owners[unit] = owner
         self.unsent[unit[0]] = self.unsent.get(unit[0], 0) + 1
         heapq.heappush(self.queue, (-cost, next(self.order), unit, body, parts))
 
-    def _next_unit(self) -> Tuple[Tuple[int, Optional[str]], Any, Any]:
-        """The longest unsent unit, out of the queue."""
+    def _next_unit(self) -> Tuple[Unit, Any, Any]:
+        """The longest unsent unit, out of the queue: a job's first one
+        takes its lease."""
         __, __, unit, body, parts = heapq.heappop(self.queue)
         left = self.unsent.pop(unit[0]) - 1
         if left:
             self.unsent[unit[0]] = left
+        owner = self.owners[unit]
+        if isinstance(owner, _Job) and not owner.leased:
+            owner.leased = True
+            _lease(owner.task, self.store)
         return unit, body, parts
 
     def _open(self, task: JobTask) -> None:
         """The host work before a job's replays: checkpoint, decode, plan."""
-        hit = _check_out(task, self.store)
+        hit = _checkpoint(task, self.store)
         if hit is not None:
             self.record(hit)
             return
@@ -453,6 +355,7 @@ class _Sweep:
             return
         job = _Job(task, experiment, spec, plan, _cache_delta(before))
         if not self.pool.size:
+            _lease(task, self.store)
             self._finish(job)
             return
         import pickle
@@ -473,7 +376,7 @@ class _Sweep:
             job.waiting += 1
             self._enqueue(job, (index, kind), kind, parts, cost)
 
-    def _land(self, unit: Tuple[int, Optional[str]], status: str, value: Any) -> None:
+    def _land(self, unit: Unit, status: str, value: Any) -> None:
         """One answer, or one lost unit."""
         owner = self.owners.pop(unit)
         if status == "interrupted":
@@ -558,12 +461,8 @@ def run_tasks(
         try:
             sweep.run()
         except KeyboardInterrupt:
-            sweep.pool.close(kill=True)
             raise SweepInterrupted(outcomes, total) from None
         except _WorkerLost as exc:
-            sweep.pool.close(kill=True)
             raise SweepBroken(outcomes, total) from exc
-        except BaseException:
-            sweep.pool.close(kill=True)
-            raise
-        sweep.pool.close()
+        finally:
+            sweep.pool.close()

@@ -8,12 +8,13 @@ anything — and assemble a serializable :class:`ScenarioResult` with
 per-circuit samples, probe time series and engine accounting.
 
 The kinds share nothing, so :func:`run_planned` replays them side by
-side in kind workers (:mod:`~repro.scenario.kindworker`) forked for the
-call, for a plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more,
-byte for byte the result of replaying them one after the other.  A
-sweep does not come through here: its pool replays each kind of a job
-with :func:`replay_kind` and assembles the job's result with
-:func:`scenario_result`.
+side, for a plan of ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more:
+the first here, the others on a :class:`~repro.scenario.kindworker.Pool`
+of its own, the pool a sweep runs on, with the same failure rule (a
+lost kind replays here).  The result is byte for byte that of replaying
+them one after the other.  A sweep does not come through here: its pool
+replays each kind of a job with :func:`replay_kind` and assembles the
+job's result with :func:`scenario_result`.
 """
 
 from __future__ import annotations
@@ -326,8 +327,8 @@ def run_planned(
     Two or more kinds replay side by side, one in this process and the
     others in kind workers, when this process may fork and use two CPUs
     and the plan has ``_SIDE_BY_SIDE_FLOOR`` cell-hops per kind or more.
-    Otherwise, and again if anything fails on that path, they replay
-    serially: an error is always the serial engine's own.
+    Otherwise they replay serially, and a kind a worker lost replays
+    here afterwards: an error is always the serial engine's own.
     """
     run_kinds = list(kinds) if kinds is not None else list(plan.scenario.kinds)
     return scenario_result(

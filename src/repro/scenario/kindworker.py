@@ -1,19 +1,17 @@
 """Kind workers: forked processes that replay controller kinds.
 
 Every scenario job replays one plan under two or more controller kinds,
-and the replays share nothing.  A *kind worker* is a process forked
-from this one that reads requests from one pipe and writes one answer
-per request to another, until it reads end of file.  Two callers fork
-them:
-
-* **a sweep** — :func:`repro.jobs.dispatch.run_tasks` keeps a pool of
-  them for the whole batch.  Its unit is one ``(plan, kind)`` replay
-  (or a whole job, for a verb that plans no scenario), and the parent
-  plans, encodes and checkpoints while the workers replay;
-* **a single call** — :func:`replay_kinds` replays the first kind here
-  and the others in workers forked for this call alone, and only for a
-  plan of at least its *floor* cell-hops per kind: a fork costs more
-  than a small plan saves.
+and the replays share nothing.  A *worker* is a process forked from
+this one that reads requests from one pipe and writes one answer per
+request to another, until it reads end of file.  A :class:`Pool` is
+the only thing that forks, feeds, loses, replaces, logs and reaps
+workers.  Its unit is a ``(job, kind)`` replay, or a whole job (kind
+``None``) for a sweep's verb that plans no scenario.  A sweep
+(:func:`repro.jobs.dispatch.run_tasks`) keeps one pool for the whole
+batch; a single call (:func:`replay_kinds`) keeps one for the call,
+with one worker per extra usable CPU, and only for a plan of at least
+its *floor* cell-hops per kind: a fork costs more than a small plan
+saves.
 
 A process forks workers only on a platform with ``fork``, when it is
 itself no worker and runs no other thread (fork is unsafe beside
@@ -21,7 +19,7 @@ threads): :func:`may_fork`.
 
 **The pipe protocol.**  A message is a 4-byte length and a pickle.  A
 request is ``(unit, body, parts)``; ``parts`` maps a slot name to
-``(key, blob)``, and :meth:`Worker.send` drops the blob when the
+``(key, blob)``, and :meth:`_Worker.send` drops the blob when the
 worker last received that slot under the same key.  So a network
 shared by a sweep crosses each pipe once, and a job's plan, pickled
 once, crosses it once for all of its kinds.  An answer is ``(unit,
@@ -29,11 +27,15 @@ status, value)``: ``"done"`` with the value, ``"raised"`` when the
 unit raised, ``"interrupted"`` when it raised ``KeyboardInterrupt``.
 A worker that answers ``"raised"`` serves on.
 
-**Failure rules.**  A unit whose worker raised, died or was killed is
-*lost*, and the caller replays it itself, so an error is always the
-serial engine's own.  A single call that loses anything — its own
-kind raising or being interrupted included — kills and joins its
-workers and replays every kind serially.
+**The failure rule.**  A unit whose worker raised, died or was killed
+is *lost*, and the caller replays it itself once its job's other kinds
+have landed, in kind order, so an error is always the serial engine's
+own.
+A dead worker is replaced once, its replacement not again.  Each lost
+worker is logged once, as a WARNING naming its pid and what it held;
+each fork at DEBUG, but only when :mod:`logging` is already loaded: an
+unloaded ``logging`` has no handler to lose, and loading it costs a
+cold process ~7 ms.
 
 A worker closes its copies of every pipe end this process holds for
 any worker: when this process dies, even by ``SIGKILL``, each worker
@@ -48,12 +50,13 @@ import os
 import select
 import signal
 import struct
+import sys
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Worker",
-    "in_child_process",
+    "Pool",
+    "Unit",
     "may_fork",
     "replay_kinds",
     "usable_cpus",
@@ -71,10 +74,13 @@ _LENGTH = struct.Struct("<I")
 #: ``(key, blob)`` per slot name.
 Parts = Dict[str, Tuple[Any, bytes]]
 
+#: ``(job, kind)``; job ``None`` in a single call, kind ``None`` for a whole job.
+Unit = Tuple[Optional[int], Optional[str]]
 
-def in_child_process() -> bool:
-    """Whether this process is a kind worker: it forks none of its own."""
-    return _IN_WORKER
+#: Units queued per worker.  With one, a worker idles while its next
+#: unit crosses the pipe (1.05 s against 0.83 s for a cold sweep-tiny
+#: batch on 2 CPUs).
+_DEPTH = 2
 
 
 def may_fork() -> bool:
@@ -90,7 +96,7 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-class Worker:
+class _Worker:
     """One forked worker and this process's ends of its pipes.
 
     ``serve(body, parts)`` answers each request in the worker, with
@@ -233,6 +239,111 @@ def _serve(requests_fd: int, answers_fd: int, serve: Callable, pickle: Any) -> N
             view = view[os.write(answers_fd, view):]
 
 
+def _log() -> Any:
+    """This module's logger.  ``logging`` loads on the first record, not
+    with the module."""
+    import logging
+
+    return logging.getLogger(__name__)
+
+
+class Pool:
+    """Up to *size* workers, forked as units need them, each answering
+    with ``serve(body, parts)``; *name* names them in the log."""
+
+    def __init__(self, size: int, serve: Callable[[Any, Dict[str, Any]], Any],
+                 name: str) -> None:
+        self.size = size
+        self.serve = serve
+        self.name = name
+        self.workers: List[_Worker] = []
+        #: Dead first-generation workers not yet replaced.
+        self._owed = 0
+        #: Pids of replacements, which are not replaced in turn.
+        self._spares: set = set()
+
+    @property
+    def busy(self) -> bool:
+        return any(worker.units for worker in self.workers)
+
+    def can_take(self) -> bool:
+        return len(self.workers) < self.size or any(
+            len(worker.units) < _DEPTH for worker in self.workers
+        )
+
+    def send(self, unit: Unit, body: Any, parts: Optional[Parts]) -> bool:
+        """Queue *unit* on an idle worker, a new one, or the least busy;
+        ``False`` if no worker is left to take it."""
+        workers = self.workers
+        if len(workers) < self.size and all(worker.units for worker in workers):
+            try:
+                worker = _Worker(self.serve)
+            except OSError as error:  # out of processes or memory
+                _log().warning("cannot fork a %s worker (%s); %d remain",
+                               self.name, error, len(workers))
+                self.size = len(workers)
+                return self.send(unit, body, parts) if workers else False
+            if self._owed:
+                self._owed -= 1
+                self._spares.add(worker.pid)
+            workers.append(worker)
+            if "logging" in sys.modules:
+                _log().debug("forked %s worker %d (%d of %d)",
+                             self.name, worker.pid, len(workers), self.size)
+        else:
+            worker = min(workers, key=lambda worker: len(worker.units))
+        worker.send(unit, body, parts)
+        return True
+
+    def flush(self) -> None:
+        """Write every queued request, waiting on the pipes as needed."""
+        for worker in self.workers:
+            worker.flush(wait=True)
+
+    def wait(self) -> List[Tuple[Unit, str, Any]]:
+        """Block until a worker answers or dies: the answers, and a
+        ``"lost"`` answer for each unit a dead worker held."""
+        workers = self.workers
+        readable, writable, __ = select.select(
+            [worker.answers for worker in workers],
+            [worker.requests for worker in workers if worker.outbox], [],
+        )
+        answers: List[Tuple[Unit, str, Any]] = []
+        for worker in list(workers):
+            if worker.requests in writable:
+                worker.flush()
+            if worker.answers in readable:
+                received = worker.receive()
+                if received is None:
+                    answers.extend(self._lose(worker))
+                else:
+                    answers.extend(received)
+        return answers
+
+    def _lose(self, worker: _Worker) -> List[Tuple[Unit, str, Any]]:
+        self.workers.remove(worker)
+        worker.stop()
+        worker.join()
+        if worker.pid in self._spares:
+            self.size -= 1
+        else:
+            self._owed += 1
+        _log().warning("%s worker %d died; %s", self.name, worker.pid, "; ".join(
+            "job %d ran whole there: the sweep is broken" % job if kind is None
+            else "%skind %s replays in the parent" % ("" if job is None else "job %d " % job, kind)
+            for job, kind in worker.units
+        ) or "it held no unit")
+        return [(unit, "lost", None) for unit in worker.units]
+
+    def close(self) -> None:
+        """Stop every worker, killing each that holds a unit, and reap it."""
+        workers, self.workers = self.workers, []
+        for worker in workers:
+            worker.stop(kill=bool(worker.units))
+        for worker in workers:
+            worker.join()
+
+
 def replay_kinds(
     plan: Any,
     kinds: Sequence[str],
@@ -243,40 +354,32 @@ def replay_kinds(
 
     Side by side, for a plan of *floor* or more cell-hops per kind when
     this process may fork and use two CPUs: the first kind replays here
-    and the others in workers forked for this call, one per extra usable
-    CPU, round robin.  Serially otherwise, and again after any failure.
+    while the others go to a :class:`Pool` of one worker per extra
+    usable CPU.  Each kind the pool lost replays here afterwards, on
+    the line a serial replay takes, so its traceback is the serial
+    engine's own.
     """
-    count = min(len(kinds), usable_cpus()) - 1
-    if count > 0 and may_fork() and plan.estimated_cost()["cell_hops"] >= floor:
-        import pickle
+    size = max(min(len(kinds), usable_cpus()) - 1, 0)
+    if size and not (may_fork() and plan.estimated_cost()["cell_hops"] >= floor):
+        size = 0
+    pool = Pool(size, lambda kind, parts: run_kind(parts["plan"], kind), "kind")
+    outcomes: Dict[str, Any] = {}
+    try:
+        if size:
+            import pickle
 
-        workers: List[Worker] = []
-        answers: Dict[int, Any] = {}
-        try:
             part = {"plan": (0, pickle.dumps(plan, pickle.HIGHEST_PROTOCOL))}
-            for __ in range(count):
-                workers.append(Worker(lambda kind, parts: run_kind(parts["plan"], kind)))
-            for position, kind in enumerate(kinds[1:], 1):
-                workers[position % count].send(position, kind, part)
-            for worker in workers:
-                worker.flush(wait=True)
-            first = run_kind(plan, kinds[0])
-            for worker in workers:
-                while worker.units:
-                    received = worker.receive()
-                    if received is None:
-                        raise EOFError("kind worker %d died" % worker.pid)
-                    for position, status, value in received:
-                        if status != "done":
-                            raise RuntimeError("kind %r was lost" % kinds[position])
-                        answers[position] = value
-            return [first] + [answers[position] for position in range(1, len(kinds))]
-        except Exception:
-            pass  # replay below, so the caller sees the serial engine's error
-        finally:
-            lost = len(answers) < len(kinds) - 1
-            for worker in workers:
-                worker.stop(kill=lost)  # a worker may be mid-request
-            for worker in workers:
-                worker.join()
-    return [run_kind(plan, kind) for kind in kinds]
+            for kind in kinds[1:]:
+                if not pool.send((None, kind), kind, part):
+                    break
+            pool.flush()
+        for kind in kinds:
+            if kind not in outcomes:
+                outcomes[kind] = run_kind(plan, kind)
+            while pool.busy:
+                for (__, done), status, value in pool.wait():
+                    if status == "done":
+                        outcomes[done] = value
+    finally:
+        pool.close()
+    return [outcomes[kind] for kind in kinds]

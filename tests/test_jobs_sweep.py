@@ -252,6 +252,20 @@ def test_unfinished_fault_free_run_is_the_jobs_error(tmp_path):
     assert re.match(SHORT_HORIZON_ERROR, error["message"]), error["message"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failure_record_names_no_checkout_directory(workers):
+    """A traceback names each frame of the package from the package's
+    parent, so two checkouts record one failing sweep alike."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    jobs = flaky_jobs() + [{"experiment": "scenario", "spec": SHORT_HORIZON_SCENARIO}]
+    errors = [item.error for item in run_batch(jobs, workers=workers).failures()]
+    assert [error["type"] for error in errors] == ["ValueError", "UnfinishedCircuitsError"]
+    for error in errors:
+        assert src_dir not in error["traceback"]
+    assert 'File "%s", line' % os.path.join("repro", "jobs", "dispatch.py") in errors[0]["traceback"]
+    assert 'File "%s", line' % os.path.join("repro", "scenario", "engine.py") in errors[1]["traceback"]
+
+
 def test_failure_records_identical_serial_and_pooled():
     serial = canonical(run_batch(flaky_jobs(), workers=1))
     pooled = canonical(run_batch(flaky_jobs(), workers=2))

@@ -97,7 +97,7 @@ class ProcessLayer(RuleBasedStateMachine):
         flag = self.raise_flag
 
         def run_kind(plan, kind):
-            if (kind == "without" and kindworker.in_child_process()
+            if (kind == "without" and kindworker._IN_WORKER
                     and os.path.exists(flag)):
                 raise RuntimeError("a planted failure in a worker's kind")
             return real_run_kind(plan, kind)

@@ -1,7 +1,7 @@
 """Controller kinds replayed side by side in forked kind workers.
 
-Two callers fork kind workers (:mod:`repro.scenario.kindworker`):
-``run_planned``, for the one call, and a sweep's pool
+One pool forks kind workers (:class:`repro.scenario.kindworker.Pool`),
+for two callers: ``run_planned``, for the one call, and a sweep
 (:mod:`repro.jobs.dispatch`), whose workers replay one kind of one job
 at a time and stay warm from job to job.  Everything observable must be
 what the serial engine produces — results byte for byte, errors down to
@@ -30,11 +30,9 @@ import subprocess
 import sys
 import time
 import traceback
-from typing import List
 
 import pytest
 
-from repro.experiments import study
 from repro.experiments.adversity import AdversityStudyConfig
 from repro.experiments.api import (
     Experiment,
@@ -46,6 +44,7 @@ from repro.experiments.churn_study import ChurnStudyConfig
 from repro.experiments.netscale import NetScaleConfig
 from repro.experiments.registry import _REGISTRY, get_experiment, register_experiment
 from repro.experiments.runner import BatchJob, run_batch
+from repro.jobs import JobStore, SweepInterrupted
 from repro.scenario import engine, kindworker, plan_scenario, run_planned, sharded
 from repro.scenario.cache import PlanCache
 from repro.scenario.netgen import NetworkConfig, NetworkPlan
@@ -226,6 +225,29 @@ def test_second_kind_error_is_the_serial_engines_own(low_floor, forks):
     assert_reaped(forks)
 
 
+def test_a_workers_failed_kind_costs_the_caller_one_replay(low_floor, forks, monkeypatch):
+    config = second_kind_fails()
+    plan = plan_scenario(config.to_scenario(), cache=PlanCache())
+    real = engine._run_kind
+    here = []
+
+    def run_kind(plan, kind):
+        if not kindworker._IN_WORKER:
+            here.append(kind)
+        return real(plan, kind)
+
+    monkeypatch.setattr(engine, "_run_kind", run_kind)
+    with one_cpu():
+        serial = outcome_of(plan)
+    del here[:]
+    assert outcome_of(plan) == serial
+    # The first kind here; the second raised in the worker and replays
+    # here once, the first not again.
+    assert here == list(config.kinds)
+    assert len(forks) == (1 if CAN_FORK else 0)
+    assert_reaped(forks)
+
+
 # ----------------------------------------------------------------------
 # (c), (e) children die, the parent is interrupted: nothing is left behind
 # ----------------------------------------------------------------------
@@ -236,7 +258,7 @@ def replay_where(parent=None, child=None):
     real = engine._run_kind
 
     def run_kind(plan, kind):
-        side = child if kindworker.in_child_process() else parent
+        side = child if kindworker._IN_WORKER else parent
         return real(plan, kind) if side is None else side()
 
     return run_kind
@@ -253,6 +275,21 @@ def test_a_killed_child_yields_the_serial_result(low_floor, forks, monkeypatch):
     assert result_bytes(run_planned(plan)) == expected
     assert len(forks) == (1 if CAN_FORK else 0)
     assert_reaped(forks)
+
+
+def test_a_killed_single_call_worker_is_logged_once(low_floor, forks, monkeypatch, caplog):
+    plan = lossless_plan()
+    expected = serial_bytes(plan)
+    monkeypatch.setattr(engine, "_run_kind", replay_where(child=kill_myself))
+    caplog.set_level(logging.DEBUG, logger="repro")
+    assert result_bytes(run_planned(plan)) == expected
+    warnings = [(r.name, r.getMessage()) for r in caplog.records
+                if r.levelno >= logging.WARNING]
+    assert warnings == ([(
+        "repro.scenario.kindworker",
+        "kind worker %d died; kind %s replays in the parent"
+        % (forks[0], plan.scenario.kinds[1]),
+    )] if CAN_FORK else [])
 
 
 def test_an_interrupt_in_the_parents_kind_reaps_the_children(
@@ -315,7 +352,7 @@ def _replay_in_worker():
     pids = []
     os.fork = recording_fork(pids)  # this worker is not reused
     result = run_planned(lossless_plan())
-    return kindworker.in_child_process(), len(pids), result_bytes(result)
+    return kindworker._IN_WORKER, len(pids), result_bytes(result)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,7 +365,6 @@ class ProbeResult(ExperimentResult):
     in_child: bool = False
     forks: int = 0
     text: str = ""
-    seen: List[int] = dataclasses.field(default_factory=list)
 
 
 class ProbeExperiment(Experiment):
@@ -339,9 +375,8 @@ class ProbeExperiment(Experiment):
     result_type = ProbeResult
 
     def run(self, spec, ctx=RunContext()):
-        if spec.probe == "study":
-            return ProbeResult(seen=_study_sweep_workers())
-        in_child, forks, text = _replay_in_worker()
+        probe = _study_in_worker if spec.probe == "study" else _replay_in_worker
+        in_child, forks, text = probe()
         return ProbeResult(in_child=in_child, forks=forks, text=text)
 
 
@@ -356,7 +391,7 @@ def in_a_pool_worker(probe):
 
 
 def test_no_fork_inside_a_pool_worker():
-    assert not kindworker.in_child_process()
+    assert not kindworker._IN_WORKER
     probe = in_a_pool_worker("replay")
     assert probe.in_child == kindworker.may_fork()
     assert probe.forks == 0
@@ -364,33 +399,23 @@ def test_no_fork_inside_a_pool_worker():
 
 
 # ----------------------------------------------------------------------
-# The nesting guard of the study sweep; the sharded entry forks as kinds do
+# A study inside a pool worker; the sharded entry forks as kinds do
 # ----------------------------------------------------------------------
 
 
-class _Stop(Exception):
-    pass
+def study_bytes(workers) -> str:
+    """A one-point churn study's result at *workers*."""
+    return result_bytes(get_experiment("churn-study").run(
+        ChurnStudyConfig(rates=(2.0,), circuit_count=4), RunContext(workers=workers)
+    ))
 
 
-def _study_sweep_workers():
-    """The worker count a ``workers=2`` study hands to its point sweep."""
-    seen = []
-
-    def spy(jobs, workers=None, **kwargs):
-        seen.append(workers)
-        raise _Stop
-
-    real_run_batch = study.run_batch
-    study.run_batch = spy
-    try:
-        get_experiment("churn-study").run(
-            ChurnStudyConfig(rates=(2.0,), circuit_count=4), RunContext(workers=2)
-        )
-    except _Stop:
-        pass
-    finally:
-        study.run_batch = real_run_batch
-    return seen
+def _study_in_worker():
+    """(in a child?, forks, result bytes) of a ``workers=2`` study."""
+    pids = []
+    os.fork = recording_fork(pids)  # this worker is not reused
+    text = study_bytes(2)
+    return kindworker._IN_WORKER, len(pids), text
 
 
 def _disjoint_plan():
@@ -410,9 +435,11 @@ def _disjoint_plan():
     )
 
 
-def test_a_study_inside_a_pool_worker_sweeps_serially():
-    assert _study_sweep_workers() == [2]
-    assert in_a_pool_worker("study").seen == [1 if kindworker.may_fork() else 2]
+def test_a_study_inside_a_pool_worker_forks_nothing():
+    probe = in_a_pool_worker("study")
+    assert probe.in_child == kindworker.may_fork()
+    assert probe.forks == 0
+    assert probe.text == study_bytes(1)
 
 
 def test_a_sharded_run_forks_as_run_planned_does(low_floor, forks, monkeypatch):
@@ -544,7 +571,7 @@ def test_an_interrupt_in_the_parents_kind_stops_the_warm_worker(
     real = engine._run_kind
 
     def run_kind(plan, kind):
-        if not kindworker.in_child_process():
+        if not kindworker._IN_WORKER:
             # The parent replays a kind only when a worker lost it.
             raise KeyboardInterrupt
         if kind == "without":
@@ -687,7 +714,7 @@ def test_a_lost_worker_is_logged_once_and_output_stays_the_same(two_cpus, forks,
         return
     assert len(warnings) == 1
     assert warnings[0].startswith("sweep worker %d died; " % forks[0])
-    assert all(name == "repro.jobs.dispatch" for name, __, __ in records)
+    assert all(name == "repro.scenario.kindworker" for name, __, __ in records)
     forked = [message for __, level, message in records if level == logging.DEBUG]
     assert len(forked) == len(forks)
     assert all("forked sweep worker %d " % pid in message
@@ -721,7 +748,7 @@ def test_a_dead_worker_is_replaced_once_and_then_the_parent_replays(
         return pid
 
     monkeypatch.setattr(os, "fork", stillborn)
-    caplog.set_level(logging.WARNING, logger="repro.jobs.dispatch")
+    caplog.set_level(logging.WARNING, logger="repro.scenario.kindworker")
     result = run_batch(jobs, workers=1)
     assert batch_bytes(result) == expected
     assert len(pids) == (4 if CAN_FORK else 0)
@@ -737,8 +764,67 @@ def test_a_failed_fork_leaves_the_parent_to_replay(two_cpus, monkeypatch, caplog
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    caplog.set_level(logging.WARNING, logger="repro.jobs.dispatch")
+    caplog.set_level(logging.WARNING, logger="repro.scenario.kindworker")
     result = run_batch(jobs, workers=1)
     assert batch_bytes(result) == expected
     assert [r.getMessage().startswith("cannot fork a sweep worker")
             for r in caplog.records] == ([True] if CAN_FORK else [])
+
+
+def test_an_interrupted_sweep_leaves_leases_only_on_units_in_flight(
+    two_cpus, forks, tmp_path
+):
+    """A job is leased when its first unit leaves the queue, not when it
+    is planned: a stopped sweep leaves no lease on a job that never ran."""
+
+    def interrupt(item, done, total, source):
+        raise KeyboardInterrupt
+
+    with pytest.raises(SweepInterrupted):
+        run_batch(tiny_jobs(12), workers=1, checkpoint_dir=str(tmp_path),
+                  on_item=interrupt)
+    assert_reaped(forks)
+    in_flight = (2 if CAN_FORK else 0) * kindworker._DEPTH
+    assert len(JobStore(str(tmp_path)).orphaned_leases()) <= in_flight
+
+
+#: A fresh interpreter that forks for one ``run_planned`` call and for
+#: one sweep, then says whether either loaded ``logging``.
+_FORKS_QUIETLY = """
+import os, sys
+from repro.experiments.netscale import NetScaleConfig
+from repro.experiments.runner import run_batch
+from repro.scenario import engine, plan_scenario, run_planned
+from repro.scenario.cache import PlanCache
+from repro.scenario.netgen import NetworkConfig
+
+pids = []
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
+os.fork = fork
+os.sched_getaffinity = lambda pid: {0, 1}
+engine._SIDE_BY_SIDE_FLOOR = 0
+config = NetScaleConfig(circuit_count=4, seed=2018, network=NetworkConfig(10, 10, 10))
+run_planned(plan_scenario(config.to_scenario(), cache=PlanCache()))
+call = len(pids)
+run_batch([("netscale", config)], workers=1)
+print(call, len(pids) - call, "logging" in sys.modules)
+"""
+
+
+def test_a_fork_loads_no_logging():
+    """A fork logs at DEBUG only where ``logging`` is loaded already:
+    loading it costs a cold process several ms."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(engine.__file__))))
+    done = subprocess.run([sys.executable, "-c", _FORKS_QUIETLY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "2", "False"]
