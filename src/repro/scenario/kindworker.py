@@ -30,12 +30,11 @@ A worker that answers ``"raised"`` serves on.
 **The failure rule.**  A unit whose worker raised, died or was killed
 is *lost*, and the caller replays it itself once its job's other kinds
 have landed, in kind order, so an error is always the serial engine's
-own.
-A dead worker is replaced once, its replacement not again.  Each lost
-worker is logged once, as a WARNING naming its pid and what it held;
-each fork at DEBUG, but only when :mod:`logging` is already loaded: an
-unloaded ``logging`` has no handler to lose, and loading it costs a
-cold process ~7 ms.
+own.  A dead worker is replaced once, its replacement not again.  Each
+lost worker is logged once, as a WARNING naming its pid and what it
+held; each fork at DEBUG, but only when :mod:`logging` is already
+loaded: an unloaded ``logging`` has no handler to lose, and loading it
+costs a cold process ~7 ms.
 
 A worker closes its copies of every pipe end this process holds for
 any worker: when this process dies, even by ``SIGKILL``, each worker
