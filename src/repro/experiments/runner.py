@@ -389,8 +389,7 @@ def run_batch(
             todo.append((index, job.experiment, spec_data, key))
         if todo:
             run_tasks(todo, deliver_with_twins, workers=workers,
-                      plan_cache_dir=plan_cache_dir,
-                      checkpoint_dir=store.directory if store else None)
+                      plan_cache_dir=plan_cache_dir, store=store)
     except SweepBroken as crash:
         raise SweepBroken(delivered, total) from crash
     except KeyboardInterrupt:

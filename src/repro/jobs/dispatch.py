@@ -433,12 +433,15 @@ def run_tasks(
     on_outcome: Callable[[JobOutcome], None],
     workers: Optional[int] = None,
     plan_cache_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
+    store: Optional[JobStore] = None,
 ) -> None:
     """Run every task; outcomes stream to *on_outcome* in completion order.
 
     Every job computes identical bytes at any worker count (the caller
-    owns input-order merging via ``JobOutcome.index``).  Raises
+    owns input-order merging via ``JobOutcome.index``).  With a *store*,
+    each job is looked up there once more before it runs (a concurrent
+    sweep on the same directory may have finished it), leased and
+    checkpointed.  Raises
     :class:`SweepInterrupted` on Ctrl-C and :class:`SweepBroken` when a
     worker dies with a whole job, both carrying the outcomes completed
     so far.
@@ -455,8 +458,7 @@ def run_tasks(
     size = (usable_cpus() if serial else workers) if may_fork() else 0
     if serial and size == 1:
         size = 0
-    sweep = _Sweep(tasks, record, JobStore(checkpoint_dir) if checkpoint_dir else None,
-                   size, whole_here=serial or not size)
+    sweep = _Sweep(tasks, record, store, size, whole_here=serial or not size)
     with attached_disk_tier(DEFAULT_CACHE, plan_cache_dir):
         try:
             sweep.run()

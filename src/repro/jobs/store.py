@@ -16,12 +16,13 @@ per-index re-seeded) spec — so
 
 The disk discipline is the one the scenario plan cache uses
 (:mod:`repro.scenario.cache`): one :class:`repro.storage.EntryDir` per
-kind of file, so envelopes with a format version and a digest of their
-payload, atomic temp-file-and-rename publication so partially written
-checkpoints are never observed, and defensive reads where anything
-corrupt, edited or foreign is a miss, never an error.  A resumed sweep
-is only as credible as what it reads back: a checkpoint whose payload
-changed under its header is re-run, not merged.
+kind of entry, so each writing process appends records to its own
+segment, one write per record, each record carrying a format version
+and a digest of its key and payload; a record not yet whole is never
+read, and anything corrupt, edited or foreign is a miss, never an
+error.  A resumed sweep is only as credible as what it reads back: a
+checkpoint whose payload changed under its header is re-run, not
+merged.
 
 Checkpoints written by *different simulator code* must not satisfy a
 resume — the resumed half of a sweep would silently disagree with the
@@ -31,7 +32,7 @@ entire ``repro`` package source; entries from another commit are
 misses and their jobs re-run.
 
 Alongside the results, the store keeps per-job **lease records**: a
-worker writes a lease when it starts a job and removes it on
+worker writes a lease when it starts a job and a tombstone on
 completion, so a crashed sweep leaves behind exactly the leases of its
 in-flight jobs.  ``repro resume`` reports and re-leases these orphans;
 they carry pid/host/time for post-mortems but are never load-bearing —
@@ -44,7 +45,16 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
-from ..storage import FORMAT_VERSION, EntryDir, content_hash, source_fingerprint
+from ..storage import (
+    FORMAT_VERSION,
+    HOST,
+    EntryDir,
+    content_hash,
+    publish_envelope,
+    read_envelope,
+    source_fingerprint,
+    sweep_files,
+)
 
 __all__ = [
     "CHECKPOINT_ENV_VAR",
@@ -93,19 +103,22 @@ class JobStore:
 
     Layout::
 
-        <directory>/results/<job-key>.json   # completed-job envelopes
-        <directory>/leases/<job-key>.json    # in-flight lease records
-        <directory>/partial.json             # streaming sweep snapshot
+        <directory>/results/<host>-<pid>.log   # completed-job records
+        <directory>/leases/<host>-<pid>.log    # lease records and tombstones
+        <directory>/partial.json               # streaming sweep snapshot
 
-    Each is an entry of one :class:`repro.storage.EntryDir`.  A result
-    entry's payload is ``{"experiment", "spec", "result"}``, stamped
-    with the source fingerprint; reads reject anything stale,
-    misplaced, edited or written by different simulator code.  Leases
-    and the snapshot are unstamped, so ``repro resume`` reports them
-    across commits.  All writes are atomic, so concurrent workers —
+    Results and leases are the records of one
+    :class:`repro.storage.EntryDir` each, one segment per writing
+    process.  A result's payload is ``{"experiment", "spec",
+    "result"}``, stamped with the source fingerprint; reads reject
+    anything stale, relabelled, edited or written by different
+    simulator code.  Leases and the snapshot are unstamped, so ``repro
+    resume`` reports them across commits.  Concurrent workers —
     including workers of *separate* sweeps sharing the directory —
-    cannot corrupt each other: racers on one key write the same
-    deterministic bytes and the last rename wins.
+    cannot corrupt each other: each appends to its own segment, and
+    racers on one key append the same deterministic bytes.  The
+    snapshot, which pollers read whole, is one envelope file published
+    by atomic rename.
     """
 
     def __init__(self, directory: str) -> None:
@@ -114,8 +127,7 @@ class JobStore:
         self._leases = EntryDir(
             os.path.join(self.directory, "leases"), "lease", stamped=False
         )
-        #: ``partial.json``: the one entry, keyed ``partial``, of the top.
-        self._partial = EntryDir(self.directory, "partial", stamped=False)
+        self._partial = os.path.join(self.directory, "partial.json")
 
     # --- checkpoints ------------------------------------------------------
 
@@ -123,9 +135,9 @@ class JobStore:
         """The checkpointed payload for *key*, or ``None``.
 
         The payload is ``{"experiment", "spec", "result"}`` exactly as
-        :meth:`put` stored it.  The header names the key, so a file
-        copied onto another key's name is a miss; the digest covers the
-        payload, so one edited in place is a miss too.
+        :meth:`put` stored it.  The digest covers the key and the
+        payload, so a record relabelled to another key, or edited in
+        place, is a miss.
         """
         return self._results.get(key)
 
@@ -136,7 +148,7 @@ class JobStore:
         spec_data: Dict[str, Any],
         result_data: Dict[str, Any],
     ) -> bool:
-        """Checkpoint one completed job atomically; ``True`` on success.
+        """Checkpoint one completed job; ``True`` on success.
 
         Failures (unwritable directory) degrade to ``False`` — the
         sweep keeps running, it just loses durability for this job.
@@ -145,7 +157,7 @@ class JobStore:
         return self._results.put(key, payload) is not None
 
     def keys(self) -> List[str]:
-        """Every checkpointed job key currently on disk (sorted)."""
+        """Every checkpointed job key on disk (sorted)."""
         return self._results.keys()
 
     # --- leases -----------------------------------------------------------
@@ -154,17 +166,15 @@ class JobStore:
         """Record that a worker is now running the job *key*.
 
         Purely observability for crash forensics and ``repro resume``
-        reporting: leases are plain overwriting records, not mutual
+        reporting: leases are records a later one supersedes, not mutual
         exclusion — two sweeps racing on one key both run the (
         deterministic) job and publish identical checkpoints.
         """
-        import socket
-
         self._leases.put(key, {
             "experiment": experiment,
             "index": index,
             "pid": os.getpid(),
-            "host": socket.gethostname(),
+            "host": HOST,
             "time": time.time(),
         })
 
@@ -176,15 +186,16 @@ class JobStore:
         """Leases whose job never checkpointed: the crash's in-flight set.
 
         Keyed by job key; each record carries the pid/host/time the
-        original worker stamped.  ``repro resume`` reports these and
-        re-leases them (the re-run worker overwrites the record).
+        original worker stamped.  A later lease or release of a key, in
+        any segment, supersedes an earlier one.  ``repro resume``
+        reports these and re-leases them.
         """
         checkpointed = set(self.keys())
         orphans: Dict[str, Dict[str, Any]] = {}
         for key in self._leases.keys():
             if key in checkpointed:
                 # The worker died between publishing the result and
-                # unlinking its lease: the job is done, not orphaned.
+                # releasing its lease: the job is done, not orphaned.
                 self.release(key)
                 continue
             record = self._leases.get(key)
@@ -202,11 +213,16 @@ class JobStore:
         the completed items, as the aggregation layer builds them.
         Readers polling ``partial.json`` always see a complete document.
         """
-        self._partial.put_encoded("partial", body)
+        publish_envelope(self._partial, self._partial_header(), body)
 
     def read_partial(self) -> Optional[Dict[str, Any]]:
         """The last streaming snapshot, or ``None``."""
-        return self._partial.get("partial")
+        data = read_envelope(self._partial, self._partial_header())
+        return None if data is None else data["payload"]
+
+    @staticmethod
+    def _partial_header() -> Dict[str, Any]:
+        return {"format": FORMAT_VERSION, "kind": "partial", "key": "partial"}
 
     # --- bookkeeping ------------------------------------------------------
 
@@ -220,13 +236,12 @@ class JobStore:
         }
 
     def sweep_scratch(self) -> None:
-        """Janitor pass: drop temp files orphaned by killed writers.
+        """Janitor pass: drop ``partial.json`` temp files of killed writers.
 
-        Covers the top directory too: ``partial.json``'s temp file
-        lands there, beside the snapshot it is renamed onto.
+        A live writer renames its temp file onto the snapshot within
+        milliseconds; one a minute old is dead.
         """
-        for entries in (self._results, self._leases, self._partial):
-            entries.sweep((".tmp",), older_than=60.0)
+        sweep_files(self.directory, (".tmp",), older_than=60.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<JobStore dir=%r checkpoints=%d>" % (

@@ -23,15 +23,16 @@ One lookup serves both kinds, :meth:`PlanCache.get_or_compute`:
 memory, then the optional **disk tier** (:class:`DiskPlanCache`), then
 a cold computation whose result is published to disk.  Nothing
 coordinates cold planners: planning takes less time than one disk
-read, so processes racing on a cold key each plan it and publish the
-same deterministic bytes, and the last atomic rename wins — the policy
-the job store runs too.  The disk tier is one
-:class:`repro.storage.EntryDir` per kind: entries written atomically,
-stamped with the whole-package
-:func:`~repro.storage.source_fingerprint`, carrying a digest of their
-payload, capped in total size with least-recently-used eviction, and
-read back defensively — anything corrupt, truncated, foreign, edited
-or unreadable is a miss, never an error.
+read, so processes racing on a cold key each plan it and append the
+same deterministic bytes, and either record serves — the policy the
+job store runs too.  The disk tier is one
+:class:`repro.storage.EntryDir` per kind: each writing process appends
+to its own segment, one write per record, each record stamped with the
+whole-package :func:`~repro.storage.source_fingerprint` and carrying a
+digest of its key and payload; the tier is capped in total size by
+evicting whole segments, least recently used first, and read back
+defensively — anything corrupt, truncated, foreign, edited or
+unreadable is a miss, never an error.
 
 :func:`repro.experiments.runner.run_batch` aggregates every worker's
 hit/miss counters (memory and disk) into the batch report so sweeps
@@ -46,7 +47,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..serialize import decode, encode
-from ..storage import FORMAT_VERSION, EntryDir, content_hash
+from ..storage import FORMAT_VERSION, EntryDir, content_hash, sweep_files
 
 __all__ = [
     "DEFAULT_CACHE",
@@ -67,6 +68,11 @@ spec_hash = content_hash
 #: The cached levels; ``<kind>s/`` is also the disk tier's subdirectory.
 KINDS = ("plan", "network")
 
+#: A writer starts a new segment once its current one holds this share
+#: of ``max_bytes``: eviction drops whole segments, so a long-lived
+#: writer's older records can go while it keeps writing.
+SEGMENT_SHARE = 1 / 8
+
 
 def _zeroed_counters() -> Dict[str, int]:
     """``plan_hits``, ``plan_misses``, ``network_hits``, ``network_misses``."""
@@ -79,27 +85,28 @@ def _zeroed_counters() -> Dict[str, int]:
 class DiskPlanCache:
     """The persistent, cross-process tier of the plan cache.
 
-    Lays out one JSON file per entry under *directory*::
+    Lays out one segment per writing process and kind under *directory*::
 
-        <directory>/plans/<spec-hash>.json
-        <directory>/networks/<network-fingerprint>.json
+        <directory>/plans/<host>-<pid>.log      # full scenario plans
+        <directory>/networks/<host>-<pid>.log   # generated networks
 
-    Each kind is one :class:`repro.storage.EntryDir`: every file is a
-    version-:data:`~repro.storage.FORMAT_VERSION` envelope stamped with
+    Each kind is one :class:`repro.storage.EntryDir`: every record is a
+    version-:data:`~repro.storage.FORMAT_VERSION` header stamped with
     the :func:`~repro.storage.source_fingerprint` of the code that
     wrote it, so entries published by a different version of the
     package are misses even when the layout still matches (directories
     outlive commits: ``actions/cache`` in CI, a long-lived
-    ``REPRO_PLAN_CACHE``), and carrying a digest of its payload, so an
-    entry edited under an intact header is a miss too.  Writes go
-    through a per-process temp file renamed into place, so readers only
-    ever see complete entries — processes racing on one cold key each
-    plan it, write the same deterministic bytes, and the last rename
-    wins.  Reads never raise: anything unreadable or undecodable is a
-    miss and cold planning takes over.
+    ``REPRO_PLAN_CACHE``), and carrying a digest of its key and
+    payload, so an entry edited under an intact header is a miss too.
+    Each record is one append, so readers only ever index whole
+    records — processes racing on one cold key each plan it and append
+    the same deterministic bytes.  Reads never raise: anything
+    unreadable or undecodable is a miss and cold planning takes over.
 
-    The total size of all entries is capped at *max_bytes*; eviction is
-    least-recently-used (entry mtimes are refreshed on every hit).
+    The total size of all segments is capped at *max_bytes*; eviction
+    drops whole segments, least recently used first (a hit refreshes
+    its segment's mtime), and a writer moves to a new segment once its
+    current one holds :data:`SEGMENT_SHARE` of the cap.
     """
 
     def __init__(self, directory: str, max_bytes: int = 256 * 1024 * 1024) -> None:
@@ -107,8 +114,10 @@ class DiskPlanCache:
             raise ValueError("max_bytes must be >= 1, got %r" % max_bytes)
         self.directory = os.path.abspath(directory)
         self.max_bytes = max_bytes
+        segment_bytes = max(1, int(max_bytes * SEGMENT_SHARE))
         self._dirs = {
-            kind: EntryDir(os.path.join(self.directory, kind + "s"), kind)
+            kind: EntryDir(os.path.join(self.directory, kind + "s"), kind,
+                           segment_bytes=segment_bytes)
             for kind in KINDS
         }
         self._counters = _zeroed_counters()
@@ -128,10 +137,7 @@ class DiskPlanCache:
         entries = self._dirs[kind]
         value = self._decode(kind, key, entries.get(key))
         if value is not None:
-            try:
-                os.utime(entries.path(key), None)  # refresh LRU recency
-            except OSError:
-                pass
+            entries.touch(key)  # refresh LRU recency
             self._counters[kind + "_hits"] += 1
         else:
             self._counters[kind + "_misses"] += 1
@@ -184,48 +190,38 @@ class DiskPlanCache:
         if self._approx_total is not None:
             self._approx_total += written
         if self._approx_total is None or self._approx_total > self.max_bytes:
-            # Full directory scans are O(entries); only pay for one
-            # when the running estimate says the cap may be crossed
-            # (or on the first put, to seed the estimate).
+            # A scan stats every segment; only pay for one when the
+            # running estimate says the cap may be crossed (or on the
+            # first put, to seed the estimate).
             self._evict()
 
     def put_plan(self, key: str, plan: Any) -> None:
         self.put("plan", key, plan)
 
-    def _scan(self) -> List[Tuple[float, int, str]]:
-        """``(mtime, size, path)`` of every entry, after a janitor pass.
+    def _scan(self) -> List[Tuple[float, int, str, EntryDir]]:
+        """``(mtime, size, path, entries)`` of every segment, after a janitor pass.
 
-        Temp files orphaned by a killed writer are outside the
-        ``*.json`` accounting, and so are the per-key lock files that
-        directories written by older builds can hold; anything of
-        either shape untouched for a minute is dead and swept first, so
-        a shared directory (which CI's ``actions/cache`` re-persists)
-        does not accumulate them.
+        Temp files and per-key lock files of older builds, and the
+        per-entry files of the version-2 layout, are outside the
+        segment accounting; anything of those shapes untouched for a
+        minute is dead and swept first, so a shared directory (which
+        CI's ``actions/cache`` re-persists) does not accumulate them.
         """
-        entries = []
-        for kind_dir in self._dirs.values():
-            kind_dir.sweep((".tmp", ".lock"), 60.0)
-            for key in kind_dir.keys():
-                path = kind_dir.path(key)
-                try:
-                    stat = os.stat(path)
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-        return entries
+        segments = []
+        for entries in self._dirs.values():
+            sweep_files(entries.directory, (".tmp", ".lock", ".json"), 60.0)
+            segments.extend(segment + (entries,) for segment in entries.segments())
+        return segments
 
     def _evict(self) -> None:
-        """Drop least-recently-used entries until under the size cap."""
-        entries = sorted(self._scan())
-        total = sum(size for __, size, __ in entries)
-        for __, size, path in entries:
+        """Drop least-recently-used segments until under the size cap."""
+        segments = sorted(self._scan(), key=lambda segment: segment[:3])
+        total = sum(segment[1] for segment in segments)
+        for __, size, path, entries in segments:
             if total <= self.max_bytes:
                 break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
+            if entries.drop(path):
+                total -= size
         self._approx_total = total
 
     # --- bookkeeping ------------------------------------------------------
@@ -242,7 +238,7 @@ class DiskPlanCache:
         return {kind: len(entries.keys()) for kind, entries in self._dirs.items()}
 
     def total_bytes(self) -> int:
-        return sum(size for __, size, __ in self._scan())
+        return sum(segment[1] for segment in self._scan())
 
     def info(self) -> Dict[str, Any]:
         """Directory layout summary (``repro cache info``)."""
@@ -257,7 +253,7 @@ class DiskPlanCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry (and stray lock/temp file); entries removed."""
+        """Delete every segment (and stray file); entries removed."""
         removed = sum(entries.clear() for entries in self._dirs.values())
         self.reset_counters()
         self._approx_total = 0

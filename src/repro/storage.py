@@ -1,43 +1,46 @@
-"""Shared on-disk envelope, entry-directory and lock-file machinery.
+"""Shared on-disk envelope, segment, entry-directory and lock-file machinery.
 
 Two subsystems persist content-addressed JSON entries under a shared
 directory: the scenario plan cache (:mod:`repro.scenario.cache`) and
 the experiment job store (:mod:`repro.jobs.store`).  Both are "a
-directory of ``<key>.json`` envelopes", so everything directory- or
+directory of keyed entries of one kind", so everything directory- or
 clock-shaped about that lives here, once:
 
-* **envelopes** (version :data:`FORMAT_VERSION`) — an entry file is
-  one compact-JSON header line, then its payload as compact JSON.  The
-  header carries the format version, a kind, the entry's own key, a
-  writer stamp where the store wants one, and a ``sha256`` of the
-  payload bytes as written.  A reader rejects stale layouts, misplaced
-  files, entries written by different code and payloads changed under
-  an intact header *before* decoding the payload; the digest is checked
-  over the raw bytes, never by re-serialising.  A version-1 entry (one
-  JSON object, no digest) is a miss;
 * **entry directories** — :class:`EntryDir` is one directory of one
-  kind of entry: it owns the entry path, the header, atomic write and
-  defensive read, listing, clearing and sweeping the ``.tmp``/``.lock``
-  files a killed process left behind.  The stores hold one per kind
-  and never build a header themselves;
+  kind of entry, laid out as append-only segments: each writing
+  process appends to its own ``<host>-<pid>.log``, one ``os.write``
+  per record, so publishing an entry creates no file, and a reader
+  never mistakes a record still being written for a whole one.  A
+  record is a compact-JSON header line (format version
+  :data:`FORMAT_VERSION`, kind, key, a writer stamp where the store
+  wants one, the write's wall-clock time, the payload's byte size and
+  a ``sha256`` over the key and the payload bytes), then the payload as
+  compact JSON and a newline.  Reads go through an in-memory index of
+  the headers, refreshed on a miss; a reader rejects stale layouts,
+  relabelled or damaged records, entries written by different code and
+  payloads changed under an intact header *before* decoding the
+  payload, and the digest is checked over the raw bytes, never by
+  re-serialising.  Files of an older layout (version 2: one
+  ``<key>.json`` per entry) are not segments and read as misses.  The
+  stores hold one per kind and never build a header themselves;
+* **envelopes** — a lone file published by atomic rename
+  (:func:`write_envelope`, :func:`read_envelope`): the same header
+  line, a digest of the payload bytes alone, then the payload.  A
+  sweep's ``partial.json``, which pollers read whole, is one;
 * **one writer fingerprint** — :func:`source_fingerprint`, a hash of
   the whole package source, stamps both stores: one invalidation rule,
   no hand-kept list of "modules that matter" to forget a module in;
-* **atomic writes** — entries land via a per-process temp file renamed
-  into place, so concurrent readers only ever observe complete entries
-  (two processes racing on one key write the same deterministic bytes
-  and the last rename wins);
 * **owner-token lock files** — cross-process mutual exclusion with
   stale-lock breaking and a bounded wait: each lock file records a
   token unique to its creator, so releasing cannot unlink a lock that
   was broken and re-taken by someone else, and locks older than a
   timeout are treated as abandoned by protocol.  Neither store takes a
-  lock: both publish by atomic rename and let racers write the same
-  bytes.  :class:`OwnerLocks` stays for the ``storage.lock_cycle_us``
+  lock: racers append the same deterministic bytes and either record
+  serves.  :class:`OwnerLocks` stays for the ``storage.lock_cycle_us``
   row of the benchmark, which times it.
 
 Everything here degrades safely: writes to an unusable directory are
-no-ops, reads of corrupt or foreign files are misses, and lock
+no-ops, reads of corrupt or foreign records are misses, and lock
 acquisition on an unwritable directory falls back to "go ahead"
 (redundant work is deterministic work, never a wrong answer).  The host
 clock is read here and nowhere in the simulated packages.
@@ -57,6 +60,7 @@ from .serialize import encode
 __all__ = [
     "EntryDir",
     "FORMAT_VERSION",
+    "HOST",
     "OwnerLocks",
     "content_hash",
     "encode_payload",
@@ -64,12 +68,17 @@ __all__ = [
     "read_envelope",
     "resolve_dir",
     "source_fingerprint",
+    "sweep_files",
     "write_envelope",
 ]
 
 #: The envelope layout.  Bump when the header or the way a payload is
 #: written changes shape: every older entry then reads as a miss.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: This host's name: the first half of every segment name it writes,
+#: and the ``host`` of a sweep's lease records.
+HOST = os.uname().nodename
 
 
 def resolve_dir(explicit: Optional[str], env_var: str) -> Optional[str]:
@@ -308,53 +317,179 @@ class OwnerLocks:
 
 
 class EntryDir:
-    """One directory of ``<key>.json`` envelopes of one *kind*.
+    """One directory of one *kind* of entry, kept as append-only segments.
 
-    The one place an entry's path and header are made: :meth:`put`
-    writes the header (format version, kind, key, and with *stamped*
-    the :func:`source_fingerprint` of the writing code) and :meth:`get`
-    demands the same header back, plus a payload that matches its
-    digest.  Stamped entries are misses under any other source tree;
-    unstamped ones (a sweep's leases and snapshot) stay readable across
-    commits.  The directory is created on first write.
+    Every process appends to its own segment, ``<host>-<pid>.log``
+    (``<host>-<pid>.<n>.log`` once it has rotated *n* times), with one
+    ``os.write`` per record on a descriptor opened with ``O_APPEND`` and
+    closed before the call returns: no descriptor outlives a call, and a
+    forked child never writes into its parent's segment.  A record is a
+    header line — format version, kind, key, with *stamped* the
+    :func:`source_fingerprint` of the writing code, the wall-clock
+    ``time`` of the write, the payload's byte size and a ``sha256`` over
+    the key and the payload bytes — then the compact-JSON payload and a
+    newline.  A record with an empty payload is a tombstone
+    (:meth:`discard`).
+
+    Reads go through an in-memory index of the records' headers: built
+    on first use, refreshed on a miss, and reading only the bytes each
+    segment grew by since.  A key's latest record wins: a later record
+    of the same segment, else the one with the later ``time``.  A
+    record is indexed only once its last newline is on disk and its
+    digest verifies; a header line that does not parse or does not
+    match is skipped and the next line is tried as a header.  :meth:`get`
+    reads the record again and checks every header field and the digest
+    before it decodes anything: damage costs misses, never a wrong
+    payload or an exception.  Stamped entries are misses under any
+    other source tree; unstamped ones (a sweep's leases) stay readable
+    across commits.  The directory is created on first write.
+
+    *segment_bytes* (0: never) makes a writer start a new segment once
+    its current one holds that many bytes, so a store that evicts whole
+    segments (:meth:`segments`, :meth:`drop`) can keep a long-lived
+    writer under a cap.
     """
 
-    def __init__(self, directory: str, kind: str, stamped: bool = True) -> None:
+    def __init__(self, directory: str, kind: str, stamped: bool = True,
+                 segment_bytes: int = 0) -> None:
         self.directory = directory
         self.kind = kind
         self.stamped = stamped
+        self.segment_bytes = segment_bytes
+        #: key -> ``(time, segment, offset, header length, payload length)``
+        #: of its latest record.
+        self._index: Dict[str, Tuple[Any, str, int, int, int]] = {}
+        #: segment -> ``(inode, bytes indexed)``.
+        self._seen: Dict[str, Tuple[int, int]] = {}
+        #: ``(pid, rotations)`` of the segment this process appends to.
+        self._writer = (0, 0)
 
-    def path(self, key: str, suffix: str = ".json") -> str:
-        """*key*'s entry file; with *suffix*, its lock or scratch file."""
-        return os.path.join(self.directory, key + suffix)
-
-    def _header(self, key: str) -> Dict[str, Any]:
-        header = {"format": FORMAT_VERSION, "kind": self.kind, "key": key}
+    def _expect(self) -> Dict[str, Any]:
+        expect = {"format": FORMAT_VERSION, "kind": self.kind}
         if self.stamped:
-            header["source"] = source_fingerprint()
-        return header
+            expect["source"] = source_fingerprint()
+        return expect
+
+    # --- writing ----------------------------------------------------------
 
     def put(self, key: str, payload: Any) -> Optional[int]:
-        """Publish *payload* as *key*'s entry; bytes written, or ``None``."""
-        envelope = self._header(key)
-        envelope["payload"] = payload
-        return write_envelope(self.path(key), envelope)
+        """Append *payload* as *key*'s record; bytes written, or ``None``."""
+        try:
+            body = encode_payload(payload)
+        except (TypeError, ValueError):
+            return None
+        return self.put_encoded(key, body)
 
     def put_encoded(self, key: str, body: bytes) -> Optional[int]:
         """:meth:`put` for a payload already encoded (:func:`encode_payload`)."""
-        return publish_envelope(self.path(key), self._header(key), body)
+        if not body or b"\n" in body:
+            return None  # a tombstone, or bytes that would end the record early
+        return self._append(key, body)
+
+    def discard(self, key: str) -> None:
+        """Append a tombstone: *key* has no entry from now on."""
+        self._append(key, b"")
+
+    def _segment(self) -> str:
+        pid = os.getpid()
+        if self._writer[0] != pid:
+            self._writer = (pid, 0)  # a forked child: its own segment
+        rotations = self._writer[1]
+        return "%s-%d%s.log" % (HOST, pid, ".%d" % rotations if rotations else "")
+
+    def _append(self, key: str, body: bytes) -> Optional[int]:
+        try:
+            header = self._expect()
+            header.update(key=key, time=time.time(), bytes=len(body),
+                          sha256=_digest(key.encode("utf-8"), body))
+            # json.dumps escapes every newline, so the first one ends the header.
+            head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+        except (TypeError, ValueError):
+            return None
+        record = head + body + b"\n"
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        try:
+            while True:
+                name = self._segment()
+                path = os.path.join(self.directory, name)
+                try:
+                    fd = os.open(path, flags, 0o644)
+                except FileNotFoundError:
+                    os.makedirs(self.directory, exist_ok=True)
+                    fd = os.open(path, flags, 0o644)
+                try:
+                    stat = os.fstat(fd)
+                    if self.segment_bytes and stat.st_size >= self.segment_bytes:
+                        self._writer = (self._writer[0], self._writer[1] + 1)
+                        continue
+                    blob = record
+                    if stat.st_size and self._seen.get(name) != (
+                            stat.st_ino, stat.st_size) and os.pread(
+                            fd, 1, stat.st_size - 1) != b"\n":
+                        # A record torn by a killed writer whose pid this
+                        # process reuses: end it, so ours stays whole.
+                        blob = b"\n" + record
+                    if os.write(fd, blob) != len(blob):
+                        return None  # a torn record: readers skip it
+                    end = os.lseek(fd, 0, os.SEEK_CUR)
+                finally:
+                    os.close(fd)
+                break
+        except OSError:
+            return None
+        start = end - len(record)
+        if blob is record and self._seen.get(name, (stat.st_ino, 0)) == (stat.st_ino, start):
+            # Nothing unread before it: index our own record as written.
+            self._note(key, (header["time"], name, start, len(head), len(body)))
+            self._seen[name] = (stat.st_ino, end)
+        return len(blob)
+
+    # --- reading ----------------------------------------------------------
 
     def get(self, key: str) -> Optional[Any]:
         """*key*'s payload exactly as :meth:`put` stored it, or ``None``."""
-        data = read_envelope(self.path(key), self._header(key))
-        return None if data is None else data["payload"]
+        payload = self._load(key)
+        if payload is None:
+            self._refresh()
+            payload = self._load(key)
+        return payload
 
-    def discard(self, key: str) -> None:
-        """Unlink *key*'s entry, if there is one."""
+    def keys(self) -> List[str]:
+        """Sorted keys whose latest record on disk is an entry, not a tombstone."""
+        self._refresh()
+        return sorted(key for key, record in self._index.items() if record[4])
+
+    def _load(self, key: str) -> Optional[Any]:
+        record = self._index.get(key)
+        if record is None or not record[4]:
+            return None
+        __, name, offset, head_size, size = record
         try:
-            os.unlink(self.path(key))
-        except OSError:
-            pass
+            fd = os.open(os.path.join(self.directory, name), os.O_RDONLY)
+            try:
+                blob = os.pread(fd, head_size + size + 1, offset)
+            finally:
+                os.close(fd)
+            if len(blob) != head_size + size + 1 or blob[-1:] != b"\n":
+                return None
+            head, body = blob[:head_size], blob[head_size:-1]
+            header = json.loads(head)
+            expect = self._expect()
+            expect.update(key=key, bytes=size)
+            if not isinstance(header, dict) or any(
+                header.get(field) != value for field, value in expect.items()
+            ):
+                return None
+            if header.get("sha256") != _digest(key.encode("utf-8"), body):
+                return None
+            return json.loads(body)
+        except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+            return None
+
+    def _note(self, key: str, record: Tuple[Any, str, int, int, int]) -> None:
+        latest = self._index.get(key)
+        if latest is None or latest[1] == record[1] or record[0] >= latest[0]:
+            self._index[key] = record
 
     def _names(self) -> List[str]:
         try:
@@ -362,40 +497,154 @@ class EntryDir:
         except OSError:
             return []
 
-    def keys(self) -> List[str]:
-        """Sorted keys of the entries on disk."""
-        return sorted(
-            name[:-len(".json")] for name in self._names() if name.endswith(".json")
-        )
+    def _stats(self) -> List[Tuple[str, os.stat_result]]:
+        found = []
+        for name in self._names():
+            if name.endswith(".log"):
+                try:
+                    found.append((name, os.stat(os.path.join(self.directory, name))))
+                except OSError:
+                    continue
+        return found
+
+    def segments(self) -> List[Tuple[float, int, str]]:
+        """``(mtime, size, path)`` of every segment in the directory."""
+        return [(stat.st_mtime, stat.st_size, os.path.join(self.directory, name))
+                for name, stat in self._stats()]
+
+    def _refresh(self) -> None:
+        """Index what each segment grew by; start over if one went away."""
+        stats = dict(self._stats())
+        for name, (inode, done) in self._seen.items():
+            stat = stats.get(name)
+            if stat is None or stat.st_ino != inode or stat.st_size < done:
+                # Evicted, cleared or replaced under its name: what its
+                # records superseded may be the latest again.
+                self._index.clear()
+                self._seen.clear()
+                break
+        for name in sorted(stats):
+            stat = stats[name]
+            done = self._seen.get(name, (stat.st_ino, 0))[1]
+            if stat.st_size > done:
+                self._seen[name] = (stat.st_ino, self._scan(name, done))
+
+    def _scan(self, name: str, offset: int) -> int:
+        """Index the complete records of segment *name* from *offset* on;
+        returns where the first incomplete one starts."""
+        expect = self._expect()
+        try:
+            with open(os.path.join(self.directory, name), "rb") as handle:
+                handle.seek(offset)
+                line = handle.readline()
+                while line.endswith(b"\n"):
+                    parsed = _parse_header(line, expect)
+                    if parsed is None:
+                        offset += len(line)
+                        line = handle.readline()
+                        continue
+                    body = handle.readline()
+                    if not body.endswith(b"\n"):
+                        break  # still being written, or torn by a kill
+                    key, stamp, size, digest = parsed
+                    if len(body) != size + 1 or digest != _digest(
+                            key.encode("utf-8"), memoryview(body)[:-1]):
+                        offset += len(line)
+                        line = body  # a damaged header: its payload line may be one
+                        continue
+                    self._note(key, (stamp, name, offset, len(line), size))
+                    offset += len(line) + len(body)
+                    line = handle.readline()
+        except OSError:
+            pass
+        return offset
+
+    # --- housekeeping -----------------------------------------------------
+
+    def touch(self, key: str) -> None:
+        """Mark the segment holding *key*'s entry as just used."""
+        record = self._index.get(key)
+        if record is not None:
+            try:
+                os.utime(os.path.join(self.directory, record[1]), None)
+            except OSError:
+                pass
+
+    def drop(self, path: str) -> bool:
+        """Unlink the segment at *path*; ``True`` if it went."""
+        try:
+            os.unlink(path)
+        except OSError:
+            return False
+        self._index.clear()  # rebuilt from the segments left, on the next miss
+        self._seen.clear()
+        return True
 
     def clear(self) -> int:
-        """Unlink every file in the directory, scratch included; entries removed."""
-        removed = 0
+        """Unlink every file in the directory; entries removed."""
+        removed = len(self.keys())
         for name in self._names():
             try:
                 os.unlink(os.path.join(self.directory, name))
             except OSError:
                 continue
-            removed += name.endswith(".json")
+        self._index.clear()
+        self._seen.clear()
         return removed
 
-    def sweep(self, suffixes: Tuple[str, ...], older_than: float) -> None:
-        """Remove protocol-dead scratch files (``.tmp``/``.lock``).
 
-        Temp files orphaned by a killed writer and lock files abandoned
-        by a crashed owner would otherwise accumulate forever in a
-        shared directory; anything matching *suffixes* untouched for
-        longer than *older_than* seconds is dead by protocol — a live
-        writer renames within milliseconds, a live lock is honoured for
-        at most its timeout — and is unlinked here.
-        """
-        now = time.time()
-        for name in self._names():
-            if not name.endswith(suffixes):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                if now - os.stat(path).st_mtime > older_than:
-                    os.unlink(path)
-            except OSError:
-                continue
+def _digest(key: bytes, body: Any) -> str:
+    """The ``sha256`` of a record: its key, a newline, its payload bytes.
+
+    The key is inside the digest because no file name carries it: a
+    header relabelled to another key no longer verifies.
+    """
+    digest = hashlib.sha256(key)
+    digest.update(b"\n")
+    digest.update(body)
+    return digest.hexdigest()
+
+
+def _parse_header(
+    line: bytes, expect: Dict[str, Any]
+) -> Optional[Tuple[str, Any, int, str]]:
+    """``(key, time, bytes, sha256)`` of a record header matching *expect*."""
+    try:
+        header = json.loads(line)
+        if not isinstance(header, dict) or any(
+            header.get(field) != value for field, value in expect.items()
+        ):
+            return None
+        key, stamp = header.get("key"), header.get("time")
+        size, digest = header.get("bytes"), header.get("sha256")
+        if not (isinstance(key, str) and type(stamp) in (int, float)
+                and type(size) is int and isinstance(digest, str)):
+            return None
+        key.encode("utf-8")  # a lone surrogate cannot be a key
+    except (ValueError, RecursionError):
+        return None
+    return key, stamp, size, digest
+
+
+def sweep_files(directory: str, suffixes: Tuple[str, ...], older_than: float) -> None:
+    """Unlink the files of *directory* ending in *suffixes*, untouched
+    for longer than *older_than* seconds.
+
+    What a killed writer of a one-file envelope left (``.tmp``), and
+    files an older layout left beside the segments, would otherwise
+    accumulate forever in a shared directory.
+    """
+    now = time.time()
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return
+    for name in names:
+        if not name.endswith(suffixes):
+            continue
+        path = os.path.join(directory, name)
+        try:
+            if now - os.stat(path).st_mtime > older_than:
+                os.unlink(path)
+        except OSError:
+            continue

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import os
-from typing import Dict
+from typing import Dict, List, NamedTuple
 
 import pytest
 
@@ -32,9 +32,14 @@ __all__ = [
     "network_spy",
     "pin_ledger",
     "pins",
+    "Record",
     "read_header",
+    "record_bytes",
+    "record_of",
     "render_digest",
+    "replace_record",
     "rewrite_header",
+    "segment_records",
     "text_digest",
 ]
 
@@ -121,26 +126,86 @@ def render_digest(name: str, result) -> str:
     return text_digest(get_experiment(name).render(result))
 
 
-def read_header(path: str) -> dict:
-    """The header of the storage entry at *path*: its first line."""
-    with open(path, "rb") as handle:
-        return json.loads(handle.readline())
+class Record(NamedTuple):
+    """One whole record of a store segment: where it lies and what it says."""
+
+    path: str
+    start: int
+    end: int
+    header: dict
+    body: bytes
 
 
-def rewrite_header(path: str, **fields) -> None:
-    """Set *fields* in the header of the storage entry at *path*.
+def segment_records(directory: str) -> List[Record]:
+    """Every whole record in the segments (``*.log``) of *directory*.
 
-    An entry is a header line, then the payload; only the header is
-    rewritten, so the payload bytes and the digest over them stay as
-    written and a miss can only come from the fields changed.
+    The documented layout, read without the store: a header line whose
+    ``bytes`` says how long the payload line after it is, that payload,
+    a newline.  A line that is not such a header is skipped, and so is
+    anything after the last whole record.
     """
-    with open(path, "rb") as handle:
-        head, newline, body = handle.read().partition(b"\n")
-    header = dict(json.loads(head), **fields)
-    with open(path, "wb") as handle:
-        handle.write(
-            json.dumps(header, separators=(",", ":")).encode("utf-8") + newline + body
-        )
+    records = []
+    names = sorted(os.listdir(directory)) if os.path.isdir(directory) else []
+    for name in names:
+        path = os.path.join(directory, name)
+        if not name.endswith(".log") or not os.path.isfile(path):
+            continue
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        at = 0
+        while True:
+            newline = blob.find(b"\n", at)
+            if newline < 0:
+                break
+            try:
+                header = json.loads(blob[at:newline])
+            except ValueError:
+                header = None
+            size = header.get("bytes") if isinstance(header, dict) else None
+            end = newline + 1 + size + 1 if type(size) is int and size >= 0 else -1
+            if end < 0 or end > len(blob) or blob[end - 1:end] != b"\n":
+                at = newline + 1
+                continue
+            records.append(Record(path, at, end, header, blob[newline + 1:end - 1]))
+            at = end
+    return records
+
+
+def record_of(directory: str, key: str) -> Record:
+    """The last whole record of *key* in *directory*'s segments."""
+    matches = [record for record in segment_records(directory)
+               if record.header.get("key") == key]
+    assert matches, "no record of %s under %s" % (key, directory)
+    return matches[-1]
+
+
+def record_bytes(header: dict, body: bytes) -> bytes:
+    """A record laid out as a store appends it: header line, payload, newline."""
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + body + b"\n"
+
+
+def replace_record(record: Record, blob: bytes) -> None:
+    """Put *blob* where *record* lies in its segment; every other byte stays."""
+    with open(record.path, "rb") as handle:
+        data = handle.read()
+    with open(record.path, "wb") as handle:
+        handle.write(data[:record.start] + blob + data[record.end:])
+
+
+def read_header(directory: str, key: str) -> dict:
+    """The header of *key*'s last record in the store directory *directory*."""
+    return record_of(directory, key).header
+
+
+def rewrite_header(directory: str, key: str, /, **fields) -> None:
+    """Set *fields* in the header of *key*'s last record under *directory*.
+
+    Only the header line is rewritten, so the payload bytes and the
+    digest over them stay as written and a miss can only come from the
+    fields changed.
+    """
+    record = record_of(directory, key)
+    replace_record(record, record_bytes(dict(record.header, **fields), record.body))
 
 
 def assert_shared_tier_counters(stats, distinct_specs: int, workers: int) -> None:

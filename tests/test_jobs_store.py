@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
+
+import pytest
 
 import repro.storage
 from repro.experiments import TraceConfig, encode
@@ -17,7 +18,13 @@ from repro.jobs.store import (
 from repro.storage import encode_payload, resolve_dir, source_fingerprint
 from repro.units import milliseconds
 
-from helpers import read_header, rewrite_header
+from helpers import (
+    read_header,
+    record_bytes,
+    record_of,
+    replace_record,
+    rewrite_header,
+)
 
 #: Checkpoints ``repro serve`` wrote in the version-1 envelope.
 PARENT_RESULTS = os.path.join(
@@ -25,9 +32,9 @@ PARENT_RESULTS = os.path.join(
 )
 
 
-def entry_file(store, key, subdir="results"):
-    """The documented layout: ``DIR/results/<key>.json``, ``DIR/leases/<key>.json``."""
-    return os.path.join(store.directory, subdir, key + ".json")
+def store_dir(store, subdir="results"):
+    """The documented layout: ``DIR/results/`` and ``DIR/leases/`` hold segments."""
+    return os.path.join(store.directory, subdir)
 
 
 # ----------------------------------------------------------------------
@@ -95,36 +102,49 @@ def test_put_get_round_trip(tmp_path):
 def test_corrupt_checkpoint_is_a_miss(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
     key = _put_one(store)
-    with open(entry_file(store, key), "w") as handle:
-        handle.write("{not json")
+    replace_record(record_of(store_dir(store), key), b"{not json\n")
     assert store.get(key) is None
+    assert JobStore(store.directory).get(key) is None
 
 
 def test_rewriting_a_checkpoint_header_with_its_own_values_is_still_a_hit(tmp_path):
     """What the header-edit tests change is one field, nothing else."""
     store = JobStore(str(tmp_path / "ckpt"))
     key = _put_one(store, value=9)
-    path = entry_file(store, key)
-    rewrite_header(path, **read_header(path))
+    rewrite_header(store_dir(store), key, **read_header(store_dir(store), key))
     assert store.get(key)["result"] == {"answer": 18}
+    assert JobStore(store.directory).get(key)["result"] == {"answer": 18}
 
 
 def test_checkpoint_from_other_code_is_a_miss(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
     key = _put_one(store, value=9)
     # Stamped by a different simulator version.
-    rewrite_header(entry_file(store, key), source="0" * 64)
+    rewrite_header(store_dir(store), key, source="0" * 64)
     assert store.get(key) is None
+    assert JobStore(store.directory).get(key) is None
 
 
 def test_checkpoint_copied_onto_another_keys_name_is_a_miss(tmp_path):
-    """A manual restore or partial copy must not satisfy the wrong job."""
+    """A manual restore or partial copy must not satisfy the wrong job.
+
+    With no file name to carry the key, a copy can only relabel the
+    header: the digest covers the key, so the relabelled record is a
+    miss, and an unrelabelled copy in another segment still serves only
+    its own key.
+    """
     store = JobStore(str(tmp_path / "ckpt"))
     source = _put_one(store, value=10)
     target = job_key("trace", {"value": 9})
-    shutil.copy(entry_file(store, source), entry_file(store, target))
-    assert store.get(target) is None
-    assert store.get(source)["result"] == {"answer": 20}
+    record = record_of(store_dir(store), source)
+    relabelled = record_bytes(dict(record.header, key=target), record.body)
+    copy = os.path.join(store_dir(store), "elsewhere-1.log")
+    with open(copy, "wb") as handle:
+        handle.write(relabelled + record_bytes(record.header, record.body))
+    for reader in (store, JobStore(store.directory)):
+        assert reader.get(target) is None
+        assert reader.get(source)["result"] == {"answer": 20}
+        assert reader.keys() == [source]
 
 
 def test_version_1_checkpoint_is_a_miss(tmp_path):
@@ -142,10 +162,10 @@ def test_version_1_checkpoint_is_a_miss(tmp_path):
     assert envelope["format"] == 1
     envelope["code"] = source_fingerprint()
     key = envelope["key"]
-    os.makedirs(os.path.dirname(entry_file(store, key)))
-    with open(entry_file(store, key), "w") as handle:
+    os.makedirs(store_dir(store))
+    with open(os.path.join(store_dir(store), name), "w") as handle:
         json.dump(envelope, handle, separators=(",", ":"))
-    assert store.get(key) is None
+    assert store.get(key) is None and store.keys() == []
     payload = envelope["payload"]
     assert store.put(key, payload["experiment"], payload["spec"], payload["result"])
     assert store.get(key) == payload
@@ -171,7 +191,10 @@ def test_orphaned_lease_lifecycle(tmp_path):
     # garbage-collects it instead of reporting a phantom crash.
     assert store.put(key, "trace", spec_data, {"answer": 10})
     assert store.orphaned_leases() == {}
-    assert not os.path.exists(entry_file(store, key, "leases"))
+    # ...by appending a tombstone, which a fresh reader sees too.
+    last = record_of(store_dir(store, "leases"), key)
+    assert last.header["bytes"] == 0 and last.body == b""
+    assert JobStore(store.directory).orphaned_leases() == {}
 
 
 def test_release_drops_the_lease(tmp_path):
@@ -248,3 +271,56 @@ def test_resolve_checkpoint_dir(monkeypatch):
     assert resolve_dir("explicit", CHECKPOINT_ENV_VAR) == "explicit"
     monkeypatch.setenv(CHECKPOINT_ENV_VAR, "   ")
     assert resolve_dir(None, CHECKPOINT_ENV_VAR) is None
+
+
+# ----------------------------------------------------------------------
+# Segments: one append per record, one segment per writing process
+# ----------------------------------------------------------------------
+
+
+def _append_many(directory, writer, count, start, shared_pid):
+    """A child's body: wait for *start*, then append *count* entries."""
+    from repro.storage import EntryDir
+
+    if shared_pid is not None:
+        os.getpid = lambda: shared_pid  # both children pick one segment
+    entries = EntryDir(directory, "job")
+    start.wait()
+    for index in range(count):
+        assert entries.put("%d-%d" % (writer, index), {"writer": writer, "index": index})
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-segments", "one-segment"])
+def test_two_processes_appending_at_once_lose_no_record(tmp_path, shared):
+    """Each record is one ``O_APPEND`` write: two writers racing on one
+    directory, in a segment each or (a reused pid) in one, lose
+    nothing and tear nothing."""
+    import multiprocessing
+
+    from repro.storage import EntryDir
+
+    directory = str(tmp_path / "results")
+    context = multiprocessing.get_context("fork")
+    start = context.Event()
+    count = 400
+    children = [
+        context.Process(target=_append_many,
+                        args=(directory, writer, count, start, 4242 if shared else None))
+        for writer in range(2)
+    ]
+    for child in children:
+        child.start()
+    start.set()
+    for child in children:
+        child.join(60)
+        assert child.exitcode == 0
+    segments = sorted(os.listdir(directory))
+    assert len(segments) == (1 if shared else 2)
+    assert all(name.endswith(".log") for name in segments)
+    entries = EntryDir(directory, "job")
+    expected = sorted("%d-%d" % (writer, index)
+                      for writer in range(2) for index in range(count))
+    assert entries.keys() == expected
+    for key in expected:
+        writer, index = map(int, key.split("-"))
+        assert entries.get(key) == {"writer": writer, "index": index}

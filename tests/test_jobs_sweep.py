@@ -484,8 +484,7 @@ def test_dry_run_prints_exactly_the_keys_serve_writes(tmp_path, capsys):
     assert len(set(printed)) == len(jobs)
     assert main(["serve", str(specs), "--checkpoint", str(ckpt),
                  "--base-seed", "11", "--progress", "none"]) == 0
-    written = sorted(name[:-len(".json")]
-                     for name in os.listdir(str(ckpt / "results")))
+    written = JobStore(str(ckpt)).keys()
     assert sorted(printed) == written
     # Another base seed re-seeds every job: not one key in common.
     assert main(["batch", str(specs), "--dry-run", "--base-seed", "12"]) == 0
@@ -493,3 +492,53 @@ def test_dry_run_prints_exactly_the_keys_serve_writes(tmp_path, capsys):
         line.split("key=")[1].strip()
         for line in capsys.readouterr().out.splitlines() if "key=" in line
     }
+
+
+# ----------------------------------------------------------------------
+# What a sweep leaves on disk: one segment per store directory and writer
+# ----------------------------------------------------------------------
+
+
+def test_a_cold_sweep_creates_one_file_per_store_directory(tmp_path):
+    """The parent plans, leases and checkpoints every scenario job, and
+    appends each record to its own segment: six jobs, four files."""
+    from repro.storage import HOST
+
+    jobs = [dict(tiny_netscale(extra, "e%d" % extra)) for extra in range(6)]
+    for job in jobs:  # a seed of this test's own: no plan is in memory yet
+        job["spec"] = dict(job["spec"], seed=58101)
+    ckpt, plans = tmp_path / "ckpt", tmp_path / "plans"
+    batch = run_batch(jobs, workers=1, checkpoint_dir=str(ckpt),
+                      plan_cache_dir=str(plans))
+    assert batch.checkpoint["computed"] == len(jobs) and not batch.failures()
+    assert batch.plan_cache["plan_misses"] == len(jobs)
+    own = ["%s-%d.log" % (HOST, os.getpid())]
+    assert sorted(os.listdir(str(ckpt))) == ["leases", "results"]
+    for directory in (ckpt / "results", ckpt / "leases",
+                      plans / "plans", plans / "networks"):
+        assert os.listdir(str(directory)) == own, directory
+    assert len(JobStore(str(ckpt)).keys()) == len(jobs)
+    assert JobStore(str(ckpt)).orphaned_leases() == {}
+
+
+def test_a_whole_job_in_a_pool_worker_writes_its_own_segment(tmp_path):
+    """At ``workers=2`` a job that plans no scenario runs whole in a
+    worker, which checkpoints it in a segment named for itself."""
+    from repro.scenario.kindworker import may_fork
+    from repro.storage import HOST
+
+    if not may_fork():
+        pytest.skip("no pool here: every job runs in this process")
+    jobs = [{"experiment": "test-flaky", "label": "v%d" % v, "spec": {"value": v}}
+            for v in range(6)]
+    ckpt = str(tmp_path / "ckpt")
+    batch = run_batch(jobs, workers=2, checkpoint_dir=ckpt)
+    assert batch.checkpoint["computed"] == len(jobs)
+    for subdir in ("results", "leases"):
+        names = os.listdir(os.path.join(ckpt, subdir))
+        pids = {int(re.fullmatch(r"%s-(\d+)\.log" % re.escape(HOST), name).group(1))
+                for name in names}
+        assert pids and os.getpid() not in pids, names
+        assert len(pids) <= 2
+    assert len(JobStore(ckpt).keys()) == len(jobs)
+    assert canonical(run_batch(jobs, workers=1, checkpoint_dir=ckpt)) == canonical(batch)

@@ -39,7 +39,15 @@ from repro.sim.rand import RandomStreams
 from repro.storage import FORMAT_VERSION
 from repro.units import kib
 
-from helpers import assert_shared_tier_counters, read_header, rewrite_header
+from helpers import (
+    assert_shared_tier_counters,
+    read_header,
+    record_bytes,
+    record_of,
+    replace_record,
+    rewrite_header,
+    segment_records,
+)
 
 
 def small_network(**overrides) -> NetworkConfig:
@@ -168,17 +176,15 @@ def test_memory_hit_skips_disk(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _entry_paths(directory: str):
-    paths = []
+def _entries(directory: str):
+    """``(kind directory, key)`` of every record under a disk tier."""
+    entries = []
     for kind in ("plans", "networks"):
         kind_dir = os.path.join(directory, kind)
-        if os.path.isdir(kind_dir):
-            paths.extend(
-                os.path.join(kind_dir, name)
-                for name in os.listdir(kind_dir)
-                if name.endswith(".json")
-            )
-    return sorted(paths)
+        entries.extend((kind_dir, record.header["key"])
+                       for record in segment_records(kind_dir))
+    assert len(entries) >= 2, entries  # a plan and its network, at least
+    return entries
 
 
 def _warm_directory(tmp_path, scenario) -> str:
@@ -190,11 +196,11 @@ def _warm_directory(tmp_path, scenario) -> str:
 def test_truncated_entry_falls_back_to_cold_plan(tmp_path):
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
-    for path in _entry_paths(directory):
-        with open(path, "r") as handle:
-            blob = handle.read()
-        with open(path, "w") as handle:
-            handle.write(blob[: len(blob) // 2])  # mid-write crash shape
+    for kind_dir, key in _entries(directory):
+        record = record_of(kind_dir, key)
+        with open(record.path, "rb") as handle:
+            blob = handle.read()[record.start:record.end]
+        replace_record(record, blob[: len(blob) // 2])  # mid-write crash shape
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -210,8 +216,8 @@ def test_rewriting_a_header_with_its_own_values_is_still_a_hit(tmp_path):
     """
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
-    for path in _entry_paths(directory):
-        rewrite_header(path, **read_header(path))
+    for kind_dir, key in _entries(directory):
+        rewrite_header(kind_dir, key, **read_header(kind_dir, key))
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -225,23 +231,23 @@ def test_rewriting_a_header_with_its_own_values_is_still_a_hit(tmp_path):
 def test_wrong_format_version_is_a_miss(tmp_path):
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
-    for path in _entry_paths(directory):
-        rewrite_header(path, format=FORMAT_VERSION + 1)
+    for kind_dir, key in _entries(directory):
+        rewrite_header(kind_dir, key, format=FORMAT_VERSION + 1)
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
     assert cache.disk.stats()["disk_plan_hits"] == 0 and cache.disk.stats()["disk_plan_misses"] == 1
     assert encode(plan) == encode(plan_scenario(scenario, cache=None))
     # Re-planning republished the entries at the current version.
-    assert read_header(_entry_paths(directory)[0])["format"] == FORMAT_VERSION
+    for kind_dir, key in _entries(directory):
+        assert read_header(kind_dir, key)["format"] == FORMAT_VERSION
 
 
 def test_garbage_entry_is_a_miss(tmp_path):
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
-    for path in _entry_paths(directory):
-        with open(path, "w") as handle:
-            handle.write("not json at all {{{")
+    for kind_dir, key in _entries(directory):
+        replace_record(record_of(kind_dir, key), b"not json at all {{{\n")
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -259,8 +265,8 @@ def test_entry_from_different_planner_code_is_a_miss(tmp_path):
     """
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
-    for path in _entry_paths(directory):
-        rewrite_header(path, source="e" * 64)  # some other commit's planner
+    for kind_dir, key in _entries(directory):
+        rewrite_header(kind_dir, key, source="e" * 64)  # some other commit's planner
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -335,8 +341,8 @@ def test_directory_stamped_by_the_module_list_reads_as_all_miss(tmp_path):
     digest = hashlib.sha256()
     for name in ("repro.scenario.spec", "repro.scenario.netgen", "repro.units"):
         digest.update(name.encode("utf-8"))
-    for path in _entry_paths(directory):
-        rewrite_header(path, source=digest.hexdigest())
+    for kind_dir, key in _entries(directory):
+        rewrite_header(kind_dir, key, source=digest.hexdigest())
 
     cache = PlanCache(disk=DiskPlanCache(directory))
     plan = plan_scenario(scenario, cache=cache)
@@ -371,25 +377,26 @@ def test_scan_sweeps_orphaned_temp_and_lock_files(tmp_path):
     assert not os.path.exists(orphan_tmp)
     assert not os.path.exists(orphan_lock)
     assert os.path.exists(fresh_lock)  # recent files are left alone
-    assert os.path.exists(os.path.join(plans_dir, plan.spec_hash + ".json"))
+    assert encode(DiskPlanCache(directory).get_plan(plan.spec_hash)) == encode(plan)
 
 
 def test_entry_under_wrong_key_is_a_miss(tmp_path):
-    """A copied/renamed entry (partial rsync, manual restore) never serves."""
-    import shutil
+    """A copied/renamed entry (partial rsync, manual restore) never serves.
 
+    With no file name to carry the key, a copy can only relabel the
+    header, and the digest covers the key.
+    """
     scenario = small_scenario()
     directory = _warm_directory(tmp_path, scenario)
-    network_path = next(
-        path for path in _entry_paths(directory)
-        if os.sep + "networks" + os.sep in path
-    )
-    bogus = os.path.join(os.path.dirname(network_path), "f" * 64 + ".json")
-    shutil.copy(network_path, bogus)
+    networks = os.path.join(directory, "networks")
+    [record] = segment_records(networks)
+    with open(os.path.join(networks, "elsewhere-1.log"), "wb") as handle:
+        handle.write(record_bytes(dict(record.header, key="f" * 64), record.body))
 
     disk = DiskPlanCache(directory)
-    assert disk.get_network("f" * 64) is None  # key mismatch inside file
+    assert disk.get_network("f" * 64) is None  # the digest binds the key
     assert disk.stats()["disk_network_misses"] == 1
+    assert disk.get_network(record.header["key"]) is not None
 
 
 def test_unusable_directory_degrades_to_memory_only(tmp_path):
@@ -490,6 +497,25 @@ def test_two_processes_racing_on_one_directory(tmp_path):
 # ----------------------------------------------------------------------
 
 
+def _one_segment_per_plan(directory: str, tmp_path, counts=(3, 4, 5)):
+    """A disk tier over *directory* holding one plan per segment, and their keys.
+
+    A writer rotates once its segment holds an eighth of the cap; a cap
+    of four entries makes every entry cross that on its own.
+    """
+    plans = [plan_scenario(small_scenario(circuit_count=count), cache=None)
+             for count in counts]
+    sizing = DiskPlanCache(str(tmp_path / "sizing"))
+    sizing.put_plan(plans[0].spec_hash, plans[0])
+    disk = DiskPlanCache(directory, max_bytes=4 * sizing.total_bytes())
+    for plan in plans:
+        disk.put_plan(plan.spec_hash, plan)
+    keys = [plan.spec_hash for plan in plans]
+    segments = [record_of(os.path.join(directory, "plans"), key).path for key in keys]
+    assert len(set(segments)) == len(keys)
+    return disk, keys
+
+
 def test_disk_eviction_is_least_recently_used(tmp_path):
     directory = str(tmp_path / "plan-cache")
     disk = DiskPlanCache(directory, max_bytes=1)  # everything over cap
@@ -498,20 +524,34 @@ def test_disk_eviction_is_least_recently_used(tmp_path):
     # The put itself triggered eviction down to (at most) the cap.
     assert disk.entry_counts()["plan"] == 0
 
-    roomy = DiskPlanCache(directory, max_bytes=256 * 1024 * 1024)
-    keys = []
-    for count in (3, 4, 5):
-        p = plan_scenario(small_scenario(circuit_count=count), cache=None)
-        roomy.put_plan(p.spec_hash, p)
-        keys.append(p.spec_hash)
+    roomy, keys = _one_segment_per_plan(directory, tmp_path)
     # Cap that holds roughly two entries: the oldest goes first.
     entry_bytes = roomy.total_bytes() // 3
-    os.utime(os.path.join(directory, "plans", keys[0] + ".json"), (1, 1))  # force the order
+    os.utime(record_of(os.path.join(directory, "plans"), keys[0]).path, (1, 1))  # force the order
     tight = DiskPlanCache(directory, max_bytes=entry_bytes * 2)
     p = plan_scenario(small_scenario(circuit_count=6), cache=None)
     tight.put_plan(p.spec_hash, p)
     assert tight.get_plan(keys[0]) is None  # evicted (oldest)
     assert tight.get_plan(p.spec_hash) is not None  # newest survives
+
+
+def test_a_hit_moves_its_segment_to_the_back_of_the_eviction_order(tmp_path):
+    """Eviction drops whole segments, least recently used first, and a
+    hit counts as a use: the oldest segment survives once it is read."""
+    directory = str(tmp_path / "plan-cache")
+    roomy, keys = _one_segment_per_plan(directory, tmp_path)
+    plans_dir = os.path.join(directory, "plans")
+    for age, key in enumerate(keys):  # keys[0] the oldest
+        os.utime(record_of(plans_dir, key).path, (1 + age, 1 + age))
+    assert DiskPlanCache(directory).get_plan(keys[0]) is not None  # a use
+    # A cap that holds the three, and a smaller fourth: one must go.
+    tight = DiskPlanCache(directory, max_bytes=roomy.total_bytes())
+    newest = plan_scenario(small_scenario(circuit_count=2), cache=None)
+    tight.put_plan(newest.spec_hash, newest)
+    assert tight.get_plan(keys[1]) is None  # the least recently used went
+    assert tight.get_plan(keys[0]) is not None  # read since: kept
+    assert tight.get_plan(newest.spec_hash) is not None
+    assert tight.get_plan(keys[2]) is not None
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Every test drives public names only (``read_envelope`` /
 ``write_envelope``, ``EntryDir``, ``OwnerLocks``,
 ``DiskPlanCache.get_*`` / ``put_*``, ``JobStore``, ``plan_scenario``,
-``run_batch``) and addresses files by the documented on-disk layout,
-never through a private path helper.  Damage that edits fields (``field``, ``bury``) reads the
-version-2 envelope as what it is, a header line and a payload, and
-lands in either.
+``run_batch``) and addresses records by the documented on-disk layout
+(segments of header line, payload, newline; ``helpers.segment_records``),
+never through a private path helper.  Damage that edits fields
+(``field``, ``bury``) reads a record or an envelope as what it is, a
+header line and a payload, and lands in either.  Every damage op must
+change the bytes it targets: an op that lands nowhere tests nothing.
 
 Three properties, on every generated damage:
 
@@ -33,7 +35,7 @@ from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _sweep_exps
@@ -57,9 +59,12 @@ from repro.storage import (
     content_hash,
     encode_payload,
     read_envelope,
+    source_fingerprint,
     write_envelope,
 )
 from repro.units import kib
+
+from helpers import record_of, replace_record, segment_records
 
 # ----------------------------------------------------------------------
 # Damage: an algebra on file bytes
@@ -74,7 +79,7 @@ JSON_VALUES = st.recursive(
 )
 #: Openers repeated without a closer: the parser recurses once per level.
 OPENERS = ("[", '{"a":', '[{"payload":')
-HEADER_FIELDS = ("format", "kind", "key", "source", "sha256", "payload")
+HEADER_FIELDS = ("format", "kind", "key", "source", "time", "bytes", "sha256", "payload")
 #: Where a deep (closed, well-formed) nest is buried inside an envelope.
 BURY_AT = (("payload",), ("payload", "spec"), ("payload", "scenario"), ("key",))
 
@@ -111,9 +116,11 @@ def damaged(blob: bytes, op) -> bytes:
     if not isinstance(header, dict):
         return blob  # field edits only apply to envelopes (not lock tokens)
     data = dict(header, payload=payload)
+    # A segment record ends in a newline, an envelope file does not.
+    tail = b"\n" if body.endswith(b"\n") else b""
     if name == "field":
         data[op[1]] = op[2]
-        return envelope_bytes(data)
+        return envelope_bytes(data) + tail
     # "bury": too deep for json.dumps, so splice the nest in as text.
     target = data
     for step in op[1][:-1]:
@@ -122,11 +129,11 @@ def damaged(blob: bytes, op) -> bytes:
             return blob
     target[op[1][-1]] = "@DEEP@"
     nest = b"[" * op[2] + b"]" * op[2]
-    return envelope_bytes(data).replace(b'"@DEEP@"', nest)
+    return envelope_bytes(data).replace(b'"@DEEP@"', nest) + tail
 
 
 def envelope_bytes(data) -> bytes:
-    """*data* (header items + ``"payload"``) laid out as a version-2 entry.
+    """*data* (header items + ``"payload"``) laid out as a header line and a payload.
 
     The header's ``sha256`` is written as it stands, never recomputed:
     what an edit did to the payload stays visible to the reader.
@@ -138,18 +145,83 @@ def envelope_bytes(data) -> bytes:
     )
 
 
+def damage_bytes(blob: bytes, op) -> bytes:
+    """*blob* after *op*, which must have changed it.
+
+    Only an op that rewrites can leave the bytes as they were: a field
+    edit whose value is there already or that finds no header left to
+    edit, a nest laid over the same nest, any op on bytes an earlier op
+    emptied.  Such an example tests nothing and is discarded, never
+    passed.
+    """
+    after = damaged(blob, op)
+    if after == blob and (not blob or op[0] in ("nest", "field", "bury")):
+        assume(False)
+    assert after != blob, op
+    return after
+
+
 def damage_file(path: str, op) -> None:
-    if os.path.isfile(path):  # an earlier op may have removed it
+    with open(path, "rb") as handle:  # a missing file is an error: the op must land
+        blob = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(damage_bytes(blob, op))
+
+
+class Records:
+    """Named records in store segments, addressed across edits.
+
+    Each name maps to the span ``[path, start, end]`` of one record.  An
+    edit rewrites the span in place and moves the spans after it in the
+    same segment, so a second op on a record lands on what the first
+    one left, as it would on a file of its own.  A record cut out keeps
+    an empty span where it was.
+    """
+
+    def __init__(self) -> None:
+        self.spans = {}
+        self.cut_out = set()
+
+    def track(self, name, directory: str, key: str) -> None:
+        """Follow *key*'s last whole record under *directory* as *name*."""
+        record = record_of(directory, key)  # none at all is an error
+        self.spans[name] = [record.path, record.start, record.end]
+        self.cut_out.discard(name)
+
+    def read(self, name) -> bytes:
+        path, start, end = self.spans[name]
         with open(path, "rb") as handle:
-            blob = handle.read()
+            return handle.read()[start:end]
+
+    def write(self, name, blob: bytes) -> None:
+        span = self.spans[name]
+        path, start, end = span
+        with open(path, "rb") as handle:
+            data = handle.read()
         with open(path, "wb") as handle:
-            handle.write(damaged(blob, op))
+            handle.write(data[:start] + blob + data[end:])
+        moved = len(blob) - (end - start)
+        for other in self.spans.values():
+            if other is not span and other[0] == path and other[1] >= end:
+                other[1] += moved
+                other[2] += moved
+        span[2] = start + len(blob)
 
+    def damage(self, name, op) -> None:
+        if name in self.cut_out:
+            return  # cut out by an earlier op: nothing is left to damage
+        self.write(name, damage_bytes(self.read(name), op))
 
-def copy_over(source: str, target: str) -> None:
-    """An entry renamed (or restored) onto another key's path."""
-    if source != target and os.path.exists(source):
-        shutil.copy(source, target)
+    def copy(self, source, target) -> None:
+        """A record renamed (or restored) onto another's place, its
+        header as it stands: the copy still names *source*'s key."""
+        if source != target and source not in self.cut_out:
+            self.write(target, self.read(source))
+            self.cut_out.discard(target)
+
+    def cut(self, name) -> None:
+        self.write(name, b"")
+        self.cut_out.add(name)
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +337,22 @@ KEYS = {
 }
 
 
-def plan_file(directory: str, kind: str, suffix: str = ".json") -> str:
-    """README "Persistent plan cache": ``<dir>/<kind>s/<key>.json|.lock``."""
-    return os.path.join(directory, kind + "s", KEYS[kind] + suffix)
+def kind_dir(directory: str, kind: str) -> str:
+    """README "Persistent plan cache": ``<dir>/<kind>s/`` holds that kind's segments."""
+    return os.path.join(directory, kind + "s")
+
+
+def lock_file(directory: str, kind: str) -> str:
+    """A per-key lock file an older build's planner left: ``<dir>/<kind>s/<key>.lock``."""
+    return os.path.join(kind_dir(directory, kind), KEYS[kind] + ".lock")
+
+
+def plan_records(directory: str) -> Records:
+    """The plan and network records of a warm disk tier, named by kind."""
+    records = Records()
+    for kind in KEYS:
+        records.track(kind, kind_dir(directory, kind), KEYS[kind])
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -314,12 +399,13 @@ def test_plan_tier_survives_damage(warm_plan_dir, ops):
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
         shutil.copytree(warm_plan_dir, directory)
+        records = plan_records(directory)
         strays = {}  # lock path -> (its bytes, whether it is ancient)
         for op in ops:
             if op[0] == "entry":
-                damage_file(plan_file(directory, op[1]), op[2])
+                records.damage(op[1], op[2])
             elif op[0] == "lock":
-                path = plan_file(directory, op[1], ".lock")
+                path = lock_file(directory, op[1])
                 with open(path, "wb") as handle:
                     handle.write(b"4242:1234567:0")
                 damage_file(path, op[2])
@@ -328,7 +414,7 @@ def test_plan_tier_survives_damage(warm_plan_dir, ops):
                 with open(path, "rb") as handle:
                     strays[path] = (handle.read(), op[3])
             else:
-                copy_over(plan_file(directory, op[1]), plan_file(directory, op[2]))
+                records.copy(op[1], op[2])
         assert_plan_tier_serves_only_the_truth(directory)
         # A stray lock is ignored: nothing reads, rewrites or removes it
         # but the janitor, which sweeps scratch files a minute old.
@@ -344,12 +430,10 @@ def test_plan_entry_edited_under_an_intact_header_is_a_miss(warm_plan_dir):
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
         shutil.copytree(warm_plan_dir, directory)
-        path = plan_file(directory, "plan")
-        with open(path, "rb") as handle:
-            blob = handle.read()
+        records = plan_records(directory)
+        blob = records.read("plan")
         assert blob.count(b'"circuit_count":3') == 1
-        with open(path, "wb") as handle:
-            handle.write(blob.replace(b'"circuit_count":3', b'"circuit_count":4'))
+        records.write("plan", blob.replace(b'"circuit_count":3', b'"circuit_count":4'))
         assert DiskPlanCache(directory).get_plan(KEYS["plan"]) is None
         assert_plan_tier_serves_only_the_truth(directory)
 
@@ -359,7 +443,12 @@ def test_flipped_bit_in_a_plan_payload_is_a_miss(warm_plan_dir):
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
         shutil.copytree(warm_plan_dir, directory)
-        damage_file(plan_file(directory, "plan"), ("flip", 0.34375, 0))
+        records = plan_records(directory)
+        head = records.read("plan").index(b"\n")
+        records.damage("plan", ("flip", 0.34375, 0))
+        flipped = records.read("plan")
+        assert flipped[:head] == plan_records(warm_plan_dir).read("plan")[:head]
+        assert DiskPlanCache(directory).get_plan(KEYS["plan"]) is None
         assert_plan_tier_serves_only_the_truth(directory)
 
 
@@ -368,17 +457,15 @@ def test_network_entry_with_one_relay_delay_edited_is_a_miss(warm_plan_dir):
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "plans")
         shutil.copytree(warm_plan_dir, directory)
-        path = plan_file(directory, "network")
-        with open(path, "rb") as handle:
-            blob = handle.read()
+        records = plan_records(directory)
+        blob = records.read("network")
         edited = re.sub(
             rb'"delay":([0-9.e-]+)',
             lambda match: b'"delay":' + repr(2 * float(match.group(1))).encode(),
             blob, count=1,
         )
         assert edited != blob
-        with open(path, "wb") as handle:
-            handle.write(edited)
+        records.write("network", edited)
         assert DiskPlanCache(directory).get_network(KEYS["network"]) is None
         assert_plan_tier_serves_only_the_truth(directory)
 
@@ -407,9 +494,12 @@ def sweep_results(**kwargs):
     return [item.result for item in batch.items]
 
 
-def job_file(directory: str, index: int, subdir: str = "results") -> str:
-    """README: ``DIR/results/<key>.json`` and ``DIR/leases/<key>.json``."""
-    return os.path.join(directory, subdir, JOB_KEYS[index] + ".json")
+def job_records(directory: str) -> Records:
+    """README: ``DIR/results/`` holds segments; each job's record, by index."""
+    records = Records()
+    for index, key in enumerate(JOB_KEYS):
+        records.track(("result", index), os.path.join(directory, "results"), key)
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -460,19 +550,22 @@ def test_job_store_survives_damage(clean_results, ops):
         directory = os.path.join(scratch, "ckpt")
         assert sweep_results(checkpoint_dir=directory) == clean_results
         store = JobStore(directory)
+        records = job_records(directory)
         for op in ops:
             if op[0] == "result":
-                damage_file(job_file(directory, op[1]), op[2])
+                records.damage(("result", op[1]), op[2])
             elif op[0] == "lease":
                 store.lease(JOB_KEYS[op[1]], "test-flaky", op[1])
-                damage_file(job_file(directory, op[1], "leases"), op[2])
-                if op[3] and os.path.exists(job_file(directory, op[1])):
-                    os.unlink(job_file(directory, op[1]))  # died before put
+                records.track(("lease", op[1]), os.path.join(directory, "leases"),
+                              JOB_KEYS[op[1]])
+                records.damage(("lease", op[1]), op[2])
+                if op[3]:
+                    records.cut(("result", op[1]))  # died before put
             elif op[0] == "partial":
                 store.write_partial(encode_payload({"done": 4, "total": 4, "items": []}))
                 damage_file(os.path.join(directory, "partial.json"), op[1])
             else:
-                copy_over(job_file(directory, op[1]), job_file(directory, op[2]))
+                records.copy(("result", op[1]), ("result", op[2]))
         assert_job_store_serves_only_the_truth(directory, clean_results)
 
 
@@ -481,8 +574,75 @@ def test_flipped_bit_in_a_checkpoint_payload_is_a_miss(clean_results):
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "ckpt")
         assert sweep_results(checkpoint_dir=directory) == clean_results
-        damage_file(job_file(directory, 1), ("flip", 0.975, 0))
+        records = job_records(directory)
+        records.damage(("result", 1), ("flip", 0.975, 0))
+        assert b'"result":' in records.read(("result", 1))  # still a record
+        assert JobStore(directory).get(JOB_KEYS[1]) is None
         assert_job_store_serves_only_the_truth(directory, clean_results)
+
+
+def test_a_segment_cut_inside_its_last_record_costs_that_job_only(clean_results):
+    """A writer killed mid-append leaves its segment ending inside a
+    record: that key is a miss, every other one a hit, the resume is
+    byte-identical to the cold run and its own record is whole."""
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = os.path.join(scratch, "ckpt")
+        cold = run_batch(PAYLOADS, checkpoint_dir=directory)
+        records = segment_records(os.path.join(directory, "results"))
+        assert len(records) == len(PAYLOADS)
+        last = records[-1]
+        with open(last.path, "r+b") as handle:
+            handle.truncate((last.start + last.end) // 2)
+        store = JobStore(directory)
+        assert store.get(last.header["key"]) is None
+        for record in records[:-1]:
+            assert store.get(record.header["key"])["result"] is not None
+        assert store.keys() == sorted(record.header["key"] for record in records[:-1])
+        resumed = run_batch(PAYLOADS, checkpoint_dir=directory, resume=True)
+        assert (resumed.checkpoint["reused"], resumed.checkpoint["computed"]) == (3, 1)
+        assert json.dumps(resumed.to_dict()) == json.dumps(cold.to_dict())
+        # The re-run appended after the torn bytes, not onto them.
+        again = run_batch(PAYLOADS, checkpoint_dir=directory, resume=True)
+        assert again.checkpoint["reused"] == len(PAYLOADS)
+
+
+def test_a_version_2_directory_reads_as_all_misses_and_no_orphans(clean_results):
+    """One ``<key>.json`` envelope per checkpoint, lease and plan: what
+    the previous layout left.  Stamped with this code, every one would
+    have served; here none does, nothing raises, and the sweep reruns."""
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = os.path.join(scratch, "ckpt")
+        for index, (experiment, spec) in enumerate(PAYLOADS):
+            key = JOB_KEYS[index]
+            write_envelope(os.path.join(directory, "results", key + ".json"), {
+                "format": 2, "kind": "job", "key": key, "source": source_fingerprint(),
+                "payload": {"experiment": experiment, "spec": spec,
+                            "result": clean_results[index]},
+            })
+            write_envelope(os.path.join(directory, "leases", key + ".json"), {
+                "format": 2, "kind": "lease", "key": key,
+                "payload": {"experiment": experiment, "index": index, "pid": 1,
+                            "host": "elsewhere", "time": 0.0},
+            })
+        store = JobStore(directory)
+        assert [store.get(key) for key in JOB_KEYS] == [None] * len(JOB_KEYS)
+        assert store.keys() == [] and store.orphaned_leases() == {}
+        batch = run_batch(PAYLOADS, checkpoint_dir=directory, resume=True)
+        assert batch.checkpoint["computed"] == len(PAYLOADS)
+        assert batch.checkpoint["orphans"] == {}
+        assert [item.result for item in batch.items] == clean_results
+
+        plans = os.path.join(scratch, "plans")
+        for kind, value in (("plan", REFERENCE), ("network", REFERENCE.network)):
+            write_envelope(os.path.join(kind_dir(plans, kind), KEYS[kind] + ".json"), {
+                "format": 2, "kind": kind, "key": KEYS[kind],
+                "source": source_fingerprint(), "payload": encode(value),
+            })
+        disk = DiskPlanCache(plans)
+        assert disk.get_plan(KEYS["plan"]) is None
+        assert disk.get_network(KEYS["network"]) is None
+        assert disk.entry_counts() == {"plan": 0, "network": 0}
+        assert_plan_tier_serves_only_the_truth(plans)
 
 
 THEFTS = st.sampled_from(["delete", "steal", "garbage", "directory"])
@@ -494,24 +654,31 @@ def test_lease_stolen_or_deleted_mid_job(clean_results, thefts):
     """Leases are never load-bearing: the job still checkpoints."""
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "ckpt")
+        leases = os.path.join(directory, "leases")
         honest_run = _sweep_exps.FlakyExperiment.run
+        blocked = []  # the segment this process appends leases to, once a directory
 
         def thieving_run(self, spec, *args, **kwargs):
-            path = job_file(directory, spec.value, "leases")
+            key = JOB_KEYS[spec.value]
             theft = thefts[spec.value]
-            assert os.path.exists(path)  # we are between lease and put
-            os.unlink(path)
+            if blocked:  # no lease could be written: nothing to take
+                return honest_run(self, spec, *args, **kwargs)
+            lease = record_of(leases, key)
+            assert lease.header["bytes"] > 0  # we are between lease and put
+            if theft == "directory":
+                os.unlink(lease.path)
+                os.mkdir(lease.path)
+                blocked.append(lease.path)
+            else:
+                replace_record(lease, b"\xff" * 9 if theft == "garbage" else b"")
             if theft == "steal":
-                EntryDir(os.path.dirname(path), "lease", stamped=False).put(
-                    JOB_KEYS[spec.value],
-                    {"experiment": "test-flaky", "index": 99, "pid": 1,
-                     "host": "elsewhere", "time": 0.0},
-                )
-            elif theft == "garbage":
-                with open(path, "wb") as handle:
-                    handle.write(b"\xff" * 9)
-            elif theft == "directory":
-                os.mkdir(path)
+                # Another host's sweep took the job over, in its own segment.
+                thief = EntryDir(os.path.join(scratch, "thief"), "lease", stamped=False)
+                thief.put(key, {"experiment": "test-flaky", "index": 99, "pid": 1,
+                                "host": "elsewhere", "time": 0.0})
+                [segment] = os.listdir(thief.directory)
+                os.replace(os.path.join(thief.directory, segment),
+                           os.path.join(leases, "elsewhere-%d.log" % spec.value))
             return honest_run(self, spec, *args, **kwargs)
 
         with mock.patch.object(_sweep_exps.FlakyExperiment, "run", thieving_run):
