@@ -583,7 +583,7 @@ def _dry_run_batch(path: str, jobs: list, plan: bool = False,
     so a passing dry run means ``repro batch`` will accept the file.
     Every valid job reports its checkpoint key — computed from the same
     seeded, encoded spec the runtime hashes (*base_seed* included), so
-    the printed keys match what ``repro serve`` will write under
+    the printed keys match what ``repro serve`` will record under
     ``results/``.  With *plan*, each valid job additionally reports its
     estimated cost (``Experiment.estimate_cost``: cells and cells ×
     hops) and the sweep totals are printed, so big launches are

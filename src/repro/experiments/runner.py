@@ -373,10 +373,13 @@ def run_batch(
             store.sweep_scratch()
             if resume:
                 batch.checkpoint["orphans"] = store.orphaned_leases()
+        # One look at the directory for the whole prefill; each job
+        # the dispatcher runs is looked up again before it starts.
+        checkpointed = set(store.keys()) if store is not None else set()
         todo: List[JobTask] = []
         for index, (job, spec_data, key) in enumerate(prepared):
             if store is not None:
-                payload = store.get(key)
+                payload = store.get(key) if key in checkpointed else None
                 if payload is not None:
                     deliver(JobOutcome(index=index, key=key,
                                        result=payload["result"], error=None,

@@ -36,10 +36,11 @@ to succeed.
 
 **SER002** — the persistence modules (``scenario/cache.py``,
 ``jobs/store.py``) must route every artifact through
-``repro.storage.EntryDir``: no raw ``json.dump``/``json.load`` and no
-write-mode ``open``.  The envelope is what carries the format version,
-key echo, code fingerprint and payload digest that make cached entries
-misses instead of stale or damaged answers.
+``repro.storage`` (``EntryDir`` records, or an envelope file): no raw
+``json.dump``/``json.load`` and no write-mode ``open``.  The header is
+what carries the format version, key echo, code fingerprint and
+payload digest that make cached entries misses instead of stale or
+damaged answers.
 
 Architecture
 ------------

@@ -4,8 +4,8 @@ The aggregation side of a resumable sweep: as jobs finish (in
 completion order), each finished :class:`~repro.experiments.runner
 .BatchItem` becomes one small **row** — ``index``, ``experiment``,
 ``label``, ``source`` (``run`` / ``checkpoint`` / ``duplicate``),
-``key`` (the job's ``results/<key>.json`` entry) and ``error`` (its
-``type`` and ``message``, or ``None``).  One list of rows per sweep
+``key`` (the key of the job's record under ``results/``) and ``error``
+(its ``type`` and ``message``, or ``None``).  One list of rows per sweep
 feeds every partial view: a plain-text table for terminals and a JSON
 status snapshot for pollers (:func:`partial_writer` keeps it on disk
 as ``partial.json``), without waiting for the sweep to end.
