@@ -302,7 +302,7 @@ def test_two_processes_appending_at_once_lose_no_record(tmp_path, shared):
     directory = str(tmp_path / "results")
     context = multiprocessing.get_context("fork")
     start = context.Event()
-    count = 400
+    count = 2000
     children = [
         context.Process(target=_append_many,
                         args=(directory, writer, count, start, 4242 if shared else None))
