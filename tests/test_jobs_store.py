@@ -147,6 +147,22 @@ def test_checkpoint_copied_onto_another_keys_name_is_a_miss(tmp_path):
         assert reader.keys() == [source]
 
 
+def test_a_record_damaged_after_it_was_indexed_is_a_miss(tmp_path):
+    """A reader that indexed a record reads it again, header and digest,
+    on every get: a digit changed under it since is a miss."""
+    store = JobStore(str(tmp_path / "ckpt"))
+    key = _put_one(store, value=7)
+    reader = JobStore(store.directory)
+    assert reader.keys() == [key] and reader.get(key)["result"] == {"answer": 14}
+    record = record_of(store_dir(store), key)
+    assert record.body.count(b'"answer":14') == 1
+    replace_record(record, record_bytes(
+        record.header, record.body.replace(b'"answer":14', b'"answer":15')))
+    assert reader.get(key) is None
+    rewrite_header(store_dir(store), key, source="0" * 64)
+    assert reader.get(key) is None
+
+
 def test_version_1_checkpoint_is_a_miss(tmp_path):
     """The previous envelope, stamped as this code's, is re-run, not read.
 
