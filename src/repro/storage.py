@@ -7,22 +7,16 @@ directory of keyed entries of one kind", so everything directory- or
 clock-shaped about that lives here, once:
 
 * **entry directories** — :class:`EntryDir` is one directory of one
-  kind of entry, laid out as append-only segments: each writing
-  process appends to its own ``<host>-<pid>.log``, one ``os.write``
-  per record, so publishing an entry creates no file, and a reader
-  never mistakes a record still being written for a whole one.  A
-  record is a compact-JSON header line (format version
-  :data:`FORMAT_VERSION`, kind, key, a writer stamp where the store
-  wants one, the write's wall-clock time, the payload's byte size and
-  a ``sha256`` over the key and the payload bytes), then the payload as
-  compact JSON and a newline.  Reads go through an in-memory index of
-  the headers, refreshed on a miss; a reader rejects stale layouts,
-  relabelled or damaged records, entries written by different code and
-  payloads changed under an intact header *before* decoding the
-  payload, and the digest is checked over the raw bytes, never by
-  re-serialising.  Files of an older layout (version 2: one
-  ``<key>.json`` per entry) are not segments and read as misses.  The
-  stores hold one per kind and never build a header themselves;
+  kind of entry, kept as append-only segments, one per writing
+  process: publishing an entry is one ``os.write`` and creates no
+  file.  A record is a compact-JSON header line (format version
+  :data:`FORMAT_VERSION`, kind, key, writer stamp, time, size and a
+  ``sha256`` over the key and the payload bytes), then the payload.  A
+  reader rejects stale layouts, relabelled or damaged records, entries
+  written by different code and payloads changed under an intact
+  header *before* decoding the payload; the digest is checked over the
+  raw bytes, never by re-serialising.  The stores hold one per kind and
+  never build a header themselves;
 * **envelopes** — a lone file published by atomic rename
   (:func:`write_envelope`, :func:`read_envelope`): the same header
   line, a digest of the payload bytes alone, then the payload.  A
@@ -472,15 +466,9 @@ class EntryDir:
                 os.close(fd)
             if len(blob) != head_size + size + 1 or blob[-1:] != b"\n":
                 return None
-            head, body = blob[:head_size], blob[head_size:-1]
-            header = json.loads(head)
-            expect = self._expect()
-            expect.update(key=key, bytes=size)
-            if not isinstance(header, dict) or any(
-                header.get(field) != value for field, value in expect.items()
-            ):
-                return None
-            if header.get("sha256") != _digest(key.encode("utf-8"), body):
+            body = blob[head_size:-1]
+            if _parse_header(blob[:head_size], self._expect()) != (
+                    key, record[0], size, _digest(key.encode("utf-8"), body)):
                 return None
             return json.loads(body)
         except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
