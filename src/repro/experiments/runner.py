@@ -375,7 +375,7 @@ def run_batch(
                 batch.checkpoint["orphans"] = store.orphaned_leases()
         # One look at the directory for the whole prefill; each job
         # the dispatcher runs is looked up again before it starts.
-        checkpointed = set(store.keys()) if store is not None else set()
+        checkpointed = store.listed() if store is not None else set()
         todo: List[JobTask] = []
         for index, (job, spec_data, key) in enumerate(prepared):
             if store is not None:
@@ -393,6 +393,8 @@ def run_batch(
         if todo:
             run_tasks(todo, deliver_with_twins, workers=workers,
                       plan_cache_dir=plan_cache_dir, store=store)
+        if store is not None:
+            store.drop_spent_leases()
     except SweepBroken as crash:
         raise SweepBroken(delivered, total) from crash
     except KeyboardInterrupt:

@@ -34,7 +34,8 @@ misses and their jobs re-run.
 Alongside the results, the store keeps per-job **lease records**: a
 worker writes a lease when it starts a job and a tombstone on
 completion, so a crashed sweep leaves behind exactly the leases of its
-in-flight jobs.  ``repro resume`` reports and re-leases these orphans;
+in-flight jobs, and a finished sweep unlinks the lease segments that
+hold nothing live (lease history does not grow with every job run).  ``repro resume`` reports and re-leases these orphans;
 they carry pid/host/time for post-mortems but are never load-bearing —
 an un-checkpointed job is re-run whether or not its lease survived.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..storage import (
     FORMAT_VERSION,
@@ -156,6 +157,11 @@ class JobStore:
         payload = {"experiment": experiment, "spec": spec_data, "result": result_data}
         return self._results.put(key, payload) is not None
 
+    def listed(self) -> Set[str]:
+        """The keys the checkpoint headers on disk name, after one look
+        at the directory (a sweep's prefill); :meth:`get` verifies each."""
+        return self._results.listed()
+
     def keys(self) -> List[str]:
         """Every checkpointed job key on disk (sorted)."""
         return self._results.keys()
@@ -190,10 +196,9 @@ class JobStore:
         any segment, supersedes an earlier one.  ``repro resume``
         reports these and re-leases them.
         """
-        checkpointed = set(self.keys())
         orphans: Dict[str, Dict[str, Any]] = {}
         for key in self._leases.keys():
-            if key in checkpointed:
+            if self.get(key) is not None:
                 # The worker died between publishing the result and
                 # releasing its lease: the job is done, not orphaned.
                 self.release(key)
@@ -202,6 +207,17 @@ class JobStore:
             if record is not None:
                 orphans[key] = record
         return orphans
+
+    def drop_spent_leases(self) -> None:
+        """Unlink the lease segments that hold no live lease.
+
+        Called when a sweep finishes: its own segment, and those of
+        its exited workers and of crashed sweeps whose jobs have since
+        been released, go; a segment that still holds an orphan, or
+        whose writer may still be running, stays.  A finished sweep
+        leaves no lease bytes behind.
+        """
+        self._leases.compact()
 
     # --- streaming snapshot ----------------------------------------------
 
@@ -236,12 +252,18 @@ class JobStore:
         }
 
     def sweep_scratch(self) -> None:
-        """Janitor pass: drop ``partial.json`` temp files of killed writers.
+        """Janitor pass: drop temp files of killed writers and the
+        per-entry files of the version-2 layout.
 
         A live writer renames its temp file onto the snapshot within
-        milliseconds; one a minute old is dead.
+        milliseconds; one a minute old is dead.  ``results/`` and
+        ``leases/`` lose what an older build left there (``.tmp``,
+        ``<key>.json``) once it is a minute old, as the plan tier's
+        janitor does.
         """
         sweep_files(self.directory, (".tmp",), older_than=60.0)
+        for entries in (self._results, self._leases):
+            sweep_files(entries.directory, (".tmp", ".json"), older_than=60.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<JobStore dir=%r checkpoints=%d>" % (

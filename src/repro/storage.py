@@ -12,10 +12,11 @@ clock-shaped about that lives here, once:
   file.  A record is a compact-JSON header line (format version
   :data:`FORMAT_VERSION`, kind, key, writer stamp, time, size and a
   ``sha256`` over the key and the payload bytes), then the payload.  A
-  reader rejects stale layouts, relabelled or damaged records, entries
-  written by different code and payloads changed under an intact
-  header *before* decoding the payload; the digest is checked over the
-  raw bytes, never by re-serialising.  The stores hold one per kind and
+  reader indexes the headers alone, and rejects stale layouts,
+  relabelled or damaged records, entries written by different code and
+  payloads changed under an intact header when it reads a record,
+  *before* decoding the payload; the digest is checked over the raw
+  bytes, never by re-serialising.  The stores hold one per kind and
   never build a header themselves;
 * **envelopes** — a lone file published by atomic rename
   (:func:`write_envelope`, :func:`read_envelope`): the same header
@@ -47,7 +48,8 @@ import itertools
 import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from stat import S_ISREG
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .serialize import encode
 
@@ -326,22 +328,25 @@ class EntryDir:
     (:meth:`discard`).
 
     Reads go through an in-memory index of the records' headers: built
-    on first use, refreshed on a miss, and reading only the bytes each
-    segment grew by since.  A key's latest record wins: a later record
-    of the same segment, else the one with the later ``time``.  A
-    record is indexed only once its last newline is on disk and its
-    digest verifies; a header line that does not parse or does not
-    match is skipped and the next line is tried as a header.  :meth:`get`
-    reads the record again and checks every header field and the digest
-    before it decodes anything: damage costs misses, never a wrong
-    payload or an exception.  Stamped entries are misses under any
+    on first use, refreshed on a miss, and reading only the headers of
+    what each segment grew by since, never a payload.  A key's latest
+    record wins: a later record of the same segment, else the one with
+    the later ``time``.  A record is indexed once the byte its header's
+    size points at is the newline that ends it; a header line that does
+    not parse, does not match or points elsewhere is skipped and the
+    next line is tried as a header.  :meth:`get` reads the record,
+    checks every header field and hashes the payload before it decodes
+    anything, and :meth:`keys` lists only records that verify: damage
+    costs misses, never a wrong payload or an exception.  Stamped entries are misses under any
     other source tree; unstamped ones (a sweep's leases) stay readable
     across commits.  The directory is created on first write.
 
     *segment_bytes* (0: never) makes a writer start a new segment once
     its current one holds that many bytes, so a store that evicts whole
     segments (:meth:`segments`, :meth:`drop`) can keep a long-lived
-    writer under a cap.
+    writer under a cap.  A store whose records are all superseded in
+    the end (a sweep's leases) unlinks the spent segments instead
+    (:meth:`compact`).
     """
 
     def __init__(self, directory: str, kind: str, stamped: bool = True,
@@ -448,12 +453,28 @@ class EntryDir:
             payload = self._load(key)
         return payload
 
-    def keys(self) -> List[str]:
-        """Sorted keys whose latest record on disk is an entry, not a tombstone."""
+    def listed(self) -> Set[str]:
+        """Keys whose latest record's header names an entry, after one
+        look at the directory; unverified, as :meth:`get` checks each."""
         self._refresh()
-        return sorted(key for key, record in self._index.items() if record[4])
+        return {key for key, record in self._index.items() if record[4]}
+
+    def keys(self) -> List[str]:
+        """Sorted keys whose latest record on disk is an entry that verifies."""
+        return sorted(key for key in self.listed() if self._read(key) is not None)
 
     def _load(self, key: str) -> Optional[Any]:
+        body = self._read(key)
+        if body is None:
+            return None
+        try:
+            return json.loads(body)
+        except (ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+            return None
+
+    def _read(self, key: str) -> Optional[bytes]:
+        """The payload bytes of *key*'s indexed record, once its header
+        matches and its digest verifies; else ``None``."""
         record = self._index.get(key)
         if record is None or not record[4]:
             return None
@@ -464,15 +485,15 @@ class EntryDir:
                 blob = os.pread(fd, head_size + size + 1, offset)
             finally:
                 os.close(fd)
-            if len(blob) != head_size + size + 1 or blob[-1:] != b"\n":
-                return None
-            body = blob[head_size:-1]
-            if _parse_header(blob[:head_size], self._expect()) != (
-                    key, record[0], size, _digest(key.encode("utf-8"), body)):
-                return None
-            return json.loads(body)
-        except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+        except OSError:
             return None
+        if len(blob) != head_size + size + 1 or blob[-1:] != b"\n":
+            return None
+        body = blob[head_size:-1]
+        if _parse_header(blob[:head_size], self._expect()) != (
+                key, record[0], size, _digest(key.encode("utf-8"), body)):
+            return None
+        return body
 
     def _note(self, key: str, record: Tuple[Any, str, int, int, int]) -> None:
         latest = self._index.get(key)
@@ -490,9 +511,11 @@ class EntryDir:
         for name in self._names():
             if name.endswith(".log"):
                 try:
-                    found.append((name, os.stat(os.path.join(self.directory, name))))
+                    stat = os.stat(os.path.join(self.directory, name))
                 except OSError:
                     continue
+                if S_ISREG(stat.st_mode):
+                    found.append((name, stat))
         return found
 
     def segments(self) -> List[Tuple[float, int, str]]:
@@ -515,11 +538,18 @@ class EntryDir:
             stat = stats[name]
             done = self._seen.get(name, (stat.st_ino, 0))[1]
             if stat.st_size > done:
-                self._seen[name] = (stat.st_ino, self._scan(name, done))
+                self._seen[name] = (stat.st_ino, self._scan(name, done, self._note))
 
-    def _scan(self, name: str, offset: int) -> int:
-        """Index the complete records of segment *name* from *offset* on;
-        returns where the first incomplete one starts."""
+    def _scan(self, name: str, offset: int,
+              visit: Callable[[str, Tuple[Any, str, int, int, int]], None]) -> int:
+        """Hand *visit* the key and place of each whole record of segment
+        *name* from *offset* on; returns where the first incomplete one
+        starts.
+
+        Only headers are read: a record is whole once the byte its
+        header's size points at is the newline that ends it.  A payload
+        is hashed when it is read (:meth:`_read`), never here.
+        """
         expect = self._expect()
         try:
             with open(os.path.join(self.directory, name), "rb") as handle:
@@ -527,21 +557,22 @@ class EntryDir:
                 line = handle.readline()
                 while line.endswith(b"\n"):
                     parsed = _parse_header(line, expect)
-                    if parsed is None:
-                        offset += len(line)
-                        line = handle.readline()
-                        continue
-                    body = handle.readline()
-                    if not body.endswith(b"\n"):
-                        break  # still being written, or torn by a kill
-                    key, stamp, size, digest = parsed
-                    if len(body) != size + 1 or digest != _digest(
-                            key.encode("utf-8"), memoryview(body)[:-1]):
-                        offset += len(line)
-                        line = body  # a damaged header: its payload line may be one
-                        continue
-                    self._note(key, (stamp, name, offset, len(line), size))
-                    offset += len(line) + len(body)
+                    if parsed is not None:
+                        end = offset + len(line) + parsed[2]
+                        handle.seek(end)
+                        tail = handle.read(1)
+                        if tail == b"\n":
+                            visit(parsed[0], (parsed[1], name, offset, len(line), parsed[2]))
+                            offset = end + 1
+                            line = handle.readline()
+                            continue
+                        handle.seek(offset + len(line))
+                        if not tail and not handle.readline().endswith(b"\n"):
+                            break  # still being written, or torn by a kill
+                        handle.seek(offset + len(line))
+                    # Not a header, or one whose size is wrong: its
+                    # payload line may be the next record's header.
+                    offset += len(line)
                     line = handle.readline()
         except OSError:
             pass
@@ -568,6 +599,43 @@ class EntryDir:
         self._seen.clear()
         return True
 
+    def compact(self) -> int:
+        """Unlink the segments whose records are all spent; segments unlinked.
+
+        A segment goes when no live process appends to it any more
+        (this process's own, or a finished process's of this host), and
+        for every key it holds a record of, that key's latest record is
+        a tombstone, held in a segment that goes too or in one that
+        stays: dropping segments never uncovers a record they
+        superseded.
+        """
+        self._refresh()
+        holders: Dict[str, Set[str]] = {}
+
+        def hold(key: str, record: Tuple[Any, str, int, int, int]) -> None:
+            holders.setdefault(key, set()).add(record[1])
+
+        names = [name for name, __ in self._stats()]
+        for name in names:
+            self._scan(name, 0, hold)
+        doomed = {name for name in names if _writer_gone(name)}
+        changed = True
+        while changed:
+            changed = False
+            for key, held in holders.items():
+                latest = self._index.get(key)
+                if latest is None:
+                    keep = held & doomed  # appended since the refresh
+                elif latest[1] in doomed and (latest[4] or not held <= doomed):
+                    keep = {latest[1]}
+                else:
+                    continue
+                if keep:
+                    doomed -= keep
+                    changed = True
+        return sum(self.drop(os.path.join(self.directory, name))
+                   for name in sorted(doomed))
+
     def clear(self) -> int:
         """Unlink every file in the directory; entries removed."""
         removed = len(self.keys())
@@ -579,6 +647,27 @@ class EntryDir:
         self._index.clear()
         self._seen.clear()
         return removed
+
+
+def _writer_gone(name: str) -> bool:
+    """Whether no other live process appends to segment *name*: it is
+    this process's, or a process's of this host that has exited."""
+    host, __, rest = name[:-len(".log")].rpartition("-")
+    try:
+        pid = int(rest.split(".")[0])
+    except ValueError:
+        return False
+    if host != HOST:
+        return False
+    if pid == os.getpid():
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # alive, and another user's
+    return False
 
 
 def _digest(key: bytes, body: Any) -> str:
@@ -606,7 +695,7 @@ def _parse_header(
         key, stamp = header.get("key"), header.get("time")
         size, digest = header.get("bytes"), header.get("sha256")
         if not (isinstance(key, str) and type(stamp) in (int, float)
-                and type(size) is int and isinstance(digest, str)):
+                and type(size) is int and size >= 0 and isinstance(digest, str)):
             return None
         key.encode("utf-8")  # a lone surrogate cannot be a key
     except (ValueError, RecursionError):

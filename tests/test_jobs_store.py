@@ -250,6 +250,56 @@ def test_partial_snapshot_round_trip(tmp_path):
     assert store.read_partial() == snapshot
 
 
+def _foreign_lease_segment(store, name, keys):
+    """Leases for *keys* in a segment called *name*, as another writer
+    of ``DIR/leases/`` would have left them."""
+    from repro.storage import EntryDir
+
+    other = EntryDir(os.path.join(os.path.dirname(store.directory), "other"),
+                     "lease", stamped=False)
+    for index, key in enumerate(keys):
+        other.put(key, {"experiment": "trace", "index": index, "pid": 1,
+                        "host": "elsewhere", "time": 0.0})
+    [written] = os.listdir(other.directory)
+    os.replace(os.path.join(other.directory, written),
+               os.path.join(store_dir(store, "leases"), name))
+
+
+def test_spent_lease_segments_go_and_live_ones_stay(tmp_path):
+    """A segment goes once its writer is gone and nothing in it is live,
+    and only when dropping it uncovers no lease it superseded."""
+    import subprocess
+    import sys
+
+    from repro.storage import HOST
+
+    store = JobStore(str(tmp_path / "ckpt"))
+    a, b, c, d, e = (job_key("trace", {"value": value}) for value in range(5))
+    store.lease(d, "trace", 3)
+    store.release(d)
+    exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                            capture_output=True, text=True, check=True)
+    crashed = "%s-%d.log" % (HOST, int(exited.stdout))
+    _foreign_lease_segment(store, crashed, [a, b])  # a crashed sweep's two orphans
+    _foreign_lease_segment(store, "%s-1.log" % HOST, [c])  # a live writer's
+    _foreign_lease_segment(store, "elsewhere-5.log", [e])  # another host's
+    own = "%s-%d.log" % (HOST, os.getpid())
+
+    def segments():
+        return sorted(os.listdir(store_dir(store, "leases")))
+
+    store.release(a)  # a resume ran one orphan
+    store.drop_spent_leases()
+    # Dropping our segment would bring a's lease back; the crashed
+    # sweep's still holds b.
+    assert segments() == sorted([crashed, own, "%s-1.log" % HOST, "elsewhere-5.log"])
+    assert set(store.orphaned_leases()) == {b, c, e}
+    store.release(b)
+    store.drop_spent_leases()
+    assert segments() == sorted(["%s-1.log" % HOST, "elsewhere-5.log"])
+    assert set(JobStore(store.directory).orphaned_leases()) == {c, e}
+
+
 def test_info_counts_checkpoints_and_orphaned_leases(tmp_path):
     store = JobStore(str(tmp_path / "ckpt"))
     _put_one(store, value=1)

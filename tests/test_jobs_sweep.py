@@ -123,6 +123,8 @@ def test_kill_and_resume_byte_identical_workers1(tmp_path):
     assert resumed.checkpoint["reused"] == 2
     assert resumed.checkpoint["computed"] == 3
     assert set(resumed.checkpoint["orphans"]) == set(orphans)
+    # The killed sweep's lease segment went with the resume's own.
+    assert os.listdir(str(ckpt / "leases")) == []
 
 
 def test_kill_and_resume_byte_identical_workers4(tmp_path):
@@ -148,6 +150,8 @@ def test_kill_and_resume_byte_identical_workers4(tmp_path):
     counts = resumed.checkpoint
     assert counts["reused"] + counts["computed"] == len(jobs)
     assert counts["computed"] >= 1  # the killed job was never durable
+    # Every worker of both runs has exited and released what it held.
+    assert os.listdir(str(ckpt / "leases")) == []
 
 
 # ----------------------------------------------------------------------
@@ -501,22 +505,29 @@ def test_dry_run_prints_exactly_the_keys_serve_writes(tmp_path, capsys):
 
 def test_a_cold_sweep_creates_one_file_per_store_directory(tmp_path):
     """The parent plans, leases and checkpoints every scenario job, and
-    appends each record to its own segment: six jobs, four files."""
+    appends each record to its own segment: six jobs, four files, of
+    which the lease segment goes once the sweep has released them all."""
     from repro.storage import HOST
 
     jobs = [dict(tiny_netscale(extra, "e%d" % extra)) for extra in range(6)]
     for job in jobs:  # a seed of this test's own: no plan is in memory yet
         job["spec"] = dict(job["spec"], seed=58101)
     ckpt, plans = tmp_path / "ckpt", tmp_path / "plans"
+    leases = set()
+
+    def watch(*__):
+        leases.update(os.listdir(str(ckpt / "leases")))
+
     batch = run_batch(jobs, workers=1, checkpoint_dir=str(ckpt),
-                      plan_cache_dir=str(plans))
+                      plan_cache_dir=str(plans), on_item=watch)
     assert batch.checkpoint["computed"] == len(jobs) and not batch.failures()
     assert batch.plan_cache["plan_misses"] == len(jobs)
     own = ["%s-%d.log" % (HOST, os.getpid())]
+    assert sorted(leases) == own
     assert sorted(os.listdir(str(ckpt))) == ["leases", "results"]
-    for directory in (ckpt / "results", ckpt / "leases",
-                      plans / "plans", plans / "networks"):
+    for directory in (ckpt / "results", plans / "plans", plans / "networks"):
         assert os.listdir(str(directory)) == own, directory
+    assert os.listdir(str(ckpt / "leases")) == []
     assert len(JobStore(str(ckpt)).keys()) == len(jobs)
     assert JobStore(str(ckpt)).orphaned_leases() == {}
 
@@ -532,13 +543,20 @@ def test_a_whole_job_in_a_pool_worker_writes_its_own_segment(tmp_path):
     jobs = [{"experiment": "test-flaky", "label": "v%d" % v, "spec": {"value": v}}
             for v in range(6)]
     ckpt = str(tmp_path / "ckpt")
-    batch = run_batch(jobs, workers=2, checkpoint_dir=ckpt)
+    leases = set()
+
+    def watch(*__):
+        leases.update(os.listdir(os.path.join(ckpt, "leases")))
+
+    batch = run_batch(jobs, workers=2, checkpoint_dir=ckpt, on_item=watch)
     assert batch.checkpoint["computed"] == len(jobs)
-    for subdir in ("results", "leases"):
-        names = os.listdir(os.path.join(ckpt, subdir))
+    for names in (os.listdir(os.path.join(ckpt, "results")), leases):
         pids = {int(re.fullmatch(r"%s-(\d+)\.log" % re.escape(HOST), name).group(1))
                 for name in names}
         assert pids and os.getpid() not in pids, names
         assert len(pids) <= 2
+    # The workers have exited and every lease is released: their
+    # segments went when the sweep finished.
+    assert os.listdir(os.path.join(ckpt, "leases")) == []
     assert len(JobStore(ckpt).keys()) == len(jobs)
     assert canonical(run_batch(jobs, workers=1, checkpoint_dir=ckpt)) == canonical(batch)

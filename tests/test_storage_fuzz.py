@@ -609,7 +609,21 @@ def test_a_segment_cut_inside_its_last_record_costs_that_job_only(clean_results)
 def test_a_version_2_directory_reads_as_all_misses_and_no_orphans(clean_results):
     """One ``<key>.json`` envelope per checkpoint, lease and plan: what
     the previous layout left.  Stamped with this code, every one would
-    have served; here none does, nothing raises, and the sweep reruns."""
+    have served; here none does, nothing raises, and the sweep reruns.
+    Once a minute old, the janitors remove them and a killed writer's
+    temp file beside them."""
+
+    def old_files(root):
+        found = []
+        for parent, __, names in os.walk(root):
+            found.extend(os.path.join(parent, name) for name in names
+                         if name.endswith((".json", ".tmp")))
+        return sorted(found)
+
+    def age(paths):
+        for path in paths:
+            os.utime(path, (1, 1))
+
     with tempfile.TemporaryDirectory() as scratch:
         directory = os.path.join(scratch, "ckpt")
         for index, (experiment, spec) in enumerate(PAYLOADS):
@@ -624,13 +638,22 @@ def test_a_version_2_directory_reads_as_all_misses_and_no_orphans(clean_results)
                 "payload": {"experiment": experiment, "index": index, "pid": 1,
                             "host": "elsewhere", "time": 0.0},
             })
+        for subdir in ("results", "leases"):
+            with open(os.path.join(directory, subdir, "x.json.77.tmp"), "wb") as handle:
+                handle.write(b"{")
         store = JobStore(directory)
         assert [store.get(key) for key in JOB_KEYS] == [None] * len(JOB_KEYS)
         assert store.keys() == [] and store.orphaned_leases() == {}
+        stale = old_files(directory)
+        assert len(stale) == 2 * len(PAYLOADS) + 2
+        store.sweep_scratch()
+        assert old_files(directory) == stale  # younger than a minute: kept
+        age(stale)
         batch = run_batch(PAYLOADS, checkpoint_dir=directory, resume=True)
         assert batch.checkpoint["computed"] == len(PAYLOADS)
         assert batch.checkpoint["orphans"] == {}
         assert [item.result for item in batch.items] == clean_results
+        assert old_files(directory) == []
 
         plans = os.path.join(scratch, "plans")
         for kind, value in (("plan", REFERENCE), ("network", REFERENCE.network)):
@@ -642,7 +665,9 @@ def test_a_version_2_directory_reads_as_all_misses_and_no_orphans(clean_results)
         assert disk.get_plan(KEYS["plan"]) is None
         assert disk.get_network(KEYS["network"]) is None
         assert disk.entry_counts() == {"plan": 0, "network": 0}
+        age(old_files(plans))
         assert_plan_tier_serves_only_the_truth(plans)
+        assert old_files(plans) == []
 
 
 THEFTS = st.sampled_from(["delete", "steal", "garbage", "directory"])
@@ -656,13 +681,12 @@ def test_lease_stolen_or_deleted_mid_job(clean_results, thefts):
         directory = os.path.join(scratch, "ckpt")
         leases = os.path.join(directory, "leases")
         honest_run = _sweep_exps.FlakyExperiment.run
+        honest_release = JobStore.release
         blocked = []  # the segment this process appends leases to, once a directory
 
         def thieving_run(self, spec, *args, **kwargs):
             key = JOB_KEYS[spec.value]
             theft = thefts[spec.value]
-            if blocked:  # no lease could be written: nothing to take
-                return honest_run(self, spec, *args, **kwargs)
             lease = record_of(leases, key)
             assert lease.header["bytes"] > 0  # we are between lease and put
             if theft == "directory":
@@ -681,7 +705,15 @@ def test_lease_stolen_or_deleted_mid_job(clean_results, thefts):
                            os.path.join(leases, "elsewhere-%d.log" % spec.value))
             return honest_run(self, spec, *args, **kwargs)
 
-        with mock.patch.object(_sweep_exps.FlakyExperiment, "run", thieving_run):
+        def release_then_restore(self, key):
+            honest_release(self, key)  # fails on a blocked segment
+            while blocked:  # the next job's lease, and its theft, land again
+                path = blocked.pop()
+                assert os.path.isdir(path) and not os.listdir(path)
+                os.rmdir(path)
+
+        with mock.patch.object(_sweep_exps.FlakyExperiment, "run", thieving_run), \
+                mock.patch.object(JobStore, "release", release_then_restore):
             assert sweep_results(checkpoint_dir=directory) == clean_results
         assert_job_store_serves_only_the_truth(directory, clean_results)
 
