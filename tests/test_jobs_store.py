@@ -163,6 +163,22 @@ def test_a_record_damaged_after_it_was_indexed_is_a_miss(tmp_path):
     assert reader.get(key) is None
 
 
+@pytest.mark.parametrize("off_by", [-5, 5, 40])
+def test_a_header_whose_size_is_wrong_hides_no_other_record(tmp_path, off_by):
+    """Only headers are indexed: one whose ``bytes`` points anywhere but
+    its record's last newline is skipped, and the records after it in
+    the segment still serve."""
+    store = JobStore(str(tmp_path / "ckpt"))
+    keys = [_put_one(store, value=value) for value in range(3)]
+    size = read_header(store_dir(store), keys[1])["bytes"]
+    rewrite_header(store_dir(store), keys[1], bytes=size + off_by)
+    fresh = JobStore(store.directory)
+    assert fresh.get(keys[1]) is None
+    assert [fresh.get(key)["result"] for key in (keys[0], keys[2])] == [
+        {"answer": 0}, {"answer": 4}]
+    assert fresh.keys() == sorted([keys[0], keys[2]])
+
+
 def test_version_1_checkpoint_is_a_miss(tmp_path):
     """The previous envelope, stamped as this code's, is re-run, not read.
 
@@ -250,16 +266,18 @@ def test_partial_snapshot_round_trip(tmp_path):
     assert store.read_partial() == snapshot
 
 
-def _foreign_lease_segment(store, name, keys):
-    """Leases for *keys* in a segment called *name*, as another writer
-    of ``DIR/leases/`` would have left them."""
+def _foreign_lease_segment(store, name, leased, released=()):
+    """Leases for *leased*, then tombstones for *released*, in a segment
+    called *name*, as another writer of ``DIR/leases/`` leaves them."""
     from repro.storage import EntryDir
 
     other = EntryDir(os.path.join(os.path.dirname(store.directory), "other"),
                      "lease", stamped=False)
-    for index, key in enumerate(keys):
+    for index, key in enumerate(leased):
         other.put(key, {"experiment": "trace", "index": index, "pid": 1,
                         "host": "elsewhere", "time": 0.0})
+    for key in released:
+        other.discard(key)
     [written] = os.listdir(other.directory)
     os.replace(os.path.join(other.directory, written),
                os.path.join(store_dir(store, "leases"), name))
@@ -274,7 +292,7 @@ def test_spent_lease_segments_go_and_live_ones_stay(tmp_path):
     from repro.storage import HOST
 
     store = JobStore(str(tmp_path / "ckpt"))
-    a, b, c, d, e = (job_key("trace", {"value": value}) for value in range(5))
+    a, b, c, d, e, f = (job_key("trace", {"value": value}) for value in range(6))
     store.lease(d, "trace", 3)
     store.release(d)
     exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
@@ -283,21 +301,33 @@ def test_spent_lease_segments_go_and_live_ones_stay(tmp_path):
     _foreign_lease_segment(store, crashed, [a, b])  # a crashed sweep's two orphans
     _foreign_lease_segment(store, "%s-1.log" % HOST, [c])  # a live writer's
     _foreign_lease_segment(store, "elsewhere-5.log", [e])  # another host's
+    # A live writer between two jobs: nothing in its segment is live,
+    # but it may append its next lease at any moment.
+    idle = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                            stdin=subprocess.PIPE)
+    between = "%s-%d.log" % (HOST, idle.pid)
+    _foreign_lease_segment(store, between, [f], released=[f])
     own = "%s-%d.log" % (HOST, os.getpid())
 
     def segments():
         return sorted(os.listdir(store_dir(store, "leases")))
 
-    store.release(a)  # a resume ran one orphan
-    store.drop_spent_leases()
-    # Dropping our segment would bring a's lease back; the crashed
-    # sweep's still holds b.
-    assert segments() == sorted([crashed, own, "%s-1.log" % HOST, "elsewhere-5.log"])
-    assert set(store.orphaned_leases()) == {b, c, e}
-    store.release(b)
-    store.drop_spent_leases()
+    try:
+        store.release(a)  # a resume ran one orphan
+        store.drop_spent_leases()
+        # Dropping our segment would bring a's lease back; the crashed
+        # sweep's still holds b.
+        assert segments() == sorted([crashed, own, between, "%s-1.log" % HOST,
+                                     "elsewhere-5.log"])
+        assert set(store.orphaned_leases()) == {b, c, e}
+        store.release(b)
+        store.drop_spent_leases()
+        assert segments() == sorted([between, "%s-1.log" % HOST, "elsewhere-5.log"])
+        assert set(JobStore(store.directory).orphaned_leases()) == {c, e}
+    finally:
+        idle.communicate(b"")
+    store.drop_spent_leases()  # its writer has exited now
     assert segments() == sorted(["%s-1.log" % HOST, "elsewhere-5.log"])
-    assert set(JobStore(store.directory).orphaned_leases()) == {c, e}
 
 
 def test_info_counts_checkpoints_and_orphaned_leases(tmp_path):
