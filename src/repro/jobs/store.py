@@ -35,9 +35,10 @@ Alongside the results, the store keeps per-job **lease records**: a
 worker writes a lease when it starts a job and a tombstone on
 completion, so a crashed sweep leaves behind exactly the leases of its
 in-flight jobs, and a finished sweep unlinks the lease segments that
-hold nothing live (lease history does not grow with every job run).  ``repro resume`` reports and re-leases these orphans;
-they carry pid/host/time for post-mortems but are never load-bearing —
-an un-checkpointed job is re-run whether or not its lease survived.
+hold nothing live, so lease history does not grow with every job run.
+``repro resume`` reports and re-leases these orphans; they carry
+pid/host/time for post-mortems but are never load-bearing — an
+un-checkpointed job is re-run whether or not its lease survived.
 """
 
 from __future__ import annotations

@@ -337,9 +337,10 @@ class EntryDir:
     next line is tried as a header.  :meth:`get` reads the record,
     checks every header field and hashes the payload before it decodes
     anything, and :meth:`keys` lists only records that verify: damage
-    costs misses, never a wrong payload or an exception.  Stamped entries are misses under any
-    other source tree; unstamped ones (a sweep's leases) stay readable
-    across commits.  The directory is created on first write.
+    costs misses, never a wrong payload or an exception.  Stamped
+    entries are misses under any other source tree; unstamped ones (a
+    sweep's leases) stay readable across commits.  The directory is
+    created on first write.
 
     *segment_bytes* (0: never) makes a writer start a new segment once
     its current one holds that many bytes, so a store that evicts whole
@@ -665,8 +666,8 @@ def _writer_gone(name: str) -> bool:
         os.kill(pid, 0)
     except ProcessLookupError:
         return True
-    except OSError:
-        pass  # alive, and another user's
+    except (OSError, OverflowError):
+        pass  # alive and another user's, or no pid this host can have
     return False
 
 

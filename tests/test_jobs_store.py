@@ -307,6 +307,9 @@ def test_spent_lease_segments_go_and_live_ones_stay(tmp_path):
                             stdin=subprocess.PIPE)
     between = "%s-%d.log" % (HOST, idle.pid)
     _foreign_lease_segment(store, between, [f], released=[f])
+    # A pid no process of this host can have: its writer is unknown.
+    unknown = "%s-%d.log" % (HOST, 10 ** 30)
+    _foreign_lease_segment(store, unknown, [f], released=[f])
     own = "%s-%d.log" % (HOST, os.getpid())
 
     def segments():
@@ -317,17 +320,18 @@ def test_spent_lease_segments_go_and_live_ones_stay(tmp_path):
         store.drop_spent_leases()
         # Dropping our segment would bring a's lease back; the crashed
         # sweep's still holds b.
-        assert segments() == sorted([crashed, own, between, "%s-1.log" % HOST,
-                                     "elsewhere-5.log"])
+        assert segments() == sorted([crashed, own, between, unknown,
+                                     "%s-1.log" % HOST, "elsewhere-5.log"])
         assert set(store.orphaned_leases()) == {b, c, e}
         store.release(b)
         store.drop_spent_leases()
-        assert segments() == sorted([between, "%s-1.log" % HOST, "elsewhere-5.log"])
+        assert segments() == sorted([between, unknown, "%s-1.log" % HOST,
+                                     "elsewhere-5.log"])
         assert set(JobStore(store.directory).orphaned_leases()) == {c, e}
     finally:
         idle.communicate(b"")
     store.drop_spent_leases()  # its writer has exited now
-    assert segments() == sorted(["%s-1.log" % HOST, "elsewhere-5.log"])
+    assert segments() == sorted([unknown, "%s-1.log" % HOST, "elsewhere-5.log"])
 
 
 def test_info_counts_checkpoints_and_orphaned_leases(tmp_path):
